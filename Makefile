@@ -53,6 +53,14 @@
 #                   crossover matrix ({nzstm, glock, adaptive} × {uniform,
 #                   zipfian-skewed}, per-regime winners + switch counts),
 #                   results in BENCH_kv.json
+#   make bench-wal  WAL microbenchmark (the wal line of the per-layer budget):
+#                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
+#                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
+#                   appenders — reporting ns/op, B/op, writes/op, syncs/op
+#   make durable    the durable-batch workload of the repo's benchmark with its
+#                   per-layer trace (wal.fsyncs_per_req, wal.frame_copies_per_req,
+#                   disk.*, stage times): the before/after table for a WAL
+#                   change is this command on both commits
 #   make profile    profiling run of the serving benchmark (not part of
 #                   check): bench-kv's durable profile with CPU and heap
 #                   profiles written to results/ — feed them to
@@ -83,7 +91,7 @@ DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
 # allocations go", with the per-stage span breakdown printed beside it.
 PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
-.PHONY: check build vet test race race-tracing fuzz soak crash failover diskfault bench-kv profile serve
+.PHONY: check build vet test race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
 
 check: build vet test race race-tracing fuzz soak crash diskfault failover bench-kv
 
@@ -129,6 +137,12 @@ diskfault:
 
 bench-kv:
 	$(GO) run ./cmd/nztm-load -out BENCH_kv.json -fsync always,interval,never -replicated -connections 8,64,512 -executors 8 -crossover
+
+bench-wal:
+	$(GO) test -run '^$$' -bench BenchmarkAppend -benchmem ./internal/wal
+
+durable:
+	$(GO) run ./benchmark -workload durable-batch -trace 1 -seconds 10
 
 profile:
 	mkdir -p results

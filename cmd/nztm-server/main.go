@@ -23,10 +23,10 @@
 // without bound.
 //
 // With -data-dir the store is crash-durable: committed transactions are
-// appended to a per-shard checksummed write-ahead log (group commit,
-// -fsync always|interval|never), -snapshot-every seals periodic
-// per-shard snapshots that truncate the covered log, and boot recovers
-// the directory's provable state before the listener opens. See
+// appended once to one checksummed commit log shared by every shard
+// (group commit, -fsync always|interval|never), -snapshot-every seals
+// periodic per-shard snapshots that truncate the covered log, and boot
+// recovers the directory's state before the listener opens. See
 // DESIGN.md §12.
 package main
 
@@ -207,8 +207,8 @@ func main() {
 			os.Exit(1)
 		}
 		store = s
-		fmt.Printf("nztm-server: recovered %s: replayed=%d dropped=%d truncated_bytes=%d in %v (fsync=%s snapshot-every=%v)\n",
-			*dataDir, st.ReplayedFrames, st.DroppedFrames, st.TruncatedBytes,
+		fmt.Printf("nztm-server: recovered %s: replayed=%d truncated_bytes=%d in %v (fsync=%s snapshot-every=%v)\n",
+			*dataDir, st.ReplayedFrames, st.TruncatedBytes,
 			st.Duration.Round(time.Microsecond), policy, *snapEvery)
 		statszHooks = append(statszHooks, store.WriteDurabilityStats)
 		metricszHooks = append(metricszHooks, store.WriteDurabilityProm)

@@ -88,9 +88,10 @@ var diskSites = []fault.DiskSite{
 }
 
 // diskProbFor tunes the per-visit firing probability so each episode
-// lands a few injections after some acknowledged load: write sites are
-// visited once per logged frame, sync once per acked cohort (fsync
-// always), open/rename only a few times a second on the snapshot plane.
+// lands a few injections after some acknowledged load: write and sync
+// sites are visited once per cohort written (fsync always; one commit
+// per cohort at this soak's concurrency), open/rename only a few times
+// a second on the snapshot plane.
 func diskProbFor(site fault.DiskSite) float64 {
 	switch site {
 	case fault.DiskSync:

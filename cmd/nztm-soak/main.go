@@ -183,8 +183,8 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		if err != nil {
 			return err
 		}
-		fmt.Printf("nztm-soak: durable in %s: recovered replayed=%d dropped=%d truncated=%d in %v\n",
-			dataDir, st.ReplayedFrames, st.DroppedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
+		fmt.Printf("nztm-soak: durable in %s: recovered replayed=%d truncated=%d in %v\n",
+			dataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
 	} else {
 		store = kv.New(plane.WrapSystem(backend.Sys), shards, buckets)
 	}

@@ -198,8 +198,8 @@ func (d *Disk) Armed() bool { return d.armed.Load() }
 func (d *Disk) Stats() *DiskStats { return &d.stats }
 
 // hit makes one deterministic draw for site, counting and writing the
-// marker on a fire. Files are touched from many goroutines (per-shard
-// sync loops, snapshotter, stream readers), so draws serialize.
+// marker on a fire. Files are touched from many goroutines (appenders,
+// the interval syncer, snapshotter, stream readers), so draws serialize.
 func (d *Disk) hit(site DiskSite) bool {
 	if !d.armed.Load() {
 		return false

@@ -88,7 +88,7 @@ type durState struct {
 
 // NewDurable creates a store whose commits are logged to a write-ahead
 // log under d.Dir, after first recovering whatever state the directory
-// proves: the latest valid snapshots plus the surviving log prefix.
+// proves: the latest valid snapshots plus the log's valid prefix.
 // Recovery happens before any object is published, so the store starts
 // serving the recovered state. The returned wal.State reports what
 // recovery found.
@@ -129,9 +129,8 @@ func NewDurable(sys tm.System, shards, bucketsPerShard int, d Durability) (*Stor
 	dur.seqs = make([]tm.Object, shards)
 	for i := range dur.seqs {
 		// The sequencer resumes one below NextLSN so the next commit is
-		// assigned exactly NextLSN — the first LSN past the provable
-		// prefix (recovery excised any dropped frames past it, so the
-		// slot is genuinely free).
+		// assigned exactly NextLSN — the first LSN past the log's valid
+		// prefix (Open cut the torn tail, so the slot is genuinely free).
 		dur.seqs[i] = sys.NewObject(&seqData{lsn: st.NextLSN[i] - 1})
 	}
 	dur.rec.Record(tm.Monotime(), trace.KindWALRecover, uint64(shards), st.ReplayedFrames, st.TruncatedBytes)
@@ -241,34 +240,40 @@ func (da *durAttempt) effect(tx tm.Tx, d *durState, shard int, op wal.Op) {
 // finish runs after the Atomic call, before results are released to the
 // caller. committed reports whether the transaction committed (false on
 // the CAS-miss abort path, whose observations are still acknowledged).
-// It appends the frame for any write effects and gates the
-// acknowledgement on the stability of every observed prefix — in
-// written shards too: Append only guarantees the frame's OWN copies are
-// persisted, while an earlier cross-shard commit in those logs may
-// still be unpersisted in its other shards, and this transaction's
-// results may depend on it. Waiting on the seen LSN (one below this
-// transaction's own in written shards, which Append already marked
-// stable) cannot self-deadlock: the wait only covers other commits,
-// each of which marks itself stable from its own finish.
-func (d *durState) finish(da *durAttempt, committed bool, sp *trace.Span) error {
-	if committed && len(da.assigned) > 0 {
-		f := &wal.Frame{
-			Shards: make([]wal.ShardLSN, 0, len(da.assigned)),
-			Ops:    da.ops,
-		}
-		for shard, lsn := range da.assigned {
-			f.Shards = append(f.Shards, wal.ShardLSN{Shard: shard, LSN: lsn})
+// It appends the frame for any write effects, then gates the
+// acknowledgement on the durability of every observed prefix. Append
+// returning already covers the written shards (everything earlier in
+// file order is durable with the frame), so in practice the wait is for
+// shards the transaction only read. It returns the request's commit
+// vector (see durAttempt.vector).
+func (d *durState) finish(da *durAttempt, committed bool, sp *trace.Span) ([]wal.ShardLSN, error) {
+	if !committed {
+		// The LSNs taken inside the aborted attempt were rolled back with
+		// it: nothing will ever log them, so the acknowledgement (and the
+		// vector handed to the gate and the client) rests on the observed
+		// prefixes alone.
+		clear(da.assigned)
+		da.ops = da.ops[:0]
+	}
+	vec := da.vector()
+	wrote := len(da.assigned) > 0
+	if wrote {
+		// The frame's identity vector is the assigned subset of vec, which
+		// is already sorted by shard — the order the log requires.
+		f := &wal.Frame{Shards: make([]wal.ShardLSN, 0, len(da.assigned)), Ops: da.ops}
+		for _, sl := range vec {
+			if _, ok := da.assigned[sl.Shard]; ok {
+				f.Shards = append(f.Shards, sl)
+			}
 		}
 		if err := d.log.AppendSpan(f, sp); err != nil {
 			// The commit is live in memory but not durable: failing the
 			// request keeps "acknowledged implies recoverable" intact.
-			return fmt.Errorf("kv: wal append: %w", err)
+			return nil, fmt.Errorf("kv: wal append: %w", err)
 		}
 	}
-	for shard, lsn := range da.seen {
-		if err := d.log.WaitStable(shard, lsn); err != nil {
-			return fmt.Errorf("kv: wal wait: %w", err)
-		}
+	if err := d.log.WaitStable(vec); err != nil {
+		return nil, fmt.Errorf("kv: wal wait: %w", err)
 	}
 	sp.Mark(trace.StageStableWait)
 	// Replication gate: local durability alone is not enough when a
@@ -276,15 +281,13 @@ func (d *durState) finish(da *durAttempt, committed bool, sp *trace.Span) error 
 	// result may expose a concurrent commit that no follower has yet, and
 	// acknowledging it would let a client observe state the promoted
 	// primary never had.
-	if gp := d.gate.Load(); gp != nil {
-		if vec := da.vector(); len(vec) > 0 {
-			if err := (*gp)(vec, committed && len(da.assigned) > 0); err != nil {
-				return fmt.Errorf("kv: commit gate: %w", err)
-			}
-			sp.Mark(trace.StageReplGate)
+	if gp := d.gate.Load(); gp != nil && len(vec) > 0 {
+		if err := (*gp)(vec, wrote); err != nil {
+			return nil, fmt.Errorf("kv: commit gate: %w", err)
 		}
+		sp.Mark(trace.StageReplGate)
 	}
-	return nil
+	return vec, nil
 }
 
 // snapshotLoop periodically snapshots every shard through a read-only
@@ -339,14 +342,13 @@ func (s *Store) WriteDurabilityStats(w io.Writer) {
 	fmt.Fprintf(w, "durability: dir=%s fsync=%s mode=%s\n", d.log.Dir(), d.cfg.Fsync, d.log.Mode())
 	fmt.Fprintf(w, "wal faults: write_errors=%d sync_failures=%d readonly_trips=%d fail_stops=%d\n",
 		ls.WriteErrors.Load(), ls.SyncFailures.Load(), ls.ReadOnlyTrips.Load(), ls.FailStops.Load())
-	fmt.Fprintf(w, "recovery: replayed_frames=%d dropped_frames=%d truncated_bytes=%d duration=%s\n",
-		st.ReplayedFrames, st.DroppedFrames, st.TruncatedBytes, st.Duration)
+	fmt.Fprintf(w, "recovery: replayed_frames=%d truncated_bytes=%d duration=%s\n",
+		st.ReplayedFrames, st.TruncatedBytes, st.Duration)
 	fmt.Fprintf(w, "wal: appended_frames=%d appended_bytes=%d fsyncs=%d snapshots=%d removed_files=%d\n",
 		ls.AppendedFrames.Load(), ls.AppendedBytes.Load(), ls.Fsyncs.Load(),
 		ls.Snapshots.Load(), ls.RemovedFiles.Load())
 	fmt.Fprintf(w, "wal fsync cohort: %s\n", ls.FsyncCohortFrames.SummaryValues())
 	fmt.Fprintf(w, "wal reorder occupancy: %s\n", ls.ReorderOccupancy.SummaryValues())
-	fmt.Fprintf(w, "wal stable lag: %s\n", ls.StableLagFrames.SummaryValues())
 }
 
 // WriteDurabilityProm appends the durability plane's Prometheus
@@ -359,7 +361,6 @@ func (s *Store) WriteDurabilityProm(w io.Writer) {
 	d := s.dur
 	st := d.state
 	metrics.CounterFam(w, "nztm_wal_replayed_frames_total", "frames replayed during recovery", st.ReplayedFrames)
-	metrics.CounterFam(w, "nztm_wal_dropped_frames_total", "torn or cut frames dropped during recovery", st.DroppedFrames)
 	metrics.CounterFam(w, "nztm_wal_truncated_bytes_total", "log bytes truncated during recovery", st.TruncatedBytes)
 	d.recovery.WriteProm(w, "nztm_wal_recovery_seconds")
 	mode := d.log.Mode()

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -130,6 +131,36 @@ func TestDurableCASMissDoesNotLog(t *testing.T) {
 	if err != nil || rs[0].Found {
 		t.Fatalf("batch = %+v, %v", rs, err)
 	}
+	// The same abort with the write first: the PUT took an LSN inside the
+	// aborted attempt, which nothing will ever log — the acknowledgement
+	// must rest on the observed prefixes only, not wait for that LSN.
+	type reply struct {
+		rs  []Result
+		vec []wal.ShardLSN
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		rs, vec, err := s.DoVec(th, []Op{
+			{Kind: OpPut, Key: "other", Value: []byte("y")},
+			{Kind: OpCAS, Key: "k", Expect: []byte("wrong"), Value: []byte("x")},
+		}, budget)
+		done <- reply{rs, vec, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.rs[1].Found {
+			t.Fatalf("write-first batch = %+v, %v", r.rs, r.err)
+		}
+		stable := s.WAL().StableVector()
+		for _, sl := range r.vec {
+			if sl.LSN > stable[sl.Shard] {
+				t.Fatalf("aborted batch returned uncommitted %+v (stable %v)", sl, stable)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("aborted write-first batch never acknowledged: it waits on an LSN nobody logs")
+	}
 	if got := s.WAL().Stats().AppendedFrames.Load(); got != before {
 		t.Fatalf("CAS misses appended %d frames", got-before)
 	}
@@ -140,6 +171,49 @@ func TestDurableCASMissDoesNotLog(t *testing.T) {
 	}
 	if len(st.Keys[int(fnv1a("other")%2)]) != 0 && st.Keys[int(fnv1a("other")%2)]["other"] != nil {
 		t.Fatal("aborted batch effect leaked into the log")
+	}
+}
+
+// TestLoadShardSnapshotBehind: a follower ahead of the shipped snapshot
+// holds a diverged tail. Outside a resync the install is refused before
+// memory or disk change (the log's chain is the only copy of the other
+// shards' frames); as part of a resync it replaces the shard wholesale.
+func TestLoadShardSnapshotBehind(t *testing.T) {
+	dir := t.TempDir()
+	s, b := newDurableStore(t, dir, 1, 2, Durability{Fsync: wal.FsyncNever})
+	th := b.NewThread()
+	budget := Budget{MaxAttempts: 100}
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if _, err := s.Put(th, k, []byte("diverged"), budget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary := map[string][]byte{"k1": []byte("primary")}
+	if err := s.LoadShardSnapshot(th, 0, 1, primary, false); !errors.Is(err, wal.ErrSnapshotBehind) {
+		t.Fatalf("catch-up install below the position = %v, want ErrSnapshotBehind", err)
+	}
+	if r, err := s.Get(th, "k3", budget); err != nil || !r.Found {
+		t.Fatalf("refused install changed memory: k3 = %+v, %v", r, err)
+	}
+	if got := s.AppliedVector(); got[0] != 3 || s.WAL().Mode() != "ok" {
+		t.Fatalf("refused install moved the log: applied=%v mode=%s", got, s.WAL().Mode())
+	}
+	if err := s.LoadShardSnapshot(th, 0, 1, primary, true); err != nil {
+		t.Fatalf("resync install: %v", err)
+	}
+	if _, err := s.Put(th, "k4", []byte("v"), budget); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := wal.Recover(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Keys[0]) != 2 || string(st.Keys[0]["k1"]) != "primary" || string(st.Keys[0]["k4"]) != "v" || st.NextLSN[0] != 3 {
+		t.Fatalf("recovered keys=%v next=%v, want {k1:primary k4:v} next=[3]", st.Keys[0], st.NextLSN)
 	}
 }
 
@@ -238,16 +312,14 @@ func TestDurableConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestAckGatedOnCrossShardStability pins the acknowledgement rule for
-// single-shard transactions: a commit that observed an earlier
-// cross-shard commit must not be acked until that commit is persisted
-// in EVERY shard it touched. Append only persists the frame's own
-// copies, so without the explicit WaitStable a crash could drop the
-// cross-shard commit from recovery while the acked response that
-// depended on it survives — an acked read of a vanished write.
+// TestAckGatedOnCrossShardStability pins the acknowledgement rule: no
+// response may depend on a commit that recovery could still drop. A
+// cross-shard commit is stalled halfway through its one write (a torn
+// tail if the process died there); a write in one of its shards and a
+// read in the other both observed it in memory, and neither may be
+// acknowledged until its frame is whole and durable.
 func TestAckGatedOnCrossShardStability(t *testing.T) {
 	var (
-		mids    atomic.Uint64
 		armed   atomic.Bool
 		block   = make(chan struct{})
 		blocked = make(chan struct{})
@@ -255,15 +327,8 @@ func TestAckGatedOnCrossShardStability(t *testing.T) {
 	var release sync.Once
 	unblock := func() { release.Do(func() { close(block) }) }
 	defer unblock()
-	// The cross-shard frame is written shard 0 first, then shard 1
-	// (Append sorts the vector): the second mid-append site is the
-	// shard-1 copy. Stall it there, leaving the cross-shard commit
-	// fully written in shard 0 but torn in shard 1.
 	hook := func(p wal.CrashPoint) {
-		if p != wal.CrashMidAppend || !armed.Load() {
-			return
-		}
-		if mids.Add(1) == 2 {
+		if p == wal.CrashMidAppend && armed.CompareAndSwap(true, false) {
 			close(blocked)
 			<-block
 		}
@@ -295,27 +360,42 @@ func TestAckGatedOnCrossShardStability(t *testing.T) {
 		}, budget)
 		t1done <- err
 	}()
-	<-blocked // the cross-shard commit is now torn mid-append in shard 1
+	<-blocked // the cross-shard commit is live in memory and torn on disk
 
-	t2done := make(chan error, 1)
+	putDone := make(chan error, 1)
 	go func() {
 		th := b.NewThread()
 		defer th.Close()
 		_, err := s.Put(th, kA2, []byte("2"), budget)
-		t2done <- err
+		putDone <- err
+	}()
+	getDone := make(chan error, 1)
+	go func() {
+		th := b.NewThread()
+		defer th.Close()
+		r, err := s.Get(th, kB, budget)
+		if err == nil && !r.Found {
+			err = fmt.Errorf("read of %s missed the committed value", kB)
+		}
+		getDone <- err
 	}()
 	select {
-	case err := <-t2done:
+	case err := <-putDone:
 		t.Fatalf("single-shard put acked while the cross-shard commit it observed was torn (err=%v)", err)
+	case err := <-getDone:
+		t.Fatalf("read acked while the cross-shard commit it observed was torn (err=%v)", err)
 	case <-time.After(200 * time.Millisecond):
-		// Correctly gated: the ack is waiting on the observed prefix.
+		// Correctly gated: both acks wait on the observed prefix.
 	}
 	unblock()
 	if err := <-t1done; err != nil {
 		t.Fatalf("cross-shard Do: %v", err)
 	}
-	if err := <-t2done; err != nil {
+	if err := <-putDone; err != nil {
 		t.Fatalf("gated Put: %v", err)
+	}
+	if err := <-getDone; err != nil {
+		t.Fatalf("gated Get: %v", err)
 	}
 }
 

@@ -459,14 +459,15 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 	var vec []wal.ShardLSN
 	if da != nil {
 		// Durability barrier: log the committed effects (waiting until
-		// they are persisted per policy in every shard they touch) and
-		// gate every observed read prefix the same way, so an
-		// acknowledged result never depends on a commit recovery drops.
-		if err := s.dur.finish(da, committed, sp); err != nil {
+		// they are persisted per policy) and gate every observed read
+		// prefix the same way, so an acknowledged result never depends on
+		// a commit recovery drops.
+		v, err := s.dur.finish(da, committed, sp)
+		if err != nil {
 			return nil, nil, err
 		}
 		if wantVec {
-			vec = da.vector()
+			vec = v
 		}
 	}
 	if m != nil {

@@ -1,9 +1,10 @@
 package kv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nztm/internal/tm"
 	"nztm/internal/wal"
@@ -43,28 +44,21 @@ func (s *Store) SetCommitGate(g CommitGate) {
 }
 
 // vector merges an attempt's observed and assigned LSNs into the
-// per-shard commit prefix its results depend on, sorted by shard.
-// Shards observed at LSN 0 (nothing ever committed there) are omitted.
+// per-shard commit prefix its results depend on, sorted by shard. Every
+// shard the attempt wrote it also observed first, so seen names them
+// all. Shards observed at LSN 0 (nothing ever committed there) and not
+// written are omitted.
 func (da *durAttempt) vector() []wal.ShardLSN {
-	m := make(map[int]uint64, len(da.seen)+len(da.assigned))
+	vec := make([]wal.ShardLSN, 0, len(da.seen))
 	for sh, lsn := range da.seen {
+		if own, ok := da.assigned[sh]; ok {
+			lsn = own
+		}
 		if lsn > 0 {
-			m[sh] = lsn
+			vec = append(vec, wal.ShardLSN{Shard: sh, LSN: lsn})
 		}
 	}
-	for sh, lsn := range da.assigned {
-		if lsn > m[sh] {
-			m[sh] = lsn
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	vec := make([]wal.ShardLSN, 0, len(m))
-	for sh, lsn := range m {
-		vec = append(vec, wal.ShardLSN{Shard: sh, LSN: lsn})
-	}
-	sort.Slice(vec, func(i, j int) bool { return vec[i].Shard < vec[j].Shard })
+	slices.SortFunc(vec, func(a, b wal.ShardLSN) int { return cmp.Compare(a.Shard, b.Shard) })
 	return vec
 }
 
@@ -77,8 +71,8 @@ func (da *durAttempt) vector() []wal.ShardLSN {
 //
 // A vector entry already covered by the follower's state (sequencer ≥
 // lsn, e.g. after a snapshot bootstrap) is skipped — ops included — and
-// the WAL append ignores the covered copy. A vector entry that would
-// leave a gap (sequencer < lsn-1) is a stream-order violation and
+// the WAL admits the frame on its remaining entries. A vector entry that
+// would leave a gap (sequencer < lsn-1) is a stream-order violation and
 // errors without effect; the subscriber resyncs.
 //
 // th must not be used concurrently; the follower's single apply
@@ -151,9 +145,14 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 // LoadShardSnapshot replaces one shard's entire state with a snapshot
 // shipped by the primary: the sequencer jumps to lsn, every bucket is
 // rebuilt from keys, and the follower's WAL force-installs the snapshot
-// so its on-disk history matches (see wal.InstallSnapshot). The
-// follower's apply goroutine is the only permitted caller.
-func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map[string][]byte) error {
+// so its on-disk history matches (see wal.InstallSnapshot). resync marks
+// an install that belongs to a resync bootstrap: the follower's log may
+// hold a diverged tail in any shard, so the WAL drops its whole segment
+// chain and every shard is re-seeded. Outside a resync a snapshot below
+// the shard's position is refused with wal.ErrSnapshotBehind before
+// anything changes. The follower's apply goroutine is the only permitted
+// caller.
+func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map[string][]byte, resync bool) error {
 	if s.dur == nil {
 		return errors.New("kv: LoadShardSnapshot on a memory-only store")
 	}
@@ -162,6 +161,9 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 	}
 	d := s.dur
 	err := s.sys.Atomic(th, func(tx tm.Tx) error {
+		if cur := tx.Read(d.seqs[shard]).(*seqData).lsn; !resync && cur > lsn {
+			return fmt.Errorf("%w: shard %d applied through %d, snapshot at %d", wal.ErrSnapshotBehind, shard, cur, lsn)
+		}
 		tx.Update(d.seqs[shard], func(data tm.Data) {
 			data.(*seqData).lsn = lsn
 		})
@@ -186,7 +188,7 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 	if err != nil {
 		return err
 	}
-	return d.log.InstallSnapshot(shard, lsn, keys)
+	return d.log.InstallSnapshot(shard, lsn, keys, resync)
 }
 
 // SnapshotShard reads one shard's complete state — sequencer value plus

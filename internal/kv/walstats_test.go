@@ -65,7 +65,7 @@ func TestDurabilityStatszCoverage(t *testing.T) {
 	defer store.Close()
 	var buf bytes.Buffer
 	store.WriteDurabilityStats(&buf)
-	for _, want := range []string{"wal fsync cohort:", "wal reorder occupancy:", "wal stable lag:"} {
+	for _, want := range []string{"wal fsync cohort:", "wal reorder occupancy:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("statsz missing %q:\n%s", want, buf.String())
 		}

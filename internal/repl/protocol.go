@@ -5,11 +5,11 @@
 // most-caught-up follower when the primary dies — with epoch fencing so
 // a deposed primary can never acknowledge another write.
 //
-// The log IS the replication stream: the primary re-reads stable frames
-// off disk with wal.StreamReader and ships them in one merged order (a
-// frame is sendable only when every shard named in its identity vector
-// is exactly up to date or already covered on the follower), so every
-// follower's applied state is always a prefix of one shared history.
+// The log IS the replication stream: the primary re-reads durable frames
+// off disk with wal.StreamReader and ships them in file order (the log
+// admits a frame only once every shard named in its identity vector is
+// exactly up to date, so file order is already a valid apply order), and
+// every follower's applied state is always a prefix of one shared history.
 // That prefix property is what makes "most caught up by applied total"
 // a safe promotion rule: of two followers, the one with the larger
 // applied total has strictly more of the same history, never a sibling

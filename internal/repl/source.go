@@ -1,14 +1,15 @@
 package repl
 
 // Primary side of the replication stream: accept subscriptions and
-// election polls, ship stable WAL frames in one merged order, ship
-// bootstrap snapshots when the log has been truncated past a
+// election polls, ship durable WAL frames in the log's own file order,
+// ship bootstrap snapshots when the log has been truncated past a
 // follower's position, and fold follower acks into the commit gate.
 
 import (
 	"bufio"
 	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"time"
 
@@ -211,14 +212,15 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 	}
 }
 
-// streamTo ships the merged stream to one follower: bootstrap
-// snapshots where the log can't reach back far enough, then stable
-// frames in an order where every frame lands only when each shard in
-// its identity vector is exactly one behind (or already covered) —
-// the property that makes every follower's state a prefix of one
-// shared history. Heartbeats interleave on a timer. Returns when the
-// connection breaks, the node stops, or this node is no longer the
-// primary at epoch.
+// streamTo ships the log to one follower in file order, which the
+// log's admission rule already made a valid replication order: every
+// frame follows every earlier LSN of each of its shards, so every
+// follower's state is a prefix of one shared history. Frames the
+// follower's vector already covers are skipped, frames past the durable
+// prefix wait, and a shard the log no longer reaches back far enough
+// for is re-seeded with a bootstrap snapshot. Heartbeats interleave on
+// a timer. Returns when the connection breaks, the node stops, or this
+// node is no longer the primary at epoch.
 func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint64) error {
 	th := n.cfg.NewThread()
 	defer th.Close()
@@ -230,7 +232,6 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 	stable := n.log.StableVector()
 	nShards := len(stable)
 	sent := make([]uint64, nShards)
-	forceSnap := make([]bool, nShards)
 	resync := m.Resync || len(m.Vector) != nShards
 	if !resync {
 		for s, v := range m.Vector {
@@ -243,31 +244,43 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			}
 		}
 	}
-	if resync {
-		for s := range forceSnap {
-			forceSnap[s] = true
-		}
-		if m.Resync {
-			n.stats.Resyncs.Add(1)
-		}
-	} else {
+	if m.Resync {
+		n.stats.Resyncs.Add(1)
+	}
+	if !resync {
 		copy(sent, m.Vector)
 	}
-
-	readers := make([]*wal.StreamReader, nShards)
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-	heads := make([]*wal.Frame, nShards)
-	headLSN := make([]uint64, nShards)
 
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	if err := n.heartbeat(bw, epoch, stable); err != nil {
+		return err
+	}
+	if resync {
+		for s := range sent {
+			lsn, err := n.shipSnapshot(bw, th, s, epoch)
+			if err != nil {
+				return err
+			}
+			sent[s] = lsn
+		}
+	}
+
+	var reader *wal.StreamReader
+	defer func() {
+		if reader != nil {
+			reader.Close()
+		}
+	}()
+	var head wal.StreamEntry // Frame != nil: read, but past the durable prefix when last looked at
+	var batch [][]byte
+	var batchBytes int
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		err := n.sendFrames(bw, sub, epoch, batch, batchBytes, sent)
+		batch, batchBytes = nil, 0
 		return err
 	}
 
@@ -276,144 +289,79 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			return errors.New("repl: deposed")
 		}
 		stable = n.log.StableVector()
-
-		for s := range forceSnap {
-			if !forceSnap[s] {
-				continue
-			}
-			lsn, err := n.shipSnapshot(bw, th, s, epoch)
-			if err != nil {
-				return err
-			}
-			forceSnap[s] = false
-			sent[s] = lsn
-			heads[s] = nil
-			if readers[s] != nil {
-				readers[s].Close()
-				readers[s] = nil
-			}
+		if reader == nil {
+			reader = n.log.OpenStream(sent)
 		}
-
-		// Pull each shard's next unshipped stable frame into its head slot.
-		for s := 0; s < nShards; s++ {
-			for heads[s] == nil && sent[s] < stable[s] {
-				if readers[s] == nil {
-					r, err := n.log.OpenStream(s, sent[s]+1)
-					if errors.Is(err, wal.ErrGap) {
-						// Snapshotting truncated past the resume point.
-						lsn, serr := n.shipSnapshot(bw, th, s, epoch)
-						if serr != nil {
-							return serr
-						}
-						sent[s] = lsn
-						continue
+		for {
+			if head.Frame == nil {
+				e, err := reader.Next()
+				if errors.Is(err, io.EOF) || errors.Is(err, wal.ErrTorn) {
+					break // the live tail: nothing more to read yet
+				}
+				if errors.Is(err, fs.ErrNotExist) {
+					// Snapshot truncation deleted a segment under the reader.
+					// Reopen from the resume point; whatever is gone for good
+					// shows up below as a gap and is answered with a snapshot.
+					reader.Close()
+					reader = n.log.OpenStream(sent)
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				head = e
+			}
+			vec := head.Frame.Shards
+			if !coversSparse(stable, vec) {
+				break // not durable yet: recovery could still drop it
+			}
+			// Ready when every shard in the vector is exactly one behind or
+			// already covers it; a shard further behind needs a snapshot.
+			fresh := false
+			for _, sl := range vec {
+				if sl.LSN > sent[sl.Shard]+1 {
+					if err := flush(); err != nil {
+						return err
 					}
+					lsn, err := n.shipSnapshot(bw, th, sl.Shard, epoch)
 					if err != nil {
 						return err
 					}
-					readers[s] = r
+					sent[sl.Shard] = lsn // ≥ sl.LSN: the frame is durable, so the store holds it
 				}
-				entry, err := readers[s].Next()
-				if err != nil {
-					// EOF/torn at the live tail usually means our segment-list
-					// snapshot predates a rotation; reopen from the resume
-					// point. Anything else is a real defect.
-					readers[s].Close()
-					readers[s] = nil
-					if errors.Is(err, io.EOF) || errors.Is(err, wal.ErrTorn) {
-						r, rerr := n.log.OpenStream(s, sent[s]+1)
-						if rerr == nil {
-							if e2, err2 := r.Next(); err2 == nil {
-								readers[s] = r
-								if e2.LSN > sent[s] {
-									heads[s], headLSN[s] = e2.Frame, e2.LSN
-								}
-								continue
-							}
-							r.Close()
-						}
-						break // genuinely not readable yet; retry after notify
-					}
-					return err
-				}
-				if entry.LSN > sent[s] {
-					heads[s], headLSN[s] = entry.Frame, entry.LSN
-				}
+				fresh = fresh || sl.LSN == sent[sl.Shard]+1
 			}
-		}
-
-		// Sweep ready heads into batches. A frame is ready when every
-		// shard in its vector is exactly one behind or already covers it;
-		// shipping it advances those shards, which may both ready other
-		// heads and make duplicate heads (other shards' copies of a
-		// cross-shard frame) stale.
-		var batch [][]byte
-		var batchBytes int
-		progress := true
-		for progress {
-			progress = false
-			for s := 0; s < nShards; s++ {
-				if heads[s] == nil {
-					continue
-				}
-				if headLSN[s] <= sent[s] {
-					heads[s] = nil // duplicate copy, already shipped via another shard
-					progress = true
-					continue
-				}
-				ready := true
-				for _, sl := range heads[s].Shards {
-					if sl.Shard >= nShards || (sent[sl.Shard] != sl.LSN-1 && sent[sl.Shard] < sl.LSN) {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					continue
-				}
-				enc := wal.EncodeFrame(nil, heads[s])
-				batch = append(batch, enc)
-				batchBytes += len(enc)
-				for _, sl := range heads[s].Shards {
-					if sent[sl.Shard] < sl.LSN {
+			if fresh {
+				for _, sl := range vec {
+					if sl.LSN > sent[sl.Shard] {
 						sent[sl.Shard] = sl.LSN
 					}
 				}
-				heads[s] = nil
-				progress = true
+				batch = append(batch, append([]byte(nil), head.Raw...)) // Raw dies at the next read
+				batchBytes += len(head.Raw)
 				if len(batch) >= framesPerBatch {
-					if err := n.sendFrames(bw, sub, epoch, batch, batchBytes, sent); err != nil {
+					if err := flush(); err != nil {
 						return err
-					}
-					batch, batchBytes = nil, 0
-				}
-			}
-			if !progress {
-				// Refill drained heads before giving up: a swept shard may
-				// have more stable frames waiting.
-				for s := 0; s < nShards; s++ {
-					if heads[s] != nil || sent[s] >= stable[s] || readers[s] == nil {
-						continue
-					}
-					entry, err := readers[s].Next()
-					if err != nil {
-						if errors.Is(err, io.EOF) || errors.Is(err, wal.ErrTorn) {
-							readers[s].Close()
-							readers[s] = nil
-							continue
-						}
-						return err
-					}
-					if entry.LSN > sent[s] {
-						heads[s], headLSN[s] = entry.Frame, entry.LSN
-						progress = true
 					}
 				}
 			}
+			head = wal.StreamEntry{}
 		}
-		if len(batch) > 0 {
-			if err := n.sendFrames(bw, sub, epoch, batch, batchBytes, sent); err != nil {
-				return err
+		if err := flush(); err != nil {
+			return err
+		}
+		if head.Frame == nil {
+			// Everything the log holds inside stable has been read, so a
+			// shard still behind stable has no frames left on disk: its
+			// history was truncated under a snapshot.
+			for s := range sent {
+				if sent[s] < stable[s] {
+					lsn, err := n.shipSnapshot(bw, th, s, epoch)
+					if err != nil {
+						return err
+					}
+					sent[s] = lsn
+				}
 			}
 		}
 

@@ -131,7 +131,15 @@ func (n *Node) subscribe(addr string) error {
 				continue
 			}
 			delete(snaps, sh)
-			if err := n.store.LoadShardSnapshot(n.applyTh, sh, ps.lsn, ps.keys); err != nil {
+			if err := n.store.LoadShardSnapshot(n.applyTh, sh, ps.lsn, ps.keys, resyncing); err != nil {
+				if errors.Is(err, wal.ErrSnapshotBehind) {
+					// We are ahead of the primary in this shard: a diverged
+					// tail. Only a resync, which re-seeds every shard, drops it.
+					n.mu.Lock()
+					n.needResync = true
+					n.mu.Unlock()
+					return fmt.Errorf("%w: %v", errResync, err)
+				}
 				return fmt.Errorf("repl: install snapshot shard %d: %w", sh, err)
 			}
 			n.stats.SnapshotsLoaded.Add(1)

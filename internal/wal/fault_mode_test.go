@@ -67,7 +67,7 @@ func TestENOSPCEntersReadOnly(t *testing.T) {
 	if err := l.Degraded(); !errors.Is(err, wal.ErrReadOnly) {
 		t.Fatalf("Degraded() = %v, want ErrReadOnly", err)
 	}
-	// Later appends are shed before touching any shard: clean refusal.
+	// Later appends are shed before any byte is logged: clean refusal.
 	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrReadOnly) {
 		t.Fatalf("post-degrade Append = %v, want ErrReadOnly", err)
 	}
@@ -94,12 +94,12 @@ func TestSyncErrorFailStops(t *testing.T) {
 	if err := l.Degraded(); !errors.Is(err, wal.ErrFailed) {
 		t.Fatalf("Degraded() = %v, want ErrFailed", err)
 	}
-	// Fail-stop poisons every shard: the untouched shard fails fast too,
-	// and WaitStable never wedges on a watermark that cannot advance.
+	// Fail-stop is whole-log: an untouched shard fails fast too, and
+	// WaitStable never wedges on a prefix that cannot become durable.
 	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrFailed) {
 		t.Fatalf("post-fail-stop Append = %v, want ErrFailed", err)
 	}
-	if err := l.WaitStable(0, 1); err == nil {
+	if err := l.WaitStable([]wal.ShardLSN{{Shard: 0, LSN: 1}}); err == nil {
 		t.Fatal("WaitStable(unstable LSN) = nil on a failed log")
 	}
 	if got := l.Stats().FailStops.Load(); got != 1 {
@@ -110,22 +110,50 @@ func TestSyncErrorFailStops(t *testing.T) {
 	}
 }
 
-func TestWriteEIOPoisonsShardOnly(t *testing.T) {
+func TestWriteEIOFailStops(t *testing.T) {
 	l, _ := openFaulty(t, fault.DiskWriteEIO, wal.FsyncNever)
 	err := l.Append(frameAtLSN(0, 1))
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Append = %v, want EIO", err)
 	}
-	// A non-ENOSPC write error is a sticky per-shard poison, not a
-	// whole-log mode change: the mode stays ok and the shed is per shard.
-	if l.Mode() != "ok" {
-		t.Fatalf("Mode = %q after one EIO, want ok", l.Mode())
+	// With one log there is no healthy sibling to keep serving: a
+	// non-ENOSPC write error fail-stops the log like a sync error, so
+	// nothing is ever written past the torn frame.
+	if l.Mode() != "failed" {
+		t.Fatalf("Mode = %q after a write EIO, want failed", l.Mode())
 	}
-	if err := l.Append(frameAtLSN(0, 2)); err == nil {
-		t.Fatal("Append to a poisoned shard succeeded")
+	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrFailed) {
+		t.Fatalf("Append to another shard of a failed log = %v, want ErrFailed", err)
 	}
 	if got := l.Stats().WriteErrors.Load(); got == 0 {
 		t.Fatal("WriteErrors = 0 after injected EIO")
+	}
+	if got := l.Stats().FailStops.Load(); got != 1 {
+		t.Fatalf("FailStops = %d, want 1", got)
+	}
+}
+
+// TestInstallSnapshotRenameFailureFailStops: the follower has already
+// replaced the shard in memory when the install runs, so a snapshot that
+// cannot be published leaves a log that no longer describes the store.
+// The mode and the sticky error must agree — never "ok" with every
+// append failing.
+func TestInstallSnapshotRenameFailureFailStops(t *testing.T) {
+	l, d := openFaulty(t, fault.DiskRename, wal.FsyncNever)
+	if err := l.InstallSnapshot(0, 5, map[string][]byte{"k": []byte("v")}, false); err == nil {
+		t.Fatal("InstallSnapshot succeeded through a failed rename")
+	}
+	if d.Stats().RenameFails.Load() == 0 {
+		t.Fatal("fault plane reports no rename injection")
+	}
+	if l.Mode() != "failed" || !errors.Is(l.Degraded(), wal.ErrFailed) {
+		t.Fatalf("Mode=%q Degraded=%v after a failed install, want failed", l.Mode(), l.Degraded())
+	}
+	if err := l.Append(frameAtLSN(0, 1)); !errors.Is(err, wal.ErrFailed) {
+		t.Fatalf("post-failure Append = %v, want ErrFailed", err)
+	}
+	if got := l.Stats().FailStops.Load(); got != 1 {
+		t.Fatalf("FailStops = %d, want 1", got)
 	}
 }
 
@@ -135,6 +163,9 @@ func TestShortWritePromotedToError(t *testing.T) {
 	// writeFull must promote that to an error, never ack a torn frame.
 	if err := l.Append(frameAtLSN(0, 1)); err == nil {
 		t.Fatal("Append acked through a short write")
+	}
+	if l.Mode() != "failed" {
+		t.Fatalf("Mode = %q after a short write, want failed", l.Mode())
 	}
 }
 

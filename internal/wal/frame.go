@@ -1,17 +1,17 @@
-// Package wal is the durability plane for the sharded KV store: a
-// per-shard write-ahead log of checksummed frames, periodic full-shard
-// snapshots, and a recovery path that rebuilds committed state from the
-// latest valid snapshot plus the surviving log prefix.
+// Package wal is the durability plane for the sharded KV store: one
+// physical commit log of checksummed frames shared by every shard,
+// periodic full-shard snapshots, and a recovery path that rebuilds
+// committed state from the latest valid snapshots plus the log's valid
+// prefix.
 //
 // One frame records the resolved effects of one committed transaction
 // (absolute values, post-CAS resolution) together with the per-shard
 // commit sequence numbers (LSNs) the transaction was assigned inside the
-// transaction itself. A cross-shard transaction's frame is duplicated
-// into the log of every shard it wrote, and the frame's identity is its
-// exact shard-LSN vector: recovery only applies a frame when every shard
-// named in the vector either retains the frame at that LSN or has a
-// snapshot covering it, so a crash that tears the frame out of one log
-// drops the whole transaction instead of half of it.
+// transaction itself. That shard-LSN vector is the frame's identity and
+// its commit-order proof: the log admits a frame only when every entry
+// is its shard's next LSN, so each frame is written exactly once, file
+// order respects every shard's commit order, a torn frame can only be
+// the tail, and the disk order is itself a valid replication order.
 package wal
 
 import (
@@ -38,11 +38,11 @@ const maxFramePayload = 1 << 26 // 64 MiB
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Decode failure classes. Recovery treats both as "stop cleanly here",
-// but distinguishes them for metrics and for tail repair: a torn frame
-// at the end of a log is the expected residue of a crash mid-write and
-// is truncated away on open; a corrupt frame (bad checksum, malformed
-// payload) is preserved on disk and merely ignored.
+// Decode failure classes. Recovery treats both as "the valid prefix
+// ends here" and Open cuts the log there; a live reader distinguishes
+// them: a torn frame at the tail is the expected residue of a write in
+// progress (or of a crash mid-write) and is retried, a corrupt frame
+// (bad checksum, malformed payload) is permanent.
 var (
 	// ErrTorn reports a frame whose bytes end before the declared
 	// length: the tail of a log cut off mid-write.
@@ -56,8 +56,8 @@ var (
 // (the state after the transaction), never deltas, so replay is
 // idempotent and a dropped earlier frame cannot corrupt a later one.
 type Op struct {
-	Shard int    // shard the key lives in (recovery needs no hash)
-	Del   bool   // true: delete Key; false: set Key = Val
+	Shard int  // shard the key lives in (recovery needs no hash)
+	Del   bool // true: delete Key; false: set Key = Val
 	Key   string
 	Val   []byte
 }
@@ -72,34 +72,10 @@ type ShardLSN struct {
 // Frame is the durable record of one committed transaction.
 type Frame struct {
 	// Shards is the identity vector: every shard the transaction wrote,
-	// with the LSN it was assigned there. Sorted by shard on encode.
+	// with the LSN it was assigned there, sorted by shard.
 	Shards []ShardLSN
 	// Ops are the resolved write effects, each tagged with its shard.
 	Ops []Op
-}
-
-// LSNFor returns the frame's LSN in shard s, or false if s is not in
-// the vector.
-func (f *Frame) LSNFor(s int) (uint64, bool) {
-	for _, sl := range f.Shards {
-		if sl.Shard == s {
-			return sl.LSN, true
-		}
-	}
-	return 0, false
-}
-
-// vectorKey is the frame's identity: a canonical encoding of the
-// shard-LSN vector. Two log copies of the same transaction compare
-// equal; a stale frame left over from a dropped, re-used LSN does not.
-func (f *Frame) vectorKey() string {
-	var buf [binary.MaxVarintLen64 * 2 * 8]byte
-	b := buf[:0]
-	for _, sl := range f.Shards {
-		b = binary.AppendUvarint(b, uint64(sl.Shard))
-		b = binary.AppendUvarint(b, sl.LSN)
-	}
-	return string(b)
 }
 
 // appendFrame appends the encoded container (header + payload) to dst.

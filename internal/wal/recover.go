@@ -13,11 +13,25 @@ import (
 	"time"
 )
 
-// manifestName seals the store geometry into the data directory.
+// manifestName seals the store geometry and the on-disk layout version
+// into the data directory.
 const manifestName = "MANIFEST"
 
 func manifestContents(shards int) string {
-	return fmt.Sprintf("nztm-wal v1 shards %d\n", shards)
+	return fmt.Sprintf("nztm-wal v2 shards %d\n", shards)
+}
+
+// checkManifest validates an existing MANIFEST against this build's
+// layout and the caller's geometry.
+func checkManifest(mf string, shards int) error {
+	if strings.HasPrefix(mf, "nztm-wal v1 ") {
+		return fmt.Errorf("wal: MANIFEST %q is the v1 layout (one log per shard, duplicated cross-shard frames); "+
+			"this build reads only v2 (one commit log) and has no dual-format reader", strings.TrimSpace(mf))
+	}
+	if mf != manifestContents(shards) {
+		return fmt.Errorf("wal: MANIFEST %q does not match %d shards", strings.TrimSpace(mf), shards)
+	}
+	return nil
 }
 
 // State is the outcome of recovery: the committed state the directory
@@ -29,49 +43,25 @@ type State struct {
 	// Keys is the recovered state: per shard, key → value.
 	Keys []map[string][]byte
 	// NextLSN is, per shard, the sequence number the next commit must
-	// use: one past the last provable frame and past the snapshot LSN.
-	// Re-using the LSNs of dropped frames is safe because Open excises
-	// everything at and past the shard's replay cut before appending
-	// resumes — no stale on-disk copy survives to collide with.
+	// use: one past the last frame of the shard in the valid log prefix
+	// and past the snapshot LSN.
 	NextLSN []uint64
 	// SnapshotLSN is, per shard, the LSN of the snapshot recovery
 	// loaded (0 = none).
 	SnapshotLSN []uint64
-	// ReplayedFrames counts frame applications (per shard copy).
+	// ReplayedFrames counts frames that applied at least one op (a frame
+	// wholly covered by snapshots is not counted).
 	ReplayedFrames uint64
-	// DroppedFrames counts frames discarded as unacknowledged: their
-	// identity vector was not fully present across the surviving logs,
-	// or they sat at or past their shard's replay cut (an earlier frame
-	// of that shard was dropped, so nothing after it is provable).
-	DroppedFrames uint64
-	// TruncatedBytes counts log bytes abandoned at torn or corrupt
-	// frames (including whole segments past a mid-log corruption).
+	// TruncatedBytes counts log bytes abandoned at the first torn or
+	// corrupt frame (including whole segments past it).
 	TruncatedBytes uint64
 	// Duration is how long recovery took.
 	Duration time.Duration
 
-	repairs []repair // per shard: what Open must do before appending
-	remove  []string // stray files (temp snapshots) to delete on Open
-}
-
-// repair is one shard's disk cleanup: truncate the stop-point segment
-// to its valid prefix and delete segments past it, so the appender
-// resumes onto a clean prefix.
-type repair struct {
-	truncPath string // "" = nothing to truncate
+	segs      []segment // the chain that survives repair, all closed
+	truncPath string    // segment to cut at the first defect ("" = none)
 	truncSize int64
-	removes   []string
-	liveSegs  []segment // segments that survive, ascending base
-}
-
-// frameAt is one physically retained frame of a shard's log, with its
-// position (segment index + byte offset) so a replay cut can be turned
-// into a physical truncation by Open.
-type frameAt struct {
-	lsn uint64
-	f   *Frame
-	seg int   // index into the shard's segment slice
-	off int64 // byte offset of the frame within that segment
+	remove    []string // files Open deletes: segments past the defect, empty tails, stray temps
 }
 
 // Recover reads the durable state out of dir without modifying any
@@ -82,12 +72,21 @@ func Recover(dir string, shards int) (*State, error) {
 	return RecoverFS(OSFS(), dir, shards)
 }
 
-// RecoverFS is Recover through an explicit filesystem seam. Unlike log
-// damage (torn tails, corrupt frames — repaired silently to the valid
-// prefix), an I/O *error* while reading a segment fails recovery
-// loudly: truncating at an unreadable byte would silently drop
-// acknowledged writes that are still on disk, and replaying past it
-// would replay a disconnected suffix.
+// RecoverFS is Recover through an explicit filesystem seam: load the
+// newest valid snapshot of every shard, then walk the one segment chain
+// in file order, applying each frame's ops for shard s iff the frame's
+// LSN there is above s's snapshot, and stop at the first torn or corrupt
+// frame — which, with every frame written once into one log, can only
+// be the tail of what was ever acknowledged.
+//
+// Two things fail loudly instead of being repaired. A frame more than
+// one LSN past its shard's connected history (the covered range was
+// lost — e.g. the newest snapshot rotted after its truncation ran):
+// replaying the disconnected suffix would silently drop committed,
+// possibly acknowledged writes. And an I/O *error* while reading:
+// unlike log damage, an unreadable byte proves nothing about what
+// follows it, so truncating there could drop acknowledged writes that
+// are still physically intact.
 func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 	start := time.Now()
 	if shards <= 0 {
@@ -98,7 +97,6 @@ func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 		Keys:        make([]map[string][]byte, shards),
 		NextLSN:     make([]uint64, shards),
 		SnapshotLSN: make([]uint64, shards),
-		repairs:     make([]repair, shards),
 	}
 	for s := range st.Keys {
 		st.Keys[s] = make(map[string][]byte)
@@ -113,268 +111,217 @@ func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 		return nil, err
 	}
 	if mf, err := fsys.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		if string(mf) != manifestContents(shards) {
-			return nil, fmt.Errorf("wal: MANIFEST %q does not match %d shards", strings.TrimSpace(string(mf)), shards)
+		if err := checkManifest(string(mf), shards); err != nil {
+			return nil, err
 		}
 	}
 
-	// Index the directory: per shard, snapshots (descending LSN) and
-	// segments (ascending base LSN).
-	snaps := make([][]segment, shards) // path + LSN, reusing segment
-	segs := make([][]segment, shards)
+	// Index the directory: snapshots per shard (descending LSN) and the
+	// segment chain (ascending sequence).
+	snaps := make([][]SegmentRef, shards) // Seq holds the snapshot LSN
+	var refs []SegmentRef
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(dir, name)
 		if strings.HasPrefix(name, "tmp-") {
-			st.remove = append(st.remove, filepath.Join(dir, name))
-			continue
-		}
-		if sh, lsn, ok := parseFileName(name, "wal-", ".log"); ok && sh < shards {
-			segs[sh] = append(segs[sh], segment{base: lsn, path: filepath.Join(dir, name)})
-		} else if sh, lsn, ok := parseFileName(name, "snap-", ".snap"); ok && sh < shards {
-			snaps[sh] = append(snaps[sh], segment{base: lsn, path: filepath.Join(dir, name)})
+			st.remove = append(st.remove, path)
+		} else if seq, ok := parseSegmentName(name); ok {
+			refs = append(refs, SegmentRef{Seq: seq, Path: path})
+		} else if sh, lsn, ok := parseSnapshotName(name); ok && sh < shards {
+			snaps[sh] = append(snaps[sh], SegmentRef{Seq: lsn, Path: path})
 		}
 	}
-
-	frames := make([][]frameAt, shards)
-	presence := make([]map[uint64]string, shards)
-	ends := make([][]int64, shards) // per shard, per segment: end of valid data
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Seq < refs[j].Seq })
 	for s := 0; s < shards; s++ {
-		sort.Slice(snaps[s], func(i, j int) bool { return snaps[s][i].base > snaps[s][j].base })
-		sort.Slice(segs[s], func(i, j int) bool { return segs[s][i].base < segs[s][j].base })
-
+		sort.Slice(snaps[s], func(i, j int) bool { return snaps[s][i].Seq > snaps[s][j].Seq })
 		// Latest snapshot that decodes cleanly wins; older ones are a
 		// fallback against a defective latest file.
 		for _, sn := range snaps[s] {
-			b, err := fsys.ReadFile(sn.path)
+			b, err := fsys.ReadFile(sn.Path)
 			if err != nil {
 				continue
 			}
 			sh, lsn, keys, err := decodeSnapshot(b)
-			if err != nil || sh != s || lsn != sn.base {
+			if err != nil || sh != s || lsn != sn.Seq {
 				continue
 			}
 			st.SnapshotLSN[s] = lsn
 			st.Keys[s] = keys
 			break
 		}
-
-		var rerr error
-		frames[s], presence[s], ends[s], rerr = readShardLog(fsys, st, s, segs[s])
-		if rerr != nil {
-			return nil, rerr
-		}
-		next := st.SnapshotLSN[s] + 1
-		if n := len(frames[s]); n > 0 {
-			if last := frames[s][n-1].lsn + 1; last > next {
-				next = last
-			}
-		}
-		st.NextLSN[s] = next
 	}
 
-	// Apply. A frame is provable — acknowledged, or at least fully
-	// persisted — iff every (shard, LSN) of its identity vector is
-	// either covered by that shard's snapshot or physically present in
-	// that shard's surviving log with the same vector. Replay of a
-	// shard additionally stops at its first unprovable frame (the cut):
-	// later frames may be fully persisted, but they were never
-	// acknowledged (the ack gate is a dense stable prefix) and their
-	// reads may depend on the dropped commit, so keeping them would
-	// admit a recovered state no serial prefix of the committed history
-	// explains. Dropping a frame can strand cross-shard frames in
-	// sibling shards, so the cuts iterate to a fixed point (each pass
-	// only lowers them, so termination is bounded). Ops are applied
-	// from their own shard's stream, so each op applies exactly once
-	// and per-shard LSN order is commit order.
-	cut := make([]uint64, shards)
-	for s := range cut {
-		cut[s] = ^uint64(0) // no cut
-	}
-	for changed := true; changed; {
-		changed = false
-		for s := 0; s < shards; s++ {
-			for _, fa := range frames[s] {
-				if fa.lsn >= cut[s] {
-					break
-				}
-				if fa.lsn <= st.SnapshotLSN[s] {
-					continue // covered leftovers from an interrupted truncation
-				}
-				if !provable(st, presence, cut, fa.f) {
-					cut[s] = fa.lsn
-					changed = true
-					break
-				}
+	// have is each shard's connected history so far; seen additionally
+	// counts snapshot-covered leftovers (it bounds what a segment holds).
+	have := append([]uint64(nil), st.SnapshotLSN...)
+	seen := make([]uint64, shards)
+	fresh := make([]bool, shards)
+	ends := make([]int64, len(refs))     // per segment: end of valid data
+	lasts := make([][]uint64, len(refs)) // per segment: seen when the walk left it
+	defect := len(refs)                  // first segment that does not fully survive
+	var defectOff int64
+	sr := &StreamReader{fs: fsys, segs: refs}
+	defer sr.Close()
+	cur := 0
+	for {
+		e, err := sr.Next()
+		if err == nil {
+			for ; cur < e.Seg; cur++ {
+				lasts[cur] = append([]uint64(nil), seen...)
 			}
-		}
-	}
-	// A cut becomes a physical repair: Open truncates the shard's log at
-	// the cut frame and deletes every later segment, so appending resumes
-	// exactly at the cut. Leaving the dropped frames on disk instead
-	// would be fatal on the NEXT recovery: new acknowledged commits would
-	// sit past a stale, forever-unprovable frame in the same log and be
-	// cut away with it. Excision also makes re-using the dropped LSNs
-	// safe — no stale copy survives to collide with.
-	for s := 0; s < shards; s++ {
-		if cut[s] == ^uint64(0) || len(frames[s]) == 0 {
-			continue
-		}
-		idx := int(cut[s] - frames[s][0].lsn)
-		fa := frames[s][idx]
-		rep := &st.repairs[s]
-		st.TruncatedBytes += uint64(ends[s][fa.seg] - fa.off)
-		for _, e := range ends[s][fa.seg+1:] {
-			st.TruncatedBytes += uint64(e)
-		}
-		rep.truncPath = segs[s][fa.seg].path
-		rep.truncSize = fa.off
-		rep.removes = rep.removes[:0]
-		for _, later := range segs[s][fa.seg+1:] {
-			rep.removes = append(rep.removes, later.path)
-		}
-		rep.liveSegs = append([]segment(nil), segs[s][:fa.seg+1]...)
-		st.NextLSN[s] = cut[s]
-	}
-	for s := 0; s < shards; s++ {
-		for _, fa := range frames[s] {
-			if fa.lsn >= cut[s] {
-				st.DroppedFrames++
+			if err = st.replay(e.Frame, have, seen, fresh); err == nil {
+				ends[e.Seg] = e.End
 				continue
 			}
-			if fa.lsn <= st.SnapshotLSN[s] {
-				continue // covered leftovers from an interrupted truncation
+			if errors.Is(err, ErrGap) {
+				return nil, err
 			}
-			for i := range fa.f.Ops {
-				op := &fa.f.Ops[i]
-				if op.Shard != s {
-					continue
-				}
-				if op.Del {
-					delete(st.Keys[s], op.Key)
-				} else {
-					st.Keys[s][op.Key] = op.Val
-				}
-			}
-			st.ReplayedFrames++
+			defect, defectOff = e.Seg, e.Off
+			break
 		}
+		if errors.Is(err, io.EOF) {
+			break // clean end of the chain: every segment survives as-is
+		}
+		if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrGap) {
+			return nil, fmt.Errorf("wal: reading log: %w", err)
+		}
+		// First log defect (torn tail, corrupt frame, missing segment):
+		// the valid prefix ends here. Recovery never errors on log damage.
+		defect, defectOff = sr.Pos()
+		break
+	}
+	for ; cur < len(refs); cur++ {
+		lasts[cur] = append([]uint64(nil), seen...)
+	}
+	for s := range have {
+		st.NextLSN[s] = have[s] + 1
+	}
+
+	// Plan the repair: cut the defect segment to its valid prefix, drop
+	// every later segment, and drop trailing segments left with nothing
+	// in them (Open always starts a fresh one).
+	for i := defect; i < len(refs); i++ {
+		size := int64(0)
+		if fi, serr := fsys.Stat(refs[i].Path); serr == nil {
+			size = fi.Size()
+		}
+		if i == defect && defectOff > 0 {
+			st.truncPath, st.truncSize = refs[i].Path, defectOff
+			st.TruncatedBytes += uint64(size - defectOff)
+			continue
+		}
+		st.TruncatedBytes += uint64(size)
+		st.remove = append(st.remove, refs[i].Path)
+	}
+	live := defect
+	if st.truncPath != "" {
+		live++
+	}
+	for live > 0 && ends[live-1] == 0 {
+		live--
+		st.remove = append(st.remove, refs[live].Path)
+	}
+	for i := 0; i < live; i++ {
+		st.segs = append(st.segs, segment{seq: refs[i].Seq, path: refs[i].Path, last: lasts[i]})
 	}
 	st.Duration = time.Since(start)
 	return st, nil
 }
 
-// provable reports whether every (shard, LSN) of f's identity vector is
-// covered by that shard's snapshot or physically retained below that
-// shard's current cut with the same vector.
-func provable(st *State, presence []map[uint64]string, cut []uint64, f *Frame) bool {
-	key := f.vectorKey()
+// replay applies one frame of the walk. Per vector entry: at or below
+// the shard's snapshot is covered (leftovers of an interrupted
+// truncation or of a catch-up install — skip that shard's ops); exactly
+// one past the shard's history is applied; further ahead is lost
+// history (ErrGap, loud); anything else is a stale duplicate
+// (ErrCorrupt — the valid prefix ends before this frame).
+func (st *State) replay(f *Frame, have, seen []uint64, fresh []bool) error {
 	for _, sl := range f.Shards {
-		if sl.Shard < 0 || sl.Shard >= st.Shards {
-			return false
-		}
-		if sl.LSN <= st.SnapshotLSN[sl.Shard] {
-			continue // covered: the snapshot only sealed once this frame was stable
-		}
-		if sl.LSN >= cut[sl.Shard] || presence[sl.Shard][sl.LSN] != key {
-			return false
+		switch {
+		case sl.Shard < 0 || sl.Shard >= st.Shards:
+			return fmt.Errorf("%w: frame names shard %d of %d", ErrCorrupt, sl.Shard, st.Shards)
+		case sl.LSN <= st.SnapshotLSN[sl.Shard]:
+		case sl.LSN == have[sl.Shard]+1:
+		case sl.LSN > have[sl.Shard]:
+			return fmt.Errorf("wal: shard %d: unrecoverable gap: the log resumes at lsn %d but the snapshot and earlier frames cover only lsn %d: %w",
+				sl.Shard, sl.LSN, have[sl.Shard], ErrGap)
+		default:
+			return fmt.Errorf("%w: shard %d lsn %d replayed twice", ErrCorrupt, sl.Shard, sl.LSN)
 		}
 	}
-	return true
-}
-
-// readShardLog walks one shard's segments in base order through a
-// StreamReader (the frame-iteration path shared with replication),
-// decoding frames until the first torn or corrupt frame, and records
-// the repair plan (tail truncation + removal of unreachable later
-// segments). The returned presence map carries each retained LSN's
-// identity vector; ends records, per segment, where its valid data
-// stops (so a replay cut can be priced and truncated later). It errors
-// when the first segment does not connect to the loaded snapshot (base
-// > SnapshotLSN+1): the covered LSN range is gone, so replaying the
-// disconnected suffix would silently lose committed, possibly
-// acknowledged writes — an unrecoverable gap must fail loudly rather
-// than produce wrong state. It also errors on a genuine I/O error
-// (EIO on open or read): unlike log damage, an unreadable byte proves
-// nothing about what follows it, so truncating there could silently
-// drop acknowledged writes that are still physically intact.
-func readShardLog(fsys FS, st *State, s int, segs []segment) ([]frameAt, map[uint64]string, []int64, error) {
-	var frames []frameAt
-	presence := make(map[uint64]string)
-	ends := make([]int64, len(segs))
-	rep := &st.repairs[s]
-	if len(segs) > 0 && segs[0].base > st.SnapshotLSN[s]+1 {
-		return nil, nil, nil, fmt.Errorf(
-			"wal: shard %d: unrecoverable gap: first segment %s starts at lsn %d but the snapshot covers only lsn %d",
-			s, filepath.Base(segs[0].path), segs[0].base, st.SnapshotLSN[s])
+	applied := false
+	for _, sl := range f.Shards {
+		if sl.LSN > seen[sl.Shard] {
+			seen[sl.Shard] = sl.LSN
+		}
+		if sl.LSN > st.SnapshotLSN[sl.Shard] {
+			have[sl.Shard] = sl.LSN
+			fresh[sl.Shard] = true
+			applied = true
+		}
 	}
-	refs := make([]SegmentRef, len(segs))
-	for i, seg := range segs {
-		refs[i] = SegmentRef{Base: seg.base, Path: seg.path}
+	if !applied {
+		return nil
 	}
-	sr := newStreamReader(fsys, s, refs, 0)
-	defer sr.Close()
-	for {
-		e, err := sr.Next()
-		if err == nil {
-			frames = append(frames, frameAt{lsn: e.LSN, f: e.Frame, seg: e.Seg, off: e.Off})
-			presence[e.LSN] = e.Frame.vectorKey()
-			ends[e.Seg] = e.End
+	for i := range f.Ops {
+		op := &f.Ops[i]
+		if op.Shard < 0 || op.Shard >= st.Shards || !fresh[op.Shard] {
 			continue
 		}
-		if errors.Is(err, io.EOF) {
-			// Clean end of the chain: every segment survives as-is.
-			rep.liveSegs = append([]segment(nil), segs...)
-			return frames, presence, ends, nil
+		if op.Del {
+			delete(st.Keys[op.Shard], op.Key)
+		} else {
+			st.Keys[op.Shard][op.Key] = op.Val
 		}
-		if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrGap) {
-			// A real I/O error, not log damage: fail recovery loudly.
-			return nil, nil, nil, fmt.Errorf("wal: shard %d: reading log: %w", s, err)
-		}
-		// First log defect (torn tail, corrupt frame, LSN discontinuity,
-		// missing segment): truncate here, drop every later segment.
-		// Recovery never errors on log damage — the valid prefix is the
-		// recovered state.
-		segIdx, validOff := sr.Pos()
-		rep.truncPath = segs[segIdx].path
-		rep.truncSize = validOff
-		if fi, serr := fsys.Stat(segs[segIdx].path); serr == nil && fi.Size() > validOff {
-			st.TruncatedBytes += uint64(fi.Size() - validOff)
-		}
-		for _, later := range segs[segIdx+1:] {
-			if fi, serr := fsys.Stat(later.path); serr == nil {
-				st.TruncatedBytes += uint64(fi.Size())
-			}
-			rep.removes = append(rep.removes, later.path)
-		}
-		rep.liveSegs = append([]segment(nil), segs[:segIdx+1]...)
-		return frames, presence, ends, nil
 	}
+	for _, sl := range f.Shards {
+		fresh[sl.Shard] = false
+	}
+	st.ReplayedFrames++
+	return nil
 }
 
-// parseFileName parses prefix + 3-digit shard + "-" + 16-hex LSN + ext.
-func parseFileName(name, prefix, ext string) (shard int, lsn uint64, ok bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
+// parseSegmentName parses "wal-" + 16-hex sequence + ".log".
+func parseSegmentName(name string) (uint64, bool) {
+	mid, ok := strings.CutPrefix(name, "wal-")
+	if !ok {
+		return 0, false
+	}
+	if mid, ok = strings.CutSuffix(mid, ".log"); !ok || len(mid) != 16 {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(mid, 16, 64)
+	return seq, err == nil
+}
+
+// parseSnapshotName parses "snap-" + 3-digit shard + "-" + 16-hex LSN +
+// ".snap".
+func parseSnapshotName(name string) (shard int, lsn uint64, ok bool) {
+	mid, ok := strings.CutPrefix(name, "snap-")
+	if !ok {
 		return 0, 0, false
 	}
-	mid := name[len(prefix) : len(name)-len(ext)]
-	dash := strings.IndexByte(mid, '-')
-	if dash < 0 {
+	if mid, ok = strings.CutSuffix(mid, ".snap"); !ok {
 		return 0, 0, false
 	}
-	sh, err := strconv.Atoi(mid[:dash])
+	shardStr, lsnStr, ok := strings.Cut(mid, "-")
+	if !ok {
+		return 0, 0, false
+	}
+	sh, err := strconv.Atoi(shardStr)
 	if err != nil || sh < 0 {
 		return 0, 0, false
 	}
-	l, err := strconv.ParseUint(mid[dash+1:], 16, 64)
+	l, err := strconv.ParseUint(lsnStr, 16, 64)
 	if err != nil {
 		return 0, 0, false
 	}
 	return sh, l, true
 }
 
-// Open recovers dir, repairs it (truncates torn tails, deletes
-// unreachable segments and stray temp files), and returns a Log
-// positioned to append at each shard's NextLSN, plus the recovered
-// state. The caller loads State.Keys into the store before serving.
+// Open recovers dir, repairs it (cuts the torn tail, deletes segments
+// past it and stray temp files), and returns a Log positioned to append
+// at each shard's NextLSN in a fresh segment, plus the recovered state.
+// The caller loads State.Keys into the store before serving.
 func Open(cfg Config) (*Log, *State, error) {
 	if cfg.Shards <= 0 {
 		return nil, nil, errors.New("wal: open with no shards")
@@ -389,88 +336,57 @@ func Open(cfg Config) (*Log, *State, error) {
 	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	mfPath := filepath.Join(cfg.Dir, manifestName)
-	if mf, err := fsys.ReadFile(mfPath); err == nil {
-		if string(mf) != manifestContents(cfg.Shards) {
-			return nil, nil, fmt.Errorf("wal: MANIFEST %q does not match %d shards", strings.TrimSpace(string(mf)), cfg.Shards)
-		}
-	} else if err := fsys.WriteFile(mfPath, []byte(manifestContents(cfg.Shards)), 0o644); err != nil {
-		return nil, nil, err
-	}
-
 	st, err := RecoverFS(fsys, cfg.Dir, cfg.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Apply the repair plan: future appends must land on a clean,
-	// provable prefix, not interleave with garbage. Stray temp files
-	// (tmp-snap-* left by a crash between CreateTemp and the publishing
-	// rename) are deleted here too — Recover only indexes them.
-	for _, p := range st.remove {
-		fsys.Remove(p)
-	}
-	for s := range st.repairs {
-		rep := &st.repairs[s]
-		if rep.truncPath != "" {
-			if err := fsys.Truncate(rep.truncPath, rep.truncSize); err != nil {
-				return nil, nil, err
-			}
-			if rep.truncSize == 0 {
-				// A zero-length segment is indistinguishable from a
-				// fresh one; drop it so the live list stays tidy.
-				if len(rep.liveSegs) > 0 && rep.liveSegs[len(rep.liveSegs)-1].path == rep.truncPath {
-					fsys.Remove(rep.truncPath)
-					rep.liveSegs = rep.liveSegs[:len(rep.liveSegs)-1]
-				}
-			}
-		}
-		for _, p := range rep.removes {
-			if err := fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, nil, err
-			}
-		}
-	}
-	syncDir(fsys, cfg.Dir)
-
-	l := &Log{cfg: cfg, dir: cfg.Dir, fs: fsys, stop: make(chan struct{})}
-	l.shards = make([]*shardLog, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		sh := &shardLog{
-			idx:       s,
-			pending:   make(map[uint64][]byte),
-			stableSet: make(map[uint64]struct{}),
-			written:   st.NextLSN[s] - 1,
-			durable:   st.NextLSN[s] - 1,
-			stable:    st.NextLSN[s] - 1,
-			snapLSN:   st.SnapshotLSN[s],
-		}
-		sh.cond = sync.NewCond(&sh.mu)
-		sh.segs = append([]segment(nil), st.repairs[s].liveSegs...)
-		// Position the appender: reuse the last live segment when it is
-		// exactly the fresh (empty) segment for NextLSN, else start a
-		// new segment there.
-		base := st.NextLSN[s]
-		var path string
-		if n := len(sh.segs); n > 0 && sh.segs[n-1].base == base {
-			path = sh.segs[n-1].path
-		} else {
-			path = filepath.Join(cfg.Dir, segmentName(s, base))
-			sh.segs = append(sh.segs, segment{base: base, path: path})
-		}
-		f, err := fsys.OpenFile(path, osCreateAppend, 0o644)
-		if err != nil {
-			for _, prev := range l.shards {
-				if prev != nil && prev.f != nil {
-					prev.f.Close()
-				}
-			}
+	mfPath := filepath.Join(cfg.Dir, manifestName)
+	if _, err := fsys.ReadFile(mfPath); err != nil {
+		if err := fsys.WriteFile(mfPath, []byte(manifestContents(cfg.Shards)), 0o644); err != nil {
 			return nil, nil, err
 		}
-		sh.f = f
-		l.shards[s] = sh
+	}
+
+	// Apply the repair plan: future appends must land after a clean,
+	// valid prefix, not interleave with garbage.
+	if st.truncPath != "" {
+		if err := fsys.Truncate(st.truncPath, st.truncSize); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, p := range st.remove {
+		if err := fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, err
+		}
+	}
+
+	seq := uint64(1)
+	if n := len(st.segs); n > 0 {
+		seq = st.segs[n-1].seq + 1
+	}
+	path := filepath.Join(cfg.Dir, segmentName(seq))
+	f, err := fsys.OpenFile(path, osCreateAppendTrunc, 0o644)
+	if err != nil {
+		return nil, nil, err
 	}
 	syncDir(fsys, cfg.Dir)
+
+	l := &Log{
+		cfg:     cfg,
+		dir:     cfg.Dir,
+		fs:      fsys,
+		f:       f,
+		segs:    append(append([]segment(nil), st.segs...), segment{seq: seq, path: path}),
+		next:    append([]uint64(nil), st.NextLSN...),
+		stable:  make([]uint64, cfg.Shards),
+		cut:     make([]uint64, cfg.Shards),
+		snapLSN: append([]uint64(nil), st.SnapshotLSN...),
+		stop:    make(chan struct{}),
+	}
+	l.cond = sync.NewCond(&l.mu)
+	for s, next := range l.next {
+		l.stable[s] = next - 1
+	}
 	if cfg.Fsync == FsyncInterval {
 		l.wg.Add(1)
 		go l.syncLoop()

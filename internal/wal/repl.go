@@ -1,15 +1,16 @@
 package wal
 
 // Replication-facing surface of the log. The replication plane ships
-// stable frames to followers by reading them back off disk (the log IS
-// the replication stream), so it needs: the frame codec, each shard's
-// live segment list, the stable watermarks that bound what may be
-// shipped, a wakeup when they advance, and a way to force-install a
-// snapshot into a follower's log during catch-up bootstrap.
+// durable frames to followers by reading them back off disk in file
+// order (the log IS the replication stream), so it needs: the frame
+// codec, a tailing reader over the segment chain, the stable vector
+// that bounds what may be shipped, a wakeup when it advances, and a way
+// to force-install a snapshot into a follower's log during catch-up
+// bootstrap.
 
 import (
+	"errors"
 	"fmt"
-	"path/filepath"
 )
 
 // EncodeFrame appends f's encoded container (checksummed header +
@@ -23,62 +24,55 @@ func EncodeFrame(dst []byte, f *Frame) []byte { return appendFrame(dst, f) }
 // the declared length) or ErrCorrupt (checksum or structure).
 func DecodeFrame(b []byte) (*Frame, int, error) { return decodeFrame(b) }
 
-// SegmentRefs returns a copy of shard's live segment list (ascending
-// base LSN), for building a StreamReader. The list is a snapshot:
-// rotation may append segments and snapshotting may delete covered ones
-// afterwards; readers hitting a deleted file or the end of the listed
-// chain simply re-fetch refs.
-func (l *Log) SegmentRefs(shard int) []SegmentRef {
-	if shard < 0 || shard >= len(l.shards) {
-		return nil
+// OpenStream builds a StreamReader that tails the live log in file
+// order — which, by the admission rule, is a valid replication order:
+// every frame appears after every earlier LSN of each of its shards.
+// Leading segments that hold nothing above have (the reader's per-shard
+// position) are skipped. The caller skips frames have already covers,
+// ships only frames inside StableVector, and answers a frame that is
+// more than one LSN ahead in some shard — the log no longer reaches back
+// that far — with a snapshot of that shard.
+func (l *Log) OpenStream(have []uint64) *StreamReader {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first := 0
+	for first < len(l.segs)-1 && l.segs[first].covered(have) {
+		first++
 	}
-	s := l.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	refs := make([]SegmentRef, len(s.segs))
-	for i, seg := range s.segs {
-		refs[i] = SegmentRef{Base: seg.base, Path: seg.path}
+	return &StreamReader{fs: l.fs, segs: refsOf(l.segs[first:]), more: l.segmentsAfter}
+}
+
+// segmentsAfter lists the live segments rotated in after seq.
+func (l *Log) segmentsAfter(seq uint64) []SegmentRef {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first := len(l.segs)
+	for first > 0 && l.segs[first-1].seq > seq {
+		first--
+	}
+	return refsOf(l.segs[first:])
+}
+
+func refsOf(segs []segment) []SegmentRef {
+	refs := make([]SegmentRef, len(segs))
+	for i, g := range segs {
+		refs[i] = SegmentRef{Seq: g.seq, Path: g.path}
 	}
 	return refs
 }
 
-// StableLSN returns shard's stable watermark: every frame at or below
-// it is persisted in all of its vector shards and fully written to this
-// shard's segment files, so it may be shipped to followers. Frames
-// above it must not be shipped — recovery could still drop them.
-func (l *Log) StableLSN(shard int) uint64 {
-	if shard < 0 || shard >= len(l.shards) {
-		return 0
-	}
-	s := l.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stable
-}
-
-// StableVector returns every shard's stable watermark.
+// StableVector returns, per shard, the highest LSN inside the log's
+// durable prefix: every frame at or below it is persisted per policy,
+// so recovery is guaranteed to keep it and it may be shipped to
+// followers. Frames above it must not be shipped.
 func (l *Log) StableVector() []uint64 {
-	v := make([]uint64, len(l.shards))
-	for i := range l.shards {
-		v[i] = l.StableLSN(i)
-	}
-	return v
-}
-
-// SnapshotLSN returns shard's latest sealed snapshot LSN (0 = none).
-// Frames at or below it may no longer be on disk.
-func (l *Log) SnapshotLSN(shard int) uint64 {
-	if shard < 0 || shard >= len(l.shards) {
-		return 0
-	}
-	s := l.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapLSN
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]uint64(nil), l.stable...)
 }
 
 // NotifyStable registers ch to receive a non-blocking signal whenever
-// any shard's stable watermark advances (and when the log closes). The
+// the durable prefix advances (and when the log fails or closes). The
 // replication sender parks on it instead of polling. A full channel is
 // skipped, so register a buffered channel and treat a receive as "go
 // look", not as a count.
@@ -110,145 +104,98 @@ func (l *Log) notifyStable() {
 	}
 }
 
-// InstallSnapshot force-installs a snapshot of shard at lsn: the shard's
-// existing log files are discarded, the snapshot becomes the shard's
-// entire history at or below lsn, and appending resumes at lsn+1. This
-// is the follower catch-up bootstrap — the primary has truncated past
-// the follower's position, so the follower replaces the shard wholesale
-// instead of replaying frames.
+// ErrSnapshotBehind reports an InstallSnapshot below the shard's own
+// position outside a resync: installing it would leave the shard's later
+// frames readable above the snapshot. The follower answers it by asking
+// for a resync, which re-seeds every shard.
+var ErrSnapshotBehind = errors.New("wal: snapshot is behind the shard's log position")
+
+// InstallSnapshot force-installs a snapshot of shard at lsn: it becomes
+// the shard's entire history at or below lsn and appending resumes at
+// lsn+1. This is the follower catch-up bootstrap — the primary has
+// truncated past the follower's position, so the follower replaces the
+// shard wholesale instead of replaying frames.
 //
-// The caller must have quiesced appends to this shard (the follower's
-// single apply goroutine is the only writer). Crash safety: old
-// segments are removed before the new snapshot is published, so a crash
-// mid-install recovers to either the old snapshot state or the new one,
-// never a splice of the two; either way the follower resyncs on
-// restart.
-func (l *Log) InstallSnapshot(shard int, lsn uint64, keys map[string][]byte) error {
-	if shard < 0 || shard >= len(l.shards) {
-		return fmt.Errorf("wal: install snapshot of shard %d of %d", shard, len(l.shards))
+// No frame of the shard above lsn may stay readable on disk (recovery
+// and a later replication stream would replay it on top of the
+// snapshot). An ordinary catch-up installs at or above the shard's
+// position, so the chain stays and the shard's frames in it become
+// covered leftovers; one below the position is refused with
+// ErrSnapshotBehind and changes nothing. resync marks an install that
+// belongs to a resync bootstrap, which re-seeds every shard because the
+// log may hold a diverged tail in any of them: the segment chain is the
+// only copy of all shards' frames, so it is dropped whole — newest
+// segment first, so a crash mid-way leaves a prefix of the old chain
+// under the old snapshots, never a disconnected suffix or a splice —
+// by the bootstrap's first install (the later ones find it empty).
+//
+// The caller must have quiesced appends (the follower's single apply
+// goroutine is the only writer) and has already replaced the shard in
+// memory, so a failure past the position check fails the log: it can no
+// longer describe the store.
+func (l *Log) InstallSnapshot(shard int, lsn uint64, keys map[string][]byte, resync bool) error {
+	if shard < 0 || shard >= len(l.next) {
+		return fmt.Errorf("wal: install snapshot of shard %d of %d", shard, len(l.next))
 	}
-	s := l.shards[shard]
-
-	enc := encodeSnapshot(shard, lsn, keys)
-	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
+	l.mu.Lock()
+	at := l.next[shard] - 1
+	l.mu.Unlock()
+	if !resync && at > lsn {
+		return fmt.Errorf("%w: shard %d is at %d, snapshot at %d", ErrSnapshotBehind, shard, at, lsn)
+	}
+	tmpName, err := l.writeSnapshotTemp(shard, lsn, keys)
+	l.mu.Lock()
+	l.acquireLocked()
+	if err == nil {
+		err = l.err
+	}
+	drop := resync && (len(l.segs) > 1 || l.durable > l.segBase) // the chain holds frames
+	l.mu.Unlock()
+	if err == nil && drop {
+		err = l.dropChain()
+	}
+	var final string
+	if err == nil {
+		final, err = l.publishSnapshot(tmpName, shard, lsn, len(keys))
+	} else if tmpName != "" {
+		l.fs.Remove(tmpName)
+	}
+	if err != nil && l.Degraded() == nil {
+		l.degrade(logFailed, err) // whatever ENOSPC has not already made read-only
+	}
+	l.mu.Lock()
+	if err == nil {
+		l.next[shard], l.stable[shard], l.snapLSN[shard] = lsn+1, lsn, lsn
+		l.notifyStable()
+	} else {
+		l.failLocked(err)
+	}
+	l.releaseLocked()
+	l.mu.Unlock()
 	if err != nil {
-		l.noteWriteError(err)
 		return err
 	}
-	tmpName := tmp.Name()
-	if err := writeFull(tmp, enc); err != nil {
-		l.noteWriteError(err)
-		tmp.Close()
-		l.fs.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		if isNoSpace(err) {
-			l.enterReadOnly(err)
-		}
-		tmp.Close()
-		l.fs.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		l.fs.Remove(tmpName)
-		return err
-	}
+	l.removeFiles(l.staleSnapshots(shard, final))
+	return nil
+}
 
-	s.mu.Lock()
-	// Wait out any in-flight background work on the shard's files: a
-	// rotation flush completing after the reset below would advance the
-	// durable watermark past the installed cut, and a group-commit sync
-	// would race the close.
-	for s.rotating || s.syncing {
-		s.cond.Wait()
-	}
-	if s.err != nil {
-		err := s.err
-		s.mu.Unlock()
-		l.fs.Remove(tmpName)
+// dropChain discards every segment written so far and leaves a fresh,
+// empty active segment. The caller holds the writer role.
+func (l *Log) dropChain() error {
+	if err := l.rotate(); err != nil {
 		return err
 	}
-	// Drop the old log: close the appender and remove every segment
-	// BEFORE publishing the new snapshot (see crash-safety note above).
-	if s.f != nil {
-		// A close error here is unreportable but also inconsequential:
-		// the file is removed on the next line and its contents are
-		// superseded by the snapshot being installed.
-		s.f.Close()
-		s.f = nil
-	}
-	oldSegs := s.segs
-	s.segs = nil
-	for _, seg := range oldSegs {
-		if l.fs.Remove(seg.path) == nil {
+	l.flushes.Wait() // the rotated-out segment is about to be unlinked
+	l.mu.Lock()
+	active := len(l.segs) - 1
+	old := l.segs[:active]
+	l.segs = l.segs[active:]
+	l.mu.Unlock()
+	for i := len(old) - 1; i >= 0; i-- {
+		if l.fs.Remove(old[i].path) == nil {
 			l.stats.RemovedFiles.Add(1)
 		}
 	}
 	syncDir(l.fs, l.dir)
-
-	final := filepath.Join(l.dir, snapshotName(shard, lsn))
-	if err := l.fs.Rename(tmpName, final); err != nil {
-		l.fs.Remove(tmpName)
-		s.err = err
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return err
-	}
-	syncDir(l.fs, l.dir)
-	l.stats.Snapshots.Add(1)
-	l.stats.SnapshotKeys.Store(uint64(len(keys)))
-
-	// Reset the shard onto the installed state and open a fresh segment.
-	s.pending = make(map[uint64][]byte)
-	s.stableSet = make(map[uint64]struct{})
-	s.written, s.durable, s.stable = lsn, lsn, lsn
-	s.snapLSN = lsn
-	s.rotateAt = 0
-	base := lsn + 1
-	path := filepath.Join(l.dir, segmentName(shard, base))
-	f, err := l.fs.OpenFile(path, osCreateAppendTrunc, 0o644)
-	if err != nil {
-		l.noteWriteError(err)
-		s.err = err
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return err
-	}
-	s.f = f
-	s.segs = append(s.segs, segment{base: base, path: path})
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	// Remove superseded snapshots of this shard.
-	if olds, err := l.fs.Glob(filepath.Join(l.dir, fmt.Sprintf("snap-%03d-*.snap", shard))); err == nil {
-		for _, p := range olds {
-			if p != final && l.fs.Remove(p) == nil {
-				l.stats.RemovedFiles.Add(1)
-			}
-		}
-	}
-	syncDir(l.fs, l.dir)
-	l.notifyStable()
 	return nil
-}
-
-// OpenStream builds a StreamReader over shard's current segment list,
-// positioned to yield frames with LSN ≥ from. Returns ErrGap (wrapped)
-// when the log no longer reaches back to from — the shard's earliest
-// on-disk frame is newer, so the caller needs a snapshot instead.
-func (l *Log) OpenStream(shard int, from uint64) (*StreamReader, error) {
-	refs := l.SegmentRefs(shard)
-	if len(refs) == 0 || refs[0].Base > from {
-		return nil, fmt.Errorf("%w: shard %d lsn %d predates the log (earliest %d)",
-			ErrGap, shard, from, firstBase(refs))
-	}
-	return newStreamReader(l.fs, shard, refs, from), nil
-}
-
-func firstBase(refs []SegmentRef) uint64 {
-	if len(refs) == 0 {
-		return 0
-	}
-	return refs[0].Base
 }

@@ -99,93 +99,51 @@ func decodeSnapshot(b []byte) (shard int, lsn uint64, keys map[string][]byte, er
 	return int(sh), lsn, keys, nil
 }
 
-// Snapshot seals a snapshot of shard at lsn: keys must be the shard's
-// complete state as observed by a transaction that read sequence number
-// lsn. The snapshot only seals once every frame ≤ lsn is stable (else a
-// crash could leave the snapshot exposing a cross-shard commit that
-// recovery drops from another shard — a half-applied transaction). On
-// seal the shard rotates to a fresh segment and deletes covered
-// segments plus stale snapshots.
-func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
-	if shard < 0 || shard >= len(l.shards) {
-		return fmt.Errorf("wal: snapshot of shard %d of %d", shard, len(l.shards))
-	}
-	s := l.shards[shard]
-	if lsn > 0 {
-		if err := s.waitStable(lsn); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	already := lsn <= s.snapLSN
-	s.mu.Unlock()
-	if already {
-		return nil // an equal-or-newer snapshot is already sealed
-	}
-
-	// Write the snapshot to a temp file, sync it, then publish with an
-	// atomic rename: a crash mid-write leaves only ignorable garbage.
-	enc := encodeSnapshot(shard, lsn, keys)
+// writeSnapshotTemp writes and syncs a snapshot into a temp file in the
+// data directory and returns its name. Publication is a later atomic
+// rename, so a crash mid-write leaves only ignorable garbage.
+func (l *Log) writeSnapshotTemp(shard int, lsn uint64, keys map[string][]byte) (string, error) {
 	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
 	if err != nil {
-		l.noteWriteError(err)
-		return err
+		l.noteWriteError(err, false)
+		return "", err
 	}
-	tmpName := tmp.Name()
-	if err := writeFull(tmp, enc); err != nil {
-		l.noteWriteError(err)
-		tmp.Close()
-		l.fs.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		// A failed snapshot sync does not poison the log — the covered
+	name := tmp.Name()
+	if err = writeFull(tmp, encodeSnapshot(shard, lsn, keys)); err != nil {
+		l.noteWriteError(err, false)
+	} else if err = tmp.Sync(); err != nil && isNoSpace(err) {
+		// A failed snapshot sync does not fail the log — the covered
 		// frames are still durable in segments — but ENOSPC still means
-		// the volume is full, so the classification runs either way.
-		if isNoSpace(err) {
-			l.enterReadOnly(err)
-		}
-		tmp.Close()
-		l.fs.Remove(tmpName)
-		return err
+		// the volume is full.
+		l.degrade(logReadOnly, err)
 	}
-	if err := tmp.Close(); err != nil {
-		l.fs.Remove(tmpName)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	l.hook(CrashMidSnapshot)
+	if err != nil {
+		l.fs.Remove(name)
+		return "", err
+	}
+	return name, nil
+}
+
+// publishSnapshot renames a temp snapshot into place and returns the
+// final path.
+func (l *Log) publishSnapshot(tmpName string, shard int, lsn uint64, nKeys int) (string, error) {
 	final := filepath.Join(l.dir, snapshotName(shard, lsn))
 	if err := l.fs.Rename(tmpName, final); err != nil {
 		l.fs.Remove(tmpName)
-		return err
+		return "", err
 	}
 	syncDir(l.fs, l.dir)
 	l.stats.Snapshots.Add(1)
-	l.stats.SnapshotKeys.Store(uint64(len(keys)))
+	l.stats.SnapshotKeys.Store(uint64(nKeys))
+	return final, nil
+}
 
-	// Rotate so future appends land past the snapshot, then drop files
-	// the snapshot covers: closed segments whose last LSN ≤ lsn and any
-	// older snapshot of this shard.
-	var dead []string
-	s.mu.Lock()
-	if lsn > s.snapLSN {
-		s.snapLSN = lsn
-	}
-	if s.err == nil && s.f != nil {
-		s.rotateLocked(l)
-	}
-	for len(s.segs) >= 2 && s.segs[1].base-1 <= s.snapLSN {
-		dead = append(dead, s.segs[0].path)
-		s.segs = s.segs[1:]
-	}
-	s.mu.Unlock()
-	if olds, err := l.fs.Glob(filepath.Join(l.dir, fmt.Sprintf("snap-%03d-*.snap", shard))); err == nil {
-		for _, p := range olds {
-			if p != final {
-				dead = append(dead, p)
-			}
-		}
-	}
+// removeFiles deletes dead files (covered segments, superseded
+// snapshots) with the CrashMidTruncate site between deletions.
+func (l *Log) removeFiles(dead []string) {
 	for i, p := range dead {
 		if i > 0 {
 			l.hook(CrashMidTruncate)
@@ -197,5 +155,75 @@ func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
 	if len(dead) > 0 {
 		syncDir(l.fs, l.dir)
 	}
-	return nil
+}
+
+// staleSnapshots lists shard's snapshot files other than keep.
+func (l *Log) staleSnapshots(shard int, keep string) []string {
+	olds, err := l.fs.Glob(filepath.Join(l.dir, fmt.Sprintf("snap-%03d-*.snap", shard)))
+	if err != nil {
+		return nil
+	}
+	stale := olds[:0]
+	for _, p := range olds {
+		if p != keep {
+			stale = append(stale, p)
+		}
+	}
+	return stale
+}
+
+// Snapshot seals a snapshot of shard at lsn: keys must be the shard's
+// complete state as observed by a transaction that read sequence number
+// lsn. The snapshot only seals once every frame ≤ lsn of the shard is
+// inside the durable prefix (else a crash could leave the snapshot
+// exposing a commit recovery drops). On seal the log rotates to a fresh
+// segment and deletes, oldest first, every leading segment whose every
+// (shard, lsn) is at or below that shard's sealed snapshot — plus the
+// shard's stale snapshots.
+func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
+	if shard < 0 || shard >= len(l.snapLSN) {
+		return fmt.Errorf("wal: snapshot of shard %d of %d", shard, len(l.snapLSN))
+	}
+	if err := l.WaitStable([]ShardLSN{{Shard: shard, LSN: lsn}}); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	already := lsn <= l.snapLSN[shard]
+	l.mu.Unlock()
+	if already {
+		return nil // an equal-or-newer snapshot is already sealed
+	}
+	tmpName, err := l.writeSnapshotTemp(shard, lsn, keys)
+	if err != nil {
+		return err
+	}
+	l.hook(CrashMidSnapshot)
+	final, err := l.publishSnapshot(tmpName, shard, lsn, len(keys))
+	if err != nil {
+		return err
+	}
+
+	l.mu.Lock()
+	if lsn > l.snapLSN[shard] {
+		l.snapLSN[shard] = lsn
+	}
+	l.acquireLocked()
+	rotate := l.err == nil && l.durable > l.segBase // the active segment holds frames
+	l.mu.Unlock()
+	if rotate {
+		err = l.rotate()
+	}
+	var dead []string
+	l.mu.Lock()
+	if err != nil {
+		l.failLocked(err)
+	}
+	for len(l.segs) > 1 && l.segs[0].covered(l.snapLSN) {
+		dead = append(dead, l.segs[0].path)
+		l.segs = l.segs[1:]
+	}
+	l.releaseLocked()
+	l.mu.Unlock()
+	l.removeFiles(append(dead, l.staleSnapshots(shard, final)...))
+	return err
 }

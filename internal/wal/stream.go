@@ -6,103 +6,66 @@ import (
 	"io"
 )
 
-// SegmentRef names one on-disk log segment of a shard: the LSN of its
-// first frame plus its path. Refs are how the frame-iteration machinery
-// (recovery, replication shipping) addresses a shard's log without
-// holding the log's locks.
+// SegmentRef names one file of the log's segment chain: its dense
+// sequence number plus its path. Refs are how the frame-iteration
+// machinery (recovery, replication shipping) addresses the log without
+// holding its lock.
 type SegmentRef struct {
-	Base uint64
+	Seq  uint64
 	Path string
 }
 
-// ErrGap reports a segment missing from the middle of a shard's log:
-// the next segment's base is not the LSN the previous segment ended at,
-// so nothing past the gap is a provable prefix.
+// ErrGap reports history missing from the log: a segment absent from
+// the middle of the chain, or (from recovery) a frame more than one LSN
+// past everything that connects it to the shard's snapshot.
 var ErrGap = errors.New("wal: segment gap")
 
 // StreamEntry is one frame yielded by a StreamReader, with its physical
-// position so callers (recovery's repair planner, the replication
-// sender) can turn a logical cut into a byte offset.
+// position so recovery can turn a defect into a byte offset and the
+// replication sender can ship the bytes as they sit on disk.
 type StreamEntry struct {
-	LSN   uint64 // the frame's LSN in the reader's shard
 	Frame *Frame
-	Seg   int   // index into the reader's segment list
-	Off   int64 // byte offset of the frame within that segment
-	End   int64 // byte offset just past the frame
+	Raw   []byte // the encoded container; valid until the next call to Next
+	Seg   int    // index into the reader's segment list
+	Off   int64  // byte offset of the frame within that segment
+	End   int64  // byte offset just past the frame
 }
 
 // streamReadChunk bounds one incremental read from a live segment.
 const streamReadChunk = 256 << 10
 
-// StreamReader iterates the frames of one shard's log in dense LSN
-// order across segment rotations. It is the single frame-iteration code
-// path shared by recovery and replication: recovery walks a quiesced
-// directory to its first defect, the replication sender tails a live
-// log up to the stable watermark.
+// StreamReader iterates the log's frames in file order across segment
+// rotations. It is the single frame-iteration code path shared by
+// recovery and replication: recovery walks a quiesced directory to its
+// first defect, the replication sender tails a live log.
 //
 // Errors are sticky except at the tail: io.EOF (clean end of the last
 // segment) and ErrTorn (a partial frame at the tail) leave the reader
 // positioned so a later Next can pick up bytes appended since — the
-// live-tailing case. ErrCorrupt, ErrGap, and LSN discontinuities are
-// permanent: the log is defective past Pos and re-reading cannot fix it.
+// live-tailing case. ErrCorrupt and ErrGap are permanent: the log is
+// defective past Pos and re-reading cannot fix it.
 //
 // A StreamReader is not safe for concurrent use.
 type StreamReader struct {
-	fs    FS
-	shard int
-	segs  []SegmentRef
-	start uint64 // first LSN the caller wants (0 = everything)
+	fs   FS
+	segs []SegmentRef
+	// more, on a live log, lists the segments rotated in after the given
+	// sequence number; nil for a static chain.
+	more func(after uint64) []SegmentRef
 
 	idx      int    // current segment index
 	f        File   // open handle on segs[idx]
 	buf      []byte // unconsumed bytes read from segs[idx]
-	bufStart int64    // file offset of buf[0]
-	expected uint64   // LSN the next decoded frame must carry
-	began    bool
+	chunk    []byte // fill's read buffer, reused across polls of a live tail
+	bufStart int64  // file offset of buf[0]
 	sticky   error
 }
 
-// NewStreamReader builds a reader over segs (ascending base order, as
-// recovery indexes them or Log.SegmentRefs returns them) that yields
-// frames of shard with LSN ≥ start. Frames below start are still
-// decoded — the chain must prove itself from the first segment — but
-// not returned. A nil or empty segs yields io.EOF immediately.
-func NewStreamReader(shard int, segs []SegmentRef, start uint64) *StreamReader {
-	return newStreamReader(OSFS(), shard, segs, start)
-}
-
-// newStreamReader is NewStreamReader with an explicit filesystem, so
-// recovery and replication read through the same fault seam they were
-// written through.
-func newStreamReader(fsys FS, shard int, segs []SegmentRef, start uint64) *StreamReader {
-	r := &StreamReader{fs: fsys, shard: shard, segs: segs, start: start}
-	// Skip whole segments entirely below start: a segment whose
-	// successor's base is ≤ start+1 contributes no wanted frames and its
-	// bytes need not decode (replication must not pay to re-read
-	// covered history; the segments below a snapshot may even be
-	// mid-deletion). start == 0 means "walk everything" — recovery
-	// validates the chain from the first byte on disk.
-	if start > 0 {
-		// Segment i holds frames [base_i, base_{i+1}-1]; it is skippable
-		// exactly when base_{i+1} ≤ start (every frame below start).
-		for r.idx+1 < len(segs) && segs[r.idx+1].Base <= start {
-			r.idx++
-		}
-	}
-	return r
-}
-
-// NextLSN returns the LSN the next yielded frame will carry (the dense
-// successor of the last yielded one, or the reader's start position).
-func (r *StreamReader) NextLSN() uint64 {
-	lsn := r.start
-	if r.expected > lsn {
-		lsn = r.expected
-	}
-	if !r.began && r.idx < len(r.segs) && r.segs[r.idx].Base > lsn {
-		lsn = r.segs[r.idx].Base
-	}
-	return lsn
+// NewStreamReader builds a reader over a static chain (ascending
+// sequence order, as recovery indexes it). A nil or empty segs yields
+// io.EOF immediately.
+func NewStreamReader(segs []SegmentRef) *StreamReader {
+	return &StreamReader{fs: OSFS(), segs: segs}
 }
 
 // Pos returns where valid data ends so far: the current segment index
@@ -115,14 +78,13 @@ func (r *StreamReader) Pos() (seg int, off int64) {
 // Close releases the open segment handle. The reader stays usable for
 // Pos but not Next.
 func (r *StreamReader) Close() error {
-	if r.f != nil {
-		err := r.f.Close()
-		r.f = nil
-		r.sticky = errClosed
-		return err
-	}
 	r.sticky = errClosed
-	return nil
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
 }
 
 // Next yields the next frame. io.EOF means the last segment ended
@@ -139,58 +101,41 @@ func (r *StreamReader) Next() (StreamEntry, error) {
 		}
 		if r.f == nil {
 			seg := r.segs[r.idx]
+			if r.idx > 0 && seg.Seq != r.segs[r.idx-1].Seq+1 {
+				// A segment is missing from the middle of the chain:
+				// permanent defect at this segment's head.
+				r.sticky = fmt.Errorf("%w: segment %s follows sequence %d",
+					ErrGap, seg.Path, r.segs[r.idx-1].Seq)
+				return StreamEntry{}, r.sticky
+			}
 			f, err := r.fs.Open(seg.Path)
 			if err != nil {
 				r.sticky = err
 				return StreamEntry{}, err
 			}
 			r.f = f
-			r.buf = r.buf[:0]
-			r.bufStart = 0
-			if !r.began {
-				r.expected = seg.Base
-				r.began = true
-			} else if seg.Base != r.expected {
-				// A segment is missing from the middle (or the chain is
-				// mis-sequenced): permanent defect at this segment's head.
-				r.f.Close()
-				r.f = nil
-				r.sticky = fmt.Errorf("%w: shard %d segment %s starts at lsn %d, want %d",
-					ErrGap, r.shard, seg.Path, seg.Base, r.expected)
-				return StreamEntry{}, r.sticky
-			}
 		}
 		f, n, derr := decodeFrame(r.buf)
 		if derr == nil {
-			lsn, ok := f.LSNFor(r.shard)
-			if !ok || lsn != r.expected {
-				// The checksum passed but the frame is not this log's next
-				// LSN: writer bug, foreign file, or stale residue. The
-				// defect is permanent and positioned exactly here.
-				r.sticky = fmt.Errorf("%w: shard %d lsn %d where %d expected at %s+%d",
-					ErrCorrupt, r.shard, lsn, r.expected, r.segs[r.idx].Path, r.bufStart)
-				return StreamEntry{}, r.sticky
-			}
 			e := StreamEntry{
-				LSN:   lsn,
 				Frame: f,
+				Raw:   r.buf[:n],
 				Seg:   r.idx,
 				Off:   r.bufStart,
 				End:   r.bufStart + int64(n),
 			}
 			r.buf = r.buf[n:]
 			r.bufStart += int64(n)
-			r.expected++
-			if lsn < r.start {
-				continue // decoded for chain validation only
-			}
 			return e, nil
 		}
 		if errors.Is(derr, ErrCorrupt) {
 			r.sticky = derr
 			return StreamEntry{}, derr
 		}
-		// Torn: the buffer holds less than one frame. Try to read more.
+		// Torn: the buffer holds less than one frame. Try to read more. A
+		// successor listed before this read means the segment was already
+		// closed, so a read that returns nothing has seen all of it.
+		closed := r.idx+1 < len(r.segs)
 		read, rerr := r.fill()
 		if read > 0 {
 			continue
@@ -199,33 +144,42 @@ func (r *StreamReader) Next() (StreamEntry, error) {
 			r.sticky = rerr
 			return StreamEntry{}, rerr
 		}
-		// End of this segment's bytes.
-		if len(r.buf) == 0 {
-			if r.idx+1 < len(r.segs) {
-				r.f.Close()
-				r.f = nil
-				r.idx++
-				r.bufStart = 0
+		if !closed && r.more != nil {
+			if more := r.more(r.segs[r.idx].Seq); len(more) > 0 {
+				// The log rotated since the chain was listed; bytes may have
+				// landed here after the empty read, so read once more before
+				// moving on.
+				r.segs = append(r.segs, more...)
 				continue
 			}
-			return StreamEntry{}, io.EOF // clean end; retriable on a live log
 		}
-		if r.idx+1 < len(r.segs) {
+		switch {
+		case closed && len(r.buf) == 0:
+			r.f.Close()
+			r.f = nil
+			r.idx++
+			r.bufStart = 0
+		case closed:
 			// Partial frame mid-chain: permanent — the writer never
 			// resumes a closed segment.
 			r.sticky = fmt.Errorf("%w: %d trailing bytes before next segment", ErrTorn, len(r.buf))
 			return StreamEntry{}, r.sticky
+		case len(r.buf) == 0:
+			return StreamEntry{}, io.EOF // clean end; retriable on a live log
+		default:
+			return StreamEntry{}, fmt.Errorf("%w: %d tail bytes of a frame", ErrTorn, len(r.buf))
 		}
-		return StreamEntry{}, fmt.Errorf("%w: %d tail bytes of a frame", ErrTorn, len(r.buf))
 	}
 }
 
 // fill reads more bytes of the current segment after the buffered ones.
 func (r *StreamReader) fill() (int, error) {
-	chunk := make([]byte, streamReadChunk)
-	n, err := r.f.ReadAt(chunk, r.bufStart+int64(len(r.buf)))
+	if r.chunk == nil {
+		r.chunk = make([]byte, streamReadChunk)
+	}
+	n, err := r.f.ReadAt(r.chunk, r.bufStart+int64(len(r.buf)))
 	if n > 0 {
-		r.buf = append(r.buf, chunk[:n]...)
+		r.buf = append(r.buf, r.chunk[:n]...)
 	}
 	return n, err
 }

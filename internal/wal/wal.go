@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -68,8 +67,8 @@ const (
 	// CrashPreAppend fires before any byte of a frame is written: the
 	// commit is in memory, the log has nothing.
 	CrashPreAppend CrashPoint = iota
-	// CrashMidAppend fires halfway through writing a frame's bytes,
-	// leaving a torn frame at the tail of one shard's log.
+	// CrashMidAppend fires halfway through writing a cohort's bytes,
+	// leaving a torn frame at the tail of the log.
 	CrashMidAppend
 	// CrashPostAppend fires after the frame is fully written (and
 	// synced, under FsyncAlways) but before the append is acknowledged.
@@ -105,7 +104,7 @@ func (c CrashPoint) String() string {
 // Config configures Open.
 type Config struct {
 	// Dir is the data directory (created if absent). One directory holds
-	// one store's logs, snapshots and MANIFEST.
+	// one store's commit log, snapshots and MANIFEST.
 	Dir string
 	// Shards is the store's shard count; it is sealed into MANIFEST and
 	// must match on reopen (recovery has no hash function, so replay
@@ -136,9 +135,9 @@ type Config struct {
 // metrics.Histogram fields as dimensionless histograms, both by
 // reflection over this struct, so a new field cannot ship unexported).
 type Stats struct {
-	AppendedFrames atomic.Uint64 // frame copies written (one per shard touched)
-	AppendedBytes  atomic.Uint64
-	Fsyncs         atomic.Uint64
+	AppendedFrames atomic.Uint64 // frames written (exactly one copy per committed transaction)
+	AppendedBytes  atomic.Uint64 // encoded frame bytes written
+	Fsyncs         atomic.Uint64 // successful fsyncs of log segments (cohort, interval, rotation, close)
 	Snapshots      atomic.Uint64 // snapshots sealed
 	SnapshotKeys   atomic.Uint64 // keys in the last sealed snapshot pass
 	RemovedFiles   atomic.Uint64 // covered segments + stale snapshots deleted
@@ -150,58 +149,59 @@ type Stats struct {
 	WriteErrors   atomic.Uint64 // frame/snapshot write errors observed
 	SyncFailures  atomic.Uint64 // fsync errors observed (any site)
 	ReadOnlyTrips atomic.Uint64 // transitions into degraded read-only (ENOSPC)
-	FailStops     atomic.Uint64 // transitions into permanent fail-stop (fsync error)
+	FailStops     atomic.Uint64 // transitions into permanent fail-stop (fsync or write error)
 
-	// FsyncCohortFrames is how many frames each fsync made durable: the
-	// group-commit amortization factor (1 = no batching happening).
+	// FsyncCohortFrames is how many frames, across all shards, each
+	// fsync made durable: the group-commit amortization factor (1 = no
+	// batching happening).
 	FsyncCohortFrames metrics.Histogram
 	// ReorderOccupancy samples the reorder buffer's depth at each
-	// enqueue: how far out of LSN order post-commit handoff arrives.
+	// enqueue (counting the arriving frame): how far out of readiness
+	// order post-commit handoff arrives.
 	ReorderOccupancy metrics.Histogram
-	// StableLagFrames samples written−stable whenever the stable
-	// watermark advances: how many written frames were still awaiting
-	// cross-shard stability.
-	StableLagFrames metrics.Histogram
 }
 
-// segment is one on-disk log file of a shard. base is the LSN of its
-// first frame; a closed segment's last LSN is the next segment's base-1.
+// segment is one file of the log's single segment chain. Sequence
+// numbers are dense, so a missing middle segment is detectable from the
+// names alone.
 type segment struct {
-	base uint64
+	seq  uint64
 	path string
+	// last is, per shard, the highest LSN the log had written when the
+	// segment closed — an upper bound on every (shard, lsn) inside it.
+	// Nil while the segment is the active one.
+	last []uint64
 }
 
-// shardLog is the append side of one shard's log: a reorder buffer
-// (post-commit handoff can arrive out of LSN order), a dense writer, and
-// written / durable / stable watermarks with group-commit fsync.
-type shardLog struct {
-	idx  int // shard index
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	f    File      // current (last) segment
-	segs []segment // all live segments, ascending base
-
-	pending map[uint64][]byte // encoded frames awaiting their dense turn
-
-	// Watermarks. All are dense prefixes of the LSN sequence:
-	//   written — every frame ≤ written is fully write()n to this log
-	//   durable — ≤ written, and fsynced
-	//   stable  — every frame ≤ stable is persisted (per policy) in
-	//             EVERY shard of its identity vector, so recovery is
-	//             guaranteed to keep it; acknowledgements gate on this
-	written uint64
-	durable uint64
-	stable  uint64
-
-	stableSet map[uint64]struct{} // lsns > stable already persisted everywhere
-
-	rotateAt uint64 // rotate to a fresh segment once written ≥ rotateAt
-	snapLSN  uint64 // latest sealed snapshot LSN
-	syncing  bool   // one fsync in flight; others wait (group commit)
-	rotating bool   // a rotated-out segment's flush is in flight
-	err      error  // sticky I/O error; fails all future waits
+// covered reports whether every (shard, lsn) a closed segment can
+// contain is ≤ have[shard].
+func (g *segment) covered(have []uint64) bool {
+	if g.last == nil {
+		return false
+	}
+	for s, lsn := range g.last {
+		if lsn > have[s] {
+			return false
+		}
+	}
+	return true
 }
+
+// appendReq is one in-flight Append: the encoded frame and, once the
+// readiness rule admits it, its position in file order. Pooled, so the
+// encode buffer is reused across commits.
+type appendReq struct {
+	buf    []byte
+	shards []ShardLSN
+	pos    uint64 // file-order position (frames before it, plus one); parked until admitted
+	stale  bool   // every vector entry was already logged: refused, never written
+}
+
+// parked marks a request the readiness rule has not admitted yet: no
+// durable position ever reaches it.
+const parked = ^uint64(0)
+
+var reqPool = sync.Pool{New: func() any { return new(appendReq) }}
 
 // Log modes (Log.state). Transitions only move forward: a log that
 // degraded never heals within the process — "retrying" a failed fsync
@@ -212,7 +212,7 @@ type shardLog struct {
 const (
 	logHealthy  uint32 = iota
 	logReadOnly        // ENOSPC: appends shed, reads keep serving
-	logFailed          // fsync failure: permanent fail-stop, everything sheds
+	logFailed          // fsync or write failure: permanent fail-stop, everything sheds
 )
 
 // ErrReadOnly is returned by Append once the log entered degraded
@@ -221,25 +221,61 @@ const (
 // replica.
 var ErrReadOnly = errors.New("wal: log is read-only (out of space)")
 
-// ErrFailed is returned by Append once the log fail-stopped after a
-// sync failure. The log never accepts another frame.
-var ErrFailed = errors.New("wal: log failed (fsync error)")
+// ErrFailed is returned by Append once the log fail-stopped after an
+// I/O failure. The log never accepts another frame.
+var ErrFailed = errors.New("wal: log failed (I/O error)")
 
-// Log is an open write-ahead log: one shardLog per shard plus the
-// background interval syncer.
+// errClosed poisons the log after Close.
+var errClosed = errors.New("wal: log closed")
+
+// Log is an open write-ahead log: one physical commit log shared by
+// every shard. Frames are admitted in an order consistent with every
+// shard's LSN order, written once, and acknowledged when the log's
+// single durable position passes them.
 type Log struct {
-	cfg    Config
-	dir    string
-	fs     FS
-	shards []*shardLog
-	stats  Stats
+	cfg   Config
+	dir   string
+	fs    FS
+	stats Stats
 
 	state   atomic.Uint32 // logHealthy / logReadOnly / logFailed
 	causeMu sync.Mutex
 	cause   error // first error that degraded the log
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	f       File      // active (last) segment
+	segs    []segment // live chain, ascending seq; the last one is active
+	segBase uint64    // durable position when the active segment was opened
+
+	// Admission. A frame is ready when every (shard, lsn) of its vector
+	// is that shard's next LSN (entries below next are already covered,
+	// as on a follower after a snapshot bootstrap); ready frames move
+	// from pending into batch in that order, which becomes file order.
+	next     []uint64 // per shard: LSN the next admitted frame must carry
+	pending  []*appendReq
+	batch    []byte // admitted, not yet written
+	spare    []byte // the writer's last buffer, recycled as the next batch
+	admitted uint64 // frames admitted so far (file-order position of the newest)
+
+	// durable is the file-order position through which the log is
+	// persisted per policy (fsynced under FsyncAlways, write()n
+	// otherwise); stable is the same prefix seen per shard — the highest
+	// LSN of each shard inside it. Acknowledgements gate on these.
+	durable uint64
+	stable  []uint64
+	cut     []uint64 // writer-role scratch: stable as it will be once the cohort lands
+
+	snapLSN []uint64 // per shard: latest sealed snapshot LSN
+
+	writing bool  // the writer role is held (a cohort's Write/Sync, a rotation, an install)
+	syncing bool  // the interval syncer has an fsync of the active segment in flight
+	err     error // sticky: fails every wait that the durable prefix does not already satisfy
+
+	flushes sync.WaitGroup // background flushes of rotated-out segments
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
 	// Stable-advance watchers (replication senders); see NotifyStable.
 	notifyMu sync.Mutex
@@ -269,7 +305,16 @@ func (l *Log) Failed() error {
 // Degraded returns nil while the log accepts appends, else the same
 // wrapped ErrReadOnly or ErrFailed an append would return — callers
 // shed writes before executing them. One atomic load when healthy.
-func (l *Log) Degraded() error { return l.appendGate() }
+func (l *Log) Degraded() error {
+	switch l.state.Load() {
+	case logHealthy:
+		return nil
+	case logReadOnly:
+		return fmt.Errorf("%w: %v", ErrReadOnly, l.degradeCause())
+	default:
+		return fmt.Errorf("%w: %v", ErrFailed, l.degradeCause())
+	}
+}
 
 // Mode returns the log's mode as a stable string for stats exports.
 func (l *Log) Mode() string {
@@ -288,86 +333,78 @@ func (l *Log) degradeCause() error {
 	return l.cause
 }
 
-func (l *Log) setCause(err error) {
+// degrade moves the log from healthy (or, for fail-stop, from
+// read-only too) into mode to. No-op when the transition does not move
+// forward. Never touches mu, so I/O paths may call it unlocked.
+func (l *Log) degrade(to uint32, err error) {
+	for {
+		prev := l.state.Load()
+		if prev >= to {
+			return
+		}
+		if l.state.CompareAndSwap(prev, to) {
+			break
+		}
+	}
 	l.causeMu.Lock()
 	if l.cause == nil {
 		l.cause = err
 	}
 	l.causeMu.Unlock()
+	if to == logFailed {
+		l.stats.FailStops.Add(1)
+	} else {
+		l.stats.ReadOnlyTrips.Add(1)
+	}
+	if h := l.cfg.OnDegrade; h != nil {
+		h(to == logFailed, err)
+	}
 }
 
 // isNoSpace classifies an I/O error as out-of-space.
 func isNoSpace(err error) bool { return errors.Is(err, syscall.ENOSPC) }
 
-// enterReadOnly transitions the log into degraded read-only mode. New
-// appends are shed with ErrReadOnly before touching any shard; reads
-// of the already-stable prefix keep serving (only waits that depend on
-// the poisoned suffix fail). No-op if the log already degraded.
-func (l *Log) enterReadOnly(err error) {
-	if l.state.CompareAndSwap(logHealthy, logReadOnly) {
-		l.setCause(err)
-		l.stats.ReadOnlyTrips.Add(1)
-		if h := l.cfg.OnDegrade; h != nil {
-			h(false, err)
-		}
-	}
-}
-
-// failStop transitions the log into permanent fail-stop and poisons
-// every shard, so in-flight Append and WaitStable callers fail fast
-// instead of wedging on watermarks that will never advance. Callers
-// must NOT hold any shardLog mutex.
-func (l *Log) failStop(err error) {
-	prev := l.state.Swap(logFailed)
-	if prev == logFailed {
-		return
-	}
-	l.setCause(err)
-	l.stats.FailStops.Add(1)
-	if h := l.cfg.OnDegrade; h != nil {
-		h(true, err)
-	}
-	for _, s := range l.shards {
-		s.fail(fmt.Errorf("%w: %v", ErrFailed, err))
-	}
-	l.notifyStable() // wake replication senders so they observe the failure
-}
-
-// noteWriteError classifies a frame/snapshot write error: ENOSPC
-// degrades the log to read-only; any other error stays a per-shard
-// sticky poison (the caller records it).
-func (l *Log) noteWriteError(err error) {
+// noteWriteError classifies a write or open error. ENOSPC degrades the
+// log to read-only: new appends are shed with ErrReadOnly before any
+// byte is logged, reads of the already-stable prefix keep serving. Any
+// other error on the log's own segments (segment=true) is a fail-stop
+// like a sync error — with one log there is no healthy sibling to keep
+// serving, and a torn frame must stay the tail.
+func (l *Log) noteWriteError(err error, segment bool) {
 	l.stats.WriteErrors.Add(1)
 	if isNoSpace(err) {
-		l.enterReadOnly(err)
+		l.degrade(logReadOnly, err)
+	} else if segment {
+		l.degrade(logFailed, err)
 	}
 }
 
 // noteSyncError classifies an fsync error: ENOSPC degrades to
-// read-only, anything else is a whole-log fail-stop — after a failed
-// fsync the kernel may have marked the dirty pages clean, so no retry
-// can ever prove them durable and no later ack can be trusted.
+// read-only, anything else is a fail-stop — after a failed fsync the
+// kernel may have marked the dirty pages clean, so no retry can ever
+// prove them durable and no later ack can be trusted.
 func (l *Log) noteSyncError(err error) {
 	l.stats.SyncFailures.Add(1)
 	if isNoSpace(err) {
-		l.enterReadOnly(err)
-		return
+		l.degrade(logReadOnly, err)
+	} else {
+		l.degrade(logFailed, err)
 	}
-	l.failStop(err)
 }
 
-// appendGate sheds appends once the log degraded (checked before any
-// shard is touched, so a shed write provably had no effect). One
-// atomic load on the healthy path.
-func (l *Log) appendGate() error {
-	switch l.state.Load() {
-	case logHealthy:
-		return nil
-	case logReadOnly:
-		return fmt.Errorf("%w: %v", ErrReadOnly, l.degradeCause())
-	default:
-		return fmt.Errorf("%w: %v", ErrFailed, l.degradeCause())
+// failLocked records the sticky error (first one wins) that fails every
+// wait the durable prefix does not already satisfy, and wakes waiters
+// and replication senders. Called with mu held, after the error was
+// classified.
+func (l *Log) failLocked(err error) {
+	if l.err == nil {
+		if l.state.Load() == logFailed {
+			err = fmt.Errorf("%w: %w", ErrFailed, err)
+		}
+		l.err = err
 	}
+	l.cond.Broadcast()
+	l.notifyStable()
 }
 
 // hook invokes the crash hook, if any.
@@ -377,159 +414,226 @@ func (l *Log) hook(p CrashPoint) {
 	}
 }
 
+// acquireLocked takes the writer role — the exclusive right to write,
+// sync, swap or remove segment files. Called with mu held.
+func (l *Log) acquireLocked() {
+	for l.writing {
+		l.cond.Wait()
+	}
+	l.writing = true
+}
+
+// releaseLocked gives the writer role up. Called with mu held.
+func (l *Log) releaseLocked() {
+	l.writing = false
+	l.cond.Broadcast()
+}
+
 // Append durably records f, which must carry a fully-populated identity
 // vector (every shard written, with the LSN assigned inside the
-// transaction). It blocks until the frame is persisted per policy in
-// every vector shard — write()n for FsyncInterval / FsyncNever (process
-// crashes cannot lose it), fsynced for FsyncAlways — and until every
-// earlier LSN in each of those shards is equally persisted, then marks
-// those LSNs stable. Only after Append returns may the commit be
+// transaction, sorted by shard). It blocks until the frame — and with
+// it every frame earlier in file order, which includes every earlier
+// LSN of each of its shards — is persisted per policy: write()n for
+// FsyncInterval / FsyncNever (process crashes cannot lose it), fsynced
+// for FsyncAlways. Only after Append returns may the commit be
 // acknowledged to a client.
 func (l *Log) Append(f *Frame) error { return l.AppendSpan(f, nil) }
 
-// AppendSpan is Append with a request span: the wal_append stage is
-// stamped once the frame is write()n in every vector shard and the
-// fsync_wait stage once the covering group-commit fsync lands (only
-// under FsyncAlways — other policies leave the stage zero). sp may be
-// nil.
+// AppendSpan is Append with a request span. Under FsyncAlways the
+// wal_append stage is stamped once the frame is written — or, when it
+// must queue behind another appender's cohort, once it is admitted —
+// and fsync_wait once the covering fsync lands; other policies stamp
+// only wal_append, on completion. sp may be nil.
 func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
-	if len(f.Shards) == 0 {
-		return errors.New("wal: frame with empty shard vector")
-	}
-	if err := l.appendGate(); err != nil {
+	if err := l.checkVector(f.Shards); err != nil {
 		return err
 	}
-	// Validate the whole vector before touching any shardLog: enqueueing
-	// a frame whose later entry then fails would leave LSNs written but
-	// never marked stable, wedging the shard's dense stable watermark.
-	for _, sl := range f.Shards {
-		if sl.Shard < 0 || sl.Shard >= len(l.shards) {
-			return fmt.Errorf("wal: frame names shard %d of %d", sl.Shard, len(l.shards))
-		}
+	if err := l.Degraded(); err != nil {
+		return err // shed before any byte is logged: provably no effect
 	}
-	sort.Slice(f.Shards, func(i, j int) bool { return f.Shards[i].Shard < f.Shards[j].Shard })
 	l.hook(CrashPreAppend)
-	enc := appendFrame(nil, f)
-	for _, sl := range f.Shards {
-		l.shards[sl.Shard].enqueue(l, sl.LSN, enc)
+	r := reqPool.Get().(*appendReq)
+	r.buf = appendFrame(r.buf[:0], f)
+	r.shards, r.pos, r.stale = f.Shards, parked, false
+	err := l.commit(r, sp)
+	r.shards = nil
+	reqPool.Put(r)
+	if err != nil {
+		return err
 	}
-	for _, sl := range f.Shards {
-		if err := l.shards[sl.Shard].waitWritten(sl.LSN); err != nil {
-			return l.poison(f, err)
-		}
-	}
-	sp.Mark(trace.StageWALAppend)
 	if l.cfg.Fsync == FsyncAlways {
-		for _, sl := range f.Shards {
-			if err := l.shards[sl.Shard].ensureDurable(l, sl.LSN); err != nil {
-				return l.poison(f, err)
-			}
-		}
 		sp.Mark(trace.StageFsyncWait)
-	}
-	advanced := false
-	for _, sl := range f.Shards {
-		if l.shards[sl.Shard].markStable(l, sl.LSN) {
-			advanced = true
-		}
-	}
-	if advanced {
-		l.notifyStable()
+	} else {
+		sp.Mark(trace.StageWALAppend)
 	}
 	l.hook(CrashPostAppend)
 	return nil
 }
 
-// poison propagates an append failure to every shard in the frame's
-// vector. The frame will never be marked stable, so without a sticky
-// error those shards' stable watermarks would wedge and every later
-// WaitStable there would hang instead of failing.
-func (l *Log) poison(f *Frame, err error) error {
-	for _, sl := range f.Shards {
-		l.shards[sl.Shard].fail(err)
+// checkVector rejects a vector the readiness rule cannot order: empty,
+// out of range, or not strictly ascending by shard (the caller builds
+// it sorted; the log never reorders a caller's slice).
+func (l *Log) checkVector(vec []ShardLSN) error {
+	if len(vec) == 0 {
+		return errors.New("wal: frame with empty shard vector")
 	}
-	return err
-}
-
-// fail records a sticky error (first writer wins) and wakes waiters.
-func (s *shardLog) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// WaitStable blocks until every frame with an LSN ≤ lsn in shard is
-// persisted (per policy) in all of its vector shards. Transactions that
-// only read shard call this with the sequence number they observed
-// before acknowledging results: an acked read must never expose a
-// commit that recovery could drop.
-func (l *Log) WaitStable(shard int, lsn uint64) error {
-	if lsn == 0 || shard < 0 || shard >= len(l.shards) {
-		return nil
-	}
-	return l.shards[shard].waitStable(lsn)
-}
-
-// enqueue hands the encoded frame to the shard's reorder buffer and
-// drains every frame whose dense turn has come (possibly including
-// frames enqueued by other appenders).
-func (s *shardLog) enqueue(l *Log, lsn uint64, enc []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	if lsn <= s.written {
-		// Duplicate handoff (e.g. a snapshot raced truncation): ignore.
-		return
-	}
-	s.pending[lsn] = enc
-	l.stats.ReorderOccupancy.ObserveValue(uint64(len(s.pending)))
-	s.drainLocked(l)
-}
-
-// drainLocked writes pending frames in dense LSN order. Called with mu
-// held; temporarily releases it around file writes.
-func (s *shardLog) drainLocked(l *Log) {
-	for s.err == nil {
-		enc, ok := s.pending[s.written+1]
-		if !ok {
-			return
+	for i, sl := range vec {
+		if sl.Shard < 0 || sl.Shard >= len(l.next) {
+			return fmt.Errorf("wal: frame names shard %d of %d", sl.Shard, len(l.next))
 		}
-		delete(s.pending, s.written+1)
-		f := s.f
-		s.mu.Unlock()
-		err := writeFrameBytes(l, f, enc)
-		if err != nil {
-			// ENOSPC degrades the whole log to read-only; any other write
-			// error stays a per-shard sticky poison. Classified before
-			// retaking mu (enterReadOnly never touches shard locks).
-			l.noteWriteError(err)
+		if i > 0 && sl.Shard <= vec[i-1].Shard {
+			return fmt.Errorf("wal: frame vector not sorted by shard (%d after %d)", sl.Shard, vec[i-1].Shard)
 		}
-		s.mu.Lock()
-		if err != nil {
-			s.err = err
-			s.cond.Broadcast()
-			return
-		}
-		l.stats.AppendedFrames.Add(1)
-		l.stats.AppendedBytes.Add(uint64(len(enc)))
-		s.written++
-		if s.rotateAt != 0 && s.written >= s.rotateAt {
-			s.rotateLocked(l)
-		}
-		s.cond.Broadcast()
 	}
+	return nil
 }
 
-// writeFrameBytes writes one encoded frame. With a crash hook armed the
-// write is split in half around the CrashMidAppend site, so a firing
-// hook leaves a torn frame — exactly the tail a real kill-9 mid-write
-// leaves. A short write with no error is promoted to io.ErrShortWrite:
-// silently accepting it would mark a torn frame written.
+// commit enqueues r and blocks until the durable position passes it.
+// Whichever blocked appender finds the writer role free takes it for
+// one cohort: every frame admitted so far goes out in one Write and,
+// under FsyncAlways, one Sync.
+func (l *Log) commit(r *appendReq, sp *trace.Span) error {
+	always := l.cfg.Fsync == FsyncAlways
+	marked := false
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	l.stats.ReorderOccupancy.ObserveValue(uint64(len(l.pending) + 1))
+	if !l.admitLocked(r) {
+		l.pending = append(l.pending, r)
+	} else if len(l.pending) > 0 {
+		l.sweepLocked()
+	}
+	for l.durable < r.pos {
+		switch {
+		case l.err != nil:
+			return l.err
+		case r.pos != parked && !l.writing:
+			// Admitted, not durable, nobody writing: the frame is in batch.
+			l.flushLocked(always && !marked, sp)
+			marked = true
+		default:
+			if always && !marked && r.pos != parked {
+				sp.Mark(trace.StageWALAppend)
+				marked = true
+			}
+			l.cond.Wait()
+		}
+	}
+	if r.stale {
+		return fmt.Errorf("wal: frame %v is already logged in every shard it names", r.shards)
+	}
+	return nil
+}
+
+// admitLocked applies the readiness rule to r. A ready frame takes the
+// next file-order position and its bytes join the batch. A frame whose
+// every entry is already below next repeats LSNs the log has handed to
+// other frames — a sequencer bug upstream — and is refused rather than
+// acknowledged unwritten. Reports whether r left the reorder buffer
+// (false = park it).
+func (l *Log) admitLocked(r *appendReq) bool {
+	fresh := false
+	for _, sl := range r.shards {
+		switch next := l.next[sl.Shard]; {
+		case sl.LSN > next:
+			return false
+		case sl.LSN == next:
+			fresh = true
+		}
+	}
+	if !fresh {
+		r.stale, r.pos = true, 0
+		return true
+	}
+	for _, sl := range r.shards {
+		if sl.LSN == l.next[sl.Shard] {
+			l.next[sl.Shard]++
+		}
+	}
+	l.batch = append(l.batch, r.buf...)
+	l.admitted++
+	r.pos = l.admitted
+	return true
+}
+
+// sweepLocked re-applies the readiness rule to the reorder buffer until
+// no parked frame is ready. The buffer holds at most one frame per
+// blocked appender, so the quadratic sweep stays tiny.
+func (l *Log) sweepLocked() {
+	for progress := true; progress; {
+		progress = false
+		for i := 0; i < len(l.pending); i++ {
+			if l.admitLocked(l.pending[i]) {
+				last := len(l.pending) - 1
+				l.pending[i], l.pending[last] = l.pending[last], nil
+				l.pending = l.pending[:last]
+				i--
+				progress = true
+			}
+		}
+	}
+	l.cond.Broadcast() // admitted appenders may now take the writer role
+}
+
+// flushLocked holds the writer role for one cohort: the whole batch in
+// one Write, then (FsyncAlways) one Sync covering every shard in it,
+// then the single durable position and the per-shard stable vector
+// advance together. Called with mu held; releases it around the I/O.
+// mark stamps the caller's wal_append stage once its bytes are written.
+func (l *Log) flushLocked(mark bool, sp *trace.Span) {
+	l.writing = true
+	buf, upto, f := l.batch, l.admitted, l.f
+	l.batch, l.spare = l.spare[:0], nil
+	for s, next := range l.next {
+		l.cut[s] = next - 1
+	}
+	l.mu.Unlock()
+
+	err := writeFrameBytes(l, f, buf)
+	if err != nil {
+		l.noteWriteError(err, true)
+	} else {
+		if mark {
+			sp.Mark(trace.StageWALAppend)
+		}
+		if l.cfg.Fsync == FsyncAlways {
+			if err = f.Sync(); err != nil {
+				// A failed fsync means the kernel may have dropped the dirty
+				// pages while marking them clean — no retry can make these
+				// frames durable.
+				l.noteSyncError(err)
+			}
+		}
+	}
+
+	l.mu.Lock()
+	l.spare = buf[:0]
+	if err != nil {
+		l.failLocked(err)
+	} else {
+		frames := upto - l.durable
+		l.stats.AppendedFrames.Add(frames)
+		l.stats.AppendedBytes.Add(uint64(len(buf)))
+		if l.cfg.Fsync == FsyncAlways {
+			l.stats.Fsyncs.Add(1)
+			l.stats.FsyncCohortFrames.ObserveValue(frames)
+		}
+		l.durable = upto
+		copy(l.stable, l.cut)
+		l.notifyStable()
+	}
+	l.releaseLocked()
+}
+
+// writeFrameBytes writes one cohort of encoded frames. With a crash
+// hook armed the write is split in half around the CrashMidAppend site,
+// so a firing hook leaves a torn frame — exactly the tail a real kill-9
+// mid-write leaves. A short write with no error is promoted to
+// io.ErrShortWrite: silently accepting it would mark a torn frame
+// written.
 func writeFrameBytes(l *Log, f File, enc []byte) error {
 	if l.cfg.CrashHook != nil {
 		half := len(enc) / 2
@@ -551,232 +655,148 @@ func writeFull(f File, p []byte) error {
 	return err
 }
 
-// waitWritten blocks until written ≥ lsn in this shard.
-func (s *shardLog) waitWritten(lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.written < lsn && s.err == nil {
-		s.cond.Wait()
-	}
-	return s.err
-}
-
-// ensureDurable blocks until durable ≥ lsn, issuing (or joining) a
-// group-commit fsync: one caller syncs on behalf of everything written
-// so far; the rest wait on the watermark.
-func (s *shardLog) ensureDurable(l *Log, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.durable < lsn {
-		if s.err != nil {
-			return s.err
-		}
-		if s.syncing || s.rotating {
-			// While a rotated-out segment's flush is in flight, syncing s.f
-			// (the fresh segment) cannot make frames in the old one durable;
-			// the rotation's completion advances the watermark instead.
-			s.cond.Wait()
+// WaitStable blocks until, for every entry of vec, every frame of that
+// shard with an LSN ≤ the entry's is inside the log's durable prefix.
+// Transactions call this with the sequence numbers they observed before
+// acknowledging results: an acked read must never expose a commit that
+// recovery could drop. A prefix that is already durable stays
+// acknowledgeable after the log degrades, which is what keeps reads
+// serving in degraded mode.
+func (l *Log) WaitStable(vec []ShardLSN) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, sl := range vec {
+		if sl.Shard < 0 || sl.Shard >= len(l.stable) {
 			continue
 		}
-		s.syncing = true
-		target := s.written
-		f := s.f
-		s.mu.Unlock()
-		err := f.Sync()
-		if err != nil {
-			// Fail-stop: a failed fsync means the kernel may have dropped
-			// the dirty pages while marking them clean — no retry can make
-			// these frames durable, so the whole log poisons itself (or
-			// degrades to read-only on ENOSPC). Classified while unlocked:
-			// failStop takes every shard's mutex.
-			l.noteSyncError(err)
-		}
-		s.mu.Lock()
-		s.syncing = false
-		if err != nil {
-			if s.err == nil {
-				s.err = err
+		for l.stable[sl.Shard] < sl.LSN {
+			if l.err != nil {
+				return l.err
 			}
-		} else {
-			l.stats.Fsyncs.Add(1)
-			if target > s.durable {
-				l.stats.FsyncCohortFrames.ObserveValue(target - s.durable)
-				s.durable = target
-			}
+			l.cond.Wait()
 		}
-		s.cond.Broadcast()
 	}
-	return s.err
+	return nil
 }
 
-// markStable records that the frame at lsn is persisted in all its
-// vector shards and advances the dense stable watermark, reporting
-// whether the watermark moved (so Append can wake stable watchers).
-func (s *shardLog) markStable(l *Log, lsn uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lsn <= s.stable {
-		return false
-	}
-	before := s.stable
-	s.stableSet[lsn] = struct{}{}
-	for {
-		if _, ok := s.stableSet[s.stable+1]; !ok {
-			break
-		}
-		delete(s.stableSet, s.stable+1)
-		s.stable++
-	}
-	s.cond.Broadcast()
-	if s.stable > before {
-		l.stats.StableLagFrames.ObserveValue(s.written - s.stable)
-		return true
-	}
-	return false
-}
-
-// waitStable blocks until stable ≥ lsn.
-func (s *shardLog) waitStable(lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.stable < lsn && s.err == nil {
-		s.cond.Wait()
-	}
-	if s.stable >= lsn {
-		// The prefix is durable even if the shard has since failed:
-		// results depending only on it are still safe to acknowledge,
-		// which is what keeps reads serving in degraded mode.
-		return nil
-	}
-	return s.err
-}
-
-// rotateLocked starts a fresh segment at written+1 and flushes the
-// rotated-out segment in the background (a closed segment is still
-// always durable — the durable watermark only advances past it once
-// the flush lands). The swap happens first so appends never wait on
-// the outgoing segment's fsync: under FsyncNever that flush covers a
-// whole snapshot interval of dirty pages, and doing it synchronously
-// under mu froze the shard (appends, acks, and WaitStable alike) for
-// its whole duration. Called with mu held.
-func (s *shardLog) rotateLocked(l *Log) {
-	for s.syncing || s.rotating {
-		s.cond.Wait()
-	}
-	if s.err != nil {
-		return
-	}
-	s.rotateAt = 0
-	old := s.f
-	target := s.written
-	base := s.written + 1
-	path := filepath.Join(l.dir, segmentName(s.idx, base))
-	f, err := l.fs.OpenFile(path, osCreateAppend, 0o644)
+// rotate closes the active segment and starts a fresh one, flushing the
+// rotated-out file in the background: under FsyncNever that flush
+// covers a whole snapshot interval of dirty pages, and appends must not
+// wait on it. The caller holds the writer role and not mu.
+func (l *Log) rotate() error {
+	seq := l.segs[len(l.segs)-1].seq + 1 // only the writer role ever changes the chain
+	path := filepath.Join(l.dir, segmentName(seq))
+	nf, err := l.fs.OpenFile(path, osCreateAppend, 0o644)
 	if err != nil {
-		l.noteWriteError(err)
-		s.err = err
-		return
+		l.noteWriteError(err, true)
+		return err
 	}
-	s.f = f
-	s.segs = append(s.segs, segment{base: base, path: path})
-	s.rotating = true
+	l.mu.Lock()
+	for l.syncing {
+		l.cond.Wait() // the interval syncer still holds the outgoing file
+	}
+	old := l.f
+	l.f = nf
+	l.segs[len(l.segs)-1].last = append([]uint64(nil), l.stable...)
+	l.segs = append(l.segs, segment{seq: seq, path: path})
+	l.segBase = l.durable
+	l.mu.Unlock()
+
+	l.flushes.Add(1)
 	go func() {
+		defer l.flushes.Done()
 		err := old.Sync()
-		if cerr := old.Close(); err == nil && cerr != nil {
+		if cerr := old.Close(); err == nil {
 			// A close error on a rotated-out segment can surface a deferred
-			// writeback failure; dropping it would leave the durable
-			// watermark advancing over frames that never reached media.
+			// writeback failure; dropping it would leave acknowledged frames
+			// that never reached media.
 			err = cerr
 		}
-		if err == nil {
-			syncDir(l.fs, l.dir)
-		} else {
-			l.noteSyncError(err)
-		}
-		s.mu.Lock()
-		s.rotating = false
 		if err != nil {
-			if s.err == nil {
-				s.err = err
-			}
-		} else {
-			l.stats.Fsyncs.Add(1)
-			if target > s.durable {
-				l.stats.FsyncCohortFrames.ObserveValue(target - s.durable)
-				s.durable = target
-			}
+			l.noteSyncError(err)
+			l.mu.Lock()
+			l.failLocked(err)
+			l.mu.Unlock()
+			return
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		l.stats.Fsyncs.Add(1)
+		syncDir(l.fs, l.dir)
 	}()
+	return nil
 }
 
-// syncLoop is the FsyncInterval background goroutine.
+// syncLoop is the FsyncInterval background goroutine. It syncs the
+// active segment alongside appends (holding only the syncing flag, which
+// rotation waits out), so a tick never stalls the write path.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
 	t := time.NewTicker(l.cfg.FsyncInterval)
 	defer t.Stop()
+	var synced uint64 // durable position covered by the last tick
 	for {
 		select {
 		case <-l.stop:
 			return
 		case <-t.C:
-			for _, s := range l.shards {
-				s.mu.Lock()
-				target := s.written
-				s.mu.Unlock()
-				if target > 0 {
-					s.ensureDurable(l, target)
-				}
-			}
 		}
+		l.mu.Lock()
+		if l.err != nil || l.durable == synced {
+			l.mu.Unlock()
+			continue
+		}
+		f, upto := l.f, l.durable
+		l.syncing = true
+		l.mu.Unlock()
+		err := f.Sync()
+		if err != nil {
+			l.noteSyncError(err)
+		}
+		l.mu.Lock()
+		l.syncing = false
+		if err != nil {
+			l.failLocked(err)
+		} else {
+			l.stats.Fsyncs.Add(1)
+			l.stats.FsyncCohortFrames.ObserveValue(upto - synced)
+			synced = upto
+		}
+		l.cond.Broadcast()
+		l.mu.Unlock()
 	}
 }
 
-// Close flushes and syncs every shard's log and stops background work.
-// It must not race in-flight Appends (drain the server first).
+// Close flushes and syncs the log and stops background work. It must
+// not race in-flight Appends (drain the server first).
 func (l *Log) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.stop)
 		l.wg.Wait()
-		for _, s := range l.shards {
-			s.mu.Lock()
-			for s.rotating {
-				s.cond.Wait()
-			}
-			if s.f != nil {
-				if e := s.f.Sync(); e == nil {
-					l.stats.Fsyncs.Add(1)
-					s.durable = s.written
-				} else if err == nil {
-					err = e
-				}
-				if e := s.f.Close(); e != nil && err == nil {
-					err = e
-				}
-				s.f = nil
-			}
-			if s.err != nil && err == nil && !errors.Is(s.err, errClosed) {
-				err = s.err
-			}
-			s.err = errClosed
-			s.cond.Broadcast()
-			s.mu.Unlock()
+		l.mu.Lock()
+		l.acquireLocked()
+		l.mu.Unlock()
+		l.flushes.Wait()
+		l.mu.Lock()
+		if err = l.f.Sync(); err == nil {
+			l.stats.Fsyncs.Add(1)
 		}
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = l.err
+		}
+		l.err = errClosed
+		l.releaseLocked()
 		l.notifyStable() // wake stable watchers so they observe the close
+		l.mu.Unlock()
 	})
 	return err
 }
 
-// errClosed poisons a shardLog after Close.
-var errClosed = errors.New("wal: log closed")
-
-// File-name helpers. Names embed the shard and a 16-hex-digit LSN so
-// lexicographic order equals numeric order.
-func segmentName(shard int, base uint64) string {
-	return fmt.Sprintf("wal-%03d-%016x.log", shard, base)
-}
+// File-name helpers. Names embed 16-hex-digit numbers so lexicographic
+// order equals numeric order.
+func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016x.log", seq) }
 
 func snapshotName(shard int, lsn uint64) string {
 	return fmt.Sprintf("snap-%03d-%016x.snap", shard, lsn)

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +35,54 @@ func mustAppend(t *testing.T, l *Log, f *Frame) {
 	t.Helper()
 	if err := l.Append(f); err != nil {
 		t.Fatalf("Append: %v", err)
+	}
+}
+
+// waitStable is the single-entry form of WaitStable.
+func waitStable(l *Log, shard int, lsn uint64) error {
+	return l.WaitStable([]ShardLSN{{Shard: shard, LSN: lsn}})
+}
+
+// forceRotate closes the active segment and starts a fresh one, as a
+// sealed snapshot would, without deleting anything.
+func forceRotate(t *testing.T, l *Log) {
+	t.Helper()
+	l.mu.Lock()
+	l.acquireLocked()
+	l.mu.Unlock()
+	err := l.rotate()
+	l.mu.Lock()
+	l.releaseLocked()
+	l.mu.Unlock()
+	if err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+}
+
+// fileOrder walks dir's segment chain and returns every frame's vector
+// in file order.
+func fileOrder(t *testing.T, dir string) [][]ShardLSN {
+	t.Helper()
+	var refs []SegmentRef
+	for _, p := range findSegments(t, dir) {
+		seq, ok := parseSegmentName(filepath.Base(p))
+		if !ok {
+			t.Fatalf("unparseable segment name %s", p)
+		}
+		refs = append(refs, SegmentRef{Seq: seq, Path: p})
+	}
+	sr := NewStreamReader(refs)
+	defer sr.Close()
+	var out [][]ShardLSN
+	for {
+		e, err := sr.Next()
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("walking %s: %v", dir, err)
+		}
+		out = append(out, e.Frame.Shards)
 	}
 }
 
@@ -85,7 +136,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	wantKeys(t, st, 0, nil)
 	mustAppend(t, l, put(0, 1, "a", "1"))
 	mustAppend(t, l, put(1, 1, "b", "2"))
-	// Cross-shard frame: duplicated into both logs.
+	// Cross-shard frame: written once, applied to both shards.
 	mustAppend(t, l, &Frame{
 		Shards: []ShardLSN{{Shard: 0, LSN: 2}, {Shard: 1, LSN: 2}},
 		Ops: []Op{
@@ -109,10 +160,11 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if st2.NextLSN[0] != 3 || st2.NextLSN[1] != 4 {
 		t.Fatalf("NextLSN = %v, want [3 4]", st2.NextLSN)
 	}
-	if st2.ReplayedFrames != 5 { // 3 copies in shard 0? no: shard0 has 2 frames + shard1 has 3 copies
-		// shard 0 log: lsn1, lsn2(cross) = 2 applications; shard 1 log:
-		// lsn1, lsn2(cross), lsn3 = 3 applications.
-		t.Fatalf("ReplayedFrames = %d, want 5", st2.ReplayedFrames)
+	if st2.ReplayedFrames != 4 {
+		t.Fatalf("ReplayedFrames = %d, want 4 (one per frame)", st2.ReplayedFrames)
+	}
+	if got := l.Stats().AppendedFrames.Load(); got != 4 {
+		t.Fatalf("AppendedFrames = %d, want 4 (each frame written once)", got)
 	}
 }
 
@@ -142,15 +194,15 @@ func TestOutOfOrderHandoff(t *testing.T) {
 	if len(st.Keys[0]) != 8 {
 		t.Fatalf("recovered %d keys, want 8", len(st.Keys[0]))
 	}
-	if st.ReplayedFrames != 8 || st.DroppedFrames != 0 || st.TruncatedBytes != 0 {
-		t.Fatalf("replayed=%d dropped=%d truncated=%d", st.ReplayedFrames, st.DroppedFrames, st.TruncatedBytes)
+	if st.ReplayedFrames != 8 || st.TruncatedBytes != 0 {
+		t.Fatalf("replayed=%d truncated=%d", st.ReplayedFrames, st.TruncatedBytes)
 	}
 }
 
-// findSegments returns the shard's segment paths sorted ascending.
-func findSegments(t *testing.T, dir string, shard int) []string {
+// findSegments returns the log's segment paths sorted ascending.
+func findSegments(t *testing.T, dir string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("wal-%03d-*.log", shard)))
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +215,7 @@ func TestTruncatedFinalFrame(t *testing.T) {
 	mustAppend(t, l, put(0, 1, "a", "1"))
 	mustAppend(t, l, put(0, 2, "b", "2"))
 	l.Close()
-	segs := findSegments(t, dir, 0)
+	segs := findSegments(t, dir)
 	if len(segs) != 1 {
 		t.Fatalf("segments: %v", segs)
 	}
@@ -202,7 +254,7 @@ func TestBitFlipMidLog(t *testing.T) {
 		mustAppend(t, l, put(0, i, fmt.Sprintf("k%d", i), "v"))
 	}
 	l.Close()
-	segs := findSegments(t, dir, 0)
+	segs := findSegments(t, dir)
 	b, _ := os.ReadFile(segs[0])
 	// Flip one bit inside the SECOND frame's payload: recovery must keep
 	// frame 1, stop at frame 2, and not resurrect frame 3.
@@ -300,8 +352,8 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	}
 	mustAppend(t, l, put(1, 2, "d", "4"))
 	l.Close()
-	// Tear the tail of shard 1's log so recovery exercises its stop path.
-	segs := findSegments(t, dir, 1)
+	// Tear the tail of the log so recovery exercises its stop path.
+	segs := findSegments(t, dir)
 	last := segs[len(segs)-1]
 	if b, _ := os.ReadFile(last); len(b) > 2 {
 		os.WriteFile(last, b[:len(b)-2], 0o644)
@@ -318,127 +370,8 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	if !reflect.DeepEqual(st1.Keys, st2.Keys) ||
 		!reflect.DeepEqual(st1.NextLSN, st2.NextLSN) ||
 		st1.ReplayedFrames != st2.ReplayedFrames ||
-		st1.DroppedFrames != st2.DroppedFrames ||
 		st1.TruncatedBytes != st2.TruncatedBytes {
 		t.Fatalf("recoveries differ:\n1: %+v\n2: %+v", st1, st2)
-	}
-}
-
-func TestUnackedCrossShardFrameDropped(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir, 2, FsyncNever)
-	mustAppend(t, l, put(0, 1, "a", "1"))
-	mustAppend(t, l, put(1, 1, "b", "1"))
-	l.Close()
-	// Simulate a crash that persisted a cross-shard frame in shard 0's
-	// log only: hand-append the frame to shard 0's segment.
-	cross := &Frame{
-		Shards: []ShardLSN{{Shard: 0, LSN: 2}, {Shard: 1, LSN: 2}},
-		Ops:    []Op{{Shard: 0, Key: "a", Val: []byte("X")}, {Shard: 1, Key: "b", Val: []byte("X")}},
-	}
-	segs := findSegments(t, dir, 0)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(appendFrame(nil, cross)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	st, err := Recover(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The half-persisted transaction must vanish from BOTH shards.
-	wantKeys(t, st, 0, map[string]string{"a": "1"})
-	wantKeys(t, st, 1, map[string]string{"b": "1"})
-	if st.DroppedFrames != 1 {
-		t.Fatalf("DroppedFrames = %d, want 1", st.DroppedFrames)
-	}
-	// The dropped frame is a replay cut: appending resumes at its LSN
-	// (Open excises the stale copy, so re-use cannot collide).
-	if st.NextLSN[0] != 2 {
-		t.Fatalf("NextLSN[0] = %d, want 2", st.NextLSN[0])
-	}
-	// Open must excise the dropped frame; a fresh append at its LSN must
-	// win on the next recovery.
-	l2, _ := openLog(t, dir, 2, FsyncNever)
-	mustAppend(t, l2, put(0, 2, "a", "2"))
-	l2.Close()
-	st2, err := Recover(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys(t, st2, 0, map[string]string{"a": "2"})
-	wantKeys(t, st2, 1, map[string]string{"b": "1"})
-	if st2.DroppedFrames != 0 {
-		t.Fatalf("DroppedFrames after repair = %d, want 0", st2.DroppedFrames)
-	}
-}
-
-func TestReplayStopsAtDroppedFrame(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-craft a crash residue across two shards:
-	//   shard 0 log: put(1), cross1 {0:2, 1:3}, cross2 {0:3, 1:2}
-	//   shard 1 log: put(1), cross2 {0:3, 1:2}
-	// cross1's shard-1 copy (LSN 3) was torn away, so cross1 is
-	// unprovable. cross2 is fully persisted — but it sits past cross1 in
-	// shard 0, and nothing at or past a dropped frame could have been
-	// acknowledged (the ack gate is a dense stable prefix) or be
-	// independent of the dropped commit. Recovery must cut shard 0 at
-	// LSN 2, which strands cross2's shard-1 copy too: no partial
-	// application, no unexplainable state.
-	cross1 := &Frame{
-		Shards: []ShardLSN{{Shard: 0, LSN: 2}, {Shard: 1, LSN: 3}},
-		Ops:    []Op{{Shard: 0, Key: "a", Val: []byte("X")}, {Shard: 1, Key: "c", Val: []byte("X")}},
-	}
-	cross2 := &Frame{
-		Shards: []ShardLSN{{Shard: 0, LSN: 3}, {Shard: 1, LSN: 2}},
-		Ops:    []Op{{Shard: 0, Key: "d", Val: []byte("Y")}, {Shard: 1, Key: "e", Val: []byte("Y")}},
-	}
-	s0 := appendFrame(nil, put(0, 1, "a", "1"))
-	s0 = appendFrame(s0, cross1)
-	s0 = appendFrame(s0, cross2)
-	s1 := appendFrame(nil, put(1, 1, "b", "1"))
-	s1 = appendFrame(s1, cross2)
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), s0, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1, 1)), s1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Recover(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys(t, st, 0, map[string]string{"a": "1"})
-	wantKeys(t, st, 1, map[string]string{"b": "1"})
-	if st.ReplayedFrames != 2 {
-		t.Fatalf("ReplayedFrames = %d, want 2", st.ReplayedFrames)
-	}
-	// Dropped copies: shard 0's cross1 and cross2, shard 1's cross2.
-	if st.DroppedFrames != 3 {
-		t.Fatalf("DroppedFrames = %d, want 3", st.DroppedFrames)
-	}
-	// Appending resumes at each shard's cut (Open excises the residue).
-	if st.NextLSN[0] != 2 || st.NextLSN[1] != 2 {
-		t.Fatalf("NextLSN = %v, want [2 2]", st.NextLSN)
-	}
-	// After Open's repair, new appends at the cut LSNs must survive a
-	// second crash-free recovery with nothing left to drop — the exact
-	// property whose absence loses acked writes across two crashes.
-	l, _ := openLog(t, dir, 2, FsyncNever)
-	mustAppend(t, l, put(0, 2, "f", "2"))
-	mustAppend(t, l, put(1, 2, "g", "2"))
-	l.Close()
-	st2, err := Recover(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys(t, st2, 0, map[string]string{"a": "1", "f": "2"})
-	wantKeys(t, st2, 1, map[string]string{"b": "1", "g": "2"})
-	if st2.DroppedFrames != 0 {
-		t.Fatalf("DroppedFrames after repair = %d, want 0", st2.DroppedFrames)
 	}
 }
 
@@ -453,21 +386,32 @@ func TestRecoverRejectsSnapshotGap(t *testing.T) {
 		encodeSnapshot(0, 2, map[string][]byte{"a": []byte("1")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 4)),
+	if err := os.WriteFile(filepath.Join(dir, segmentName(7)),
 		appendFrame(nil, put(0, 4, "b", "2")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, 1); err == nil {
-		t.Fatal("Recover replayed a log disconnected from its snapshot")
+	if _, err := Recover(dir, 1); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "unrecoverable gap") {
+		t.Fatalf("Recover of a log disconnected from its snapshot = %v, want the unrecoverable-gap error", err)
 	}
-	// Same gap with no snapshot at all: a first segment past LSN 1.
+	// Same gap with no snapshot at all: a first frame past LSN 1.
 	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, segmentName(0, 2)),
+	if err := os.WriteFile(filepath.Join(dir2, segmentName(1)),
 		appendFrame(nil, put(0, 2, "b", "2")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir2, 1); err == nil {
-		t.Fatal("Recover replayed a log with no connected base")
+	if _, err := Recover(dir2, 1); !errors.Is(err, ErrGap) {
+		t.Fatalf("Recover of a log with no connected base = %v, want the unrecoverable-gap error", err)
+	}
+	// A shard whose other frames do connect does not excuse the one that
+	// does not: shard 1 starts at LSN 3 behind a healthy shard 0.
+	dir3 := t.TempDir()
+	b := appendFrame(nil, put(0, 1, "a", "1"))
+	b = appendFrame(b, put(1, 3, "b", "2"))
+	if err := os.WriteFile(filepath.Join(dir3, segmentName(1)), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir3, 2); !errors.Is(err, ErrGap) {
+		t.Fatalf("Recover with a disconnected second shard = %v, want the unrecoverable-gap error", err)
 	}
 }
 
@@ -481,11 +425,32 @@ func TestAppendRejectsBadShardVector(t *testing.T) {
 	if err := l.Append(bad); err == nil {
 		t.Fatal("Append accepted an out-of-range shard")
 	}
-	// The malformed frame must not have touched shard 0's log: the real
-	// LSN-1 append must land, stabilize, and survive recovery.
+	// The log does not reorder a caller's vector: unsorted and
+	// duplicate-shard vectors are rejected, and the slice comes back as it
+	// went in.
+	unsorted := []ShardLSN{{Shard: 1, LSN: 1}, {Shard: 0, LSN: 1}}
+	if err := l.Append(&Frame{Shards: unsorted, Ops: bad.Ops}); err == nil {
+		t.Fatal("Append accepted an unsorted vector")
+	}
+	if unsorted[0].Shard != 1 || unsorted[1].Shard != 0 {
+		t.Fatalf("Append reordered the caller's vector: %v", unsorted)
+	}
+	dup := []ShardLSN{{Shard: 0, LSN: 1}, {Shard: 0, LSN: 2}}
+	if err := l.Append(&Frame{Shards: dup, Ops: bad.Ops}); err == nil {
+		t.Fatal("Append accepted a vector naming shard 0 twice")
+	}
+	if err := l.Append(&Frame{Ops: bad.Ops}); err == nil {
+		t.Fatal("Append accepted an empty vector")
+	}
+	// The malformed frames must not have touched the log: the real LSN-1
+	// append must land, stabilize, and survive recovery.
 	mustAppend(t, l, put(0, 1, "a", "1"))
-	if err := l.WaitStable(0, 1); err != nil {
+	if err := waitStable(l, 0, 1); err != nil {
 		t.Fatalf("WaitStable after rejected frame: %v", err)
+	}
+	// An LSN the log already handed out is refused, never acked unwritten.
+	if err := l.Append(put(0, 1, "a", "again")); err == nil {
+		t.Fatal("Append acknowledged a frame whose only LSN was already logged")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -495,8 +460,8 @@ func TestAppendRejectsBadShardVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantKeys(t, st, 0, map[string]string{"a": "1"})
-	if st.DroppedFrames != 0 {
-		t.Fatalf("DroppedFrames = %d, want 0", st.DroppedFrames)
+	if st.ReplayedFrames != 1 || st.TruncatedBytes != 0 {
+		t.Fatalf("replayed=%d truncated=%d, want 1 0", st.ReplayedFrames, st.TruncatedBytes)
 	}
 }
 
@@ -512,6 +477,31 @@ func TestManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestV1DirectoryRefused: a directory sealed by the per-shard-log layout
+// is refused loudly by Open and Recover alike, naming the reason — there
+// is no dual-format reader to fall back on.
+func TestV1DirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("nztm-wal v1 shards 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A v1 shard log that a careless reader could mistake for a segment.
+	if err := os.WriteFile(filepath.Join(dir, "wal-000-0000000000000001.log"),
+		appendFrame(nil, put(0, 1, "a", "1")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(Config{Dir: dir, Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "one log per shard") {
+		t.Fatalf("Open of a v1 directory = %v, want a refusal naming the v1 per-shard layout", err)
+	}
+	if _, err := Recover(dir, 2); err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("Recover of a v1 directory = %v, want a refusal naming v1", err)
+	}
+	if mf, _ := os.ReadFile(filepath.Join(dir, manifestName)); string(mf) != "nztm-wal v1 shards 2\n" {
+		t.Fatalf("refused Open rewrote the MANIFEST to %q", mf)
+	}
+}
+
 func TestFsyncPolicies(t *testing.T) {
 	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(p.String(), func(t *testing.T) {
@@ -523,7 +513,7 @@ func TestFsyncPolicies(t *testing.T) {
 			if p == FsyncInterval {
 				time.Sleep(120 * time.Millisecond) // let the syncer tick
 			}
-			if err := l.WaitStable(0, 10); err != nil {
+			if err := waitStable(l, 0, 10); err != nil {
 				t.Fatalf("WaitStable: %v", err)
 			}
 			if err := l.Close(); err != nil {
@@ -575,6 +565,9 @@ func TestSnapshotTruncatesCoveredSegments(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots: %v", snaps)
 	}
+	if frames := fileOrder(t, dir); len(frames) != 0 {
+		t.Fatalf("covered frames survived truncation: %v", frames)
+	}
 	if l.Stats().RemovedFiles.Load() == 0 {
 		t.Fatal("no covered files were removed")
 	}
@@ -618,7 +611,7 @@ func TestRotationFlushInBackground(t *testing.T) {
 			}
 			lsn++
 			mustAppend(t, l, put(0, lsn, "tail", "v"))
-			if err := l.WaitStable(0, lsn); err != nil {
+			if err := waitStable(l, 0, lsn); err != nil {
 				t.Fatalf("WaitStable: %v", err)
 			}
 			if err := l.Close(); err != nil {
