@@ -2,9 +2,11 @@
 #
 #   make check      build + go vet + full tests (including the hot-path
 #                   allocation gate and the tracing 0-allocs-off /
-#                   ≤2-allocs-on guard) + race detector over the concurrency-
+#                   ≤2-allocs-on guard) + the kv bucket-update benchmark smoke
+#                   and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
-#                   metrics, histcheck, wal) + a tracing-enabled race pass +
+#                   metrics, histcheck, wal; kv and server hold the value
+#                   aliasing tests) + a tracing-enabled race pass +
 #                   protocol and WAL fuzzers + a short fault-injected soak +
 #                   the crash-recovery soak + the storage-fault soak +
 #                   the failover/partition soak + the serving benchmark
@@ -57,6 +59,13 @@
 #                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
 #                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
 #                   appenders — reporting ns/op, B/op, writes/op, syncs/op
+#   make bench-kv-data  kv microbenchmark (the kv+tm line of the per-layer
+#                   budget) and its gate: BenchmarkBucketUpdate — one committed
+#                   128-byte PUT into a bucket of 1 / 16 / 64 keys, ns/op and
+#                   B/op flat across occupancy because a backup copies entry
+#                   headers, not value bytes — as a 2000-iteration smoke (no
+#                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 5 objects,
+#                   GET ≤ 3 and no value copy)
 #   make durable    the durable-batch workload of the repo's benchmark with its
 #                   per-layer trace (wal.fsyncs_per_req, wal.frame_copies_per_req,
 #                   disk.*, stage times): the before/after table for a WAL
@@ -91,9 +100,9 @@ DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
 # allocations go", with the per-stage span breakdown printed beside it.
 PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
-.PHONY: check build vet test race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+.PHONY: check build vet test bench-kv-data race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
 
-check: build vet test race race-tracing fuzz soak crash diskfault failover bench-kv
+check: build vet test bench-kv-data race race-tracing fuzz soak crash diskfault failover bench-kv
 
 build:
 	$(GO) build ./...
@@ -137,6 +146,9 @@ diskfault:
 
 bench-kv:
 	$(GO) run ./cmd/nztm-load -out BENCH_kv.json -fsync always,interval,never -replicated -connections 8,64,512 -executors 8 -crossover
+
+bench-kv-data:
+	$(GO) test -run 'TestBucketUpdateAllocs' -bench BenchmarkBucketUpdate -benchtime 2000x -benchmem ./internal/kv
 
 bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkAppend -benchmem ./internal/wal

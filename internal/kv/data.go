@@ -3,8 +3,10 @@ package kv
 import "nztm/internal/tm"
 
 // entry is one key/value pair inside a bucket. Keys are immutable Go
-// strings; values are private byte slices owned by the bucket (Put copies
-// caller bytes in, Get copies bucket bytes out).
+// strings, and so, by contract, are values: a value's bytes are never
+// written after put stores the slice. An update replaces the entry's
+// slice header, so a bucket, its backups and its readers may all share
+// one value's bytes.
 type entry struct {
 	key string
 	val []byte
@@ -19,22 +21,20 @@ type bucketData struct {
 	entries []entry
 }
 
-// Clone implements tm.Data: a deep copy (the TM systems keep clones as
-// backup copies and must not alias live value bytes).
+// Clone implements tm.Data: a copy of the entry headers in a backing array
+// of its own. The value bytes are immutable and stay shared.
 func (b *bucketData) Clone() tm.Data {
-	c := &bucketData{entries: make([]entry, len(b.entries))}
-	for i, e := range b.entries {
-		c.entries[i] = entry{key: e.key, val: append([]byte(nil), e.val...)}
-	}
-	return c
+	return &bucketData{entries: append([]entry(nil), b.entries...)}
 }
 
-// CopyFrom implements tm.Data.
+// CopyFrom implements tm.Data, reusing the receiver's backing array. The
+// tail a shrink leaves behind is cleared, so a pooled backup pins no value
+// beyond the bucket it last copied.
 func (b *bucketData) CopyFrom(src tm.Data) {
-	s := src.(*bucketData)
-	b.entries = b.entries[:0]
-	for _, e := range s.entries {
-		b.entries = append(b.entries, entry{key: e.key, val: append([]byte(nil), e.val...)})
+	old := b.entries
+	b.entries = append(old[:0], src.(*bucketData).entries...)
+	if len(b.entries) < len(old) {
+		clear(old[len(b.entries):])
 	}
 }
 
@@ -48,9 +48,8 @@ func (b *bucketData) Words() int {
 	return w
 }
 
-// get returns the value stored under key. The returned slice aliases
-// bucket-owned memory; callers inside a transaction must copy it before
-// the transaction ends.
+// get returns the value stored under key. The result is the stored slice
+// itself: immutable, and valid for as long as the caller holds it.
 func (b *bucketData) get(key string) ([]byte, bool) {
 	for i := range b.entries {
 		if b.entries[i].key == key {
@@ -60,16 +59,16 @@ func (b *bucketData) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// put stores a private copy of val under key.
+// put stores val under key. It keeps the slice, not a copy: the caller
+// hands over bytes it owns and nothing will write again.
 func (b *bucketData) put(key string, val []byte) {
-	v := append([]byte(nil), val...)
 	for i := range b.entries {
 		if b.entries[i].key == key {
-			b.entries[i].val = v
+			b.entries[i].val = val
 			return
 		}
 	}
-	b.entries = append(b.entries, entry{key: key, val: v})
+	b.entries = append(b.entries, entry{key: key, val: val})
 }
 
 // del removes key, reporting whether it was present.

@@ -54,7 +54,10 @@ type Op struct {
 	Kind OpKind
 	Key  string
 	// Value is the new value for PUT and CAS. A nil Value on CAS deletes
-	// the key when the expectation matches.
+	// the key when the expectation matches; a nil Value on PUT stores the
+	// empty value (a stored value is never nil — nil means absent). Do
+	// stores a copy: the caller keeps its buffer and may reuse it as soon
+	// as Do returns.
 	Value []byte
 	// Expect is CAS's expected current value; nil means "key must be
 	// absent". Ignored by the other ops.
@@ -67,8 +70,10 @@ type Result struct {
 	// CAS — the expectation matched and the swap was applied; PUT — always
 	// true.
 	Found bool
-	// Value is the value read by a GET (nil when absent). The slice is
-	// private to the caller.
+	// Value is the value read by a GET (nil when absent, never nil when
+	// found). It is the stored slice itself, shared with the store and
+	// with other readers: read-only, and unchanged by any later write to
+	// the key, which replaces the slice rather than its bytes.
 	Value []byte
 }
 
@@ -372,17 +377,20 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 			case OpGet:
 				d := tx.Read(obj).(*bucketData)
 				if v, ok := d.get(op.Key); ok {
-					// Copy out: tx.Read data must not be retained past
-					// the transaction.
-					results[i] = Result{Found: true, Value: append([]byte(nil), v...)}
+					// No copy out: d must not outlive the transaction, but
+					// the value's bytes are immutable and may.
+					results[i] = Result{Found: true, Value: v}
 				}
 			case OpPut:
+				// The one copy of a value on its way in (never nil): the
+				// bucket, its backups and every reader share these bytes.
+				val := append([]byte{}, op.Value...)
 				tx.Update(obj, func(d tm.Data) {
-					d.(*bucketData).put(op.Key, op.Value)
+					d.(*bucketData).put(op.Key, val)
 				})
 				results[i].Found = true
 				if da != nil {
-					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: op.Value})
+					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: val})
 				}
 			case OpDelete:
 				existed := false
@@ -405,7 +413,7 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 					if op.Value == nil {
 						b.del(op.Key)
 					} else {
-						b.put(op.Key, op.Value)
+						b.put(op.Key, append([]byte{}, op.Value...))
 					}
 					swapped = true
 				})

@@ -75,6 +75,10 @@ func (da *durAttempt) vector() []wal.ShardLSN {
 // would leave a gap (sequencer < lsn-1) is a stream-order violation and
 // errors without effect; the subscriber resyncs.
 //
+// The store keeps each op's Val slice as the value, uncopied: f must own
+// its values (a frame from wal.DecodeFrame does) and nothing may write to
+// them afterwards.
+//
 // th must not be used concurrently; the follower's single apply
 // goroutine is the store's only writer.
 func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
@@ -150,8 +154,9 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 // hold a diverged tail in any shard, so the WAL drops its whole segment
 // chain and every shard is re-seeded. Outside a resync a snapshot below
 // the shard's position is refused with wal.ErrSnapshotBehind before
-// anything changes. The follower's apply goroutine is the only permitted
-// caller.
+// anything changes. The store keeps the slices in keys as its values,
+// uncopied, so the caller must own them and never write to them again.
+// The follower's apply goroutine is the only permitted caller.
 func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map[string][]byte, resync bool) error {
 	if s.dur == nil {
 		return errors.New("kv: LoadShardSnapshot on a memory-only store")
@@ -195,7 +200,8 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 // every key — in a single read-only transaction, so the result is a
 // consistent cut at exactly that LSN. The periodic snapshotter and the
 // replication catch-up path (the primary shipping a bootstrap snapshot
-// to a lagging follower) both use it.
+// to a lagging follower) both use it. The map's values are the stored
+// slices themselves: read-only (see Result.Value).
 func (s *Store) SnapshotShard(th *tm.Thread, shard int) (uint64, map[string][]byte, error) {
 	if s.dur == nil {
 		return 0, nil, errors.New("kv: SnapshotShard on a memory-only store")
@@ -212,8 +218,8 @@ func (s *Store) SnapshotShard(th *tm.Thread, shard int) (uint64, map[string][]by
 		keys = make(map[string][]byte)
 		for b := 0; b < s.buckets; b++ {
 			bd := tx.Read(s.shards[shard][b]).(*bucketData)
-			for i := range bd.entries {
-				keys[bd.entries[i].key] = append([]byte(nil), bd.entries[i].val...)
+			for _, e := range bd.entries {
+				keys[e.key] = e.val // immutable, so shared rather than copied
 			}
 		}
 		return nil

@@ -401,7 +401,7 @@ func ParseMessage(payload []byte) (*Message, error) {
 			if _, dup := m.Keys[k]; dup {
 				return nil, errMsg
 			}
-			m.Keys[k] = append([]byte(nil), raw...)
+			m.Keys[k] = append([]byte{}, raw...) // the store keeps this slice; never nil
 		}
 	case MsgAck:
 		if m.Total, err = d.u64(); err != nil {

@@ -138,7 +138,8 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 }
 
 // blob decodes a nil-aware byte slice. The result is copied so it does not
-// alias the (reused) frame buffer.
+// alias the (reused) frame buffer. A request's PUT value is copied again by
+// kv.Store.Do, which cannot know this slice is already private.
 func (c *cursor) blob() ([]byte, error) {
 	n, err := c.u32()
 	if err != nil {

@@ -298,6 +298,45 @@ func TestEndToEnd(t *testing.T) {
 
 // TestPipelining issues many overlapping requests from one connection's
 // worth of goroutines and checks they all complete correctly.
+// TestValuesThroughTheWire: what a client puts is what it gets — the empty
+// value stays empty and found, never nil — and both ends of the connection
+// own their buffers: the client may rewrite the value it sent and the
+// result it received without reaching the stored bytes, which the server
+// shares between the bucket, its backups and every response it encodes.
+func TestValuesThroughTheWire(t *testing.T) {
+	_, addr, stop := startServer(t, "nzstm", 2, Config{})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Put("empty", []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.Get("empty"); err != nil || !r.Found || r.Value == nil || len(r.Value) != 0 {
+		t.Fatalf("GET of the empty value = %+v, %v; want found, empty and non-nil", r, err)
+	}
+	if r, err := c.CAS("empty", []byte{}, []byte("full")); err != nil || !r.Found {
+		t.Fatalf("CAS expecting the empty value: %+v, %v", r, err)
+	}
+
+	sent := []byte("sent")
+	if _, err := c.Put("k", sent); err != nil {
+		t.Fatal(err)
+	}
+	copy(sent, "XXXX")
+	first, err := c.Get("k")
+	if err != nil || string(first.Value) != "sent" {
+		t.Fatalf("GET after rewriting the sent buffer = %+v, %v", first, err)
+	}
+	copy(first.Value, "YYYY")
+	if again, err := c.Get("k"); err != nil || string(again.Value) != "sent" {
+		t.Fatalf("GET after rewriting an earlier result = %+v, %v", again, err)
+	}
+}
+
 func TestPipelining(t *testing.T) {
 	_, addr, stop := startServer(t, "nzstm", 4, Config{})
 	defer stop()

@@ -64,15 +64,22 @@ func init() {
 	}
 }
 
-// Data is the user payload stored in a transactional object. Implementations
-// must be deep-copyable: Clone creates the backup copies the paper's
-// algorithms rely on, and CopyFrom restores a backup in place (undoing an
-// aborted transaction's effects, §2.2) or refills a pooled backup buffer.
+// Data is the user payload stored in a transactional object. Clone creates
+// the backup copies the paper's algorithms rely on, and CopyFrom restores a
+// backup in place (undoing an aborted transaction's effects, §2.2) or
+// refills a pooled backup buffer.
+//
+// What the systems need of a copy is independence, not depth: after
+// b := a.Clone() or b.CopyFrom(a), no mutation of either value through its
+// own methods and fields is visible in the other, and a backup restores
+// every state the original had when it was taken. Parts that are never
+// written after construction (strings, a kv value's bytes) may be shared.
 type Data interface {
-	// Clone returns a deep copy of the data.
+	// Clone returns an independent copy of the data.
 	Clone() Data
-	// CopyFrom overwrites the receiver with src's contents. src is always a
-	// value of the receiver's own concrete type.
+	// CopyFrom overwrites the receiver with an independent copy of src's
+	// contents, reusing the receiver's storage where it can. src is always
+	// a value of the receiver's own concrete type.
 	CopyFrom(src Data)
 	// Words reports the data's size in simulated machine words; it drives
 	// the simulated memory layout and the cycle cost of copies.

@@ -192,7 +192,10 @@ func decodePayload(p []byte) (*Frame, error) {
 			if val, p, err = lenBytes(p); err != nil {
 				return nil, err
 			}
-			op.Val = append([]byte(nil), val...)
+			// The one copy on the way in from a log or stream: the frame
+			// buffer is reused, and the store keeps this slice as the
+			// value. Never nil — an empty value is not an absent one.
+			op.Val = append([]byte{}, val...)
 		}
 		f.Ops = append(f.Ops, op)
 	}

@@ -91,7 +91,7 @@ func decodeSnapshot(b []byte) (shard int, lsn uint64, keys map[string][]byte, er
 		if v, p, err = lenBytes(p); err != nil {
 			return 0, 0, nil, err
 		}
-		keys[string(k)] = append([]byte(nil), v...)
+		keys[string(k)] = append([]byte{}, v...) // owned and non-nil, as in decodePayload
 	}
 	if len(p) != 0 {
 		return 0, 0, nil, fmt.Errorf("%w: trailing snapshot payload", ErrCorrupt)

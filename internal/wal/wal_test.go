@@ -127,6 +127,11 @@ func TestFrameRoundTrip(t *testing.T) {
 			got.Ops[i].Key != f.Ops[i].Key || !bytes.Equal(got.Ops[i].Val, f.Ops[i].Val) {
 			t.Fatalf("op %d: %+v != %+v", i, got.Ops[i], f.Ops[i])
 		}
+		// A set's value decodes non-nil even when empty: the store keeps
+		// the slice, and there nil would read as absent.
+		if !got.Ops[i].Del && got.Ops[i].Val == nil {
+			t.Fatalf("op %d: set decoded with a nil value", i)
+		}
 	}
 }
 
