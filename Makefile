@@ -3,7 +3,8 @@
 #   make check      build + go vet + full tests (including the hot-path
 #                   allocation gate and the tracing 0-allocs-off /
 #                   ≤2-allocs-on guard) + the kv bucket-update benchmark smoke
-#                   and allocation gate + race detector over the concurrency-
+#                   and allocation gate + the server request-path benchmark
+#                   smoke and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
 #                   metrics, histcheck, wal; kv and server hold the value
 #                   aliasing tests) + a tracing-enabled race pass +
@@ -66,6 +67,13 @@
 #                   headers, not value bytes — as a 2000-iteration smoke (no
 #                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 5 objects,
 #                   GET ≤ 3 and no value copy)
+#   make bench-server  server microbenchmark (the server line of the per-layer
+#                   budget) and its gate: BenchmarkRequestPath — one Client to one
+#                   Server over loopback, one request at a time, a single 128-byte
+#                   PUT and the 8 GET + 8 PUT batch, ns/op, B/op and allocs/op for
+#                   both ends of the connection — as a 2000-iteration smoke (no
+#                   threshold), plus TestRequestPathAllocs (whole process, steady
+#                   state: single ≤ 10 objects per round trip, batch16 ≤ 17)
 #   make durable    the durable-batch workload of the repo's benchmark with its
 #                   per-layer trace (wal.fsyncs_per_req, wal.frame_copies_per_req,
 #                   disk.*, stage times): the before/after table for a WAL
@@ -100,9 +108,9 @@ DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
 # allocations go", with the per-stage span breakdown printed beside it.
 PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
-.PHONY: check build vet test bench-kv-data race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
 
-check: build vet test bench-kv-data race race-tracing fuzz soak crash diskfault failover bench-kv
+check: build vet test bench-kv-data bench-server race race-tracing fuzz soak crash diskfault failover bench-kv
 
 build:
 	$(GO) build ./...
@@ -149,6 +157,9 @@ bench-kv:
 
 bench-kv-data:
 	$(GO) test -run 'TestBucketUpdateAllocs' -bench BenchmarkBucketUpdate -benchtime 2000x -benchmem ./internal/kv
+
+bench-server:
+	$(GO) test -run 'TestRequestPathAllocs' -bench BenchmarkRequestPath -benchtime 2000x -benchmem ./internal/server
 
 bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkAppend -benchmem ./internal/wal

@@ -1,6 +1,10 @@
 package kv
 
-import "nztm/internal/tm"
+import (
+	"strings"
+
+	"nztm/internal/tm"
+)
 
 // entry is one key/value pair inside a bucket. Keys are immutable Go
 // strings, and so, by contract, are values: a value's bytes are never
@@ -60,7 +64,9 @@ func (b *bucketData) get(key string) ([]byte, bool) {
 }
 
 // put stores val under key. It keeps the slice, not a copy: the caller
-// hands over bytes it owns and nothing will write again.
+// hands over bytes it owns and nothing will write again. A key it has to
+// insert it clones: the caller's may be a substring of something larger (a
+// request's keys, a frame), which a stored few bytes must not keep alive.
 func (b *bucketData) put(key string, val []byte) {
 	for i := range b.entries {
 		if b.entries[i].key == key {
@@ -68,7 +74,7 @@ func (b *bucketData) put(key string, val []byte) {
 			return
 		}
 	}
-	b.entries = append(b.entries, entry{key: key, val: val})
+	b.entries = append(b.entries, entry{key: strings.Clone(key), val: val})
 }
 
 // del removes key, reporting whether it was present.

@@ -3,8 +3,10 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"nztm/internal/tm"
 )
@@ -263,16 +265,19 @@ func TestAbortRestoresFullBucket(t *testing.T) {
 	}
 }
 
-// What one committed single-key request through Store.Do may allocate on
-// nzstm, whatever the bucket's occupancy. Three objects are fixed per
-// request: the results slice, the transaction closure and the attempt
-// counter it captures. A PUT adds its update closure and the copy of the
-// new value; its backup is a pooled header copy and allocates nothing,
-// where a copy of the bucket's values would cost one more per key. A GET
-// adds nothing: its result is the stored slice.
+// What one committed request through Store.Do may allocate on nzstm,
+// whatever the bucket's occupancy. Three objects are fixed per request: the
+// results slice, the transaction closure and the state it writes (attempt
+// counter, the PUT being applied). A request with PUTs adds one update
+// closure, however many PUTs it has, and for each PUT the copy of the new
+// value; a backup is a pooled header copy and allocates nothing, where a
+// copy of the bucket's values would cost one more per key. A GET adds
+// nothing: its result is the stored slice. So the benchmark's 8 GET + 8 PUT
+// batch costs 3 + 1 + 8.
 const (
-	putAllocBudget = 5
-	getAllocBudget = 3
+	putAllocBudget   = 5
+	getAllocBudget   = 3
+	batchAllocBudget = 12
 )
 
 // TestBucketUpdateAllocs is the serving path's allocation gate (run by
@@ -282,6 +287,10 @@ func TestBucketUpdateAllocs(t *testing.T) {
 	val := bytes.Repeat([]byte{0xAB}, 128)
 	put := []Op{{Kind: OpPut, Key: keys[5], Value: val}}
 	get := []Op{{Kind: OpGet, Key: keys[5]}}
+	var batch []Op
+	for i := 0; i < 8; i++ {
+		batch = append(batch, Op{Kind: OpGet, Key: keys[i]}, Op{Kind: OpPut, Key: keys[8+i], Value: val})
+	}
 	run := func(ops []Op) func() {
 		return func() {
 			if _, err := s.Do(th, ops, Budget{}); err != nil {
@@ -297,6 +306,43 @@ func TestBucketUpdateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, run(get)); avg > getAllocBudget+0.5 {
 		t.Errorf("a GET allocates %.2f objects; want ≤ %d (no copy of the value)", avg, getAllocBudget)
+	}
+	if avg := testing.AllocsPerRun(500, run(batch)); avg > batchAllocBudget+0.5 {
+		t.Errorf("an 8 GET + 8 PUT batch allocates %.2f objects; want ≤ %d (one update closure, not one per PUT)", avg, batchAllocBudget)
+	}
+}
+
+// TestStoredKeyIsItsOwnAllocation: a key the bucket has to insert, or the
+// hotspot table sees for the first time, is cloned,
+// so five stored bytes do not keep alive the 4 KB string they were cut from
+// (a request's keys are substrings of one string); overwriting a key that is
+// already there allocates nothing for it.
+func TestStoredKeyIsItsOwnAllocation(t *testing.T) {
+	big := strings.Repeat("x", 4096)
+	key := big[100:105]
+	b := &bucketData{}
+	b.put(key, []byte("v1"))
+	if stored := b.entries[0].key; stored != key || unsafe.StringData(stored) == unsafe.StringData(key) {
+		t.Fatalf("inserted key %q shares its bytes with the string it was cut from", stored)
+	}
+	stored := unsafe.StringData(b.entries[0].key)
+	v2 := []byte("v2")
+	if avg := testing.AllocsPerRun(100, func() { b.put(key, v2) }); avg != 0 {
+		t.Errorf("overwriting an existing key allocates %.1f objects, want 0", avg)
+	}
+	if len(b.entries) != 1 || unsafe.StringData(b.entries[0].key) != stored {
+		t.Errorf("overwrite replaced the stored key")
+	}
+
+	// The hotspot table keeps keys too, and longer than a bucket might.
+	var h hotShard
+	h.note(key)
+	h.note(key)
+	for k, n := range h.cur {
+		if k != key || *n != 2 || unsafe.StringData(k) == unsafe.StringData(key) {
+			t.Errorf("hotspot table holds %q ×%d sharing=%v; want its own copy of %q, twice",
+				k, *n, unsafe.StringData(k) == unsafe.StringData(key), key)
+		}
 	}
 }
 

@@ -313,9 +313,21 @@ func (s *Store) DoVec(th *tm.Thread, ops []Op, budget Budget) ([]Result, []wal.S
 	return s.do(th, ops, budget, true, nil)
 }
 
+// doState is what one do call's closures write: the attempt counter, and
+// the PUT being applied with the one update closure that applies it. It is
+// one object for the whole request — a closure of its own per PUT would be
+// one more per op — which works because tx.Update runs its callback before
+// it returns.
+type doState struct {
+	attempt int
+	key     string
+	val     []byte
+	put     func(tm.Data) // stores val under key; made by the first PUT
+}
+
 func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *trace.Span) ([]Result, []wal.ShardLSN, error) {
 	results := make([]Result, len(ops))
-	attempt := 0
+	st := &doState{}
 	m := s.metrics
 	var start time.Time
 	if m != nil {
@@ -339,16 +351,16 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 		da = newDurAttempt()
 	}
 	body := func(tx tm.Tx) error {
-		attempt++
-		if budget.MaxAttempts > 0 && attempt > budget.MaxAttempts {
+		st.attempt++
+		if budget.MaxAttempts > 0 && st.attempt > budget.MaxAttempts {
 			return ErrBudget
 		}
-		if attempt > 1 {
+		if st.attempt > 1 {
 			// The previous attempt aborted: charge the batch's keys in the
 			// hotspot table before any backoff sleep.
 			m.noteAbortedOps(ops)
 		}
-		if d := budget.backoff(attempt, th.Env.Rand()); d > 0 {
+		if d := budget.backoff(st.attempt, th.Env.Rand()); d > 0 {
 			time.Sleep(d)
 			if m != nil {
 				m.BackoffTime.Observe(d)
@@ -384,13 +396,14 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 			case OpPut:
 				// The one copy of a value on its way in (never nil): the
 				// bucket, its backups and every reader share these bytes.
-				val := append([]byte{}, op.Value...)
-				tx.Update(obj, func(d tm.Data) {
-					d.(*bucketData).put(op.Key, val)
-				})
+				st.key, st.val = op.Key, append([]byte{}, op.Value...)
+				if st.put == nil {
+					st.put = func(d tm.Data) { d.(*bucketData).put(st.key, st.val) }
+				}
+				tx.Update(obj, st.put)
 				results[i].Found = true
 				if da != nil {
-					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: val})
+					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: st.val})
 				}
 			case OpDelete:
 				existed := false
@@ -454,7 +467,7 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 	committed := err == nil
 	sp.Mark(trace.StageTM)
 	if sp != nil {
-		sp.Attempts = uint32(attempt)
+		sp.Attempts = uint32(st.attempt)
 	}
 	if errors.Is(err, errCASMiss) {
 		// The transaction's effects were discarded; the results slice
@@ -480,7 +493,7 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 	}
 	if m != nil {
 		m.CommitLatency.Observe(time.Since(start))
-		m.Retries.ObserveValue(uint64(attempt - 1))
+		m.Retries.ObserveValue(uint64(st.attempt - 1))
 		if committed {
 			m.noteCommittedOps(ops)
 		}

@@ -3,6 +3,7 @@ package kv
 import (
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,18 +31,25 @@ const DefaultHotspotWindow = 15 * time.Second
 // paid for an aborted transaction and usually a backoff sleep.
 type hotShard struct {
 	mu       sync.Mutex
-	cur      map[string]uint64 // current window
-	prev     map[string]uint64 // last completed window
-	overflow uint64            // cumulative aborts on keys a full table could not admit
+	cur      map[string]*uint64 // current window
+	prev     map[string]*uint64 // last completed window
+	overflow uint64             // cumulative aborts on keys a full table could not admit
 }
 
+// note counts one abort on key. The table outlives the request the key came
+// from, so it holds a clone made at first sighting — and counts through a
+// pointer, because assigning to an existing map entry would swap the stored
+// key for the caller's.
 func (h *hotShard) note(key string) {
 	h.mu.Lock()
 	if h.cur == nil {
-		h.cur = make(map[string]uint64, hotKeysPerShard)
+		h.cur = make(map[string]*uint64, hotKeysPerShard)
 	}
-	if _, ok := h.cur[key]; ok || len(h.cur) < hotKeysPerShard {
-		h.cur[key]++
+	if n, ok := h.cur[key]; ok {
+		*n++
+	} else if len(h.cur) < hotKeysPerShard {
+		one := uint64(1)
+		h.cur[strings.Clone(key)] = &one
 	} else {
 		h.overflow++
 	}
@@ -60,10 +68,10 @@ func (h *hotShard) rotate() {
 func (h *hotShard) sum(out map[string]uint64) {
 	h.mu.Lock()
 	for key, n := range h.cur {
-		out[key] += n
+		out[key] += *n
 	}
 	for key, n := range h.prev {
-		out[key] += n
+		out[key] += *n
 	}
 	h.mu.Unlock()
 }

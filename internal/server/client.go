@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -19,12 +19,13 @@ import (
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	wbuf []byte // the frame being sent: 4-byte length, then the request
 
 	mu      sync.Mutex
 	pending map[uint64]chan reply
-	err     error // set once the connection dies
+	idle    []chan reply // empty reply channels no call is waiting on
+	err     error        // set once the connection dies
 
 	nextID atomic.Uint64
 }
@@ -49,7 +50,6 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		bw:      newBufWriter(conn),
 		pending: make(map[uint64]chan reply),
 	}
 	go c.readLoop()
@@ -64,14 +64,13 @@ func (c *Client) Close() error {
 	return err
 }
 
-// readLoop delivers responses to waiting callers.
+// readLoop delivers responses to waiting callers. Each response is read
+// into a buffer of its own, which is the one copy its bytes get on this
+// side: the results decoded from it alias it and belong to the caller.
 func (c *Client) readLoop() {
 	br := newBufReader(c.conn)
-	var buf []byte
 	for {
-		var payload []byte
-		var err error
-		payload, buf, err = readFrame(br, buf)
+		payload, _, err := readFrame(br, nil)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 			return
@@ -108,7 +107,9 @@ func (c *Client) fail(err error) {
 
 // Do executes ops as one atomic batch on the server and returns the
 // per-op results (see kv.Store.Do for batch semantics). It blocks until
-// the response arrives; other goroutines' requests overlap freely.
+// the response arrives; other goroutines' requests overlap freely. The
+// results' values are slices of one buffer, read for this response and
+// referred to by nothing else: they are the caller's to keep or to write.
 func (c *Client) Do(ops []kv.Op) ([]kv.Result, error) {
 	r, err := c.roundTrip(ops, nil)
 	if err != nil {
@@ -153,46 +154,69 @@ func (c *Client) DoVec(ops []kv.Op, st *Staleness) (results []kv.Result, vec []w
 	return r.results, r.vec, r.status, r.errmsg, nil
 }
 
-// roundTrip sends one request and waits for its reply.
+// roundTrip sends one request and waits for its reply. A transport failure
+// is returned wrapped in ErrClosed, to this caller and to every other
+// waiter; a request that cannot be encoded fails alone, before anything of
+// it is sent or registered.
 func (c *Client) roundTrip(ops []kv.Op, st *Staleness) (reply, error) {
 	id := c.nextID.Add(1)
-	payload, err := appendRequestVec(nil, id, ops, st)
-	if err != nil {
-		return reply{}, err
-	}
-
-	ch := make(chan reply, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return reply{}, err
-	}
-	c.pending[id] = ch
-	c.mu.Unlock()
 
 	c.wmu.Lock()
-	werr := writeFrame(c.bw, payload)
-	if werr == nil {
-		werr = c.bw.Flush()
+	// Encode behind a gap for the frame length, so the frame leaves in one
+	// Write. Every call starts over at wbuf[:0]: a failed encode sends nothing.
+	frame, err := appendRequestVec(append(c.wbuf[:0], 0, 0, 0, 0), id, ops, st)
+	if err != nil {
+		c.wmu.Unlock()
+		return reply{}, err
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	ch, err := c.expect(id)
+	if err != nil {
+		c.wmu.Unlock()
+		return reply{}, err
+	}
+	_, werr := c.conn.Write(frame)
+	if cap(frame) <= maxRetainedBuf {
+		c.wbuf = frame
+	} else {
+		c.wbuf = nil // one large request does not size the buffer for good
 	}
 	c.wmu.Unlock()
 	if werr != nil {
+		err := fmt.Errorf("%w: %v", ErrClosed, werr)
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		c.fail(fmt.Errorf("%w: %v", ErrClosed, werr))
-		return reply{}, werr
+		c.fail(err)
+		return reply{}, err
 	}
 
 	r, ok := <-ch
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return reply{}, err
+		return reply{}, c.err
 	}
+	// The reader removed ch from pending before it sent: it is empty and ours.
+	c.idle = append(c.idle, ch)
 	return r, nil
+}
+
+// expect registers a reply channel for request id.
+func (c *Client) expect(id uint64) (chan reply, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, c.err
+	}
+	var ch chan reply
+	if n := len(c.idle); n > 0 {
+		ch, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		ch = make(chan reply, 1)
+	}
+	c.pending[id] = ch
+	return ch, nil
 }
 
 // Get reads key.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -49,29 +50,45 @@ func sampleRequests(t interface{ Fatal(...any) }) [][]byte {
 }
 
 // FuzzParseRequest checks that any payload the parser accepts survives an
-// encode→parse round trip unchanged, and that the parser never panics or
-// over-reads on arbitrary input.
+// encode→parse round trip unchanged, that the parser never panics or
+// over-reads on arbitrary input and refuses with its one error, and that a
+// decoded key is a string of its own: the values alias the payload, the
+// keys must not change when the payload's buffer is written again.
 func FuzzParseRequest(f *testing.F) {
 	for _, s := range sampleRequests(f) {
 		f.Add(s)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		id, ops, st, err := parseRequest(payload)
-		if err != nil {
-			return // rejected input: only requirement is no panic
+		var r request
+		if err := parseRequest(payload, &r); err != nil {
+			if !errors.Is(err, errFrame) {
+				t.Fatalf("refused with %v, want errFrame", err)
+			}
+			return
 		}
-		re, err := appendRequestVec(nil, id, ops, st)
+		re, err := appendRequestVec(nil, r.id, r.ops, r.st)
 		if err != nil {
 			t.Fatalf("accepted request does not re-encode: %v", err)
 		}
-		id2, ops2, st2, err := parseRequest(re)
-		if err != nil {
+		var r2 request
+		if err := parseRequest(re, &r2); err != nil {
 			t.Fatalf("re-encoded request does not re-parse: %v", err)
 		}
-		if id2 != id || !reflect.DeepEqual(ops2, ops) || !reflect.DeepEqual(st2, st) {
+		if r2.id != r.id || !reflect.DeepEqual(r2.ops, r.ops) || !reflect.DeepEqual(r2.st, r.st) {
 			t.Fatalf("round trip changed request:\n  ops  = %#v st  = %#v\n  ops2 = %#v st2 = %#v",
-				ops, st, ops2, st2)
+				r.ops, r.st, r2.ops, r2.st)
+		}
+		for i := range payload {
+			payload[i] ^= 0xFF
+		}
+		for i := range r.keys {
+			r.keys[i] ^= 0xFF
+		}
+		for i := range r.ops {
+			if r.ops[i].Key != r2.ops[i].Key {
+				t.Fatalf("op %d: key changed to %q with the payload buffer, want %q", i, r.ops[i].Key, r2.ops[i].Key)
+			}
 		}
 	})
 }

@@ -137,9 +137,10 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-// blob decodes a nil-aware byte slice. The result is copied so it does not
-// alias the (reused) frame buffer. A request's PUT value is copied again by
-// kv.Store.Do, which cannot know this slice is already private.
+// blob decodes a nil-aware byte slice. It never copies: the result aliases
+// the payload (an empty blob is an empty, non-nil slice of it), so a caller
+// must own the payload's buffer for as long as it uses what it decoded. The
+// server's request record and the client's one buffer per response do.
 func (c *cursor) blob() ([]byte, error) {
 	n, err := c.u32()
 	if err != nil {
@@ -148,17 +149,10 @@ func (c *cursor) blob() ([]byte, error) {
 	if n == nilBlob {
 		return nil, nil
 	}
-	if n == 0 {
-		return []byte{}, nil // empty is distinct from nil
-	}
 	if n > MaxFrame {
 		return nil, errFrame
 	}
-	raw, err := c.bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), raw...), nil
+	return c.bytes(int(n))
 }
 
 // appendRequest encodes a request frame payload onto b.
@@ -190,71 +184,87 @@ func appendRequest(b []byte, id uint64, ops []kv.Op) ([]byte, error) {
 	return b, nil
 }
 
-// parseRequest decodes a request frame payload. st is non-nil exactly
-// when the request was vector-aware (its op count carried vecFlag).
-func parseRequest(payload []byte) (id uint64, ops []kv.Op, st *Staleness, err error) {
+// parseRequest decodes a request frame payload into r.id, r.ops and r.st
+// (non-nil exactly when the op count carried vecFlag), in place: each
+// Op.Value and Op.Expect aliases payload, which the caller must not reuse
+// while it uses r.ops. An Op.Key is a real Go string — a substring of one
+// string made per request — so a key that outlives the request is safe to
+// hold, and pins no more than the request's keys.
+func parseRequest(payload []byte, r *request) error {
 	c := &cursor{b: payload}
-	if id, err = c.u64(); err != nil {
-		return 0, nil, nil, err
+	r.ops, r.keys, r.st = r.ops[:0], r.keys[:0], nil
+	var err error
+	if r.id, err = c.u64(); err != nil {
+		return err
 	}
 	n, err := c.u16()
 	if err != nil {
-		return id, nil, nil, err
+		return err
 	}
 	vecAware := n&vecFlag != 0
 	n &^= vecFlag
 	if n == 0 || int(n) > MaxOps {
-		return id, nil, nil, errFrame
+		return errFrame
 	}
-	ops = make([]kv.Op, n)
-	for i := range ops {
+	if cap(r.ops) < int(n) {
+		r.ops = make([]kv.Op, 0, n)
+	}
+	for i := 0; i < int(n); i++ {
 		kind, err := c.u8()
 		if err != nil {
-			return id, nil, nil, err
+			return err
 		}
 		klen, err := c.u16()
 		if err != nil {
-			return id, nil, nil, err
+			return err
 		}
 		if int(klen) > MaxKey {
-			return id, nil, nil, errFrame
+			return errFrame
 		}
-		key, err := c.bytes(int(klen))
-		if err != nil {
-			return id, nil, nil, err
+		if _, err := c.bytes(int(klen)); err != nil {
+			return err
 		}
-		op := kv.Op{Kind: kv.OpKind(kind), Key: string(key)}
+		// The key with the length before it, exactly as it arrived.
+		r.keys = append(r.keys, c.b[c.off-int(klen)-2:c.off]...)
+		op := kv.Op{Kind: kv.OpKind(kind)}
 		switch op.Kind {
 		case kv.OpGet, kv.OpDelete:
 		case kv.OpPut:
 			if op.Value, err = c.blob(); err != nil {
-				return id, nil, nil, err
+				return err
 			}
 		case kv.OpCAS:
 			if op.Expect, err = c.blob(); err != nil {
-				return id, nil, nil, err
+				return err
 			}
 			if op.Value, err = c.blob(); err != nil {
-				return id, nil, nil, err
+				return err
 			}
 		default:
-			return id, nil, nil, errFrame
+			return errFrame
 		}
-		ops[i] = op
+		r.ops = append(r.ops, op)
 	}
 	if vecAware {
-		st = &Staleness{}
-		if st.MaxLagMs, err = c.u32(); err != nil {
-			return id, nil, nil, err
+		r.st = &Staleness{}
+		if r.st.MaxLagMs, err = c.u32(); err != nil {
+			return err
 		}
-		if st.Vector, err = c.vector(); err != nil {
-			return id, nil, nil, err
+		if r.st.Vector, err = c.vector(); err != nil {
+			return err
 		}
 	}
 	if c.off != len(payload) {
-		return id, nil, nil, errFrame
+		return errFrame
 	}
-	return id, ops, st, nil
+	// One immutable string holds every key; each op takes its substring.
+	keys := string(r.keys)
+	for i, off := 0, 0; i < len(r.ops); i++ {
+		end := off + 2 + int(binary.BigEndian.Uint16(r.keys[off:]))
+		r.ops[i].Key = keys[off+2 : end]
+		off = end
+	}
+	return nil
 }
 
 // appendResponse encodes a response frame payload onto b. For StatusOK,
@@ -278,7 +288,9 @@ func appendResponse(b []byte, id uint64, status uint8, results []kv.Result, errm
 }
 
 // parseResponse decodes a response frame payload. vec is non-nil only
-// for StatusOKVec responses carrying a non-empty commit vector.
+// for StatusOKVec responses carrying a non-empty commit vector. Every
+// result value aliases payload: the caller hands over a buffer nothing
+// will write again.
 func parseResponse(payload []byte) (id uint64, status uint8, results []kv.Result, vec []wal.ShardLSN, errmsg string, err error) {
 	c := &cursor{b: payload}
 	if id, err = c.u64(); err != nil {
@@ -346,15 +358,22 @@ func ReadFrame(r *bufio.Reader, buf []byte) (payload, newBuf []byte, err error) 
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w *bufio.Writer, payload []byte) error { return writeFrame(w, payload) }
 
-// readFrame reads one length-prefixed frame, reusing buf when it is big
-// enough. It returns the payload (valid until the next call with the same
-// buf) and the possibly-grown buffer.
+// readFrame reads one length-prefixed frame into buf, or into a new buffer
+// when buf is too small. It returns the payload, which is a prefix of the
+// returned buffer: whoever owns that buffer owns the payload and everything
+// decoded in place over it, until they read into the buffer again.
 func readFrame(r *bufio.Reader, buf []byte) (payload, newBuf []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// Peek, not ReadFull into a local array: that would go through an
+	// io.Reader and cost a heap allocation per frame.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(4)
 	if n > MaxFrame {
 		return nil, buf, errFrame
 	}
@@ -370,9 +389,10 @@ func readFrame(r *bufio.Reader, buf []byte) (payload, newBuf []byte, err error) 
 
 // writeFrame writes one length-prefixed frame.
 func writeFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The length is encoded in w's own spare room: a local array would be
+	// moved to the heap, since Write may pass it on to an io.Writer.
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

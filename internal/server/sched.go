@@ -121,18 +121,40 @@ func (st *SchedStats) WriteMetricsz(w io.Writer) {
 	metrics.GaugeFam(w, "nztm_sched_executors_busy", "executors currently running a request", float64(st.Busy()))
 }
 
+// request is one request's record: the frame it arrived in, the ops decoded
+// in place over that frame, and the response encoded for it. A connection's
+// reader takes a record from the connection's free list, reads and decodes
+// into it, and either answers it there (a refusal) or admits it; an executor
+// runs the ops and encodes the response into it; the connection's writer
+// copies the response into its bufio.Writer and only then recycles the
+// record. The record has exactly one holder at every moment, and that holder
+// owns all of it — frame, ops and response.
+type request struct {
+	id    uint64
+	frame []byte     // the buffer the payload was read into
+	ops   []kv.Op    // Value and Expect alias frame; see parseRequest
+	keys  []byte     // decode scratch: every key, length-prefixed as on the wire
+	st    *Staleness // non-nil exactly when the request was vector-aware
+	resp  []byte     // the encoded response payload
+}
+
+// A record that one large request grew past these is dropped after use, not
+// recycled, so a 16 MB frame is not kept for every connection that ever sent
+// one. The Client applies the byte limit to its encode buffer.
+const (
+	maxRetainedBuf = 64 << 10 // frame, key scratch or response buffer, bytes
+	maxRetainedOps = 256      // op slice, entries
+)
+
 // task is one decoded request waiting in the admission queue. Tasks move
-// by value through a channel, so dispatch adds no per-request allocation
-// beyond the response buffer the request was always going to need. The
-// span rides inside the task for the same reason: a fixed-size stamp
-// array copied with the struct, never a pointer into the heap. Stages
-// stamped by the connection goroutine (decode, enqueue) must be stamped
-// BEFORE admit — the channel send copies the task, so later stamps on
-// the reader's copy would be lost.
+// by value through a channel: a pointer to the request's record, which the
+// connection recycles, and the span — a fixed-size stamp array copied with
+// the struct — so admission and dispatch allocate nothing. Stages stamped
+// by the connection goroutine (decode, enqueue) must be stamped BEFORE
+// admit — the channel send copies the task, so later stamps on the
+// reader's copy would be lost.
 type task struct {
-	id   uint64
-	ops  []kv.Op
-	st   *Staleness
+	r    *request
 	c    *connState
 	enq  time.Time
 	span trace.Span
@@ -140,14 +162,47 @@ type task struct {
 
 // connState is one connection's slice of the scheduler: the response
 // channel its writer drains, the in-flight semaphore that preserves
-// per-connection pipelining limits, and the bookkeeping that lets the
-// connection goroutine wait for its outstanding tasks before closing.
+// per-connection pipelining limits, the bookkeeping that lets the
+// connection goroutine wait for its outstanding tasks before closing, and
+// the free list its request records cycle through.
 type connState struct {
-	responses chan []byte
+	responses chan *request
 	sem       chan struct{}  // holds one token per admitted, unanswered task
 	wg        sync.WaitGroup // admitted tasks not yet answered
 	kill      func()         // closes the net.Conn (slow-consumer defence)
 	killed    atomic.Bool
+
+	// free holds the records no one is using. It never outgrows the records
+	// the connection can have had in use at once: MaxInflight admitted, the
+	// response channel's capacity, one at the reader and one at the writer.
+	freeMu sync.Mutex
+	free   []*request
+}
+
+// record returns a request record for the reader to fill.
+func (cs *connState) record() *request {
+	cs.freeMu.Lock()
+	defer cs.freeMu.Unlock()
+	if n := len(cs.free); n > 0 {
+		r := cs.free[n-1]
+		cs.free = cs.free[:n-1]
+		return r
+	}
+	return &request{}
+}
+
+// recycle takes back a record whose response has been copied out. The ops
+// are cleared so that a free record holds no key string and no stale slice.
+func (cs *connState) recycle(r *request) {
+	if cap(r.frame) > maxRetainedBuf || cap(r.keys) > maxRetainedBuf ||
+		cap(r.resp) > maxRetainedBuf || cap(r.ops) > maxRetainedOps {
+		return
+	}
+	clear(r.ops)
+	r.st = nil
+	cs.freeMu.Lock()
+	cs.free = append(cs.free, r)
+	cs.freeMu.Unlock()
 }
 
 // finish releases a task's admission token after its response was handed
@@ -157,14 +212,15 @@ func (cs *connState) finish() {
 	cs.wg.Done()
 }
 
-// deliver hands a response to the connection's writer without ever
+// deliver hands an answered record to the connection's writer without ever
 // blocking the executor pool: a connection whose client stopped draining
 // responses while pipelining more requests is killed rather than allowed
 // to pin an executor. The writer keeps draining the channel until the
-// connection goroutine closes it, so a successful send never leaks.
-func (cs *connState) deliver(payload []byte, st *SchedStats) {
+// connection goroutine closes it, so a successful send never leaks; a
+// dropped record is left to the garbage collector.
+func (cs *connState) deliver(r *request, st *SchedStats) {
 	select {
-	case cs.responses <- payload:
+	case cs.responses <- r:
 	default:
 		if cs.killed.CompareAndSwap(false, true) {
 			st.SlowClientDrops.Add(1)
@@ -270,11 +326,12 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 		s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, uint64(waited), 0)
 		t.span.Mark(trace.StageDispatch)
 		if srv.preExec != nil {
-			srv.preExec(t.ops)
+			srv.preExec(t.r.ops)
 		}
 		t.span.Mark(trace.StageExecStart)
-		resp := srv.execute(th, t.id, t.ops, t.st, &t.span)
-		t.c.deliver(resp, &s.stats)
+		srv.execute(th, t.r, &t.span)
+		// From here the record is the writer's, then the next request's.
+		t.c.deliver(t.r, &s.stats)
 		t.span.Mark(trace.StageRespond)
 		srv.spans.Observe(&t.span)
 		srv.slow.Observe(&t.span)

@@ -96,10 +96,10 @@ type Server struct {
 	// each request executes — a test seam for stalling executors.
 	preExec func(ops []kv.Op)
 
-	mu       sync.Mutex
+	mu       sync.Mutex // guards ln and conns, and orders both against shutdown
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	shutdown bool
+	shutdown atomic.Bool // set once, under mu; read without it per request
 
 	wg sync.WaitGroup // live connections
 
@@ -164,7 +164,7 @@ func New(store *kv.Store, reg *tm.Registry, cfg Config) *Server {
 // non-nil error; after Shutdown the error is ErrServerClosed.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.shutdown {
+	if s.shutdown.Load() {
 		s.mu.Unlock()
 		return ErrServerClosed
 	}
@@ -177,16 +177,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			down := s.shutdown
-			s.mu.Unlock()
-			if down {
+			if s.shutdown.Load() {
 				return ErrServerClosed
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.shutdown {
+		if s.shutdown.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return ErrServerClosed
@@ -208,11 +205,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		timeout = 10 * time.Second
 	}
 	s.mu.Lock()
-	if s.shutdown {
+	if s.shutdown.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.shutdown = true
+	s.shutdown.Store(true)
 	ln := s.ln
 	for conn := range s.conns {
 		// Unblock the connection's reader; it observes the shutdown flag
@@ -256,12 +253,6 @@ func (s *Server) QueueWait() *Histogram { return &s.sched.wait }
 // QueueCap reports the admission queue's resolved capacity.
 func (s *Server) QueueCap() int { return cap(s.sched.tasks) }
 
-func (s *Server) shuttingDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shutdown
-}
-
 // serveConn runs one connection in the listener plane: this goroutine
 // reads and parses frames and admits them to the shared scheduler — it
 // never touches the thread registry, so accept and decode cost no slot. A
@@ -279,7 +270,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	cs := &connState{
-		responses: make(chan []byte, 2*s.cfg.MaxInflight),
+		responses: make(chan *request, 2*s.cfg.MaxInflight),
 		sem:       make(chan struct{}, s.cfg.MaxInflight),
 		kill:      func() { conn.Close() },
 	}
@@ -287,11 +278,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer close(writerDone)
 		bw := newBufWriter(conn)
-		for payload := range cs.responses {
-			if err := writeFrame(bw, payload); err != nil {
+		for r := range cs.responses {
+			if err := writeFrame(bw, r.resp); err != nil {
 				drain(cs.responses)
 				return
 			}
+			// The response is in bw: nothing refers to the record any more.
+			cs.recycle(r)
 			if len(cs.responses) == 0 {
 				if err := bw.Flush(); err != nil {
 					drain(cs.responses)
@@ -303,41 +296,40 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := newBufReader(conn)
-	var buf []byte
 	for {
+		r := cs.record()
 		var payload []byte
 		var err error
-		payload, buf, err = readFrame(br, buf)
+		payload, r.frame, err = readFrame(br, r.frame)
 		if err != nil {
-			if isDeadline(err) && s.shuttingDown() {
-				// Graceful drain: stop reading, let in-flight requests
-				// finish, flush, close.
-				break
-			}
-			// EOF, hard error, or malformed stream: stop reading. For a
-			// desynchronised stream there is no way to answer reliably.
+			// EOF, hard error, malformed stream, or the read deadline
+			// Shutdown sets to start a graceful drain: stop reading and let
+			// in-flight requests finish and flush. For a desynchronised
+			// stream there is no way to answer reliably.
 			break
 		}
 		// Span origin: the frame is fully read; everything from here to
 		// the response write is attributed to a stage.
 		var span trace.Span
 		span.Begin = trace.Now()
-		id, ops, st, perr := parseRequest(payload)
-		if perr != nil {
+		// Every refusal below answers in the record already in hand.
+		if perr := parseRequest(payload, r); perr != nil {
 			s.reqBad.Add(1)
-			cs.responses <- appendResponse(nil, id, StatusBad, nil, perr.Error())
+			r.resp = appendResponse(r.resp[:0], r.id, StatusBad, nil, perr.Error())
+			cs.responses <- r
 			continue
 		}
-		if s.shuttingDown() {
+		if s.shutdown.Load() {
 			s.reqShutdown.Add(1)
-			cs.responses <- appendResponse(nil, id, StatusShutdown, nil, "shutting down")
+			r.resp = appendResponse(r.resp[:0], r.id, StatusShutdown, nil, "shutting down")
+			cs.responses <- r
 			break
 		}
 		// The replication interposition runs here, pre-admission: a
 		// blocking catch-up wait stalls only this connection, never an
 		// executor slot.
 		if s.cfg.CheckRequest != nil {
-			if status, msg := s.cfg.CheckRequest(ops, st); status != StatusOK {
+			if status, msg := s.cfg.CheckRequest(r.ops, r.st); status != StatusOK {
 				switch status {
 				case StatusLagging:
 					s.reqLagging.Add(1)
@@ -346,12 +338,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				default:
 					s.reqErr.Add(1)
 				}
-				cs.responses <- appendResponse(nil, id, status, nil, msg)
+				r.resp = appendResponse(r.resp[:0], r.id, status, nil, msg)
+				cs.responses <- r
 				continue
 			}
 		}
-		span.ID = id
-		span.Ops = uint32(len(ops))
+		span.ID = r.id
+		span.Ops = uint32(len(r.ops))
 		span.Mark(trace.StageDecode)
 		// Admission: take an in-flight token (parking here is the
 		// per-connection pipelining bound), then offer the task to the
@@ -362,11 +355,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		cs.sem <- struct{}{}
 		cs.wg.Add(1)
 		span.Mark(trace.StageEnqueue)
-		if !s.sched.admit(task{id: id, ops: ops, st: st, c: cs, enq: time.Now(), span: span}) {
+		if !s.sched.admit(task{r: r, c: cs, enq: time.Now(), span: span}) {
 			s.reqOverload.Add(1)
 			cs.wg.Done()
 			<-cs.sem
-			cs.responses <- appendResponse(nil, id, StatusOverloaded, nil, "admission queue full")
+			r.resp = appendResponse(r.resp[:0], r.id, StatusOverloaded, nil, "admission queue full")
+			cs.responses <- r
 		}
 	}
 	// Wait for this connection's admitted tasks to be answered before
@@ -377,9 +371,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // execute runs one request on an executor's thread and encodes its
-// response. A vector-aware request (st non-nil) is answered with
-// StatusOKVec carrying its commit vector.
-func (s *Server) execute(th *tm.Thread, id uint64, ops []kv.Op, st *Staleness, sp *trace.Span) []byte {
+// response into the request's record. A vector-aware request (r.st non-nil)
+// is answered with StatusOKVec carrying its commit vector.
+func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
 	start := time.Now()
 	budget := kv.Budget{MaxAttempts: s.cfg.MaxAttempts, Backoff: s.cfg.RetryBackoff}
 	if s.cfg.RequestTimeout > 0 {
@@ -388,52 +382,41 @@ func (s *Server) execute(th *tm.Thread, id uint64, ops []kv.Op, st *Staleness, s
 	var results []kv.Result
 	var vec []wal.ShardLSN
 	var err error
-	if st != nil {
-		results, vec, err = s.store.DoVecSpan(th, ops, budget, sp)
+	if r.st != nil {
+		results, vec, err = s.store.DoVecSpan(th, r.ops, budget, sp)
 	} else {
-		results, err = s.store.DoSpan(th, ops, budget, sp)
+		results, err = s.store.DoSpan(th, r.ops, budget, sp)
 	}
 	elapsed := time.Since(start)
 
-	if len(ops) > 1 {
+	if len(r.ops) > 1 {
 		s.batchLatency.Observe(elapsed)
 	} else {
 		s.singleLatency.Observe(elapsed)
 	}
+	status, errmsg := uint8(StatusOK), ""
 	switch {
 	case err == nil:
 		s.reqOK.Add(1)
-		if st != nil {
-			if sp != nil {
-				sp.Status = StatusOKVec
-			}
-			return appendResponseVec(nil, id, StatusOKVec, results, vec, "")
+		if r.st != nil {
+			status = StatusOKVec
 		}
-		if sp != nil {
-			sp.Status = StatusOK
-		}
-		return appendResponse(nil, id, StatusOK, results, "")
 	case errors.Is(err, kv.ErrBudget):
 		s.reqBudget.Add(1)
-		if sp != nil {
-			sp.Status = StatusBudget
-		}
-		return appendResponse(nil, id, StatusBudget, nil, err.Error())
+		status, errmsg = StatusBudget, err.Error()
 	case errors.Is(err, kv.ErrReadOnly):
 		// Shed before execution: the write had no effect anywhere, so the
 		// client may retry it verbatim against a healthy replica.
 		s.reqReadOnly.Add(1)
-		if sp != nil {
-			sp.Status = StatusReadOnly
-		}
-		return appendResponse(nil, id, StatusReadOnly, nil, err.Error())
+		status, errmsg = StatusReadOnly, err.Error()
 	default:
 		s.reqErr.Add(1)
-		if sp != nil {
-			sp.Status = StatusError
-		}
-		return appendResponse(nil, id, StatusError, nil, err.Error())
+		status, errmsg = StatusError, err.Error()
 	}
+	if sp != nil {
+		sp.Status = status
+	}
+	r.resp = appendResponseVec(r.resp[:0], r.id, status, results, vec, errmsg)
 }
 
 // Spans exposes the per-stage latency attribution histograms.
@@ -530,12 +513,7 @@ func (s *Server) admissionName() string {
 	return AdmitReject
 }
 
-func drain(ch chan []byte) {
+func drain(ch chan *request) {
 	for range ch {
 	}
-}
-
-func isDeadline(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

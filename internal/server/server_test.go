@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,10 +30,11 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, got, st, err := parseRequest(payload)
-	if err != nil || id != 42 || st != nil {
-		t.Fatalf("parseRequest: id=%d st=%v err=%v", id, st, err)
+	var r request
+	if err := parseRequest(payload, &r); err != nil || r.id != 42 || r.st != nil {
+		t.Fatalf("parseRequest: id=%d st=%v err=%v", r.id, r.st, err)
 	}
+	got := r.ops
 	if len(got) != len(ops) {
 		t.Fatalf("op count %d != %d", len(got), len(ops))
 	}
@@ -70,10 +72,45 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 	// Truncated payloads must error, not panic.
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, _, err := parseRequest(payload[:cut]); err == nil && cut < len(payload) {
+		if err := parseRequest(payload[:cut], &r); err == nil {
 			// Some prefixes can parse as a shorter valid request only if
 			// lengths line up; the trailing-bytes check prevents that.
 			t.Fatalf("truncated request at %d parsed", cut)
+		}
+	}
+}
+
+// TestParseRequestRefuses: decoding in place refuses what the copying
+// decoder refused, with the same error, and a record that held a refused
+// request decodes the next one cleanly.
+func TestParseRequestRefuses(t *testing.T) {
+	get := func(n int, key string) []byte { // n GETs of key, op count as given
+		b := appendU16(appendU64(nil, 1), uint16(n))
+		for i := 0; i < n; i++ {
+			b = append(appendU16(append(b, byte(kv.OpGet)), uint16(len(key))), key...)
+		}
+		return b
+	}
+	put := func(blobLen uint32) []byte { // one PUT whose value claims blobLen bytes
+		b := append(appendU16(appendU64(nil, 1), 1), byte(kv.OpPut))
+		return appendU32(append(appendU16(b, 1), 'k'), blobLen)
+	}
+	good := get(2, "k")
+	var r request
+	for name, payload := range map[string][]byte{
+		"no ops":              get(0, "k"),
+		"more than MaxOps":    get(MaxOps+1, "k"),
+		"key over MaxKey":     get(1, strings.Repeat("x", MaxKey+1)),
+		"blob over MaxFrame":  put(MaxFrame + 1),
+		"blob past the frame": put(8),
+		"trailing byte":       append(get(2, "k"), 0),
+		"unknown op kind":     append(appendU16(appendU64(nil, 1), 1), 9, 0, 0),
+	} {
+		if err := parseRequest(payload, &r); !errors.Is(err, errFrame) {
+			t.Errorf("%s: err = %v, want errFrame", name, err)
+		}
+		if err := parseRequest(good, &r); err != nil || len(r.ops) != 2 || r.ops[1].Key != "k" || r.ops[1].Value != nil {
+			t.Errorf("after %s: the next request decodes as %+v, %v", name, r.ops, err)
 		}
 	}
 }
@@ -104,7 +141,7 @@ func TestHistogram(t *testing.T) {
 
 // startServer spins up a loopback server over an NZSTM-backed store and
 // returns its address and a stopper.
-func startServer(t *testing.T, backend string, threads int, cfg Config) (*Server, string, func()) {
+func startServer(t testing.TB, backend string, threads int, cfg Config) (*Server, string, func()) {
 	t.Helper()
 	b, err := kv.OpenBackend(backend, threads)
 	if err != nil {
@@ -334,6 +371,157 @@ func TestValuesThroughTheWire(t *testing.T) {
 	copy(first.Value, "YYYY")
 	if again, err := c.Get("k"); err != nil || string(again.Value) != "sent" {
 		t.Fatalf("GET after rewriting an earlier result = %+v, %v", again, err)
+	}
+
+	// The server decodes each request in place over a recycled record and
+	// encodes the response into it. 64 callers pipeline on the one
+	// connection, each with its own byte pattern and a size that changes
+	// every round (70 KiB is past what a recycled record may keep), and
+	// check every response byte for byte: a record handed on or reused too
+	// early shows as another request's bytes. 2048 requests pass through
+	// the connection's few hundred records, so every one is reused.
+	sizes := []int{0, 1, 128, 70 << 10}
+	pattern := func(g, round, salt, n int) []byte {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = byte(g*31 + round*7 + salt + i)
+		}
+		return v
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprintf("wire:%d", g)
+			for round := 0; round < 8; round++ {
+				val := pattern(g, round, 0, sizes[(g+round)%len(sizes)])
+				next := pattern(g, round, 101, sizes[(g+round+1)%len(sizes)])
+				if r, err := c.Put(key, val); err != nil || !r.Found {
+					t.Errorf("%s round %d: PUT = %+v, %v", key, round, r, err)
+					return
+				}
+				if r, err := c.Get(key); err != nil || !r.Found || r.Value == nil || !bytes.Equal(r.Value, val) {
+					t.Errorf("%s round %d: GET returned %d bytes, %v; want the %d put", key, round, len(r.Value), err, len(val))
+					return
+				}
+				if r, err := c.CAS(key, val, next); err != nil || !r.Found {
+					t.Errorf("%s round %d: CAS expecting the %d bytes put = %+v, %v", key, round, len(val), r, err)
+					return
+				}
+				if r, err := c.Get(key); err != nil || !r.Found || r.Value == nil || !bytes.Equal(r.Value, next) {
+					t.Errorf("%s round %d: GET after CAS returned %d bytes, %v; want the %d swapped in", key, round, len(r.Value), err, len(next))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestClientResultsAreTheCallers: a response's results alias one buffer that
+// belongs to whoever called Do. Holding them across a thousand later round
+// trips on the same Client changes nothing in them, and writing over them
+// afterwards reaches neither a later result nor the store.
+func TestClientResultsAreTheCallers(t *testing.T) {
+	_, addr, stop := startServer(t, "nzstm", 2, Config{})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 16
+	gets := make([]kv.Op, n)
+	want := make([][]byte, n)
+	for i := range gets {
+		key := fmt.Sprintf("held:%d", i)
+		want[i] = bytes.Repeat([]byte{byte('a' + i)}, 16+i)
+		gets[i] = kv.Op{Kind: kv.OpGet, Key: key}
+		if _, err := c.Put(key, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, rs []kv.Result) {
+		t.Helper()
+		for i := range rs {
+			if !rs[i].Found || !bytes.Equal(rs[i].Value, want[i]) {
+				t.Fatalf("%s: result %d = %q, want %q", when, i, rs[i].Value, want[i])
+			}
+		}
+	}
+	held, err := c.Do(gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh", held)
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Put("other", bytes.Repeat([]byte{byte(i)}, 1+i%300)); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			rs, err := c.Do(gets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("later", rs)
+		}
+	}
+	check("held across 1000 round trips", held)
+	for i := range held {
+		for j := range held[i].Value {
+			held[i].Value[j] = '!'
+		}
+	}
+	rs, err := c.Do(gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after writing over the held results", rs)
+}
+
+// TestLargeRequestNotRetained: a request record that one large frame (or
+// one large response) grew is dropped after use, and so is the client's
+// encode buffer. After an 8 MB PUT, a GET of it and a thousand small
+// requests on the same connection, with the value deleted again, neither
+// side still holds 8 MB.
+func TestLargeRequestNotRetained(t *testing.T) {
+	_, addr, stop := startServer(t, "nzstm", 2, Config{})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	if _, err := c.Put("small", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+
+	const big = 8 << 20
+	if _, err := c.Put("big", make([]byte, big)); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.Get("big"); err != nil || len(r.Value) != big {
+		t.Fatalf("GET of the 8 MB value: %d bytes, %v", len(r.Value), err)
+	}
+	if _, err := c.Delete("big"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Put("small", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := heap(); after > before+big/4 {
+		t.Fatalf("live heap grew from %d to %d bytes across one 8 MB request and 1000 small ones: a buffer it grew is still held", before, after)
 	}
 }
 
