@@ -68,12 +68,15 @@
 #                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 5 objects,
 #                   GET ≤ 3 and no value copy)
 #   make bench-server  server microbenchmark (the server line of the per-layer
-#                   budget) and its gate: BenchmarkRequestPath — one Client to one
-#                   Server over loopback, one request at a time, a single 128-byte
-#                   PUT and the 8 GET + 8 PUT batch, ns/op, B/op and allocs/op for
-#                   both ends of the connection — as a 2000-iteration smoke (no
-#                   threshold), plus TestRequestPathAllocs (whole process, steady
-#                   state: single ≤ 10 objects per round trip, batch16 ≤ 17)
+#                   budget) and its gates: BenchmarkRequestPath — one Client to one
+#                   Server over loopback; a single 128-byte PUT and the 8 GET + 8 PUT
+#                   batch one request at a time, and the batch from 4 callers on the
+#                   one Client; ns/op, B/op, allocs/op and conn.Write calls per
+#                   request for both ends of the connection — as a 2000-iteration
+#                   smoke (no threshold), plus TestRequestPathAllocs (whole process,
+#                   steady state: single ≤ 10 objects per round trip, batch16 ≤ 17)
+#                   and TestRequestPathWrites (1 caller: exactly 1 write per request
+#                   at each end; 4 callers: ≤ 0.8 at each end)
 #   make durable    the durable-batch workload of the repo's benchmark with its
 #                   per-layer trace (wal.fsyncs_per_req, wal.frame_copies_per_req,
 #                   disk.*, stage times): the before/after table for a WAL
@@ -159,7 +162,7 @@ bench-kv-data:
 	$(GO) test -run 'TestBucketUpdateAllocs' -bench BenchmarkBucketUpdate -benchtime 2000x -benchmem ./internal/kv
 
 bench-server:
-	$(GO) test -run 'TestRequestPathAllocs' -bench BenchmarkRequestPath -benchtime 2000x -benchmem ./internal/server
+	$(GO) test -run 'TestRequestPathAllocs|TestRequestPathWrites' -bench BenchmarkRequestPath -benchtime 2000x -benchmem ./internal/server
 
 bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkAppend -benchmem ./internal/wal

@@ -549,6 +549,16 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uin
 			// Unresponsive enemy: make progress nonblocking by inflating
 			// the object (§2.3.1).
 			tx.inflate(o, enemy, enemyGen)
+			if enemyIsReader && or.loc == nil && or.txn == tx && or.gen == tx.gen && o.owner.Load() == or {
+				// inflate backed out: the reader acknowledged after all and
+				// the owner word is still our own plain reference. We hold
+				// the object half acquired — readers unscanned, no backup —
+				// so this is not "re-examine": keep resolving, which now
+				// finds the reader gone and lets acquireWrite carry on. (An
+				// owner word that is not ours — somebody inflated past us —
+				// is for the caller to re-examine, as before.)
+				continue
+			}
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,22 +13,50 @@ import (
 )
 
 // Client is a pipelining connection to a Server. It is safe for concurrent
-// use: many goroutines may issue requests over one connection, writes are
-// serialised, and a background reader matches (possibly out-of-order)
-// responses to callers by request id — so a single TCP connection carries
-// many overlapping requests.
+// use: many goroutines may issue requests over one connection, and a
+// background reader matches (possibly out-of-order) responses to callers by
+// request id — so a single TCP connection carries many overlapping requests.
+//
+// Callers that overlap share their writes. Each appends its encoded frame
+// to one buffer, and the first to find nobody writing takes the writer role
+// (flush): it writes everything gathered, again and again until the buffer
+// is empty, while the others only append and wait for their replies. A call
+// with the connection to itself therefore costs one Write, as it always
+// did; a burst of calls costs one Write between them.
 type Client struct {
 	conn net.Conn
 
-	wmu  sync.Mutex
-	wbuf []byte // the frame being sent: 4-byte length, then the request
+	// The send side, under wmu. Callers append to wbuf; the flusher swaps
+	// it for spare and writes it with wmu released, so the bytes on their
+	// way out belong to the flusher alone until it hands them back as the
+	// next spare.
+	wmu      sync.Mutex
+	wbuf     []byte // whole frames (4-byte length, then the request) not yet written
+	spare    []byte
+	flushing bool // some caller holds the writer role
+	stats    ClientStats
 
 	mu      sync.Mutex
 	pending map[uint64]chan reply
 	idle    []chan reply // empty reply channels no call is waiting on
+	calls   int          // calls that registered a reply channel and have not returned
 	err     error        // set once the connection dies
 
 	nextID atomic.Uint64
+}
+
+// ClientStats counts what a Client has put on the wire; Writes/Requests is
+// how well its callers' frames shared writes.
+type ClientStats struct {
+	Requests uint64 // frames handed to the connection
+	Writes   uint64 // conn.Write calls that carried them
+}
+
+// Stats returns the counters so far.
+func (c *Client) Stats() ClientStats {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.stats
 }
 
 type reply struct {
@@ -155,45 +184,23 @@ func (c *Client) DoVec(ops []kv.Op, st *Staleness) (results []kv.Result, vec []w
 }
 
 // roundTrip sends one request and waits for its reply. A transport failure
-// is returned wrapped in ErrClosed, to this caller and to every other
-// waiter; a request that cannot be encoded fails alone, before anything of
-// it is sent or registered.
+// is returned wrapped in ErrClosed, to every caller whose frame was in the
+// failed write and to every other waiter; a request that cannot be encoded
+// fails alone, before anything of it is sent or registered.
 func (c *Client) roundTrip(ops []kv.Op, st *Staleness) (reply, error) {
-	id := c.nextID.Add(1)
-
-	c.wmu.Lock()
-	// Encode behind a gap for the frame length, so the frame leaves in one
-	// Write. Every call starts over at wbuf[:0]: a failed encode sends nothing.
-	frame, err := appendRequestVec(append(c.wbuf[:0], 0, 0, 0, 0), id, ops, st)
+	ch, lead, others, err := c.enqueue(c.nextID.Add(1), ops, st)
 	if err != nil {
-		c.wmu.Unlock()
 		return reply{}, err
 	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	ch, err := c.expect(id)
-	if err != nil {
-		c.wmu.Unlock()
-		return reply{}, err
+	if lead {
+		c.flush(others)
 	}
-	_, werr := c.conn.Write(frame)
-	if cap(frame) <= maxRetainedBuf {
-		c.wbuf = frame
-	} else {
-		c.wbuf = nil // one large request does not size the buffer for good
-	}
-	c.wmu.Unlock()
-	if werr != nil {
-		err := fmt.Errorf("%w: %v", ErrClosed, werr)
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.fail(err)
-		return reply{}, err
-	}
-
+	// A failed write closed ch along with every other pending channel, so
+	// the flusher learns of it here like everyone else.
 	r, ok := <-ch
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.calls--
 	if !ok {
 		return reply{}, c.err
 	}
@@ -202,12 +209,78 @@ func (c *Client) roundTrip(ops []kv.Op, st *Staleness) (reply, error) {
 	return r, nil
 }
 
-// expect registers a reply channel for request id.
-func (c *Client) expect(id uint64) (chan reply, error) {
+// enqueue appends the request's frame to the shared buffer and registers its
+// reply channel. lead tells the caller that nobody was flushing and the
+// writer role is now its own; others, that it is not the only call on the
+// connection. A request that fails to encode, or arrives after the
+// connection died, leaves the buffer as it found it.
+func (c *Client) enqueue(id uint64, ops []kv.Op, st *Staleness) (ch chan reply, lead, others bool, err error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	// Encode behind a gap for the frame length. c.wbuf itself is assigned
+	// only once the frame is whole and expected, so until then the buffer
+	// still ends where this caller found it.
+	start := len(c.wbuf)
+	buf, err := appendRequestVec(append(c.wbuf, 0, 0, 0, 0), id, ops, st)
+	if err != nil {
+		return nil, false, false, err
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	ch, calls, err := c.expect(id)
+	if err != nil {
+		return nil, false, false, err
+	}
+	c.wbuf = buf
+	c.stats.Requests++
+	lead = !c.flushing
+	c.flushing = true
+	return ch, lead, calls > 1, nil
+}
+
+// flush is the writer role: write what the buffer holds, swapping it for
+// the spare so that callers keep appending meanwhile, until a pass finds it
+// empty. Frames leave whole and in the order they were appended. When
+// others are in the middle of a call (gather), it first yields the
+// processor once: a caller whose reply has just come in is runnable and
+// about to send its next request, and a timer or a count could not know
+// that, but the scheduler runs it before it returns here. A write error
+// fails the connection, which is how every caller of the burst hears of it.
+func (c *Client) flush(gather bool) {
+	if gather {
+		runtime.Gosched()
+	}
+	c.wmu.Lock()
+	for len(c.wbuf) > 0 {
+		out := c.wbuf
+		c.wbuf, c.spare = c.spare[:0], nil
+		c.stats.Writes++
+		c.wmu.Unlock()
+		_, err := c.conn.Write(out)
+		if err != nil {
+			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+		}
+		c.wmu.Lock()
+		if cap(out) <= maxRetainedBuf {
+			c.spare = out[:0] // else one large burst does not size the buffer for good
+		}
+		if err != nil {
+			// Whatever was appended meanwhile belongs to callers that fail
+			// has already answered.
+			c.wbuf = c.wbuf[:0]
+			break
+		}
+	}
+	c.flushing = false
+	c.wmu.Unlock()
+}
+
+// expect registers a reply channel for request id and reports how many
+// calls, this one included, are now between registering and returning.
+func (c *Client) expect(id uint64) (chan reply, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
-		return nil, c.err
+		return nil, 0, c.err
 	}
 	var ch chan reply
 	if n := len(c.idle); n > 0 {
@@ -216,7 +289,8 @@ func (c *Client) expect(id uint64) (chan reply, error) {
 		ch = make(chan reply, 1)
 	}
 	c.pending[id] = ch
-	return ch, nil
+	c.calls++
+	return ch, c.calls, nil
 }
 
 // Get reads key.

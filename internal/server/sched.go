@@ -51,6 +51,9 @@ type SchedStats struct {
 	// more requests (the executor pool never blocks on one connection's
 	// full response buffer).
 	SlowClientDrops atomic.Uint64
+	// Flushes counts writes of buffered responses to a connection;
+	// Flushes/Completed is how well responses shared writes.
+	Flushes atomic.Uint64
 }
 
 // Depth returns the current queue depth (admitted, not yet dispatched).
@@ -156,7 +159,6 @@ const (
 type task struct {
 	r    *request
 	c    *connState
-	enq  time.Time
 	span trace.Span
 }
 
@@ -171,6 +173,9 @@ type connState struct {
 	wg        sync.WaitGroup // admitted tasks not yet answered
 	kill      func()         // closes the net.Conn (slow-consumer defence)
 	killed    atomic.Bool
+	// owed counts admitted requests whose response has not been handed to
+	// the writer yet: what the writer may still gather before it flushes.
+	owed atomic.Int32
 
 	// free holds the records no one is using. It never outgrows the records
 	// the connection can have had in use at once: MaxInflight admitted, the
@@ -219,6 +224,7 @@ func (cs *connState) finish() {
 // connection goroutine closes it, so a successful send never leaks; a
 // dropped record is left to the garbage collector.
 func (cs *connState) deliver(r *request, st *SchedStats) {
+	cs.owed.Add(-1)
 	select {
 	case cs.responses <- r:
 	default:
@@ -273,12 +279,16 @@ func (s *scheduler) admit(t task) bool {
 		case s.tasks <- t:
 		default:
 			s.stats.Rejected.Add(1)
-			s.rec.Record(tm.Monotime(), trace.KindSchedReject, 0, s.stats.Depth(), 0)
+			if s.rec != nil {
+				s.rec.Record(tm.Monotime(), trace.KindSchedReject, 0, s.stats.Depth(), 0)
+			}
 			return false
 		}
 	}
 	s.stats.Enqueued.Add(1)
-	s.rec.Record(tm.Monotime(), trace.KindSchedEnqueue, 0, s.stats.Depth(), 0)
+	if s.rec != nil {
+		s.rec.Record(tm.Monotime(), trace.KindSchedEnqueue, 0, s.stats.Depth(), 0)
+	}
 	return true
 }
 
@@ -321,10 +331,12 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 	defer th.Close()
 	for t := range s.tasks {
 		s.stats.Dispatched.Add(1)
-		waited := time.Since(t.enq)
-		s.wait.Observe(waited)
-		s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, uint64(waited), 0)
 		t.span.Mark(trace.StageDispatch)
+		// Queue wait, from the two stamps the span holds anyway.
+		waited := t.span.Stamp[trace.StageDispatch] - t.span.Stamp[trace.StageEnqueue]
+		if s.rec != nil {
+			s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, waited, 0)
+		}
 		if srv.preExec != nil {
 			srv.preExec(t.r.ops)
 		}
@@ -335,6 +347,7 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 		t.span.Mark(trace.StageRespond)
 		srv.spans.Observe(&t.span)
 		srv.slow.Observe(&t.span)
+		s.wait.Observe(time.Duration(waited))
 		s.stats.Completed.Add(1)
 		t.c.finish()
 	}

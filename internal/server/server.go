@@ -84,8 +84,21 @@ type Config struct {
 // store. N connections therefore share M registry slots instead of
 // binding one each — idle connections hold no slot, and live connections
 // are bounded by file descriptors, not MaxThreads. Responses carry the
-// request id, so pipelined clients match them up, and the per-connection
-// writer batches: it flushes only when its queue drains.
+// request id, so pipelined clients match them up.
+//
+// The per-connection writer batches, and its flush rule is one sentence:
+// flush when the response queue is empty and, if the connection is still
+// owed responses (requests admitted whose answers have not reached the
+// writer), stays empty across one yield of the processor. The yield is the
+// whole mechanism. An executor's deliver makes the writer the next goroutine
+// to run on that processor, so without it the writer wakes, finds its queue
+// empty and pays for a write after every single response, while executors
+// holding the connection's other responses sit runnable behind it. Yielding
+// once lets exactly those run first — no timer, count or size could know
+// they are there — and it is not a wait: a request still executing after
+// the yield holds nothing back. A connection with one request in flight is
+// owed nothing when its response arrives, never yields, and pays one write
+// per response as before. Client applies the same rule to requests.
 type Server struct {
 	store *kv.Store
 	reg   *tm.Registry
@@ -285,11 +298,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			// The response is in bw: nothing refers to the record any more.
 			cs.recycle(r)
-			if len(cs.responses) == 0 {
-				if err := bw.Flush(); err != nil {
-					drain(cs.responses)
-					return
+			if len(cs.responses) > 0 {
+				continue
+			}
+			// The queue has drained. An executor's deliver makes this
+			// goroutine the next to run on its processor, so it gets here
+			// after each response, ahead of executors that are already
+			// runnable with the connection's other responses: if any are
+			// owed, let those run once before paying for a write. It never
+			// waits for them — a request still executing after the yield
+			// holds nothing back.
+			if cs.owed.Load() > 0 {
+				runtime.Gosched()
+				if len(cs.responses) > 0 {
+					continue
 				}
+			}
+			s.sched.stats.Flushes.Add(1)
+			if err := bw.Flush(); err != nil {
+				drain(cs.responses)
+				return
 			}
 		}
 		bw.Flush()
@@ -354,9 +382,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		// (including an AdmitBlock park).
 		cs.sem <- struct{}{}
 		cs.wg.Add(1)
+		cs.owed.Add(1)
 		span.Mark(trace.StageEnqueue)
-		if !s.sched.admit(task{r: r, c: cs, enq: time.Now(), span: span}) {
+		if !s.sched.admit(task{r: r, c: cs, span: span}) {
 			s.reqOverload.Add(1)
+			cs.owed.Add(-1)
 			cs.wg.Done()
 			<-cs.sem
 			r.resp = appendResponse(r.resp[:0], r.id, StatusOverloaded, nil, "admission queue full")
@@ -372,12 +402,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // execute runs one request on an executor's thread and encodes its
 // response into the request's record. A vector-aware request (r.st non-nil)
-// is answered with StatusOKVec carrying its commit vector.
+// is answered with StatusOKVec carrying its commit vector. The request's
+// clock starts at the exec_start stamp the executor has just put on sp.
 func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
-	start := time.Now()
+	start := sp.Stamp[trace.StageExecStart]
 	budget := kv.Budget{MaxAttempts: s.cfg.MaxAttempts, Backoff: s.cfg.RetryBackoff}
 	if s.cfg.RequestTimeout > 0 {
-		budget.Deadline = start.Add(s.cfg.RequestTimeout)
+		budget.Deadline = trace.Time(start).Add(s.cfg.RequestTimeout)
 	}
 	var results []kv.Result
 	var vec []wal.ShardLSN
@@ -387,7 +418,7 @@ func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
 	} else {
 		results, err = s.store.DoSpan(th, r.ops, budget, sp)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Duration(trace.Now() - start)
 
 	if len(r.ops) > 1 {
 		s.batchLatency.Observe(elapsed)
@@ -413,9 +444,7 @@ func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
 		s.reqErr.Add(1)
 		status, errmsg = StatusError, err.Error()
 	}
-	if sp != nil {
-		sp.Status = status
-	}
+	sp.Status = status
 	r.resp = appendResponseVec(r.resp[:0], r.id, status, results, vec, errmsg)
 }
 

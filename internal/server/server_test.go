@@ -335,6 +335,17 @@ func TestEndToEnd(t *testing.T) {
 
 // TestPipelining issues many overlapping requests from one connection's
 // worth of goroutines and checks they all complete correctly.
+// wirePattern is n bytes that no other caller g, round or salt produces: a
+// value that reached the wrong reply, or was read from a reused buffer,
+// does not compare equal.
+func wirePattern(g, round, salt, n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte(g*31 + round*7 + salt + i)
+	}
+	return v
+}
+
 // TestValuesThroughTheWire: what a client puts is what it gets — the empty
 // value stays empty and found, never nil — and both ends of the connection
 // own their buffers: the client may rewrite the value it sent and the
@@ -381,13 +392,6 @@ func TestValuesThroughTheWire(t *testing.T) {
 	// early shows as another request's bytes. 2048 requests pass through
 	// the connection's few hundred records, so every one is reused.
 	sizes := []int{0, 1, 128, 70 << 10}
-	pattern := func(g, round, salt, n int) []byte {
-		v := make([]byte, n)
-		for i := range v {
-			v[i] = byte(g*31 + round*7 + salt + i)
-		}
-		return v
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 64; g++ {
 		wg.Add(1)
@@ -395,8 +399,8 @@ func TestValuesThroughTheWire(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("wire:%d", g)
 			for round := 0; round < 8; round++ {
-				val := pattern(g, round, 0, sizes[(g+round)%len(sizes)])
-				next := pattern(g, round, 101, sizes[(g+round+1)%len(sizes)])
+				val := wirePattern(g, round, 0, sizes[(g+round)%len(sizes)])
+				next := wirePattern(g, round, 101, sizes[(g+round+1)%len(sizes)])
 				if r, err := c.Put(key, val); err != nil || !r.Found {
 					t.Errorf("%s round %d: PUT = %+v, %v", key, round, r, err)
 					return

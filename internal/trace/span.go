@@ -68,6 +68,10 @@ var spanEpoch = time.Now()
 // monotime every span stamp uses. Allocation-free.
 func Now() uint64 { return uint64(time.Since(spanEpoch)) }
 
+// Time returns the instant a stamp taken with Now stands for, so that a
+// deadline can be counted from a stamp instead of from one more clock read.
+func Time(stamp uint64) time.Time { return spanEpoch.Add(time.Duration(stamp)) }
+
 // Span is one request's stage timeline. The zero value is ready: set
 // Begin, Mark stages as they complete, read durations at the end.
 type Span struct {
