@@ -8,12 +8,23 @@
 #                   critical packages (tm, core, kv, server, fault, trace,
 #                   metrics, histcheck, wal; kv and server hold the value
 #                   aliasing tests) + a tracing-enabled race pass +
+#                   TestGenomePhases ×1000 (the repeat-read reproducer) +
 #                   protocol and WAL fuzzers + a short fault-injected soak +
 #                   the crash-recovery soak + the storage-fault soak +
 #                   the failover/partition soak + the serving benchmark
 #                   (regenerates BENCH_kv.json, memory-only vs WAL fsync
 #                   policies) — run this before sending a PR
 #   make vet        go vet ./...
+#   make genome     TestGenomePhases 1000 times (~2 s): four workers insert
+#                   into one shared set; a reader whose repeated Read lost its
+#                   registration let a writer slip past it and the set ended
+#                   with a duplicate (ROADMAP item 1). 0 failures required
+#   make item1      the item-1 flake ledger (not part of check): builds the
+#                   test binaries once and prints failures per test at fixed
+#                   counts — TestBankInvariantUnderInflation ×3000,
+#                   TestFaultedSystemStaysCorrect ×1000, TestGenomePhases
+#                   ×3000, TestRegistryChurnNZ ×200 (ITEM1_DIR for the
+#                   binaries). Run it on both commits of a core change
 #   make fuzz       native Go fuzzing of the wire protocol and the WAL
 #                   frame/recovery decoders (10s per target)
 #   make soak       short seeded fault-injection soak with linearizability
@@ -65,8 +76,8 @@
 #                   128-byte PUT into a bucket of 1 / 16 / 64 keys, ns/op and
 #                   B/op flat across occupancy because a backup copies entry
 #                   headers, not value bytes — as a 2000-iteration smoke (no
-#                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 5 objects,
-#                   GET ≤ 3 and no value copy)
+#                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 6 objects,
+#                   GET ≤ 4 and no value copy)
 #   make bench-server  server microbenchmark (the server line of the per-layer
 #                   budget) and its gates: BenchmarkRequestPath — one Client to one
 #                   Server over loopback; a single 128-byte PUT and the 8 GET + 8 PUT
@@ -111,9 +122,11 @@ DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
 # allocations go", with the per-stage span breakdown printed beside it.
 PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+ITEM1_DIR ?= .item1
 
-check: build vet test bench-kv-data bench-server race race-tracing fuzz soak crash diskfault failover bench-kv
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome item1 fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+
+check: build vet test bench-kv-data bench-server race race-tracing genome fuzz soak crash diskfault failover bench-kv
 
 build:
 	$(GO) build ./...
@@ -132,6 +145,29 @@ race:
 # bound, plus the allocation guard for both tracing modes).
 race-tracing:
 	$(GO) test -race -run 'TestTracing' .
+
+genome:
+	$(GO) test -count=1000 -run '^TestGenomePhases$$' ./internal/stamp
+
+# Each line: <package>:<test>:<count>. A run that panics stops its binary
+# early, so the ledger prints the panic beside the count it reached.
+ITEM1_TESTS = core:TestBankInvariantUnderInflation:3000 \
+              fault:TestFaultedSystemStaysCorrect:1000 \
+              stamp:TestGenomePhases:3000 \
+              core:TestRegistryChurnNZ:200
+
+item1:
+	mkdir -p $(ITEM1_DIR)
+	$(GO) test -c -o $(ITEM1_DIR)/core.test ./internal/core
+	$(GO) test -c -o $(ITEM1_DIR)/fault.test ./internal/fault
+	$(GO) test -c -o $(ITEM1_DIR)/stamp.test ./internal/stamp
+	@for spec in $(ITEM1_TESTS); do \
+		pkg=$${spec%%:*}; rest=$${spec#*:}; name=$${rest%%:*}; n=$${rest#*:}; \
+		out=$$($(ITEM1_DIR)/$$pkg.test -test.count=$$n -test.run "^$$name\$$" 2>&1); \
+		fails=$$(printf '%s\n' "$$out" | grep -c "^--- FAIL: $$name "); \
+		panic=$$(printf '%s\n' "$$out" | grep -m1 '^panic:'); \
+		echo "$$name $$fails / $$n $$panic"; \
+	done
 
 fuzz:
 	$(GO) test -run=NoTestsMatch -fuzz=FuzzParseRequest -fuzztime=$(FUZZ_TIME) ./internal/server

@@ -129,9 +129,10 @@ func BenchmarkRockHybrid(b *testing.B) {
 // BenchmarkAtomicRealMode measures the Atomic hot path as an ordinary Go
 // library (no simulator): NZSTM in real-concurrency mode with registry-
 // minted threads. Run with -benchmem — the read-only and write cells must
-// report ~0 allocs/op (pooled descriptors + backup pool + bump arenas;
-// TestAtomicRealModeAllocFree pins this under `make check`), and the
-// contended cell exercises the conflict path at full parallelism.
+// report ~1 alloc/op, the attempt's descriptor (per-thread scratch + backup
+// pool + bump arenas cover the rest; TestAtomicRealModeAllocFree pins this
+// under `make check`), and the contended cell exercises the conflict path
+// at full parallelism.
 func BenchmarkAtomicRealMode(b *testing.B) {
 	b.Run("ReadOnly", func(b *testing.B) {
 		sys, reg := nztm.NewNZSTMDynamic(8, 0)

@@ -7,11 +7,11 @@ import (
 )
 
 // The registry-churn suite: thread slots are acquired and released at
-// runtime while transactions run, recycling slot IDs — and with them pooled
-// descriptors, reader-table entries, and owner words — through many tenants.
-// The attempt-generation protocol (DESIGN.md §10) is what keeps a recycled
-// slot's new tenant from being confused with its predecessor; these tests
-// are its conformance check across all variants and both reader modes.
+// runtime while transactions run, recycling slot IDs — and with them
+// reader-table entries and owner words — through many tenants. A stale slot
+// or owner word points at a finished attempt's descriptor, whose terminal
+// status keeps the new tenant from being confused with its predecessor;
+// these tests check it across all variants and both reader modes.
 func TestRegistryChurnNZ(t *testing.T) {
 	tmtest.RunChurn(t, realFactory(NZ, VisibleReaders))
 }

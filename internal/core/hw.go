@@ -49,12 +49,11 @@ func (o *Object) HWInspect(env tm.Env) HWView {
 		}
 		w := or.txn
 		env.Access(w.addr, 1, false)
-		if w.status.ActiveFor(or.gen) {
+		if w.status.State() == tm.Active {
 			return v // conflict with an active software transaction
 		}
-		// The owning attempt committed, aborted, or (generation moved on)
-		// finished entirely: the stale owner word must be cleared for
-		// successors, and a pending backup restored.
+		// The owning transaction committed or aborted: the stale owner word
+		// must be cleared for successors, and a pending backup restored.
 		v.NeedsCleanup = true
 	}
 	v.OK = true
@@ -66,8 +65,7 @@ func (o *Object) HWInspect(env tm.Env) HWView {
 // a hardware transaction must not write an object with active software
 // readers (it cannot wait for their acknowledgements).
 func (o *Object) HWActiveReaders(env tm.Env) bool {
-	_, _, found := o.firstActiveReader(env, nil)
-	return found
+	return o.firstActiveReader(env, nil) != nil
 }
 
 // HWPublish applies a hardware transaction's committed write to the object:

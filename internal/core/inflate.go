@@ -18,22 +18,13 @@ const locatorWords = 4
 // Data field is invalid because the unresponsive transaction may still
 // scribble on it.
 type Locator struct {
-	// owner is the transaction that installed the locator. Publishing a
-	// locator *pins* the owner descriptor (Txn.pinned): it is withdrawn from
-	// per-thread pooling so its status word stays genuine for the locator's
-	// whole lifetime, and the plain (un-generation-qualified) status loads
-	// below remain sound.
+	// owner is the transaction that installed the locator.
 	owner *Txn
 
 	// aborted is the unresponsive enemy the inflation stepped past,
-	// preserved across locators; abortedGen is the enemy's attempt
-	// generation at inflation time. The enemy's descriptor belongs to a
-	// foreign thread and cannot be pinned, so checks on it are
-	// generation-qualified: its AbortNowPlease flag was set before the
-	// inflation, so attempt abortedGen can never commit — a moved-on
-	// generation therefore *implies* that attempt aborted.
-	aborted    *Txn
-	abortedGen uint64
+	// preserved across locators. Its AbortNowPlease flag was set before the
+	// inflation, so it can never commit.
+	aborted *Txn
 
 	oldData tm.Data // committed value if owner aborted
 	newData tm.Data // committed value if owner committed; owner's working copy
@@ -44,16 +35,6 @@ type Locator struct {
 	dirty bool // owner has mutated newData (blocks adoption as a backup)
 }
 
-// abortedDone reports whether the locator's unresponsive enemy attempt has
-// reached its (necessarily Aborted) terminal state.
-func (loc *Locator) abortedDone() bool {
-	st, _, g := loc.aborted.status.LoadGen()
-	if g != loc.abortedGen {
-		return true // attempt over; ANP was set pre-inflation, so it aborted
-	}
-	return st == tm.Aborted
-}
-
 // inflationSource returns the value (and its simulated address) that the
 // new Locator's old-data field should adopt: the pending backup when one
 // belongs to a non-committed transaction — either the unresponsive owner's
@@ -62,7 +43,7 @@ func (loc *Locator) abortedDone() bool {
 func (o *Object) inflationSource(env tm.Env) (tm.Data, machine.Addr, bool) {
 	if c := o.loadBackup(env); c != nil {
 		env.Access(c.by.addr, 1, false)
-		if c.resolve() != cellCommitted {
+		if c.by.status.State() != tm.Committed {
 			return c.data, c.addr, true // adopt the backup buffer itself
 		}
 	}
@@ -73,27 +54,18 @@ func (o *Object) inflationSource(env tm.Env) (tm.Data, machine.Addr, bool) {
 // transaction failed to acknowledge an abort request in time. The enemy is
 // either the unresponsive owner (the owner word points to it) or an
 // unresponsive visible reader (in which case tx itself is the owner).
-// enemyGen scopes every enemy-status check to the attempt that was actually
-// asked to abort.
-func (tx *Txn) inflate(o *Object, enemy *Txn, enemyGen uint64) {
+func (tx *Txn) inflate(o *Object, enemy *Txn) {
 	env := tx.th.Env
 
 	for {
 		tx.validate()
 		env.Access(enemy.addr, 1, false)
-		if !enemy.status.ActiveFor(enemyGen) {
+		if enemy.status.State() != tm.Active {
 			return // the enemy acknowledged after all; back to the fast path
 		}
 		or := o.ownerWord(env)
 		if or == nil || or.loc != nil || (or.txn != enemy && or.txn != tx) {
 			return // someone else resolved the situation; re-examine
-		}
-		if or.txn == enemy && or.gen != enemyGen {
-			// The enemy descriptor's ownership is from an *older* attempt
-			// (never cleaned up after it aborted); the attempt we doomed does
-			// not own the object after all. Re-examine via the fast path,
-			// which handles stale terminal owners and lazy restore.
-			return
 		}
 
 		src, srcAddr, adopted := o.inflationSource(env)
@@ -115,14 +87,13 @@ func (tx *Txn) inflate(o *Object, enemy *Txn, enemyGen uint64) {
 		env.Access(newAddr, o.words, true)
 		env.Copy(o.words)
 		loc := &Locator{
-			owner:      tx,
-			aborted:    enemy,
-			abortedGen: enemyGen,
-			oldData:    old,
-			newData:    old.Clone(),
-			oldAddr:    oldAddr,
-			newAddr:    newAddr,
-			addr:       env.Alloc(locatorWords, false),
+			owner:   tx,
+			aborted: enemy,
+			oldData: old,
+			newData: old.Clone(),
+			oldAddr: oldAddr,
+			newAddr: newAddr,
+			addr:    env.Alloc(locatorWords, false),
 		}
 		env.Access(loc.addr, locatorWords, true)
 
@@ -130,14 +101,10 @@ func (tx *Txn) inflate(o *Object, enemy *Txn, enemyGen uint64) {
 		// to the Locator (the tagged-pointer CAS of §2.3.1).
 		tx.validate()
 		env.Access(enemy.addr, 1, false)
-		if !enemy.status.ActiveFor(enemyGen) {
+		if enemy.status.State() != tm.Active {
 			return
 		}
 		if o.casOwner(env, or, tx.locRef(loc)) {
-			// Our descriptor is now a published Locator owner: its terminal
-			// status will be read (unqualified) for as long as the locator is
-			// reachable, so withdraw it from pooling.
-			tx.pinned = true
 			tx.sys.stats.Inflations.Add(1)
 			tx.sys.cfg.Tracer.Record(tx.th, tm.TraceInflate, o.base, uint64(enemy.th.ID))
 			tx.th.Trace(trace.KindInflate, o.base, uint64(enemy.th.ID), 0)
@@ -166,10 +133,9 @@ func (tx *Txn) readInflated(o *Object, or *ownerRef) (tm.Data, bool) {
 	}
 
 	o.registerReader(env, tx)
-	tx.reads = append(tx.reads, o)
+	tx.sc.reads = append(tx.sc.reads, o)
 	if o.ownerWord(env) != or {
-		o.deregisterReader(env, tx)
-		return nil, false
+		return nil, false // keep the registration, as Read does
 	}
 	tx.validate()
 	if h := tx.sys.cfg.OnReadRegistered; h != nil {
@@ -233,14 +199,13 @@ func (tx *Txn) updateInflated(o *Object, or *ownerRef, fn func(tm.Data)) bool {
 	env.Access(newAddr, o.words, true)
 	env.Copy(o.words)
 	loc2 := &Locator{
-		owner:      tx,
-		aborted:    loc.aborted,
-		abortedGen: loc.abortedGen,
-		oldData:    cur,
-		newData:    cur.Clone(),
-		oldAddr:    curAddr,
-		newAddr:    newAddr,
-		addr:       env.Alloc(locatorWords, false),
+		owner:   tx,
+		aborted: loc.aborted,
+		oldData: cur,
+		newData: cur.Clone(),
+		oldAddr: curAddr,
+		newAddr: newAddr,
+		addr:    env.Alloc(locatorWords, false),
 	}
 	env.Access(loc2.addr, locatorWords, true)
 
@@ -250,7 +215,6 @@ func (tx *Txn) updateInflated(o *Object, or *ownerRef, fn func(tm.Data)) bool {
 	if !o.casOwner(env, or, or2) {
 		return false
 	}
-	tx.pinned = true // published as loc2's owner: see inflate
 	tx.refreshRead(o, preVer)
 	tx.BumpPriority()
 	tx.sys.stats.LocatorOps.Add(1)
@@ -272,9 +236,7 @@ func (tx *Txn) updateInflated(o *Object, or *ownerRef, fn func(tm.Data)) bool {
 
 // doomReaders drives every registered reader (other than tx) to a state in
 // which it can no longer commit: finished, acknowledged, or AbortNowPlease
-// set. Contention-manager Wait decisions spin; AbortSelf unwinds tx. Abort
-// requests are scoped to the observed attempt generation — a stale reader
-// slot must not doom the descriptor's current (unrelated) attempt.
+// set. Contention-manager Wait decisions spin; AbortSelf unwinds tx.
 func (tx *Txn) doomReaders(o *Object) {
 	env := tx.th.Env
 	mgr := tx.sys.cfg.Manager
@@ -289,7 +251,7 @@ func (tx *Txn) doomReaders(o *Object) {
 					break
 				}
 				env.Access(r.addr, 1, false)
-				st, anp, g := r.status.LoadGen()
+				st, anp := r.status.Load()
 				if st != tm.Active || anp {
 					break
 				}
@@ -302,7 +264,7 @@ func (tx *Txn) doomReaders(o *Object) {
 					tm.Retry(tm.AbortSelf)
 				case cm.AbortOther:
 					env.CAS(r.addr)
-					r.status.RequestAbortFor(g)
+					r.status.RequestAbort()
 					tx.sys.stats.AbortRequests.Add(1)
 					tx.validate()
 				}
@@ -364,15 +326,13 @@ func (tx *Txn) tryDeflate(o *Object, or *ownerRef) bool {
 		return false
 	}
 	env.Access(loc.aborted.addr, 1, false)
-	if !loc.abortedDone() {
+	if loc.aborted.status.State() != tm.Aborted {
 		return false // still unresponsive: in-place data is still unsafe
 	}
 	tx.validate()
 
 	// Any still-active registered reader may be reading the in-place data
-	// from before inflation; deflation writes it, so it must wait. (A stale
-	// slot whose tenant is active in a *later* attempt merely delays
-	// deflation — a safe direction to be conservative in.)
+	// from before inflation; deflation writes it, so it must wait.
 	dir, n := o.readerSlots()
 	env.Access(o.readerAddr, n, false)
 	for _, chunk := range dir {
@@ -401,7 +361,7 @@ func (tx *Txn) tryDeflate(o *Object, or *ownerRef) bool {
 	env.Access(o.dataAddr, o.words, true)
 	env.Copy(o.words)
 	tx.guardedCopy(o, func() { o.data.CopyFrom(loc.newData) })
-	tx.owned = append(tx.owned, o)
+	tx.sc.owned = append(tx.sc.owned, o)
 	tx.sys.stats.Deflations.Add(1)
 	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceDeflate, o.base, 0)
 	tx.th.Trace(trace.KindDeflate, o.base, 0, 0)

@@ -25,12 +25,12 @@ import (
 // known cost of read invisibility and is charged one header access per
 // entry.
 func (tx *Txn) validateReads() {
-	if tx.sys.cfg.Readers != InvisibleReaders || len(tx.rset) == 0 {
+	if tx.sys.cfg.Readers != InvisibleReaders || len(tx.sc.rset) == 0 {
 		return
 	}
 	env := tx.th.Env
-	for i := range tx.rset {
-		e := &tx.rset[i]
+	for i := range tx.sc.rset {
+		e := &tx.sc.rset[i]
 		env.Access(e.o.base, 1, false)
 		if e.o.version.Load() != e.ver {
 			tx.status.Acknowledge()
@@ -48,8 +48,8 @@ func (tx *Txn) commitReadsValid() bool {
 		return true
 	}
 	env := tx.th.Env
-	for i := range tx.rset {
-		e := &tx.rset[i]
+	for i := range tx.sc.rset {
+		e := &tx.sc.rset[i]
 		env.Access(e.o.base, 1, false)
 		if e.o.version.Load() != e.ver {
 			return false
@@ -66,8 +66,8 @@ func (tx *Txn) refreshRead(o *Object, preVer uint64) {
 	if tx.sys.cfg.Readers != InvisibleReaders {
 		return
 	}
-	for i := range tx.rset {
-		e := &tx.rset[i]
+	for i := range tx.sc.rset {
+		e := &tx.sc.rset[i]
 		if e.o != o {
 			continue
 		}
@@ -95,9 +95,8 @@ func (tx *Txn) readInvisible(o *Object) tm.Data {
 		if or != nil {
 			w = or.txn
 		}
-		if w == tx && or.gen == tx.gen {
-			// We own it for writing in this attempt: our in-place working
-			// data is current. Under SCSS a doomed owner can be stolen from,
+		if w == tx {
+			// We own it for writing: our in-place working data is current. Under SCSS a doomed owner can be stolen from,
 			// so the fast path still snapshots; under NZ/BZ writers obtain
 			// our acknowledgement first, so the raw pointer is safe.
 			env.Access(o.dataAddr, o.words, false)
@@ -105,8 +104,8 @@ func (tx *Txn) readInvisible(o *Object) tm.Data {
 		}
 		if w != nil {
 			env.Access(w.addr, 1, false)
-			if w.status.ActiveFor(or.gen) {
-				tx.resolveConflict(o, or, w, or.gen, false)
+			if w.status.State() == tm.Active {
+				tx.resolveConflict(o, or, w, false)
 				continue
 			}
 		}
@@ -127,8 +126,8 @@ func (tx *Txn) readInvisible(o *Object) tm.Data {
 			tx.th.PutBackup(b)
 			continue
 		}
-		tx.snaps = append(tx.snaps, b)
-		tx.rset = append(tx.rset, readEntry{o: o, ver: v1})
+		tx.sc.snaps = append(tx.sc.snaps, b)
+		tx.sc.rset = append(tx.sc.rset, readEntry{o: o, ver: v1})
 		tx.validate()
 		return b.Data
 	}
@@ -165,7 +164,7 @@ func (tx *Txn) readInflatedInvisible(o *Object, or *ownerRef) (tm.Data, bool) {
 		env.Access(loc.oldAddr, o.words, false)
 		d = loc.oldData
 	}
-	tx.rset = append(tx.rset, readEntry{o: o, ver: v1})
+	tx.sc.rset = append(tx.sc.rset, readEntry{o: o, ver: v1})
 	tx.validate()
 	return d, true
 }

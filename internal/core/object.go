@@ -38,71 +38,27 @@ const headerWords = 4
 // pointers, so the tag is modelled by which field is non-nil. The simulated
 // layout still charges a single header word for it.
 //
-// Because descriptors are pooled (one per thread and system) rather than
-// freshly allocated per attempt, the ref also records the attempt generation
-// the owner held when it installed itself: anyone inspecting a stale owner
-// word asks about *that* attempt (status.ActiveFor / RequestAbortFor) and
-// can never mistake the descriptor's next attempt for the installing one.
-// ownerRef values themselves are CAS identities (casOwner compares the
-// pointer), so they must be fresh memory per install — they come from a
-// per-descriptor bump arena, never a free list (see Txn.newOwnerRef).
+// ownerRef values are CAS identities (casOwner compares the pointer), so
+// they must be fresh memory per install — they come from a per-thread bump
+// arena, never a free list (see scratch.newRef).
 type ownerRef struct {
 	txn *Txn     // non-nil: normal NZObject owned by this transaction
-	gen uint64   // txn's attempt generation at install time
 	loc *Locator // non-nil: inflated object (the low-order-bit case)
 }
 
-// Outcomes of the attempt that installed a backupCell.
-const (
-	cellPending   uint32 = iota // installer's attempt still running
-	cellCommitted               // installer committed: in-place data is truth
-	cellAborted                 // installer aborted: the backup is truth until restored
-)
-
 // backupCell is the target of the Backup Data field: a backup copy of the
-// object data, the simulated address it lives at, and the transaction (and
-// attempt generation) that installed it. The installing transaction is
-// recorded so that a transaction inflating past an unresponsive owner can
-// tell whether the backup belongs to that owner or is a leftover from a
-// previous one (§2.3.1 footnote 1).
-//
-// With fresh-per-attempt descriptors the installer's status word alone
-// decided whether the backup is the logical truth; a pooled descriptor's
-// status word speaks only for its *current* attempt, so each cell carries
-// its own outcome, sealed by Txn.finish before the descriptor can be
-// renewed. resolve() folds the two sources together.
+// object data, the simulated address it lives at, and the transaction that
+// installed it. The installer's status word decides whether the backup is
+// the logical truth (§2.2): while it is Active the in-place data is its
+// working copy, once Committed the in-place data is current, and once
+// Aborted the backup is current until someone restores it. The installer is
+// also what lets a transaction inflating past an unresponsive owner tell
+// whether the backup belongs to that owner or is a leftover from a previous
+// one (§2.3.1 footnote 1).
 type backupCell struct {
-	data    tm.Data
-	addr    machine.Addr
-	by      *Txn
-	gen     uint64 // by's attempt generation at install time
-	outcome atomic.Uint32
-}
-
-// resolve returns the fate of the attempt that installed c: cellPending
-// while that attempt is still running, otherwise its sealed terminal
-// outcome. The installer marks every cell it installed (finish) before its
-// descriptor can be renewed (begin), so observing a moved-on generation
-// guarantees a re-read of the outcome is terminal; atomics are sequentially
-// consistent in Go, which makes that ordering visible to every observer.
-func (c *backupCell) resolve() uint32 {
-	for {
-		if oc := c.outcome.Load(); oc != cellPending {
-			return oc
-		}
-		st, _, gen := c.by.status.LoadGen()
-		if gen != c.gen {
-			continue // attempt over; its finish sealed the outcome — re-read
-		}
-		switch st {
-		case tm.Committed:
-			return cellCommitted
-		case tm.Aborted:
-			return cellAborted
-		default:
-			return cellPending
-		}
-	}
+	data tm.Data
+	addr machine.Addr
+	by   *Txn
 }
 
 // Object is an NZObject (Figure 1): collocated metadata plus in-place data.
@@ -309,30 +265,21 @@ func (o *Object) deregisterReader(env tm.Env, tx *Txn) {
 }
 
 // firstActiveReader charges a scan of the reader table and returns the first
-// active registered reader other than me, with the attempt generation it was
-// observed at. Writers call it repeatedly — resolve the returned reader, scan
-// again — until the table is quiet.
-//
-// Reader slots hold bare descriptor pointers: a slot can be stale (its tenant
-// finished, and — descriptors being pooled — may even be Active again in a
-// later attempt that never read this object). The captured generation bounds
-// the damage: conflict resolution dooms at most the observed attempt, so a
-// stale slot costs a spurious abort at worst, never a missed reader — the
-// registration protocol (register, then re-validate, §2.2) guarantees any
-// reader that could still commit is genuinely in the table.
-func (o *Object) firstActiveReader(env tm.Env, me *Txn) (*Txn, uint64, bool) {
+// active registered reader other than me, or nil. Writers call it repeatedly
+// — resolve the returned reader, scan again — until the table is quiet. A
+// slot left behind by a finished attempt holds a terminal descriptor and is
+// skipped; the registration protocol (register, then re-validate, §2.2)
+// guarantees any reader that could still commit is genuinely in the table.
+func (o *Object) firstActiveReader(env tm.Env, me *Txn) *Txn {
 	dir, n := o.readerSlots()
 	env.Access(o.readerAddr, n, false)
 	for _, chunk := range dir {
 		for i := range chunk {
 			t := chunk[i].Load()
-			if t == nil || t == me {
-				continue
-			}
-			if st, _, gen := t.status.LoadGen(); st == tm.Active {
-				return t, gen, true
+			if t != nil && t != me && t.status.State() == tm.Active {
+				return t
 			}
 		}
 	}
-	return nil, 0, false
+	return nil
 }

@@ -201,19 +201,16 @@ func (s *System) NewObject(initial tm.Data) tm.Object {
 }
 
 // Atomic implements tm.System: it runs fn transactionally on th, retrying
-// aborted attempts with contention-manager backoff. The paper (§3) gives each
-// attempt a fresh Transaction descriptor; here each attempt gets a fresh
-// *generation* of a per-thread pooled descriptor instead, which is
-// observationally equivalent (see DESIGN.md §10) and keeps the hot path
-// allocation-free.
+// aborted attempts with contention-manager backoff. Each attempt gets a fresh
+// Transaction descriptor, as in the paper (§3).
 func (s *System) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 	if th.ID < 0 || th.ID >= s.maxThreads {
 		panic("core: thread ID out of range for this System")
 	}
 	for attempt := 0; ; attempt++ {
 		tx := s.begin(th)
-		tx.userFn = fn
-		err, reason, ok := tm.RunAttempt(tx.runFn)
+		tx.sc.fn = fn
+		err, reason, ok := tm.RunAttempt(tx.sc.run)
 		if ok {
 			if err != nil {
 				// User-level failure: discard effects and return the error.
@@ -249,24 +246,19 @@ func (s *System) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 	}
 }
 
-// begin produces the attempt's transaction descriptor: the thread's cached
-// descriptor renewed to a fresh generation when possible, a fresh allocation
-// otherwise. A cached descriptor is unusable when it was pinned (published as
-// a Locator owner — its terminal status is load-bearing forever, see
-// inflate.go) or when Renew fails because the previous attempt never reached
-// a terminal state (a user panic unwound through Atomic).
+// begin allocates the attempt's transaction descriptor and checks the
+// thread's scratch out to it until finish; an attempt that never finishes (a
+// user panic unwound through Atomic) keeps its scratch, and the thread's next
+// attempt starts a new one.
 func (s *System) begin(th *tm.Thread) *Txn {
-	tx, _ := th.CachedTx(s).(*Txn)
-	if tx == nil || tx.pinned || !tx.status.Renew() {
-		tx = &Txn{
-			sys:  s,
-			th:   th,
-			addr: s.world.Alloc(2, false),
-		}
-		tx.runFn = func() error { return tx.userFn(tx) }
-		th.SetCachedTx(s, tx)
+	sc, _ := th.Scratch(s).(*scratch)
+	if sc == nil {
+		sc = s.newScratch()
+	} else {
+		th.SetScratch(s, nil)
 	}
-	tx.gen = tx.status.Gen()
+	tx := &Txn{sys: s, th: th, addr: sc.addr, sc: sc}
+	sc.tx = tx
 	tx.InitMeta(th.NextBirth())
 	s.cfg.Tracer.Record(th, tm.TraceBegin, 0, tx.Birth())
 	th.Trace(trace.KindBegin, 0, tx.Birth(), 0)

@@ -9,10 +9,10 @@ import (
 
 // Txn is an NZSTM transaction descriptor (Figure 1): a status word packing
 // {Active, Committed, Aborted} with the AbortNowPlease flag, plus
-// contention-manager metadata. The paper allocates a fresh descriptor per
-// attempt (§3); here one descriptor per (thread, system) is pooled across
-// attempts, and the status word's generation bits stand in for the fresh
-// allocation — see DESIGN.md §10 for why this is observationally equivalent.
+// contention-manager metadata. As in the paper (§3) every attempt allocates
+// a fresh one, so a pointer to it left in an owner word, a backup cell or a
+// reader slot denotes that one attempt forever; Go's garbage collector
+// reclaims it once nothing points to it.
 type Txn struct {
 	cm.Meta
 	status tm.StatusWord
@@ -20,23 +20,27 @@ type Txn struct {
 	sys  *System
 	th   *tm.Thread
 	addr machine.Addr // simulated address of the status word
-	gen  uint64       // this attempt's generation (== status.Gen() while running)
+	sc   *scratch     // the thread's working memory, checked out to this attempt
+}
 
-	// pinned marks a descriptor whose pointer was published as a Locator's
-	// owner or aborted-enemy field: those fields are read with plain (un-gen-
-	// qualified) status loads for the Locator's whole lifetime, so the
-	// descriptor must stay terminally frozen — begin never renews it.
-	pinned bool
+// scratch is a thread's private working memory for one System: read and
+// write sets, the bump arenas and the Atomic trampoline. It is checked out
+// to one attempt at a time (begin → finish) and parked in the thread's
+// scratch slot in between, so the per-attempt descriptor stays one small
+// allocation.
+type scratch struct {
+	tx  *Txn              // the attempt the scratch is checked out to
+	fn  func(tm.Tx) error // that attempt's user function
+	run func() error      // built once: calls fn(tx) without a per-attempt closure
 
-	// userFn/runFn avoid a per-attempt closure allocation: runFn is built
-	// once per descriptor and trampolines to whatever userFn holds.
-	userFn func(tm.Tx) error
-	runFn  func() error
+	// addr is the simulated address of the thread's descriptors: the
+	// simulated machine models a thread-local allocator that hands the
+	// same memory to each attempt.
+	addr machine.Addr
 
-	reads []*Object     // objects whose reader slots we occupy (visible mode)
-	rset  []readEntry   // versioned snapshot records (invisible mode)
-	owned []*Object     // non-inflated objects we acquired for writing
-	cells []*backupCell // every backup cell this attempt installed
+	reads []*Object   // objects whose reader slots we occupy (visible mode)
+	rset  []readEntry // versioned snapshot records (invisible mode)
+	owned []*Object   // non-inflated objects we acquired for writing
 	snaps []tm.Backup
 
 	// Bump arenas for ownerRef and backupCell values. Both are CAS / match
@@ -50,50 +54,52 @@ type Txn struct {
 	cellN     int
 }
 
+// newScratch allocates a thread's working memory for s.
+func (s *System) newScratch() *scratch {
+	sc := &scratch{addr: s.world.Alloc(2, false)}
+	sc.run = func() error { return sc.fn(sc.tx) }
+	return sc
+}
+
 // arenaBlock sizes the ownerRef/backupCell bump-arena blocks: one block
-// amortises to ~1/64th of an allocation per install, which benchmem rounds
-// to 0 allocs/op on the uncontended hot path.
+// amortises to ~1/64th of an allocation per install.
 const arenaBlock = 64
 
 // newRef returns fresh ownerRef memory from the bump arena.
-func (tx *Txn) newRef() *ownerRef {
-	if tx.refN == len(tx.refArena) {
-		tx.refArena = make([]ownerRef, arenaBlock)
-		tx.refN = 0
+func (sc *scratch) newRef() *ownerRef {
+	if sc.refN == len(sc.refArena) {
+		sc.refArena = make([]ownerRef, arenaBlock)
+		sc.refN = 0
 	}
-	r := &tx.refArena[tx.refN]
-	tx.refN++
+	r := &sc.refArena[sc.refN]
+	sc.refN++
 	return r
 }
 
-// selfRef builds the owner word value "owned by tx's current attempt".
+// selfRef builds the owner word value "owned by tx".
 func (tx *Txn) selfRef() *ownerRef {
-	r := tx.newRef()
-	r.txn, r.gen = tx, tx.gen
+	r := tx.sc.newRef()
+	r.txn = tx
 	return r
 }
 
 // locRef builds the owner word value "inflated into loc".
 func (tx *Txn) locRef(loc *Locator) *ownerRef {
-	r := tx.newRef()
+	r := tx.sc.newRef()
 	r.loc = loc
 	return r
 }
 
-// newCell builds a backup cell installed by tx's current attempt and records
-// it for outcome sealing in finish. Fields are assigned individually because
-// backupCell embeds an atomic (a whole-struct copy would trip go vet's
-// copylocks check); arena entries are zero-valued fresh memory, so the
-// outcome field is already cellPending.
+// newCell builds a backup cell installed by tx.
 func (tx *Txn) newCell(data tm.Data, addr machine.Addr) *backupCell {
-	if tx.cellN == len(tx.cellArena) {
-		tx.cellArena = make([]backupCell, arenaBlock)
-		tx.cellN = 0
+	sc := tx.sc
+	if sc.cellN == len(sc.cellArena) {
+		sc.cellArena = make([]backupCell, arenaBlock)
+		sc.cellN = 0
 	}
-	c := &tx.cellArena[tx.cellN]
-	tx.cellN++
-	c.data, c.addr, c.by, c.gen = data, addr, tx, tx.gen
-	tx.cells = append(tx.cells, c)
+	c := &sc.cellArena[sc.cellN]
+	sc.cellN++
+	*c = backupCell{data: data, addr: addr, by: tx}
 	return c
 }
 
@@ -124,51 +130,41 @@ func (tx *Txn) validate() {
 	tm.Retry(tm.AbortRequest)
 }
 
-// finish releases per-attempt state: every installed backup cell's outcome
-// is sealed (so observers holding the cell never need this descriptor's —
-// soon to be renewed — status word again), reader-table slots are cleared,
-// SCSS read snapshots are recycled, and on commit the transaction's backup
-// buffers return to the thread-local pool (aborted transactions must leave
-// their backups in place — the next acquirer restores from them, §2.2).
-// finish runs before begin can renew the descriptor, which is what makes
-// backupCell.resolve's "generation moved on ⇒ outcome is sealed" argument
-// hold.
+// finish releases per-attempt state: reader-table slots are cleared, SCSS
+// read snapshots are recycled, on commit the transaction's backup buffers
+// return to the thread-local pool (aborted transactions must leave their
+// backups in place — the next acquirer restores from them, §2.2), and the
+// scratch goes back to the thread for its next attempt.
 func (tx *Txn) finish(committed bool) {
 	env := tx.th.Env
-	outcome := cellAborted
-	if committed {
-		outcome = cellCommitted
-	}
-	for _, c := range tx.cells {
-		c.outcome.Store(outcome)
-	}
-	for _, o := range tx.reads {
+	sc := tx.sc
+	for _, o := range sc.reads {
 		o.deregisterReader(env, tx)
 	}
 	if committed {
-		for _, o := range tx.owned {
-			if c := o.backup.Load(); c != nil && c.by == tx && c.gen == tx.gen {
+		for _, o := range sc.owned {
+			if c := o.backup.Load(); c != nil && c.by == tx {
 				tx.th.PutBackup(tm.Backup{Data: c.data, Addr: c.addr})
 			}
 		}
 	}
-	for _, s := range tx.snaps {
+	for _, s := range sc.snaps {
 		tx.th.PutBackup(s)
 	}
-	tx.userFn = nil
-	tx.reads = tx.reads[:0]
-	tx.rset = tx.rset[:0]
-	tx.owned = tx.owned[:0]
-	tx.cells = tx.cells[:0]
-	tx.snaps = tx.snaps[:0]
+	sc.tx, sc.fn = nil, nil
+	sc.reads = sc.reads[:0]
+	sc.rset = sc.rset[:0]
+	sc.owned = sc.owned[:0]
+	sc.snaps = sc.snaps[:0]
+	tx.th.SetScratch(tx.sys, sc)
 }
 
 // logicalData returns the object's current logical value given that no
 // active writer owns it: if the installed backup cell belongs to an aborted
-// attempt, its lazy restoration is still pending and the backup is the
+// transaction, its lazy restoration is still pending and the backup is the
 // truth (§2.2); otherwise the in-place data is.
 func (o *Object) logicalData(env tm.Env) (tm.Data, machine.Addr) {
-	if c := o.loadBackup(env); c != nil && c.resolve() == cellAborted {
+	if c := o.loadBackup(env); c != nil && c.by.status.State() == tm.Aborted {
 		return c.data, c.addr
 	}
 	return o.data, o.dataAddr
@@ -182,16 +178,16 @@ func (tx *Txn) Release(obj tm.Object) {
 	o := obj.(*Object)
 	env := tx.th.Env
 	if tx.sys.cfg.Readers == InvisibleReaders {
-		kept := tx.rset[:0]
-		for _, e := range tx.rset {
+		kept := tx.sc.rset[:0]
+		for _, e := range tx.sc.rset {
 			if e.o != o {
 				kept = append(kept, e)
 			}
 		}
-		tx.rset = kept
+		tx.sc.rset = kept
 		return
 	}
-	// Keep tx.reads as-is (deregistration is idempotent at finish); clear
+	// Keep the read list as-is (deregistration is idempotent at finish); clear
 	// the visible slot now so writers stop treating us as an obstacle.
 	o.deregisterReader(env, tx)
 }
@@ -223,29 +219,28 @@ func (tx *Txn) Read(obj tm.Object) tm.Data {
 		if or != nil {
 			w = or.txn
 		}
-		if w == tx && or.gen == tx.gen {
-			// We own it for writing *in this attempt*: our in-place working
-			// data is current. (A stale owner word from one of this pooled
-			// descriptor's previous attempts fails the generation check and
-			// takes the dead-owner path below, which lazily restores.)
+		if w == tx {
+			// We own it for writing: our in-place working data is current.
 			env.Access(o.dataAddr, o.words, false)
 			return tx.maybeSnapshot(o, o.data)
 		}
 		if w != nil {
 			env.Access(w.addr, 1, false)
-			if w.status.ActiveFor(or.gen) {
-				tx.resolveConflict(o, or, w, or.gen, false)
+			if w.status.State() == tm.Active {
+				tx.resolveConflict(o, or, w, false)
 				continue
 			}
 		}
 		// No active writer. Register visibly, then re-confirm the owner
 		// word: a writer that acquired between our check and registration
 		// would have missed us in its reader scan; symmetrically, writers
-		// re-scan the reader table after claiming ownership.
+		// re-scan the reader table after claiming ownership. A failed
+		// re-check keeps the registration: the slot is one per thread, not
+		// one per read, and may stand for an earlier read of this object in
+		// this attempt that a writer must still resolve (finish clears it).
 		o.registerReader(env, tx)
-		tx.reads = append(tx.reads, o)
+		tx.sc.reads = append(tx.sc.reads, o)
 		if o.ownerWord(env) != or {
-			o.deregisterReader(env, tx)
 			continue
 		}
 		tx.validate()
@@ -277,7 +272,7 @@ func (tx *Txn) maybeSnapshot(o *Object, d tm.Data) tm.Data {
 	}
 	b := tx.th.GetBackup(d, nil)
 	o.scssMu.Unlock()
-	tx.snaps = append(tx.snaps, b)
+	tx.sc.snaps = append(tx.sc.snaps, b)
 	return b.Data
 }
 
@@ -304,7 +299,7 @@ func (tx *Txn) Update(obj tm.Object, fn func(tm.Data)) {
 		if or != nil {
 			w = or.txn
 		}
-		if w == tx && or.gen == tx.gen {
+		if w == tx {
 			tx.applyStore(o, o.data, o.dataAddr, fn)
 			return
 		}
@@ -379,8 +374,8 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	// Resolve the writer conflict, if any (§2.2).
 	if w != nil {
 		env.Access(w.addr, 1, false)
-		if w.status.ActiveFor(or.gen) {
-			tx.resolveConflict(o, or, w, or.gen, false)
+		if w.status.State() == tm.Active {
+			tx.resolveConflict(o, or, w, false)
 			return false // re-examine whatever state resolution left behind
 		}
 	}
@@ -392,7 +387,7 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	}
 	tx.refreshRead(o, preVer)
 	tx.BumpPriority() // Karma: priority ∝ objects acquired (§4.3)
-	tx.owned = append(tx.owned, o)
+	tx.sc.owned = append(tx.sc.owned, o)
 	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceAcquire, o.base, 0)
 	tx.th.Trace(trace.KindAcquire, o.base, 0, 0)
 
@@ -400,11 +395,11 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	// registering concurrently re-checks the owner word and will see us)
 	// and before we touch the data in place.
 	for {
-		r, rgen, found := o.firstActiveReader(env, tx)
-		if !found {
+		r := o.firstActiveReader(env, tx)
+		if r == nil {
 			break
 		}
-		if !tx.resolveConflict(o, o.owner.Load(), r, rgen, true) {
+		if !tx.resolveConflict(o, o.owner.Load(), r, true) {
 			// The object was inflated out from under us (we inflated past
 			// an unresponsive reader). Re-examine.
 			return false
@@ -415,7 +410,7 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	// (§2.2). The cell may belong to an owner before w if w itself aborted
 	// during its acquisition (footnote 1).
 	prev := o.loadBackup(env)
-	if prev != nil && prev.resolve() == cellAborted {
+	if prev != nil && prev.by.status.State() == tm.Aborted {
 		env.Access(prev.addr, o.words, false)
 		env.Access(o.dataAddr, o.words, true)
 		env.Copy(o.words)
@@ -446,17 +441,13 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 }
 
 // resolveConflict handles a conflict between tx and the active enemy over
-// object o, whose owner word was observed as or. enemyGen is the enemy's
-// attempt generation at observation time: with pooled descriptors the enemy
-// pointer alone does not name an attempt, so every status check and abort
-// request here is scoped to that generation — a stale pointer can never doom
-// the enemy descriptor's *next* attempt. enemyIsReader records whether the
-// enemy holds o as a visible reader (otherwise it is the owner). It returns
-// true when the enemy is no longer an obstacle (acknowledged, finished, or
-// deregistered) and false when the object's owner word changed — including
-// when we inflated it — so the caller must re-examine. It unwinds tx when
-// the manager decides AbortSelf.
-func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uint64, enemyIsReader bool) bool {
+// object o, whose owner word was observed as or. enemyIsReader records
+// whether the enemy holds o as a visible reader (otherwise it is the owner).
+// It returns true when the enemy is no longer an obstacle (acknowledged,
+// finished, or deregistered) and false when the object's owner word changed
+// — including when we inflated it — so the caller must re-examine. It
+// unwinds tx when the manager decides AbortSelf.
+func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyIsReader bool) bool {
 	env := tx.th.Env
 	mgr := tx.sys.cfg.Manager
 	start := env.Now()
@@ -482,7 +473,7 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uin
 			return false
 		}
 		env.Access(enemy.addr, 1, false)
-		if !enemy.status.ActiveFor(enemyGen) {
+		if enemy.status.State() != tm.Active {
 			return true
 		}
 
@@ -506,7 +497,7 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uin
 				// AbortNowPlease, then confirm that we have not been asked
 				// to abort ourselves before waiting for the ack.
 				env.CAS(enemy.addr)
-				if enemy.status.RequestAbortFor(enemyGen) != tm.Active {
+				if enemy.status.RequestAbort() != tm.Active {
 					return true
 				}
 				tx.sys.stats.AbortRequests.Add(1)
@@ -536,10 +527,8 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uin
 			// acknowledgement (§2.3.2).
 			env.Work(tx.sys.cfg.SCSSStoreCost)
 			o.scssMu.Lock()
-			o.scssMu.Unlock() //nolint:staticcheck // memory barrier, not a critical section
-			// Gen-scoped: if the enemy's attempt already ended (in either
-			// direction) it is equally no longer an obstacle.
-			enemy.status.AcknowledgeFor(enemyGen) // now indistinguishable from acked
+			o.scssMu.Unlock()          //nolint:staticcheck // memory barrier, not a critical section
+			enemy.status.Acknowledge() // now indistinguishable from acked
 			return true
 		default: // NZ
 			if waited < tx.sys.cfg.AckPatience {
@@ -548,8 +537,8 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyGen uin
 			}
 			// Unresponsive enemy: make progress nonblocking by inflating
 			// the object (§2.3.1).
-			tx.inflate(o, enemy, enemyGen)
-			if enemyIsReader && or.loc == nil && or.txn == tx && or.gen == tx.gen && o.owner.Load() == or {
+			tx.inflate(o, enemy)
+			if enemyIsReader && or.txn == tx && o.owner.Load() == or {
 				// inflate backed out: the reader acknowledged after all and
 				// the owner word is still our own plain reference. We hold
 				// the object half acquired — readers unscanned, no backup —

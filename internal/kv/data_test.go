@@ -266,18 +266,18 @@ func TestAbortRestoresFullBucket(t *testing.T) {
 }
 
 // What one committed request through Store.Do may allocate on nzstm,
-// whatever the bucket's occupancy. Three objects are fixed per request: the
-// results slice, the transaction closure and the state it writes (attempt
-// counter, the PUT being applied). A request with PUTs adds one update
-// closure, however many PUTs it has, and for each PUT the copy of the new
-// value; a backup is a pooled header copy and allocates nothing, where a
-// copy of the bucket's values would cost one more per key. A GET adds
-// nothing: its result is the stored slice. So the benchmark's 8 GET + 8 PUT
-// batch costs 3 + 1 + 8.
+// whatever the bucket's occupancy. Four objects are fixed per request: the
+// results slice, the transaction closure, the state it writes (attempt
+// counter, the PUT being applied) and the attempt's transaction descriptor.
+// A request with PUTs adds one update closure, however many PUTs it has, and
+// for each PUT the copy of the new value; a backup is a pooled header copy
+// and allocates nothing, where a copy of the bucket's values would cost one
+// more per key. A GET adds nothing: its result is the stored slice. So the
+// benchmark's 8 GET + 8 PUT batch costs 4 + 1 + 8.
 const (
-	putAllocBudget   = 5
-	getAllocBudget   = 3
-	batchAllocBudget = 12
+	putAllocBudget   = 6
+	getAllocBudget   = 4
+	batchAllocBudget = 13
 )
 
 // TestBucketUpdateAllocs is the serving path's allocation gate (run by
@@ -298,7 +298,7 @@ func TestBucketUpdateAllocs(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 200; i++ { // warm the descriptor and backup pools
+	for i := 0; i < 200; i++ { // warm the scratch and backup pools
 		run(put)()
 	}
 	if avg := testing.AllocsPerRun(500, run(put)); avg > putAllocBudget+0.5 {

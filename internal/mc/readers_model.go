@@ -8,7 +8,9 @@ import "fmt"
 //
 // A reader registers in the object's reader table, re-confirms the owner
 // word, records the logical value it observed, and deregisters at the end
-// of its transaction. A writer must drive every registered active reader to
+// of its transaction — never earlier: a registration is one bit per
+// (transaction, object), not one per read, so a failed re-check keeps the
+// bit an earlier read of the same object set. A writer must drive every registered active reader to
 // an acknowledged abort before mutating data in place (or, in the NZ
 // variant, inflate past an unresponsive one). The checked invariant is the
 // read-sharing safety property this protocol exists for: a transaction that
@@ -239,8 +241,7 @@ func rwEnabled(s *rwState, tid int) []Action {
 		return []Action{rwAct("r-recheck", func(s *rwState) {
 			o := &s.Objs[oi]
 			if o.Owner != obs || o.Inflated != obsInfl {
-				s.Readers[oi] &^= 1 << uint(s.me(tid))
-				s.Thr[tid].PC = pcObserve // a writer slipped in
+				s.Thr[tid].PC = pcObserve // a writer slipped in; stay registered
 				return
 			}
 			s.Thr[tid].PC = pcRRead
@@ -590,15 +591,13 @@ func rwInvariant(s *rwState) error {
 			return fmt.Errorf("txn %d committed with AbortNowPlease set", i)
 		}
 	}
-	// Read-sharing safety: a committed transaction's recorded reads must
-	// equal the logical value at (and since) its commit. We check it in
-	// every state: once a txn is committed, any object it read while
-	// registered must not have changed logical value without the registered
-	// reader having been... — for committed transactions the registration
-	// is released, so we check at the moment of commit via the terminal
-	// sweep below, and continuously for ACTIVE readers: an active,
-	// registered, un-doomed reader's recorded value must still be the
-	// logical value.
+	// Read-sharing safety, checked continuously: every object an active,
+	// un-doomed transaction has read must still hold the value it saw — a
+	// writer may change it only after dooming the reader, so the reader can
+	// never commit a stale view. The check keys on what the transaction
+	// read, not on whether it is still registered: a reader that lost its
+	// registration while still active is exactly what a writer's reader
+	// scan cannot see.
 	for tid := range s.Thr {
 		me := s.me(tid)
 		tx := &s.Txns[me]
@@ -606,12 +605,9 @@ func rwInvariant(s *rwState) error {
 			continue
 		}
 		for oi := 0; oi < s.cfg.Objects; oi++ {
-			if s.Readers[oi]&(1<<uint(me)) == 0 {
-				continue
-			}
 			seen := s.Seen[int(me)*s.cfg.Objects+oi]
 			if seen == 0 {
-				continue // registered but not yet read
+				continue // not read
 			}
 			if s.logical(oi) != seen-1 {
 				return fmt.Errorf("active un-doomed reader txn %d saw object %d as %d but logical value is now %d",

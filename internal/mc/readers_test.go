@@ -55,6 +55,61 @@ func TestRWMixedScriptsTwoObjects(t *testing.T) {
 	t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 }
 
+// deregisterOnRecheck is the model before the repeat-read fix: a failed
+// r-recheck also cleared the reader's registration, even when that bit stood
+// for an earlier, successful read of the same object.
+func deregisterOnRecheck(m Model) Model {
+	enabled := m.Enabled
+	m.Enabled = func(st State, tid int) []Action {
+		acts := enabled(st, tid)
+		for i, a := range acts {
+			if a.Name != "r-recheck" {
+				continue
+			}
+			next := a.Next
+			acts[i].Next = func(st State) State {
+				s := next(st).(*rwState)
+				if s.Thr[tid].PC == pcObserve {
+					s.Readers[s.op(tid).Obj] &^= 1 << uint(s.me(tid))
+				}
+				return s
+			}
+		}
+		return acts
+	}
+	return m
+}
+
+// A transaction that reads the same object twice, with a writer acquiring
+// it between the second read's owner load and its re-check: the re-check
+// fails, and the registration from the first read must survive it, or the
+// writer's reader scan finds nobody and changes the value under a reader
+// that can still commit. Checked with and without inflation; the model that
+// deregistered on a failed re-check must be caught.
+func TestRWRepeatedRead(t *testing.T) {
+	for name, v := range map[string]Variant{"BZ": VariantBZ, "NZ": VariantNZ} {
+		t.Run(name, func(t *testing.T) {
+			cfg := RWConfig{
+				Variant: v,
+				Scripts: [][]Op{{R(0), R(0)}, {W(0)}},
+				Objects: 1,
+				Retries: 1,
+			}
+			res := Check(RWModel(cfg), Options{})
+			if res.Err != nil {
+				t.Fatalf("violated: %v\ntrace: %v", res.Err, res.Trace)
+			}
+			t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
+
+			res = Check(deregisterOnRecheck(RWModel(cfg)), Options{})
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "saw object") {
+				t.Fatalf("checker missed the deregister-on-recheck bug: %v", res.Err)
+			}
+			t.Logf("old r-recheck caught (%d steps): %v", len(res.Trace), res.Trace)
+		})
+	}
+}
+
 // The blocking variant with read sharing must also be safe (it just waits).
 func TestRWBlockingVariant(t *testing.T) {
 	res := Check(RWModel(RWConfig{

@@ -19,9 +19,9 @@ import (
 // the results it hands to the caller; the server the one string the
 // request's keys are substrings of; kv its results, transaction closure and
 // state, plus for PUTs one update closure and a copy of each value
-// (internal/kv's TestBucketUpdateAllocs). That is 8 objects for the single
-// PUT and 15 for the batch, and two more are allowed for a runtime timer or
-// a frame read in two pieces.
+// (internal/kv's TestBucketUpdateAllocs); the TM one descriptor per attempt.
+// That is 9 objects for the single PUT and 16 for the batch, and one more is
+// allowed for a runtime timer or a frame read in two pieces.
 //
 // Writes: a caller with the connection to itself pays exactly one Write at
 // each end; callers that overlap share them, at most sharedWritesPerReq at

@@ -177,78 +177,3 @@ func TestRegistryTryNewThread(t *testing.T) {
 		t.Fatal("TryNewThread failed after Close freed the slot")
 	}
 }
-
-// --- gen-qualified StatusWord protocol ---
-
-func TestStatusWordRenew(t *testing.T) {
-	var s StatusWord
-	if s.Renew() {
-		t.Fatal("Renew succeeded on an Active word")
-	}
-	if !s.TryCommit() {
-		t.Fatal("TryCommit failed on a fresh word")
-	}
-	gen := s.Gen()
-	if !s.Renew() {
-		t.Fatal("Renew failed on a Committed word")
-	}
-	if st, anp, g := s.LoadGen(); st != Active || anp || g != gen+1 {
-		t.Fatalf("after Renew: state=%v anp=%v gen=%d; want Active, false, %d", st, anp, g, gen+1)
-	}
-	// Renew also clears a pending AbortNowPlease along with the abort.
-	s.RequestAbort()
-	s.Acknowledge()
-	if !s.Renew() {
-		t.Fatal("Renew failed on an Aborted word")
-	}
-	if st, anp, _ := s.LoadGen(); st != Active || anp {
-		t.Fatalf("Renew left state=%v anp=%v", st, anp)
-	}
-}
-
-func TestStatusWordGenScopedOps(t *testing.T) {
-	var s StatusWord
-	gen := s.Gen()
-	if !s.ActiveFor(gen) || s.ActiveFor(gen+1) {
-		t.Fatal("ActiveFor must match only the current generation")
-	}
-
-	// A stale-generation abort request must not doom the current attempt.
-	s.Acknowledge()
-	s.Renew() // now at gen+1, Active
-	if st := s.RequestAbortFor(gen); st != Aborted {
-		t.Fatalf("RequestAbortFor(stale) = %v, want Aborted", st)
-	}
-	if st, anp := s.Load(); st != Active || anp {
-		t.Fatalf("stale RequestAbortFor touched the live attempt: state=%v anp=%v", st, anp)
-	}
-	cur := s.Gen()
-	if st := s.RequestAbortFor(cur); st != Active || !s.AbortRequested() {
-		t.Fatalf("RequestAbortFor(current) = %v, anp=%v", st, s.AbortRequested())
-	}
-	if s.TryCommit() {
-		t.Fatal("TryCommit succeeded with AbortNowPlease set")
-	}
-
-	// AcknowledgeFor: stale gen is settled (true); current gen aborts.
-	if !s.AcknowledgeFor(cur) || s.State() != Aborted {
-		t.Fatal("AcknowledgeFor(current) did not abort")
-	}
-	s.Renew()
-	cur = s.Gen()
-	if !s.AcknowledgeFor(cur - 1) {
-		t.Fatal("AcknowledgeFor(stale) = false; a finished attempt is settled")
-	}
-	if s.State() != Active {
-		t.Fatal("stale AcknowledgeFor aborted the live attempt")
-	}
-	// A committed attempt refuses acknowledgement at its own generation.
-	s.TryCommit()
-	if s.AcknowledgeFor(cur) {
-		t.Fatal("AcknowledgeFor aborted a committed attempt")
-	}
-	// TryCommit preserves the generation.
-	if s.Gen() != cur {
-		t.Fatalf("TryCommit moved the generation: %d != %d", s.Gen(), cur)
-	}
-}

@@ -25,29 +25,21 @@ func (s TxState) String() string {
 	return "Invalid"
 }
 
-// StatusWord layout: the two state bits and the AbortNowPlease flag from the
-// paper's Figure 1, plus an attempt generation in the remaining high bits.
+// StatusWord layout: the two state bits and the AbortNowPlease flag of the
+// paper's Figure 1.
 const (
 	stateMask = 0b11
 	anpBit    = 1 << 2 // AbortNowPlease flag, packed with the state
-	genShift  = 3
 )
 
 // StatusWord packs a transaction's {Active, Committed, Aborted} state with
 // its AbortNowPlease flag in one word so both can be inspected and updated
 // with a single Compare&Swap, exactly as the paper's Transaction descriptor
-// does (§2.1, Figure 1) — extended with an attempt *generation* in the high
-// bits. The paper allocates a fresh descriptor per attempt (§3), which makes
-// every stale descriptor pointer left in an owner word or reader slot refer
-// to a permanently-terminal attempt. This repository reuses descriptors
-// (per-thread pooling, see internal/core), so the generation takes over that
-// role: an observer that captured (descriptor, generation) can later ask
-// "did *that* attempt commit/abort?" and "is *that* attempt still active?"
-// without being fooled by the descriptor's next tenant. Renew starts a new
-// attempt by bumping the generation in the same word, so every gen-qualified
-// CAS on the old attempt fails from that point on. See DESIGN.md §10.
+// does (§2.1, Figure 1). Each attempt gets a fresh descriptor (§3), so once
+// the state is terminal it stays terminal: a stale pointer to the descriptor
+// always denotes that one finished attempt.
 type StatusWord struct {
-	w atomic.Uint64
+	w atomic.Uint32
 }
 
 // Load returns the current state and AbortNowPlease flag.
@@ -55,16 +47,6 @@ func (s *StatusWord) Load() (TxState, bool) {
 	v := s.w.Load()
 	return TxState(v & stateMask), v&anpBit != 0
 }
-
-// LoadGen returns the current state, AbortNowPlease flag, and attempt
-// generation in one atomic read.
-func (s *StatusWord) LoadGen() (TxState, bool, uint64) {
-	v := s.w.Load()
-	return TxState(v & stateMask), v&anpBit != 0, v >> genShift
-}
-
-// Gen returns the current attempt generation.
-func (s *StatusWord) Gen() uint64 { return s.w.Load() >> genShift }
 
 // State returns just the lifecycle state.
 func (s *StatusWord) State() TxState {
@@ -76,14 +58,6 @@ func (s *StatusWord) State() TxState {
 func (s *StatusWord) AbortRequested() bool {
 	_, anp := s.Load()
 	return anp
-}
-
-// ActiveFor reports whether attempt gen is still the current attempt and
-// still Active (a set AbortNowPlease flag that has not been acknowledged
-// still counts as active, as in the paper's wait loops).
-func (s *StatusWord) ActiveFor(gen uint64) bool {
-	v := s.w.Load()
-	return v>>genShift == gen && TxState(v&stateMask) == Active
 }
 
 // RequestAbort atomically sets AbortNowPlease if the transaction is still
@@ -102,42 +76,11 @@ func (s *StatusWord) RequestAbort() TxState {
 	}
 }
 
-// RequestAbortFor is RequestAbort scoped to one attempt: it sets
-// AbortNowPlease only while gen is still the current generation, so a stale
-// descriptor pointer can never doom the descriptor's *next* attempt. When
-// the generation has moved on it returns Aborted — not necessarily that
-// attempt's true outcome, but callers only use the return value as "no
-// longer an obstacle", which a finished attempt always is (its effects are
-// settled; owner words and backup cells tell the rest of the story).
-func (s *StatusWord) RequestAbortFor(gen uint64) TxState {
-	for {
-		v := s.w.Load()
-		if v>>genShift != gen {
-			return Aborted
-		}
-		st := TxState(v & stateMask)
-		if st != Active || v&anpBit != 0 {
-			return st
-		}
-		if s.w.CompareAndSwap(v, v|anpBit) {
-			return Active
-		}
-	}
-}
-
 // TryCommit atomically moves Active→Committed, failing if AbortNowPlease has
-// been set or the transaction is no longer active. The generation bits ride
-// along unchanged: commit never starts a new attempt.
+// been set or the transaction is no longer active: the only word it can
+// commit from is a clean Active one.
 func (s *StatusWord) TryCommit() bool {
-	for {
-		v := s.w.Load()
-		if TxState(v&stateMask) != Active || v&anpBit != 0 {
-			return false
-		}
-		if s.w.CompareAndSwap(v, v&^uint64(stateMask)|uint64(Committed)) {
-			return true
-		}
-	}
+	return s.w.CompareAndSwap(uint32(Active), uint32(Committed))
 }
 
 // ForceAbort atomically aborts the transaction unless it has already
@@ -159,48 +102,7 @@ func (s *StatusWord) Acknowledge() bool {
 		case Aborted:
 			return true
 		}
-		if s.w.CompareAndSwap(v, v&^uint64(stateMask|anpBit)|uint64(Aborted)) {
-			return true
-		}
-	}
-}
-
-// AcknowledgeFor is Acknowledge scoped to one attempt, for protocols that
-// acknowledge on a *foreign* descriptor (the SCSS steal barrier, §2.3.2): it
-// only aborts while gen is the current generation. A generation that has
-// moved on means the attempt already finished, which is at least as settled
-// as an acknowledgement, so it reports true.
-func (s *StatusWord) AcknowledgeFor(gen uint64) bool {
-	for {
-		v := s.w.Load()
-		if v>>genShift != gen {
-			return true
-		}
-		switch TxState(v & stateMask) {
-		case Committed:
-			return false
-		case Aborted:
-			return true
-		}
-		if s.w.CompareAndSwap(v, v&^uint64(stateMask|anpBit)|uint64(Aborted)) {
-			return true
-		}
-	}
-}
-
-// Renew starts a new attempt on a terminal (Committed or Aborted) status
-// word: the generation is bumped and the state returns to Active with a
-// clear AbortNowPlease flag, in one CAS. It fails (and changes nothing) if
-// the word is still Active — a descriptor whose previous attempt never
-// finished (e.g. a user panic unwound through Atomic) must not be reused.
-// Only the descriptor's owning thread may call Renew.
-func (s *StatusWord) Renew() bool {
-	for {
-		v := s.w.Load()
-		if TxState(v&stateMask) == Active {
-			return false
-		}
-		if s.w.CompareAndSwap(v, (v>>genShift+1)<<genShift) {
+		if s.w.CompareAndSwap(v, uint32(Aborted)) {
 			return true
 		}
 	}

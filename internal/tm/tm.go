@@ -188,12 +188,13 @@ type Thread struct {
 	// site, preserving the allocation-free hot path.
 	rec *trace.Recorder
 
-	// Single-slot descriptor cache, keyed by the system that populated it.
-	// Systems that pool transaction descriptors per thread (internal/core)
-	// park the reusable descriptor here between Atomic calls; a thread that
-	// alternates between systems just misses the cache and allocates fresh.
-	txKey any
-	txVal any
+	// Single-slot scratch cache, keyed by the system that populated it.
+	// Systems with thread-private working memory (internal/core's read and
+	// write sets and bump arenas) park it here between Atomic calls; a thread
+	// that alternates between systems just misses the cache and allocates
+	// fresh.
+	scratchKey any
+	scratchVal any
 }
 
 // NewThread creates a thread context bound to env.
@@ -201,18 +202,18 @@ func NewThread(id int, env Env) *Thread {
 	return &Thread{ID: id, Env: env}
 }
 
-// CachedTx returns the descriptor cached under key, or nil.
-func (t *Thread) CachedTx(key any) any {
-	if t.txKey == key {
-		return t.txVal
+// Scratch returns the working memory cached under key, or nil.
+func (t *Thread) Scratch(key any) any {
+	if t.scratchKey == key {
+		return t.scratchVal
 	}
 	return nil
 }
 
-// SetCachedTx caches a reusable transaction descriptor under key (a nil
-// value evicts). Threads are single-owner, so no synchronisation is needed.
-func (t *Thread) SetCachedTx(key, val any) {
-	t.txKey, t.txVal = key, val
+// SetScratch caches thread-private working memory under key (a nil value
+// evicts). Threads are single-owner, so no synchronisation is needed.
+func (t *Thread) SetScratch(key, val any) {
+	t.scratchKey, t.scratchVal = key, val
 }
 
 // SetRecorder attaches (or, with nil, detaches) the thread's flight-recorder

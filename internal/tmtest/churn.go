@@ -12,8 +12,8 @@ import (
 // again, so every slot ID is recycled through many tenants while other
 // tenants are mid-transaction. This is the dynamic-thread contract the
 // static Config.Threads world never exercised — a recycled slot inherits
-// its predecessor's reader-table entries, pooled descriptors, and owner
-// words, and the generation protocol must keep those from cross-talking.
+// its predecessor's reader-table entries and owner words, and those must
+// not cross-talk with the new tenant.
 // Run it under -race: the suite deliberately overcommits goroutines beyond
 // the slot capacity so Acquire blocking and slot handoff stay hot.
 //

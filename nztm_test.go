@@ -203,11 +203,11 @@ func TestFacadeAudit(t *testing.T) {
 
 // TestAtomicRealModeAllocFree is the allocation-regression gate for the
 // transaction hot path (run by `make check`): an uncontended read-write
-// transaction on NZSTM in real mode must not allocate. Pooled descriptors,
-// the backup pool, and the per-descriptor bump arenas make the steady state
-// alloc-free; arena refills (one slice per 64 entries) amortise to well
-// under one allocation per transaction, hence the < 0.5 threshold rather
-// than an exact zero.
+// transaction on NZSTM in real mode makes one allocation per attempt: the
+// descriptor. The per-thread scratch, the backup pool and the bump arenas
+// cover everything else; arena refills (one slice per 64 entries) amortise
+// to well under one allocation per transaction, hence the < 1.5 threshold
+// rather than an exact one.
 func TestAtomicRealModeAllocFree(t *testing.T) {
 	// gate measures one configuration's steady-state hot path. The
 	// transaction function and update callback are hoisted out of the loop,
@@ -234,8 +234,8 @@ func TestAtomicRealModeAllocFree(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			run()
 		}
-		if avg := testing.AllocsPerRun(500, run); avg >= 0.5 {
-			t.Errorf("uncontended read-write transaction allocates %.2f allocs/op; want ~0", avg)
+		if avg := testing.AllocsPerRun(500, run); avg >= 1.5 {
+			t.Errorf("uncontended read-write transaction allocates %.2f allocs/op; want ~1 (the descriptor)", avg)
 		}
 	}
 	t.Run("nzstm", func(t *testing.T) {
@@ -261,11 +261,11 @@ func TestAtomicRealModeAllocFree(t *testing.T) {
 }
 
 // TestTracingAllocGuard is the observability-plane allocation gate (run by
-// `make check`): with no flight recorder bound, the hot path must stay
-// allocation-free exactly as TestAtomicRealModeAllocFree demands; with
-// tracing enabled, recording into the preallocated per-thread ring may cost
-// at most 2 allocs/op (in practice 0 — events are atomic stores into a
-// fixed ring).
+// `make check`): with no flight recorder bound, the hot path makes one
+// allocation per attempt: the descriptor, exactly as
+// TestAtomicRealModeAllocFree demands; with tracing enabled, recording into
+// the preallocated per-thread ring may cost at most 2 allocs/op (in practice
+// it adds none — events are atomic stores into a fixed ring).
 func TestTracingAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -273,9 +273,9 @@ func TestTracingAllocGuard(t *testing.T) {
 		adaptive bool
 		limit    float64
 	}{
-		{"disabled", false, false, 0.5},
+		{"disabled", false, false, 1.5},
 		{"enabled", true, false, 2.0},
-		{"disabled-adaptive", false, true, 0.5},
+		{"disabled-adaptive", false, true, 1.5},
 		{"enabled-adaptive", true, true, 2.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
