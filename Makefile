@@ -6,9 +6,10 @@
 #                   and allocation gate + the server request-path benchmark
 #                   smoke and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
-#                   metrics, histcheck, wal; kv and server hold the value
-#                   aliasing tests) + a tracing-enabled race pass +
-#                   TestGenomePhases ×1000 (the repeat-read reproducer) +
+#                   metrics, histcheck, wal, repl, adaptive, bench; kv and
+#                   server hold the value aliasing tests) + a tracing-enabled
+#                   race pass + TestGenomePhases ×1000 (the repeat-read
+#                   reproducer) + the contended serving workload +
 #                   protocol and WAL fuzzers + a short fault-injected soak +
 #                   the crash-recovery soak + the storage-fault soak +
 #                   the failover/partition soak + the serving benchmark
@@ -19,6 +20,10 @@
 #                   into one shared set; a reader whose repeated Read lost its
 #                   registration let a writer slip past it and the set ended
 #                   with a duplicate (ROADMAP item 1). 0 failures required
+#   make contended  the benchmark's ungated mem-batch-contended workload for
+#                   5 s: NZSTM under real conflicts, aborts and inflations,
+#                   every GET and the final state checked; any failed check
+#                   exits non-zero
 #   make item1      the item-1 flake ledger (not part of check): builds the
 #                   test binaries once and prints failures per test at fixed
 #                   counts — TestBankInvariantUnderInflation ×3000,
@@ -104,7 +109,7 @@ GO ?= go
 RACE_PKGS = ./internal/tm ./internal/core ./internal/kv ./internal/server \
             ./internal/fault ./internal/histcheck ./internal/trace \
             ./internal/metrics ./internal/wal ./internal/repl \
-            ./internal/adaptive
+            ./internal/adaptive ./internal/bench
 
 FUZZ_TIME ?= 10s
 SOAK_FLAGS ?= -seed 1 -duration 5s
@@ -124,9 +129,9 @@ PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
 ITEM1_DIR ?= .item1
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome item1 fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
 
-check: build vet test bench-kv-data bench-server race race-tracing genome fuzz soak crash diskfault failover bench-kv
+check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover bench-kv
 
 build:
 	$(GO) build ./...
@@ -148,6 +153,9 @@ race-tracing:
 
 genome:
 	$(GO) test -count=1000 -run '^TestGenomePhases$$' ./internal/stamp
+
+contended:
+	$(GO) run -buildvcs=false ./benchmark --workload mem-batch-contended --seconds 5
 
 # Each line: <package>:<test>:<count>. A run that panics stops its binary
 # early, so the ledger prints the panic beside the count it reached.

@@ -10,8 +10,8 @@ import (
 // conflicts with software transactions, reading the logical value (the
 // backup when the last software owner aborted), and publishing a hardware
 // commit that restores the object to its pristine in-place state — data
-// current, Owner NULL, no pending backup — "to make what we believe to be
-// the common case fast".
+// current, Owner NULL, and with it no pending backup — "to make what we
+// believe to be the common case fast".
 
 // HWView is what a hardware transaction learns from inspecting an object.
 type HWView struct {
@@ -57,7 +57,7 @@ func (o *Object) HWInspect(env tm.Env) HWView {
 		v.NeedsCleanup = true
 	}
 	v.OK = true
-	v.Logical, v.LogicalAddr = o.logicalData(env)
+	v.Logical, v.LogicalAddr = o.logicalData(env, or)
 	return v
 }
 
@@ -69,11 +69,12 @@ func (o *Object) HWActiveReaders(env tm.Env) bool {
 }
 
 // HWPublish applies a hardware transaction's committed write to the object:
-// the buffered data is copied in place, the Owner field is cleared, and any
-// pending backup is discarded. It must be called from inside the hardware
-// commit (no Env calls happen here — the caller charges costs beforehand)
-// and only if the transaction was not doomed, which guarantees no software
-// transaction has acquired the object since HWInspect.
+// the buffered data is copied in place and the Owner field is cleared,
+// which discards any pending backup it carried. It must be called from
+// inside the hardware commit (no Env calls happen here — the caller charges
+// costs beforehand) and only if the transaction was not doomed, which
+// guarantees no software transaction has acquired the object since
+// HWInspect.
 func (o *Object) HWPublish(v HWView, buf tm.Data) bool {
 	if !o.owner.CompareAndSwap(v.or, nil) {
 		return false
@@ -82,7 +83,6 @@ func (o *Object) HWPublish(v HWView, buf tm.Data) bool {
 	if h := o.sys.cfg.OnOwnerChange; h != nil {
 		h(o)
 	}
-	o.backup.Store(nil)
 	o.data.CopyFrom(buf)
 	return true
 }

@@ -35,21 +35,6 @@ type Locator struct {
 	dirty bool // owner has mutated newData (blocks adoption as a backup)
 }
 
-// inflationSource returns the value (and its simulated address) that the
-// new Locator's old-data field should adopt: the pending backup when one
-// belongs to a non-committed transaction — either the unresponsive owner's
-// own backup, or a still-unrestored backup of an earlier aborted owner
-// (§2.3.1, including footnote 1) — otherwise the in-place data.
-func (o *Object) inflationSource(env tm.Env) (tm.Data, machine.Addr, bool) {
-	if c := o.loadBackup(env); c != nil {
-		env.Access(c.by.addr, 1, false)
-		if c.by.status.State() != tm.Committed {
-			return c.data, c.addr, true // adopt the backup buffer itself
-		}
-	}
-	return o.data, o.dataAddr, false
-}
-
 // inflate displaces o's data into a fresh Locator after the enemy
 // transaction failed to acknowledge an abort request in time. The enemy is
 // either the unresponsive owner (the owner word points to it) or an
@@ -68,19 +53,30 @@ func (tx *Txn) inflate(o *Object, enemy *Txn) {
 			return // someone else resolved the situation; re-examine
 		}
 
-		src, srcAddr, adopted := o.inflationSource(env)
 		var old tm.Data
 		var oldAddr machine.Addr
-		if adopted {
-			// The paper points the locator's old-data field directly at
-			// the unresponsive transaction's backup copy.
-			old, oldAddr = src, srcAddr
+		if o.backupReady(env, or) {
+			// The owner can no longer commit — its AbortNowPlease flag is
+			// set, or it is tx — so its backup is the logical value: the
+			// paper points the Locator's old-data field straight at it.
+			old, oldAddr = or.bak, or.bakAddr
 		} else {
-			oldAddr = env.Alloc(src.Words(), false)
-			env.Access(srcAddr, o.words, false)
+			// The owner has not written in place yet, so the in-place data
+			// is the logical value. Clone it registered as a reader and
+			// re-check: an owner that marks its backup ready after the
+			// re-check scans readers before it stores, finds us, and — its
+			// own AbortNowPlease set — aborts instead. This is the only
+			// place a non-owner reads in-place data under an active owner.
+			o.registerReader(env, tx)
+			tx.sc.reads = append(tx.sc.reads, o)
+			if o.ownerWord(env) != or || o.backupReady(env, or) {
+				continue
+			}
+			oldAddr = env.Alloc(o.words, false)
+			env.Access(o.dataAddr, o.words, false)
 			env.Access(oldAddr, o.words, true)
 			env.Copy(o.words)
-			old = src.Clone()
+			old = o.data.Clone()
 		}
 		newAddr := env.Alloc(old.Words(), false)
 		env.Access(oldAddr, o.words, false)
@@ -315,8 +311,8 @@ func (tx *Txn) resolveLocatorConflict(o *Object, or *ownerRef, enemy *Txn) {
 // its normal in-place representation (§2.3.1): once the unresponsive
 // transaction has finally aborted itself — so it can no longer scribble on
 // the Data field — and no pre-inflation zombie reader is still active, the
-// object's backup is pointed at the valid data, the owner word is swung
-// from the Locator to tx, and the valid data is copied back in place.
+// owner word is swung from the Locator to tx with the valid data as its
+// backup, and the valid data is copied back in place.
 func (tx *Txn) tryDeflate(o *Object, or *ownerRef) bool {
 	env := tx.th.Env
 	loc := or.loc
@@ -344,24 +340,23 @@ func (tx *Txn) tryDeflate(o *Object, or *ownerRef) bool {
 		}
 	}
 
-	// The new-data copy is untouched (== the current logical value): take
-	// in-place ownership, adopt the copy as our backup, and restore the
-	// Data field. The paper installs the backup first (§2.3.1); we make the
-	// owner-word CAS the linearization point instead, which is equivalent
-	// here because every consumer blocks on an Active owner before looking
-	// at the backup — and it prevents a stale doomed deflator from ever
-	// touching the Backup Data field (it can no longer win this CAS).
+	// The new-data copy is untouched (== the current logical value): one
+	// CAS takes in-place ownership with that copy as our ready backup — the
+	// paper's backup-first order (§2.3.1) — then the Data field is restored.
+	// Whoever finds us aborted before the copy lands uses the backup.
+	r := tx.selfRef()
+	r.bak, r.bakAddr = loc.newData, loc.newAddr
+	r.ready.Store(true)
+	env.Access(o.base+1, 1, true)
 	preVer := o.version.Load()
-	if !o.casOwner(env, or, tx.selfRef()) {
+	if !o.casOwner(env, or, r) {
 		return false
 	}
 	tx.refreshRead(o, preVer)
-	o.setBackup(env, tx.newCell(loc.newData, loc.newAddr))
 	env.Access(loc.newAddr, o.words, false)
 	env.Access(o.dataAddr, o.words, true)
 	env.Copy(o.words)
 	tx.guardedCopy(o, func() { o.data.CopyFrom(loc.newData) })
-	tx.sc.owned = append(tx.sc.owned, o)
 	tx.sys.stats.Deflations.Add(1)
 	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceDeflate, o.base, 0)
 	tx.th.Trace(trace.KindDeflate, o.base, 0, 0)

@@ -110,7 +110,7 @@ func (tx *Txn) readInvisible(o *Object) tm.Data {
 			}
 		}
 		v1 := o.version.Load()
-		d, daddr := o.logicalData(env)
+		d, daddr := o.logicalData(env, or)
 		env.Access(daddr, o.words, false)
 
 		// Copy the snapshot inside the burst lock, then certify it.

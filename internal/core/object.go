@@ -38,33 +38,33 @@ const headerWords = 4
 // pointers, so the tag is modelled by which field is non-nil. The simulated
 // layout still charges a single header word for it.
 //
+// A plain reference also carries its owner's backup (Figure 1's Backup
+// Data word, still charged at base+1), so claiming, restoring and deflating
+// publish through the one Owner word and no backup is ever matched to its
+// owner (§2.3.1 footnote 1). bak, at bakAddr, is the value from before
+// txn's writes. txn sets ready before it writes in place, so until then the
+// in-place data is current; after, txn's status decides (§2.2): Committed,
+// the in-place data; Aborted, bak until a successor restores it. pooled
+// marks a buffer from txn's thread-local pool; a backup adopted from an
+// aborted predecessor or a Locator is never recycled, because a stale
+// reader may still hold it.
+//
 // ownerRef values are CAS identities (casOwner compares the pointer), so
 // they must be fresh memory per install — they come from a per-thread bump
 // arena, never a free list (see scratch.newRef).
 type ownerRef struct {
 	txn *Txn     // non-nil: normal NZObject owned by this transaction
 	loc *Locator // non-nil: inflated object (the low-order-bit case)
-}
 
-// backupCell is the target of the Backup Data field: a backup copy of the
-// object data, the simulated address it lives at, and the transaction that
-// installed it. The installer's status word decides whether the backup is
-// the logical truth (§2.2): while it is Active the in-place data is its
-// working copy, once Committed the in-place data is current, and once
-// Aborted the backup is current until someone restores it. The installer is
-// also what lets a transaction inflating past an unresponsive owner tell
-// whether the backup belongs to that owner or is a leftover from a previous
-// one (§2.3.1 footnote 1).
-type backupCell struct {
-	data tm.Data
-	addr machine.Addr
-	by   *Txn
+	bak     tm.Data
+	bakAddr machine.Addr
+	ready   atomic.Bool
+	pooled  bool
 }
 
 // Object is an NZObject (Figure 1): collocated metadata plus in-place data.
 type Object struct {
-	owner  atomic.Pointer[ownerRef]
-	backup atomic.Pointer[backupCell]
+	owner atomic.Pointer[ownerRef]
 
 	// data is the in-place Data field. Its identity never changes while the
 	// object is deflated: writers mutate it in place after securing a
@@ -231,16 +231,11 @@ func (o *Object) casOwner(env tm.Env, old, new *ownerRef) bool {
 	return true
 }
 
-// loadBackup reads the Backup Data field.
-func (o *Object) loadBackup(env tm.Env) *backupCell {
+// backupReady reports whether or's owner has published its backup,
+// charging a read of the Backup Data word.
+func (o *Object) backupReady(env tm.Env, or *ownerRef) bool {
 	env.Access(o.base+1, 1, false)
-	return o.backup.Load()
-}
-
-// setBackup writes the Backup Data field.
-func (o *Object) setBackup(env tm.Env, c *backupCell) {
-	env.Access(o.base+1, 1, true)
-	o.backup.Store(c)
+	return or.ready.Load()
 }
 
 // registerReader announces tx in the visible-reader table, growing the table

@@ -102,46 +102,68 @@ func TestDeflationGatedOnZombieReader(t *testing.T) {
 }
 
 // Footnote 1 of the paper: a transaction may abort during acquisition,
-// after taking ownership but before installing its own backup. The pending
-// backup of the *previous* aborted owner must then be the value everyone
-// recovers.
+// after taking ownership but before it has made the object consistent. The
+// owner word it installed carries the backup, so everyone must recover the
+// value that word says: an aborted predecessor's backup the word adopted,
+// or — when the word's own backup never became ready — the in-place data,
+// which its owner has not touched.
 func TestAbortDuringAcquisitionPreservesOlderBackup(t *testing.T) {
-	s := newSys(NZ, 3)
-	th0, th1, th2 := thread(0), thread(1), thread(2)
-	obj := s.NewObject(tm.NewInts(1)).(*Object)
+	for _, c := range []struct {
+		name   string
+		commit bool  // P commits its 77 instead of aborting
+		adopt  bool  // W's word adopts P's backup (else: W's own, never ready)
+		want   int64 // the logical value after W aborts
+	}{
+		{"adopted backup of an aborted predecessor", false, true, 0},
+		{"in-place copy aborted before ready", true, false, 77},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newSys(NZ, 3)
+			th0, th1, th2 := thread(0), thread(1), thread(2)
+			obj := s.NewObject(tm.NewInts(1)).(*Object)
 
-	// P: acquires, writes 77, aborts without restoring (lazy undo).
-	p := s.begin(th0)
-	p.Update(obj, func(d tm.Data) { d.(*tm.Ints).V[0] = 77 })
-	p.status.Acknowledge()
-	p.finish(false)
+			// P: acquires and writes 77, then commits, or aborts without
+			// restoring (lazy undo).
+			p := s.begin(th0)
+			p.Update(obj, func(d tm.Data) { d.(*tm.Ints).V[0] = 77 })
+			if c.commit {
+				if !p.status.TryCommit() {
+					t.Fatal("setup commit failed")
+				}
+			} else {
+				p.status.Acknowledge()
+			}
+			p.finish(c.commit)
 
-	// W: starts acquiring — owner CAS succeeds, then W is doomed before it
-	// installs its own backup. Simulate by driving the acquire steps
-	// directly: W takes ownership, then acknowledges an abort request
-	// without ever creating its backup cell.
-	w := s.begin(th1)
-	or := obj.owner.Load()
-	if !obj.casOwner(th1.Env, or, &ownerRef{txn: w}) {
-		t.Fatal("setup CAS failed")
-	}
-	w.status.RequestAbort()
-	w.status.Acknowledge()
-	w.finish(false)
+			// W: takes ownership with the word acquireWrite would build,
+			// then acknowledges an abort request before anything else —
+			// no restore, and no copy of its own.
+			w := s.begin(th1)
+			or := obj.owner.Load()
+			r := w.claimRef(obj, or)
+			if r.ready.Load() != c.adopt {
+				t.Fatalf("claimRef adopted = %v, want %v", r.ready.Load(), c.adopt)
+			}
+			if !obj.casOwner(th1.Env, or, r) {
+				t.Fatal("setup CAS failed")
+			}
+			w.status.RequestAbort()
+			w.status.Acknowledge()
+			w.finish(false)
 
-	// The installed cell still belongs to P (aborted): readers and the next
-	// writer must see/restore P's pre-image (0), not the dirty 77.
-	if got := counterValue(t, s, th2, obj); got != 0 {
-		t.Fatalf("reader saw %d, want 0 (P's pending backup)", got)
-	}
-	if err := s.Atomic(th2, func(tx tm.Tx) error {
-		tx.Update(obj, func(d tm.Data) { d.(*tm.Ints).V[0] += 3 })
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := counterValue(t, s, th2, obj); got != 3 {
-		t.Fatalf("value %d, want 3", got)
+			if got := counterValue(t, s, th2, obj); got != c.want {
+				t.Fatalf("reader saw %d, want %d", got, c.want)
+			}
+			if err := s.Atomic(th2, func(tx tm.Tx) error {
+				tx.Update(obj, func(d tm.Data) { d.(*tm.Ints).V[0] += 3 })
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := counterValue(t, s, th2, obj); got != c.want+3 {
+				t.Fatalf("value %d, want %d", got, c.want+3)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Txn is an NZSTM transaction descriptor (Figure 1): a status word packing
 // {Active, Committed, Aborted} with the AbortNowPlease flag, plus
 // contention-manager metadata. As in the paper (§3) every attempt allocates
-// a fresh one, so a pointer to it left in an owner word, a backup cell or a
+// a fresh one, so a pointer to it left in an owner word, a Locator or a
 // reader slot denotes that one attempt forever; Go's garbage collector
 // reclaims it once nothing points to it.
 type Txn struct {
@@ -43,15 +43,13 @@ type scratch struct {
 	owned []*Object   // non-inflated objects we acquired for writing
 	snaps []tm.Backup
 
-	// Bump arenas for ownerRef and backupCell values. Both are CAS / match
-	// identities (casOwner compares ownerRef pointers; lazy restore matches
-	// cells), so each value must be fresh memory, never recycled — but they
-	// need not each be a separate heap allocation. Blocks are abandoned to
-	// the GC when exhausted; any published pointer keeps its block alive.
-	refArena  []ownerRef
-	refN      int
-	cellArena []backupCell
-	cellN     int
+	// Bump arena for ownerRef values. They are CAS identities (casOwner
+	// compares the pointers), so each must be fresh memory, never recycled
+	// — but they need not each be a separate heap allocation. Blocks are
+	// abandoned to the GC when exhausted; any published pointer keeps its
+	// block alive.
+	refArena []ownerRef
+	refN     int
 }
 
 // newScratch allocates a thread's working memory for s.
@@ -61,8 +59,8 @@ func (s *System) newScratch() *scratch {
 	return sc
 }
 
-// arenaBlock sizes the ownerRef/backupCell bump-arena blocks: one block
-// amortises to ~1/64th of an allocation per install.
+// arenaBlock sizes the ownerRef bump-arena blocks: one block amortises to
+// ~1/64th of an allocation per install.
 const arenaBlock = 64
 
 // newRef returns fresh ownerRef memory from the bump arena.
@@ -90,17 +88,18 @@ func (tx *Txn) locRef(loc *Locator) *ownerRef {
 	return r
 }
 
-// newCell builds a backup cell installed by tx.
-func (tx *Txn) newCell(data tm.Data, addr machine.Addr) *backupCell {
-	sc := tx.sc
-	if sc.cellN == len(sc.cellArena) {
-		sc.cellArena = make([]backupCell, arenaBlock)
-		sc.cellN = 0
+// claimRef builds the owner word tx installs over the plain word or. If
+// or's owner aborted after publishing its backup, that backup is still the
+// object's logical value: the new word adopts it, so one CAS publishes owner
+// and backup together. Otherwise the in-place data is the logical value,
+// and the new word's backup is not ready until acquireWrite has copied it.
+func (tx *Txn) claimRef(o *Object, or *ownerRef) *ownerRef {
+	r := tx.selfRef()
+	if or != nil && o.backupReady(tx.th.Env, or) && or.txn.status.State() == tm.Aborted {
+		r.bak, r.bakAddr = or.bak, or.bakAddr
+		r.ready.Store(true)
 	}
-	c := &sc.cellArena[sc.cellN]
-	sc.cellN++
-	*c = backupCell{data: data, addr: addr, by: tx}
-	return c
+	return r
 }
 
 // readEntry is one invisible-mode read-set record: the object and the
@@ -131,10 +130,10 @@ func (tx *Txn) validate() {
 }
 
 // finish releases per-attempt state: reader-table slots are cleared, SCSS
-// read snapshots are recycled, on commit the transaction's backup buffers
-// return to the thread-local pool (aborted transactions must leave their
-// backups in place — the next acquirer restores from them, §2.2), and the
-// scratch goes back to the thread for its next attempt.
+// read snapshots are recycled, on commit the backup buffers the transaction
+// took from the thread-local pool return to it (aborted transactions must
+// leave their backups in place — the next acquirer restores from them,
+// §2.2), and the scratch goes back to the thread for its next attempt.
 func (tx *Txn) finish(committed bool) {
 	env := tx.th.Env
 	sc := tx.sc
@@ -142,9 +141,12 @@ func (tx *Txn) finish(committed bool) {
 		o.deregisterReader(env, tx)
 	}
 	if committed {
+		// Only while the owner word still holds the reference the buffer
+		// was filled for: inflating past a reader lends the backup to a
+		// Locator, and the hybrid's HWPublish may have cleared the word.
 		for _, o := range sc.owned {
-			if c := o.backup.Load(); c != nil && c.by == tx {
-				tx.th.PutBackup(tm.Backup{Data: c.data, Addr: c.addr})
+			if or := o.owner.Load(); or != nil && or.txn == tx && or.pooled {
+				tx.th.PutBackup(tm.Backup{Data: or.bak, Addr: or.bakAddr})
 			}
 		}
 	}
@@ -160,12 +162,13 @@ func (tx *Txn) finish(committed bool) {
 }
 
 // logicalData returns the object's current logical value given that no
-// active writer owns it: if the installed backup cell belongs to an aborted
-// transaction, its lazy restoration is still pending and the backup is the
-// truth (§2.2); otherwise the in-place data is.
-func (o *Object) logicalData(env tm.Env) (tm.Data, machine.Addr) {
-	if c := o.loadBackup(env); c != nil && c.by.status.State() == tm.Aborted {
-		return c.data, c.addr
+// active writer holds the plain owner word or: if its owner aborted after
+// publishing a backup, the lazy restoration is still pending and the backup
+// is the truth (§2.2); otherwise the in-place data is.
+func (o *Object) logicalData(env tm.Env, or *ownerRef) (tm.Data, machine.Addr) {
+	env.Access(o.base+1, 1, false)
+	if or != nil && or.ready.Load() && or.txn.status.State() == tm.Aborted {
+		return or.bak, or.bakAddr
 	}
 	return o.data, o.dataAddr
 }
@@ -247,7 +250,7 @@ func (tx *Txn) Read(obj tm.Object) tm.Data {
 		if h := tx.sys.cfg.OnReadRegistered; h != nil {
 			h(o)
 		}
-		d, daddr := o.logicalData(env)
+		d, daddr := o.logicalData(env, or)
 		env.Access(daddr, o.words, false)
 		return tx.maybeSnapshot(o, d)
 	}
@@ -382,7 +385,9 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 
 	// Claim ownership.
 	preVer := o.version.Load()
-	if !o.casOwner(env, or, tx.selfRef()) {
+	r := tx.claimRef(o, or)
+	adopted := r.ready.Load()
+	if !o.casOwner(env, or, r) {
 		return false
 	}
 	tx.refreshRead(o, preVer)
@@ -390,6 +395,21 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	tx.sc.owned = append(tx.sc.owned, o)
 	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceAcquire, o.base, 0)
 	tx.th.Trace(trace.KindAcquire, o.base, 0, 0)
+
+	// With nothing adopted, back the in-place data up into a buffer from
+	// the thread-local pool (§2.2) and mark it ready before the reader scan
+	// or any store: until then the in-place data is the truth. The copy is
+	// guarded because under SCSS a stealer may already be storing in place.
+	if !adopted {
+		env.Access(o.dataAddr, o.words, false)
+		env.Access(o.base+1, 1, true)
+		var b tm.Backup
+		tx.guardedCopy(o, func() { b = tx.th.GetBackup(o.data, tx.sys.stats) })
+		env.Access(b.Addr, o.words, true)
+		env.Copy(o.words)
+		r.bak, r.bakAddr, r.pooled = b.Data, b.Addr, true
+		r.ready.Store(true)
+	}
 
 	// Now resolve visible readers. This must happen after the CAS (a reader
 	// registering concurrently re-checks the owner word and will see us)
@@ -406,34 +426,14 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 		}
 	}
 
-	// If the previous owner aborted, lazily restore the pending backup
-	// (§2.2). The cell may belong to an owner before w if w itself aborted
-	// during its acquisition (footnote 1).
-	prev := o.loadBackup(env)
-	if prev != nil && prev.by.status.State() == tm.Aborted {
-		env.Access(prev.addr, o.words, false)
+	// An adopted backup is the aborted predecessor's: lazily restore it in
+	// place (§2.2). It stays our backup, so that is the only copy.
+	if adopted {
+		env.Access(r.bakAddr, o.words, false)
 		env.Access(o.dataAddr, o.words, true)
 		env.Copy(o.words)
-		tx.guardedCopy(o, func() { o.data.CopyFrom(prev.data) })
+		tx.guardedCopy(o, func() { o.data.CopyFrom(r.bak) })
 	}
-
-	// Create our own backup from the thread-local pool (§2.2) before any
-	// modification, so an abort is always undoable. The Backup Data install
-	// happens inside the same guarded section as the copy: under SCSS a
-	// doomed transaction's late CELL install (not just a late data store)
-	// could otherwise overwrite the stealer's fresh cell and make a later
-	// lazy restore revert a committed write. (Found by the model checker's
-	// SCSS variant.) Charges are issued outside the lock — Env calls are
-	// scheduling points.
-	env.Access(o.dataAddr, o.words, false)
-	env.Access(o.base+1, 1, true)
-	var b tm.Backup
-	tx.guardedCopy(o, func() {
-		b = tx.th.GetBackup(o.data, tx.sys.stats)
-		o.backup.Store(tx.newCell(b.Data, b.Addr))
-	})
-	env.Access(b.Addr, o.words, true)
-	env.Copy(o.words)
 
 	// Final validation: if we have been asked to abort, acknowledge (§2.2).
 	tx.validate()
@@ -541,9 +541,10 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyIsReade
 			if enemyIsReader && or.txn == tx && o.owner.Load() == or {
 				// inflate backed out: the reader acknowledged after all and
 				// the owner word is still our own plain reference. We hold
-				// the object half acquired — readers unscanned, no backup —
-				// so this is not "re-examine": keep resolving, which now
-				// finds the reader gone and lets acquireWrite carry on. (An
+				// the object half acquired — readers unscanned, nothing
+				// restored — so this is not "re-examine": keep resolving,
+				// which now finds the reader gone and lets acquireWrite
+				// carry on. (An
 				// owner word that is not ours — somebody inflated past us —
 				// is for the caller to re-examine, as before.)
 				continue

@@ -145,8 +145,9 @@ func TestNZSTMTwoThreadsOneObject(t *testing.T) {
 		Objects: 1,
 		Retries: 1,
 	}), Options{Coverage: []string{
-		"observe", "request-abort", "inflate", "deflate",
-		"cas-owner", "restore", "backup", "validate-ack", "validate-ok",
+		"observe", "request-abort", "inflate-observe", "inflate-cas",
+		"deflate", "deflate-copy", "cas-owner", "restore", "backup", "ready",
+		"validate-ack", "validate-ok",
 		"write", "commit", "retry", "cm-abort-self",
 		"loc-replace", "loc-request-abort",
 	}})
@@ -181,7 +182,7 @@ func TestBZSTMModelBlocksButSafe(t *testing.T) {
 		Scripts: [][]int{{0}, {0}},
 		Objects: 1,
 		Retries: 1,
-	}), Options{Coverage: []string{"inflate"}})
+	}), Options{Coverage: []string{"inflate-observe"}})
 	if res.Err != nil {
 		t.Fatalf("BZSTM model violated: %v\ntrace: %v", res.Err, res.Trace)
 	}
@@ -251,4 +252,65 @@ func TestSCSSVariantMakesForceAbortSafe(t *testing.T) {
 	if res3.Err != nil {
 		t.Fatalf("3-thread SCSS model violated: %v\ntrace: %v", res3.Err, res3.Trace)
 	}
+}
+
+// pcBackupAfterDeflate is backupAfterDeflate's extra step.
+const pcBackupAfterDeflate int8 = 40
+
+// backupAfterDeflate is the model of the two-word design the owner word
+// replaced, at the code's step granularity: deflation's CAS published the
+// owner only, left the Backup Data word holding whatever it held before the
+// inflation, and installed the Locator's copy as the backup in a step of
+// its own before the in-place copy.
+func backupAfterDeflate(m Model) Model {
+	enabled := m.Enabled
+	m.Enabled = func(st State, tid int) []Action {
+		s := st.(*nzState)
+		if s.Thr[tid].PC == pcBackupAfterDeflate {
+			return []Action{act("deflate-backup", func(s *nzState) {
+				o := &s.Objs[s.obj(tid)]
+				o.Bak, o.Ready = s.Thr[tid].Bak, true
+				s.Thr[tid].PC = pcDeflateCopy
+			})}
+		}
+		acts := enabled(st, tid)
+		for i, a := range acts {
+			if a.Name != "deflate" {
+				continue
+			}
+			next := a.Next
+			acts[i].Next = func(st State) State {
+				o := st.(*nzState).Objs[st.(*nzState).obj(tid)]
+				s := next(st).(*nzState)
+				obj := &s.Objs[s.obj(tid)]
+				obj.Bak, obj.Ready = o.Bak, o.Ready
+				s.Thr[tid].PC = pcBackupAfterDeflate
+				return s
+			}
+		}
+		return acts
+	}
+	return m
+}
+
+// ROADMAP item 1, window (1): an inflater that steps past a deflater
+// between its owner CAS and its backup install adopts the backup of the
+// owner before the first inflation, and every commit made through Locators
+// is lost. Z owns the object and goes silent, L inflates past Z and
+// commits, D deflates, and Z's retry inflates past D. The owner word that
+// carries its backup closes the window; the two-word model must be caught.
+func TestDeflationPublishesOwnerAndBackupTogether(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large state space")
+	}
+	res := Check(backupAfterDeflate(NZModel(NZConfig{
+		Variant: VariantNZ,
+		Scripts: [][]int{{0}, {0}, {0}},
+		Objects: 1,
+		Retries: 1,
+	})), Options{MaxStates: 1 << 23})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "logical value") {
+		t.Fatalf("checker missed the two-word deflation's lost update: %v", res.Err)
+	}
+	t.Logf("two-word deflation caught (%d steps): %v", len(res.Trace), res.Trace)
 }

@@ -14,6 +14,15 @@ import (
 // acknowledgement handshake, lazy backup restoration, late writes by
 // unresponsive zombies, inflation past them, and deflation afterwards.
 //
+// The Owner word carries its owner's backup, as in internal/core: the
+// object's Bak and Ready fields belong to the plain owner word installed
+// now, and every CAS that installs a word sets them with it. Acquisition
+// either adopts an aborted predecessor's ready backup at the CAS and later
+// restores it in place, or copies the in-place data and then marks the
+// backup ready; inflation observes its source, then CASes; deflation is one
+// CAS that publishes owner and backup, followed by a separate in-place copy.
+// DESIGN.md §10.5 maps each action to the code step it models.
+//
 // Four variants are checkable:
 //
 //   - VariantNZ — full NZSTM: unresponsive enemies are inflated past.
@@ -26,8 +35,8 @@ import (
 //     to update the object data in place, because T1 may still overwrite
 //     the data").
 //   - VariantSCSS — the same direct abort made safe by pairing every store
-//     (and the backup-cell install) with a check of the writer's own
-//     status word (§2.3.2).
+//     (and the backup copy) with a check of the writer's own status word
+//     (§2.3.2).
 type Variant int
 
 // Model variants.
@@ -56,8 +65,11 @@ const (
 	pcObserve int8 = iota
 	pcDecide
 	pcTryCAS
-	pcRestore
 	pcBackup
+	pcReady
+	pcRestore
+	pcInflateCAS
+	pcDeflateCopy
 	pcValidate
 	pcWrite
 	pcCommit
@@ -69,8 +81,8 @@ type objState struct {
 	Owner      int8 // txn id; -1 = never owned
 	Inflated   bool
 	Val        int8 // in-place Data field
-	Backup     int8
-	BackupBy   int8 // txn id; -1 = none
+	Bak        int8 // the plain owner word's backup, valid when Ready
+	Ready      bool
 	LocOld     int8
 	LocNew     int8
 	LocDirty   bool
@@ -86,11 +98,15 @@ type thrState struct {
 	Attempt int8
 	PC      int8
 	Idx     int8 // position in the script
-	Obs     int8 // observed owner at pcObserve
+	Obs     int8 // observed owner at pcObserve (inflate: the word it CASes)
 	ObsInfl bool
 	ViaLoc  bool // current object was acquired via a Locator: writes go to
 	// the (private) new-data copy, never to the in-place Data field
-	Failed bool
+	Failed  bool
+	Adopted bool // the word we installed adopted its predecessor's backup
+	Bak     int8 // the backup of the word we installed (or are building)
+	Src     int8 // inflate: the source value observed for the Locator
+	Enemy   int8 // inflate: the unresponsive transaction stepped past
 }
 
 // NZConfig describes a model instance.
@@ -108,23 +124,29 @@ type nzState struct {
 	Thr  []thrState
 }
 
-// Key implements State.
-func (s *nzState) Key() string {
-	b := make([]byte, 0, 8*len(s.Objs)+2*len(s.Txns)+5*len(s.Thr))
-	for _, o := range s.Objs {
-		b = append(b, byte(o.Owner), boolByte(o.Inflated), byte(o.Val),
-			byte(o.Backup), byte(o.BackupBy), byte(o.LocOld),
+// appendKey encodes the state shared by both models.
+func appendKey(b []byte, objs []objState, txns []txState, thr []thrState) []byte {
+	for _, o := range objs {
+		b = append(b, byte(o.Owner), boolByte(o.Inflated)|boolByte(o.Ready)<<1,
+			byte(o.Val), byte(o.Bak), byte(o.LocOld),
 			byte(o.LocNew)|boolByte(o.LocDirty)<<7, byte(o.LocAborted))
 	}
-	for _, t := range s.Txns {
+	for _, t := range txns {
 		b = append(b, t.Status, boolByte(t.ANP))
 	}
-	for _, th := range s.Thr {
+	for _, th := range thr {
 		b = append(b, byte(th.Attempt), byte(th.PC), byte(th.Idx),
 			byte(th.Obs)|boolByte(th.ObsInfl)<<7,
-			boolByte(th.Failed)|boolByte(th.ViaLoc)<<1)
+			boolByte(th.Failed)|boolByte(th.ViaLoc)<<1|boolByte(th.Adopted)<<2,
+			byte(th.Bak)<<4|byte(th.Src)&0xf, byte(th.Enemy))
 	}
-	return string(b)
+	return b
+}
+
+// Key implements State.
+func (s *nzState) Key() string {
+	return string(appendKey(make([]byte, 0, 7*len(s.Objs)+2*len(s.Txns)+7*len(s.Thr)),
+		s.Objs, s.Txns, s.Thr))
 }
 
 func boolByte(v bool) byte {
@@ -149,19 +171,25 @@ func (c *NZConfig) txID(tid int, attempt int8) int8 {
 	return int8(tid*(c.Retries+1) + int(attempt))
 }
 
+// initState returns the objects and threads of a fresh model.
+func initState(objects, threads int) ([]objState, []thrState) {
+	objs := make([]objState, objects)
+	for i := range objs {
+		objs[i] = objState{Owner: -1, LocAborted: -1}
+	}
+	thr := make([]thrState, threads)
+	for i := range thr {
+		thr[i] = thrState{PC: pcObserve, Obs: -1, Enemy: -1}
+	}
+	return objs, thr
+}
+
 // NZModel builds the checkable model for the configuration.
 func NZModel(cfg NZConfig) Model {
 	threads := len(cfg.Scripts)
 	init := &nzState{cfg: &cfg}
-	init.Objs = make([]objState, cfg.Objects)
-	for i := range init.Objs {
-		init.Objs[i] = objState{Owner: -1, BackupBy: -1, LocAborted: -1}
-	}
+	init.Objs, init.Thr = initState(cfg.Objects, threads)
 	init.Txns = make([]txState, threads*(cfg.Retries+1))
-	init.Thr = make([]thrState, threads)
-	for i := range init.Thr {
-		init.Thr[i] = thrState{PC: pcObserve, Obs: -1}
-	}
 
 	return Model{
 		Name:    fmt.Sprintf("nzstm-v%d", cfg.Variant),
@@ -198,6 +226,105 @@ func act(name string, f func(s *nzState)) Action {
 	}}
 }
 
+// logicalValue is an object's current logical value: its committed state.
+// Under a plain owner word whose backup is ready that is the backup until
+// the owner commits; before the backup is ready the owner has not written
+// in place, so it is the in-place data.
+func logicalValue(o *objState, txns []txState) int8 {
+	switch {
+	case o.Inflated:
+		if o.Owner >= 0 && txns[o.Owner].Status == stCommitted {
+			return o.LocNew
+		}
+		return o.LocOld
+	case o.Owner >= 0 && o.Ready && txns[o.Owner].Status != stCommitted:
+		return o.Bak
+	default:
+		return o.Val
+	}
+}
+
+// claim is the acquire CAS's effect when it succeeds: the new word adopts an
+// aborted predecessor's ready backup (claimRef), or starts with none ready.
+func claim(o *objState, txns []txState, th *thrState, me int8) {
+	th.Adopted = !o.Inflated && o.Owner >= 0 && o.Ready && txns[o.Owner].Status == stAborted
+	if th.Adopted {
+		th.Bak = o.Bak
+	} else {
+		o.Ready = false
+	}
+	o.Owner = me
+	o.Inflated = false
+	th.ViaLoc = false
+}
+
+// publishReady marks the backup of our word ready. A word that has been
+// displaced since has no readers left; setting its bit changes nothing.
+func publishReady(o *objState, th *thrState, me int8) {
+	if o.Owner == me && !o.Inflated {
+		o.Bak, o.Ready = th.Bak, true
+	}
+	th.Bak = 0
+}
+
+// inflateObserve is inflate's first step: the owner word must still be
+// owner's plain word; the Locator's source is its backup when ready, and
+// otherwise the in-place data, which the code clones registered as a
+// reader after re-checking the word (one step here). It reports whether
+// the clone path was taken, so the caller can record the registration.
+func inflateObserve(o *objState, th *thrState, owner, enemy int8) (cloned bool) {
+	if o.Owner != owner || o.Inflated {
+		th.PC = pcObserve
+		return false
+	}
+	th.Obs, th.Enemy = owner, enemy
+	th.Src = o.Val
+	if o.Ready {
+		th.Src = o.Bak
+	}
+	th.PC = pcInflateCAS
+	return !o.Ready
+}
+
+// inflateCAS is inflate's second step: swing the observed word to a fresh
+// Locator built from the observed source. It reports success.
+func inflateCAS(o *objState, th *thrState, me int8) bool {
+	src, enemy := th.Src, th.Enemy
+	th.Src, th.Enemy = 0, -1
+	if o.Owner != th.Obs || o.Inflated {
+		th.PC = pcObserve
+		return false
+	}
+	o.Inflated = true
+	o.Owner = me
+	o.LocOld, o.LocNew = src, src
+	o.LocDirty = false
+	o.LocAborted = enemy
+	return true
+}
+
+// deflateCAS swings our Locator back to a plain word of ours whose backup,
+// ready from the start, is the untouched new-data copy; deflate-copy then
+// writes that copy in place.
+func deflateCAS(o *objState, th *thrState) {
+	o.Inflated = false
+	o.LocAborted = -1
+	o.Bak, o.Ready = o.LocNew, true
+	th.Bak = o.LocNew
+	th.ViaLoc = false // back to in-place ownership
+	th.PC = pcDeflateCopy
+}
+
+// finishOp advances past a written (or read) object.
+func finishOp(th *thrState, scriptLen int) {
+	th.Idx++
+	if int(th.Idx) < scriptLen {
+		th.PC = pcObserve
+	} else {
+		th.PC = pcCommit
+	}
+}
+
 func enabled(s *nzState, tid int) []Action {
 	th := &s.Thr[tid]
 	if th.PC == pcDone {
@@ -206,6 +333,7 @@ func enabled(s *nzState, tid int) []Action {
 	cfg := s.cfg
 	me := s.me(tid)
 	myTx := &s.Txns[me]
+	scss := cfg.Variant == VariantSCSS
 
 	// An aborted transaction (acknowledged abort) observed at any step
 	// before Validate/Commit cannot happen: acknowledgement is what these
@@ -229,7 +357,7 @@ func enabled(s *nzState, tid int) []Action {
 		if th.Obs >= 0 && th.Obs != me && s.Txns[th.Obs].Status == stActive {
 			enemy := th.Obs
 			var acts []Action
-			if cfg.Variant == VariantBuggy || cfg.Variant == VariantSCSS {
+			if cfg.Variant == VariantBuggy || scss {
 				// Abort the enemy directly, no handshake. Safe only when
 				// every store is SCSS-paired (VariantSCSS); plain Buggy
 				// loses updates to late writes.
@@ -252,31 +380,11 @@ func enabled(s *nzState, tid int) []Action {
 				s.Txns[me].Status = stAborted
 				s.Thr[tid].PC = pcRetry
 			}))
-			if cfg.Variant == VariantNZ && s.Txns[enemy].ANP && s.Txns[enemy].Status == stActive &&
-				s.Objs[oi].Owner == enemy && !s.Objs[oi].Inflated {
+			if cfg.Variant == VariantNZ && s.Txns[enemy].ANP {
 				// Patience exhausted: inflate past the unresponsive enemy
-				// (§2.3.1), adopting the pending backup as the old value.
-				// The owner-word conditions above are the implementation's
-				// pre-CAS checks: "the object has not been acquired or
-				// inflated by another transaction"; the effect re-verifies
-				// them, modelling the CAS itself.
-				acts = append(acts, act("inflate", func(s *nzState) {
-					o := &s.Objs[oi]
-					if o.Owner != enemy || o.Inflated {
-						s.Thr[tid].PC = pcObserve // the CAS would have failed
-						return
-					}
-					src := o.Val
-					if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status != stCommitted {
-						src = o.Backup
-					}
-					o.Inflated = true
-					o.Owner = me
-					o.LocOld, o.LocNew = src, src
-					o.LocDirty = false
-					o.LocAborted = enemy
-					s.Thr[tid].ViaLoc = true
-					s.Thr[tid].PC = pcValidate
+				// (§2.3.1) — observe the source, then CAS.
+				acts = append(acts, act("inflate-observe", func(s *nzState) {
+					inflateObserve(&s.Objs[oi], &s.Thr[tid], enemy, enemy)
 				}))
 			}
 			return acts
@@ -291,38 +399,59 @@ func enabled(s *nzState, tid int) []Action {
 		obs, obsInfl := th.Obs, th.ObsInfl
 		return []Action{act("cas-owner", func(s *nzState) {
 			o := &s.Objs[oi]
+			th := &s.Thr[tid]
 			if o.Owner != obs || o.Inflated != obsInfl {
-				s.Thr[tid].PC = pcObserve // CAS failed
+				th.PC = pcObserve // CAS failed
 				return
 			}
-			o.Owner = me
-			s.Thr[tid].ViaLoc = false
-			s.Thr[tid].PC = pcRestore
-		})}
-
-	case pcRestore:
-		oi := s.obj(tid)
-		return []Action{act("restore", func(s *nzState) {
-			o := &s.Objs[oi]
-			if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status == stAborted {
-				o.Val = o.Backup // lazy restoration of the pending backup
+			claim(o, s.Txns, th, me)
+			if th.Adopted {
+				th.PC = pcRestore
+			} else {
+				th.PC = pcBackup
 			}
-			s.Thr[tid].PC = pcBackup
 		})}
 
 	case pcBackup:
 		oi := s.obj(tid)
 		return []Action{act("backup", func(s *nzState) {
-			if s.cfg.Variant == VariantSCSS && s.Txns[me].Status != stActive {
-				// SCSS pairs the backup-cell install with the status check
-				// too: a displaced transaction's late install fails.
+			if scss && s.Txns[me].Status != stActive {
+				// SCSS pairs the backup copy with the status check too.
 				s.Thr[tid].PC = pcRetry
 				return
 			}
-			o := &s.Objs[oi]
-			o.Backup = o.Val
-			o.BackupBy = me
+			s.Thr[tid].Bak = s.Objs[oi].Val
+			s.Thr[tid].PC = pcReady
+		})}
+
+	case pcReady:
+		oi := s.obj(tid)
+		return []Action{act("ready", func(s *nzState) {
+			publishReady(&s.Objs[oi], &s.Thr[tid], me)
 			s.Thr[tid].PC = pcValidate
+		})}
+
+	case pcRestore:
+		oi := s.obj(tid)
+		return []Action{act("restore", func(s *nzState) {
+			th := &s.Thr[tid]
+			if scss && s.Txns[me].Status != stActive {
+				th.PC = pcRetry // the guarded restore fails
+				return
+			}
+			s.Objs[oi].Val = th.Bak // lazy restoration of the adopted backup
+			th.Adopted, th.Bak = false, 0
+			th.PC = pcValidate
+		})}
+
+	case pcInflateCAS:
+		oi := s.obj(tid)
+		return []Action{act("inflate-cas", func(s *nzState) {
+			th := &s.Thr[tid]
+			if inflateCAS(&s.Objs[oi], th, me) {
+				th.ViaLoc = true
+				th.PC = pcValidate
+			}
 		})}
 
 	case pcValidate:
@@ -336,6 +465,14 @@ func enabled(s *nzState, tid int) []Action {
 			s.Thr[tid].PC = pcWrite
 		})}
 
+	case pcDeflateCopy:
+		oi := s.obj(tid)
+		return []Action{act("deflate-copy", func(s *nzState) {
+			s.Objs[oi].Val = s.Thr[tid].Bak
+			s.Thr[tid].Bak = 0
+			s.Thr[tid].PC = pcWrite
+		})}
+
 	case pcWrite:
 		oi := s.obj(tid)
 		o := &s.Objs[oi]
@@ -345,19 +482,13 @@ func enabled(s *nzState, tid int) []Action {
 			// The zombie finally acknowledged: deflate back in place
 			// (§2.3.1) before writing.
 			acts = append(acts, act("deflate", func(s *nzState) {
-				o := &s.Objs[oi]
-				o.Backup = o.LocNew
-				o.BackupBy = me
-				o.Val = o.LocNew
-				o.Inflated = false
-				o.LocAborted = -1
-				s.Thr[tid].ViaLoc = false // back to in-place ownership
+				deflateCAS(&s.Objs[oi], &s.Thr[tid])
 			}))
 		}
 		acts = append(acts, act("write", func(s *nzState) {
 			o := &s.Objs[oi]
 			th := &s.Thr[tid]
-			if s.cfg.Variant == VariantSCSS && s.Txns[me].Status != stActive {
+			if scss && s.Txns[me].Status != stActive {
 				// The Single-Compare-Single-Store pairing: the store fires
 				// only if our status word is still clean — a displaced
 				// writer's store fails instead of scribbling (§2.3.2).
@@ -380,12 +511,7 @@ func enabled(s *nzState, tid int) []Action {
 				// designed so that it can never corrupt the logical value.
 				o.Val++
 			}
-			th.Idx++
-			if int(th.Idx) < len(s.cfg.Scripts[tid]) {
-				th.PC = pcObserve
-			} else {
-				th.PC = pcCommit
-			}
+			finishOp(th, len(s.cfg.Scripts[tid]))
 		}))
 		return acts
 
@@ -412,6 +538,7 @@ func enabled(s *nzState, tid int) []Action {
 			}
 			th.Attempt++
 			th.Idx = 0
+			th.Adopted, th.Bak = false, 0
 			th.PC = pcObserve
 		})}
 	}
@@ -498,20 +625,7 @@ func invariant(s *nzState) error {
 		}
 	}
 	for oi := range s.Objs {
-		o := &s.Objs[oi]
-		var logical int8
-		switch {
-		case o.Inflated:
-			logical = o.LocOld
-			if o.Owner >= 0 && s.Txns[o.Owner].Status == stCommitted {
-				logical = o.LocNew
-			}
-		case o.BackupBy >= 0 && s.Txns[o.BackupBy].Status == stAborted:
-			logical = o.Backup
-		default:
-			logical = o.Val
-		}
-		if logical != expect[oi] {
+		if logical := logicalValue(&s.Objs[oi], s.Txns); logical != expect[oi] {
 			return fmt.Errorf("object %d: logical value %d, want %d committed increments",
 				oi, logical, expect[oi])
 		}

@@ -58,20 +58,8 @@ type rwState struct {
 
 // Key implements State.
 func (s *rwState) Key() string {
-	b := make([]byte, 0, 8*len(s.Objs)+2*len(s.Txns)+6*len(s.Thr)+4*len(s.Readers)+len(s.Seen))
-	for _, o := range s.Objs {
-		b = append(b, byte(o.Owner), boolByte(o.Inflated), byte(o.Val),
-			byte(o.Backup), byte(o.BackupBy), byte(o.LocOld),
-			byte(o.LocNew)|boolByte(o.LocDirty)<<7, byte(o.LocAborted))
-	}
-	for _, t := range s.Txns {
-		b = append(b, t.Status, boolByte(t.ANP))
-	}
-	for _, th := range s.Thr {
-		b = append(b, byte(th.Attempt), byte(th.PC), byte(th.Idx),
-			byte(th.Obs)|boolByte(th.ObsInfl)<<7,
-			boolByte(th.Failed)|boolByte(th.ViaLoc)<<1)
-	}
+	b := appendKey(make([]byte, 0, 7*len(s.Objs)+2*len(s.Txns)+7*len(s.Thr)+4*len(s.Readers)+len(s.Seen)),
+		s.Objs, s.Txns, s.Thr)
 	for _, r := range s.Readers {
 		b = append(b, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
 	}
@@ -100,35 +88,15 @@ func (s *rwState) me(tid int) int8 { return s.cfg.txID(tid, s.Thr[tid].Attempt) 
 func (s *rwState) op(tid int) Op   { return s.cfg.Scripts[tid][s.Thr[tid].Idx] }
 
 // logical returns an object's current logical value.
-func (s *rwState) logical(oi int) int8 {
-	o := &s.Objs[oi]
-	switch {
-	case o.Inflated:
-		if o.Owner >= 0 && s.Txns[o.Owner].Status == stCommitted {
-			return o.LocNew
-		}
-		return o.LocOld
-	case o.BackupBy >= 0 && s.Txns[o.BackupBy].Status == stAborted:
-		return o.Backup
-	default:
-		return o.Val
-	}
-}
+func (s *rwState) logical(oi int) int8 { return logicalValue(&s.Objs[oi], s.Txns) }
 
 // RWModel builds the read-sharing model.
 func RWModel(cfg RWConfig) Model {
 	threads := len(cfg.Scripts)
 	txns := threads * (cfg.Retries + 1)
 	init := &rwState{cfg: &cfg}
-	init.Objs = make([]objState, cfg.Objects)
-	for i := range init.Objs {
-		init.Objs[i] = objState{Owner: -1, BackupBy: -1, LocAborted: -1}
-	}
+	init.Objs, init.Thr = initState(cfg.Objects, threads)
 	init.Txns = make([]txState, txns)
-	init.Thr = make([]thrState, threads)
-	for i := range init.Thr {
-		init.Thr[i] = thrState{PC: pcObserve, Obs: -1}
-	}
 	init.Readers = make([]uint32, cfg.Objects)
 	init.Seen = make([]int8, txns*cfg.Objects)
 
@@ -173,6 +141,14 @@ func (s *rwState) activeReader(oi int, me int8) int8 {
 	return -1
 }
 
+// inflateObserve is inflate's observe step in the read-sharing model: an
+// inflater that clones the in-place data does so registered as a reader.
+func (s *rwState) inflateObserve(tid, oi int, owner, enemy int8) {
+	if inflateObserve(&s.Objs[oi], &s.Thr[tid], owner, enemy) {
+		s.Readers[oi] |= 1 << uint(s.me(tid))
+	}
+}
+
 func rwAct(name string, f func(s *rwState)) Action {
 	return Action{Name: name, Next: func(st State) State {
 		s := st.(*rwState)
@@ -207,6 +183,7 @@ func rwEnabled(s *rwState, tid int) []Action {
 			}
 			th.Attempt++
 			th.Idx = 0
+			th.Adopted, th.Bak = false, 0
 			th.PC = pcObserve
 		})}
 	}
@@ -270,12 +247,28 @@ func rwEnabled(s *rwState, tid int) []Action {
 		obs, obsInfl := th.Obs, th.ObsInfl
 		return []Action{rwAct("cas-owner", func(s *rwState) {
 			o := &s.Objs[oi]
+			th := &s.Thr[tid]
 			if o.Owner != obs || o.Inflated != obsInfl {
-				s.Thr[tid].PC = pcObserve
+				th.PC = pcObserve
 				return
 			}
-			o.Owner = me
-			s.Thr[tid].ViaLoc = false
+			claim(o, s.Txns, th, me)
+			if th.Adopted {
+				th.PC = pcRestore
+			} else {
+				th.PC = pcBackup
+			}
+		})}
+
+	case pcBackup:
+		return []Action{rwAct("backup", func(s *rwState) {
+			s.Thr[tid].Bak = s.Objs[oi].Val
+			s.Thr[tid].PC = pcReady
+		})}
+
+	case pcReady:
+		return []Action{rwAct("ready", func(s *rwState) {
+			publishReady(&s.Objs[oi], &s.Thr[tid], me)
 			s.Thr[tid].PC = pcRestore
 		})}
 
@@ -289,23 +282,9 @@ func rwEnabled(s *rwState, tid int) []Action {
 				acts = append(acts, rwAct("w-request-reader-abort", func(s *rwState) {
 					s.Txns[r].ANP = true
 				}))
-			} else if cfg.Variant == VariantNZ && !s.Objs[oi].Inflated && s.Objs[oi].Owner == me {
+			} else if cfg.Variant == VariantNZ {
 				acts = append(acts, rwAct("w-inflate-past-reader", func(s *rwState) {
-					o := &s.Objs[oi]
-					if o.Owner != me || o.Inflated {
-						s.Thr[tid].PC = pcObserve
-						return
-					}
-					src := o.Val
-					if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status != stCommitted {
-						src = o.Backup
-					}
-					o.Inflated = true
-					o.LocOld, o.LocNew = src, src
-					o.LocDirty = false
-					o.LocAborted = r
-					s.Thr[tid].ViaLoc = true
-					s.Thr[tid].PC = pcValidate
+					s.inflateObserve(tid, oi, me, r)
 				}))
 			}
 			acts = append(acts, rwAct("w-cm-abort-self", func(s *rwState) {
@@ -315,19 +294,26 @@ func rwEnabled(s *rwState, tid int) []Action {
 			return acts // otherwise blocked until the reader acknowledges
 		}
 		return []Action{rwAct("restore", func(s *rwState) {
-			o := &s.Objs[oi]
-			if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status == stAborted {
-				o.Val = o.Backup
+			th := &s.Thr[tid]
+			if th.Adopted {
+				s.Objs[oi].Val = th.Bak
+				th.Adopted, th.Bak = false, 0
 			}
-			s.Thr[tid].PC = pcBackup
+			th.PC = pcValidate
 		})}
 
-	case pcBackup:
-		return []Action{rwAct("backup", func(s *rwState) {
-			o := &s.Objs[oi]
-			o.Backup = o.Val
-			o.BackupBy = me
-			s.Thr[tid].PC = pcValidate
+	case pcInflateCAS:
+		return []Action{rwAct("inflate-cas", func(s *rwState) {
+			th := &s.Thr[tid]
+			if !inflateCAS(&s.Objs[oi], th, me) {
+				return
+			}
+			if isWrite {
+				th.ViaLoc = true
+				th.PC = pcValidate
+			} else {
+				th.PC = pcObserve // read via the locator path
+			}
 		})}
 
 	case pcValidate:
@@ -338,6 +324,13 @@ func rwEnabled(s *rwState, tid int) []Action {
 			})}
 		}
 		return []Action{rwAct("validate-ok", func(s *rwState) {
+			s.Thr[tid].PC = pcWrite
+		})}
+
+	case pcDeflateCopy:
+		return []Action{rwAct("deflate-copy", func(s *rwState) {
+			s.Objs[oi].Val = s.Thr[tid].Bak
+			s.Thr[tid].Bak = 0
 			s.Thr[tid].PC = pcWrite
 		})}
 
@@ -370,13 +363,7 @@ func rwEnabled(s *rwState, tid int) []Action {
 			o.LocAborted >= 0 && s.Txns[o.LocAborted].Status == stAborted &&
 			s.activeReader(oi, me) < 0 {
 			acts = append(acts, rwAct("deflate", func(s *rwState) {
-				o := &s.Objs[oi]
-				o.Backup = o.LocNew
-				o.BackupBy = me
-				o.Val = o.LocNew
-				o.Inflated = false
-				o.LocAborted = -1
-				s.Thr[tid].ViaLoc = false
+				deflateCAS(&s.Objs[oi], &s.Thr[tid])
 			}))
 		}
 		acts = append(acts, rwAct("write", func(s *rwState) {
@@ -391,12 +378,7 @@ func rwEnabled(s *rwState, tid int) []Action {
 			default:
 				o.Val++
 			}
-			th.Idx++
-			if int(th.Idx) < len(s.cfg.Scripts[tid]) {
-				th.PC = pcObserve
-			} else {
-				th.PC = pcCommit
-			}
+			finishOp(th, len(s.cfg.Scripts[tid]))
 		}))
 		return acts
 
@@ -465,25 +447,10 @@ func rwReaderDecide(s *rwState, tid int, oi int) []Action {
 			s.Txns[me].Status = stAborted
 			s.Thr[tid].PC = pcRetry
 		}))
-		if s.cfg.Variant == VariantNZ && s.Txns[enemy].ANP && s.Txns[enemy].Status == stActive &&
-			s.Objs[oi].Owner == enemy && !s.Objs[oi].Inflated {
+		if s.cfg.Variant == VariantNZ && s.Txns[enemy].ANP {
 			// A blocked reader may inflate past an unresponsive owner too.
 			acts = append(acts, rwAct("r-inflate", func(s *rwState) {
-				o := &s.Objs[oi]
-				if o.Owner != enemy || o.Inflated {
-					s.Thr[tid].PC = pcObserve
-					return
-				}
-				src := o.Val
-				if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status != stCommitted {
-					src = o.Backup
-				}
-				o.Inflated = true
-				o.Owner = s.me(tid)
-				o.LocOld, o.LocNew = src, src
-				o.LocDirty = false
-				o.LocAborted = enemy
-				s.Thr[tid].PC = pcObserve // read via the locator path
+				s.inflateObserve(tid, oi, enemy, enemy)
 			}))
 		}
 		return acts // blocked until the owner acknowledges
@@ -554,25 +521,9 @@ func rwWriterDecide(s *rwState, tid int, oi int) []Action {
 			s.Txns[me].Status = stAborted
 			s.Thr[tid].PC = pcRetry
 		}))
-		if cfg.Variant == VariantNZ && s.Txns[enemy].ANP && s.Txns[enemy].Status == stActive &&
-			s.Objs[oi].Owner == enemy && !s.Objs[oi].Inflated {
-			acts = append(acts, rwAct("inflate", func(s *rwState) {
-				o := &s.Objs[oi]
-				if o.Owner != enemy || o.Inflated {
-					s.Thr[tid].PC = pcObserve
-					return
-				}
-				src := o.Val
-				if o.BackupBy >= 0 && s.Txns[o.BackupBy].Status != stCommitted {
-					src = o.Backup
-				}
-				o.Inflated = true
-				o.Owner = me
-				o.LocOld, o.LocNew = src, src
-				o.LocDirty = false
-				o.LocAborted = enemy
-				s.Thr[tid].ViaLoc = true
-				s.Thr[tid].PC = pcValidate
+		if cfg.Variant == VariantNZ && s.Txns[enemy].ANP {
+			acts = append(acts, rwAct("inflate-observe", func(s *rwState) {
+				s.inflateObserve(tid, oi, enemy, enemy)
 			}))
 		}
 		return acts

@@ -15,7 +15,8 @@ func TestRWReaderWriterOneObject(t *testing.T) {
 	}), Options{Coverage: []string{
 		"r-register", "r-recheck", "r-read", "r-request-abort",
 		"w-request-reader-abort", "w-inflate-past-reader", "r-inflate",
-		"cas-owner", "restore", "backup", "write", "commit", "deflate",
+		"inflate-cas", "cas-owner", "restore", "backup", "ready", "write",
+		"commit", "deflate", "deflate-copy",
 	}})
 	if res.Err != nil {
 		t.Fatalf("read-sharing model violated: %v\ntrace: %v", res.Err, res.Trace)
@@ -117,7 +118,7 @@ func TestRWBlockingVariant(t *testing.T) {
 		Scripts: [][]Op{{R(0)}, {W(0)}},
 		Objects: 1,
 		Retries: 1,
-	}), Options{Coverage: []string{"inflate", "w-inflate-past-reader"}})
+	}), Options{Coverage: []string{"inflate-observe", "w-inflate-past-reader"}})
 	if res.Err != nil {
 		t.Fatalf("violated: %v\ntrace: %v", res.Err, res.Trace)
 	}
