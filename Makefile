@@ -6,15 +6,14 @@
 #                   and allocation gate + the server request-path benchmark
 #                   smoke and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
-#                   metrics, histcheck, wal, repl, adaptive, bench; kv and
+#                   metrics, histcheck, wal, repl, bench; kv and
 #                   server hold the value aliasing tests) + a tracing-enabled
 #                   race pass + TestGenomePhases ×1000 (the repeat-read
 #                   reproducer) + the contended serving workload +
 #                   protocol and WAL fuzzers + a short fault-injected soak +
 #                   the crash-recovery soak + the storage-fault soak +
-#                   the failover/partition soak + the serving benchmark
-#                   (regenerates BENCH_kv.json, memory-only vs WAL fsync
-#                   policies) — run this before sending a PR
+#                   the failover/partition soak — run this before sending
+#                   a PR; it writes no tracked file
 #   make vet        go vet ./...
 #   make genome     TestGenomePhases 1000 times (~2 s): four workers insert
 #                   into one shared set; a reader whose repeated Read lost its
@@ -35,10 +34,8 @@
 #   make soak       short seeded fault-injection soak with linearizability
 #                   checking, then an oversubscribed pass (connections ≫
 #                   executors through the M:N scheduler, backpressure and
-#                   slot-leak gates on), then an adaptive-backend pass
-#                   (aggressive mode-switch thresholds under chaos with an
-#                   at-least-N-switches gate; see cmd/nztm-soak; SOAK_FLAGS /
-#                   OVERSUB_FLAGS / ADAPTIVE_FLAGS to customise)
+#                   slot-leak gates on; see cmd/nztm-soak; SOAK_FLAGS /
+#                   OVERSUB_FLAGS to customise)
 #   make crash      crash-recovery soak: SIGKILL a child nztm-server at
 #                   seeded WAL crash points (all five sites), restart it,
 #                   and verify every acknowledged write survives and the
@@ -64,14 +61,6 @@
 #                   read-only episode, clean StatusReadOnly shedding, and
 #                   a linearizable history (DISKFAULT_FLAGS to customise;
 #                   see DESIGN.md §17)
-#   make bench-kv   serving-path benchmark: NZSTM vs GlobalLock over real
-#                   sockets, plus WAL fsync=always/interval/never durability
-#                   pricing, the 3-node replicated-reads comparison, a
-#                   connection sweep (8/64/512 conns over a fixed 8-executor
-#                   pool — the M:N scheduler scaling curve), and the adaptive
-#                   crossover matrix ({nzstm, glock, adaptive} × {uniform,
-#                   zipfian-skewed}, per-regime winners + switch counts),
-#                   results in BENCH_kv.json
 #   make bench-wal  WAL microbenchmark (the wal line of the per-layer budget):
 #                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
 #                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
@@ -97,11 +86,10 @@
 #                   per-layer trace (wal.fsyncs_per_req, wal.frame_copies_per_req,
 #                   disk.*, stage times): the before/after table for a WAL
 #                   change is this command on both commits
-#   make profile    profiling run of the serving benchmark (not part of
-#                   check): bench-kv's durable profile with CPU and heap
-#                   profiles written to results/ — feed them to
-#                   `go tool pprof results/bench-kv-cpu.pprof` to see
-#                   where serving cycles go (PROFILE_FLAGS to customise)
+#   make profile    CPU and heap profiles of BenchmarkRequestPath (not part
+#                   of check), written to results/ — feed them to
+#                   `go tool pprof results/request-path-cpu.pprof` to see
+#                   where serving cycles go
 #   make serve      run nztm-server with defaults
 
 GO ?= go
@@ -109,29 +97,22 @@ GO ?= go
 RACE_PKGS = ./internal/tm ./internal/core ./internal/kv ./internal/server \
             ./internal/fault ./internal/histcheck ./internal/trace \
             ./internal/metrics ./internal/wal ./internal/repl \
-            ./internal/adaptive ./internal/bench
+            ./internal/bench
 
 FUZZ_TIME ?= 10s
 SOAK_FLAGS ?= -seed 1 -duration 5s
 # Oversubscribed soak: 64 connections (16× the 4 executors) at a rate and
 # key spread that keeps the per-clique histories inside the checker budget.
 OVERSUB_FLAGS ?= -oversubscribed -seed 1 -duration 4s -threads 4 -keys 64 -rate 25
-# Adaptive soak: hair-trigger controller thresholds so chaos thrashes group
-# modes (the switch-protocol stress test); gates on >=4 observed switches.
-ADAPTIVE_FLAGS ?= -adaptive -seed 1 -duration 5s
 CRASH_FLAGS ?= -crash -crash-target 200 -seed 1
 FAILOVER_FLAGS ?= -failover -kills 50 -partitions 4 -seed 1
 DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
-# Profiling run: the durability-priced serving profile under the pprof
-# collectors. Not a check — it exists to answer "where do the cycles and
-# allocations go", with the per-stage span breakdown printed beside it.
-PROFILE_FLAGS ?= -systems nzstm -fsync always,interval,never -duration 3s
 
 ITEM1_DIR ?= .item1
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-kv bench-wal durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-wal durable profile serve
 
-check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover bench-kv
+check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover
 
 build:
 	$(GO) build ./...
@@ -188,7 +169,6 @@ fuzz:
 soak:
 	$(GO) run ./cmd/nztm-soak $(SOAK_FLAGS)
 	$(GO) run ./cmd/nztm-soak $(OVERSUB_FLAGS)
-	$(GO) run ./cmd/nztm-soak $(ADAPTIVE_FLAGS)
 
 crash:
 	$(GO) run ./cmd/nztm-soak $(CRASH_FLAGS)
@@ -198,9 +178,6 @@ failover:
 
 diskfault:
 	$(GO) run ./cmd/nztm-soak $(DISKFAULT_FLAGS)
-
-bench-kv:
-	$(GO) run ./cmd/nztm-load -out BENCH_kv.json -fsync always,interval,never -replicated -connections 8,64,512 -executors 8 -crossover
 
 bench-kv-data:
 	$(GO) test -run 'TestBucketUpdateAllocs' -bench BenchmarkBucketUpdate -benchtime 2000x -benchmem ./internal/kv
@@ -214,11 +191,13 @@ bench-wal:
 durable:
 	$(GO) run ./benchmark -workload durable-batch -trace 1 -seconds 10
 
+# go test writes the package's test binary beside the profiles; remove it.
 profile:
 	mkdir -p results
-	$(GO) run ./cmd/nztm-load $(PROFILE_FLAGS) \
-		-out results/bench-kv-profile.json -metrics-out results/bench-kv-profile.json \
-		-cpuprofile results/bench-kv-cpu.pprof -memprofile results/bench-kv-heap.pprof
+	$(GO) test -run '^$$' -bench BenchmarkRequestPath -benchtime 2000x \
+		-cpuprofile results/request-path-cpu.pprof -memprofile results/request-path-heap.pprof \
+		-o results/server.test ./internal/server
+	rm -f results/server.test
 
 serve:
 	$(GO) run ./cmd/nztm-server

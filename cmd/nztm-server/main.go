@@ -7,7 +7,7 @@
 //	nztm-server -addr :7420 -statsz :7421 -system nzstm -shards 16 -buckets 64 -threads 8
 //
 // The binary speaks the length-prefixed binary protocol of internal/server
-// (use internal/server.Client or cmd/nztm-load to talk to it) and exposes an
+// (use internal/server.Client or examples/kvclient to talk to it) and exposes an
 // HTTP observability mux beside it: plain-text /statsz (counters, interval
 // rates, latency histograms, contention hotspots), Prometheus /metricsz,
 // JSON /tracez (per-thread flight-recorder event logs, -trace to enable),
@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"nztm/internal/adaptive"
 	"nztm/internal/fault"
 	"nztm/internal/kv"
 	"nztm/internal/repl"
@@ -77,14 +76,6 @@ func main() {
 		fsyncMode = flag.String("fsync", "always", "WAL sync policy: always (fsync before every ack), interval (background fsync every -fsync-interval), never (OS decides)")
 		fsyncIntv = flag.Duration("fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
 		snapEvery = flag.Duration("snapshot-every", 0, "per-shard snapshot + log-truncation period (0 = never snapshot; the log grows unbounded)")
-
-		adInterval = flag.Duration("adaptive-interval", 100*time.Millisecond, "adaptive controller sampling period (-system adaptive)")
-		adEnter    = flag.Float64("adaptive-enter", 0.5, "windowed abort fraction at which a shard group goes pessimistic")
-		adExit     = flag.Float64("adaptive-exit", 0.1, "probe abort fraction at which a pessimistic group returns optimistic (must be < -adaptive-enter)")
-		adMinOps   = flag.Uint64("adaptive-min-ops", 32, "minimum windowed attempts before the enter rule may fire")
-		adMinProbe = flag.Uint64("adaptive-min-probes", 4, "minimum windowed probe transactions before the exit rule may fire")
-		adDwell    = flag.Duration("adaptive-dwell", time.Second, "minimum time between mode switches of one group (hysteresis dwell)")
-		adProbeN   = flag.Uint64("adaptive-probe-every", 16, "admit every Nth arrival to a pessimistic group optimistically as a probe (0 disables probes)")
 
 		crashSeed  = flag.Uint64("crash-seed", 0, "arm deterministic kill-self crash-point injection with this seed (0 = off; testing only)")
 		crashSites = flag.String("crash-sites", "all", "comma-separated WAL crash sites to arm (pre-append, mid-append, post-append, mid-snapshot, mid-truncate, or all)")
@@ -216,35 +207,6 @@ func main() {
 		store = kv.New(sys, *shards, *buckets)
 	}
 	store.EnableMetrics()
-
-	// Adaptive backend: the facade is the pre-fault-wrap system reference,
-	// so the type assertion sees through any fault decoration. The store's
-	// per-shard commit/abort counters (grouped by mask bit) are the
-	// controller's contention signal.
-	var adaptiveSys *adaptive.System
-	if as, ok := backend.Sys.(*adaptive.System); ok {
-		adaptiveSys = as
-		as.SetProbeEvery(*adProbeN)
-		if fr != nil {
-			as.BindRecorder(fr.ForSource(trace.AdaptiveSource))
-		}
-		acfg := adaptive.ControllerConfig{
-			Interval:       *adInterval,
-			EnterAbortRate: *adEnter,
-			ExitAbortRate:  *adExit,
-			MinOps:         *adMinOps,
-			MinProbes:      *adMinProbe,
-			MinDwell:       *adDwell,
-		}
-		if err := as.StartController(store, acfg); err != nil {
-			fmt.Fprintln(os.Stderr, "nztm-server:", err)
-			os.Exit(2)
-		}
-		statszHooks = append(statszHooks, as.WriteStatsz)
-		metricszHooks = append(metricszHooks, as.WriteMetricsz)
-		fmt.Printf("nztm-server: adaptive controller: interval=%v enter=%.2f exit=%.2f min-ops=%d min-probes=%d dwell=%v probe-every=%d\n",
-			*adInterval, *adEnter, *adExit, *adMinOps, *adMinProbe, *adDwell, *adProbeN)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -415,9 +377,6 @@ serve:
 	}
 	// Drained: flush + sync + close the WAL and release registry slots,
 	// so a clean exit always recovers to exactly the acknowledged state.
-	if adaptiveSys != nil {
-		adaptiveSys.StopController()
-	}
 	if replNode != nil {
 		replNode.Close()
 	}

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -34,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"nztm/internal/adaptive"
 	"nztm/internal/fault"
 	"nztm/internal/histcheck"
 	"nztm/internal/kv"
@@ -70,17 +68,9 @@ func main() {
 		diskfaultMode = flag.Bool("diskfault", false, "disk-fault soak: run child nztm-servers with injected disk I/O errors (EIO, short writes, ENOSPC, fsync failure) under load and verify fail-stop/degraded semantics plus recovery (see DESIGN.md §17)")
 		diskTarget    = flag.Int("diskfault-target", 120, "diskfault mode: total injected I/O errors to accumulate across all sites")
 
-		adaptiveM = flag.Bool("adaptive", false, "adaptive-backend chaos soak: force -system adaptive, run the mode controller with aggressive thresholds under the fault plane, and require at least -min-switches group mode switches on top of the usual linearizability and leak gates (see DESIGN.md §15)")
-		minSw     = flag.Int("min-switches", 4, "adaptive mode: minimum total group mode switches the soak must observe")
-
 		oversub = flag.Bool("oversubscribed", false, "oversubscription soak: pin the executor pool to -threads, shrink the admission queue, and raise -clients to ≫ executors (min 16×), so N connections contend for M slots under chaos; adds a zero-slot-leak gate and requires the scheduler to have shed load (see DESIGN.md §14)")
 	)
 	flag.Parse()
-	adaptiveMin := -1
-	if *adaptiveM {
-		*system = "adaptive"
-		adaptiveMin = *minSw
-	}
 	if *oversub && *clients < 16**threads {
 		*clients = 16 * *threads
 	}
@@ -120,14 +110,14 @@ func main() {
 		fmt.Println("nztm-soak: PASS")
 		return
 	}
-	if err := run(*system, *seed, *duration, *clients, *keys, *shards, *buckets, *threads, *rate, *limit, *traceN, *dataDir, *oversub, adaptiveMin); err != nil {
+	if err := run(*system, *seed, *duration, *clients, *keys, *shards, *buckets, *threads, *rate, *limit, *traceN, *dataDir, *oversub); err != nil {
 		fmt.Fprintln(os.Stderr, "nztm-soak: FAIL:", err)
 		os.Exit(1)
 	}
 	fmt.Println("nztm-soak: PASS")
 }
 
-func run(system string, seed uint64, duration time.Duration, clients, keys, shards, buckets, threads, rate, limit, traceN int, dataDir string, oversub bool, adaptiveMin int) error {
+func run(system string, seed uint64, duration time.Duration, clients, keys, shards, buckets, threads, rate, limit, traceN int, dataDir string, oversub bool) error {
 	backend, err := kv.OpenBackend(system, threads)
 	if err != nil {
 		return err
@@ -189,33 +179,12 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		store = kv.New(plane.WrapSystem(backend.Sys), shards, buckets)
 	}
 	store.EnableMetrics()
-	// Adaptive soak: the facade is the pre-fault-wrap system (the fault
-	// wrapper forwards group masks), probes are frequent so exits stay
-	// reachable, and the mode lines land in the final statsz dump.
-	var adSys *adaptive.System
-	if adaptiveMin >= 0 {
-		as, ok := backend.Sys.(*adaptive.System)
-		if !ok {
-			return fmt.Errorf("-adaptive requires the adaptive backend, got %s", backend.Sys.Name())
-		}
-		adSys = as
-		as.SetProbeEvery(2)
-		if fr != nil {
-			as.BindRecorder(fr.ForSource(trace.AdaptiveSource))
-		}
-	}
 	scfg := server.Config{
 		MaxAttempts:    512,
 		RequestTimeout: 2 * time.Second,
 		RetryBackoff:   100 * time.Microsecond,
 		ExtraStatsz:    plane.WriteStats,
 		WrapThread:     plane.WrapThread,
-	}
-	if adSys != nil {
-		scfg.ExtraStatsz = func(w io.Writer) {
-			plane.WriteStats(w)
-			adSys.WriteStatsz(w)
-		}
 	}
 	if oversub {
 		// Pin the pool to the thread count and shrink the queue so the
@@ -230,27 +199,6 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 	// Goroutine baseline before anything soak-owned starts; everything the
 	// soak spawns must be gone again after shutdown.
 	g0 := runtime.NumGoroutine()
-
-	// The controller starts after the baseline so the goroutine leak gate
-	// also proves StopController unwinds it. Thresholds are deliberately
-	// aggressive — hair-trigger enter, near-adjacent exit, minimal dwell —
-	// so chaos makes groups thrash between modes all soak long, which is
-	// exactly the switch-protocol stress the linearizability gate then
-	// has to absolve.
-	if adSys != nil {
-		err := adSys.StartController(store, adaptive.ControllerConfig{
-			Interval:       50 * time.Millisecond,
-			EnterAbortRate: 0.05,
-			ExitAbortRate:  0.02,
-			MinOps:         4,
-			MinProbes:      2,
-			MinDwell:       100 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("nztm-soak: adaptive controller armed: enter=0.05 exit=0.02 dwell=100ms probe-every=2, need >=%d switches\n", adaptiveMin)
-	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -289,20 +237,6 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 	if err := store.Close(); err != nil {
 		return fmt.Errorf("store close: %w", err)
 	}
-	if adSys != nil {
-		adSys.StopController()
-		st := adSys.ModeStats()
-		toPes, toOpt := st.SwitchesToPessimistic.Load(), st.SwitchesToOptimistic.Load()
-		fmt.Printf("nztm-soak: adaptive: switches pes=%d opt=%d probes=%d pes-entries=%d drain-waits=%d drain-timeouts=%d vetoes dwell=%d volume=%d\n",
-			toPes, toOpt, st.Probes.Load(), st.PessimisticEntries.Load(),
-			st.DrainWaits.Load(), st.DrainTimeouts.Load(),
-			st.VetoedDwell.Load(), st.VetoedVolume.Load())
-		if total := toPes + toOpt; total < uint64(adaptiveMin) {
-			dumpTrace()
-			return fmt.Errorf("adaptive soak observed %d mode switches, need >= %d — contention signals never crossed the thresholds", total, adaptiveMin)
-		}
-	}
-
 	srv.WriteStatsz(os.Stdout)
 
 	// Chaos liveness: a soak that injected nothing proved nothing.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"nztm/internal/audit"
 	"nztm/internal/cm"
 	"nztm/internal/tm"
 )
@@ -344,18 +345,21 @@ func TestBankInvariant(t *testing.T) {
 
 // TestBankInvariantUnderInflation repeats the bank test with a pathological
 // configuration (immediate unresponsiveness declarations) so that the
-// inflation/deflation path is exercised constantly.
+// inflation/deflation path is exercised constantly. Besides the final sum,
+// the run is audited: every committed transaction's versioned reads and
+// writes must form a serializable history.
 func TestBankInvariantUnderInflation(t *testing.T) {
 	const accounts, workers, each, initial = 6, 6, 120, 100
 	cfg := DefaultConfig(NZ, workers)
 	cfg.AckPatience = 1 // everything looks unresponsive
 	cfg.Manager = cm.NewKarma(1)
 	s := New(tm.NewRealWorld(), cfg)
+	a := audit.New(s)
 	objs := make([]tm.Object, accounts)
 	for i := range objs {
 		d := tm.NewInts(1)
 		d.V[0] = initial
-		objs[i] = s.NewObject(d)
+		objs[i] = a.NewObject(d)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -368,7 +372,7 @@ func TestBankInvariantUnderInflation(t *testing.T) {
 				if from == to {
 					continue
 				}
-				if err := s.Atomic(th, func(tx tm.Tx) error {
+				if err := a.Atomic(th, func(tx tm.Tx) error {
 					tx.Update(objs[from], func(d tm.Data) { d.(*tm.Ints).V[0]-- })
 					tx.Update(objs[to], func(d tm.Data) { d.(*tm.Ints).V[0]++ })
 					return nil
@@ -381,13 +385,22 @@ func TestBankInvariantUnderInflation(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	th := thread(0)
-	for _, o := range objs {
-		total += counterValue(t, s, th, o)
+	if err := a.Atomic(thread(0), func(tx tm.Tx) error {
+		total = 0
+		for _, o := range objs {
+			total += tx.Read(o).(*tm.Ints).V[0]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if total != accounts*initial {
 		t.Fatalf("total = %d, want %d (inflations=%d deflations=%d)",
 			total, accounts*initial,
+			s.Stats().Inflations.Load(), s.Stats().Deflations.Load())
+	}
+	if err := audit.Check(a.Log()); err != nil {
+		t.Fatalf("not serializable: %v (inflations=%d deflations=%d)", err,
 			s.Stats().Inflations.Load(), s.Stats().Deflations.Load())
 	}
 }

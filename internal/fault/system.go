@@ -57,46 +57,6 @@ func (s *System) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 	return err
 }
 
-// maskedSystem mirrors the kv store's optional group-mask extension (the
-// adaptive facade implements it). The fault wrapper forwards it so wrapping
-// an adaptive system doesn't silently strip mode routing.
-type maskedSystem interface {
-	AtomicMask(th *tm.Thread, mask uint64, fn func(tm.Tx) error) error
-	MaskGroups() int
-}
-
-// AtomicMask forwards a group-masked transaction to the inner system with
-// the same fault-injecting Tx wrapper Atomic uses. When the inner system
-// has no mask support the mask is dropped and the call degrades to Atomic.
-func (s *System) AtomicMask(th *tm.Thread, mask uint64, fn func(tm.Tx) error) error {
-	ms, ok := s.inner.(maskedSystem)
-	if !ok {
-		return s.Atomic(th, fn)
-	}
-	st := s.p.threadStream(th.ID)
-	faulted := false
-	err := ms.AtomicMask(th, mask, func(tx tm.Tx) error {
-		return fn(&faultTx{inner: tx, p: s.p, st: st, th: th, faulted: &faulted})
-	})
-	if faulted {
-		if err == nil {
-			s.p.FaultedCommits.Add(1)
-		} else {
-			s.p.FaultedFailures.Add(1)
-		}
-	}
-	return err
-}
-
-// MaskGroups reports the inner system's mask width (0 when the inner
-// system routes no masks — callers treat 0 as "unmasked").
-func (s *System) MaskGroups() int {
-	if ms, ok := s.inner.(maskedSystem); ok {
-		return ms.MaskGroups()
-	}
-	return 0
-}
-
 var _ tm.System = (*System)(nil)
 
 // faultTx interposes on every transactional operation. Injection happens

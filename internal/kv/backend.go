@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"nztm/internal/adaptive"
 	"nztm/internal/core"
 	"nztm/internal/dstm"
 	"nztm/internal/dstm2sf"
@@ -101,15 +100,6 @@ var backends = map[string]struct {
 		return logtm.New(w, logtm.Config{Threads: max})
 	}},
 	"glock": {mk: func(w tm.World, n, max int) tm.System { return glock.New(w) }},
-	// adaptive wraps NZSTM in the per-shard-group mode facade: optimistic
-	// pass-through by default, GlobalLock-style short critical sections per
-	// group when the controller (started by the caller; see
-	// adaptive.StartController) judges a group pathologically contended.
-	"adaptive": {mk: func(w tm.World, n, max int) tm.System {
-		cfg := core.DefaultConfig(core.NZ, n)
-		cfg.MaxThreads = max
-		return adaptive.New(core.New(w, cfg))
-	}},
 }
 
 // OpenBackend builds the named TM system for real-concurrency serving use,

@@ -143,20 +143,9 @@ var ErrReadOnly = errors.New("kv: store is read-only (log degraded)")
 // never escapes Do.
 var errCASMiss = errors.New("kv: cas expectation failed")
 
-// maskedSystem is the optional tm.System extension the adaptive facade
-// (and the fault-plane wrapper around it) implements: Atomic plus a bitset
-// naming the shard groups the transaction will touch, so per-group
-// execution modes can be pinned for exactly the request's footprint. The
-// mask is a bitset over [0, MaskGroups()); MaskGroups must be ≤ 64.
-type maskedSystem interface {
-	AtomicMask(th *tm.Thread, mask uint64, fn func(tm.Tx) error) error
-	MaskGroups() int
-}
-
 // Store is the sharded transactional key-value store.
 type Store struct {
 	sys     tm.System
-	masked  maskedSystem  // non-nil when sys routes per-group execution modes
 	shards  [][]tm.Object // shards[s][b] is one transactional bucket
 	buckets int           // buckets per shard
 	metrics *Metrics      // nil until EnableMetrics; nil is fully inert
@@ -183,9 +172,6 @@ func New(sys tm.System, shards, bucketsPerShard int) *Store {
 // of transactions.
 func buildStore(sys tm.System, shards, bucketsPerShard int, recovered []map[string][]byte) *Store {
 	s := &Store{sys: sys, buckets: bucketsPerShard}
-	if ms, ok := sys.(maskedSystem); ok && ms.MaskGroups() > 0 && ms.MaskGroups() <= 64 {
-		s.masked = ms
-	}
 	data := make([][]*bucketData, shards)
 	for i := range data {
 		data[i] = make([]*bucketData, bucketsPerShard)
@@ -214,28 +200,6 @@ func buildStore(sys tm.System, shards, bucketsPerShard int, recovered []map[stri
 
 // System returns the backing TM system (for stats reporting).
 func (s *Store) System() tm.System { return s.sys }
-
-// GroupCounters implements the adaptive controller's Signals feed:
-// cumulative committed and aborted attempt-weighted operation counts summed
-// over every shard that maps to group g (shard index modulo the facade's
-// group count — the same rule the mask routing in do uses). Zeros until
-// EnableMetrics.
-func (s *Store) GroupCounters(g int) (commits, aborts uint64) {
-	m := s.metrics
-	if m == nil {
-		return 0, 0
-	}
-	groups := 64
-	if s.masked != nil {
-		groups = s.masked.MaskGroups()
-	}
-	for i := g; i < len(s.shards); i += groups {
-		c, a := m.ShardCounters(i)
-		commits += c
-		aborts += a
-	}
-	return commits, aborts
-}
 
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
@@ -448,22 +412,7 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 		}
 		return nil
 	}
-	var err error
-	if s.masked != nil {
-		// Pin the execution mode of every shard group the batch touches
-		// for the whole retried request. The extra hash per op is the
-		// entire cost of mask routing; the closure and results were
-		// already allocated either way.
-		var mask uint64
-		groups := uint64(s.masked.MaskGroups())
-		for i := range ops {
-			shard := fnv1a(ops[i].Key) % uint64(len(s.shards))
-			mask |= uint64(1) << (shard % groups)
-		}
-		err = s.masked.AtomicMask(th, mask, body)
-	} else {
-		err = s.sys.Atomic(th, body)
-	}
+	err := s.sys.Atomic(th, body)
 	committed := err == nil
 	sp.Mark(trace.StageTM)
 	if sp != nil {
@@ -494,9 +443,6 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 	if m != nil {
 		m.CommitLatency.Observe(time.Since(start))
 		m.Retries.ObserveValue(uint64(st.attempt - 1))
-		if committed {
-			m.noteCommittedOps(ops)
-		}
 	}
 	return results, vec, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nztm/internal/metrics"
@@ -22,8 +21,7 @@ const hotKeysPerShard = 128
 // epoch-rotated: each table keeps a current and a previous window, reports
 // sum both, and rotation retires the previous one — so a key that stops
 // aborting disappears from TopK within two windows. Cumulative-since-start
-// counts could never show contention *subsiding*, which the adaptive
-// controller's exit-pessimistic rule depends on.
+// counts could never show contention *subsiding*.
 const DefaultHotspotWindow = 15 * time.Second
 
 // hotShard is one shard's abort-attribution table. A mutex (not atomics) is
@@ -76,15 +74,6 @@ func (h *hotShard) sum(out map[string]uint64) {
 	h.mu.Unlock()
 }
 
-// shardCounters is one shard's cumulative attempt-weighted operation
-// counters — the adaptive controller's contention signal. Padded so
-// adjacent shards' commit bumps don't false-share a cache line.
-type shardCounters struct {
-	commits atomic.Uint64
-	aborts  atomic.Uint64
-	_       [48]byte
-}
-
 // Hotspot is one entry of the top-K aborted-keys report.
 type Hotspot struct {
 	Key    string `json:"key"`
@@ -107,8 +96,7 @@ type Metrics struct {
 	// BackoffTime is the duration of each retry backoff sleep.
 	BackoffTime metrics.Histogram
 
-	hot   []hotShard      // indexed like Store.shards
-	shard []shardCounters // indexed like Store.shards
+	hot []hotShard // indexed like Store.shards
 
 	// Hotspot window rotation state. Rotation is lazy (checked on the note
 	// and report paths) so no timer goroutine is needed.
@@ -121,7 +109,6 @@ type Metrics struct {
 func newMetrics(shards int) *Metrics {
 	return &Metrics{
 		hot:      make([]hotShard, shards),
-		shard:    make([]shardCounters, shards),
 		window:   DefaultHotspotWindow,
 		winStart: time.Now(),
 	}
@@ -160,7 +147,7 @@ func (m *Metrics) maybeRotate(now time.Time) {
 // RotateHotspots forces one window rotation: current counts become the
 // previous window, and the window before that is forgotten. Two rotations
 // with no intervening aborts empty the tables — what the cooled-key test
-// and deterministic controller experiments rely on.
+// relies on.
 func (m *Metrics) RotateHotspots() {
 	if m == nil {
 		return
@@ -185,32 +172,8 @@ func (m *Metrics) noteAbortedOps(ops []Op) {
 	m.maybeRotate(time.Now())
 	for i := range ops {
 		key := ops[i].Key
-		shard := fnv1a(key) % uint64(len(m.hot))
-		m.hot[shard].note(key)
-		m.shard[shard].aborts.Add(1)
+		m.hot[fnv1a(key)%uint64(len(m.hot))].note(key)
 	}
-}
-
-// noteCommittedOps bumps every touched shard's committed-operation counter.
-// Together with the abort counters this gives the adaptive controller a
-// windowed abort *fraction* per shard group — aborts alone can't
-// distinguish "hot and failing" from "busy and fine".
-func (m *Metrics) noteCommittedOps(ops []Op) {
-	if m == nil {
-		return
-	}
-	for i := range ops {
-		m.shard[fnv1a(ops[i].Key)%uint64(len(m.shard))].commits.Add(1)
-	}
-}
-
-// ShardCounters returns shard i's cumulative committed and aborted
-// attempt-weighted operation counts.
-func (m *Metrics) ShardCounters(i int) (commits, aborts uint64) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.shard[i].commits.Load(), m.shard[i].aborts.Load()
 }
 
 // TopK returns the k most-aborted keys across all shards within the last

@@ -140,9 +140,7 @@ func TestMetricsTopKOrderAndOverflow(t *testing.T) {
 // TestHotspotWindowDecay is the satellite gate for windowed hotspot decay:
 // a key that was hot but cools down must leave TopK within two window
 // rotations, while a key that keeps aborting stays. Cumulative-since-start
-// counts (the pre-decay behaviour) could never show this — and the adaptive
-// controller's exit-pessimistic rule depends on contention being able to
-// visibly subside.
+// counts (the pre-decay behaviour) could never show this.
 func TestHotspotWindowDecay(t *testing.T) {
 	m := newMetrics(4)
 	ops := func(key string) []Op { return []Op{{Kind: OpPut, Key: key}} }
@@ -199,38 +197,5 @@ func TestHotspotLazyRotation(t *testing.T) {
 	m.maybeRotate(time.Now().Add(2*time.Hour + time.Minute))
 	if top := m.TopK(0); len(top) != 0 {
 		t.Fatalf("stale key survived a 2-window idle gap: %+v", top)
-	}
-}
-
-// TestShardCountersFeedGroups checks the commit/abort attribution the
-// adaptive controller consumes: committed and aborted ops land in their
-// key's shard counters, and Store.GroupCounters folds shards into groups.
-func TestShardCountersFeedGroups(t *testing.T) {
-	s, be := newStore(t, 2, 4, 4)
-	m := s.EnableMetrics()
-	th := be.NewThread()
-	defer th.Close()
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for _, k := range keys {
-		if _, err := s.Put(th, k, []byte("v"), Budget{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var commits uint64
-	for g := 0; g < 64; g++ {
-		c, _ := s.GroupCounters(g)
-		commits += c
-	}
-	if commits != uint64(len(keys)) {
-		t.Fatalf("group commit counters = %d, want %d", commits, len(keys))
-	}
-	m.noteAbortedOps([]Op{{Kind: OpPut, Key: "a"}})
-	var aborts uint64
-	for g := 0; g < 64; g++ {
-		_, a := s.GroupCounters(g)
-		aborts += a
-	}
-	if aborts != 1 {
-		t.Fatalf("group abort counters = %d, want 1", aborts)
 	}
 }

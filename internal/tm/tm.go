@@ -41,24 +41,6 @@ func init() {
 			return fmt.Sprintf("enemy=%d", e.A)
 		case trace.KindFaultDelay, trace.KindFaultStall, trace.KindFaultSlowRead:
 			return fmt.Sprintf("dur=%v", time.Duration(e.A))
-		case trace.KindAdaptSwitch:
-			to := "optimistic"
-			if e.B != 0 {
-				to = "pessimistic"
-			}
-			return fmt.Sprintf("group=%d to=%s abort-ppm=%d", e.Obj, to, e.A)
-		case trace.KindAdaptVeto:
-			reason := "volume"
-			if e.B == 1 {
-				reason = "dwell"
-			}
-			return fmt.Sprintf("group=%d reason=%s abort-ppm=%d", e.Obj, reason, e.A)
-		case trace.KindAdaptDrain:
-			state := "drained"
-			if e.B != 0 {
-				state = "timed-out"
-			}
-			return fmt.Sprintf("group=%d wait=%v %s", e.Obj, time.Duration(e.A), state)
 		}
 		return ""
 	}

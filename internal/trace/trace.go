@@ -40,37 +40,34 @@ type Kind uint8
 // Event kinds. The Arg/Arg2 columns document what each kind stores in
 // Event.A / Event.B.
 const (
-	KindBegin        Kind = iota // A=birth ordinal
-	KindRead                     // shared-read open succeeded; Obj=object
-	KindAcquire                  // exclusive write acquire; Obj=object
-	KindConflict                 // hit an active enemy; A=enemy thread, B=1 if enemy is a reader
-	KindCMWait                   // contention manager said wait; A=enemy thread
-	KindCMAbortSelf              // contention manager said abort self; A=enemy thread
-	KindCMAbortOther             // requested the enemy's abort; A=enemy thread
-	KindAbort                    // attempt aborted; A=tm.AbortReason, B=attempt ordinal
-	KindCommit                   // attempt committed; A=attempt ordinal (0 = first try)
-	KindInflate                  // object inflated past an unresponsive enemy; A=enemy thread
-	KindDeflate                  // object deflated back in place
-	KindFaultAbort               // fault plane injected a forced abort
-	KindFaultDelay               // fault plane injected a latency spike; A=ns
-	KindFaultStall               // fault plane injected a mid-tx stall; A=ns
-	KindFaultReset               // fault plane reset a connection mid-write
-	KindFaultTornWrite           // fault plane split a write; A=bytes delivered first
-	KindFaultSlowRead            // fault plane delayed a read; A=ns
-	KindWALRecover               // durability plane recovered a shard; Obj=shard, A=replayed frames, B=truncated bytes
-	KindWALSnapshot              // durability plane sealed a snapshot; Obj=shard, A=snapshot LSN, B=keys
-	KindWALTruncate              // durability plane removed covered files; Obj=shard, A=files removed
-	KindWALDegrade               // durability plane degraded; A=1 fail-stop / 0 read-only
-	KindReplSubscribe            // replication: follower subscribed; A=epoch, B=follower's applied total
-	KindReplFrames               // replication: batch of frames shipped/applied; A=frames, B=last total LSN
-	KindReplPromote              // replication: node promoted to primary; A=new epoch, B=applied total at promotion
-	KindReplReject               // replication: fencing rejected a stale-epoch message; A=msg epoch, B=local epoch
-	KindSchedEnqueue             // scheduler: request admitted to the queue; A=queue depth after enqueue
-	KindSchedDispatch            // scheduler: executor picked a request up; A=queue wait ns
-	KindSchedReject              // scheduler: admission refused a request (queue full); A=queue depth
-	KindAdaptSwitch              // adaptive: group changed mode; Obj=group, A=windowed abort rate (ppm), B=1 entering pessimistic / 0 entering optimistic
-	KindAdaptVeto                // adaptive: switch suppressed by hysteresis; Obj=group, A=abort rate (ppm), B=reason (1=dwell, 2=volume)
-	KindAdaptDrain               // adaptive: old mode drained after a switch; Obj=group, A=wait ns, B=1 if the bounded wait timed out
+	KindBegin          Kind = iota // A=birth ordinal
+	KindRead                       // shared-read open succeeded; Obj=object
+	KindAcquire                    // exclusive write acquire; Obj=object
+	KindConflict                   // hit an active enemy; A=enemy thread, B=1 if enemy is a reader
+	KindCMWait                     // contention manager said wait; A=enemy thread
+	KindCMAbortSelf                // contention manager said abort self; A=enemy thread
+	KindCMAbortOther               // requested the enemy's abort; A=enemy thread
+	KindAbort                      // attempt aborted; A=tm.AbortReason, B=attempt ordinal
+	KindCommit                     // attempt committed; A=attempt ordinal (0 = first try)
+	KindInflate                    // object inflated past an unresponsive enemy; A=enemy thread
+	KindDeflate                    // object deflated back in place
+	KindFaultAbort                 // fault plane injected a forced abort
+	KindFaultDelay                 // fault plane injected a latency spike; A=ns
+	KindFaultStall                 // fault plane injected a mid-tx stall; A=ns
+	KindFaultReset                 // fault plane reset a connection mid-write
+	KindFaultTornWrite             // fault plane split a write; A=bytes delivered first
+	KindFaultSlowRead              // fault plane delayed a read; A=ns
+	KindWALRecover                 // durability plane recovered a shard; Obj=shard, A=replayed frames, B=truncated bytes
+	KindWALSnapshot                // durability plane sealed a snapshot; Obj=shard, A=snapshot LSN, B=keys
+	KindWALTruncate                // durability plane removed covered files; Obj=shard, A=files removed
+	KindWALDegrade                 // durability plane degraded; A=1 fail-stop / 0 read-only
+	KindReplSubscribe              // replication: follower subscribed; A=epoch, B=follower's applied total
+	KindReplFrames                 // replication: batch of frames shipped/applied; A=frames, B=last total LSN
+	KindReplPromote                // replication: node promoted to primary; A=new epoch, B=applied total at promotion
+	KindReplReject                 // replication: fencing rejected a stale-epoch message; A=msg epoch, B=local epoch
+	KindSchedEnqueue               // scheduler: request admitted to the queue; A=queue depth after enqueue
+	KindSchedDispatch              // scheduler: executor picked a request up; A=queue wait ns
+	KindSchedReject                // scheduler: admission refused a request (queue full); A=queue depth
 	kindCount
 )
 
@@ -133,12 +130,6 @@ func (k Kind) String() string {
 		return "sched-dispatch"
 	case KindSchedReject:
 		return "sched-reject"
-	case KindAdaptSwitch:
-		return "adapt-switch"
-	case KindAdaptVeto:
-		return "adapt-veto"
-	case KindAdaptDrain:
-		return "adapt-drain"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -150,12 +141,12 @@ var AuxFormatter func(e Event) string
 
 // Event is one recorded lifecycle event.
 type Event struct {
-	Seq  uint64 `json:"seq"`            // recorder-global recording order
-	When uint64 `json:"when"`           // env time (ns in real mode, cycles in sim)
-	Kind Kind   `json:"-"`              // what happened
-	Obj  uint64 `json:"obj,omitempty"`  // object layout address (0 if none)
-	A    uint64 `json:"a,omitempty"`    // kind-specific (see Kind docs)
-	B    uint64 `json:"b,omitempty"`    // kind-specific (see Kind docs)
+	Seq  uint64 `json:"seq"`           // recorder-global recording order
+	When uint64 `json:"when"`          // env time (ns in real mode, cycles in sim)
+	Kind Kind   `json:"-"`             // what happened
+	Obj  uint64 `json:"obj,omitempty"` // object layout address (0 if none)
+	A    uint64 `json:"a,omitempty"`   // kind-specific (see Kind docs)
+	B    uint64 `json:"b,omitempty"`   // kind-specific (see Kind docs)
 }
 
 // MarshalJSON renders Kind by name so /tracez output is self-describing.
@@ -219,11 +210,6 @@ const ReplSource = -3
 // (admission, dispatch, rejection), which happen before any TM thread is
 // involved with a request.
 const SchedSource = -4
-
-// AdaptiveSource is the reserved source ID for adaptive-execution events
-// (mode switches, hysteresis vetoes, drain completions), which are emitted
-// by the controller goroutine rather than any TM thread.
-const AdaptiveSource = -5
 
 // Source returns the recorder's source ID (a thread slot, or PlaneSource).
 func (r *Recorder) Source() int { return r.source }
@@ -458,9 +444,6 @@ func (f *FlightRecorder) Dump(w io.Writer) {
 		}
 		if log.Source == SchedSource {
 			name = "scheduler plane (admission/dispatch)"
-		}
-		if log.Source == AdaptiveSource {
-			name = "adaptive plane (mode controller)"
 		}
 		fmt.Fprintf(w, "--- %s: %d recorded, last %d retained ---\n",
 			name, log.Recorded, len(log.Events))

@@ -32,7 +32,6 @@
 package nztm
 
 import (
-	"nztm/internal/adaptive"
 	"nztm/internal/audit"
 	"nztm/internal/bench"
 	"nztm/internal/core"
@@ -110,34 +109,6 @@ func NewNZSTMDynamic(hint, max int) (System, *Registry) {
 	cfg.MaxThreads = reg.Max()
 	sys := core.New(world, cfg)
 	// Slot churn shows up in the system's Stats (SlotAcquires/SlotReleases).
-	reg.BindStats(sys.Stats())
-	return sys, reg
-}
-
-// Adaptive is the per-shard-group mode-switching facade: transactions run
-// optimistically through the wrapped NZSTM by default, and groups the
-// controller judges pathologically contended fall back to GlobalLock-style
-// short critical sections until they cool. See internal/adaptive and
-// DESIGN.md §15.
-type Adaptive = adaptive.System
-
-// Execution modes for Adaptive.SwitchMode.
-const (
-	ModeOptimistic  = adaptive.Optimistic
-	ModePessimistic = adaptive.Pessimistic
-)
-
-// NewAdaptiveDynamic returns the adaptive facade over registry-wired NZSTM
-// (the serving stack's "-system adaptive" configuration). In steady state
-// the facade adds one CAS per touched group to NZSTM's allocation-free
-// commit path; start a controller (Adaptive.StartController) to let
-// contention signals flip group modes at runtime.
-func NewAdaptiveDynamic(hint, max int) (*Adaptive, *Registry) {
-	world := tm.NewRealWorld()
-	reg := tm.NewRegistryWorld(max, world)
-	cfg := core.DefaultConfig(core.NZ, hint)
-	cfg.MaxThreads = reg.Max()
-	sys := adaptive.New(core.New(world, cfg))
 	reg.BindStats(sys.Stats())
 	return sys, reg
 }

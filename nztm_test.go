@@ -209,12 +209,11 @@ func TestFacadeAudit(t *testing.T) {
 // to well under one allocation per transaction, hence the < 1.5 threshold
 // rather than an exact one.
 func TestAtomicRealModeAllocFree(t *testing.T) {
-	// gate measures one configuration's steady-state hot path. The
-	// transaction function and update callback are hoisted out of the loop,
-	// as a steady-state caller would: the gate measures the library hot
-	// path, not per-iteration closure construction in the caller.
-	gate := func(t *testing.T, sys nztm.System, reg *nztm.Registry,
-		atomic func(th *nztm.Thread, fn func(nztm.Tx) error) error) {
+	// The transaction function and update callback are hoisted out of the
+	// loop, as a steady-state caller would: the gate measures the library
+	// hot path, not per-iteration closure construction in the caller.
+	t.Run("nzstm", func(t *testing.T) {
+		sys, reg := nztm.NewNZSTMDynamic(4, 0)
 		o := sys.NewObject(nztm.NewInts(4))
 		th := reg.NewThread()
 		defer th.Close()
@@ -226,7 +225,7 @@ func TestAtomicRealModeAllocFree(t *testing.T) {
 			return nil
 		}
 		run := func() {
-			if err := atomic(th, fn); err != nil {
+			if err := sys.Atomic(th, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,26 +236,6 @@ func TestAtomicRealModeAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(500, run); avg >= 1.5 {
 			t.Errorf("uncontended read-write transaction allocates %.2f allocs/op; want ~1 (the descriptor)", avg)
 		}
-	}
-	t.Run("nzstm", func(t *testing.T) {
-		sys, reg := nztm.NewNZSTMDynamic(4, 0)
-		gate(t, sys, reg, sys.Atomic)
-	})
-	// The adaptive facade in a stable mode must preserve the guarantee: its
-	// switch check is one atomic word per touched group, not an allocation.
-	t.Run("adaptive-stable-optimistic", func(t *testing.T) {
-		sys, reg := nztm.NewAdaptiveDynamic(4, 0)
-		gate(t, sys, reg, func(th *nztm.Thread, fn func(nztm.Tx) error) error {
-			return sys.AtomicMask(th, 1, fn) // the kv store's single-group shape
-		})
-	})
-	t.Run("adaptive-stable-pessimistic", func(t *testing.T) {
-		sys, reg := nztm.NewAdaptiveDynamic(4, 0)
-		sys.SetProbeEvery(0) // pure mutex path
-		sys.SwitchMode(0, nztm.ModePessimistic)
-		gate(t, sys, reg, func(th *nztm.Thread, fn func(nztm.Tx) error) error {
-			return sys.AtomicMask(th, 1, fn)
-		})
 	})
 }
 
@@ -268,26 +247,15 @@ func TestAtomicRealModeAllocFree(t *testing.T) {
 // it adds none — events are atomic stores into a fixed ring).
 func TestTracingAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		tracing  bool
-		adaptive bool
-		limit    float64
+		name    string
+		tracing bool
+		limit   float64
 	}{
-		{"disabled", false, false, 1.5},
-		{"enabled", true, false, 2.0},
-		{"disabled-adaptive", false, true, 1.5},
-		{"enabled-adaptive", true, true, 2.0},
+		{"disabled", false, 1.5},
+		{"enabled", true, 2.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var sys nztm.System
-			var reg *nztm.Registry
-			if tc.adaptive {
-				// The facade must not cost the tracing plane its guarantee:
-				// stable-mode entry records no events and allocates nothing.
-				sys, reg = nztm.NewAdaptiveDynamic(4, 0)
-			} else {
-				sys, reg = nztm.NewNZSTMDynamic(4, 0)
-			}
+			sys, reg := nztm.NewNZSTMDynamic(4, 0)
 			if tc.tracing {
 				reg.BindRecorder(nztm.NewFlightRecorder(1024))
 			}
