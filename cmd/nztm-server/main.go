@@ -8,12 +8,14 @@
 //
 // The binary speaks the length-prefixed binary protocol of internal/server
 // (use internal/server.Client or examples/kvclient to talk to it) and exposes an
-// HTTP observability mux beside it: plain-text /statsz (counters, interval
-// rates, latency histograms, contention hotspots), Prometheus /metricsz,
-// JSON /tracez (per-thread flight-recorder event logs, -trace to enable),
-// and net/http/pprof under /debug/pprof/ behind -pprof. SIGINT/SIGTERM
-// trigger a graceful drain: stop accepting, finish in-flight requests
-// within -drain, flush + sync the write-ahead log, exit 0.
+// HTTP observability mux beside it at the -statsz address: Prometheus
+// /metricsz, the one stats surface (build and configuration info,
+// counters, latency histograms, contention hotspots, and every armed
+// plane's families), JSON /tracez (per-thread flight-recorder event logs,
+// -trace to enable), /slowz, and net/http/pprof under /debug/pprof/
+// behind -pprof. SIGINT/SIGTERM trigger a graceful drain: stop accepting,
+// finish in-flight requests within -drain, flush + sync the write-ahead
+// log, print the final /metricsz exposition and exit 0.
 //
 // Requests are served by an M:N scheduler (DESIGN.md §14): connections
 // never bind registry slots; their requests flow through a bounded
@@ -55,7 +57,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":7420", "TCP listen address for the KV protocol")
-		statsz  = flag.String("statsz", ":7421", "HTTP listen address for /statsz, /metricsz, /tracez (empty disables)")
+		statsz  = flag.String("statsz", ":7421", "HTTP listen address for /metricsz, /tracez, /slowz (empty disables)")
 		system  = flag.String("system", "nzstm", "backing TM system: "+strings.Join(kv.BackendNames(), ", "))
 		shards  = flag.Int("shards", 16, "shard count")
 		buckets = flag.Int("buckets", 64, "transactional buckets per shard")
@@ -70,7 +72,7 @@ func main() {
 		faultSd = flag.Uint64("fault-seed", 0, "arm the fault-injection plane with this seed (0 = off)")
 		backoff = flag.Duration("retry-backoff", 0, "base backoff between transaction retries (0 = immediate retry)")
 		traceN  = flag.Int("trace", 0, "per-thread flight-recorder capacity in events (0 = tracing off; keeps the hot path allocation-free)")
-		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the statsz mux")
+		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the observability mux")
 
 		dataDir   = flag.String("data-dir", "", "write-ahead-log data directory (empty = memory-only, no durability)")
 		fsyncMode = flag.String("fsync", "always", "WAL sync policy: always (fsync before every ack), interval (background fsync every -fsync-interval), never (OS decides)")
@@ -127,7 +129,7 @@ func main() {
 		fr = trace.New(*traceN)
 		backend.Reg.BindRecorder(fr)
 	}
-	var statszHooks, metricszHooks []func(io.Writer)
+	var metricszHooks []func(io.Writer)
 	var plane *fault.Plane
 	if *faultSd != 0 {
 		fcfg := fault.DefaultConfig(*faultSd)
@@ -139,7 +141,7 @@ func main() {
 		plane = fault.New(fcfg)
 		cfg.WrapThread = plane.WrapThread
 		sys = plane.WrapSystem(sys)
-		statszHooks = append(statszHooks, plane.WriteStats)
+		metricszHooks = append(metricszHooks, plane.WriteProm)
 		if fr != nil {
 			plane.BindRecorder(fr)
 		}
@@ -185,7 +187,6 @@ func main() {
 			// I/O, faults only hit the serving path.
 			disk = fault.NewDisk(fault.DiskConfig{Seed: *diskSeed, Probs: probs, Output: os.Stderr})
 			dur.FS = disk
-			statszHooks = append(statszHooks, disk.WriteStats)
 			metricszHooks = append(metricszHooks, disk.WriteProm)
 			fmt.Printf("nztm-server: disk faults loaded: sites=%s prob=%g seed=%d (armed after recovery)\n",
 				*diskSites, *diskProb, *diskSeed)
@@ -201,7 +202,6 @@ func main() {
 		fmt.Printf("nztm-server: recovered %s: replayed=%d truncated_bytes=%d in %v (fsync=%s snapshot-every=%v)\n",
 			*dataDir, st.ReplayedFrames, st.TruncatedBytes,
 			st.Duration.Round(time.Microsecond), policy, *snapEvery)
-		statszHooks = append(statszHooks, store.WriteDurabilityStats)
 		metricszHooks = append(metricszHooks, store.WriteDurabilityProm)
 	} else {
 		store = kv.New(sys, *shards, *buckets)
@@ -250,7 +250,6 @@ func main() {
 		// soak harness can blackhole peers at runtime via /partitionz.
 		parts = fault.NewPartitions()
 		rcfg.Dial = parts.Dial
-		statszHooks = append(statszHooks, parts.WriteStats)
 		metricszHooks = append(metricszHooks, parts.WriteProm)
 		replNode, err = repl.Start(store, rcfg)
 		if err != nil {
@@ -258,13 +257,11 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.CheckRequest = replNode.CheckRequest
-		statszHooks = append(statszHooks, replNode.WriteStatsz)
 		metricszHooks = append(metricszHooks, replNode.WriteMetricsz)
 		fmt.Printf("nztm-server: replication on %s: node=%d role=%s epoch=%d ack=%s peers=%d\n",
 			replNode.ReplAddr(), *nodeID, replNode.Role(), replNode.Epoch(), *replAck, len(rcfg.Peers))
 	}
 
-	cfg.ExtraStatsz = chainWriters(statszHooks)
 	cfg.ExtraMetricsz = chainWriters(metricszHooks)
 	srv := server.New(store, backend.Reg, cfg)
 	if plane != nil {
@@ -278,10 +275,6 @@ func main() {
 
 	if *statsz != "" {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			srv.WriteStatsz(w)
-		})
 		mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			srv.WriteMetricsz(w)
@@ -290,7 +283,8 @@ func main() {
 		mux.Handle("/slowz", srv.SlowzHandler())
 		if parts != nil {
 			// Runtime partition control: /partitionz?op=block&peer=<addr>&dir=in|out|both,
-			// op=heal&peer=<addr>, op=healall, or bare for status.
+			// op=heal&peer=<addr>, op=healall, or bare for status; every
+			// answer is the partition plane's /metricsz families.
 			mux.HandleFunc("/partitionz", func(w http.ResponseWriter, r *http.Request) {
 				q := r.URL.Query()
 				switch q.Get("op") {
@@ -308,8 +302,8 @@ func main() {
 					http.Error(w, "unknown op (have block, heal, healall, status)", http.StatusBadRequest)
 					return
 				}
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				parts.WriteStats(w)
+				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+				parts.WriteProm(w)
 			})
 		}
 		if *pprofOn {
@@ -321,10 +315,10 @@ func main() {
 		}
 		go func() {
 			if err := http.ListenAndServe(*statsz, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "nztm-server: statsz:", err)
+				fmt.Fprintln(os.Stderr, "nztm-server: observability mux:", err)
 			}
 		}()
-		fmt.Printf("nztm-server: /statsz /metricsz /tracez /slowz on http://%s (pprof=%v, trace=%d events/thread)\n",
+		fmt.Printf("nztm-server: /metricsz /tracez /slowz on http://%s (pprof=%v, trace=%d events/thread)\n",
 			*statsz, *pprofOn, *traceN)
 	}
 
@@ -384,10 +378,10 @@ serve:
 		fmt.Fprintln(os.Stderr, "nztm-server: close:", err)
 		os.Exit(1)
 	}
-	srv.WriteStatsz(os.Stdout)
+	srv.WriteMetricsz(os.Stdout)
 }
 
-// chainWriters folds stats/metrics appenders into one hook (nil when
+// chainWriters folds metrics appenders into one hook (nil when
 // the list is empty, keeping the export paths branch-free).
 func chainWriters(hooks []func(io.Writer)) func(io.Writer) {
 	if len(hooks) == 0 {

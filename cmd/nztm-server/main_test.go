@@ -6,6 +6,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -78,13 +80,9 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("child-process test")
 	}
-	bin := filepath.Join(t.TempDir(), "nztm-server")
-	if out, err := exec.Command("go", "build", "-o", bin, "nztm/cmd/nztm-server").CombinedOutput(); err != nil {
-		t.Fatalf("building nztm-server: %v\n%s", err, out)
-	}
-
+	bin := buildServer(t)
 	statszAddr := pickAddr(t)
-	cmd := exec.Command(bin,
+	cmd, stdout, stderr, kvAddr := startServer(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-statsz", statszAddr,
 		"-trace", "64",
@@ -92,36 +90,6 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		"-data-dir", t.TempDir(),
 		"-fsync", "never",
 	)
-	stdout := &lineBuffer{}
-	stderr := &lineBuffer{}
-	outPipe, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	errPipe, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go stdout.consume(outPipe)
-	go stderr.consume(errPipe)
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-
-	stdout.waitContains(t, 10*time.Second, "nztm-server: ready addr=")
-	var kvAddr string
-	for _, line := range strings.Split(stdout.String(), "\n") {
-		if _, err := fmt.Sscanf(line, "nztm-server: ready addr=%s", &kvAddr); err == nil {
-			break
-		}
-	}
-	if kvAddr == "" {
-		t.Fatalf("no ready line in:\n%s", stdout.String())
-	}
 
 	c, err := server.Dial(kvAddr)
 	if err != nil {
@@ -140,19 +108,7 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get("http://" + statszAddr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
-	}
+	get := func(path string) (int, string) { return httpGet(t, statszAddr, path) }
 
 	// The composed document — server + scheduler + spans + TM + KV +
 	// durability — must lint clean end to end.
@@ -211,9 +167,199 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exit after SIGTERM: %v\nstderr:\n%s", err, stderr.String())
 		}
+		// The exit dump is the final /metricsz exposition.
+		stdout.waitContains(t, 5*time.Second, "nztm_server_requests_total{status=\"ok\"}")
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
 		t.Fatalf("child ignored SIGTERM:\nstdout:\n%s", stdout.String())
 	}
-	_ = os.Remove(bin)
+}
+
+// buildServer builds the nztm-server binary into a test temp dir.
+func buildServer(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "nztm-server")
+	if out, err := exec.Command("go", "build", "-o", bin, "nztm/cmd/nztm-server").CombinedOutput(); err != nil {
+		t.Fatalf("building nztm-server: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// startServer runs bin with args, waits for its ready line and returns
+// the process, its captured stdout and stderr, and the KV address. The
+// process is killed when the test ends.
+func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, *lineBuffer, *lineBuffer, string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	stdout := &lineBuffer{}
+	stderr := &lineBuffer{}
+	outPipe, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errPipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go stdout.consume(outPipe)
+	go stderr.consume(errPipe)
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+
+	stdout.waitContains(t, 10*time.Second, "nztm-server: ready addr=")
+	var kvAddr string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "nztm-server: ready addr=%s", &kvAddr); err == nil {
+			break
+		}
+	}
+	if kvAddr == "" {
+		t.Fatalf("no ready line in:\n%s", stdout.String())
+	}
+	return cmd, stdout, stderr, kvAddr
+}
+
+// httpGet fetches path from the observability mux at addr.
+func httpGet(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/metricsz_families.txt from the live exposition")
+
+// oddKeys are hot keys whose bytes the exposition format cannot carry
+// verbatim: control bytes, invalid UTF-8 and the three escaped characters.
+var oddKeys = []string{"a\tb", "x\x01y", "bad\xff", `q"uote`, `back\slash`, "new\nline"}
+
+// TestMetricszFamiliesGolden boots the binary with every plane armed —
+// durability, TM and connection faults, disk faults, replication as a
+// lone primary, tracing — drives traffic until the hotspot table holds
+// keys with control and invalid-UTF-8 bytes, lints the fully composed
+// /metricsz and checks that every (family, TYPE) pair recorded in
+// testdata/metricsz_families.txt is still exported with the same type.
+// Families may be added; none may be dropped or retyped. Run with
+// -update to rewrite the golden file.
+func TestMetricszFamiliesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("child-process test")
+	}
+	bin := buildServer(t)
+	statszAddr := pickAddr(t)
+	_, _, _, kvAddr := startServer(t, bin,
+		"-addr", "127.0.0.1:0",
+		"-statsz", statszAddr,
+		"-trace", "64",
+		"-executors", "2",
+		"-data-dir", t.TempDir(),
+		"-fsync", "never",
+		"-fault-seed", "7",
+		"-disk-fault-seed", "9",
+		"-disk-fault-sites", "rename", // armed, but never visited without snapshots
+		"-repl-addr", pickAddr(t),
+		"-repl-ack", "none",
+	)
+
+	// The fault plane resets connections now and then: redial and go on.
+	var c *server.Client
+	do := func(ops []kv.Op) {
+		t.Helper()
+		var err error
+		if c == nil {
+			if c, err = server.Dial(kvAddr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err = c.Do(ops); err != nil {
+			c.Close()
+			c = nil
+		}
+	}
+	defer func() {
+		if c != nil {
+			c.Close()
+		}
+	}()
+	batch := make([]kv.Op, len(oddKeys))
+	for i, k := range oddKeys {
+		batch[i] = kv.Op{Kind: kv.OpPut, Key: k, Value: []byte("v")}
+	}
+	// Injected aborts charge every key of the batch in the hotspot table.
+	var body string
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		for i := 0; i < 50; i++ {
+			do(batch)
+			do([]kv.Op{{Kind: kv.OpGet, Key: "plain"}})
+		}
+		_, body = httpGet(t, statszAddr, "/metricsz")
+		if strings.Count(body, "nztm_kv_key_aborts_total{") >= len(oddKeys) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("odd keys never became hot:\n%s", body)
+		}
+	}
+
+	if problems := metrics.LintProm(strings.NewReader(body)); len(problems) != 0 {
+		t.Errorf("fully armed /metricsz exposition violations:\n  %s", strings.Join(problems, "\n  "))
+	}
+	for _, want := range []string{
+		`nztm_fault_info{seed="7",enabled="true"} 1`,
+		`nztm_disk_fault_info{seed="9"} 1`,
+		`nztm_wal_info{dir="`,
+		`nztm_repl_info{node_id="0",role="primary",primary="`,
+		`system="NZSTM+fault"} 1`,
+		`admission="reject"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("fully armed /metricsz missing %q", want)
+		}
+	}
+	if code, _ := httpGet(t, statszAddr, "/statsz"); code != http.StatusNotFound {
+		t.Errorf("/statsz: code=%d, want 404", code)
+	}
+	code, parts := httpGet(t, statszAddr, "/partitionz")
+	if problems := metrics.LintProm(strings.NewReader(parts)); code != 200 || len(problems) != 0 ||
+		!strings.Contains(parts, "nztm_partition_active 0") {
+		t.Errorf("/partitionz: code=%d problems=%v body:\n%s", code, problems, parts)
+	}
+	var got []string
+	for name, typ := range metrics.Families(strings.NewReader(body)) {
+		got = append(got, name+" "+typ)
+	}
+	sort.Strings(got)
+	golden := filepath.Join("testdata", "metricsz_families.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[string]bool, len(got))
+	for _, g := range got {
+		have[g] = true
+	}
+	for _, w := range strings.Split(strings.TrimSpace(string(want)), "\n") {
+		if !have[w] {
+			t.Errorf("family dropped or retyped: %s", w)
+		}
+	}
 }

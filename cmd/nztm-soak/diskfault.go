@@ -41,6 +41,7 @@ import (
 	"nztm/internal/fault"
 	"nztm/internal/histcheck"
 	"nztm/internal/kv"
+	"nztm/internal/metrics"
 )
 
 // diskCfg bundles the -diskfault mode's knobs.
@@ -105,16 +106,16 @@ func diskProbFor(site fault.DiskSite) float64 {
 	}
 }
 
-// startDiskChild boots one armed child and returns it with its statsz
+// startDiskChild boots one armed child and returns it with its HTTP
 // address (for mode inspection).
 func (ds *diskSoak) startDiskChild(iter int, site fault.DiskSite) (*child, string, error) {
-	statszAddr, err := pickFreeAddr()
+	httpAddr, err := pickFreeAddr()
 	if err != nil {
 		return nil, "", err
 	}
 	seed := ds.cfg.seed + uint64(iter)*7919 + 1
 	c, err := ds.cs.startChild(
-		"-statsz", statszAddr,
+		"-statsz", httpAddr,
 		"-fsync", "always", // the fail-stop contract under test is the acked-implies-fsynced one
 		"-disk-fault-seed", fmt.Sprint(seed),
 		"-disk-fault-sites", site.String(),
@@ -123,7 +124,7 @@ func (ds *diskSoak) startDiskChild(iter int, site fault.DiskSite) (*child, strin
 	if err != nil {
 		return nil, "", err
 	}
-	return c, statszAddr, nil
+	return c, httpAddr, nil
 }
 
 // load drives acknowledged writes while the faults land. Unlike the
@@ -198,18 +199,32 @@ func (ds *diskSoak) load(c *child, iter int, deadline time.Duration) {
 	wg.Wait()
 }
 
-// fetchMode reads the durability line's mode= token from /statsz.
-func fetchMode(statszAddr string) string {
+// fetchMode reads the log's mode ("ok", "read-only" or "failed") from the
+// child's /metricsz gauges. An unreachable child reads as ""; a malformed
+// exposition is an error.
+func fetchMode(addr string) (string, error) {
 	for i := 0; i < 10; i++ {
-		body, err := httpText("http://" + statszAddr + "/statsz")
+		ss, err := scrapeMetrics(addr)
+		if errors.Is(err, errMalformed) {
+			return "", err
+		}
 		if err == nil {
-			if m := statszToken(body, "mode="); m != "" {
-				return m
+			ro, ok1 := sampleValue(ss, "nztm_wal_readonly")
+			failed, ok2 := sampleValue(ss, "nztm_wal_failed")
+			if !ok1 || !ok2 {
+				return "", fmt.Errorf("%s/metricsz has no nztm_wal_readonly/nztm_wal_failed gauges", addr)
 			}
+			switch {
+			case failed == 1:
+				return "failed", nil
+			case ro == 1:
+				return "read-only", nil
+			}
+			return "ok", nil
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return ""
+	return "", nil
 }
 
 // httpText GETs a URL and returns its body.
@@ -230,17 +245,40 @@ func httpText(url string) (string, error) {
 	return string(b), nil
 }
 
-// statszToken extracts the value following the first "key=" token.
-func statszToken(body, key string) string {
-	i := strings.Index(body, key)
-	if i < 0 {
-		return ""
+// errMalformed marks an exposition that fails metrics.LintProm.
+var errMalformed = errors.New("malformed /metricsz exposition")
+
+// scrapeMetrics GETs a child's /metricsz, lints it and returns its
+// samples. Any lint problem is an errMalformed error: the soak fails on
+// an exposition a scraper would reject.
+func scrapeMetrics(addr string) ([]metrics.Sample, error) {
+	body, err := httpText("http://" + addr + "/metricsz")
+	if err != nil {
+		return nil, err
 	}
-	rest := body[i+len(key):]
-	if j := strings.IndexAny(rest, " \n"); j >= 0 {
-		rest = rest[:j]
+	return lintedSamples(addr, body)
+}
+
+// lintedSamples lints an exposition body and parses its samples.
+func lintedSamples(source, body string) ([]metrics.Sample, error) {
+	if errs := metrics.LintProm(strings.NewReader(body)); len(errs) > 0 {
+		return nil, fmt.Errorf("%w from %s:\n  %s", errMalformed, source, strings.Join(errs, "\n  "))
 	}
-	return rest
+	ss, err := metrics.Samples(strings.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("%w from %s: %v", errMalformed, source, err)
+	}
+	return ss, nil
+}
+
+// sampleValue returns the value of the first sample named name.
+func sampleValue(ss []metrics.Sample, name string) (float64, bool) {
+	for _, s := range ss {
+		if s.Name == name {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }
 
 // probeDegraded asserts the mode-specific contract with one direct
@@ -293,7 +331,7 @@ func (ds *diskSoak) probeDegraded(c *child, iter int, site fault.DiskSite, mode 
 // degraded-mode contract, SIGKILL, classify the markers.
 func (ds *diskSoak) iterate(iter int, site fault.DiskSite) error {
 	ds.iters++
-	c, statszAddr, err := ds.startDiskChild(iter, site)
+	c, httpAddr, err := ds.startDiskChild(iter, site)
 	if err != nil {
 		return err
 	}
@@ -315,7 +353,10 @@ func (ds *diskSoak) iterate(iter int, site fault.DiskSite) error {
 	if c.parentKilled.Load() {
 		return fail(fmt.Errorf("child wedged under injected I/O errors (watchdog kill):\n%s", c.dumpTail()))
 	}
-	mode := fetchMode(statszAddr)
+	mode, err := fetchMode(httpAddr)
+	if err != nil {
+		return fail(err)
+	}
 	switch mode {
 	case "failed":
 		ds.failedModes++

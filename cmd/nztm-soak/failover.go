@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,12 +64,12 @@ type failCfg struct {
 
 // failNode is one cluster member's identity (stable across restarts).
 type failNode struct {
-	id         int
-	kvAddr     string
-	replAddr   string
-	statszAddr string // debug/control plane (/statsz, /partitionz)
-	dir        string
-	c          *child
+	id       int
+	kvAddr   string
+	replAddr string
+	httpAddr string // observability and control plane (/metricsz, /partitionz)
+	dir      string
+	c        *child
 }
 
 // failSoak is the parent-side state. It borrows the crash soak's key
@@ -103,7 +102,7 @@ func pickFreeAddr() (string, error) {
 // replication address to follow ("" = start as primary).
 func (fs *failSoak) startFailNode(n *failNode, replicateFrom string) error {
 	args := []string{
-		"-addr", n.kvAddr, "-statsz", n.statszAddr, "-system", "nzstm",
+		"-addr", n.kvAddr, "-statsz", n.httpAddr, "-system", "nzstm",
 		"-shards", fmt.Sprint(fs.cfg.shards), "-buckets", fmt.Sprint(fs.cfg.buckets),
 		"-threads", "4", "-drain", "5s",
 		"-data-dir", n.dir,
@@ -349,27 +348,24 @@ func (fs *failSoak) proveFenced(n *failNode) error {
 
 // partitionCtl drives one node's /partitionz control endpoint.
 func (fs *failSoak) partitionCtl(n *failNode, query string) error {
-	if _, err := httpText("http://" + n.statszAddr + "/partitionz?" + query); err != nil {
+	if _, err := httpText("http://" + n.httpAddr + "/partitionz?" + query); err != nil {
 		return fmt.Errorf("partitionz %q on node %d: %w", query, n.id, err)
 	}
 	return nil
 }
 
-// epochOf reads a node's current fencing epoch from its /statsz page.
+// epochOf reads a node's current fencing epoch from its /metricsz
+// nztm_repl_epoch gauge.
 func (fs *failSoak) epochOf(n *failNode) (uint64, error) {
-	body, err := httpText("http://" + n.statszAddr + "/statsz")
+	ss, err := scrapeMetrics(n.httpAddr)
 	if err != nil {
-		return 0, fmt.Errorf("statsz on node %d: %w", n.id, err)
+		return 0, fmt.Errorf("metricsz on node %d: %w", n.id, err)
 	}
-	tok := statszToken(body, "epoch=")
-	if tok == "" {
-		return 0, fmt.Errorf("node %d statsz has no epoch field", n.id)
+	v, ok := sampleValue(ss, "nztm_repl_epoch")
+	if !ok {
+		return 0, fmt.Errorf("node %d metricsz has no nztm_repl_epoch", n.id)
 	}
-	v, err := strconv.ParseUint(tok, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("node %d statsz epoch %q: %w", n.id, tok, err)
-	}
-	return v, nil
+	return uint64(v), nil
 }
 
 // assertNoZombieAck writes directly to the partitioned old primary and
@@ -513,7 +509,7 @@ func runFailover(cfg failCfg) error {
 		if err != nil {
 			return err
 		}
-		statszAddr, err := pickFreeAddr()
+		httpAddr, err := pickFreeAddr()
 		if err != nil {
 			return err
 		}
@@ -522,7 +518,7 @@ func runFailover(cfg failCfg) error {
 			return err
 		}
 		cleanups = append(cleanups, dir)
-		fs.nodes = append(fs.nodes, &failNode{id: i, kvAddr: kvAddr, replAddr: replAddr, statszAddr: statszAddr, dir: dir})
+		fs.nodes = append(fs.nodes, &failNode{id: i, kvAddr: kvAddr, replAddr: replAddr, httpAddr: httpAddr, dir: dir})
 	}
 	fmt.Printf("nztm-soak: failover mode: %d kills + %d partitions, seed=%d (%d shards, %d workers × %d keys)\n",
 		cfg.kills, cfg.partitions, cfg.seed, cfg.shards, cfg.workers, cfg.keys)

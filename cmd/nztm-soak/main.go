@@ -183,7 +183,7 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		MaxAttempts:    512,
 		RequestTimeout: 2 * time.Second,
 		RetryBackoff:   100 * time.Microsecond,
-		ExtraStatsz:    plane.WriteStats,
+		ExtraMetricsz:  plane.WriteProm,
 		WrapThread:     plane.WrapThread,
 	}
 	if oversub {
@@ -237,7 +237,14 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 	if err := store.Close(); err != nil {
 		return fmt.Errorf("store close: %w", err)
 	}
-	srv.WriteStatsz(os.Stdout)
+	// The final exposition is printed and must lint: a page a scraper
+	// would reject fails the leg.
+	var final strings.Builder
+	srv.WriteMetricsz(&final)
+	fmt.Print(final.String())
+	if _, err := lintedSamples("the final exposition", final.String()); err != nil {
+		return err
+	}
 
 	// Chaos liveness: a soak that injected nothing proved nothing.
 	if plane.Injected() == 0 {

@@ -102,7 +102,6 @@ func (tx *Txn) inflate(o *Object, enemy *Txn) {
 		}
 		if o.casOwner(env, or, tx.locRef(loc)) {
 			tx.sys.stats.Inflations.Add(1)
-			tx.sys.cfg.Tracer.Record(tx.th, tm.TraceInflate, o.base, uint64(enemy.th.ID))
 			tx.th.Trace(trace.KindInflate, o.base, uint64(enemy.th.ID), 0)
 			return
 		}
@@ -358,7 +357,6 @@ func (tx *Txn) tryDeflate(o *Object, or *ownerRef) bool {
 	env.Copy(o.words)
 	tx.guardedCopy(o, func() { o.data.CopyFrom(loc.newData) })
 	tx.sys.stats.Deflations.Add(1)
-	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceDeflate, o.base, 0)
 	tx.th.Trace(trace.KindDeflate, o.base, 0, 0)
 	return true
 }

@@ -7,6 +7,7 @@ import (
 	"nztm/internal/cm"
 	"nztm/internal/tm"
 	"nztm/internal/tmtest"
+	"nztm/internal/trace"
 )
 
 func invisibleFactory(v Variant) tmtest.Factory {
@@ -152,16 +153,18 @@ func TestInvisibleReadersAreInvisible(t *testing.T) {
 	}
 }
 
-// A tracer attached to the system must capture the full lifecycle of the
-// unresponsive-enemy scenario: begin, acquire, abort-request, inflate,
-// deflate, commits and aborts.
+// A flight recorder attached to the threads must capture the full
+// lifecycle of the unresponsive-enemy scenario: begin, acquire,
+// abort-request, inflate, deflate, commits and aborts.
 func TestTracerCapturesInflationStory(t *testing.T) {
 	cfg := DefaultConfig(NZ, 2)
 	cfg.AckPatience = 1
 	cfg.Manager = cm.NewKarma(1)
-	cfg.Tracer = tm.NewTracer(256)
 	s := New(tm.NewRealWorld(), cfg)
+	fr := trace.New(256)
 	th0, th1 := thread(0), thread(1)
+	th0.SetRecorder(fr.ForSource(0))
+	th1.SetRecorder(fr.ForSource(1))
 	obj := s.NewObject(tm.NewInts(1))
 
 	zombie := s.begin(th0)
@@ -182,16 +185,18 @@ func TestTracerCapturesInflationStory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kinds := map[tm.TraceKind]int{}
-	for _, e := range cfg.Tracer.Snapshot() {
-		kinds[e.Kind]++
+	kinds := map[trace.Kind]int{}
+	for _, src := range fr.Snapshot() {
+		for _, e := range src.Events {
+			kinds[e.Kind]++
+		}
 	}
-	for _, want := range []tm.TraceKind{
-		tm.TraceBegin, tm.TraceAcquire, tm.TraceAbortRequest,
-		tm.TraceInflate, tm.TraceDeflate, tm.TraceCommit,
+	for _, want := range []trace.Kind{
+		trace.KindBegin, trace.KindAcquire, trace.KindCMAbortOther,
+		trace.KindInflate, trace.KindDeflate, trace.KindCommit,
 	} {
 		if kinds[want] == 0 {
-			t.Errorf("tracer missed %v events (have %v)", want, kinds)
+			t.Errorf("flight recorder missed %v events (have %v)", want, kinds)
 		}
 	}
 }

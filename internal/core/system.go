@@ -114,11 +114,6 @@ type Config struct {
 	// private one — the NZTM hybrid shares one sink between its hardware
 	// and software paths.
 	Stats *tm.Stats
-
-	// Tracer, if non-nil, records transaction lifecycle events (begin,
-	// acquire, abort-request, inflate, deflate, steal, commit, abort) for
-	// post-mortem debugging. A nil tracer costs nothing.
-	Tracer *tm.Tracer
 }
 
 // DefaultConfig returns paper-flavoured settings for the given variant.
@@ -230,7 +225,6 @@ func (s *System) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 			if tx.status.TryCommit() {
 				tx.finish(true)
 				s.stats.Commits.Add(1)
-				s.cfg.Tracer.Record(th, tm.TraceCommit, 0, uint64(attempt))
 				th.Trace(trace.KindCommit, 0, uint64(attempt), 0)
 				return nil
 			}
@@ -240,7 +234,6 @@ func (s *System) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 		tx.status.Acknowledge()
 		tx.finish(false)
 		s.stats.CountAbort(reason)
-		s.cfg.Tracer.Record(th, tm.TraceAbort, 0, uint64(reason))
 		th.Trace(trace.KindAbort, 0, uint64(reason), uint64(attempt))
 		s.cfg.Manager.Backoff(th.Env, attempt+1)
 	}
@@ -260,7 +253,6 @@ func (s *System) begin(th *tm.Thread) *Txn {
 	tx := &Txn{sys: s, th: th, addr: sc.addr, sc: sc}
 	sc.tx = tx
 	tx.InitMeta(th.NextBirth())
-	s.cfg.Tracer.Record(th, tm.TraceBegin, 0, tx.Birth())
 	th.Trace(trace.KindBegin, 0, tx.Birth(), 0)
 	return tx
 }

@@ -393,7 +393,6 @@ func (tx *Txn) acquireWrite(o *Object, or *ownerRef, w *Txn) bool {
 	tx.refreshRead(o, preVer)
 	tx.BumpPriority() // Karma: priority ∝ objects acquired (§4.3)
 	tx.sc.owned = append(tx.sc.owned, o)
-	tx.sys.cfg.Tracer.Record(tx.th, tm.TraceAcquire, o.base, 0)
 	tx.th.Trace(trace.KindAcquire, o.base, 0, 0)
 
 	// With nothing adopted, back the in-place data up into a buffer from
@@ -501,7 +500,6 @@ func (tx *Txn) resolveConflict(o *Object, or *ownerRef, enemy *Txn, enemyIsReade
 					return true
 				}
 				tx.sys.stats.AbortRequests.Add(1)
-				tx.sys.cfg.Tracer.Record(tx.th, tm.TraceAbortRequest, o.base, uint64(enemy.th.ID))
 				tx.th.Trace(trace.KindCMAbortOther, o.base, uint64(enemy.th.ID), 0)
 				tx.validate()
 				requested = true

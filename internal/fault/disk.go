@@ -14,7 +14,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"os"
-	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,8 +110,8 @@ type DiskConfig struct {
 }
 
 // DiskStats counts injections per site. Every field is exported by
-// reflection into /statsz and /metricsz, so adding a field here adds a
-// metric (and the coverage test keeps the export honest).
+// reflection into /metricsz (metrics.WriteFields), so adding a field here
+// adds a metric.
 type DiskStats struct {
 	WriteEIO     atomic.Uint64 // injected write EIOs
 	WriteShort   atomic.Uint64 // injected error-free short writes
@@ -219,54 +219,16 @@ func (d *Disk) hit(site DiskSite) bool {
 	return true
 }
 
-// WriteStats appends the plane's counters in /statsz style.
-func (d *Disk) WriteStats(w io.Writer) {
-	fmt.Fprintf(w, "disk faults: seed=%d armed=%v injected=%d\n", d.cfg.Seed, d.Armed(), d.stats.Injected())
-	fmt.Fprintf(w, "disk injected:")
-	for s := DiskSite(0); s < DiskSiteCount; s++ {
-		fmt.Fprintf(w, " %s=%d", s, d.stats.counter(s).Load())
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteProm exports every DiskStats field by reflection as a
-// LintProm-conformant counter family, plus the armed gauge.
+// WriteProm exports the plane's seed, the armed gauge and every
+// DiskStats field (metrics.WriteFields) as Prometheus families.
 func (d *Disk) WriteProm(w io.Writer) {
-	metrics.GaugeFam(w, "nztm_disk_fault_armed", "disk fault plane armed", boolGauge(d.Armed()))
-	rv := reflect.ValueOf(&d.stats).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := "nztm_disk_fault_" + faultSnake(rt.Field(i).Name)
-		if f, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64); ok {
-			metrics.CounterFam(w, name+"_total", "injected disk faults: "+faultSnake(rt.Field(i).Name), f.Load())
-		}
+	metrics.Info(w, "nztm_disk_fault_info", "disk fault plane seed", "seed", strconv.FormatUint(d.cfg.Seed, 10))
+	armed := 0.0
+	if d.Armed() {
+		armed = 1
 	}
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// faultSnake converts CamelCase (with all-caps runs like EIO/ENOSPC)
-// to snake_case for metric names.
-func faultSnake(s string) string {
-	var b strings.Builder
-	for i, r := range s {
-		if r >= 'A' && r <= 'Z' {
-			prevLower := i > 0 && s[i-1] >= 'a' && s[i-1] <= 'z'
-			nextLower := i+1 < len(s) && s[i+1] >= 'a' && s[i+1] <= 'z'
-			if i > 0 && (prevLower || nextLower) {
-				b.WriteByte('_')
-			}
-			b.WriteByte(byte(r) + 'a' - 'A')
-			continue
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
+	metrics.GaugeFam(w, "nztm_disk_fault_armed", "disk fault plane armed", armed)
+	metrics.WriteFields(w, "nztm_disk_fault", "counter", &d.stats)
 }
 
 // --- wal.FS implementation ---

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -324,21 +323,18 @@ func TestPartitionLiveConnEnforcement(t *testing.T) {
 }
 
 // promCoverage checks a WriteProm-style output for LintProm conformance
-// and for one family per uint64 field of the stats struct.
-func promCoverage(t *testing.T, body string, stats interface{}, prefix string) {
+// and for every family metrics.WriteFields exports for the stats block.
+func promCoverage(t *testing.T, body string, stats any, prefix string) {
 	t.Helper()
 	if errs := metrics.LintProm(strings.NewReader(body)); len(errs) > 0 {
 		t.Fatalf("LintProm: %v", errs)
 	}
-	rv := reflect.ValueOf(stats).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		if _, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64); !ok {
-			continue
-		}
-		fam := prefix + faultSnake(rt.Field(i).Name) + "_total"
-		if !strings.Contains(body, fam) {
-			t.Errorf("family %s missing from WriteProm output (field %s)", fam, rt.Field(i).Name)
+	var want bytes.Buffer
+	metrics.WriteFields(&want, prefix, "counter", stats)
+	got := metrics.Families(strings.NewReader(body))
+	for name, typ := range metrics.Families(&want) {
+		if got[name] != typ {
+			t.Errorf("family %s %s missing from WriteProm output", name, typ)
 		}
 	}
 }
@@ -347,9 +343,11 @@ func TestDiskWritePromCoverage(t *testing.T) {
 	d := armedAt(DiskSync, io.Discard)
 	var buf bytes.Buffer
 	d.WriteProm(&buf)
-	promCoverage(t, buf.String(), d.Stats(), "nztm_disk_fault_")
-	if !strings.Contains(buf.String(), "nztm_disk_fault_armed") {
-		t.Error("armed gauge missing")
+	promCoverage(t, buf.String(), d.Stats(), "nztm_disk_fault")
+	for _, want := range []string{"nztm_disk_fault_armed 1", `nztm_disk_fault_info{seed="`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -357,22 +355,8 @@ func TestPartitionWritePromCoverage(t *testing.T) {
 	p := NewPartitions()
 	var buf bytes.Buffer
 	p.WriteProm(&buf)
-	promCoverage(t, buf.String(), p.Stats(), "nztm_partition_")
+	promCoverage(t, buf.String(), p.Stats(), "nztm_partition")
 	if !strings.Contains(buf.String(), "nztm_partition_active") {
 		t.Error("active gauge missing")
-	}
-}
-
-func TestFaultSnake(t *testing.T) {
-	cases := map[string]string{
-		"WriteEIO":     "write_eio",
-		"WriteENOSPC":  "write_enospc",
-		"SyncFailures": "sync_failures",
-		"BlockedDials": "blocked_dials",
-	}
-	for in, want := range cases {
-		if got := faultSnake(in); got != want {
-			t.Errorf("faultSnake(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -18,16 +18,17 @@
 // each connection sees the same fault schedule; the global interleaving of
 // goroutines is of course still up to the scheduler. Counters record every
 // injected fault and how many faulted transactions nevertheless committed,
-// for /statsz reporting.
+// for /metricsz reporting.
 package fault
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nztm/internal/metrics"
 	"nztm/internal/tm"
 	"nztm/internal/trace"
 )
@@ -175,14 +176,12 @@ func (p *Plane) threadStream(id int) *stream {
 	return s
 }
 
-// WriteStats appends the plane's counters in /statsz style.
-func (p *Plane) WriteStats(w io.Writer) {
-	fmt.Fprintf(w, "fault plane: seed=%d enabled=%v\n", p.cfg.Seed, p.Enabled())
-	fmt.Fprintf(w, "fault injected: aborts=%d delays=%d stalls=%d conn_resets=%d partial_writes=%d slow_reads=%d total=%d\n",
-		p.Aborts.Load(), p.Delays.Load(), p.Stalls.Load(),
-		p.Resets.Load(), p.PartialWrites.Load(), p.SlowReads.Load(), p.Injected())
-	fmt.Fprintf(w, "fault survived: faulted_commits=%d faulted_failures=%d\n",
-		p.FaultedCommits.Load(), p.FaultedFailures.Load())
+// WriteProm exports the plane's seed and every Counters field
+// (metrics.WriteFields) as Prometheus families.
+func (p *Plane) WriteProm(w io.Writer) {
+	metrics.Info(w, "nztm_fault_info", "fault plane seed and whether any fault class is enabled",
+		"seed", strconv.FormatUint(p.cfg.Seed, 10), "enabled", strconv.FormatBool(p.Enabled()))
+	metrics.WriteFields(w, "nztm_fault", "counter", &p.Counters)
 }
 
 // stream is a private xorshift64* generator. Not safe for concurrent use;

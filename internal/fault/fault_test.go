@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"nztm/internal/core"
+	"nztm/internal/metrics"
 	"nztm/internal/tm"
 	"nztm/internal/trace"
 )
@@ -124,9 +126,18 @@ func TestFaultedSystemStaysCorrect(t *testing.T) {
 		t.Error("no faulted transaction survived")
 	}
 	var sb strings.Builder
-	p.WriteStats(&sb)
-	if !strings.Contains(sb.String(), "fault injected:") {
-		t.Errorf("WriteStats output missing counters: %q", sb.String())
+	p.WriteProm(&sb)
+	if errs := metrics.LintProm(strings.NewReader(sb.String())); len(errs) > 0 {
+		t.Fatalf("LintProm: %v\n%s", errs, sb.String())
+	}
+	for _, want := range []string{
+		fmt.Sprintf("nztm_fault_aborts_total %d", p.Aborts.Load()),
+		fmt.Sprintf("nztm_fault_faulted_commits_total %d", p.FaultedCommits.Load()),
+		`nztm_fault_info{seed="`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("WriteProm output missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,7 @@ import (
 var ErrPartitioned = errors.New("fault: peer is partitioned away")
 
 // PartitionStats counts the plane's interventions. Every field is
-// exported by reflection into /statsz and /metricsz.
+// exported by reflection into /metricsz (metrics.WriteFields).
 type PartitionStats struct {
 	BlockedDials    atomic.Uint64 // dials refused to partitioned peers
 	SwallowedWrites atomic.Uint64 // writes blackholed on live connections
@@ -174,27 +173,9 @@ func (c *partConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// WriteStats appends the plane's counters in /statsz style.
-func (p *Partitions) WriteStats(w io.Writer) {
-	p.mu.Lock()
-	nin, nout := len(p.in), len(p.out)
-	p.mu.Unlock()
-	fmt.Fprintf(w, "partitions: blocked_in=%d blocked_out=%d\n", nin, nout)
-	fmt.Fprintf(w, "partition injected: blocked_dials=%d swallowed_writes=%d discarded_reads=%d blocks=%d heals=%d\n",
-		p.stats.BlockedDials.Load(), p.stats.SwallowedWrites.Load(), p.stats.DiscardedReads.Load(),
-		p.stats.Blocks.Load(), p.stats.Heals.Load())
-}
-
-// WriteProm exports every PartitionStats field by reflection as a
-// LintProm-conformant counter family, plus the active-partition gauge.
+// WriteProm exports the active-partition gauge and every PartitionStats
+// field (metrics.WriteFields) as Prometheus families.
 func (p *Partitions) WriteProm(w io.Writer) {
 	metrics.GaugeFam(w, "nztm_partition_active", "blocked peer-direction pairs", float64(p.Active()))
-	rv := reflect.ValueOf(&p.stats).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := "nztm_partition_" + faultSnake(rt.Field(i).Name)
-		if f, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64); ok {
-			metrics.CounterFam(w, name+"_total", "partition plane: "+faultSnake(rt.Field(i).Name), f.Load())
-		}
-	}
+	metrics.WriteFields(w, "nztm_partition", "counter", &p.stats)
 }

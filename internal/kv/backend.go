@@ -128,7 +128,7 @@ func OpenBackend(name string, threads int) (*Backend, error) {
 	reg := tm.NewRegistryWorld(maxSlots, world)
 	sys := be.mk(world, threads, reg.Max())
 	// Slot churn (one acquire/release per connection) lands in the system's
-	// Stats so /statsz and /metricsz report it beside commits and aborts.
+	// Stats so /metricsz reports it beside commits and aborts.
 	reg.BindStats(sys.Stats())
 	return &Backend{Sys: sys, Reg: reg}, nil
 }

@@ -3,7 +3,6 @@ package kv
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,73 +329,25 @@ func (d *durState) snapshotShard(s *Store, shard int) {
 	}
 }
 
-// WriteDurabilityStats appends the durability plane's /statsz section.
-// No-op for memory-only stores.
-func (s *Store) WriteDurabilityStats(w io.Writer) {
-	if s.dur == nil {
-		return
-	}
-	d := s.dur
-	st := d.state
-	ls := d.log.Stats()
-	fmt.Fprintf(w, "durability: dir=%s fsync=%s mode=%s\n", d.log.Dir(), d.cfg.Fsync, d.log.Mode())
-	fmt.Fprintf(w, "wal faults: write_errors=%d sync_failures=%d readonly_trips=%d fail_stops=%d\n",
-		ls.WriteErrors.Load(), ls.SyncFailures.Load(), ls.ReadOnlyTrips.Load(), ls.FailStops.Load())
-	fmt.Fprintf(w, "recovery: replayed_frames=%d truncated_bytes=%d duration=%s\n",
-		st.ReplayedFrames, st.TruncatedBytes, st.Duration)
-	fmt.Fprintf(w, "wal: appended_frames=%d appended_bytes=%d fsyncs=%d snapshots=%d removed_files=%d\n",
-		ls.AppendedFrames.Load(), ls.AppendedBytes.Load(), ls.Fsyncs.Load(),
-		ls.Snapshots.Load(), ls.RemovedFiles.Load())
-	fmt.Fprintf(w, "wal fsync cohort: %s\n", ls.FsyncCohortFrames.SummaryValues())
-	fmt.Fprintf(w, "wal reorder occupancy: %s\n", ls.ReorderOccupancy.SummaryValues())
-}
-
 // WriteDurabilityProm appends the durability plane's Prometheus
-// metrics: recovery counters and duration histogram plus live WAL
-// counters. No-op for memory-only stores.
+// metrics: the log's directory and sync policy, recovery counters and
+// duration histogram, the degraded-mode gauges and every wal.Stats field
+// (metrics.WriteFields). No-op for memory-only stores.
 func (s *Store) WriteDurabilityProm(w io.Writer) {
 	if s.dur == nil {
 		return
 	}
 	d := s.dur
 	st := d.state
+	metrics.Info(w, "nztm_wal_info", "write-ahead log directory and fsync policy",
+		"dir", d.log.Dir(), "fsync", d.cfg.Fsync.String())
 	metrics.CounterFam(w, "nztm_wal_replayed_frames_total", "frames replayed during recovery", st.ReplayedFrames)
 	metrics.CounterFam(w, "nztm_wal_truncated_bytes_total", "log bytes truncated during recovery", st.TruncatedBytes)
 	d.recovery.WriteProm(w, "nztm_wal_recovery_seconds")
 	mode := d.log.Mode()
 	metrics.GaugeFam(w, "nztm_wal_readonly", "1 while the log is in degraded read-only mode", gaugeBool(mode == "read-only"))
 	metrics.GaugeFam(w, "nztm_wal_failed", "1 once the log has fail-stopped after an fsync error", gaugeBool(mode == "failed"))
-	writeWALStatsProm(w, d.log.Stats())
-}
-
-// writeWALStatsProm exports every wal.Stats field by reflection:
-// atomic.Uint64 fields become nztm_wal_<snake>_total counters and
-// metrics.Histogram fields dimensionless nztm_wal_<snake> histograms. A
-// new field in wal.Stats therefore shows up in /metricsz automatically,
-// and the coverage test asserts exactly this enumeration.
-func writeWALStatsProm(w io.Writer, ls *wal.Stats) {
-	rv := reflect.ValueOf(ls).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := "nztm_wal_" + kvSnake(rt.Field(i).Name)
-		switch f := rv.Field(i).Addr().Interface().(type) {
-		case *atomic.Uint64:
-			metrics.CounterFam(w, name+"_total", "wal "+kvSnake(rt.Field(i).Name)+" count", f.Load())
-		case *metrics.Histogram:
-			f.WritePromValues(w, name)
-		}
-	}
-}
-
-// walStatsFields lists the exported field names of wal.Stats, in order —
-// shared between the Prometheus writer above and its coverage test.
-func walStatsFields() []string {
-	rt := reflect.TypeOf(wal.Stats{})
-	out := make([]string, 0, rt.NumField())
-	for i := 0; i < rt.NumField(); i++ {
-		out = append(out, kvSnake(rt.Field(i).Name))
-	}
-	return out
+	metrics.WriteFields(w, "nztm_wal", "counter", d.log.Stats())
 }
 
 func gaugeBool(b bool) float64 {
@@ -404,20 +355,4 @@ func gaugeBool(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// kvSnake converts CamelCase to snake_case for metric names.
-func kvSnake(s string) string {
-	var b []byte
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'A' && c <= 'Z' {
-			if i > 0 {
-				b = append(b, '_')
-			}
-			c += 'a' - 'A'
-		}
-		b = append(b, c)
-	}
-	return string(b)
 }

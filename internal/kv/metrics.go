@@ -231,8 +231,21 @@ func (m *Metrics) WriteProm(w io.Writer, topK int) {
 	m.Retries.WritePromValues(w, "nztm_kv_retries_per_commit")
 	m.BackoffTime.WriteProm(w, "nztm_kv_backoff_seconds")
 	if top := m.TopK(topK); len(top) > 0 {
-		metrics.Head(w, "nztm_kv_key_aborts_total", "counter", "per-key abort counts (top-K hotspot window)")
+		// Keys that differ only in invalid UTF-8 export as one label
+		// value: sum them, so the family never repeats a series.
+		rows := make([]Hotspot, 0, len(top))
+		at := make(map[string]int, len(top))
 		for _, h := range top {
+			k := metrics.LabelValue(h.Key)
+			if i, ok := at[k]; ok {
+				rows[i].Aborts += h.Aborts
+				continue
+			}
+			at[k] = len(rows)
+			rows = append(rows, Hotspot{Key: k, Aborts: h.Aborts})
+		}
+		metrics.Head(w, "nztm_kv_key_aborts_total", "counter", "per-key abort counts (top-K hotspot window)")
+		for _, h := range rows {
 			metrics.Counter(w, "nztm_kv_key_aborts_total", h.Aborts, "key", h.Key)
 		}
 	}

@@ -1,11 +1,14 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nztm/internal/metrics"
 )
 
 // TestMetricsNilIsInert: a store without EnableMetrics must behave exactly
@@ -197,5 +200,46 @@ func TestHotspotLazyRotation(t *testing.T) {
 	m.maybeRotate(time.Now().Add(2*time.Hour + time.Minute))
 	if top := m.TopK(0); len(top) != 0 {
 		t.Fatalf("stale key survived a 2-window idle gap: %+v", top)
+	}
+}
+
+// TestHotKeyLabelsExpositionSafe: hot keys are arbitrary client bytes, and
+// the key label must still be valid exposition — only \\, \" and \n
+// escaped, invalid UTF-8 repaired — with keys that repair to the same
+// text merged into one series.
+func TestHotKeyLabelsExpositionSafe(t *testing.T) {
+	m := newMetrics(2)
+	keys := []string{"a\tb", "x\x01y", "bad\xff", "bad\xfe", `q"uote`, `back\slash`, "new\nline"}
+	for _, k := range keys {
+		m.noteAbortedOps([]Op{{Kind: OpPut, Key: k}})
+	}
+	var buf bytes.Buffer
+	m.WriteProm(&buf, 0)
+	if errs := metrics.LintProm(bytes.NewReader(buf.Bytes())); len(errs) != 0 {
+		t.Fatalf("hot-key exposition violations:\n  %s\n%s", strings.Join(errs, "\n  "), buf.String())
+	}
+	for _, raw := range []string{"key=\"a\tb\"", "key=\"x\x01y\"", "key=\"bad\uFFFD\"", `key="q\"uote"`, `key="back\\slash"`, `key="new\nline"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(raw)) {
+			t.Errorf("exposition lacks %q:\n%s", raw, buf.String())
+		}
+	}
+	ss, err := metrics.Samples(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, s := range ss {
+		if s.Name == "nztm_kv_key_aborts_total" {
+			got[s.Labels["key"]] = s.Value
+		}
+	}
+	want := map[string]float64{"a\tb": 1, "x\x01y": 1, "bad\uFFFD": 2, `q"uote`: 1, `back\slash`: 1, "new\nline": 1}
+	if len(got) != len(want) {
+		t.Fatalf("key series = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("key %q = %v, want %v", k, got[k], v)
+		}
 	}
 }

@@ -134,34 +134,6 @@ func (h *Histogram) Percentiles() (p50, p95, p99 time.Duration) {
 	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 }
 
-// Summary returns a one-line digest ("count p50 p95 p99 max mean").
-func (h *Histogram) Summary() string {
-	p50, p95, p99 := h.Percentiles()
-	return fmt.Sprintf("count=%d p50=%v p95=%v p99=%v max=%v mean=%v",
-		h.Count(), p50.Round(time.Microsecond), p95.Round(time.Microsecond),
-		p99.Round(time.Microsecond), h.Max().Round(time.Microsecond),
-		h.Mean().Round(time.Microsecond))
-}
-
-// SummaryValues is Summary for dimensionless histograms (no time units).
-func (h *Histogram) SummaryValues() string {
-	return fmt.Sprintf("count=%d p50=%d p95=%d p99=%d max=%d mean=%d",
-		h.Count(), h.QuantileValue(0.50), h.QuantileValue(0.95),
-		h.QuantileValue(0.99), h.MaxValue(), h.MeanValue())
-}
-
-// Dump prints the non-empty buckets, one per line, duration-labelled.
-func (h *Histogram) Dump(w io.Writer) {
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  [%v, %v) %d\n",
-			time.Duration(uint64(1)<<i), time.Duration(uint64(1)<<(i+1)), n)
-	}
-}
-
 // WriteProm renders the histogram in Prometheus text exposition format
 // under the given metric name. Nanosecond samples are scaled to seconds
 // (the Prometheus convention); quantile gauges give scrapers p50/p95/p99
@@ -199,7 +171,7 @@ func (h *Histogram) WriteHistSamples(w io.Writer, name string, scale float64, la
 		}
 		cum += n
 		le := float64(uint64(1)<<(i+1)) * scale
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, joinLabels(labels, fmt.Sprintf("le=%q", formatFloat(le))), cum)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, joinLabels(labels, `le="`+formatFloat(le)+`"`), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, joinLabels(labels, `le="+Inf"`), h.Count())
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, base, formatFloat(float64(h.Sum())*scale))
@@ -214,7 +186,7 @@ func (h *Histogram) WriteQuantileSamples(w io.Writer, name string, scale float64
 		s string
 	}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}} {
 		fmt.Fprintf(w, "%s_quantile%s %s\n", name,
-			joinLabels(labels, fmt.Sprintf("quantile=%q", q.s)),
+			joinLabels(labels, `quantile="`+q.s+`"`),
 			formatFloat(float64(h.QuantileValue(q.q))*scale))
 	}
 }
@@ -260,27 +232,42 @@ func escapeHelp(s string) string {
 }
 
 // joinLabels renders {k1="v1",k2="v2",extra} from alternating key, value
-// pairs, quoting the values (empty string when there is nothing to render).
+// pairs (empty string when there is nothing to render). Values are made
+// valid UTF-8 and escaped as the exposition format defines: only
+// backslash, double quote and newline, every other byte verbatim.
 func joinLabels(labels []string, extra string) string {
 	pairs := len(labels) / 2
 	if pairs == 0 && extra == "" {
 		return ""
 	}
-	s := "{"
+	var b strings.Builder
+	b.WriteByte('{')
 	for i := 0; i < pairs; i++ {
 		if i > 0 {
-			s += ","
+			b.WriteByte(',')
 		}
-		s += fmt.Sprintf("%s=%q", labels[2*i], labels[2*i+1])
+		b.WriteString(labels[2*i])
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, LabelValue(labels[2*i+1]))
+		b.WriteByte('"')
 	}
 	if extra != "" {
 		if pairs > 0 {
-			s += ","
+			b.WriteByte(',')
 		}
-		s += extra
+		b.WriteString(extra)
 	}
-	return s + "}"
+	b.WriteByte('}')
+	return b.String()
 }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// LabelValue is the text a label value is exported as: v with each run of
+// invalid UTF-8 replaced by U+FFFD. Callers that label series with
+// arbitrary bytes merge values that map to the same text, so a family
+// never repeats a series.
+func LabelValue(v string) string { return strings.ToValidUTF8(v, "\uFFFD") }
 
 // formatFloat renders floats the way Prometheus expects (no exponent for
 // common magnitudes, no trailing zeros).

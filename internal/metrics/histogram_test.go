@@ -73,7 +73,6 @@ func TestHistogramConcurrentBucketSum(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			h.QuantileValue(0.99)
-			h.Summary()
 			h.WriteProm(&bytes.Buffer{}, "x")
 		}
 	}()
@@ -136,15 +135,5 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	if !strings.Contains(out, `nztm_conns_open{addr="x"} 3`) {
 		t.Fatalf("gauge line wrong:\n%s", out)
-	}
-}
-
-func TestSummaryValues(t *testing.T) {
-	var h Histogram
-	h.ObserveValue(2)
-	h.ObserveValue(4)
-	s := h.SummaryValues()
-	if !strings.Contains(s, "count=2") || !strings.Contains(s, "max=4") {
-		t.Fatalf("summary = %q", s)
 	}
 }

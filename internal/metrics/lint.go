@@ -8,10 +8,12 @@ package metrics
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // histSuffixes map a sample name back to its histogram family.
@@ -25,12 +27,15 @@ var histSuffixes = []string{"_bucket", "_sum", "_count"}
 //   - each family's samples are contiguous (no interleaving)
 //   - every declared family has at least one sample
 //   - sample lines parse: name, optional {labels}, float value
+//   - label values use only the escapes \\, \" and \n, and lines are UTF-8
+//   - no series (name plus labels) appears twice
 func LintProm(r io.Reader) []string {
 	var errs []string
 	typ := map[string]string{}
 	helped := map[string]bool{}
 	sampled := map[string]bool{}
 	closed := map[string]bool{}
+	seen := map[string]bool{} // series: name plus its label pairs
 	current := ""
 	lineNo := 0
 
@@ -93,11 +98,19 @@ func LintProm(r io.Reader) []string {
 			}
 			continue
 		}
-		name, rest, perr := splitSample(line)
+		if !utf8.ValidString(line) {
+			errs = append(errs, fmt.Sprintf("line %d: not valid UTF-8", lineNo))
+		}
+		name, labels, rest, perr := splitSample(line)
 		if perr != "" {
 			errs = append(errs, fmt.Sprintf("line %d: %s", lineNo, perr))
 			continue
 		}
+		series := name + "{" + strings.Join(labels, "\x00") + "}"
+		if seen[series] {
+			errs = append(errs, fmt.Sprintf("line %d: duplicate series %q", lineNo, line))
+		}
+		seen[series] = true
 		fam, ok := familyOf(name, typ)
 		if !ok {
 			errs = append(errs, fmt.Sprintf("line %d: sample %q has no # TYPE'd family", lineNo, name))
@@ -124,6 +137,20 @@ func LintProm(r io.Reader) []string {
 	return errs
 }
 
+// Families returns the # TYPE of every family an exposition declares,
+// by family name.
+func Families(r io.Reader) map[string]string {
+	out := map[string]string{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			out[f[2]] = f[3]
+		}
+	}
+	return out
+}
+
 // familyOf resolves a sample name to its declared family: exact match
 // first, then histogram suffix stripping (base must be TYPE histogram).
 func familyOf(name string, typ map[string]string) (string, bool) {
@@ -140,47 +167,112 @@ func familyOf(name string, typ map[string]string) (string, bool) {
 	return "", false
 }
 
-// splitSample splits a sample line into metric name and value text,
-// scanning past a label block whose quoted values may contain '}', ','
-// or escaped quotes.
-func splitSample(line string) (name, value, errText string) {
+// splitSample splits a sample line into metric name, label pairs
+// (alternating key, unescaped value) and value text. Label values may
+// contain '}', ',' and the three escapes the format defines (\\, \" and
+// \n); any other escape is an error.
+func splitSample(line string) (name string, labels []string, value, errText string) {
 	i := strings.IndexAny(line, "{ ")
 	if i <= 0 {
-		return "", "", fmt.Sprintf("malformed sample %q", line)
+		return "", nil, "", fmt.Sprintf("malformed sample %q", line)
 	}
 	name = line[:i]
 	rest := line[i:]
 	if rest[0] == '{' {
-		inQuote, esc := false, false
-		end := -1
-		for j := 1; j < len(rest); j++ {
-			c := rest[j]
-			switch {
-			case esc:
-				esc = false
-			case c == '\\':
-				esc = true
-			case c == '"':
-				inQuote = !inQuote
-			case c == '}' && !inQuote:
-				end = j
-			}
-			if end >= 0 {
+		rest = rest[1:]
+		for {
+			rest = strings.TrimLeft(rest, " ")
+			if strings.HasPrefix(rest, "}") {
+				rest = rest[1:]
 				break
 			}
+			eq := strings.Index(rest, `="`)
+			if eq <= 0 {
+				return "", nil, "", fmt.Sprintf("malformed label block in %q", line)
+			}
+			key := rest[:eq]
+			rest = rest[eq+2:]
+			var v strings.Builder
+			closed := false
+			for j := 0; j < len(rest); j++ {
+				c := rest[j]
+				if c == '"' {
+					rest, closed = rest[j+1:], true
+					break
+				}
+				if c != '\\' {
+					v.WriteByte(c)
+					continue
+				}
+				if j++; j == len(rest) {
+					break
+				}
+				switch rest[j] {
+				case '\\', '"':
+					v.WriteByte(rest[j])
+				case 'n':
+					v.WriteByte('\n')
+				default:
+					return "", nil, "", fmt.Sprintf("invalid escape \\%c in label %s of %q", rest[j], key, line)
+				}
+			}
+			if !closed {
+				return "", nil, "", fmt.Sprintf("unterminated label block in %q", line)
+			}
+			labels = append(labels, key, v.String())
+			if strings.HasPrefix(rest, ",") {
+				rest = rest[1:]
+			} else if !strings.HasPrefix(rest, "}") {
+				return "", nil, "", fmt.Sprintf("malformed label block in %q", line)
+			}
 		}
-		if end < 0 {
-			return "", "", fmt.Sprintf("unterminated label block in %q", line)
-		}
-		rest = rest[end+1:]
 	}
 	value = strings.TrimSpace(rest)
 	if value == "" {
-		return "", "", fmt.Sprintf("sample %q has no value", line)
+		return "", nil, "", fmt.Sprintf("sample %q has no value", line)
 	}
 	// Timestamps (a second field) are not used by this codebase.
 	if strings.ContainsAny(value, " \t") {
-		return "", "", fmt.Sprintf("unexpected trailing fields in %q", line)
+		return "", nil, "", fmt.Sprintf("unexpected trailing fields in %q", line)
 	}
-	return name, value, ""
+	return name, labels, value, ""
+}
+
+// Sample is one sample of a text exposition.
+type Sample struct {
+	Name   string
+	Labels map[string]string
+	Value  float64
+}
+
+// Samples parses a text exposition into its samples, in order, skipping
+// comments. It checks only what it needs to parse; LintProm checks the
+// rest.
+func Samples(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, value, perr := splitSample(line)
+		if perr != "" {
+			return nil, errors.New(perr)
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sample %q has bad value %q", name, value)
+		}
+		s := Sample{Name: name, Value: v}
+		if len(labels) > 0 {
+			s.Labels = make(map[string]string, len(labels)/2)
+			for i := 0; i < len(labels); i += 2 {
+				s.Labels[labels[i]] = labels[i+1]
+			}
+		}
+		out = append(out, s)
+	}
+	return out, sc.Err()
 }

@@ -46,6 +46,11 @@ func TestLintPromViolations(t *testing.T) {
 		{"bad value", "# HELP a h\n# TYPE a counter\na pizza\n", "bad value"},
 		{"bad type", "# HELP a h\n# TYPE a flotilla\na 1\n", "invalid TYPE"},
 		{"type after sample", "# HELP a h\n# TYPE a counter\na 1\n# HELP b h\n# TYPE b counter\nb 1\n# TYPE a gauge\n", "duplicate TYPE"},
+		{"go escape", "# HELP a h\n# TYPE a counter\na{k=\"a\\tb\"} 1\n", "invalid escape"},
+		{"hex escape", "# HELP a h\n# TYPE a counter\na{k=\"x\\x01y\"} 1\n", "invalid escape"},
+		{"invalid utf-8", "# HELP a h\n# TYPE a counter\na{k=\"bad\xff\"} 1\n", "not valid UTF-8"},
+		{"duplicate series", "# HELP a h\n# TYPE a counter\na{k=\"x\"} 1\na{k=\"x\"} 2\n", "duplicate series"},
+		{"unterminated labels", "# HELP a h\n# TYPE a counter\na{k=\"x} 1\n", "unterminated"},
 	}
 	for _, c := range cases {
 		errs := lintString(t, c.in)
@@ -104,5 +109,47 @@ func TestWriteSamplesHeadless(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `st_us_count{stage="tm"} 1`) {
 		t.Fatalf("missing labelled count:\n%s", buf.String())
+	}
+}
+
+// Label values carry arbitrary bytes (client keys): the writers escape
+// only what the format defines, repair invalid UTF-8, and the result both
+// lints clean and parses back to the repaired value.
+func TestLabelValuesRoundTrip(t *testing.T) {
+	values := []string{"a\tb", "x\x01y", "bad\xff", `q"uote`, `back\slash`, "new\nline", "plain"}
+	var buf bytes.Buffer
+	Head(&buf, "k_total", "counter", "per-key count")
+	for i, v := range values {
+		Counter(&buf, "k_total", uint64(i), "key", v)
+	}
+	if errs := LintProm(bytes.NewReader(buf.Bytes())); len(errs) != 0 {
+		t.Fatalf("label values not exposition-safe: %v\n%s", errs, buf.String())
+	}
+	ss, err := Samples(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss) != len(values) {
+		t.Fatalf("parsed %d samples, want %d", len(ss), len(values))
+	}
+	for i, s := range ss {
+		if want := LabelValue(values[i]); s.Labels["key"] != want || s.Value != float64(i) {
+			t.Errorf("sample %d = %q %v, want %q %d", i, s.Labels["key"], s.Value, want, i)
+		}
+	}
+}
+
+func TestSamples(t *testing.T) {
+	in := "# HELP g a gauge\n# TYPE g gauge\ng 2.5\n# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\n"
+	ss, err := Samples(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss) != 2 || ss[0].Name != "g" || ss[0].Value != 2.5 || ss[0].Labels != nil ||
+		ss[1].Name != "h_bucket" || ss[1].Labels["le"] != "+Inf" || ss[1].Value != 3 {
+		t.Fatalf("Samples = %+v", ss)
+	}
+	if _, err := Samples(strings.NewReader("x{k=\"v} 1\n")); err == nil {
+		t.Fatal("unterminated label block parsed")
 	}
 }

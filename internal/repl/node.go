@@ -824,74 +824,22 @@ func coversSparse(applied []uint64, vec []wal.ShardLSN) bool {
 	return true
 }
 
-// WriteStatsz appends the replication section to /statsz: the counter
-// block, the node's role line, and per-follower lag (primary only).
-func (n *Node) WriteStatsz(w io.Writer) {
-	n.stats.WriteStatsz(w)
-	n.mu.Lock()
-	role := n.role
-	epoch := n.epoch
-	pk := n.primaryKV
-	type followerLag struct {
-		id         int
-		ackedTotal uint64
-		lagLSN     uint64
-		lagFor     time.Duration
-		sinceAck   time.Duration
-		ackLat     string
-	}
-	var fl []followerLag
-	if role == RolePrimary {
-		var stableTotal uint64
-		for _, v := range n.log.StableVector() {
-			stableTotal += v
-		}
-		now := time.Now()
-		for sub := range n.subs {
-			l := followerLag{id: sub.nodeID, ackedTotal: sub.ackedTotal}
-			if stableTotal > sub.ackedTotal {
-				l.lagLSN = stableTotal - sub.ackedTotal
-			}
-			if !sub.behindSince.IsZero() {
-				l.lagFor = now.Sub(sub.behindSince).Round(time.Millisecond)
-			}
-			if !sub.lastAck.IsZero() {
-				l.sinceAck = now.Sub(sub.lastAck).Round(time.Millisecond)
-			}
-			if h := n.ackLat[sub.nodeID]; h != nil {
-				l.ackLat = h.Summary()
-			}
-			fl = append(fl, l)
-		}
-	}
-	n.mu.Unlock()
-	fmt.Fprintf(w, "repl node: id=%d role=%s epoch=%d primary=%s applied_total=%d\n",
-		n.cfg.NodeID, role, epoch, pk, n.AppliedTotal())
-	if n.gateWait.Count() > 0 {
-		fmt.Fprintf(w, "repl gate wait: %s\n", n.gateWait.Summary())
-	}
-	sort.Slice(fl, func(i, j int) bool { return fl[i].id < fl[j].id })
-	for _, l := range fl {
-		fmt.Fprintf(w, "repl follower %d: acked_total=%d lag_lsn=%d lag_for=%v since_ack=%v ack_latency=[%s]\n",
-			l.id, l.ackedTotal, l.lagLSN, l.lagFor, l.sinceAck, l.ackLat)
-	}
-}
-
-// WriteMetricsz appends the replication Prometheus series: the counter
-// block, the commit-gate wait histogram, and — on the primary — the
-// per-follower lag gauges and ship→ack latency histograms.
+// WriteMetricsz appends the replication Prometheus series: the node's
+// identity and role, the counter block, the commit-gate wait histogram,
+// and — on the primary — the per-follower lag gauges and ship→ack latency
+// histograms.
 func (n *Node) WriteMetricsz(w io.Writer) {
-	n.stats.WriteMetricsz(w)
-	n.gateWait.WriteProm(w, "nztm_repl_gate_wait_seconds")
 	type followerRow struct {
-		id    int
-		lag   uint64
-		lagMs int64
-		h     *metrics.Histogram
+		id         int
+		lag        uint64
+		lagMs      int64
+		sinceAckMs int64
+		h          *metrics.Histogram
 	}
 	var rows []followerRow
 	n.mu.Lock()
-	if n.role == RolePrimary {
+	role, pk := n.role, n.primaryKV
+	if role == RolePrimary {
 		var stableTotal uint64
 		for _, v := range n.log.StableVector() {
 			stableTotal += v
@@ -905,10 +853,18 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 			if !sub.behindSince.IsZero() {
 				r.lagMs = now.Sub(sub.behindSince).Milliseconds()
 			}
+			if !sub.lastAck.IsZero() {
+				r.sinceAckMs = now.Sub(sub.lastAck).Milliseconds()
+			}
 			rows = append(rows, r)
 		}
 	}
 	n.mu.Unlock()
+	metrics.Info(w, "nztm_repl_info", "replication node id, role and the primary's client address",
+		"node_id", strconv.Itoa(n.cfg.NodeID), "role", role.String(), "primary", pk)
+	metrics.GaugeFam(w, "nztm_repl_applied_lsn_sum", "sum over shards of the applied LSN", float64(n.AppliedTotal()))
+	n.stats.WriteMetricsz(w)
+	n.gateWait.WriteProm(w, "nztm_repl_gate_wait_seconds")
 	if len(rows) == 0 {
 		return
 	}
@@ -920,6 +876,10 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	metrics.Head(w, "nztm_repl_follower_lag_ms", "gauge", "how long the follower has been behind")
 	for _, r := range rows {
 		metrics.Gauge(w, "nztm_repl_follower_lag_ms", float64(r.lagMs), "follower", strconv.Itoa(r.id))
+	}
+	metrics.Head(w, "nztm_repl_follower_since_ack_ms", "gauge", "time since the follower's last ack")
+	for _, r := range rows {
+		metrics.Gauge(w, "nztm_repl_follower_since_ack_ms", float64(r.sinceAckMs), "follower", strconv.Itoa(r.id))
 	}
 	hasAck := false
 	for _, r := range rows {

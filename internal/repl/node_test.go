@@ -8,7 +8,6 @@ package repl
 import (
 	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -425,31 +424,32 @@ func TestBoundedStalenessReads(t *testing.T) {
 	}
 }
 
-// TestStatsCoverage enforces that every Stats counter reaches both
-// exports — adding a field without export plumbing is impossible by
-// construction (reflection), but a rename that breaks the prefix
-// convention would still slip through without this.
+// TestStatsCoverage: a live node's /metricsz carries every Stats family
+// metrics.WriteFields names, the node's identity and applied position,
+// and lints clean.
 func TestStatsCoverage(t *testing.T) {
-	var st Stats
-	rt := reflect.TypeOf(&st).Elem()
-	var statsz, metricsz strings.Builder
-	st.WriteStatsz(&statsz)
-	st.WriteMetricsz(&metricsz)
-	if rt.NumField() == 0 {
+	n := startNode(t, 3, nodeOpts{replAddr: pickAddr(t), ackPolicy: AckNone})
+	var mb, want strings.Builder
+	n.node.WriteMetricsz(&mb)
+	out := mb.String()
+	if problems := metrics.LintProm(strings.NewReader(out)); len(problems) != 0 {
+		t.Fatalf("node metricsz exposition violations: %v\n%s", problems, out)
+	}
+	metrics.WriteFields(&want, "nztm_repl", "gauge", &Stats{})
+	got := metrics.Families(strings.NewReader(out))
+	fams := metrics.Families(strings.NewReader(want.String()))
+	if len(fams) == 0 {
 		t.Fatal("Stats has no fields")
 	}
-	for i := 0; i < rt.NumField(); i++ {
-		name := snake(rt.Field(i).Name)
-		if !strings.Contains(statsz.String(), " "+name+"=") {
-			t.Errorf("statsz missing %s", name)
-		}
-		if !strings.Contains(metricsz.String(), "nztm_repl_"+name+" ") {
-			t.Errorf("metricsz missing %s", name)
+	fams["nztm_repl_info"] = "gauge"
+	fams["nztm_repl_applied_lsn_sum"] = "gauge"
+	for name, typ := range fams {
+		if got[name] != typ {
+			t.Errorf("family %s %s missing (have %q)", name, typ, got[name])
 		}
 	}
-	// The node-level wrappers add role and per-follower lag lines.
-	if !strings.HasPrefix(statsz.String(), "repl:") {
-		t.Fatalf("statsz line prefix: %q", statsz.String())
+	if !strings.Contains(out, `nztm_repl_info{node_id="3",role="primary",primary="`) {
+		t.Errorf("node info missing id or role:\n%s", out)
 	}
 }
 
@@ -503,9 +503,13 @@ func TestNodeLatencyMetrics(t *testing.T) {
 		t.Errorf("follower metricsz exposition violations: %v", problems)
 	}
 
-	var sb strings.Builder
-	n0.node.WriteStatsz(&sb)
-	if !strings.Contains(sb.String(), "gate wait") || !strings.Contains(sb.String(), "ack_latency=") {
-		t.Errorf("primary statsz missing latency lines:\n%s", sb.String())
+	for _, want := range []string{
+		`nztm_repl_follower_since_ack_ms{follower="1"}`,
+		`nztm_repl_follower_ack_seconds_quantile{follower="1",quantile="0.99"}`,
+		"nztm_repl_gate_wait_seconds_quantile",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("primary metricsz missing latency family %q", want)
+		}
 	}
 }

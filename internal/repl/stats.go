@@ -1,20 +1,16 @@
 package repl
 
 import (
-	"fmt"
 	"io"
-	"reflect"
-	"strings"
 	"sync/atomic"
 
 	"nztm/internal/metrics"
 )
 
 // Stats is the replication plane's counter block. Every field is
-// exported through WriteStatsz (one "repl:" line) and WriteMetricsz
-// (one nztm_repl_<snake_case> series each) by reflection, so adding a
-// counter here is all it takes to export it — the coverage test in
-// stats_test.go enforces that both outputs carry every field.
+// exported through WriteMetricsz as one nztm_repl_<snake_case> gauge by
+// reflection (metrics.WriteFields), so adding a counter here is all it
+// takes to export it.
 type Stats struct {
 	// Epoch is the node's current fencing epoch.
 	Epoch atomic.Uint64
@@ -67,49 +63,8 @@ type Stats struct {
 	LagMs atomic.Uint64
 }
 
-// snake converts a Go field name to snake_case (FramesShipped →
-// frames_shipped).
-func snake(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		if r >= 'A' && r <= 'Z' {
-			if i > 0 {
-				b.WriteByte('_')
-			}
-			r += 'a' - 'A'
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
-}
-
-// fields iterates the Stats counters as (snake_case name, value).
-func (st *Stats) fields(fn func(name string, v uint64)) {
-	rv := reflect.ValueOf(st).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		c, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64)
-		if !ok {
-			continue
-		}
-		fn(snake(rt.Field(i).Name), c.Load())
-	}
-}
-
-// WriteStatsz appends the replication counters as "repl:" lines.
-func (st *Stats) WriteStatsz(w io.Writer) {
-	fmt.Fprintf(w, "repl:")
-	st.fields(func(name string, v uint64) {
-		fmt.Fprintf(w, " %s=%d", name, v)
-	})
-	fmt.Fprintf(w, "\n")
-}
-
-// WriteMetricsz appends one Prometheus gauge per counter, each with its
-// HELP/TYPE head (the conformance lint requires both).
+// WriteMetricsz appends one Prometheus gauge per field
+// (metrics.WriteFields).
 func (st *Stats) WriteMetricsz(w io.Writer) {
-	st.fields(func(name string, v uint64) {
-		metrics.GaugeFam(w, "nztm_repl_"+name,
-			"replication plane: "+strings.ReplaceAll(name, "_", " "), float64(v))
-	})
+	metrics.WriteFields(w, "nztm_repl", "gauge", st)
 }

@@ -4,28 +4,61 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"strconv"
+	"sync"
 
 	"nztm/internal/metrics"
 	"nztm/internal/trace"
 )
 
-// hotspotTopK is how many contended keys /metricsz and /statsz report.
+// hotspotTopK is how many contended keys /metricsz reports.
 const hotspotTopK = 10
 
+// buildInfo is the Go version and VCS revision the binary was built
+// from; "unknown" when the build carries no VCS stamp (go test, or
+// -buildvcs=false).
+var buildInfo = sync.OnceValues(func() (goVersion, revision string) {
+	goVersion, revision = runtime.Version(), "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "vcs.revision" && kv.Value != "" {
+				revision = kv.Value
+			}
+		}
+	}
+	return goVersion, revision
+})
+
 // WriteMetricsz dumps the server's metrics in Prometheus text exposition
-// format: request counters, latency histograms with p50/p95/p99 quantile
-// gauges, per-stage span attribution, the backing TM system's cumulative
-// counters (including registry slot churn), and — when the store has
-// metrics enabled — commit-latency / retry / backoff histograms plus
-// top-K contended-key abort counters. Every family carries # HELP and
-// # TYPE heads; the conformance test lints this output with
-// metrics.LintProm.
+// format — the one stats surface: build and configuration info, request
+// counters, latency histograms with p50/p95/p99 quantile gauges,
+// per-stage span attribution, every tm.Stats counter of the backing
+// system (metrics.WriteFields, including registry slot churn), and — when
+// the store has metrics enabled — commit-latency / retry / backoff
+// histograms plus top-K contended-key abort counters. Config.ExtraMetricsz
+// appends the other planes. Every family carries # HELP and # TYPE heads;
+// the conformance tests lint this output with metrics.LintProm.
 func (s *Server) WriteMetricsz(w io.Writer) {
 	s.mu.Lock()
 	open := len(s.conns)
 	s.mu.Unlock()
 
+	sys := s.store.System()
+	goVersion, revision := buildInfo()
+	metrics.Info(w, "nztm_build_info", "Go version, VCS revision and TM system of this node",
+		"go_version", goVersion, "revision", revision, "system", sys.Name())
+	admission := AdmitReject
+	if s.sched.block {
+		admission = AdmitBlock
+	}
+	metrics.Info(w, "nztm_server_info", "store shape and scheduler configuration",
+		"shards", strconv.Itoa(s.store.Shards()), "buckets_per_shard", strconv.Itoa(s.store.BucketsPerShard()),
+		"executors_requested", strconv.Itoa(s.sched.executors), "queue_capacity", strconv.Itoa(cap(s.sched.tasks)),
+		"admission", admission)
+	metrics.GaugeFam(w, "nztm_server_start_time_seconds", "server start time, seconds since the Unix epoch",
+		float64(s.started.UnixNano())/1e9)
 	metrics.GaugeFam(w, "nztm_server_connections_open", "currently open client connections", float64(open))
 	metrics.CounterFam(w, "nztm_server_connections_total", "client connections accepted", s.connsTotal.Load())
 	metrics.Head(w, "nztm_server_requests_total", "counter", "requests answered, by response status")
@@ -49,26 +82,10 @@ func (s *Server) WriteMetricsz(w io.Writer) {
 	s.batchLatency.WriteProm(w, "nztm_server_batch_latency_seconds")
 	s.spans.WriteMetricsz(w)
 
-	v := s.store.System().Stats().View()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"nztm_tm_commits_total", "transactions committed", v.Commits},
-		{"nztm_tm_aborts_total", "transaction attempts aborted", v.Aborts},
-		{"nztm_tm_abort_requests_total", "abort arbitration requests", v.AbortRequests},
-		{"nztm_tm_waits_total", "contention waits", v.Waits},
-		{"nztm_tm_inflations_total", "objects inflated out of zero-indirection mode", v.Inflations},
-		{"nztm_tm_deflations_total", "objects deflated back to zero-indirection mode", v.Deflations},
-		{"nztm_tm_locator_ops_total", "locator allocations or swaps", v.LocatorOps},
-		{"nztm_tm_backup_reuse_total", "backup buffers reused without allocation", v.BackupReuse},
-		{"nztm_tm_slot_acquires_total", "registry slots acquired", v.SlotAcquires},
-		{"nztm_tm_slot_releases_total", "registry slots released", v.SlotReleases},
-	} {
-		metrics.CounterFam(w, c.name, c.help, c.v)
-	}
+	metrics.WriteFields(w, "nztm_tm", "counter", sys.Stats())
 	metrics.GaugeFam(w, "nztm_tm_threads_active", "registry slots currently bound", float64(s.reg.Active()))
 	metrics.GaugeFam(w, "nztm_tm_threads_high_water", "registry slot high-water mark", float64(s.reg.High()))
+	metrics.GaugeFam(w, "nztm_tm_threads_max", "registry slot capacity", float64(s.reg.Max()))
 
 	s.store.Metrics().WriteProm(w, hotspotTopK)
 

@@ -49,12 +49,9 @@ func TestSpanMetricsStageCoverage(t *testing.T) {
 	if problems := metrics.LintProm(strings.NewReader(out)); len(problems) != 0 {
 		t.Errorf("stage exposition violations: %v\n%s", problems, out)
 	}
-
-	var sb strings.Builder
-	sm.WriteStatsz(&sb)
 	for i := 0; i < trace.SpanStages; i++ {
-		if !strings.Contains(sb.String(), trace.StageName(i)) {
-			t.Errorf("statsz stage table missing %q:\n%s", trace.StageName(i), sb.String())
+		if want := fmt.Sprintf(`nztm_stage_us_quantile{stage=%q,quantile="0.99"}`, trace.StageName(i)); !strings.Contains(out, want) {
+			t.Errorf("metricsz missing %q", want)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +26,9 @@ const (
 )
 
 // SchedStats is the scheduler's counter block. Every atomic.Uint64 field
-// is exported through WriteStatsz (one "sched:" line) and WriteMetricsz
-// (one nztm_sched_<snake_case> series each) by reflection, so adding a
-// counter here is all it takes to export it — the coverage test in
-// sched_test.go enforces that both outputs carry every field. The two
+// is exported through WriteMetricsz as one nztm_sched_<snake_case>_total
+// counter by reflection (metrics.WriteFields), so adding a counter here
+// is all it takes to export it. The two
 // interesting gauges are derived, not stored: queue depth is
 // Enqueued−Dispatched and busy executors is Dispatched−Completed, so they
 // can never drift from the counters that define them.
@@ -75,51 +71,10 @@ func (st *SchedStats) Busy() uint64 {
 	return 0
 }
 
-// schedSnake converts a Go field name to snake_case.
-func schedSnake(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		if r >= 'A' && r <= 'Z' {
-			if i > 0 {
-				b.WriteByte('_')
-			}
-			r += 'a' - 'A'
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
-}
-
-// fields iterates the counters as (snake_case name, value).
-func (st *SchedStats) fields(fn func(name string, v uint64)) {
-	rv := reflect.ValueOf(st).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		c, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64)
-		if !ok {
-			continue
-		}
-		fn(schedSnake(rt.Field(i).Name), c.Load())
-	}
-}
-
-// WriteStatsz appends the scheduler counters and derived gauges as one
-// "sched:" line.
-func (st *SchedStats) WriteStatsz(w io.Writer) {
-	fmt.Fprintf(w, "sched:")
-	st.fields(func(name string, v uint64) {
-		fmt.Fprintf(w, " %s=%d", name, v)
-	})
-	fmt.Fprintf(w, " queue_depth=%d executors_busy=%d\n", st.Depth(), st.Busy())
-}
-
 // WriteMetricsz appends one Prometheus counter per field plus the derived
 // depth/busy gauges.
 func (st *SchedStats) WriteMetricsz(w io.Writer) {
-	st.fields(func(name string, v uint64) {
-		metrics.CounterFam(w, "nztm_sched_"+name+"_total",
-			"scheduler "+strings.ReplaceAll(name, "_", " ")+" count", v)
-	})
+	metrics.WriteFields(w, "nztm_sched", "counter", st)
 	metrics.GaugeFam(w, "nztm_sched_queue_depth", "admitted requests not yet dispatched", float64(st.Depth()))
 	metrics.GaugeFam(w, "nztm_sched_executors_busy", "executors currently running a request", float64(st.Busy()))
 }
@@ -246,7 +201,7 @@ type scheduler struct {
 	executors int  // requested pool size (cap on slots bound)
 	bound     atomic.Int64
 	stats     SchedStats
-	wait      Histogram // enqueue→dispatch latency
+	wait      metrics.Histogram // enqueue→dispatch latency
 	rec       *trace.Recorder
 
 	start sync.Once

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"nztm/internal/core"
 	"nztm/internal/kv"
+	"nztm/internal/metrics"
 	"nztm/internal/tm"
 )
 
@@ -172,7 +172,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 
 // TestOverloadRejectNotHang: with every executor stalled and the queue
 // full, a further request is answered StatusOverloaded promptly — never
-// parked indefinitely — and the reject is visible in the /statsz dump.
+// parked indefinitely — and the reject is visible in /metricsz.
 // Once the stall lifts, the queued work completes untouched.
 func TestOverloadRejectNotHang(t *testing.T) {
 	b, err := kv.OpenBackend("nzstm", 1)
@@ -228,15 +228,15 @@ func TestOverloadRejectNotHang(t *testing.T) {
 		t.Fatalf("overload answer took %v — should be immediate", d)
 	}
 
-	// The reject shows up in /statsz (sched line and request counters).
+	// The reject shows up in /metricsz (scheduler and request counters).
 	var sb strings.Builder
-	srv.WriteStatsz(&sb)
+	srv.WriteMetricsz(&sb)
 	out := sb.String()
-	if !regexp.MustCompile(`rejected=[1-9]`).MatchString(out) {
-		t.Errorf("statsz sched line missing nonzero rejected:\n%s", out)
+	if !regexp.MustCompile(`(?m)^nztm_sched_rejected_total [1-9]`).MatchString(out) {
+		t.Errorf("metricsz missing nonzero nztm_sched_rejected_total:\n%s", out)
 	}
-	if !regexp.MustCompile(`overloaded=[1-9]`).MatchString(out) {
-		t.Errorf("statsz requests line missing nonzero overloaded:\n%s", out)
+	if !regexp.MustCompile(`(?m)^nztm_server_requests_total\{status="overloaded"\} [1-9]`).MatchString(out) {
+		t.Errorf("metricsz missing nonzero overloaded requests:\n%s", out)
 	}
 
 	// Lift the stall: the stalled and queued requests complete.
@@ -355,71 +355,49 @@ func TestAcceptNeverBlocksOnSlotExhaustion(t *testing.T) {
 	}
 }
 
-// TestSchedStatsCoverage guards the scheduler stats contract by
-// reflection, the same pattern as tm's Stats coverage test: every
-// atomic.Uint64 field of SchedStats must appear (with its value) in both
-// the "sched:" /statsz line and the nztm_sched_* /metricsz series, so a
-// newly added counter can never silently drop out of exposition.
+// TestSchedStatsCoverage: a live server's /metricsz carries every
+// SchedStats family metrics.WriteFields names, with the values stored in
+// the block, beside the derived depth/busy gauges, the executor count,
+// the queue-wait histogram and the scheduler configuration, and lints
+// clean.
 func TestSchedStatsCoverage(t *testing.T) {
-	var st SchedStats
-	rv := reflect.ValueOf(&st).Elem()
-	rt := rv.Type()
-	n := 0
-	for i := 0; i < rt.NumField(); i++ {
-		c, ok := rv.Field(i).Addr().Interface().(*atomic.Uint64)
-		if !ok {
-			t.Fatalf("SchedStats.%s is not atomic.Uint64 — extend the coverage test", rt.Field(i).Name)
-		}
-		c.Store(uint64(i + 1))
-		n++
-	}
-	if n == 0 {
-		t.Fatal("SchedStats has no counters")
-	}
-
-	var statsz, metricsz strings.Builder
-	st.WriteStatsz(&statsz)
-	st.WriteMetricsz(&metricsz)
-	for i := 0; i < rt.NumField(); i++ {
-		name := schedSnake(rt.Field(i).Name)
-		if want := fmt.Sprintf("%s=%d", name, i+1); !strings.Contains(statsz.String(), want) {
-			t.Errorf("statsz missing %q:\n%s", want, statsz.String())
-		}
-		if want := fmt.Sprintf("nztm_sched_%s_total %d", name, i+1); !strings.Contains(metricsz.String(), want) {
-			t.Errorf("metricsz missing %q:\n%s", want, metricsz.String())
-		}
-	}
-	// The derived gauges ride along in both outputs.
-	for _, want := range []string{"queue_depth=", "executors_busy="} {
-		if !strings.Contains(statsz.String(), want) {
-			t.Errorf("statsz missing derived gauge %q", want)
-		}
-	}
-	for _, want := range []string{"nztm_sched_queue_depth", "nztm_sched_executors_busy"} {
-		if !strings.Contains(metricsz.String(), want) {
-			t.Errorf("metricsz missing derived gauge %q", want)
-		}
-	}
-
-	// And the server wires them through: a live server's dumps carry the
-	// sched section plus the queue-wait histogram.
 	b, err := kv.OpenBackend("nzstm", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(kv.New(b.Sys, 2, 2), b.Reg, Config{Executors: 1})
-	var sb, mb strings.Builder
-	srv.WriteStatsz(&sb)
+	srv := New(kv.New(b.Sys, 2, 2), b.Reg, Config{Executors: 1, QueueDepth: 8})
+	st := srv.SchedStats()
+	st.Enqueued.Store(7)
+	st.Dispatched.Store(5)
+	st.Completed.Store(4)
+	var mb, want strings.Builder
 	srv.WriteMetricsz(&mb)
-	if !strings.Contains(sb.String(), "sched: enqueued=") || !strings.Contains(sb.String(), "queue wait:") {
-		t.Errorf("server statsz missing scheduler section:\n%s", sb.String())
+	out := mb.String()
+	if problems := metrics.LintProm(strings.NewReader(out)); len(problems) != 0 {
+		t.Fatalf("metricsz exposition violations: %v", problems)
+	}
+	metrics.WriteFields(&want, "nztm_sched", "counter", st)
+	got := metrics.Families(strings.NewReader(out))
+	fams := metrics.Families(strings.NewReader(want.String()))
+	if len(fams) == 0 {
+		t.Fatal("SchedStats has no counters")
+	}
+	fams["nztm_sched_executors"] = "gauge"
+	fams["nztm_sched_queue_depth"] = "gauge"
+	fams["nztm_sched_executors_busy"] = "gauge"
+	fams["nztm_sched_queue_wait_seconds"] = "histogram"
+	fams["nztm_server_info"] = "gauge"
+	for name, typ := range fams {
+		if got[name] != typ {
+			t.Errorf("family %s %s missing (have %q)", name, typ, got[name])
+		}
 	}
 	for _, want := range []string{
-		"nztm_sched_enqueued_total", "nztm_sched_executors",
-		"nztm_sched_queue_wait_seconds", `nztm_server_requests_total{status="overloaded"}`,
+		"nztm_sched_enqueued_total 7\n", "nztm_sched_queue_depth 2\n", "nztm_sched_executors_busy 1\n",
+		`queue_capacity="8",admission="reject"} 1`,
 	} {
-		if !strings.Contains(mb.String(), want) {
-			t.Errorf("server metricsz missing %q", want)
+		if !strings.Contains(out, want) {
+			t.Errorf("metricsz missing %q", want)
 		}
 	}
 }

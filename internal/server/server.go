@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nztm/internal/kv"
+	"nztm/internal/metrics"
 	"nztm/internal/tm"
 	"nztm/internal/trace"
 	"nztm/internal/wal"
@@ -42,9 +43,6 @@ type Config struct {
 	// with exponential, jittered sleeps (see kv.Budget.Backoff). It
 	// replaces the bare immediate-retry loop for contended requests.
 	RetryBackoff time.Duration
-	// ExtraStatsz, when non-nil, appends additional sections to the
-	// WriteStatsz dump (e.g. the fault plane's injection counters).
-	ExtraStatsz func(io.Writer)
 	// ExtraMetricsz, when non-nil, appends additional Prometheus lines to
 	// the WriteMetricsz exposition.
 	ExtraMetricsz func(io.Writer)
@@ -127,14 +125,10 @@ type Server struct {
 	reqRedirect   atomic.Uint64 // StatusNotPrimary answers (client re-routes)
 	reqOverload   atomic.Uint64 // StatusOverloaded rejects (admission queue full)
 	reqReadOnly   atomic.Uint64 // StatusReadOnly sheds (store degraded, disk full)
-	singleLatency Histogram
-	batchLatency  Histogram
+	singleLatency metrics.Histogram
+	batchLatency  metrics.Histogram
 	spans         SpanMetrics        // per-stage latency attribution
 	slow          *trace.SlowSampler // K slowest timelines per window (/slowz)
-
-	statszMu   sync.Mutex
-	statszPrev tm.StatsView
-	statszAt   time.Time
 }
 
 // ErrServerClosed is returned by Serve after Shutdown.
@@ -160,7 +154,7 @@ func New(store *kv.Store, reg *tm.Registry, cfg Config) *Server {
 	if cfg.SlowWindow == 0 {
 		cfg.SlowWindow = time.Minute
 	}
-	s := &Server{
+	return &Server{
 		store:   store,
 		reg:     reg,
 		cfg:     cfg,
@@ -169,8 +163,6 @@ func New(store *kv.Store, reg *tm.Registry, cfg Config) *Server {
 		started: time.Now(),
 		slow:    trace.NewSlowSampler(cfg.SlowK, cfg.SlowWindow),
 	}
-	s.statszAt = s.started
-	return s
 }
 
 // Serve accepts connections on ln until Shutdown. It always returns a
@@ -261,7 +253,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 func (s *Server) SchedStats() *SchedStats { return &s.sched.stats }
 
 // QueueWait exposes the enqueue→dispatch latency histogram.
-func (s *Server) QueueWait() *Histogram { return &s.sched.wait }
+func (s *Server) QueueWait() *metrics.Histogram { return &s.sched.wait }
 
 // QueueCap reports the admission queue's resolved capacity.
 func (s *Server) QueueCap() int { return cap(s.sched.tasks) }
@@ -463,84 +455,10 @@ func (s *Server) WriteSlowz(w io.Writer) error { return s.slow.WriteJSON(w) }
 func (s *Server) DumpSlow(w io.Writer) { s.slow.Dump(w) }
 
 // SingleLatency exposes the single-op latency histogram.
-func (s *Server) SingleLatency() *Histogram { return &s.singleLatency }
+func (s *Server) SingleLatency() *metrics.Histogram { return &s.singleLatency }
 
 // BatchLatency exposes the batch latency histogram.
-func (s *Server) BatchLatency() *Histogram { return &s.batchLatency }
-
-// WriteStatsz dumps a human-readable metrics snapshot: server counters,
-// latency histograms, the backing system's cumulative tm counters, and —
-// via StatsView.Delta — per-second rates since the previous WriteStatsz
-// call.
-func (s *Server) WriteStatsz(w io.Writer) {
-	sys := s.store.System()
-	now := time.Now()
-	view := sys.Stats().View()
-
-	s.statszMu.Lock()
-	prev, prevAt := s.statszPrev, s.statszAt
-	s.statszPrev, s.statszAt = view, now
-	s.statszMu.Unlock()
-
-	s.mu.Lock()
-	open := len(s.conns)
-	s.mu.Unlock()
-
-	fmt.Fprintf(w, "nztm-server statsz\n")
-	fmt.Fprintf(w, "system: %s\n", sys.Name())
-	fmt.Fprintf(w, "uptime: %v\n", now.Sub(s.started).Round(time.Millisecond))
-	fmt.Fprintf(w, "store: shards=%d buckets/shard=%d\n",
-		s.store.Shards(), s.store.BucketsPerShard())
-	fmt.Fprintf(w, "threads: active=%d high=%d max=%d\n",
-		s.reg.Active(), s.reg.High(), s.reg.Max())
-	fmt.Fprintf(w, "slots: acquires=%d releases=%d\n",
-		view.SlotAcquires, view.SlotReleases)
-	fmt.Fprintf(w, "connections: open=%d total=%d\n", open, s.connsTotal.Load())
-	fmt.Fprintf(w, "executors: bound=%d requested=%d queue_cap=%d admission=%s\n",
-		s.sched.bound.Load(), s.sched.executors, cap(s.sched.tasks), s.admissionName())
-	s.sched.stats.WriteStatsz(w)
-	fmt.Fprintf(w, "requests: ok=%d budget=%d bad=%d error=%d shutdown=%d lagging=%d not_primary=%d overloaded=%d read_only=%d\n",
-		s.reqOK.Load(), s.reqBudget.Load(), s.reqBad.Load(),
-		s.reqErr.Load(), s.reqShutdown.Load(), s.reqLagging.Load(), s.reqRedirect.Load(),
-		s.reqOverload.Load(), s.reqReadOnly.Load())
-	fmt.Fprintf(w, "latency single: %s\n", s.singleLatency.Summary())
-	fmt.Fprintf(w, "latency batch:  %s\n", s.batchLatency.Summary())
-	fmt.Fprintf(w, "queue wait:     %s\n", s.sched.wait.Summary())
-	fmt.Fprintf(w, "tm cumulative: commits=%d aborts=%d abort_rate=%.2f%% abort_requests=%d waits=%d inflations=%d deflations=%d locator_ops=%d backup_reuse=%d\n",
-		view.Commits, view.Aborts, 100*view.AbortRate(), view.AbortRequests,
-		view.Waits, view.Inflations, view.Deflations, view.LocatorOps, view.BackupReuse)
-	dt := now.Sub(prevAt).Seconds()
-	if dt > 0 {
-		d := view.Delta(prev)
-		fmt.Fprintf(w, "tm interval (%.1fs): commits/s=%.0f aborts/s=%.0f inflations/s=%.0f\n",
-			dt, float64(d.Commits)/dt, float64(d.Aborts)/dt, float64(d.Inflations)/dt)
-	}
-	fmt.Fprintf(w, "latency single buckets:\n")
-	s.singleLatency.Dump(w)
-	fmt.Fprintf(w, "latency batch buckets:\n")
-	s.batchLatency.Dump(w)
-	s.spans.WriteStatsz(w)
-	if m := s.store.Metrics(); m != nil {
-		fmt.Fprintf(w, "kv commit latency: %s\n", m.CommitLatency.Summary())
-		if hot := m.TopK(hotspotTopK); len(hot) > 0 {
-			fmt.Fprintf(w, "contention hotspots (top %d by aborts):\n", len(hot))
-			for _, h := range hot {
-				fmt.Fprintf(w, "  %-24q %d\n", h.Key, h.Aborts)
-			}
-		}
-	}
-	if s.cfg.ExtraStatsz != nil {
-		s.cfg.ExtraStatsz(w)
-	}
-}
-
-// admissionName renders the effective admission policy.
-func (s *Server) admissionName() string {
-	if s.sched.block {
-		return AdmitBlock
-	}
-	return AdmitReject
-}
+func (s *Server) BatchLatency() *metrics.Histogram { return &s.batchLatency }
 
 func drain(ch chan *request) {
 	for range ch {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nztm/internal/kv"
+	"nztm/internal/metrics"
 	"nztm/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func TestParseRequestRefuses(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	var h Histogram
+	var h metrics.Histogram
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
@@ -320,12 +321,12 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("lost counter updates: %d != %d", gotIncs, wantIncs)
 	}
 
-	// statsz renders and reflects traffic.
+	// metricsz names the system and reflects traffic.
 	var buf bytes.Buffer
-	srv.WriteStatsz(&buf)
+	srv.WriteMetricsz(&buf)
 	out := buf.String()
-	if !bytes.Contains(buf.Bytes(), []byte("system: NZSTM")) {
-		t.Fatalf("statsz missing system line:\n%s", out)
+	if !regexp.MustCompile(`nztm_build_info\{go_version="[^"]+",revision="[^"]+",system="NZSTM"\} 1`).MatchString(out) {
+		t.Fatalf("metricsz missing build info with the system:\n%s", out)
 	}
 	if srv.SingleLatency().Count() == 0 || srv.BatchLatency().Count() == 0 {
 		t.Fatalf("latency histograms empty:\n%s", out)
@@ -684,22 +685,6 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
-// ExtraStatsz sections ride along at the end of the statsz dump.
-func TestExtraStatsz(t *testing.T) {
-	b, err := kv.OpenBackend("nzstm", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(kv.New(b.Sys, 2, 2), b.Reg, Config{
-		ExtraStatsz: func(w io.Writer) { fmt.Fprintf(w, "extra section: marker=42\n") },
-	})
-	var sb strings.Builder
-	srv.WriteStatsz(&sb)
-	if !strings.Contains(sb.String(), "extra section: marker=42") {
-		t.Fatalf("ExtraStatsz section missing from dump:\n%s", sb.String())
-	}
-}
-
 // TestMoreConnectionsThanThreadHint is the acceptance test for the M:N
 // scheduler: a server with a tiny executor pool must serve many more
 // *simultaneous* connections than it has pool slots. Under the old
@@ -823,6 +808,8 @@ func TestMetricszAndTracez(t *testing.T) {
 		`nztm_server_single_latency_seconds_quantile{quantile="0.99"}`,
 		"nztm_tm_commits_total",
 		"nztm_tm_slot_acquires_total 1",
+		"nztm_tm_slot_releases_total 0",
+		"nztm_tm_threads_max ",
 		"nztm_kv_commit_latency_seconds_count 20",
 	} {
 		if !strings.Contains(out, want) {
@@ -837,11 +824,6 @@ func TestMetricszAndTracez(t *testing.T) {
 		t.Errorf("tracez missing recorded commit events:\n%.500s", tz)
 	}
 
-	var sb strings.Builder
-	srv.WriteStatsz(&sb)
-	if !strings.Contains(sb.String(), "slots: acquires=1") {
-		t.Errorf("statsz missing slot churn line:\n%s", sb.String())
-	}
 }
 
 // TestTracezDisabled: with no recorder anywhere, /tracez reports disabled.

@@ -9,7 +9,6 @@ package server
 // durability-tax profiling relies on.
 
 import (
-	"fmt"
 	"io"
 
 	"nztm/internal/metrics"
@@ -60,20 +59,4 @@ func (sm *SpanMetrics) WriteMetricsz(w io.Writer) {
 	sm.total.WriteHistSamples(w, "nztm_request_total_us", scale)
 	metrics.Head(w, "nztm_request_total_us_quantile", "gauge", "end-to-end request latency p50/p95/p99 upper bounds (microseconds)")
 	sm.total.WriteQuantileSamples(w, "nztm_request_total_us", scale)
-}
-
-// WriteStatsz renders the human-readable stage table: one line per
-// stage that has samples, plus the total.
-func (sm *SpanMetrics) WriteStatsz(w io.Writer) {
-	if sm.total.Count() == 0 {
-		return
-	}
-	fmt.Fprintf(w, "stages: total %s\n", sm.total.Summary())
-	for i := 0; i < trace.SpanStages; i++ {
-		h := &sm.stage[i]
-		if h.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  stage %-11s %s\n", trace.StageName(i), h.Summary())
-	}
 }

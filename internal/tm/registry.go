@@ -27,7 +27,7 @@ const DefaultMaxSlots = 1 << 14
 //     generation: stale per-slot state left by the previous tenant is
 //     distinguishable from the current one.
 //   - The high-water mark records the densest concurrency ever reached;
-//     statsz reports it alongside the configured maximum.
+//     /metricsz reports it alongside the configured maximum.
 //
 // A Registry optionally carries the World its minted threads allocate layout
 // addresses from, so registry-minted threads and the system they drive share
@@ -45,7 +45,7 @@ type Registry struct {
 	wake chan struct{} // capacity-1 doorbell for blocked Acquire calls
 
 	// stats, when bound, receives SlotAcquires/SlotReleases — the
-	// connection-churn signal /statsz and /metricsz report.
+	// connection-churn signal /metricsz reports.
 	stats atomic.Pointer[Stats]
 	// rec, when bound, hands each minted thread its per-slot flight-recorder
 	// ring.

@@ -130,10 +130,10 @@ type Config struct {
 }
 
 // Stats are cumulative counters and commit-pipeline distributions, safe
-// for concurrent reading while the log runs (exported to /statsz and
-// /metricsz by the server — atomic.Uint64 fields as counters,
-// metrics.Histogram fields as dimensionless histograms, both by
-// reflection over this struct, so a new field cannot ship unexported).
+// for concurrent reading while the log runs (exported to /metricsz by
+// metrics.WriteFields — atomic.Uint64 fields as counters,
+// metrics.Histogram fields as dimensionless histograms, by reflection
+// over this struct, so a new field cannot ship unexported).
 type Stats struct {
 	AppendedFrames atomic.Uint64 // frames written (exactly one copy per committed transaction)
 	AppendedBytes  atomic.Uint64 // encoded frame bytes written
