@@ -6,7 +6,8 @@
 #                   and allocation gate + the server request-path benchmark
 #                   smoke and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
-#                   metrics, histcheck, wal, repl, bench; kv and
+#                   metrics, histcheck, wal, repl, bench, the soak
+#                   harness's own tests; kv and
 #                   server hold the value aliasing tests) + a tracing-enabled
 #                   race pass + TestGenomePhases ×1000 (the repeat-read
 #                   reproducer) + the contended serving workload +
@@ -97,16 +98,16 @@ GO ?= go
 RACE_PKGS = ./internal/tm ./internal/core ./internal/kv ./internal/server \
             ./internal/fault ./internal/histcheck ./internal/trace \
             ./internal/metrics ./internal/wal ./internal/repl \
-            ./internal/bench
+            ./internal/bench ./cmd/nztm-soak
 
 FUZZ_TIME ?= 10s
 SOAK_FLAGS ?= -seed 1 -duration 5s
 # Oversubscribed soak: 64 connections (16× the 4 executors) at a rate and
 # key spread that keeps the per-clique histories inside the checker budget.
-OVERSUB_FLAGS ?= -oversubscribed -seed 1 -duration 4s -threads 4 -keys 64 -rate 25
-CRASH_FLAGS ?= -crash -crash-target 200 -seed 1
-FAILOVER_FLAGS ?= -failover -kills 50 -partitions 4 -seed 1
-DISKFAULT_FLAGS ?= -diskfault -diskfault-target 120 -seed 1
+OVERSUB_FLAGS ?= -leg oversub -seed 1 -duration 4s -threads 4 -keys 64 -rate 25
+CRASH_FLAGS ?= -leg crash -crash-target 200 -seed 1
+FAILOVER_FLAGS ?= -leg failover -kills 50 -partitions 4 -seed 1
+DISKFAULT_FLAGS ?= -leg diskfault -diskfault-target 120 -seed 1
 
 ITEM1_DIR ?= .item1
 

@@ -273,7 +273,17 @@ func main() {
 	fmt.Printf("nztm-server: scheduler: executors=%d queue-depth=%d admission=%s (connections share the executor pool M:N)\n",
 		cfg.Executors, srv.QueueCap(), cfg.Admission)
 
+	// The observability mux binds here, before the ready line, so that
+	// line can name the bound address (a ":0" request included) and a
+	// bind failure stops the server instead of leaving it half up.
+	var statszAddr string
 	if *statsz != "" {
+		sln, err := net.Listen("tcp", *statsz)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nztm-server: observability mux:", err)
+			os.Exit(1)
+		}
+		statszAddr = sln.Addr().String()
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -314,12 +324,12 @@ func main() {
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		}
 		go func() {
-			if err := http.ListenAndServe(*statsz, mux); err != nil {
+			if err := http.Serve(sln, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "nztm-server: observability mux:", err)
 			}
 		}()
 		fmt.Printf("nztm-server: /metricsz /tracez /slowz on http://%s (pprof=%v, trace=%d events/thread)\n",
-			*statsz, *pprofOn, *traceN)
+			statszAddr, *pprofOn, *traceN)
 	}
 
 	sigs := make(chan os.Signal, 1)
@@ -339,8 +349,13 @@ func main() {
 			*diskSites, *diskProb, *diskSeed)
 	}
 	// The machine-readable ready line: recovery is complete and the
-	// listener is accepting (crash soaks and scripts wait for this).
-	fmt.Printf("nztm-server: ready addr=%s\n", ln.Addr())
+	// listener is accepting (crash soaks and scripts wait for this). It
+	// names the bound KV address and, when the mux is on, its address.
+	if statszAddr != "" {
+		fmt.Printf("nztm-server: ready addr=%s statsz=%s\n", ln.Addr(), statszAddr)
+	} else {
+		fmt.Printf("nztm-server: ready addr=%s\n", ln.Addr())
+	}
 
 serve:
 	for {

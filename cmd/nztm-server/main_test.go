@@ -81,10 +81,9 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		t.Skip("child-process test")
 	}
 	bin := buildServer(t)
-	statszAddr := pickAddr(t)
-	cmd, stdout, stderr, kvAddr := startServer(t, bin,
+	cmd, stdout, stderr, kvAddr, statszAddr := startServer(t, bin,
 		"-addr", "127.0.0.1:0",
-		"-statsz", statszAddr,
+		"-statsz", "127.0.0.1:0",
 		"-trace", "64",
 		"-executors", "2",
 		"-data-dir", t.TempDir(),
@@ -186,13 +185,14 @@ func buildServer(t *testing.T) string {
 }
 
 // startServer runs bin with args, waits for its ready line and returns
-// the process, its captured stdout and stderr, and the KV address. The
-// process is killed when the test ends.
-func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, *lineBuffer, *lineBuffer, string) {
+// the process, its captured stdout and stderr, and the KV and
+// observability addresses the ready line names ("" when the mux is
+// off). The process is killed when the test ends.
+func startServer(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, stdout, stderr *lineBuffer, kvAddr, statszAddr string) {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout := &lineBuffer{}
-	stderr := &lineBuffer{}
+	cmd = exec.Command(bin, args...)
+	stdout = &lineBuffer{}
+	stderr = &lineBuffer{}
 	outPipe, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -212,16 +212,22 @@ func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, *lineBuff
 	})
 
 	stdout.waitContains(t, 10*time.Second, "nztm-server: ready addr=")
-	var kvAddr string
 	for _, line := range strings.Split(stdout.String(), "\n") {
-		if _, err := fmt.Sscanf(line, "nztm-server: ready addr=%s", &kvAddr); err == nil {
+		if rest, ok := strings.CutPrefix(line, "nztm-server: ready "); ok {
+			for _, f := range strings.Fields(rest) {
+				if a, ok := strings.CutPrefix(f, "addr="); ok {
+					kvAddr = a
+				} else if a, ok := strings.CutPrefix(f, "statsz="); ok {
+					statszAddr = a
+				}
+			}
 			break
 		}
 	}
 	if kvAddr == "" {
 		t.Fatalf("no ready line in:\n%s", stdout.String())
 	}
-	return cmd, stdout, stderr, kvAddr
+	return cmd, stdout, stderr, kvAddr, statszAddr
 }
 
 // httpGet fetches path from the observability mux at addr.
@@ -258,10 +264,9 @@ func TestMetricszFamiliesGolden(t *testing.T) {
 		t.Skip("child-process test")
 	}
 	bin := buildServer(t)
-	statszAddr := pickAddr(t)
-	_, _, _, kvAddr := startServer(t, bin,
+	_, _, _, kvAddr, statszAddr := startServer(t, bin,
 		"-addr", "127.0.0.1:0",
-		"-statsz", statszAddr,
+		"-statsz", "127.0.0.1:0",
 		"-trace", "64",
 		"-executors", "2",
 		"-data-dir", t.TempDir(),

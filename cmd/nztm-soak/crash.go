@@ -1,4 +1,4 @@
-// Crash-recovery soak (-crash): the durability analogue of the chaos
+// Crash-recovery soak (-leg crash): the durability analogue of the chaos
 // soak. The parent process execs nztm-server as a child with the WAL's
 // crash points armed (deterministic seeded kill-self at pre-append,
 // mid-append, post-append, mid-snapshot and mid-truncate), hammers it
@@ -22,445 +22,55 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"nztm/internal/fault"
-	"nztm/internal/histcheck"
 	"nztm/internal/kv"
-	"nztm/internal/server"
 	"nztm/internal/wal"
 )
 
-// crashCfg bundles the -crash mode's knobs.
-type crashCfg struct {
-	bin     string // nztm-server binary ("" = go build it)
-	dir     string // data directory ("" = temp, removed on success)
-	seed    uint64
-	target  int // total crash-point injections to accumulate
-	shards  int
-	buckets int
-	keys    int // keys per worker
-	workers int
-	limit   int // linearizability search budget
-}
+// crashLeg is the parent-side state across all child lifetimes.
+type crashLeg struct {
+	cfg soakCfg
+	l   *ledger
 
-// effect is the result of one write op on its key: a value or absence.
-type effect struct {
-	del bool
-	val string
-}
-
-func (e effect) String() string {
-	if e.del {
-		return "<absent>"
-	}
-	return fmt.Sprintf("%q", e.val)
-}
-
-// keyModel tracks one key's durability obligations since the last
-// verified read (the "rebase point"):
-//
-//	base      — the state a post-recovery read proved (acknowledged, so
-//	            durable: recovery may never regress past it);
-//	lastAcked — the newest acknowledged write since the rebase; if any
-//	            write was acked, base is no longer admissible;
-//	lost      — writes whose response never arrived (the child died).
-//	            Each may or may not have committed, and a lost write can
-//	            commit after later acknowledged ones (its server-side
-//	            transaction outlives the severed connection), so every
-//	            lost effect stays admissible until the next rebase.
-//
-// Admissible recovered states: {lastAcked} (or {base} when nothing was
-// acked) ∪ lost. Anything else is either a lost acknowledged write or a
-// corrupt record.
-type keyModel struct {
-	base      effect
-	lastAcked *effect
-	lost      []effect
-}
-
-func (m *keyModel) touched() bool { return m.lastAcked != nil || len(m.lost) > 0 }
-
-func (m *keyModel) admissible(found bool, val []byte) bool {
-	match := func(e effect) bool {
-		if e.del {
-			return !found
-		}
-		return found && string(val) == e.val
-	}
-	if m.lastAcked != nil {
-		if match(*m.lastAcked) {
-			return true
-		}
-	} else if match(m.base) {
-		return true
-	}
-	for _, e := range m.lost {
-		if match(e) {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *keyModel) rebase(found bool, val []byte) {
-	m.base = effect{del: !found, val: string(val)}
-	m.lastAcked = nil
-	m.lost = nil
-}
-
-// crashSoak is the parent-side state across all child lifetimes.
-type crashSoak struct {
-	cfg crashCfg
-	rec *histcheck.Recorder
-
-	mu    sync.Mutex
-	model map[string]*keyModel
-
-	injections [wal.CrashPointCount]int
+	injections tally
 	timeouts   int // children the parent had to kill (no injection fired)
 	iters      int
 	gracefuls  int
-	acked      atomic.Uint64
-	lost       atomic.Uint64
 }
 
-func (cs *crashSoak) total() int {
-	n := 0
-	for _, v := range cs.injections {
-		n += v
-	}
-	return n
+// crashSites is the per-iteration rotation: every WAL crash point.
+var crashSites = []wal.CrashPoint{
+	wal.CrashPreAppend, wal.CrashMidAppend, wal.CrashPostAppend,
+	wal.CrashMidSnapshot, wal.CrashMidTruncate,
 }
 
-func (cs *crashSoak) modelFor(key string) *keyModel {
-	m := cs.model[key]
-	if m == nil {
-		m = &keyModel{base: effect{del: true}} // fresh stores hold nothing
-		cs.model[key] = m
-	}
-	return m
-}
-
-// ack folds an acknowledged request's writes into the model.
-func (cs *crashSoak) ack(ops []kv.Op) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for i := range ops {
-		m := cs.modelFor(ops[i].Key)
-		switch ops[i].Kind {
-		case kv.OpPut:
-			m.lastAcked = &effect{val: string(ops[i].Value)}
-		case kv.OpDelete:
-			m.lastAcked = &effect{del: true}
-		}
-	}
-	cs.acked.Add(1)
-}
-
-// markLost records a request severed by the child's death: each of its
-// writes may or may not have committed.
-func (cs *crashSoak) markLost(ops []kv.Op) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for i := range ops {
-		m := cs.modelFor(ops[i].Key)
-		switch ops[i].Kind {
-		case kv.OpPut:
-			m.lost = append(m.lost, effect{val: string(ops[i].Value)})
-		case kv.OpDelete:
-			m.lost = append(m.lost, effect{del: true})
-		}
-	}
-	cs.lost.Add(1)
-}
-
-// touchedKeys returns, sorted, every key with outstanding obligations.
-func (cs *crashSoak) touchedKeys() []string {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	var keys []string
-	for k, m := range cs.model {
-		if m.touched() {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ---------------------------------------------------------------------
-// Child process management.
-
-// child is one nztm-server process under parent control.
-type child struct {
-	cmd    *exec.Cmd
-	exitCh chan error
-
-	mu           sync.Mutex
-	addr         string
-	readyCh      chan struct{}
-	readyOnce    sync.Once
-	sites        []string // CRASH-POINT markers seen on stderr
-	diskSites    []string // DISK-FAULT markers seen on stderr
-	tail         []string // last output lines, for post-mortem
-	parentKilled atomic.Bool
-}
-
-// note records one output line, firing the ready latch and collecting
-// crash markers. Called synchronously from the exec pipe copiers, so
-// cmd.Wait returning implies every marker has been seen.
-func (c *child) note(line string) {
-	c.mu.Lock()
-	c.tail = append(c.tail, line)
-	if len(c.tail) > 40 {
-		c.tail = c.tail[len(c.tail)-40:]
-	}
-	if a, ok := strings.CutPrefix(line, "nztm-server: ready addr="); ok {
-		c.addr = strings.TrimSpace(a)
-		c.readyOnce.Do(func() { close(c.readyCh) })
-	}
-	if strings.HasPrefix(line, fault.CrashMarkerPrefix) {
-		for _, f := range strings.Fields(line) {
-			if s, ok := strings.CutPrefix(f, "site="); ok {
-				c.sites = append(c.sites, s)
-			}
-		}
-	}
-	if strings.HasPrefix(line, fault.DiskMarkerPrefix) {
-		for _, f := range strings.Fields(line) {
-			if s, ok := strings.CutPrefix(f, "site="); ok {
-				c.diskSites = append(c.diskSites, s)
-			}
-		}
-	}
-	c.mu.Unlock()
-}
-
-// diskMarkers returns the DISK-FAULT sites seen so far on this child's
-// stderr (safe after reap: the pipe copiers run before Wait returns).
-func (c *child) diskMarkers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.diskSites...)
-}
-
-// lineWriter feeds an io.Writer stream to note line by line. Using a
-// Writer (not StdoutPipe) makes cmd.Wait block until the stream is
-// fully drained — no marker can race the exit status.
-type lineWriter struct {
-	c   *child
-	buf []byte
-}
-
-func (w *lineWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	for {
-		i := strings.IndexByte(string(w.buf), '\n')
-		if i < 0 {
-			return len(p), nil
-		}
-		w.c.note(string(w.buf[:i]))
-		w.buf = w.buf[i+1:]
-	}
-}
-
-// startChild launches nztm-server and waits for its ready line (which
-// the server only prints after recovery completes).
-func (cs *crashSoak) startChild(extra ...string) (*child, error) {
-	args := []string{
-		"-addr", "127.0.0.1:0", "-statsz", "", "-system", "nzstm",
-		"-shards", fmt.Sprint(cs.cfg.shards), "-buckets", fmt.Sprint(cs.cfg.buckets),
-		"-threads", "4", "-drain", "5s",
-		"-data-dir", cs.cfg.dir,
-		"-fsync-interval", "10ms", "-snapshot-every", "25ms",
-	}
-	args = append(args, extra...)
-	c := &child{
-		cmd:     exec.Command(cs.cfg.bin, args...),
-		exitCh:  make(chan error, 1),
-		readyCh: make(chan struct{}),
-	}
-	c.cmd.Stdout = &lineWriter{c: c}
-	c.cmd.Stderr = &lineWriter{c: c}
-	if err := c.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", cs.cfg.bin, err)
-	}
-	go func() { c.exitCh <- c.cmd.Wait() }()
-	select {
-	case <-c.readyCh:
-		return c, nil
-	case err := <-c.exitCh:
-		return nil, fmt.Errorf("child exited before ready (%v):\n%s", err, c.dumpTail())
-	case <-time.After(20 * time.Second):
-		c.kill()
-		<-c.exitCh
-		return nil, fmt.Errorf("child not ready after 20s:\n%s", c.dumpTail())
-	}
-}
-
-func (c *child) kill() {
-	c.parentKilled.Store(true)
-	if c.cmd.Process != nil {
-		c.cmd.Process.Kill()
-	}
-}
-
-func (c *child) dumpTail() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return "  | " + strings.Join(c.tail, "\n  | ")
-}
-
-// reap waits for the child to die (killing it if nothing ends it within
-// grace) and returns the crash sites that fired plus whether the parent
-// had to kill it.
-func (c *child) reap(grace time.Duration) (sites []string, killed bool) {
-	select {
-	case <-c.exitCh:
-	case <-time.After(grace):
-		c.kill()
-		<-c.exitCh
-	}
-	c.mu.Lock()
-	sites = append(sites, c.sites...)
-	c.mu.Unlock()
-	return sites, c.parentKilled.Load()
-}
-
-// ---------------------------------------------------------------------
-// Verification and load.
-
-// dialChild connects to the child with short retries (its listener is
-// up, but the accept loop may still be scheduling).
-func dialChild(c *child) (*server.Client, error) {
-	var err error
-	for i := 0; i < 40; i++ {
-		var cl *server.Client
-		if cl, err = server.Dial(c.addr); err == nil {
-			return cl, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return nil, err
-}
-
-// verify reads back every key with outstanding obligations and checks
-// the recovered value is admissible, rebasing the model key by key. The
-// reads are real acknowledged operations (recorded into the history and
-// durability-gated by the server), so a completed verify proves the
-// observed state is itself recoverable. ok=false means the child died
-// mid-verify (a snapshot-site injection can fire under read-only load);
-// the injection still counts and the next boot re-verifies.
-func (cs *crashSoak) verify(c *child) (ok bool, err error) {
-	keys := cs.touchedKeys()
-	if len(keys) == 0 {
-		return true, nil
-	}
-	cl, err := dialChild(c)
-	if err != nil {
-		return false, nil // child died before accepting: retry next boot
-	}
-	defer cl.Close()
-	// A read-back should take milliseconds; a child that wedges instead
-	// of answering is killed so the blocked Do unwinds with a conn error.
-	watchdog := time.AfterFunc(15*time.Second, c.kill)
-	defer watchdog.Stop()
-	verifier := cs.cfg.workers // history client IDs: workers, then this
-	for _, k := range keys {
-		ops := []kv.Op{{Kind: kv.OpGet, Key: k}}
-		p := cs.rec.Begin(verifier, ops)
-		res, err := cl.Do(ops)
-		if err != nil {
-			p.Lost()
-			return false, nil
-		}
-		p.Done(res)
-		cs.mu.Lock()
-		m := cs.modelFor(k)
-		if !m.admissible(res[0].Found, res[0].Value) {
-			got := effect{del: !res[0].Found, val: string(res[0].Value)}
-			detail := fmt.Sprintf("key %s recovered as %v; admissible: lastAcked=%v base=%v lost=%v",
-				k, got, m.lastAcked, m.base, m.lost)
-			cs.mu.Unlock()
-			return true, fmt.Errorf("acknowledged write lost or corrupted after recovery: %s", detail)
-		}
-		m.rebase(res[0].Found, res[0].Value)
-		cs.mu.Unlock()
-	}
-	return true, nil
+// boot starts one single-node child on cfg.dir (the crash and diskfault
+// legs).
+func boot(cfg soakCfg, extra ...string) (*child, error) {
+	args := append(cfg.childArgs(cfg.dir), "-addr", "127.0.0.1:0", "-snapshot-every", "25ms")
+	return launch(cfg.bin, append(args, extra...)...)
 }
 
 // load drives acknowledged writes until the child dies or the deadline
-// passes. Worker w owns keys "w<w>-k<i>", so per-key write order equals
-// issue order and the admissibility model stays exact; batches pair
-// neighbouring keys of one worker (often crossing shards, exercising
-// multi-shard frame identity vectors at recovery). A watchdog kills the
-// child at the deadline, so even a child that hangs requests (instead
-// of crashing) cannot wedge a worker inside a blocking Do.
-func (cs *crashSoak) load(c *child, iter int, deadline time.Duration) {
-	var wg sync.WaitGroup
-	stop := time.Now().Add(deadline)
+// passes; a worker whose request fails other than by a clean shed stops
+// (the child died under it). A watchdog kills the child past the
+// deadline, so a child that hangs requests (instead of crashing) cannot
+// wedge a worker inside a blocking Do.
+func (cs *crashLeg) load(c *child, iter int, deadline time.Duration) {
 	watchdog := time.AfterFunc(deadline+time.Second, c.kill)
 	defer watchdog.Stop()
-	for w := 0; w < cs.cfg.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := newWorkloadRNG(cs.cfg.seed+uint64(iter)*131, w)
-			cl, err := dialChild(c)
-			if err != nil {
-				return
-			}
-			defer cl.Close()
-			for seq := 0; time.Now().Before(stop); seq++ {
-				key := func(i int) string { return fmt.Sprintf("w%d-k%02d", w, i) }
-				val := []byte(fmt.Sprintf("w%d.%d.%d", w, iter, seq))
-				k := rng.intn(cs.cfg.keys)
-				var ops []kv.Op
-				switch r := rng.intn(100); {
-				case r < 10:
-					// Two-key atomic batch on a neighbouring pair.
-					ops = []kv.Op{
-						{Kind: kv.OpPut, Key: key(k &^ 1), Value: val},
-						{Kind: kv.OpPut, Key: key(k | 1), Value: val},
-					}
-				case r < 25:
-					ops = []kv.Op{{Kind: kv.OpDelete, Key: key(k)}}
-				case r < 40:
-					ops = []kv.Op{{Kind: kv.OpGet, Key: key(k)}}
-				default:
-					ops = []kv.Op{{Kind: kv.OpPut, Key: key(k), Value: val}}
-				}
-				p := cs.rec.Begin(w, ops)
-				res, err := cl.Do(ops)
-				switch {
-				case err == nil:
-					p.Done(res)
-					cs.ack(ops)
-				case errors.Is(err, kv.ErrBudget):
-					p.Discard() // clean rejection: provably no effect
-				default:
-					// The child died under us: outcome unknown.
-					p.Lost()
-					cs.markLost(ops)
-					return
-				}
-				time.Sleep(500 * time.Microsecond)
-			}
-		}(w)
-	}
-	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	cs.l.load(ctx, cs.cfg, loadSpec{
+		iter: iter, reads: 15, pace: 500 * time.Microsecond,
+		open: func(int) session {
+			return dialChild(c, func(err error) bool { return !shed(err) })
+		},
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -484,10 +94,10 @@ var crashFsyncs = [...]string{"always", "interval", "never"}
 
 // iterate runs one armed child lifetime: boot (recovers the previous
 // crash), verify, load until the injection kills it, classify.
-func (cs *crashSoak) iterate(iter int, site wal.CrashPoint, fsync string) error {
+func (cs *crashLeg) iterate(iter int, site wal.CrashPoint, fsync string) error {
 	cs.iters++
 	seed := cs.cfg.seed + uint64(iter)*7919 + 1
-	c, err := cs.startChild(
+	c, err := boot(cs.cfg,
 		"-fsync", fsync,
 		"-crash-seed", fmt.Sprint(seed),
 		"-crash-sites", site.String(),
@@ -496,7 +106,7 @@ func (cs *crashSoak) iterate(iter int, site wal.CrashPoint, fsync string) error 
 	if err != nil {
 		return err
 	}
-	verified, err := cs.verify(c)
+	verified, err := verifyChild(c, cs.l, cs.cfg.workers)
 	if err != nil {
 		c.kill()
 		c.reap(time.Second)
@@ -506,11 +116,7 @@ func (cs *crashSoak) iterate(iter int, site wal.CrashPoint, fsync string) error 
 		cs.load(c, iter, 8*time.Second)
 	}
 	sites, killed := c.reap(5 * time.Second)
-	for _, s := range sites {
-		if p, ok := fault.CrashSiteByName(s); ok {
-			cs.injections[p]++
-		}
-	}
+	cs.injections.add(sites)
 	if len(sites) == 0 {
 		if !killed {
 			return fmt.Errorf("iter %d: child died with no crash marker and no parent kill:\n%s",
@@ -521,158 +127,103 @@ func (cs *crashSoak) iterate(iter int, site wal.CrashPoint, fsync string) error 
 	return nil
 }
 
-// gracefulCheck runs the clean-shutdown path: an unarmed child must
-// recover, serve acknowledged writes, and exit 0 on SIGTERM after
-// flushing the WAL — which the next boot's verify then proves durable.
-func (cs *crashSoak) gracefulCheck(round int) error {
-	cs.gracefuls++
-	c, err := cs.startChild("-fsync", crashFsyncs[round%len(crashFsyncs)])
-	if err != nil {
-		return err
-	}
-	verified, err := cs.verify(c)
-	if err != nil {
+// graceful runs the clean-shutdown path (the crash and diskfault legs):
+// an unarmed child must recover, pass verify, serve acknowledged writes,
+// and exit 0 on SIGTERM after flushing the WAL — which the next boot's
+// verify then proves durable.
+func graceful(cfg soakCfg, l *ledger, round int) error {
+	fail := func(c *child, err error) error {
 		c.kill()
 		c.reap(time.Second)
 		return fmt.Errorf("graceful round %d: %w", round, err)
 	}
-	if !verified {
-		c.kill()
-		c.reap(time.Second)
-		return fmt.Errorf("graceful round %d: unarmed child died during verify:\n%s", round, c.dumpTail())
-	}
-	cl, err := dialChild(c)
+	c, err := boot(cfg, "-fsync", crashFsyncs[round%len(crashFsyncs)])
 	if err != nil {
-		c.kill()
-		c.reap(time.Second)
-		return fmt.Errorf("graceful round %d: dial: %w", round, err)
+		return err
+	}
+	verified, err := verifyChild(c, l, cfg.workers)
+	if err != nil {
+		return fail(c, err)
+	}
+	if !verified {
+		return fail(c, fmt.Errorf("unarmed child died during verify:\n%s", c.dumpTail()))
+	}
+	cl, err := dial(c.addr, time.Now().Add(time.Second))
+	if err != nil {
+		return fail(c, fmt.Errorf("dial: %w", err))
 	}
 	watchdog := time.AfterFunc(15*time.Second, c.kill)
 	defer watchdog.Stop()
 	for i := 0; i < 4; i++ {
-		ops := []kv.Op{{Kind: kv.OpPut, Key: fmt.Sprintf("w%d-k%02d", i%cs.cfg.workers, i),
+		ops := []kv.Op{{Kind: kv.OpPut, Key: workerKey(i%cfg.workers, i),
 			Value: []byte(fmt.Sprintf("graceful.%d.%d", round, i))}}
-		p := cs.rec.Begin(cs.cfg.workers, ops)
-		res, err := cl.Do(ops)
-		if err != nil {
-			p.Lost()
+		if err := l.run(cfg.workers, ops, plain(cl)); err != nil {
 			cl.Close()
-			c.kill()
-			c.reap(time.Second)
-			return fmt.Errorf("graceful round %d: write: %w", round, err)
+			return fail(c, fmt.Errorf("write: %w", err))
 		}
-		p.Done(res)
-		cs.ack(ops)
 	}
 	cl.Close()
 	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("graceful round %d: signal: %w", round, err)
 	}
-	select {
-	case err := <-c.exitCh:
-		if err != nil {
-			return fmt.Errorf("graceful round %d: SIGTERM exit was not 0: %v\n%s",
-				round, err, c.dumpTail())
-		}
-	case <-time.After(15 * time.Second):
-		c.kill()
-		<-c.exitCh
+	if _, killed := c.reap(15 * time.Second); killed {
 		return fmt.Errorf("graceful round %d: child ignored SIGTERM for 15s:\n%s", round, c.dumpTail())
+	} else if c.exitErr != nil {
+		return fmt.Errorf("graceful round %d: SIGTERM exit was not 0: %v\n%s", round, c.exitErr, c.dumpTail())
 	}
 	return nil
 }
 
-// runCrash is the -crash entry point.
-func runCrash(cfg crashCfg) error {
-	cleanups := []string{}
-	if cfg.bin == "" {
-		tmp, err := os.MkdirTemp("", "nztm-crash-bin-")
-		if err != nil {
-			return err
-		}
-		cleanups = append(cleanups, tmp)
-		cfg.bin = filepath.Join(tmp, "nztm-server")
-		out, err := exec.Command("go", "build", "-o", cfg.bin, "nztm/cmd/nztm-server").CombinedOutput()
-		if err != nil {
-			return fmt.Errorf("building nztm-server (pass -server-bin to skip): %v\n%s", err, out)
-		}
+// runCrash is the crash leg's entry point.
+func runCrash(cfg soakCfg) error {
+	cleanup, err := prepare(&cfg)
+	if err != nil {
+		return err
 	}
-	if cfg.dir == "" {
-		tmp, err := os.MkdirTemp("", "nztm-crash-data-")
-		if err != nil {
-			return err
-		}
-		cleanups = append(cleanups, tmp)
-		cfg.dir = tmp
-	}
-
-	cs := &crashSoak{cfg: cfg, rec: histcheck.NewRecorder(), model: make(map[string]*keyModel)}
+	cs := &crashLeg{cfg: cfg, l: newLedger(), injections: tally{}}
 	fmt.Printf("nztm-soak: crash mode: target=%d injections, dir=%s, seed=%d (%d shards, %d workers × %d keys)\n",
 		cfg.target, cfg.dir, cfg.seed, cfg.shards, cfg.workers, cfg.keys)
 
-	sites := []wal.CrashPoint{
-		wal.CrashPreAppend, wal.CrashMidAppend, wal.CrashPostAppend,
-		wal.CrashMidSnapshot, wal.CrashMidTruncate,
-	}
 	start := time.Now()
 	maxIters := cfg.target*3 + 25
-	for iter := 0; cs.total() < cfg.target; iter++ {
+	for iter := 0; cs.injections.total() < cfg.target; iter++ {
 		if iter >= maxIters {
 			return fmt.Errorf("only %d of %d injections after %d iterations (per-site: %s)",
-				cs.total(), cfg.target, iter, cs.siteSummary())
+				cs.injections.total(), cfg.target, iter, perSite(cs.injections, crashSites))
 		}
 		if iter > 0 && iter%50 == 0 {
-			if err := cs.gracefulCheck(iter / 50); err != nil {
+			cs.gracefuls++
+			if err := graceful(cfg, cs.l, iter/50); err != nil {
 				return err
 			}
 		}
-		if err := cs.iterate(iter, sites[iter%len(sites)], crashFsyncs[iter%len(crashFsyncs)]); err != nil {
+		if err := cs.iterate(iter, crashSites[iter%len(crashSites)], crashFsyncs[iter%len(crashFsyncs)]); err != nil {
 			return err
 		}
 		if (iter+1)%25 == 0 {
 			fmt.Printf("nztm-soak: iter %d: %d/%d injections (%s), %d acked, %d lost, %d timeouts\n",
-				iter+1, cs.total(), cfg.target, cs.siteSummary(),
-				cs.acked.Load(), cs.lost.Load(), cs.timeouts)
+				iter+1, cs.injections.total(), cfg.target, perSite(cs.injections, crashSites),
+				cs.l.acked.Load(), cs.l.lost.Load(), cs.timeouts)
 		}
 	}
 	// Two final graceful rounds: the first proves SIGTERM flushes, the
 	// second that a clean shutdown's state recovers byte-for-byte.
-	if err := cs.gracefulCheck(1000); err != nil {
-		return err
-	}
-	if err := cs.gracefulCheck(1001); err != nil {
-		return err
-	}
-	for _, s := range sites {
-		if cs.injections[s] == 0 {
-			return fmt.Errorf("site %s never fired (per-site: %s)", s, cs.siteSummary())
+	for _, round := range []int{1000, 1001} {
+		cs.gracefuls++
+		if err := graceful(cfg, cs.l, round); err != nil {
+			return err
 		}
 	}
+	if err := allFired(cs.injections, crashSites); err != nil {
+		return err
+	}
 
-	hist := cs.rec.History()
-	ckStart := time.Now()
-	res := histcheck.CheckWithLimit(hist, cfg.limit)
 	fmt.Printf("nztm-soak: crash summary: %d injections in %d iterations (%s), %d parent kills, %d graceful exits, %d acked, %d lost, %v elapsed\n",
-		cs.total(), cs.iters, cs.siteSummary(), cs.timeouts, cs.gracefuls,
-		cs.acked.Load(), cs.lost.Load(), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("nztm-soak: checked %d ops in %d partitions (%d states visited) in %v\n",
-		res.Ops, res.Partitions, res.Visited, time.Since(ckStart).Round(time.Millisecond))
-	if !res.Ok {
-		if res.Capped {
-			return fmt.Errorf("linearizability check exhausted its %d-state budget: %v", cfg.limit, res.Violation)
-		}
-		return fmt.Errorf("recovered history is NOT linearizable: %v", res.Violation)
+		cs.injections.total(), cs.iters, perSite(cs.injections, crashSites), cs.timeouts, cs.gracefuls,
+		cs.l.acked.Load(), cs.l.lost.Load(), time.Since(start).Round(time.Millisecond))
+	if err := checkHistory(cs.l.rec, cfg.limit, "recovered history"); err != nil {
+		return err
 	}
-	for _, d := range cleanups {
-		os.RemoveAll(d)
-	}
+	cleanup()
 	return nil
-}
-
-func (cs *crashSoak) siteSummary() string {
-	parts := make([]string, 0, wal.CrashPointCount)
-	for p := wal.CrashPoint(0); p < wal.CrashPointCount; p++ {
-		parts = append(parts, fmt.Sprintf("%s=%d", p, cs.injections[p]))
-	}
-	return strings.Join(parts, " ")
 }

@@ -1,21 +1,29 @@
-// nztm-soak is the serving stack's end-to-end torture test: it starts an
-// in-process nztm-server with the fault plane armed (injected transaction
-// aborts, latency spikes, mid-transaction stalls, connection resets, torn
-// writes, slow reads), hammers it with concurrent clients that reconnect
-// through the chaos, records every request's invocation/response window,
-// and then verifies the recorded history with internal/histcheck.
+// nztm-soak is the serving stack's end-to-end torture test. -leg picks
+// one of five legs; every leg records each request's invocation/response
+// window and verifies the recorded history with internal/histcheck.
 //
-// It exits nonzero if any of the following fail:
+// The in-process legs, chaos (the default) and oversub, start an
+// nztm-server in this process with the fault plane armed (injected
+// transaction aborts, latency spikes, mid-transaction stalls, connection
+// resets, torn writes, slow reads) and hammer it with concurrent clients
+// that reconnect through the chaos. They exit nonzero if any of the
+// following fail:
 //
 //   - linearizability: the recorded history admits no legal sequential
 //     order under kv.Store semantics;
-//   - progress hygiene: goroutines leak past server shutdown;
+//   - progress hygiene: goroutines leak past server shutdown, or a
+//     registry slot stays active;
 //   - chaos liveness: the fault plane injected nothing (a misconfigured
-//     soak proves nothing).
+//     soak proves nothing);
+//   - oversub only: the scheduler completed nothing or never shed load.
+//
+// The child-process legs — crash (crash.go), diskfault (diskfault.go)
+// and failover (failover.go) — run real nztm-server processes on the
+// engine in engine.go.
 //
 // Usage:
 //
-//	nztm-soak -system nzstm -seed 1 -duration 30s -clients 4 -rate 200
+//	nztm-soak -leg chaos -system nzstm -seed 1 -duration 30s -clients 4 -rate 200
 //
 // Determinism: the seed fixes every injection schedule and the client
 // workload; goroutine interleaving still varies run to run, which is the
@@ -43,6 +51,7 @@ import (
 
 func main() {
 	var (
+		leg      = flag.String("leg", "chaos", "soak leg: chaos (in-process server under the fault plane), oversub (chaos with connections ≫ executors, see DESIGN.md §14), crash (kill a child nztm-server at WAL crash points, §12), diskfault (child servers on injected disk I/O errors, §17), failover (a 3-node cluster under primary SIGKILLs and partitions, §13)")
 		system   = flag.String("system", "nzstm", "backing TM system: "+strings.Join(kv.BackendNames(), ", "))
 		seed     = flag.Uint64("seed", 1, "fault-plane and workload seed")
 		duration = flag.Duration("duration", 5*time.Second, "soak duration")
@@ -56,85 +65,71 @@ func main() {
 		traceN   = flag.Int("trace", 0, "per-thread flight-recorder capacity in events; on failure the recorder of every registered thread is dumped to stderr (0 = off)")
 		dataDir  = flag.String("data-dir", "", "run the store crash-durable (WAL + snapshots) in this directory; the leak gate then also covers Store.Close")
 
-		crashMode   = flag.Bool("crash", false, "crash-recovery soak: repeatedly kill a child nztm-server at WAL crash points and verify recovery (see DESIGN.md §12)")
-		crashTarget = flag.Int("crash-target", 200, "crash mode: total crash-point injections to accumulate across all five sites")
-		crashDir    = flag.String("crash-data-dir", "", "crash mode: persistent data directory (default: a temp dir, removed on success)")
-		serverBin   = flag.String("server-bin", "", "crash/failover mode: path to an nztm-server binary (default: go build it)")
-
-		failoverMode = flag.Bool("failover", false, "replication failover soak: run a 3-node cluster, repeatedly SIGKILL the primary mid-load, require automatic promotion, no acked-write loss, fencing of the deposed primary, and a linearizable cross-failover history (see DESIGN.md §13)")
-		failKills    = flag.Int("kills", 50, "failover mode: primary SIGKILLs to survive")
-		failParts    = flag.Int("partitions", 4, "failover mode: split-brain episodes after the kills — isolate the primary at the replication layer, require a majority-side election, no zombie acks, self-deposition on heal")
-
-		diskfaultMode = flag.Bool("diskfault", false, "disk-fault soak: run child nztm-servers with injected disk I/O errors (EIO, short writes, ENOSPC, fsync failure) under load and verify fail-stop/degraded semantics plus recovery (see DESIGN.md §17)")
-		diskTarget    = flag.Int("diskfault-target", 120, "diskfault mode: total injected I/O errors to accumulate across all sites")
-
-		oversub = flag.Bool("oversubscribed", false, "oversubscription soak: pin the executor pool to -threads, shrink the admission queue, and raise -clients to ≫ executors (min 16×), so N connections contend for M slots under chaos; adds a zero-slot-leak gate and requires the scheduler to have shed load (see DESIGN.md §14)")
+		crashTarget = flag.Int("crash-target", 200, "crash leg: total crash-point injections to accumulate across all five sites")
+		crashDir    = flag.String("crash-data-dir", "", "crash, diskfault and failover legs: persistent data directory (default: a temp dir, removed on success)")
+		serverBin   = flag.String("server-bin", "", "crash, diskfault and failover legs: path to an nztm-server binary (default: go build it)")
+		failKills   = flag.Int("kills", 50, "failover leg: primary SIGKILLs to survive")
+		failParts   = flag.Int("partitions", 4, "failover leg: split-brain episodes after the kills — isolate the primary at the replication layer, require a majority-side election, no zombie acks, self-deposition on heal")
+		diskTarget  = flag.Int("diskfault-target", 120, "diskfault leg: total injected I/O errors to accumulate across all sites")
 	)
 	flag.Parse()
-	if *oversub && *clients < 16**threads {
-		*clients = 16 * *threads
+	cfg := soakCfg{
+		leg: *leg, seed: *seed, limit: *limit, shards: *shards, buckets: *buckets, keys: *keys,
+		system: *system, duration: *duration, clients: *clients, threads: *threads,
+		rate: *rate, traceN: *traceN, dataDir: *dataDir,
+		bin: *serverBin, dir: *crashDir, kills: *failKills, partitions: *failParts,
 	}
-	if *diskfaultMode {
-		err := runDiskFault(diskCfg{
-			bin: *serverBin, dir: *crashDir, seed: *seed, target: *diskTarget,
-			shards: *shards, buckets: *buckets, keys: 12, workers: 2, limit: *limit,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nztm-soak: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("nztm-soak: PASS")
-		return
+	// The child legs own their key space: keys per worker, fixed.
+	child := func(workers, target int) soakCfg {
+		c := cfg
+		c.keys, c.workers, c.target = 12, workers, target
+		return c
 	}
-	if *failoverMode {
-		err := runFailover(failCfg{
-			bin: *serverBin, seed: *seed, kills: *failKills, partitions: *failParts,
-			shards: *shards, buckets: *buckets, keys: 12, workers: 3, limit: *limit,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nztm-soak: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("nztm-soak: PASS")
-		return
+	var err error
+	switch *leg {
+	case "chaos", "oversub":
+		cfg.oversub = *leg == "oversub"
+		err = runChaos(cfg)
+	case "crash":
+		err = runCrash(child(2, *crashTarget))
+	case "diskfault":
+		err = runDiskFault(child(2, *diskTarget))
+	case "failover":
+		err = runFailover(child(3, 0))
+	default:
+		fmt.Fprintf(os.Stderr, "nztm-soak: unknown -leg %q (have chaos, oversub, crash, diskfault, failover)\n", *leg)
+		os.Exit(2)
 	}
-	if *crashMode {
-		err := runCrash(crashCfg{
-			bin: *serverBin, dir: *crashDir, seed: *seed, target: *crashTarget,
-			shards: *shards, buckets: *buckets, keys: 12, workers: 2, limit: *limit,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nztm-soak: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("nztm-soak: PASS")
-		return
-	}
-	if err := run(*system, *seed, *duration, *clients, *keys, *shards, *buckets, *threads, *rate, *limit, *traceN, *dataDir, *oversub); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nztm-soak: FAIL:", err)
 		os.Exit(1)
 	}
 	fmt.Println("nztm-soak: PASS")
 }
 
-func run(system string, seed uint64, duration time.Duration, clients, keys, shards, buckets, threads, rate, limit, traceN int, dataDir string, oversub bool) error {
-	backend, err := kv.OpenBackend(system, threads)
+// runChaos is the in-process legs' entry point (chaos and oversub).
+func runChaos(cfg soakCfg) error {
+	clients := cfg.clients
+	if cfg.oversub && clients < 16*cfg.threads {
+		clients = 16 * cfg.threads
+	}
+	backend, err := kv.OpenBackend(cfg.system, cfg.threads)
 	if err != nil {
 		return err
 	}
-	cfg := fault.DefaultConfig(seed)
-	if strings.EqualFold(system, "glock") {
+	fcfg := fault.DefaultConfig(cfg.seed)
+	if strings.EqualFold(cfg.system, "glock") {
 		// The global-lock baseline cannot retry (tm.Retry panics over it),
 		// so injected aborts are off; every other fault class stays on.
-		cfg.AbortProb = 0
+		fcfg.AbortProb = 0
 	}
-	plane := fault.New(cfg)
+	plane := fault.New(fcfg)
 	// With -trace, every connection thread records into a per-slot flight
 	// ring and the fault plane's connection layer into the plane ring; on
 	// any gate failure the full event log is dumped for post-mortem.
 	var fr *trace.FlightRecorder
-	if traceN > 0 {
-		fr = trace.New(traceN)
+	if cfg.traceN > 0 {
+		fr = trace.New(cfg.traceN)
 		backend.Reg.BindRecorder(fr)
 		plane.BindRecorder(fr)
 	}
@@ -153,13 +148,13 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		}
 	}
 	var store *kv.Store
-	if dataDir != "" {
+	if cfg.dataDir != "" {
 		// Durable soak: the chaos plane injects aborts and stalls while
 		// every commit is WAL-logged and snapshots truncate behind it; the
 		// shutdown leak gate below then also proves Store.Close unwinds
 		// the snapshotter and WAL goroutines.
 		dur := kv.Durability{
-			Dir:           dataDir,
+			Dir:           cfg.dataDir,
 			Fsync:         wal.FsyncInterval,
 			FsyncInterval: 10 * time.Millisecond,
 			SnapshotEvery: 200 * time.Millisecond,
@@ -169,14 +164,14 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 			dur.Recorder = fr.ForSource(trace.WALSource)
 		}
 		var st *wal.State
-		store, st, err = kv.NewDurable(plane.WrapSystem(backend.Sys), shards, buckets, dur)
+		store, st, err = kv.NewDurable(plane.WrapSystem(backend.Sys), cfg.shards, cfg.buckets, dur)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("nztm-soak: durable in %s: recovered replayed=%d truncated=%d in %v\n",
-			dataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
+			cfg.dataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
 	} else {
-		store = kv.New(plane.WrapSystem(backend.Sys), shards, buckets)
+		store = kv.New(plane.WrapSystem(backend.Sys), cfg.shards, cfg.buckets)
 	}
 	store.EnableMetrics()
 	scfg := server.Config{
@@ -186,12 +181,12 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		ExtraMetricsz:  plane.WriteProm,
 		WrapThread:     plane.WrapThread,
 	}
-	if oversub {
+	if cfg.oversub {
 		// Pin the pool to the thread count and shrink the queue so the
 		// N:M ratio is real and queue-full sheds actually happen under
 		// chaos — the soak then proves sheds are clean (retried or
 		// discarded, never a hang, never a non-linearizable effect).
-		scfg.Executors = backend.Executors(threads)
+		scfg.Executors = backend.Executors(cfg.threads)
 		scfg.QueueDepth = 2 * scfg.Executors
 	}
 	srv = server.New(store, backend.Reg, scfg)
@@ -208,20 +203,20 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(plane.WrapListener(ln)) }()
 	fmt.Printf("nztm-soak: %s on %s, seed=%d, %d clients for %v\n",
-		store.System().Name(), addr, seed, clients, duration)
-	if oversub {
+		store.System().Name(), addr, cfg.seed, clients, cfg.duration)
+	if cfg.oversub {
 		fmt.Printf("nztm-soak: oversubscribed: %d connections over %d executors (queue %d, admission %s)\n",
 			clients, scfg.Executors, srv.QueueCap(), server.AdmitReject)
 	}
 
 	rec := histcheck.NewRecorder()
-	deadline := time.Now().Add(duration)
+	deadline := time.Now().Add(cfg.duration)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			soakClient(id, addr, seed, keys, rate, deadline, rec)
+			soakClient(id, addr, cfg.seed, cfg.keys, cfg.rate, deadline, rec)
 		}(c)
 	}
 	wg.Wait()
@@ -258,7 +253,7 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		dumpTrace()
 		return fmt.Errorf("registry slot leak: %d slots still active after shutdown", act)
 	}
-	if oversub {
+	if cfg.oversub {
 		st := srv.SchedStats()
 		fmt.Printf("nztm-soak: oversubscribed: enqueued=%d completed=%d rejected=%d slow_client_drops=%d\n",
 			st.Enqueued.Load(), st.Completed.Load(), st.Rejected.Load(), st.SlowClientDrops.Load())
@@ -289,17 +284,9 @@ func run(system string, seed uint64, duration time.Duration, clients, keys, shar
 		return fmt.Errorf("goroutine leak: %d before soak, %d after shutdown", g0, gN)
 	}
 
-	hist := rec.History()
-	start := time.Now()
-	res := histcheck.CheckWithLimit(hist, limit)
-	fmt.Printf("nztm-soak: checked %d ops in %d partitions (%d states visited) in %v\n",
-		res.Ops, res.Partitions, res.Visited, time.Since(start).Round(time.Millisecond))
-	if !res.Ok {
+	if err := checkHistory(rec, cfg.limit, "history"); err != nil {
 		dumpTrace()
-		if res.Capped {
-			return fmt.Errorf("linearizability check exhausted its %d-state budget (rerun with -rate lower or -limit higher): %v", limit, res.Violation)
-		}
-		return fmt.Errorf("history is NOT linearizable: %v", res.Violation)
+		return err
 	}
 	return nil
 }
@@ -313,8 +300,8 @@ func soakClient(id int, addr string, seed uint64, keys, rate int, deadline time.
 	policy := server.RetryPolicy{MaxAttempts: 8, Base: time.Millisecond, Max: 50 * time.Millisecond}
 	lastSeen := make(map[string][]byte) // most recent value observed per key
 
-	cl := redial(addr, deadline)
-	if cl == nil {
+	cl, err := dial(addr, deadline)
+	if err != nil {
 		return
 	}
 	defer func() {
@@ -342,7 +329,7 @@ func soakClient(id int, addr string, seed uint64, keys, rate int, deadline time.
 		case err == nil:
 			p.Done(results)
 			observe(lastSeen, ops, results)
-		case errors.Is(err, kv.ErrBudget), errors.Is(err, server.ErrOverloaded):
+		case shed(err):
 			// The server guarantees budget-exhausted and admission-shed
 			// requests had no effect, so they constrain nothing.
 			p.Discard()
@@ -351,24 +338,11 @@ func soakClient(id int, addr string, seed uint64, keys, rate int, deadline time.
 			// outcome is unknown. Record it as lost and reconnect.
 			p.Lost()
 			cl.Close()
-			cl = redial(addr, deadline)
-			if cl == nil {
+			if cl, err = dial(addr, deadline); err != nil {
 				return
 			}
 		}
 	}
-}
-
-// redial connects with short retries until deadline; nil when it expires.
-func redial(addr string, deadline time.Time) *server.Client {
-	for time.Now().Before(deadline) {
-		cl, err := server.Dial(addr)
-		if err == nil {
-			return cl
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return nil
 }
 
 // randomOps builds the next request. Keys live in cliques of 4 and batches

@@ -287,11 +287,14 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 		store.SetCommitGate(n.commitGate)
 	}
 
+	// Capture the startup role and epoch before the loops start: run
+	// rewrites both (adoptEpochLocked) under n.mu.
+	role, ep := n.role, n.epoch
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.run()
 	n.cfg.Logf("repl: node %d up: role=%s epoch=%d advertise=%s peers=%v",
-		cfg.NodeID, n.role, n.epoch, n.cfg.Advertise, cfg.Peers)
+		cfg.NodeID, role, ep, n.cfg.Advertise, cfg.Peers)
 	return n, nil
 }
 

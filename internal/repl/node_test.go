@@ -2,7 +2,7 @@ package repl
 
 // In-process cluster tests: real stores, real servers, real replication
 // nodes over loopback TCP. These are the unit-level half of the
-// replication acceptance story; cmd/nztm-soak -failover is the
+// replication acceptance story; cmd/nztm-soak -leg failover is the
 // process-level half (SIGKILL, restart, linearizability check).
 
 import (
