@@ -6,8 +6,8 @@
 #                   and allocation gate + the server request-path benchmark
 #                   smoke and allocation gate + race detector over the concurrency-
 #                   critical packages (tm, core, kv, server, fault, trace,
-#                   metrics, histcheck, wal, repl, bench, the soak
-#                   harness's own tests; kv and
+#                   metrics, histcheck, wal, repl, bench, node, the
+#                   soak harness's own tests; kv and
 #                   server hold the value aliasing tests) + a tracing-enabled
 #                   race pass + TestGenomePhases ×1000 (the repeat-read
 #                   reproducer) + the contended serving workload +
@@ -98,7 +98,7 @@ GO ?= go
 RACE_PKGS = ./internal/tm ./internal/core ./internal/kv ./internal/server \
             ./internal/fault ./internal/histcheck ./internal/trace \
             ./internal/metrics ./internal/wal ./internal/repl \
-            ./internal/bench ./cmd/nztm-soak
+            ./internal/bench ./internal/node ./cmd/nztm-soak
 
 FUZZ_TIME ?= 10s
 SOAK_FLAGS ?= -seed 1 -duration 5s

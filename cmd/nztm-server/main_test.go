@@ -1,11 +1,13 @@
 package main
 
-// Child-process tests for the binary's observability surface: the HTTP
-// mux (/metricsz conformance, /tracez filters, /slowz), and SIGQUIT
-// dumping diagnostics to stderr without killing the server.
+// Child-process tests for the binary: its observability surface (the
+// HTTP mux's /metricsz conformance, /tracez filters, /slowz, and SIGQUIT
+// dumping diagnostics to stderr without killing the server), its flag
+// set, and its refusal of durability flags without -data-dir.
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -81,11 +84,11 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		t.Skip("child-process test")
 	}
 	bin := buildServer(t)
+	// No -executors: the scheduler line must name the resolved pool size.
 	cmd, stdout, stderr, kvAddr, statszAddr := startServer(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-statsz", "127.0.0.1:0",
 		"-trace", "64",
-		"-executors", "2",
 		"-data-dir", t.TempDir(),
 		"-fsync", "never",
 	)
@@ -127,6 +130,21 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		if !strings.Contains(metricsBody, want) {
 			t.Errorf("live /metricsz missing %q", want)
 		}
+	}
+
+	samples, err := metrics.Samples(strings.NewReader(metricsBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool string
+	for _, s := range samples {
+		if s.Name == "nztm_server_info" {
+			pool = s.Labels["executors_requested"]
+		}
+	}
+	want := "nztm-server: scheduler: executors=" + pool + " "
+	if n, _ := strconv.Atoi(pool); n <= 0 || !strings.Contains(stdout.String(), want) {
+		t.Errorf("scheduler line does not name the resolved pool (%q):\n%s", want, stdout.String())
 	}
 
 	if code, body := get("/slowz"); code != 200 || !strings.Contains(body, `"entries"`) {
@@ -174,12 +192,36 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// buildServer builds the nztm-server binary into a test temp dir.
+// binDir holds the nztm-server binary the tests share.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "nztm-server-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+var built struct {
+	once sync.Once
+	out  []byte
+	err  error
+}
+
+// buildServer builds the nztm-server binary once per test run.
 func buildServer(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "nztm-server")
-	if out, err := exec.Command("go", "build", "-o", bin, "nztm/cmd/nztm-server").CombinedOutput(); err != nil {
-		t.Fatalf("building nztm-server: %v\n%s", err, out)
+	bin := filepath.Join(binDir, "nztm-server")
+	built.once.Do(func() {
+		built.out, built.err = exec.Command("go", "build", "-o", bin, "nztm/cmd/nztm-server").CombinedOutput()
+	})
+	if built.err != nil {
+		t.Fatalf("building nztm-server: %v\n%s", built.err, built.out)
 	}
 	return bin
 }
@@ -245,7 +287,7 @@ func httpGet(t *testing.T, addr, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/metricsz_families.txt from the live exposition")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the live binary")
 
 // oddKeys are hot keys whose bytes the exposition format cannot carry
 // verbatim: control bytes, invalid UTF-8 and the three escaped characters.
@@ -365,6 +407,76 @@ func TestMetricszFamiliesGolden(t *testing.T) {
 	for _, w := range strings.Split(strings.TrimSpace(string(want)), "\n") {
 		if !have[w] {
 			t.Errorf("family dropped or retyped: %s", w)
+		}
+	}
+}
+
+// TestFlagsGolden checks the binary's flag names against
+// testdata/flags.txt, so a new knob shows up in review. Run with -update
+// to rewrite the golden file.
+func TestFlagsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("child-process test")
+	}
+	out, _ := exec.Command(buildServer(t), "-help").CombinedOutput()
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	sort.Strings(got)
+	body := strings.Join(got, "\n") + "\n"
+	golden := filepath.Join("testdata", "flags.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(want) {
+		t.Errorf("flag set changed; -help lists:\n%s\ntestdata/flags.txt has:\n%s", body, want)
+	}
+}
+
+// TestDurabilityFlagsNeedDataDir: a durability or storage-fault flag set
+// without -data-dir, or an unparsable -fsync, is a usage error (exit 2),
+// never a memory-only server that ignores it.
+func TestDurabilityFlagsNeedDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("child-process test")
+	}
+	bin := buildServer(t)
+	for _, args := range [][]string{
+		{"-crash-seed", "1", "-disk-fault-seed", "9", "-fsync", "bogus", "-snapshot-every", "1s"},
+		{"-disk-fault-seed", "9"},
+		{"-fsync", "never"},
+		{"-fsync-interval", "10ms"},
+		{"-snapshot-every", "1s"},
+		{"-fsync", "bogus", "-data-dir", t.TempDir()},
+	} {
+		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-statsz", ""}, args...)...)
+		done := make(chan error, 1)
+		var out []byte
+		go func() {
+			var err error
+			out, err = cmd.CombinedOutput()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("%v: %v, want exit status 2; output:\n%s", args, err, out)
+			}
+		case <-time.After(10 * time.Second):
+			cmd.Process.Kill()
+			<-done
+			t.Errorf("%v: server started instead of exiting 2:\n%s", args, out)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"nztm/internal/histcheck"
 	"nztm/internal/kv"
 	"nztm/internal/metrics"
+	"nztm/internal/node"
 	"nztm/internal/server"
 )
 
@@ -38,14 +39,12 @@ type soakCfg struct {
 	buckets int
 	keys    int // chaos: key-space size; child legs: keys per worker
 
-	// The in-process legs (chaos, oversub).
-	system   string
+	// The in-process legs (chaos, oversub): their node's system, thread
+	// hint, trace capacity and data directory come from the flags.
+	node     node.Config
 	duration time.Duration
 	clients  int
-	threads  int
 	rate     int
-	traceN   int
-	dataDir  string
 	oversub  bool
 
 	// The child-process legs (crash, diskfault, failover).

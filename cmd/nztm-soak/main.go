@@ -2,8 +2,8 @@
 // one of five legs; every leg records each request's invocation/response
 // window and verifies the recorded history with internal/histcheck.
 //
-// The in-process legs, chaos (the default) and oversub, start an
-// nztm-server in this process with the fault plane armed (injected
+// The in-process legs, chaos (the default) and oversub, build a serving
+// node (internal/node) in this process with the fault plane armed (injected
 // transaction aborts, latency spikes, mid-transaction stalls, connection
 // resets, torn writes, slow reads) and hammer it with concurrent clients
 // that reconnect through the chaos. They exit nonzero if any of the
@@ -34,51 +34,43 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"nztm/internal/fault"
 	"nztm/internal/histcheck"
 	"nztm/internal/kv"
+	"nztm/internal/node"
 	"nztm/internal/server"
-	"nztm/internal/trace"
 	"nztm/internal/wal"
 )
 
 func main() {
-	var (
-		leg      = flag.String("leg", "chaos", "soak leg: chaos (in-process server under the fault plane), oversub (chaos with connections ≫ executors, see DESIGN.md §14), crash (kill a child nztm-server at WAL crash points, §12), diskfault (child servers on injected disk I/O errors, §17), failover (a 3-node cluster under primary SIGKILLs and partitions, §13)")
-		system   = flag.String("system", "nzstm", "backing TM system: "+strings.Join(kv.BackendNames(), ", "))
-		seed     = flag.Uint64("seed", 1, "fault-plane and workload seed")
-		duration = flag.Duration("duration", 5*time.Second, "soak duration")
-		clients  = flag.Int("clients", 4, "concurrent client connections")
-		keys     = flag.Int("keys", 16, "workload key-space size (grouped in cliques of 4)")
-		shards   = flag.Int("shards", 4, "store shard count")
-		buckets  = flag.Int("buckets", 16, "transactional buckets per shard")
-		threads  = flag.Int("threads", 4, "TM thread pool size")
-		rate     = flag.Int("rate", 200, "target ops/sec per client (0 = unthrottled; keep the history checkable)")
-		limit    = flag.Int("limit", 0, "linearizability search budget in states (0 = checker default)")
-		traceN   = flag.Int("trace", 0, "per-thread flight-recorder capacity in events; on failure the recorder of every registered thread is dumped to stderr (0 = off)")
-		dataDir  = flag.String("data-dir", "", "run the store crash-durable (WAL + snapshots) in this directory; the leak gate then also covers Store.Close")
+	var cfg soakCfg
+	nc := &cfg.node
+	flag.StringVar(&cfg.leg, "leg", "chaos", "soak leg: chaos (in-process server under the fault plane), oversub (chaos with connections ≫ executors, see DESIGN.md §14), crash (kill a child nztm-server at WAL crash points, §12), diskfault (child servers on injected disk I/O errors, §17), failover (a 3-node cluster under primary SIGKILLs and partitions, §13)")
+	flag.StringVar(&nc.System, "system", "nzstm", "backing TM system: "+strings.Join(kv.BackendNames(), ", "))
+	flag.Uint64Var(&cfg.seed, "seed", 1, "fault-plane and workload seed")
+	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "soak duration")
+	flag.IntVar(&cfg.clients, "clients", 4, "concurrent client connections")
+	flag.IntVar(&cfg.keys, "keys", 16, "workload key-space size (grouped in cliques of 4)")
+	flag.IntVar(&cfg.shards, "shards", 4, "store shard count")
+	flag.IntVar(&cfg.buckets, "buckets", 16, "transactional buckets per shard")
+	flag.IntVar(&nc.Threads, "threads", 4, "TM thread pool size")
+	flag.IntVar(&cfg.rate, "rate", 200, "target ops/sec per client (0 = unthrottled; keep the history checkable)")
+	flag.IntVar(&cfg.limit, "limit", 0, "linearizability search budget in states (0 = checker default)")
+	flag.IntVar(&nc.TraceEvents, "trace", 0, "per-thread flight-recorder capacity in events; on failure the recorder of every registered thread is dumped to stderr (0 = off)")
+	flag.StringVar(&nc.DataDir, "data-dir", "", "run the store crash-durable (WAL + snapshots) in this directory; the leak gate then also covers Store.Close")
 
-		crashTarget = flag.Int("crash-target", 200, "crash leg: total crash-point injections to accumulate across all five sites")
-		crashDir    = flag.String("crash-data-dir", "", "crash, diskfault and failover legs: persistent data directory (default: a temp dir, removed on success)")
-		serverBin   = flag.String("server-bin", "", "crash, diskfault and failover legs: path to an nztm-server binary (default: go build it)")
-		failKills   = flag.Int("kills", 50, "failover leg: primary SIGKILLs to survive")
-		failParts   = flag.Int("partitions", 4, "failover leg: split-brain episodes after the kills — isolate the primary at the replication layer, require a majority-side election, no zombie acks, self-deposition on heal")
-		diskTarget  = flag.Int("diskfault-target", 120, "diskfault leg: total injected I/O errors to accumulate across all sites")
-	)
+	crashTarget := flag.Int("crash-target", 200, "crash leg: total crash-point injections to accumulate across all five sites")
+	flag.StringVar(&cfg.dir, "crash-data-dir", "", "crash, diskfault and failover legs: persistent data directory (default: a temp dir, removed on success)")
+	flag.StringVar(&cfg.bin, "server-bin", "", "crash, diskfault and failover legs: path to an nztm-server binary (default: go build it)")
+	flag.IntVar(&cfg.kills, "kills", 50, "failover leg: primary SIGKILLs to survive")
+	flag.IntVar(&cfg.partitions, "partitions", 4, "failover leg: split-brain episodes after the kills — isolate the primary at the replication layer, require a majority-side election, no zombie acks, self-deposition on heal")
+	diskTarget := flag.Int("diskfault-target", 120, "diskfault leg: total injected I/O errors to accumulate across all sites")
 	flag.Parse()
-	cfg := soakCfg{
-		leg: *leg, seed: *seed, limit: *limit, shards: *shards, buckets: *buckets, keys: *keys,
-		system: *system, duration: *duration, clients: *clients, threads: *threads,
-		rate: *rate, traceN: *traceN, dataDir: *dataDir,
-		bin: *serverBin, dir: *crashDir, kills: *failKills, partitions: *failParts,
-	}
 	// The child legs own their key space: keys per worker, fixed.
 	child := func(workers, target int) soakCfg {
 		c := cfg
@@ -86,9 +78,9 @@ func main() {
 		return c
 	}
 	var err error
-	switch *leg {
+	switch cfg.leg {
 	case "chaos", "oversub":
-		cfg.oversub = *leg == "oversub"
+		cfg.oversub = cfg.leg == "oversub"
 		err = runChaos(cfg)
 	case "crash":
 		err = runCrash(child(2, *crashTarget))
@@ -97,7 +89,7 @@ func main() {
 	case "failover":
 		err = runFailover(child(3, 0))
 	default:
-		fmt.Fprintf(os.Stderr, "nztm-soak: unknown -leg %q (have chaos, oversub, crash, diskfault, failover)\n", *leg)
+		fmt.Fprintf(os.Stderr, "nztm-soak: unknown -leg %q (have chaos, oversub, crash, diskfault, failover)\n", cfg.leg)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -110,103 +102,57 @@ func main() {
 // runChaos is the in-process legs' entry point (chaos and oversub).
 func runChaos(cfg soakCfg) error {
 	clients := cfg.clients
-	if cfg.oversub && clients < 16*cfg.threads {
-		clients = 16 * cfg.threads
+	if cfg.oversub && clients < 16*cfg.node.Threads {
+		clients = 16 * cfg.node.Threads
 	}
-	backend, err := kv.OpenBackend(cfg.system, cfg.threads)
-	if err != nil {
-		return err
-	}
-	fcfg := fault.DefaultConfig(cfg.seed)
-	if strings.EqualFold(cfg.system, "glock") {
-		// The global-lock baseline cannot retry (tm.Retry panics over it),
-		// so injected aborts are off; every other fault class stays on.
-		fcfg.AbortProb = 0
-	}
-	plane := fault.New(fcfg)
-	// With -trace, every connection thread records into a per-slot flight
+	// With -trace, every executor thread records into a per-slot flight
 	// ring and the fault plane's connection layer into the plane ring; on
-	// any gate failure the full event log is dumped for post-mortem.
-	var fr *trace.FlightRecorder
-	if cfg.traceN > 0 {
-		fr = trace.New(cfg.traceN)
-		backend.Reg.BindRecorder(fr)
-		plane.BindRecorder(fr)
-	}
-	// srv is assigned below; dumpTrace is declared early so every later
-	// failure path can use it. On failure it dumps both the flight rings
-	// and the slow-request ring — which requests were slow and in which
-	// stage — beside the event log.
-	var srv *server.Server
-	dumpTrace := func() {
-		if fr != nil {
-			fmt.Fprintf(os.Stderr, "--- flight recorder (%d events) ---\n", fr.Count())
-			fr.Dump(os.Stderr)
-		}
-		if srv != nil {
-			srv.DumpSlow(os.Stderr)
-		}
-	}
-	var store *kv.Store
-	if cfg.dataDir != "" {
-		// Durable soak: the chaos plane injects aborts and stalls while
-		// every commit is WAL-logged and snapshots truncate behind it; the
-		// shutdown leak gate below then also proves Store.Close unwinds
-		// the snapshotter and WAL goroutines.
-		dur := kv.Durability{
-			Dir:           cfg.dataDir,
-			Fsync:         wal.FsyncInterval,
-			FsyncInterval: 10 * time.Millisecond,
-			SnapshotEvery: 200 * time.Millisecond,
-			NewThread:     backend.NewThread,
-		}
-		if fr != nil {
-			dur.Recorder = fr.ForSource(trace.WALSource)
-		}
-		var st *wal.State
-		store, st, err = kv.NewDurable(plane.WrapSystem(backend.Sys), cfg.shards, cfg.buckets, dur)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("nztm-soak: durable in %s: recovered replayed=%d truncated=%d in %v\n",
-			cfg.dataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
-	} else {
-		store = kv.New(plane.WrapSystem(backend.Sys), cfg.shards, cfg.buckets)
-	}
-	store.EnableMetrics()
-	scfg := server.Config{
-		MaxAttempts:    512,
-		RequestTimeout: 2 * time.Second,
-		RetryBackoff:   100 * time.Microsecond,
-		ExtraMetricsz:  plane.WriteProm,
-		WrapThread:     plane.WrapThread,
-	}
+	// any gate failure the full event log is dumped. With -data-dir the
+	// chaos plane injects aborts and stalls while every commit is
+	// WAL-logged and snapshots truncate behind it; the shutdown leak gate
+	// below then also proves Store.Close unwinds the snapshotter and WAL
+	// goroutines.
+	ncfg := cfg.node
+	ncfg.Shards, ncfg.Buckets, ncfg.Addr = cfg.shards, cfg.buckets, "127.0.0.1:0"
+	ncfg.FaultSeed, ncfg.RetryBackoff = cfg.seed, 100*time.Microsecond
+	ncfg.Fsync, ncfg.FsyncInterval, ncfg.SnapshotEvery = wal.FsyncInterval, 10*time.Millisecond, 200*time.Millisecond
 	if cfg.oversub {
 		// Pin the pool to the thread count and shrink the queue so the
 		// N:M ratio is real and queue-full sheds actually happen under
 		// chaos — the soak then proves sheds are clean (retried or
 		// discarded, never a hang, never a non-linearizable effect).
-		scfg.Executors = backend.Executors(cfg.threads)
-		scfg.QueueDepth = 2 * scfg.Executors
+		ncfg.Executors = ncfg.Threads
+		ncfg.QueueDepth = 2 * ncfg.Threads
 	}
-	srv = server.New(store, backend.Reg, scfg)
 
-	// Goroutine baseline before anything soak-owned starts; everything the
-	// soak spawns must be gone again after shutdown.
+	// Goroutine baseline before the node exists; everything the soak and
+	// the node spawn must be gone again after Close.
 	g0 := runtime.NumGoroutine()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := node.New(ncfg)
 	if err != nil {
 		return err
 	}
-	addr := ln.Addr().String()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(plane.WrapListener(ln)) }()
+	srv, plane := n.Server(), n.Plane()
+	// On failure, dump the flight rings and the slow-request ring — which
+	// requests were slow and in which stage — beside the event log.
+	dumpTrace := func() {
+		if fr := n.Recorder(); fr != nil {
+			fmt.Fprintf(os.Stderr, "--- flight recorder (%d events) ---\n", fr.Count())
+			fr.Dump(os.Stderr)
+		}
+		srv.DumpSlow(os.Stderr)
+	}
+	if st := n.Store().RecoveryState(); st != nil {
+		fmt.Printf("nztm-soak: durable in %s: recovered replayed=%d truncated=%d in %v\n",
+			ncfg.DataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond))
+	}
+	n.Start()
+	addr := n.Addr()
 	fmt.Printf("nztm-soak: %s on %s, seed=%d, %d clients for %v\n",
-		store.System().Name(), addr, cfg.seed, clients, cfg.duration)
+		n.Store().System().Name(), addr, cfg.seed, clients, cfg.duration)
 	if cfg.oversub {
 		fmt.Printf("nztm-soak: oversubscribed: %d connections over %d executors (queue %d, admission %s)\n",
-			clients, scfg.Executors, srv.QueueCap(), server.AdmitReject)
+			clients, srv.Executors(), srv.QueueCap(), server.AdmitReject)
 	}
 
 	rec := histcheck.NewRecorder()
@@ -221,16 +167,11 @@ func runChaos(cfg soakCfg) error {
 	}
 	wg.Wait()
 
-	if err := srv.Shutdown(10 * time.Second); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-serveDone; err != nil && !errors.Is(err, server.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	// Close before the leak gate: the snapshotter and WAL sync goroutines
-	// must unwind with everything else (no-op for memory-only stores).
-	if err := store.Close(); err != nil {
-		return fmt.Errorf("store close: %w", err)
+	// Close drains the server and closes the store before the leak gate:
+	// the snapshotter and WAL sync goroutines must unwind with everything
+	// else (no-op for memory-only stores).
+	if err := n.Close(10 * time.Second); err != nil {
+		return fmt.Errorf("close: %w", err)
 	}
 	// The final exposition is printed and must lint: a page a scraper
 	// would reject fails the leg.
@@ -241,15 +182,16 @@ func runChaos(cfg soakCfg) error {
 		return err
 	}
 
-	// Chaos liveness: a soak that injected nothing proved nothing.
-	if plane.Injected() == 0 {
+	// Chaos liveness: a soak that injected nothing (or, with -seed 0,
+	// armed no fault plane) proved nothing.
+	if plane == nil || plane.Injected() == 0 {
 		return errors.New("fault plane injected zero faults — soak configuration is inert")
 	}
 
 	// Slot hygiene: after shutdown released the executor pool and Close
 	// released the WAL thread, every registry slot must be back. A nonzero
 	// residue means a scheduler or durability path leaked its TM thread.
-	if act := backend.Reg.Active(); act != 0 {
+	if act := n.Registry().Active(); act != 0 {
 		dumpTrace()
 		return fmt.Errorf("registry slot leak: %d slots still active after shutdown", act)
 	}
@@ -278,8 +220,8 @@ func runChaos(cfg soakCfg) error {
 	}
 	if gN > g0 {
 		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		fmt.Fprintf(os.Stderr, "--- goroutine dump ---\n%s\n", buf[:n])
+		sz := runtime.Stack(buf, true)
+		fmt.Fprintf(os.Stderr, "--- goroutine dump ---\n%s\n", buf[:sz])
 		dumpTrace()
 		return fmt.Errorf("goroutine leak: %d before soak, %d after shutdown", g0, gN)
 	}

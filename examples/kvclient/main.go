@@ -14,13 +14,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"sync"
 	"time"
 
 	"nztm/internal/kv"
+	"nztm/internal/node"
 	"nztm/internal/server"
 )
 
@@ -36,20 +36,14 @@ func main() {
 
 	target := *addr
 	if target == "" {
-		backend, err := kv.OpenBackend(*system, 8)
+		n, err := node.New(node.Config{System: *system, Threads: 8, Shards: 8, Buckets: 32, Addr: "127.0.0.1:0"})
 		if err != nil {
 			fail(err)
 		}
-		store := kv.New(backend.Sys, 8, 32)
-		srv := server.New(store, backend.Reg, server.Config{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail(err)
-		}
-		go srv.Serve(ln)
-		defer srv.Shutdown(5 * time.Second)
-		target = ln.Addr().String()
-		fmt.Printf("kvclient: self-hosted %s server on %s\n", backend.Sys.Name(), target)
+		n.Start()
+		defer n.Close(5 * time.Second)
+		target = n.Addr()
+		fmt.Printf("kvclient: self-hosted %s server on %s\n", n.Store().System().Name(), target)
 	}
 
 	const initial = 1_000
@@ -121,23 +115,7 @@ func main() {
 				// Every few transfers, audit: one atomic batch reads all
 				// accounts; the total must be exact.
 				if i%16 == 0 {
-					ops := make([]kv.Op, len(keys))
-					for k, key := range keys {
-						ops[k] = kv.Op{Kind: kv.OpGet, Key: key}
-					}
-					rs, err := c.Do(ops)
-					if err != nil {
-						fail(err)
-					}
-					var sum int64
-					for _, r := range rs {
-						n, _ := strconv.ParseInt(string(r.Value), 10, 64)
-						sum += n
-					}
-					if sum != want {
-						fmt.Fprintf(os.Stderr, "AUDIT FAILURE: total %d != %d\n", sum, want)
-						os.Exit(1)
-					}
+					audit(c, keys, want, "AUDIT FAILURE")
 				}
 			}
 			mu.Lock()
@@ -149,11 +127,20 @@ func main() {
 	wg.Wait()
 
 	// Final audit from the setup connection.
+	audit(setup, keys, want, "FINAL AUDIT FAILURE")
+	setup.Close()
+	fmt.Printf("kvclient: %d transfers (%d optimistic retries) across %d clients in %v; every audit saw total %d\n",
+		done, retries, *clients, time.Since(start).Round(time.Millisecond), want)
+}
+
+// audit reads every account in one atomic batch and exits unless the
+// balances sum to want.
+func audit(c *server.Client, keys []string, want int64, failure string) {
 	ops := make([]kv.Op, len(keys))
 	for k, key := range keys {
 		ops[k] = kv.Op{Kind: kv.OpGet, Key: key}
 	}
-	rs, err := setup.Do(ops)
+	rs, err := c.Do(ops)
 	if err != nil {
 		fail(err)
 	}
@@ -162,13 +149,10 @@ func main() {
 		n, _ := strconv.ParseInt(string(r.Value), 10, 64)
 		sum += n
 	}
-	setup.Close()
 	if sum != want {
-		fmt.Fprintf(os.Stderr, "FINAL AUDIT FAILURE: total %d != %d\n", sum, want)
+		fmt.Fprintf(os.Stderr, "%s: total %d != %d\n", failure, sum, want)
 		os.Exit(1)
 	}
-	fmt.Printf("kvclient: %d transfers (%d optimistic retries) across %d clients in %v; every audit saw total %d\n",
-		done, retries, *clients, time.Since(start).Round(time.Millisecond), want)
 }
 
 func fail(err error) {

@@ -87,39 +87,31 @@ func killSelf() {
 	select {}
 }
 
-// CrashSiteByName resolves a site name as printed by wal.CrashPoint
-// ("pre-append", "mid-append", "post-append", "mid-snapshot",
-// "mid-truncate").
-func CrashSiteByName(name string) (wal.CrashPoint, bool) {
-	for p := wal.CrashPoint(0); p < wal.CrashPointCount; p++ {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // ParseCrashSites parses a comma-separated site list ("mid-append" or
 // "pre-append,mid-snapshot" or "all") into a per-site probability
 // vector with prob at each named site.
-func ParseCrashSites(list string, prob float64) ([wal.CrashPointCount]float64, error) {
-	var probs [wal.CrashPointCount]float64
+func ParseCrashSites(list string, prob float64) (probs [wal.CrashPointCount]float64, err error) {
+	err = parseSites("crash", list, prob, probs[:], func(i int) string { return wal.CrashPoint(i).String() })
+	return probs, err
+}
+
+// parseSites sets probs[i] = prob for every site named in list ("all"
+// names them all); name(i) is site i's name.
+func parseSites(kind, list string, prob float64, probs []float64, name func(int) string) error {
 	if list == "" {
-		return probs, nil
+		return nil
 	}
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			for i := range probs {
-				probs[i] = prob
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		found := false
+		for i := range probs {
+			if n == "all" || n == name(i) {
+				probs[i], found = prob, true
 			}
-			continue
 		}
-		p, ok := CrashSiteByName(name)
-		if !ok {
-			return probs, fmt.Errorf("fault: unknown crash site %q", name)
+		if !found {
+			return fmt.Errorf("fault: unknown %s site %q", kind, n)
 		}
-		probs[p] = prob
 	}
-	return probs, nil
+	return nil
 }

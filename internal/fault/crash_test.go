@@ -71,10 +71,15 @@ func TestParseCrashSites(t *testing.T) {
 	if _, err := ParseCrashSites("bogus", 1); err == nil {
 		t.Fatal("bogus site accepted")
 	}
+	// Each name, as wal.CrashPoint prints it, selects exactly its site.
 	for p := wal.CrashPoint(0); p < wal.CrashPointCount; p++ {
-		got, ok := CrashSiteByName(p.String())
-		if !ok || got != p {
-			t.Fatalf("CrashSiteByName(%q) = %v, %v", p.String(), got, ok)
+		probs, err := ParseCrashSites(p.String(), 1)
+		var sum float64
+		for _, v := range probs {
+			sum += v
+		}
+		if err != nil || probs[p] != 1 || sum != 1 {
+			t.Fatalf("ParseCrashSites(%q) = %v, %v", p.String(), probs, err)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	iofs "io/fs"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -63,39 +62,12 @@ func (s DiskSite) String() string {
 	return diskSiteNames[s]
 }
 
-// DiskSiteByName resolves a site name as printed by DiskSite.String.
-func DiskSiteByName(name string) (DiskSite, bool) {
-	for s := DiskSite(0); s < DiskSiteCount; s++ {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // ParseDiskSites parses a comma-separated site list ("sync" or
 // "write-eio,open" or "all") into a per-site probability vector with
 // prob at each named site.
-func ParseDiskSites(list string, prob float64) ([DiskSiteCount]float64, error) {
-	var probs [DiskSiteCount]float64
-	if list == "" {
-		return probs, nil
-	}
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			for i := range probs {
-				probs[i] = prob
-			}
-			continue
-		}
-		s, ok := DiskSiteByName(name)
-		if !ok {
-			return probs, fmt.Errorf("fault: unknown disk site %q", name)
-		}
-		probs[s] = prob
-	}
-	return probs, nil
+func ParseDiskSites(list string, prob float64) (probs [DiskSiteCount]float64, err error) {
+	err = parseSites("disk", list, prob, probs[:], func(i int) string { return DiskSite(i).String() })
+	return probs, err
 }
 
 // DiskConfig configures deterministic I/O-error injection.

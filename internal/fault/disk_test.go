@@ -130,9 +130,14 @@ func TestDiskSiteTable(t *testing.T) {
 			if !strings.Contains(out.String(), marker) {
 				t.Fatalf("marker %q missing from output %q", marker, out.String())
 			}
-			// The name round-trips (the soak parent parses markers by name).
-			if s, ok := DiskSiteByName(tc.site.String()); !ok || s != tc.site {
-				t.Fatalf("DiskSiteByName(%q) = (%v, %v)", tc.site.String(), s, ok)
+			// The name the marker prints selects exactly this site.
+			probs, err := ParseDiskSites(tc.site.String(), 1)
+			var sum float64
+			for _, v := range probs {
+				sum += v
+			}
+			if err != nil || probs[tc.site] != 1 || sum != 1 {
+				t.Fatalf("ParseDiskSites(%q) = %v, %v", tc.site.String(), probs, err)
 			}
 		})
 	}

@@ -26,9 +26,6 @@ func (p *Plane) WrapSystem(sys tm.System) tm.System {
 	return &System{inner: sys, p: p}
 }
 
-// Unwrap returns the decorated system.
-func (s *System) Unwrap() tm.System { return s.inner }
-
 // Name implements tm.System.
 func (s *System) Name() string { return s.inner.Name() + "+fault" }
 

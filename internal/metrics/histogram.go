@@ -77,9 +77,6 @@ func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i].Load() }
 // Buckets returns the number of buckets.
 func (h *Histogram) Buckets() int { return histBuckets }
 
-// MaxValue returns the largest raw sample.
-func (h *Histogram) MaxValue() uint64 { return h.max.Load() }
-
 // Max returns the largest sample as a duration.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 

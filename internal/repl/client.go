@@ -39,9 +39,9 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	conns   map[string]*server.Client
-	primary string          // believed primary KV address ("" unknown)
-	token   []wal.ShardLSN  // read-your-writes vector: element-wise max of observed commit vectors
-	rr      int             // read round-robin cursor
+	primary string         // believed primary KV address ("" unknown)
+	token   []wal.ShardLSN // read-your-writes vector: element-wise max of observed commit vectors
+	rr      int            // read round-robin cursor
 }
 
 // DialCluster builds a client over the given node addresses.
@@ -73,14 +73,6 @@ func (c *Cluster) Primary() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.primary
-}
-
-// Token returns a copy of the client's read-your-writes vector: every
-// write (and read) it has observed is at or below this cut.
-func (c *Cluster) Token() []wal.ShardLSN {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]wal.ShardLSN(nil), c.token...)
 }
 
 // conn returns (dialing if needed) the connection to addr.

@@ -334,14 +334,6 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// PrimaryKVAddr returns the current primary's client address ("" when
-// unknown).
-func (n *Node) PrimaryKVAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.primaryKV
-}
-
 // loadEpoch reads the persisted epoch (0 when absent).
 func (n *Node) loadEpoch() (uint64, error) {
 	raw, err := os.ReadFile(filepath.Join(n.log.Dir(), epochFile))

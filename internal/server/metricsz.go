@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"nztm/internal/metrics"
-	"nztm/internal/trace"
 )
 
 // hotspotTopK is how many contended keys /metricsz reports.
@@ -94,28 +93,13 @@ func (s *Server) WriteMetricsz(w io.Writer) {
 	}
 }
 
-// tracezRecorder picks the flight recorder /tracez serves: the one bound to
-// the registry (the normal wiring — per-connection threads record into it),
-// falling back to an explicitly configured one.
-func (s *Server) tracezRecorder() *trace.FlightRecorder {
-	if fr := s.reg.Recorder(); fr != nil {
-		return fr
-	}
-	return s.cfg.Recorder
-}
-
-// WriteTracez dumps the flight recorder's per-source event logs as JSON.
-// With no recorder bound it emits a disabled marker instead of an error, so
-// the endpoint is always safe to poll.
-func (s *Server) WriteTracez(w io.Writer) {
-	s.WriteTracezOpts(w, nil, 0)
-}
-
-// WriteTracezOpts is WriteTracez with the /tracez query filters: source
-// (nil = all sources) keeps only that source id's ring, and limit > 0
-// keeps only each ring's newest limit events.
+// WriteTracezOpts dumps the flight recorder's per-source event logs as
+// JSON, with the /tracez query filters: source (nil = all sources) keeps
+// only that source id's ring, and limit > 0 keeps only each ring's newest
+// limit events. With no recorder bound it emits a disabled marker instead
+// of an error, so the endpoint is always safe to poll.
 func (s *Server) WriteTracezOpts(w io.Writer, source *int, limit int) {
-	fr := s.tracezRecorder()
+	fr := s.reg.Recorder()
 	if fr == nil {
 		fmt.Fprintln(w, `{"enabled":false}`)
 		return

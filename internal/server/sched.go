@@ -254,11 +254,7 @@ func (s *scheduler) admit(t task) bool {
 // starts (blocking for its slot if it must) so the queue drains.
 func (s *scheduler) run(srv *Server) {
 	s.start.Do(func() {
-		if fr := srv.reg.Recorder(); fr != nil {
-			s.rec = fr.ForSource(trace.SchedSource)
-		} else if srv.cfg.Recorder != nil {
-			s.rec = srv.cfg.Recorder.ForSource(trace.SchedSource)
-		}
+		s.rec = srv.reg.Recorder().ForSource(trace.SchedSource) // nil when tracing is off
 		for i := 0; i < s.executors; i++ {
 			var th *tm.Thread
 			if i == 0 {

@@ -46,11 +46,6 @@ type Config struct {
 	// ExtraMetricsz, when non-nil, appends additional Prometheus lines to
 	// the WriteMetricsz exposition.
 	ExtraMetricsz func(io.Writer)
-	// Recorder, when non-nil, is the flight recorder WriteTracez serves if
-	// the registry has none bound. Normal wiring binds the recorder to the
-	// registry instead (tm.Registry.BindRecorder), so per-connection
-	// threads record into per-slot rings automatically.
-	Recorder *trace.FlightRecorder
 	// WrapThread, when non-nil, decorates each per-connection thread
 	// context right after it is minted (the fault plane rebinds Env here).
 	WrapThread func(*tm.Thread)
@@ -252,11 +247,12 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 // SchedStats exposes the scheduler's counter block (tests and embedders).
 func (s *Server) SchedStats() *SchedStats { return &s.sched.stats }
 
-// QueueWait exposes the enqueue→dispatch latency histogram.
-func (s *Server) QueueWait() *metrics.Histogram { return &s.sched.wait }
-
 // QueueCap reports the admission queue's resolved capacity.
 func (s *Server) QueueCap() int { return cap(s.sched.tasks) }
+
+// Executors reports the executor pool's resolved size: the requested
+// count, or its 2×GOMAXPROCS default, clamped to the registry.
+func (s *Server) Executors() int { return s.sched.executors }
 
 // serveConn runs one connection in the listener plane: this goroutine
 // reads and parses frames and admits them to the shared scheduler — it

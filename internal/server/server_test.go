@@ -818,7 +818,7 @@ func TestMetricszAndTracez(t *testing.T) {
 	}
 
 	var tb strings.Builder
-	srv.WriteTracez(&tb)
+	srv.WriteTracezOpts(&tb, nil, 0)
 	tz := tb.String()
 	if !strings.Contains(tz, `"events_total"`) || !strings.Contains(tz, `"commit"`) {
 		t.Errorf("tracez missing recorded commit events:\n%.500s", tz)
@@ -834,7 +834,7 @@ func TestTracezDisabled(t *testing.T) {
 	}
 	srv := New(kv.New(b.Sys, 1, 1), b.Reg, Config{})
 	var buf strings.Builder
-	srv.WriteTracez(&buf)
+	srv.WriteTracezOpts(&buf, nil, 0)
 	if strings.TrimSpace(buf.String()) != `{"enabled":false}` {
 		t.Fatalf("tracez without recorder = %q", buf.String())
 	}
