@@ -1,15 +1,17 @@
 // nztm-modelcheck reproduces the paper's §3: exhaustive state-space
-// exploration of the NZSTM protocol model — the Spin/Promela analysis,
-// mechanised in Go. It checks safety (no lost or phantom updates, no commit
-// with a pending abort request), deadlock freedom, and action coverage
-// ("all code paths are taken at least once"), and can demonstrate the
-// counterexample the checker finds for a naive force-abort design.
+// exploration of the NZSTM protocol model with read sharing — the
+// Spin/Promela analysis, mechanised in Go. It checks safety (no lost or
+// phantom updates, no stale committed read, no commit with a pending abort
+// request), deadlock freedom, and action coverage ("all code paths are
+// taken at least once"), and can demonstrate the counterexample the checker
+// finds for a naive force-abort design.
 //
 // Usage:
 //
 //	nztm-modelcheck -threads 3 -retries 1
 //	nztm-modelcheck -variant buggy          (shows the late-write corruption)
 //	nztm-modelcheck -crossed                (opposite-order acquisition)
+//	nztm-modelcheck -rw -threads 3          (two readers and a writer)
 package main
 
 import (
@@ -27,7 +29,7 @@ func main() {
 		retries   = flag.Int("retries", 1, "retries per transaction")
 		variant   = flag.String("variant", "nz", "nz, bz, scss, or buggy")
 		crossed   = flag.Bool("crossed", false, "two threads acquire two objects in opposite orders")
-		rw        = flag.Bool("rw", false, "read-sharing model: reader/reader/writer on one object")
+		rw        = flag.Bool("rw", false, "read-sharing scripts: readers, then one writer, on one object")
 		maxStates = flag.Int("maxstates", 1<<24, "state budget")
 	)
 	flag.Parse()
@@ -47,34 +49,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	var model mc.Model
-	if *rw {
-		rcfg := mc.RWConfig{Variant: v, Objects: 1, Retries: *retries}
+	cfg := mc.Config{Variant: v, Objects: 1, Retries: *retries}
+	switch {
+	case *crossed:
+		cfg.Scripts = [][]mc.Op{{mc.W(0), mc.W(1)}, {mc.W(1), mc.W(0)}}
+		cfg.Objects = 2
+	case *rw:
+		for i := 1; i < *threads; i++ {
+			cfg.Scripts = append(cfg.Scripts, []mc.Op{mc.R(0)})
+		}
+		cfg.Scripts = append(cfg.Scripts, []mc.Op{mc.W(0)})
+	default:
 		for i := 0; i < *threads; i++ {
-			if i == *threads-1 {
-				rcfg.Scripts = append(rcfg.Scripts, []mc.Op{mc.W(0)})
-			} else {
-				rcfg.Scripts = append(rcfg.Scripts, []mc.Op{mc.R(0)})
-			}
+			cfg.Scripts = append(cfg.Scripts, []mc.Op{mc.W(0)})
 		}
-		fmt.Printf("checking read-sharing %s: %d threads (%d readers + 1 writer), %d retries\n",
-			*variant, *threads, *threads-1, *retries)
-		model = mc.RWModel(rcfg)
-	} else {
-		cfg := mc.NZConfig{Variant: v, Retries: *retries}
-		if *crossed {
-			cfg.Scripts = [][]int{{0, 1}, {1, 0}}
-			cfg.Objects = 2
-		} else {
-			for i := 0; i < *threads; i++ {
-				cfg.Scripts = append(cfg.Scripts, []int{0})
-			}
-			cfg.Objects = 1
-		}
-		fmt.Printf("checking %s: %d threads, %d objects, %d retries\n",
-			*variant, len(cfg.Scripts), cfg.Objects, cfg.Retries)
-		model = mc.NZModel(cfg)
 	}
+	fmt.Printf("checking %s: scripts %v, %d objects, %d retries\n",
+		*variant, cfg.Scripts, cfg.Objects, cfg.Retries)
+	model := mc.NZSTM(cfg)
 	start := time.Now()
 	res := mc.Check(model, mc.Options{MaxStates: *maxStates})
 	elapsed := time.Since(start)

@@ -14,6 +14,8 @@ package mc
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 )
 
@@ -77,10 +79,71 @@ type Options struct {
 	Coverage []string
 }
 
-type node struct {
-	key    string
-	parent *node
-	action string
+// visited is the set of explored states, each with the state and action it
+// was first reached by. Keys are stored back to back in one arena and the
+// hash table holds state numbers, so none of it is a pointer the collector
+// has to follow.
+type visited struct {
+	seed   maphash.Seed
+	arena  []byte
+	end    []int   // state i's key is arena[end[i-1]:end[i]]
+	table  []int32 // open addressing: state number + 1, 0 = empty
+	parent []int32
+	via    []uint16 // index into names
+	names  []string
+	ids    map[string]uint16
+}
+
+func (v *visited) key(i int32) []byte {
+	start := 0
+	if i > 0 {
+		start = v.end[i-1]
+	}
+	return v.arena[start:v.end[i]]
+}
+
+// add records the state with key k as reached from state from by action,
+// unless it is known already. It returns the state's number and whether it
+// is new.
+func (v *visited) add(k string, from int32, action string) (int32, bool) {
+	if 2*len(v.parent) >= len(v.table) {
+		v.table = make([]int32, max(1<<10, 2*len(v.table)))
+		mask := len(v.table) - 1
+		for i := range v.parent {
+			h := int(maphash.Bytes(v.seed, v.key(int32(i)))) & mask
+			for v.table[h] != 0 {
+				h = (h + 1) & mask
+			}
+			v.table[h] = int32(i) + 1
+		}
+	}
+	h := v.slot(k)
+	if i := v.table[h] - 1; i >= 0 {
+		return i, false
+	}
+	id := int32(len(v.parent))
+	v.table[h] = id + 1
+	v.arena = append(v.arena, k...)
+	v.end = append(v.end, len(v.arena))
+	v.parent = append(v.parent, from)
+	n, ok := v.ids[action]
+	if !ok {
+		n = uint16(len(v.names))
+		v.ids[action] = n
+		v.names = append(v.names, action)
+	}
+	v.via = append(v.via, n)
+	return id, true
+}
+
+// slot returns the table slot that holds k, or the empty one it belongs in.
+func (v *visited) slot(k string) int {
+	mask := len(v.table) - 1
+	for h := int(maphash.String(v.seed, k)) & mask; ; h = (h + 1) & mask {
+		if i := v.table[h] - 1; i < 0 || string(v.key(i)) == k {
+			return h
+		}
+	}
 }
 
 // Check exhaustively explores the model.
@@ -91,28 +154,22 @@ func Check(m Model, opt Options) Result {
 	}
 
 	res := Result{}
-	seen := make(map[string]*node)
 	covered := make(map[string]bool)
-
-	initKey := m.Init.Key()
-	root := &node{key: initKey}
-	seen[initKey] = root
+	seen := &visited{seed: maphash.MakeSeed(), ids: map[string]uint16{}}
+	root, _ := seen.add(m.Init.Key(), -1, "")
 
 	type qent struct {
-		s State
-		n *node
+		s  State
+		id int32
 	}
-	queue := []qent{{s: m.Init.Clone(), n: root}}
+	queue := []qent{{s: m.Init.Clone(), id: root}}
 
-	fail := func(n *node, err error) Result {
+	fail := func(id int32, err error) Result {
 		res.Err = err
-		for at := n; at != nil && at.action != ""; at = at.parent {
-			res.Trace = append(res.Trace, at.action)
+		for at := id; at > 0; at = seen.parent[at] {
+			res.Trace = append(res.Trace, seen.names[seen.via[at]])
 		}
-		// reverse to chronological order
-		for i, j := 0, len(res.Trace)-1; i < j; i, j = i+1, j-1 {
-			res.Trace[i], res.Trace[j] = res.Trace[j], res.Trace[i]
-		}
+		slices.Reverse(res.Trace) // to chronological order
 		res.finishCoverage(covered, opt)
 		return res
 	}
@@ -125,6 +182,7 @@ func Check(m Model, opt Options) Result {
 
 	for len(queue) > 0 {
 		cur := queue[0]
+		queue[0] = qent{} // the explored state is garbage now
 		queue = queue[1:]
 		res.States++
 		if res.States > maxStates {
@@ -140,24 +198,22 @@ func Check(m Model, opt Options) Result {
 				covered[a.Name] = true
 				next := a.Next(cur.s.Clone())
 				res.Transitions++
-				k := next.Key()
-				if _, ok := seen[k]; ok {
+				id, fresh := seen.add(next.Key(), cur.id, a.Name)
+				if !fresh {
 					continue
 				}
-				n := &node{key: k, parent: cur.n, action: a.Name}
-				seen[k] = n
 				if m.Invariant != nil {
 					if err := m.Invariant(next); err != nil {
-						return fail(n, fmt.Errorf("invariant violated: %w", err))
+						return fail(id, fmt.Errorf("invariant violated: %w", err))
 					}
 				}
-				queue = append(queue, qent{s: next, n: n})
+				queue = append(queue, qent{s: next, id: id})
 			}
 		}
 		if !anyEnabled {
 			if m.Final == nil || !m.Final(cur.s) {
 				res.Deadlocks++
-				return fail(cur.n, fmt.Errorf("deadlock: all %d threads blocked in a non-final state", m.Threads))
+				return fail(cur.id, fmt.Errorf("deadlock: all %d threads blocked in a non-final state", m.Threads))
 			}
 		}
 	}

@@ -138,10 +138,19 @@ func TestCheckStateBudget(t *testing.T) {
 
 // ---- NZSTM protocol model checks (the paper's §3, mechanised) ----
 
+// writers returns n scripts that each write object 0.
+func writers(n int) [][]Op {
+	scripts := make([][]Op, n)
+	for i := range scripts {
+		scripts[i] = []Op{W(0)}
+	}
+	return scripts
+}
+
 func TestNZSTMTwoThreadsOneObject(t *testing.T) {
-	res := Check(NZModel(NZConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
-		Scripts: [][]int{{0}, {0}},
+		Scripts: writers(2),
 		Objects: 1,
 		Retries: 1,
 	}), Options{Coverage: []string{
@@ -150,6 +159,7 @@ func TestNZSTMTwoThreadsOneObject(t *testing.T) {
 		"validate-ack", "validate-ok",
 		"write", "commit", "retry", "cm-abort-self",
 		"loc-replace", "loc-request-abort",
+		"w-request-reader-abort", "w-inflate-past-reader",
 	}})
 	if res.Err != nil {
 		t.Fatalf("NZSTM model violated: %v\ntrace: %v", res.Err, res.Trace)
@@ -165,21 +175,22 @@ func TestNZSTMTwoThreadsOneObject(t *testing.T) {
 
 func TestNZSTMCrossedScripts(t *testing.T) {
 	// Two objects acquired in opposite orders: the classic deadlock shape.
-	res := Check(NZModel(NZConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
-		Scripts: [][]int{{0, 1}, {1, 0}},
+		Scripts: [][]Op{{W(0), W(1)}, {W(1), W(0)}},
 		Objects: 2,
 		Retries: 1,
 	}), Options{})
 	if res.Err != nil {
 		t.Fatalf("crossed-script model violated: %v\ntrace: %v", res.Err, res.Trace)
 	}
+	t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 }
 
 func TestBZSTMModelBlocksButSafe(t *testing.T) {
-	res := Check(NZModel(NZConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantBZ,
-		Scripts: [][]int{{0}, {0}},
+		Scripts: writers(2),
 		Objects: 1,
 		Retries: 1,
 	}), Options{Coverage: []string{"inflate-observe"}})
@@ -195,9 +206,9 @@ func TestBZSTMModelBlocksButSafe(t *testing.T) {
 // request/acknowledge handshake; the checker must exhibit a lost update —
 // the exact hazard §2 argues makes naive nonblocking in-place STMs unsound.
 func TestBuggyForceAbortIsCaught(t *testing.T) {
-	res := Check(NZModel(NZConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantBuggy,
-		Scripts: [][]int{{0}, {0}},
+		Scripts: writers(2),
 		Objects: 1,
 		Retries: 1,
 	}), Options{})
@@ -213,18 +224,23 @@ func TestBuggyForceAbortIsCaught(t *testing.T) {
 	t.Logf("counterexample (%d steps): %v", len(res.Trace), res.Trace)
 }
 
+// Three writers: an inflater that clones the in-place data registers as a
+// reader, so the writer that inflates past the next owner must doom it.
 func TestNZSTMThreeThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
 	}
-	res := Check(NZModel(NZConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
-		Scripts: [][]int{{0}, {0}, {0}},
+		Scripts: writers(3),
 		Objects: 1,
 		Retries: 1,
-	}), Options{MaxStates: 1 << 23})
+	}), Options{MaxStates: 1 << 23, Coverage: []string{"w-doom-reader"}})
 	if res.Err != nil {
 		t.Fatalf("3-thread model violated: %v\ntrace: %v", res.Err, res.Trace)
+	}
+	if len(res.Uncovered) > 0 {
+		t.Errorf("uncovered: %v", res.Uncovered)
 	}
 	t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 }
@@ -234,23 +250,17 @@ func TestNZSTMThreeThreads(t *testing.T) {
 // TestBuggyForceAbortIsCaught) becomes safe when every store is atomically
 // paired with a check of the writer's own status word.
 func TestSCSSVariantMakesForceAbortSafe(t *testing.T) {
-	res := Check(NZModel(NZConfig{
-		Variant: VariantSCSS,
-		Scripts: [][]int{{0}, {0}},
-		Objects: 1,
-		Retries: 1,
-	}), Options{})
-	if res.Err != nil {
-		t.Fatalf("SCSS model violated: %v\ntrace: %v", res.Err, res.Trace)
-	}
-	res3 := Check(NZModel(NZConfig{
-		Variant: VariantSCSS,
-		Scripts: [][]int{{0}, {0}, {0}},
-		Objects: 1,
-		Retries: 1,
-	}), Options{MaxStates: 1 << 23})
-	if res3.Err != nil {
-		t.Fatalf("3-thread SCSS model violated: %v\ntrace: %v", res3.Err, res3.Trace)
+	for _, n := range []int{2, 3} {
+		res := Check(NZSTM(Config{
+			Variant: VariantSCSS,
+			Scripts: writers(n),
+			Objects: 1,
+			Retries: 1,
+		}), Options{MaxStates: 1 << 23})
+		if res.Err != nil {
+			t.Fatalf("%d-thread SCSS model violated: %v\ntrace: %v", n, res.Err, res.Trace)
+		}
+		t.Logf("%d threads: explored %d states, %d transitions", n, res.States, res.Transitions)
 	}
 }
 
@@ -265,10 +275,10 @@ const pcBackupAfterDeflate int8 = 40
 func backupAfterDeflate(m Model) Model {
 	enabled := m.Enabled
 	m.Enabled = func(st State, tid int) []Action {
-		s := st.(*nzState)
+		s := st.(*state)
 		if s.Thr[tid].PC == pcBackupAfterDeflate {
-			return []Action{act("deflate-backup", func(s *nzState) {
-				o := &s.Objs[s.obj(tid)]
+			return []Action{act("deflate-backup", func(s *state) {
+				o := &s.Objs[s.op(tid).Obj]
 				o.Bak, o.Ready = s.Thr[tid].Bak, true
 				s.Thr[tid].PC = pcDeflateCopy
 			})}
@@ -280,9 +290,9 @@ func backupAfterDeflate(m Model) Model {
 			}
 			next := a.Next
 			acts[i].Next = func(st State) State {
-				o := st.(*nzState).Objs[st.(*nzState).obj(tid)]
-				s := next(st).(*nzState)
-				obj := &s.Objs[s.obj(tid)]
+				o := st.(*state).Objs[st.(*state).op(tid).Obj]
+				s := next(st).(*state)
+				obj := &s.Objs[s.op(tid).Obj]
 				obj.Bak, obj.Ready = o.Bak, o.Ready
 				s.Thr[tid].PC = pcBackupAfterDeflate
 				return s
@@ -303,9 +313,9 @@ func TestDeflationPublishesOwnerAndBackupTogether(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
 	}
-	res := Check(backupAfterDeflate(NZModel(NZConfig{
+	res := Check(backupAfterDeflate(NZSTM(Config{
 		Variant: VariantNZ,
-		Scripts: [][]int{{0}, {0}, {0}},
+		Scripts: writers(3),
 		Objects: 1,
 		Retries: 1,
 	})), Options{MaxStates: 1 << 23})

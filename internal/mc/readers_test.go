@@ -7,14 +7,14 @@ import (
 
 // Reader/writer on one object: the §3 read-sharing configuration.
 func TestRWReaderWriterOneObject(t *testing.T) {
-	res := Check(RWModel(RWConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
 		Scripts: [][]Op{{R(0)}, {W(0)}},
 		Objects: 1,
 		Retries: 1,
 	}), Options{Coverage: []string{
 		"r-register", "r-recheck", "r-read", "r-request-abort",
-		"w-request-reader-abort", "w-inflate-past-reader", "r-inflate",
+		"w-request-reader-abort", "w-inflate-past-reader", "r-inflate-observe",
 		"inflate-cas", "cas-owner", "restore", "backup", "ready", "write",
 		"commit", "deflate", "deflate-copy",
 	}})
@@ -29,7 +29,7 @@ func TestRWReaderWriterOneObject(t *testing.T) {
 
 // Two readers and one writer on one object.
 func TestRWTwoReadersOneWriter(t *testing.T) {
-	res := Check(RWModel(RWConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
 		Scripts: [][]Op{{R(0)}, {R(0)}, {W(0)}},
 		Objects: 1,
@@ -44,7 +44,7 @@ func TestRWTwoReadersOneWriter(t *testing.T) {
 // Mixed read/write scripts across two objects (the paper's "up to three
 // objects for either writing or reading", scaled to stay exhaustive).
 func TestRWMixedScriptsTwoObjects(t *testing.T) {
-	res := Check(RWModel(RWConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantNZ,
 		Scripts: [][]Op{{R(0), W(1)}, {R(1), W(0)}},
 		Objects: 2,
@@ -69,7 +69,7 @@ func deregisterOnRecheck(m Model) Model {
 			}
 			next := a.Next
 			acts[i].Next = func(st State) State {
-				s := next(st).(*rwState)
+				s := next(st).(*state)
 				if s.Thr[tid].PC == pcObserve {
 					s.Readers[s.op(tid).Obj] &^= 1 << uint(s.me(tid))
 				}
@@ -90,19 +90,19 @@ func deregisterOnRecheck(m Model) Model {
 func TestRWRepeatedRead(t *testing.T) {
 	for name, v := range map[string]Variant{"BZ": VariantBZ, "NZ": VariantNZ} {
 		t.Run(name, func(t *testing.T) {
-			cfg := RWConfig{
+			cfg := Config{
 				Variant: v,
 				Scripts: [][]Op{{R(0), R(0)}, {W(0)}},
 				Objects: 1,
 				Retries: 1,
 			}
-			res := Check(RWModel(cfg), Options{})
+			res := Check(NZSTM(cfg), Options{})
 			if res.Err != nil {
 				t.Fatalf("violated: %v\ntrace: %v", res.Err, res.Trace)
 			}
 			t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 
-			res = Check(deregisterOnRecheck(RWModel(cfg)), Options{})
+			res = Check(deregisterOnRecheck(NZSTM(cfg)), Options{})
 			if res.Err == nil || !strings.Contains(res.Err.Error(), "saw object") {
 				t.Fatalf("checker missed the deregister-on-recheck bug: %v", res.Err)
 			}
@@ -113,7 +113,7 @@ func TestRWRepeatedRead(t *testing.T) {
 
 // The blocking variant with read sharing must also be safe (it just waits).
 func TestRWBlockingVariant(t *testing.T) {
-	res := Check(RWModel(RWConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantBZ,
 		Scripts: [][]Op{{R(0)}, {W(0)}},
 		Objects: 1,
@@ -131,7 +131,7 @@ func TestRWBlockingVariant(t *testing.T) {
 // readers: a writer that force-aborts an in-place writer while a reader
 // holds its value produces either a lost update or a stale committed read.
 func TestRWBuggyVariantCaught(t *testing.T) {
-	res := Check(RWModel(RWConfig{
+	res := Check(NZSTM(Config{
 		Variant: VariantBuggy,
 		Scripts: [][]Op{{W(0)}, {W(0)}, {R(0)}},
 		Objects: 1,
@@ -145,4 +145,27 @@ func TestRWBuggyVariantCaught(t *testing.T) {
 		t.Fatalf("unexpected violation kind: %v", res.Err)
 	}
 	t.Logf("counterexample (%d steps): %v", len(res.Trace), res.Trace)
+}
+
+// SCSS steals from a registered reader as it does from an owner
+// (resolveConflict's barrier, then Acknowledge on the reader's behalf): the
+// reader's read is a guarded snapshot, so once stolen from it can neither
+// read nor commit, and the writer stores in place without its
+// acknowledgement.
+func TestSCSSStealsFromReader(t *testing.T) {
+	for _, scripts := range [][][]Op{{{R(0)}, {W(0)}}, {{R(0)}, {W(0)}, {W(0)}}} {
+		res := Check(NZSTM(Config{
+			Variant: VariantSCSS,
+			Scripts: scripts,
+			Objects: 1,
+			Retries: 1,
+		}), Options{Coverage: []string{"w-force-abort-reader", "r-force-abort"}})
+		if res.Err != nil {
+			t.Fatalf("%v: violated: %v\ntrace: %v", scripts, res.Err, res.Trace)
+		}
+		if len(res.Uncovered) > 0 {
+			t.Errorf("%v: uncovered: %v", scripts, res.Uncovered)
+		}
+		t.Logf("%v: explored %d states, %d transitions", scripts, res.States, res.Transitions)
+	}
 }
