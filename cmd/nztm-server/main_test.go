@@ -297,10 +297,10 @@ var oddKeys = []string{"a\tb", "x\x01y", "bad\xff", `q"uote`, `back\slash`, "new
 // durability, TM and connection faults, disk faults, replication as a
 // lone primary, tracing — drives traffic until the hotspot table holds
 // keys with control and invalid-UTF-8 bytes, lints the fully composed
-// /metricsz and checks that every (family, TYPE) pair recorded in
-// testdata/metricsz_families.txt is still exported with the same type.
-// Families may be added; none may be dropped or retyped. Run with
-// -update to rewrite the golden file.
+// /metricsz and checks that its (family, TYPE) pairs are exactly those
+// recorded in testdata/metricsz_families.txt: a family dropped, retyped
+// or added fails, so every change to the surface shows up in review. Run
+// with -update to rewrite the golden file.
 func TestMetricszFamiliesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("child-process test")
@@ -400,15 +400,35 @@ func TestMetricszFamiliesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := make(map[string]bool, len(got))
-	for _, g := range got {
-		have[g] = true
+	if missing, extra := setDiff(strings.Split(strings.TrimSpace(string(want)), "\n"), got); len(missing)+len(extra) > 0 {
+		t.Errorf("/metricsz families differ from %s (rerun with -update if on purpose)\n"+
+			"dropped or retyped:\n  %s\nadded or retyped:\n  %s",
+			golden, strings.Join(missing, "\n  "), strings.Join(extra, "\n  "))
 	}
-	for _, w := range strings.Split(strings.TrimSpace(string(want)), "\n") {
-		if !have[w] {
-			t.Errorf("family dropped or retyped: %s", w)
+}
+
+// setDiff returns the lines of want absent from got, and those of got
+// absent from want.
+func setDiff(want, got []string) (missing, extra []string) {
+	in := func(lines []string) map[string]bool {
+		m := make(map[string]bool, len(lines))
+		for _, l := range lines {
+			m[l] = true
+		}
+		return m
+	}
+	inWant, inGot := in(want), in(got)
+	for _, w := range want {
+		if !inGot[w] {
+			missing = append(missing, w)
 		}
 	}
+	for _, g := range got {
+		if !inWant[g] {
+			extra = append(extra, g)
+		}
+	}
+	return missing, extra
 }
 
 // TestFlagsGolden checks the binary's flag names against

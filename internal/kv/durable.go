@@ -73,8 +73,6 @@ type durState struct {
 	cfg   Durability
 	rec   *trace.Recorder
 
-	recovery metrics.Histogram // recovery wall time (one observation per boot)
-
 	// gate, when set, delays acknowledgements on the replication plane's
 	// say-so (semi-synchronous replication); see SetCommitGate.
 	gate atomic.Pointer[CommitGate]
@@ -124,7 +122,6 @@ func NewDurable(sys tm.System, shards, bucketsPerShard int, d Durability) (*Stor
 		rec:   d.Recorder,
 		stop:  make(chan struct{}),
 	}
-	dur.recovery.Observe(st.Duration)
 	dur.seqs = make([]tm.Object, shards)
 	for i := range dur.seqs {
 		// The sequencer resumes one below NextLSN so the next commit is
@@ -331,7 +328,7 @@ func (d *durState) snapshotShard(s *Store, shard int) {
 
 // WriteDurabilityProm appends the durability plane's Prometheus
 // metrics: the log's directory and sync policy, recovery counters and
-// duration histogram, the degraded-mode gauges and every wal.Stats field
+// duration, the degraded-mode gauges and every wal.Stats field
 // (metrics.WriteFields). No-op for memory-only stores.
 func (s *Store) WriteDurabilityProm(w io.Writer) {
 	if s.dur == nil {
@@ -343,7 +340,7 @@ func (s *Store) WriteDurabilityProm(w io.Writer) {
 		"dir", d.log.Dir(), "fsync", d.cfg.Fsync.String())
 	metrics.CounterFam(w, "nztm_wal_replayed_frames_total", "frames replayed during recovery", st.ReplayedFrames)
 	metrics.CounterFam(w, "nztm_wal_truncated_bytes_total", "log bytes truncated during recovery", st.TruncatedBytes)
-	d.recovery.WriteProm(w, "nztm_wal_recovery_seconds")
+	metrics.GaugeFam(w, "nztm_wal_recovery_seconds", "wall time of this boot's recovery", st.Duration.Seconds())
 	mode := d.log.Mode()
 	metrics.GaugeFam(w, "nztm_wal_readonly", "1 while the log is in degraded read-only mode", gaugeBool(mode == "read-only"))
 	metrics.GaugeFam(w, "nztm_wal_failed", "1 once the log has fail-stopped after an fsync error", gaugeBool(mode == "failed"))

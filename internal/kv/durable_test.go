@@ -141,10 +141,10 @@ func TestDurableCASMissDoesNotLog(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		rs, vec, err := s.DoVec(th, []Op{
+		rs, vec, err := s.DoSpan(th, []Op{
 			{Kind: OpPut, Key: "other", Value: []byte("y")},
 			{Kind: OpCAS, Key: "k", Expect: []byte("wrong"), Value: []byte("x")},
-		}, budget)
+		}, budget, nil)
 		done <- reply{rs, vec, err}
 	}()
 	select {

@@ -100,31 +100,39 @@ type Budget struct {
 }
 
 // backoff returns the jittered sleep before attempt (2-based: the first
-// retry is attempt 2). rnd supplies the jitter bits.
+// retry is attempt 2), never past the deadline. rnd supplies the jitter
+// bits.
 func (b Budget) backoff(attempt int, rnd uint64) time.Duration {
-	if b.Backoff <= 0 || attempt < 2 {
+	d := Backoff(b.Backoff, b.BackoffMax, attempt, rnd)
+	if d > 0 && !b.Deadline.IsZero() {
+		if remain := time.Until(b.Deadline); d > remain {
+			d = remain
+		}
+	}
+	return d
+}
+
+// Backoff is the one retry-spacing formula, shared by the store's retry
+// loop and the client's RetryPolicy: the sleep before attempt (2-based)
+// doubles from base, is capped by max (0 = 64×base), and is jittered over
+// its upper half, [d/2, d), by rnd. A non-positive base, or the first
+// attempt, sleeps 0.
+func Backoff(base, max time.Duration, attempt int, rnd uint64) time.Duration {
+	if base <= 0 || attempt < 2 {
 		return 0
 	}
-	max := b.BackoffMax
 	if max <= 0 {
-		max = 64 * b.Backoff
+		max = 64 * base
 	}
-	d := b.Backoff
+	d := base
 	for i := 2; i < attempt && d < max; i++ {
 		d *= 2
 	}
 	if d > max {
 		d = max
 	}
-	// Full jitter over the upper half: [d/2, d).
-	half := d / 2
-	if half > 0 {
+	if half := d / 2; half > 0 {
 		d = half + time.Duration(rnd%uint64(half))
-	}
-	if !b.Deadline.IsZero() {
-		if remain := time.Until(b.Deadline); d > remain {
-			d = remain
-		}
 	}
 	return d
 }
@@ -249,35 +257,11 @@ func (s *Store) locate(key string) (tm.Object, int) {
 //
 // On ErrBudget the request had no effect.
 func (s *Store) Do(th *tm.Thread, ops []Op, budget Budget) ([]Result, error) {
-	results, _, err := s.do(th, ops, budget, false, nil)
+	results, _, err := s.DoSpan(th, ops, budget, nil)
 	return results, err
 }
 
-// DoSpan is Do with a request span timeline: the tm stage is stamped
-// when the transaction resolves (attempts recorded), and the durability
-// barrier stamps the WAL/stability/replication-gate stages. sp may be
-// nil.
-func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) ([]Result, error) {
-	results, _, err := s.do(th, ops, budget, false, sp)
-	return results, err
-}
-
-// DoVecSpan is DoVec with a request span timeline (see DoSpan).
-func (s *Store) DoVecSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) ([]Result, []wal.ShardLSN, error) {
-	return s.do(th, ops, budget, true, sp)
-}
-
-// DoVec is Do plus the request's commit vector: for each shard the
-// transaction touched, the highest LSN its results depend on (its own
-// writes and every observed read prefix). Clients hold the vector as a
-// read-your-writes token and hand it to replicas, which refuse to serve
-// until they have applied at least that prefix. Nil for memory-only
-// stores.
-func (s *Store) DoVec(th *tm.Thread, ops []Op, budget Budget) ([]Result, []wal.ShardLSN, error) {
-	return s.do(th, ops, budget, true, nil)
-}
-
-// doState is what one do call's closures write: the attempt counter, and
+// doState is what one DoSpan call's closures write: the attempt counter, and
 // the PUT being applied with the one update closure that applies it. It is
 // one object for the whole request — a closure of its own per PUT would be
 // one more per op — which works because tx.Update runs its callback before
@@ -289,14 +273,19 @@ type doState struct {
 	put     func(tm.Data) // stores val under key; made by the first PUT
 }
 
-func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *trace.Span) ([]Result, []wal.ShardLSN, error) {
+// DoSpan is Do with a request span timeline, returning the request's
+// commit vector as well. The tm stage is stamped when the transaction
+// resolves (attempts recorded), and the durability barrier stamps the
+// WAL/stability/replication-gate stages; sp may be nil. The commit vector
+// holds, for each shard the transaction touched, the highest LSN its
+// results depend on (its own writes and every observed read prefix).
+// Clients hold it as a read-your-writes token and hand it to replicas,
+// which refuse to serve until they have applied at least that prefix. Nil
+// for memory-only stores.
+func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) ([]Result, []wal.ShardLSN, error) {
 	results := make([]Result, len(ops))
 	st := &doState{}
 	m := s.metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
 	var da *durAttempt // durability bookkeeping; nil when memory-only
 	if s.dur != nil {
 		// Degraded-log gate, BEFORE any transaction runs: a write batch
@@ -432,17 +421,9 @@ func (s *Store) do(th *tm.Thread, ops []Op, budget Budget, wantVec bool, sp *tra
 		// they are persisted per policy) and gate every observed read
 		// prefix the same way, so an acknowledged result never depends on
 		// a commit recovery drops.
-		v, err := s.dur.finish(da, committed, sp)
-		if err != nil {
+		if vec, err = s.dur.finish(da, committed, sp); err != nil {
 			return nil, nil, err
 		}
-		if wantVec {
-			vec = v
-		}
-	}
-	if m != nil {
-		m.CommitLatency.Observe(time.Since(start))
-		m.Retries.ObserveValue(uint64(st.attempt - 1))
 	}
 	return results, vec, nil
 }

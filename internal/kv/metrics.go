@@ -17,12 +17,12 @@ import (
 // full are counted in the shard's overflow tally instead of individually.
 const hotKeysPerShard = 128
 
-// DefaultHotspotWindow is the default hotspot decay window. Counts are
-// epoch-rotated: each table keeps a current and a previous window, reports
-// sum both, and rotation retires the previous one — so a key that stops
-// aborting disappears from TopK within two windows. Cumulative-since-start
-// counts could never show contention *subsiding*.
-const DefaultHotspotWindow = 15 * time.Second
+// hotspotWindow is the hotspot decay window. Counts are epoch-rotated:
+// each table keeps a current and a previous window, reports sum both, and
+// rotation retires the previous one — so a key that stops aborting
+// disappears from TopK within two windows. Cumulative-since-start counts
+// could never show contention *subsiding*.
+const hotspotWindow = 15 * time.Second
 
 // hotShard is one shard's abort-attribution table. A mutex (not atomics) is
 // fine here: the table is only touched on the retry path, which has already
@@ -80,19 +80,15 @@ type Hotspot struct {
 	Aborts uint64 `json:"aborts"`
 }
 
-// Metrics collects the store's request-level latency distributions and
-// contention hotspot attribution. All histogram updates are lock-free; the
-// hotspot table takes a per-shard mutex only on the retry path. A nil
-// *Metrics is inert: every method is a no-op or returns zero values, so the
-// store's hot path stays allocation- and branch-cheap when metrics are off.
+// Metrics collects the store's contention attribution: the retry backoff
+// histogram and the hotspot table. Request timing and attempts come from
+// the request span (server.SpanMetrics), not from here; backoff is the one
+// kv interval a span cannot split out of its tm stage. The histogram is
+// lock-free; the hotspot table takes a per-shard mutex only on the retry
+// path. A nil *Metrics is inert: every method is a no-op or returns zero
+// values, so the store's hot path stays allocation- and branch-cheap when
+// metrics are off.
 type Metrics struct {
-	// CommitLatency is the wall time of each successful Store.Do call,
-	// from entry to commit, including all retries and backoff sleeps.
-	CommitLatency metrics.Histogram
-	// Retries counts aborted attempts per committed request (0 = first
-	// attempt committed) — the paper's abort-rate story seen per request
-	// rather than per attempt.
-	Retries metrics.Histogram
 	// BackoffTime is the duration of each retry backoff sleep.
 	BackoffTime metrics.Histogram
 
@@ -101,37 +97,22 @@ type Metrics struct {
 	// Hotspot window rotation state. Rotation is lazy (checked on the note
 	// and report paths) so no timer goroutine is needed.
 	winMu    sync.Mutex
-	window   time.Duration // 0 disables decay (cumulative counts)
 	winStart time.Time
 }
 
 // newMetrics sizes the hotspot table to the store's shard geometry.
 func newMetrics(shards int) *Metrics {
-	return &Metrics{
-		hot:      make([]hotShard, shards),
-		window:   DefaultHotspotWindow,
-		winStart: time.Now(),
-	}
-}
-
-// SetHotspotWindow sets the hotspot decay window (0 disables decay). Set
-// before serving; not synchronized against concurrent rotation checks.
-func (m *Metrics) SetHotspotWindow(d time.Duration) {
-	m.window = d
-	m.winStart = time.Now()
+	return &Metrics{hot: make([]hotShard, shards), winStart: time.Now()}
 }
 
 // maybeRotate performs any due lazy window rotations.
 func (m *Metrics) maybeRotate(now time.Time) {
-	if m.window <= 0 {
-		return
-	}
 	m.winMu.Lock()
-	for !now.Before(m.winStart.Add(m.window)) {
+	for !now.Before(m.winStart.Add(hotspotWindow)) {
 		for i := range m.hot {
 			m.hot[i].rotate()
 		}
-		if elapsed := now.Sub(m.winStart); elapsed >= 2*m.window {
+		if elapsed := now.Sub(m.winStart); elapsed >= 2*hotspotWindow {
 			// Idle gap spanning multiple windows: both windows are stale.
 			for i := range m.hot {
 				m.hot[i].rotate()
@@ -139,7 +120,7 @@ func (m *Metrics) maybeRotate(now time.Time) {
 			m.winStart = now
 			break
 		}
-		m.winStart = m.winStart.Add(m.window)
+		m.winStart = m.winStart.Add(hotspotWindow)
 	}
 	m.winMu.Unlock()
 }
@@ -177,8 +158,8 @@ func (m *Metrics) noteAbortedOps(ops []Op) {
 }
 
 // TopK returns the k most-aborted keys across all shards within the last
-// two decay windows (all time when decay is disabled), most aborted first
-// (ties broken by key for determinism). k <= 0 returns all tracked keys.
+// two decay windows, most aborted first (ties broken by key for
+// determinism). k <= 0 returns all tracked keys.
 func (m *Metrics) TopK(k int) []Hotspot {
 	if m == nil {
 		return nil
@@ -222,13 +203,11 @@ func (m *Metrics) OverflowAborts() uint64 {
 }
 
 // WriteProm emits the store's metrics in Prometheus text exposition format:
-// the three histograms plus per-key abort counters for the top-k hotspots.
+// the backoff histogram plus per-key abort counters for the top-k hotspots.
 func (m *Metrics) WriteProm(w io.Writer, topK int) {
 	if m == nil {
 		return
 	}
-	m.CommitLatency.WriteProm(w, "nztm_kv_commit_latency_seconds")
-	m.Retries.WritePromValues(w, "nztm_kv_retries_per_commit")
 	m.BackoffTime.WriteProm(w, "nztm_kv_backoff_seconds")
 	if top := m.TopK(topK); len(top) > 0 {
 		// Keys that differ only in invalid UTF-8 export as one label

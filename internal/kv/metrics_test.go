@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nztm/internal/metrics"
+	"nztm/internal/tm"
 )
 
 // TestMetricsNilIsInert: a store without EnableMetrics must behave exactly
@@ -37,44 +38,21 @@ func TestMetricsNilIsInert(t *testing.T) {
 	m.WriteProm(&strings.Builder{}, 10) // must not panic
 }
 
-// TestMetricsCommitLatencyAndRetries: every successful Do lands one sample
-// in CommitLatency and one in Retries.
-func TestMetricsCommitLatencyAndRetries(t *testing.T) {
-	be, err := OpenBackend("nzstm", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := New(be.Sys, 4, 4)
-	m := st.EnableMetrics()
-	if st.EnableMetrics() != m {
-		t.Fatal("EnableMetrics not idempotent")
-	}
-	th := be.NewThread()
-	defer th.Close()
-	const n = 50
-	for i := 0; i < n; i++ {
-		if _, err := st.Put(th, fmt.Sprintf("k%d", i), []byte("v"), Budget{}); err != nil {
-			t.Fatal(err)
+// abortFirst is a tm.System whose every transaction's first attempt runs
+// the body and then aborts, so aborts happen even where contention does
+// not (one core, a loaded machine).
+type abortFirst struct{ tm.System }
+
+func (s abortFirst) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
+	first := true
+	return s.System.Atomic(th, func(tx tm.Tx) error {
+		err := fn(tx)
+		if first {
+			first = false
+			tm.Retry(tm.AbortRequest)
 		}
-	}
-	if got := m.CommitLatency.Count(); got != n {
-		t.Fatalf("CommitLatency.Count = %d, want %d", got, n)
-	}
-	if got := m.Retries.Count(); got != n {
-		t.Fatalf("Retries.Count = %d, want %d", got, n)
-	}
-	var buf strings.Builder
-	m.WriteProm(&buf, 10)
-	out := buf.String()
-	for _, want := range []string{
-		"nztm_kv_commit_latency_seconds_count " + fmt.Sprint(n),
-		"nztm_kv_retries_per_commit_count " + fmt.Sprint(n),
-		"nztm_kv_key_aborts_overflow_total 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteProm output missing %q:\n%s", want, out)
-		}
-	}
+		return err
+	})
 }
 
 // TestMetricsHotspotAttribution: contended keys accumulate abort charges and
@@ -84,8 +62,11 @@ func TestMetricsHotspotAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := New(be.Sys, 2, 1) // tiny geometry: every key contends
+	st := New(abortFirst{be.Sys}, 2, 1) // tiny geometry: every key contends
 	m := st.EnableMetrics()
+	if st.EnableMetrics() != m {
+		t.Fatal("EnableMetrics not idempotent")
+	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -103,9 +84,6 @@ func TestMetricsHotspotAttribution(t *testing.T) {
 	}
 	wg.Wait()
 
-	if m.Retries.Sum() == 0 {
-		t.Skip("no aborts observed under contention (single-core run?)")
-	}
 	top := m.TopK(1)
 	if len(top) != 1 || top[0].Key != "hot" || top[0].Aborts == 0 {
 		t.Fatalf("TopK(1) = %+v, want key \"hot\" with aborts > 0", top)
@@ -188,7 +166,6 @@ func TestHotspotWindowDecay(t *testing.T) {
 // TestHotspotLazyRotation drives the time-based rotation path directly.
 func TestHotspotLazyRotation(t *testing.T) {
 	m := newMetrics(1)
-	m.SetHotspotWindow(time.Hour)
 	ops := []Op{{Kind: OpPut, Key: "k"}}
 	m.noteAbortedOps(ops)
 	// Within the window: nothing rotates.
@@ -197,7 +174,7 @@ func TestHotspotLazyRotation(t *testing.T) {
 		t.Fatalf("key rotated out early: %+v", top)
 	}
 	// A gap of two-plus windows clears both windows.
-	m.maybeRotate(time.Now().Add(2*time.Hour + time.Minute))
+	m.maybeRotate(time.Now().Add(2*hotspotWindow + time.Second))
 	if top := m.TopK(0); len(top) != 0 {
 		t.Fatalf("stale key survived a 2-window idle gap: %+v", top)
 	}

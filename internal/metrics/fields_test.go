@@ -72,8 +72,8 @@ func TestWriteFields(t *testing.T) {
 		if strings.Contains(out, "name") || strings.Contains(out, "hidden") {
 			t.Errorf("%s: exported a non-counter field:\n%s", c.typ, out)
 		}
-		if n := strings.Count(out, "# TYPE "); n != 4 { // two counters, histogram + quantiles
-			t.Errorf("%s: %d families, want 4:\n%s", c.typ, n, out)
+		if n := strings.Count(out, "# TYPE "); n != 3 { // two counters, one histogram
+			t.Errorf("%s: %d families, want 3:\n%s", c.typ, n, out)
 		}
 	}
 }

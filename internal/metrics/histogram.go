@@ -4,16 +4,16 @@
 //
 // The paper's evaluation reasons about distributions, not averages (related
 // work quantifies TM overhead the same way), so every recorded quantity —
-// commit latency, retries-to-commit, backoff time, request latency — is a
-// histogram here. Observations are a handful of atomic adds: no locks, no
-// allocation, safe under full parallelism; snapshots are approximate while
-// writers run, which is fine for serving metrics.
+// request stage time, attempts per request, backoff time — is a histogram
+// here. An observation is three atomic adds: no locks, no allocation, safe
+// under full parallelism; snapshots are approximate while writers run,
+// which is fine for serving metrics. Quantiles are not exported: a scraper
+// derives them from the cumulative buckets (histogram_quantile).
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"strings"
 	"sync/atomic"
@@ -22,18 +22,18 @@ import (
 
 // histBuckets covers 1 .. 2^42 in power-of-two buckets — for nanosecond
 // samples that is 1ns to ~1.2h, for count samples more range than anyone
-// needs. Bucket i counts observations in [2^i, 2^(i+1)); values of zero
-// land in bucket 0.
+// needs. Bucket i counts observations in (2^(i-1), 2^i] and is exported as
+// le=2^i, so a sample equal to a bound is counted under that bound; values
+// of zero and one land in bucket 0. The top bucket also takes every larger
+// sample, so it is exported only under le="+Inf".
 const histBuckets = 43
 
 // Histogram is a lock-free power-of-two-bucket histogram. The zero value is
 // ready to use. Record durations with Observe and dimensionless counts
-// (retries, batch sizes) with ObserveValue; the Duration-typed accessors
-// only make sense for the former.
+// (attempts, batch sizes) with ObserveValue.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
-	max     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
 
@@ -49,18 +49,9 @@ func (h *Histogram) Observe(d time.Duration) {
 func (h *Histogram) ObserveValue(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	i := bits.Len64(v)
-	if i > 0 {
-		i--
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
+	i := 0
+	if v > 1 {
+		i = min(bits.Len64(v-1), histBuckets-1)
 	}
 	h.buckets[i].Add(1)
 }
@@ -77,71 +68,16 @@ func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i].Load() }
 // Buckets returns the number of buckets.
 func (h *Histogram) Buckets() int { return histBuckets }
 
-// Max returns the largest sample as a duration.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// MeanValue returns the average raw sample.
-func (h *Histogram) MeanValue() uint64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / n
-}
-
-// Mean returns the average sample as a duration.
-func (h *Histogram) Mean() time.Duration { return time.Duration(h.MeanValue()) }
-
-// QuantileValue returns an upper bound on the q-quantile (0 < q <= 1): the
-// top of the bucket the quantile falls in, clamped to the observed max.
-func (h *Histogram) QuantileValue(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var seen uint64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= target {
-			top := uint64(1)<<(i+1) - 1
-			if m := h.max.Load(); m < top {
-				top = m
-			}
-			return top
-		}
-	}
-	return h.max.Load()
-}
-
-// Quantile returns the q-quantile upper bound as a duration.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	return time.Duration(h.QuantileValue(q))
-}
-
-// Percentiles returns the p50/p95/p99 upper bounds, the triple every
-// report in this repository quotes.
-func (h *Histogram) Percentiles() (p50, p95, p99 time.Duration) {
-	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-}
-
 // WriteProm renders the histogram in Prometheus text exposition format
 // under the given metric name. Nanosecond samples are scaled to seconds
-// (the Prometheus convention); quantile gauges give scrapers p50/p95/p99
-// without server-side histogram_quantile. labels (alternating key, value —
-// may be empty) are attached to every series.
+// (the Prometheus convention). labels (alternating key, value — may be
+// empty) are attached to every series.
 func (h *Histogram) WriteProm(w io.Writer, name string, labels ...string) {
 	h.writePromFull(w, name, 1e-9, labels)
 }
 
 // WritePromValues is WriteProm for dimensionless histograms: bucket bounds
-// and quantiles are exported as raw values.
+// are exported as raw values.
 func (h *Histogram) WritePromValues(w io.Writer, name string, labels ...string) {
 	h.writePromFull(w, name, 1, labels)
 }
@@ -149,8 +85,6 @@ func (h *Histogram) WritePromValues(w io.Writer, name string, labels ...string) 
 func (h *Histogram) writePromFull(w io.Writer, name string, scale float64, labels []string) {
 	Head(w, name, "histogram", name+" distribution (power-of-two buckets)")
 	h.WriteHistSamples(w, name, scale, labels...)
-	Head(w, name+"_quantile", "gauge", name+" p50/p95/p99 upper bounds")
-	h.WriteQuantileSamples(w, name, scale, labels...)
 }
 
 // WriteHistSamples writes the bucket/sum/count samples only, without the
@@ -161,31 +95,18 @@ func (h *Histogram) writePromFull(w io.Writer, name string, scale float64, label
 func (h *Histogram) WriteHistSamples(w io.Writer, name string, scale float64, labels ...string) {
 	base := joinLabels(labels, "")
 	var cum uint64
-	for i := 0; i < histBuckets; i++ {
+	for i := 0; i < histBuckets-1; i++ {
 		n := h.buckets[i].Load()
 		if n == 0 {
 			continue // keep the exposition compact; cumulative counts stay exact
 		}
 		cum += n
-		le := float64(uint64(1)<<(i+1)) * scale
+		le := float64(uint64(1)<<i) * scale
 		fmt.Fprintf(w, "%s_bucket%s %d\n", name, joinLabels(labels, `le="`+formatFloat(le)+`"`), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, joinLabels(labels, `le="+Inf"`), h.Count())
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, base, formatFloat(float64(h.Sum())*scale))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, base, h.Count())
-}
-
-// WriteQuantileSamples writes the p50/p95/p99 gauge samples of the
-// name_quantile companion family, without heads (see WriteHistSamples).
-func (h *Histogram) WriteQuantileSamples(w io.Writer, name string, scale float64, labels ...string) {
-	for _, q := range []struct {
-		q float64
-		s string
-	}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}} {
-		fmt.Fprintf(w, "%s_quantile%s %s\n", name,
-			joinLabels(labels, `quantile="`+q.s+`"`),
-			formatFloat(float64(h.QuantileValue(q.q))*scale))
-	}
 }
 
 // Head writes a metric family's # HELP and # TYPE lines. Exactly one

@@ -10,7 +10,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("zero histogram must read as zero")
 	}
 	h.Observe(100 * time.Nanosecond)
@@ -19,33 +19,33 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Max() != 200*time.Nanosecond {
-		t.Fatalf("max = %v", h.Max())
-	}
-	if h.Mean() != 100*time.Nanosecond {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	// Quantile is an upper bound clamped to max.
-	if q := h.Quantile(1.0); q != 200*time.Nanosecond {
-		t.Fatalf("p100 = %v", q)
+	if h.Sum() != 300 {
+		t.Fatalf("sum = %d", h.Sum())
 	}
 }
 
-func TestQuantileBounds(t *testing.T) {
+// TestHistogramBucketBounds: le bounds are inclusive — a sample equal to a
+// power of two is counted under that bound, not the next one up.
+func TestHistogramBucketBounds(t *testing.T) {
 	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.ObserveValue(10) // bucket [8,16)
+	for _, v := range []uint64{1, 2, 3, 4} {
+		h.ObserveValue(v)
 	}
-	h.ObserveValue(1000) // bucket [512,1024)
-	if q := h.QuantileValue(0.5); q < 10 || q >= 16 {
-		t.Fatalf("p50 = %d, want within [10,16)", q)
+	var buf bytes.Buffer
+	h.WritePromValues(&buf, "n")
+	got := buf.String()
+	for _, want := range []string{
+		`n_bucket{le="1"} 1`,
+		`n_bucket{le="2"} 2`,
+		`n_bucket{le="4"} 4`,
+		`n_bucket{le="+Inf"} 4`,
+	} {
+		if !strings.Contains(got, want+"\n") {
+			t.Errorf("missing %q in\n%s", want, got)
+		}
 	}
-	if q := h.QuantileValue(0.999); q < 1000 || q > 1023 {
-		t.Fatalf("p99.9 = %d, want the top bucket clamped to max", q)
-	}
-	p50, p95, p99 := h.Percentiles()
-	if p50 > p95 || p95 > p99 {
-		t.Fatalf("percentiles not monotone: %v %v %v", p50, p95, p99)
+	if n := strings.Count(got, "_bucket{"); n != 4 {
+		t.Errorf("%d bucket lines, want 4:\n%s", n, got)
 	}
 }
 
@@ -72,7 +72,6 @@ func TestHistogramConcurrentBucketSum(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			h.QuantileValue(0.99)
 			h.WriteProm(&bytes.Buffer{}, "x")
 		}
 	}()
@@ -111,9 +110,6 @@ func TestWritePromFormat(t *testing.T) {
 		"# TYPE nztm_commit_latency_seconds histogram",
 		`nztm_commit_latency_seconds_bucket{system="NZSTM",le="+Inf"} 2`,
 		`nztm_commit_latency_seconds_count{system="NZSTM"} 2`,
-		`nztm_commit_latency_seconds_quantile{system="NZSTM",quantile="0.5"}`,
-		`nztm_commit_latency_seconds_quantile{system="NZSTM",quantile="0.95"}`,
-		`nztm_commit_latency_seconds_quantile{system="NZSTM",quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)
@@ -122,6 +118,9 @@ func TestWritePromFormat(t *testing.T) {
 	// Cumulative bucket counts: the last non-Inf bucket must equal count.
 	if !strings.Contains(out, "_bucket{system=\"NZSTM\",le=\"") {
 		t.Fatalf("no finite buckets rendered:\n%s", out)
+	}
+	if strings.Contains(out, "_quantile") {
+		t.Fatalf("quantile gauges exported:\n%s", out)
 	}
 }
 

@@ -81,7 +81,6 @@ func TestWritePromConformance(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE t_lat_seconds histogram",
-		"# TYPE t_lat_seconds_quantile gauge",
 		"# HELP t_ops_total ops served",
 		`t_ops_total{kind="put"} 12`,
 	} {
@@ -92,8 +91,8 @@ func TestWritePromConformance(t *testing.T) {
 }
 
 func TestWriteSamplesHeadless(t *testing.T) {
-	// Labelled multi-instance family: heads once, samples per instance,
-	// quantile family separately — must lint clean.
+	// Labelled multi-instance family: heads once, samples per instance —
+	// must lint clean.
 	var a, b Histogram
 	a.ObserveValue(5)
 	b.ObserveValue(9)
@@ -101,9 +100,6 @@ func TestWriteSamplesHeadless(t *testing.T) {
 	Head(&buf, "st_us", "histogram", "per-stage time")
 	a.WriteHistSamples(&buf, "st_us", 1e-3, "stage", "decode")
 	b.WriteHistSamples(&buf, "st_us", 1e-3, "stage", "tm")
-	Head(&buf, "st_us_quantile", "gauge", "per-stage quantiles")
-	a.WriteQuantileSamples(&buf, "st_us", 1e-3, "stage", "decode")
-	b.WriteQuantileSamples(&buf, "st_us", 1e-3, "stage", "tm")
 	if errs := LintProm(bytes.NewReader(buf.Bytes())); len(errs) != 0 {
 		t.Fatalf("headless sample layout non-conformant: %v\n%s", errs, buf.String())
 	}

@@ -124,10 +124,6 @@ type Node struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// gateWait distributes commitGate wall time (including instant
-	// passes), the repl_gate slice of the commit pipeline.
-	gateWait metrics.Histogram
-
 	mu         sync.Mutex
 	waitCh     chan struct{} // closed + replaced on any state change
 	epoch      uint64
@@ -752,17 +748,10 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 // followers report the commit vector applied; a node that is no longer
 // primary fails writes outright (the fencing half of failover safety)
 // while letting replica-local reads pass — their staleness contract is
-// CheckRequest's job.
+// CheckRequest's job. Its wall time is the request span's repl_gate
+// stage; a gate that passes at once reads no clock.
 func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
-	start := time.Now()
-	err := n.gateLoop(vec, wrote)
-	n.gateWait.Observe(time.Since(start))
-	return err
-}
-
-func (n *Node) gateLoop(vec []wal.ShardLSN, wrote bool) error {
-	waited := false
-	deadline := time.Now().Add(n.cfg.AckTimeout)
+	var deadline time.Time // set when the gate first has to wait
 	for {
 		n.mu.Lock()
 		if n.stopped {
@@ -787,11 +776,11 @@ func (n *Node) gateLoop(vec []wal.ShardLSN, wrote bool) error {
 		if acked >= n.ackNeed {
 			return nil
 		}
-		if !waited {
-			waited = true
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(n.cfg.AckTimeout)
 			n.stats.GateWaits.Add(1)
 		}
-		now := time.Now()
 		if !now.Before(deadline) {
 			n.stats.GateTimeouts.Add(1)
 			return fmt.Errorf("repl: %d/%d follower acks after %v", acked, n.ackNeed, n.cfg.AckTimeout)
@@ -820,9 +809,9 @@ func coversSparse(applied []uint64, vec []wal.ShardLSN) bool {
 }
 
 // WriteMetricsz appends the replication Prometheus series: the node's
-// identity and role, the counter block, the commit-gate wait histogram,
-// and — on the primary — the per-follower lag gauges and ship→ack latency
-// histograms.
+// identity and role, the counter block (commit-gate waits and timeouts
+// among it), and — on the primary — the per-follower lag gauges and
+// ship→ack latency histograms.
 func (n *Node) WriteMetricsz(w io.Writer) {
 	type followerRow struct {
 		id         int
@@ -859,7 +848,6 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 		"node_id", strconv.Itoa(n.cfg.NodeID), "role", role.String(), "primary", pk)
 	metrics.GaugeFam(w, "nztm_repl_applied_lsn_sum", "sum over shards of the applied LSN", float64(n.AppliedTotal()))
 	n.stats.WriteMetricsz(w)
-	n.gateWait.WriteProm(w, "nztm_repl_gate_wait_seconds")
 	if len(rows) == 0 {
 		return
 	}
@@ -889,12 +877,6 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	for _, r := range rows {
 		if r.h != nil {
 			r.h.WriteHistSamples(w, "nztm_repl_follower_ack_seconds", 1e-9, "follower", strconv.Itoa(r.id))
-		}
-	}
-	metrics.Head(w, "nztm_repl_follower_ack_seconds_quantile", "gauge", "ship to ack p50/p95/p99 upper bounds per follower")
-	for _, r := range rows {
-		if r.h != nil {
-			r.h.WriteQuantileSamples(w, "nztm_repl_follower_ack_seconds", 1e-9, "follower", strconv.Itoa(r.id))
 		}
 	}
 }

@@ -32,13 +32,13 @@ var buildInfo = sync.OnceValues(func() (goVersion, revision string) {
 
 // WriteMetricsz dumps the server's metrics in Prometheus text exposition
 // format — the one stats surface: build and configuration info, request
-// counters, latency histograms with p50/p95/p99 quantile gauges,
-// per-stage span attribution, every tm.Stats counter of the backing
-// system (metrics.WriteFields, including registry slot churn), and — when
-// the store has metrics enabled — commit-latency / retry / backoff
-// histograms plus top-K contended-key abort counters. Config.ExtraMetricsz
-// appends the other planes. Every family carries # HELP and # TYPE heads;
-// the conformance tests lint this output with metrics.LintProm.
+// counters, the span's per-stage, end-to-end and attempts histograms (the
+// only request timing), every tm.Stats counter of the backing system
+// (metrics.WriteFields, including registry slot churn), and — when the
+// store has metrics enabled — the backoff histogram plus top-K
+// contended-key abort counters. Config.ExtraMetricsz appends the other
+// planes. Every family carries # HELP and # TYPE heads; the conformance
+// tests lint this output with metrics.LintProm.
 func (s *Server) WriteMetricsz(w io.Writer) {
 	s.mu.Lock()
 	open := len(s.conns)
@@ -71,14 +71,11 @@ func (s *Server) WriteMetricsz(w io.Writer) {
 	metrics.Counter(w, "nztm_server_requests_total", s.reqOverload.Load(), "status", "overloaded")
 	metrics.Counter(w, "nztm_server_requests_total", s.reqReadOnly.Load(), "status", "read_only")
 
-	// Scheduler plane: executor pool size, admission counters, derived
-	// queue-depth/busy gauges, and the enqueue→dispatch wait histogram.
+	// Scheduler plane: executor pool size, admission counters and derived
+	// queue-depth/busy gauges. Queue wait is the span's dispatch stage.
 	metrics.GaugeFam(w, "nztm_sched_executors", "slot-bound executors in the pool", float64(s.sched.bound.Load()))
 	s.sched.stats.WriteMetricsz(w)
-	s.sched.wait.WriteProm(w, "nztm_sched_queue_wait_seconds")
 
-	s.singleLatency.WriteProm(w, "nztm_server_single_latency_seconds")
-	s.batchLatency.WriteProm(w, "nztm_server_batch_latency_seconds")
 	s.spans.WriteMetricsz(w)
 
 	metrics.WriteFields(w, "nztm_tm", "counter", sys.Stats())

@@ -15,6 +15,7 @@ import (
 
 	"nztm/internal/kv"
 	"nztm/internal/metrics"
+	"nztm/internal/tm"
 	"nztm/internal/trace"
 )
 
@@ -49,10 +50,65 @@ func TestSpanMetricsStageCoverage(t *testing.T) {
 	if problems := metrics.LintProm(strings.NewReader(out)); len(problems) != 0 {
 		t.Errorf("stage exposition violations: %v\n%s", problems, out)
 	}
-	for i := 0; i < trace.SpanStages; i++ {
-		if want := fmt.Sprintf(`nztm_stage_us_quantile{stage=%q,quantile="0.99"}`, trace.StageName(i)); !strings.Contains(out, want) {
-			t.Errorf("metricsz missing %q", want)
+}
+
+// waitSpans waits until n request spans have been folded into srv's span
+// metrics: an executor observes a span after delivering its response, so
+// a client can hold its answer before the span lands.
+func waitSpans(t *testing.T, srv *Server, n uint64) {
+	t.Helper()
+	waitFor(t, 5*time.Second, func() bool { return srv.Spans().Total().Count() >= n })
+}
+
+// abortFirst is a tm.System whose every transaction's first attempt runs
+// the body and then aborts, so each request commits on attempt 2.
+type abortFirst struct{ tm.System }
+
+func (s abortFirst) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
+	first := true
+	return s.System.Atomic(th, func(tx tm.Tx) error {
+		err := fn(tx)
+		if first {
+			first = false
+			tm.Retry(tm.AbortRequest)
 		}
+		return err
+	})
+}
+
+// TestRequestAttempts: the span's attempt count reaches
+// nztm_request_attempts, and a request forced through one abort is
+// counted under le="2", not le="1".
+func TestRequestAttempts(t *testing.T) {
+	b, err := kv.OpenBackend("nzstm", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, stop := startServerOn(t, kv.New(abortFirst{b.Sys}, 1, 1), b, Config{Executors: 1})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waitSpans(t, srv, 1)
+	var mb strings.Builder
+	srv.WriteMetricsz(&mb)
+	out := mb.String()
+	for _, want := range []string{
+		"nztm_request_attempts_bucket{le=\"2\"} 1\n",
+		"nztm_request_attempts_sum 2\n",
+		"nztm_request_attempts_count 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metricsz missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `nztm_request_attempts_bucket{le="1"}`) {
+		t.Errorf("a retried request counted under le=\"1\":\n%s", out)
 	}
 }
 

@@ -32,31 +32,18 @@ type RetryPolicy struct {
 // shared lock: each draw hashes a fresh counter value.
 var jitterSeq atomic.Uint64
 
-// delay returns the jittered sleep before attempt (2-based).
+// delay returns the jittered sleep before attempt (2-based): the store's
+// formula (kv.Backoff) with a 1ms default base.
 func (p RetryPolicy) delay(attempt int) time.Duration {
 	base := p.Base
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	max := p.Max
-	if max <= 0 {
-		max = 64 * base
-	}
-	d := base
-	for i := 2; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if half := d / 2; half > 0 {
-		// splitmix64 of a global counter: cheap, lock-free jitter bits.
-		x := jitterSeq.Add(1) * 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		d = half + time.Duration(x%uint64(half))
-	}
-	return d
+	// splitmix64 of a global counter: cheap, lock-free jitter bits.
+	x := jitterSeq.Add(1) * 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	return kv.Backoff(base, p.Max, attempt, x)
 }
 
 // DoRetry executes ops as one atomic batch like Do, but retries

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nztm/internal/kv"
 	"nztm/internal/metrics"
@@ -201,7 +200,6 @@ type scheduler struct {
 	executors int  // requested pool size (cap on slots bound)
 	bound     atomic.Int64
 	stats     SchedStats
-	wait      metrics.Histogram // enqueue→dispatch latency
 	rec       *trace.Recorder
 
 	start sync.Once
@@ -283,9 +281,9 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 	for t := range s.tasks {
 		s.stats.Dispatched.Add(1)
 		t.span.Mark(trace.StageDispatch)
-		// Queue wait, from the two stamps the span holds anyway.
-		waited := t.span.Stamp[trace.StageDispatch] - t.span.Stamp[trace.StageEnqueue]
 		if s.rec != nil {
+			// Queue wait, from the two stamps the span holds anyway.
+			waited := t.span.Stamp[trace.StageDispatch] - t.span.Stamp[trace.StageEnqueue]
 			s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, waited, 0)
 		}
 		if srv.preExec != nil {
@@ -298,7 +296,6 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 		t.span.Mark(trace.StageRespond)
 		srv.spans.Observe(&t.span)
 		srv.slow.Observe(&t.span)
-		s.wait.Observe(time.Duration(waited))
 		s.stats.Completed.Add(1)
 		t.c.finish()
 	}

@@ -385,7 +385,6 @@ func TestSchedStatsCoverage(t *testing.T) {
 	fams["nztm_sched_executors"] = "gauge"
 	fams["nztm_sched_queue_depth"] = "gauge"
 	fams["nztm_sched_executors_busy"] = "gauge"
-	fams["nztm_sched_queue_wait_seconds"] = "histogram"
 	fams["nztm_server_info"] = "gauge"
 	for name, typ := range fams {
 		if got[name] != typ {

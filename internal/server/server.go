@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"nztm/internal/kv"
-	"nztm/internal/metrics"
 	"nztm/internal/tm"
 	"nztm/internal/trace"
-	"nztm/internal/wal"
 )
 
 // Config tunes a Server.
@@ -109,21 +107,19 @@ type Server struct {
 
 	wg sync.WaitGroup // live connections
 
-	started       time.Time
-	connsTotal    atomic.Uint64
-	reqOK         atomic.Uint64
-	reqBudget     atomic.Uint64
-	reqBad        atomic.Uint64
-	reqErr        atomic.Uint64
-	reqShutdown   atomic.Uint64
-	reqLagging    atomic.Uint64 // bounded-staleness reads refused (replica behind)
-	reqRedirect   atomic.Uint64 // StatusNotPrimary answers (client re-routes)
-	reqOverload   atomic.Uint64 // StatusOverloaded rejects (admission queue full)
-	reqReadOnly   atomic.Uint64 // StatusReadOnly sheds (store degraded, disk full)
-	singleLatency metrics.Histogram
-	batchLatency  metrics.Histogram
-	spans         SpanMetrics        // per-stage latency attribution
-	slow          *trace.SlowSampler // K slowest timelines per window (/slowz)
+	started     time.Time
+	connsTotal  atomic.Uint64
+	reqOK       atomic.Uint64
+	reqBudget   atomic.Uint64
+	reqBad      atomic.Uint64
+	reqErr      atomic.Uint64
+	reqShutdown atomic.Uint64
+	reqLagging  atomic.Uint64      // bounded-staleness reads refused (replica behind)
+	reqRedirect atomic.Uint64      // StatusNotPrimary answers (client re-routes)
+	reqOverload atomic.Uint64      // StatusOverloaded rejects (admission queue full)
+	reqReadOnly atomic.Uint64      // StatusReadOnly sheds (store degraded, disk full)
+	spans       SpanMetrics        // per-request timing: the one latency instrument
+	slow        *trace.SlowSampler // K slowest timelines per window (/slowz)
 }
 
 // ErrServerClosed is returned by Serve after Shutdown.
@@ -391,28 +387,14 @@ func (s *Server) serveConn(conn net.Conn) {
 // execute runs one request on an executor's thread and encodes its
 // response into the request's record. A vector-aware request (r.st non-nil)
 // is answered with StatusOKVec carrying its commit vector. The request's
-// clock starts at the exec_start stamp the executor has just put on sp.
+// deadline counts from the exec_start stamp the executor has just put on
+// sp; execute reads no clock of its own.
 func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
-	start := sp.Stamp[trace.StageExecStart]
 	budget := kv.Budget{MaxAttempts: s.cfg.MaxAttempts, Backoff: s.cfg.RetryBackoff}
 	if s.cfg.RequestTimeout > 0 {
-		budget.Deadline = trace.Time(start).Add(s.cfg.RequestTimeout)
+		budget.Deadline = trace.Time(sp.Stamp[trace.StageExecStart]).Add(s.cfg.RequestTimeout)
 	}
-	var results []kv.Result
-	var vec []wal.ShardLSN
-	var err error
-	if r.st != nil {
-		results, vec, err = s.store.DoVecSpan(th, r.ops, budget, sp)
-	} else {
-		results, err = s.store.DoSpan(th, r.ops, budget, sp)
-	}
-	elapsed := time.Duration(trace.Now() - start)
-
-	if len(r.ops) > 1 {
-		s.batchLatency.Observe(elapsed)
-	} else {
-		s.singleLatency.Observe(elapsed)
-	}
+	results, vec, err := s.store.DoSpan(th, r.ops, budget, sp)
 	status, errmsg := uint8(StatusOK), ""
 	switch {
 	case err == nil:
@@ -436,7 +418,7 @@ func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
 	r.resp = appendResponseVec(r.resp[:0], r.id, status, results, vec, errmsg)
 }
 
-// Spans exposes the per-stage latency attribution histograms.
+// Spans exposes the per-request timing histograms.
 func (s *Server) Spans() *SpanMetrics { return &s.spans }
 
 // SlowSampler exposes the slow-request tail sampler (for soak dumps).
@@ -449,12 +431,6 @@ func (s *Server) WriteSlowz(w io.Writer) error { return s.slow.WriteJSON(w) }
 // DumpSlow writes the sampled slow-request timelines human-readably —
 // the form SIGQUIT diagnostics and soak failure dumps use.
 func (s *Server) DumpSlow(w io.Writer) { s.slow.Dump(w) }
-
-// SingleLatency exposes the single-op latency histogram.
-func (s *Server) SingleLatency() *metrics.Histogram { return &s.singleLatency }
-
-// BatchLatency exposes the batch latency histogram.
-func (s *Server) BatchLatency() *metrics.Histogram { return &s.batchLatency }
 
 func drain(ch chan *request) {
 	for range ch {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"nztm/internal/kv"
-	"nztm/internal/metrics"
 	"nztm/internal/trace"
 )
 
@@ -113,30 +112,6 @@ func TestParseRequestRefuses(t *testing.T) {
 		if err := parseRequest(good, &r); err != nil || len(r.ops) != 2 || r.ops[1].Key != "k" || r.ops[1].Value != nil {
 			t.Errorf("after %s: the next request decodes as %+v, %v", name, r.ops, err)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h metrics.Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count %d", h.Count())
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 250*time.Microsecond || p50 > 2*time.Millisecond {
-		t.Fatalf("p50 %v out of plausible range", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < p50 || p99 > h.Max() {
-		t.Fatalf("p99 %v not in [p50 %v, max %v]", p99, p50, h.Max())
-	}
-	if h.Max() != 1000*time.Microsecond {
-		t.Fatalf("max %v", h.Max())
-	}
-	if m := h.Mean(); m < 400*time.Microsecond || m > 600*time.Microsecond {
-		t.Fatalf("mean %v", m)
 	}
 }
 
@@ -328,8 +303,8 @@ func TestEndToEnd(t *testing.T) {
 	if !regexp.MustCompile(`nztm_build_info\{go_version="[^"]+",revision="[^"]+",system="NZSTM"\} 1`).MatchString(out) {
 		t.Fatalf("metricsz missing build info with the system:\n%s", out)
 	}
-	if srv.SingleLatency().Count() == 0 || srv.BatchLatency().Count() == 0 {
-		t.Fatalf("latency histograms empty:\n%s", out)
+	if srv.Spans().Total().Count() == 0 {
+		t.Fatalf("request latency histogram empty:\n%s", out)
 	}
 	setup.Close()
 }
@@ -762,9 +737,9 @@ func TestMoreConnectionsThanThreadHint(t *testing.T) {
 }
 
 // TestMetricszAndTracez: the Prometheus and trace endpoints report live
-// server state — request counters, latency histograms with quantiles, slot
-// churn, kv commit-latency metrics, and per-thread trace events recorded
-// through the registry-bound flight recorder.
+// server state — request counters, the span's latency and attempts
+// histograms, slot churn, and per-thread trace events recorded through
+// the registry-bound flight recorder.
 func TestMetricszAndTracez(t *testing.T) {
 	b, err := kv.OpenBackend("nzstm", 4)
 	if err != nil {
@@ -799,18 +774,19 @@ func TestMetricszAndTracez(t *testing.T) {
 		}
 	}
 
+	waitSpans(t, srv, 20)
 	var mb strings.Builder
 	srv.WriteMetricsz(&mb)
 	out := mb.String()
 	for _, want := range []string{
 		`nztm_server_requests_total{status="ok"} 20`,
-		"nztm_server_single_latency_seconds_count 20",
-		`nztm_server_single_latency_seconds_quantile{quantile="0.99"}`,
+		"nztm_request_total_us_count 20",
+		"nztm_request_attempts_count 20",
 		"nztm_tm_commits_total",
 		"nztm_tm_slot_acquires_total 1",
 		"nztm_tm_slot_releases_total 0",
 		"nztm_tm_threads_max ",
-		"nztm_kv_commit_latency_seconds_count 20",
+		"nztm_kv_key_aborts_overflow_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metricsz missing %q", want)
