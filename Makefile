@@ -72,7 +72,10 @@
 #                   B/op flat across occupancy because a backup copies entry
 #                   headers, not value bytes — as a 2000-iteration smoke (no
 #                   threshold), plus TestBucketUpdateAllocs (PUT ≤ 6 objects,
-#                   GET ≤ 4 and no value copy)
+#                   GET ≤ 4 and no value copy); and BenchmarkDurablePutBatch — one
+#                   16-PUT batch on the 16×64 geometry, durable under fsync=never
+#                   and its memory-only twin — with TestDurablePutBatchAllocs
+#                   (durable allocs/op ≤ 1.2 × the memory twin's)
 #   make bench-server  server microbenchmark (the server line of the per-layer
 #                   budget) and its gates: BenchmarkRequestPath — one Client to one
 #                   Server over loopback; a single 128-byte PUT and the 8 GET + 8 PUT
@@ -181,7 +184,7 @@ diskfault:
 	$(GO) run ./cmd/nztm-soak $(DISKFAULT_FLAGS)
 
 bench-kv-data:
-	$(GO) test -run 'TestBucketUpdateAllocs' -bench BenchmarkBucketUpdate -benchtime 2000x -benchmem ./internal/kv
+	$(GO) test -run 'TestBucketUpdateAllocs|TestDurablePutBatchAllocs' -bench 'BenchmarkBucketUpdate|BenchmarkDurablePutBatch' -benchtime 2000x -benchmem ./internal/kv
 
 bench-server:
 	$(GO) test -run 'TestRequestPathAllocs|TestRequestPathWrites' -bench BenchmarkRequestPath -benchtime 2000x -benchmem ./internal/server

@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,7 @@ type durState struct {
 	log   *wal.Log
 	state *wal.State
 	seqs  []tm.Object // per-shard sequencer objects
+	recs  sync.Pool   // *commitRec sized to the shard count
 	cfg   Durability
 	rec   *trace.Recorder
 
@@ -122,6 +124,7 @@ func NewDurable(sys tm.System, shards, bucketsPerShard int, d Durability) (*Stor
 		rec:   d.Recorder,
 		stop:  make(chan struct{}),
 	}
+	dur.recs.New = func() any { return newCommitRec(shards) }
 	dur.seqs = make([]tm.Object, shards)
 	for i := range dur.seqs {
 		// The sequencer resumes one below NextLSN so the next commit is
@@ -181,88 +184,110 @@ func (s *Store) Close() error {
 	return err
 }
 
-// durAttempt is one Do call's durability bookkeeping: which shards the
-// transaction touched, the sequence numbers pinned there, and the
-// resolved write effects. It is reset at the start of every attempt (a
-// retry re-runs from scratch).
-type durAttempt struct {
-	seen     map[int]uint64 // shard → sequencer value observed before any bump
-	assigned map[int]uint64 // shard → LSN this transaction holds (writers only)
-	ops      []wal.Op       // resolved effects (absolute values)
+// commitRec is one request's per-shard commit record, shared by Do and
+// ApplyFrame: the sequencer value each touched shard showed the
+// transaction, the LSN it took where it wrote, and the frame of resolved
+// write effects. Indexing by shard makes "read each sequencer once, bump
+// it at most once" two slice lookups. Records come from a per-store pool
+// and are reset at the start of every attempt (a retry re-runs from
+// scratch).
+type commitRec struct {
+	seen    []uint64      // shard → observed sequencer value + 1 (0 = untouched)
+	lsn     []uint64      // shard → LSN this attempt took there (0 = not written)
+	touched []int         // shards with seen set; sorted by finish
+	frame   wal.Frame     // Shards filled by finish; Ops are the resolved effects
+	to      uint64        // the value setSeq stores
+	setSeq  func(tm.Data) // stores to into a sequencer; made once per record
 }
 
-func newDurAttempt() *durAttempt {
-	return &durAttempt{
-		seen:     make(map[int]uint64, 4),
-		assigned: make(map[int]uint64, 4),
+func newCommitRec(shards int) *commitRec {
+	r := &commitRec{seen: make([]uint64, shards), lsn: make([]uint64, shards)}
+	r.setSeq = func(data tm.Data) { data.(*seqData).lsn = r.to }
+	return r
+}
+
+func (r *commitRec) reset() {
+	for _, sh := range r.touched {
+		r.seen[sh], r.lsn[sh] = 0, 0
+	}
+	r.touched = r.touched[:0]
+	clear(r.frame.Ops) // a pooled record must not pin the last request's values
+	r.frame.Ops, r.frame.Shards = r.frame.Ops[:0], r.frame.Shards[:0]
+}
+
+// observe pins the shard's sequence number on first touch and returns
+// it: every result this transaction returns depends on at most the
+// commits ≤ that value.
+func (r *commitRec) observe(tx tm.Tx, d *durState, shard int) uint64 {
+	if r.seen[shard] == 0 {
+		r.seen[shard] = tx.Read(d.seqs[shard]).(*seqData).lsn + 1
+		r.touched = append(r.touched, shard)
+	}
+	return r.seen[shard] - 1
+}
+
+// take bumps an observed shard's sequencer on the attempt's first write
+// there (LSN assignment inside the transaction is what makes log order
+// equal commit order): the LSN taken is the observed value + 1, which a
+// committed transaction read from the same version it overwrites.
+func (r *commitRec) take(tx tm.Tx, d *durState, shard int) {
+	if r.lsn[shard] == 0 {
+		r.lsn[shard] = r.seen[shard]
+		r.set(tx, d, shard, r.lsn[shard])
 	}
 }
 
-func (da *durAttempt) reset() {
-	for k := range da.seen {
-		delete(da.seen, k)
-	}
-	for k := range da.assigned {
-		delete(da.assigned, k)
-	}
-	da.ops = da.ops[:0]
+// set stores lsn into the shard's sequencer through the record's one
+// prebuilt update closure, so a sequencer write allocates nothing.
+func (r *commitRec) set(tx tm.Tx, d *durState, shard int, lsn uint64) {
+	r.to = lsn
+	tx.Update(d.seqs[shard], r.setSeq)
 }
 
-// observe pins the shard's sequence number on first touch: every result
-// this transaction returns depends on at most the commits ≤ that value.
-func (da *durAttempt) observe(tx tm.Tx, d *durState, shard int) {
-	if _, ok := da.seen[shard]; ok {
-		return
-	}
-	da.seen[shard] = tx.Read(d.seqs[shard]).(*seqData).lsn
+// effect records one resolved write, taking the shard's LSN on its first.
+func (r *commitRec) effect(tx tm.Tx, d *durState, shard int, op wal.Op) {
+	r.take(tx, d, shard)
+	r.frame.Ops = append(r.frame.Ops, op)
 }
 
-// effect records one resolved write, bumping the shard's sequencer on
-// the shard's first effect (LSN assignment inside the transaction is
-// what makes log order equal commit order).
-func (da *durAttempt) effect(tx tm.Tx, d *durState, shard int, op wal.Op) {
-	if _, ok := da.assigned[shard]; !ok {
-		var lsn uint64
-		tx.Update(d.seqs[shard], func(data tm.Data) {
-			sd := data.(*seqData)
-			sd.lsn++
-			lsn = sd.lsn
-		})
-		da.assigned[shard] = lsn
-	}
-	da.ops = append(da.ops, op)
+// release resets r and returns it to the store's pool.
+func (d *durState) release(r *commitRec) {
+	r.reset()
+	d.recs.Put(r)
 }
 
 // finish runs after the Atomic call, before results are released to the
 // caller. committed reports whether the transaction committed (false on
 // the CAS-miss abort path, whose observations are still acknowledged).
-// It appends the frame for any write effects, then gates the
+// One walk of the record, in shard order, builds the request's commit
+// vector — for each touched shard the highest LSN its results depend on,
+// its own where it wrote and the observed prefix elsewhere, shards that
+// never committed omitted — and the frame's identity vector, the written
+// subset. finish appends the frame for any write effects, then gates the
 // acknowledgement on the durability of every observed prefix. Append
 // returning already covers the written shards (everything earlier in
 // file order is durable with the frame), so in practice the wait is for
-// shards the transaction only read. It returns the request's commit
-// vector (see durAttempt.vector).
-func (d *durState) finish(da *durAttempt, committed bool, sp *trace.Span) ([]wal.ShardLSN, error) {
-	if !committed {
-		// The LSNs taken inside the aborted attempt were rolled back with
-		// it: nothing will ever log them, so the acknowledgement (and the
+// shards the transaction only read.
+func (d *durState) finish(r *commitRec, committed bool, sp *trace.Span) ([]wal.ShardLSN, error) {
+	slices.Sort(r.touched)
+	vec := make([]wal.ShardLSN, 0, len(r.touched))
+	for _, sh := range r.touched {
+		lsn := r.seen[sh] - 1
+		// The LSNs an aborted attempt took were rolled back with it:
+		// nothing will ever log them, so the acknowledgement (and the
 		// vector handed to the gate and the client) rests on the observed
 		// prefixes alone.
-		clear(da.assigned)
-		da.ops = da.ops[:0]
-	}
-	vec := da.vector()
-	wrote := len(da.assigned) > 0
-	if wrote {
-		// The frame's identity vector is the assigned subset of vec, which
-		// is already sorted by shard — the order the log requires.
-		f := &wal.Frame{Shards: make([]wal.ShardLSN, 0, len(da.assigned)), Ops: da.ops}
-		for _, sl := range vec {
-			if _, ok := da.assigned[sl.Shard]; ok {
-				f.Shards = append(f.Shards, sl)
-			}
+		if committed && r.lsn[sh] != 0 {
+			lsn = r.lsn[sh]
+			r.frame.Shards = append(r.frame.Shards, wal.ShardLSN{Shard: sh, LSN: lsn})
 		}
-		if err := d.log.AppendSpan(f, sp); err != nil {
+		if lsn > 0 {
+			vec = append(vec, wal.ShardLSN{Shard: sh, LSN: lsn})
+		}
+	}
+	wrote := len(r.frame.Shards) > 0
+	if wrote {
+		if err := d.log.AppendSpan(&r.frame, sp); err != nil {
 			// The commit is live in memory but not durable: failing the
 			// request keeps "acknowledged implies recoverable" intact.
 			return nil, fmt.Errorf("kv: wal append: %w", err)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nztm/internal/tm"
 	"nztm/internal/wal"
 )
 
@@ -337,17 +340,8 @@ func TestAckGatedOnCrossShardStability(t *testing.T) {
 	s, b := newDurableStore(t, dir, 2, 2, Durability{Fsync: wal.FsyncNever, CrashHook: hook})
 	defer s.Close()
 	budget := Budget{MaxAttempts: 100}
-	keyIn := func(shard int, skip string) string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("probe%d", i)
-			if _, sh := s.locate(k); sh == shard && k != skip {
-				return k
-			}
-		}
-	}
-	kA := keyIn(0, "")
-	kA2 := keyIn(0, kA)
-	kB := keyIn(1, "")
+	a := shardKeys(s, 0, 2)
+	kA, kA2, kB := a[0], a[1], shardKeys(s, 1, 1)[0]
 
 	armed.Store(true)
 	t1done := make(chan error, 1)
@@ -429,5 +423,254 @@ func TestStoreCloseIdempotentAndLeakFree(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > g0 {
 		t.Fatalf("goroutines leaked: %d > %d", g, g0)
+	}
+}
+
+// shardKeys returns n distinct keys that hash to shard.
+func shardKeys(s *Store, shard, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("probe%d", i)
+		if _, sh := s.locate(k); sh == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// loggedFrames reads every frame in the store's log, in file order.
+func loggedFrames(t *testing.T, s *Store) []*wal.Frame {
+	t.Helper()
+	sr := s.WAL().OpenStream(make([]uint64, s.Shards()))
+	defer sr.Close()
+	var frames []*wal.Frame
+	for {
+		e, err := sr.Next()
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, e.Frame)
+	}
+}
+
+// TestCommitVectorIsExact: a batch that GETs on one shard and PUTs on two
+// others returns, sorted by shard, the observed LSN where it only read and
+// its own LSN where it wrote, omits a shard nothing ever committed to, and
+// logs a frame whose vector is exactly the written subset. A first attempt
+// that touched another shard and was aborted leaves no trace of it.
+func TestCommitVectorIsExact(t *testing.T) {
+	for _, aborted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("aborted=%v", aborted), func(t *testing.T) {
+			b, err := OpenBackend("nzstm", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ops []Op
+			sys := &abortFirst{System: b.Sys}
+			var store tm.System = b.Sys
+			if aborted {
+				store = sys
+			}
+			s, _, err := NewDurable(store, 4, 2, Durability{Dir: t.TempDir(), Fsync: wal.FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			th := b.NewThread()
+			defer th.Close()
+			k0, k1, k2, k3 := shardKeys(s, 0, 1)[0], shardKeys(s, 1, 2), shardKeys(s, 2, 1)[0], shardKeys(s, 3, 1)[0]
+			for _, k := range []string{k0, k0, k1[0], k2} { // LSNs: shard 0 at 2, shards 1 and 2 at 1
+				if _, err := s.Put(th, k, []byte("seed"), Budget{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames := len(loggedFrames(t, s))
+			ops = []Op{
+				{Kind: OpPut, Key: k2, Value: []byte("v")},
+				{Kind: OpGet, Key: k0},
+				{Kind: OpGet, Key: k3},
+				{Kind: OpPut, Key: k1[0], Value: []byte("v")},
+				{Kind: OpPut, Key: k3, Value: []byte("v")},
+			}
+			if aborted {
+				// Between the first attempt and its abort, the batch's last
+				// op moves from a PUT on shard 3 to a second PUT on shard 1.
+				sys.then = func() { ops[4].Key = k1[1] }
+			} else {
+				ops[4].Key = k1[1]
+			}
+			rs, vec, err := s.DoSpan(th, ops, Budget{}, nil)
+			sys.then = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rs[1].Found || rs[2].Found {
+				t.Fatalf("results %+v: want shard 0's key found and shard 3's absent", rs)
+			}
+			if want := []wal.ShardLSN{{Shard: 0, LSN: 2}, {Shard: 1, LSN: 2}, {Shard: 2, LSN: 2}}; !reflect.DeepEqual(vec, want) {
+				t.Fatalf("commit vector %v, want %v", vec, want)
+			}
+			logged := loggedFrames(t, s)
+			if len(logged) != frames+1 {
+				t.Fatalf("batch logged %d frames, want 1", len(logged)-frames)
+			}
+			f := logged[frames]
+			if want := []wal.ShardLSN{{Shard: 1, LSN: 2}, {Shard: 2, LSN: 2}}; !reflect.DeepEqual(f.Shards, want) {
+				t.Fatalf("frame vector %v, want %v", f.Shards, want)
+			}
+			var keys []string
+			for _, op := range f.Ops {
+				keys = append(keys, op.Key)
+			}
+			if want := []string{k2, k1[0], k1[1]}; !reflect.DeepEqual(keys, want) {
+				t.Fatalf("frame ops on %v, want %v", keys, want)
+			}
+			// Shard 3's sequencer took nothing: its first write is LSN 1.
+			if _, vec, err = s.DoSpan(th, []Op{{Kind: OpPut, Key: k3, Value: []byte("v")}}, Budget{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if want := []wal.ShardLSN{{Shard: 3, LSN: 1}}; !reflect.DeepEqual(vec, want) {
+				t.Fatalf("first write to shard 3 got %v, want %v", vec, want)
+			}
+		})
+	}
+}
+
+// TestApplyFrameRefusesUnsortedVector: a replicated frame whose vector the
+// log would refuse is refused before it commits in memory, so the store
+// neither serves nor waits on an LSN the log never took.
+func TestApplyFrameRefusesUnsortedVector(t *testing.T) {
+	s, b := newDurableStore(t, t.TempDir(), 2, 2, Durability{Fsync: wal.FsyncNever})
+	defer s.Close()
+	th := b.NewThread()
+	defer th.Close()
+	k0, k1 := shardKeys(s, 0, 1)[0], shardKeys(s, 1, 1)[0]
+	ops := []wal.Op{{Shard: 1, Key: k1, Val: []byte("v")}, {Shard: 0, Key: k0, Val: []byte("v")}}
+	for _, vec := range [][]wal.ShardLSN{
+		{{Shard: 1, LSN: 1}, {Shard: 0, LSN: 1}},
+		{{Shard: 0, LSN: 1}, {Shard: 0, LSN: 1}},
+		{{Shard: 0, LSN: 1}, {Shard: 2, LSN: 1}},
+	} {
+		if err := s.ApplyFrame(th, &wal.Frame{Shards: vec, Ops: ops}); err == nil {
+			t.Fatalf("ApplyFrame accepted vector %v", vec)
+		}
+		if n := s.WAL().Stats().AppendedFrames.Load(); n != 0 {
+			t.Fatalf("vector %v: refused frame appended", vec)
+		}
+		done := make(chan []Result, 1)
+		go func() {
+			th := b.NewThread()
+			defer th.Close()
+			rs, err := s.Do(th, []Op{{Kind: OpGet, Key: k0}, {Kind: OpGet, Key: k1}}, Budget{})
+			if err != nil {
+				t.Error(err)
+			}
+			done <- rs
+		}()
+		select {
+		case rs := <-done:
+			if rs != nil && (rs[0].Found || rs[1].Found) {
+				t.Fatalf("vector %v: refused frame committed in memory: %+v", vec, rs)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("vector %v: read wedged on an LSN the log never took", vec)
+		}
+	}
+	// The sorted frame still applies.
+	f := &wal.Frame{Shards: []wal.ShardLSN{{Shard: 0, LSN: 1}, {Shard: 1, LSN: 1}}, Ops: ops}
+	if err := s.ApplyFrame(th, f); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Get(th, k1, Budget{}); err != nil || !r.Found {
+		t.Fatalf("after the sorted frame: %+v, %v", r, err)
+	}
+}
+
+// putBatches builds a 16 shards × 64 buckets store, memory-only or durable
+// under FsyncNever, preloaded with 16 384 keys of 128-byte values, and 64
+// batches of 16 PUTs over those keys: the durable-batch workload's request
+// on the store's shipped geometry.
+func putBatches(tb testing.TB, durable bool) (*Store, *tm.Thread, [][]Op) {
+	tb.Helper()
+	const keys, batch = 16384, 16
+	b, err := OpenBackend("nzstm", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := New(b.Sys, 16, 64)
+	if durable {
+		if s, _, err = NewDurable(b.Sys, 16, 64, Durability{Dir: tb.TempDir(), Fsync: wal.FsyncNever}); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { s.Close() })
+	}
+	th := b.NewThread()
+	tb.Cleanup(th.Close)
+	val := bytes.Repeat([]byte{0xAB}, 128)
+	ops := make([]Op, keys)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: fmt.Sprintf("key%05d", i), Value: val}
+	}
+	for i := 0; i < keys; i += batch {
+		if _, err := s.Do(th, ops[i:i+batch], Budget{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	batches := make([][]Op, 64)
+	for i := range batches {
+		batches[i] = make([]Op, batch)
+		for j := range batches[i] {
+			batches[i][j] = ops[(i*batch+j)*7919%keys] // 7919 is prime: 16 distinct keys
+		}
+	}
+	return s, th, batches
+}
+
+// TestDurablePutBatchAllocs is the durability tax's allocation gate: a
+// durable 16-PUT batch allocates at most 1.2× what the same batch does on
+// a memory-only store (the record Do keeps per shard is pooled, not built
+// per request).
+func TestDurablePutBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	allocs := func(durable bool) float64 {
+		s, th, batches := putBatches(t, durable)
+		i := 0
+		return testing.AllocsPerRun(500, func() {
+			if _, err := s.Do(th, batches[i%len(batches)], Budget{}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	mem, dur := allocs(false), allocs(true)
+	if dur > 1.2*mem {
+		t.Errorf("a durable 16-PUT batch allocates %.1f objects, memory-only %.1f; want ≤ 1.2×", dur, mem)
+	}
+}
+
+// BenchmarkDurablePutBatch prices the durability tax on the kv side: one
+// 16-PUT batch through Store.Do on a durable store under FsyncNever, and
+// its memory-only twin on the same batches. Run with -benchmem.
+func BenchmarkDurablePutBatch(b *testing.B) {
+	for _, durable := range []bool{false, true} {
+		name := "store=memory"
+		if durable {
+			name = "store=durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, th, batches := putBatches(b, durable)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Do(th, batches[i%len(batches)], Budget{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -286,7 +286,7 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 	results := make([]Result, len(ops))
 	st := &doState{}
 	m := s.metrics
-	var da *durAttempt // durability bookkeeping; nil when memory-only
+	var rec *commitRec // durability bookkeeping; nil when memory-only
 	if s.dur != nil {
 		// Degraded-log gate, BEFORE any transaction runs: a write batch
 		// executed in memory but unloggable would either wedge behind an
@@ -301,7 +301,8 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 			}
 			return nil, nil, fmt.Errorf("kv: wal degraded: %w", gerr)
 		}
-		da = newDurAttempt()
+		rec = s.dur.recs.Get().(*commitRec)
+		defer s.dur.release(rec)
 	}
 	body := func(tx tm.Tx) error {
 		st.attempt++
@@ -326,17 +327,17 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 		for i := range results {
 			results[i] = Result{}
 		}
-		if da != nil {
-			da.reset()
+		if rec != nil {
+			rec.reset()
 		}
 		for i := range ops {
 			op := &ops[i]
 			obj, shard := s.locate(op.Key)
-			if da != nil {
+			if rec != nil {
 				// Pin the shard's commit sequence number before touching
 				// its state: the ack will wait for that prefix's
 				// durability, and writers bump from exactly this value.
-				da.observe(tx, s.dur, shard)
+				rec.observe(tx, s.dur, shard)
 			}
 			switch op.Kind {
 			case OpGet:
@@ -355,8 +356,8 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 				}
 				tx.Update(obj, st.put)
 				results[i].Found = true
-				if da != nil {
-					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: st.val})
+				if rec != nil {
+					rec.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: st.val})
 				}
 			case OpDelete:
 				existed := false
@@ -364,8 +365,8 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 					existed = d.(*bucketData).del(op.Key)
 				})
 				results[i].Found = existed
-				if da != nil && existed {
-					da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Del: true})
+				if rec != nil && existed {
+					rec.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Del: true})
 				}
 			case OpCAS:
 				swapped := false
@@ -384,12 +385,12 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 					swapped = true
 				})
 				results[i].Found = swapped
-				if da != nil && swapped {
+				if rec != nil && swapped {
 					// Log the CAS's resolved effect as an absolute write.
 					if op.Value == nil {
-						da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Del: true})
+						rec.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Del: true})
 					} else {
-						da.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: op.Value})
+						rec.effect(tx, s.dur, shard, wal.Op{Shard: shard, Key: op.Key, Val: op.Value})
 					}
 				}
 				if !swapped && len(ops) > 1 {
@@ -416,12 +417,12 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 		return nil, nil, err
 	}
 	var vec []wal.ShardLSN
-	if da != nil {
+	if rec != nil {
 		// Durability barrier: log the committed effects (waiting until
 		// they are persisted per policy) and gate every observed read
 		// prefix the same way, so an acknowledged result never depends on
 		// a commit recovery drops.
-		if vec, err = s.dur.finish(da, committed, sp); err != nil {
+		if vec, err = s.dur.finish(rec, committed, sp); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -40,8 +40,12 @@ func TestMetricsNilIsInert(t *testing.T) {
 
 // abortFirst is a tm.System whose every transaction's first attempt runs
 // the body and then aborts, so aborts happen even where contention does
-// not (one core, a loaded machine).
-type abortFirst struct{ tm.System }
+// not (one core, a loaded machine). then, when set, runs between the first
+// attempt's body and its abort.
+type abortFirst struct {
+	tm.System
+	then func()
+}
 
 func (s abortFirst) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 	first := true
@@ -49,6 +53,9 @@ func (s abortFirst) Atomic(th *tm.Thread, fn func(tm.Tx) error) error {
 		err := fn(tx)
 		if first {
 			first = false
+			if s.then != nil {
+				s.then()
+			}
 			tm.Retry(tm.AbortRequest)
 		}
 		return err
@@ -62,7 +69,7 @@ func TestMetricsHotspotAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := New(abortFirst{be.Sys}, 2, 1) // tiny geometry: every key contends
+	st := New(abortFirst{System: be.Sys}, 2, 1) // tiny geometry: every key contends
 	m := st.EnableMetrics()
 	if st.EnableMetrics() != m {
 		t.Fatal("EnableMetrics not idempotent")

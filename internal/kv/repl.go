@@ -1,10 +1,8 @@
 package kv
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"nztm/internal/tm"
 	"nztm/internal/wal"
@@ -43,25 +41,6 @@ func (s *Store) SetCommitGate(g CommitGate) {
 	s.dur.gate.Store(&g)
 }
 
-// vector merges an attempt's observed and assigned LSNs into the
-// per-shard commit prefix its results depend on, sorted by shard. Every
-// shard the attempt wrote it also observed first, so seen names them
-// all. Shards observed at LSN 0 (nothing ever committed there) and not
-// written are omitted.
-func (da *durAttempt) vector() []wal.ShardLSN {
-	vec := make([]wal.ShardLSN, 0, len(da.seen))
-	for sh, lsn := range da.seen {
-		if own, ok := da.assigned[sh]; ok {
-			lsn = own
-		}
-		if lsn > 0 {
-			vec = append(vec, wal.ShardLSN{Shard: sh, LSN: lsn})
-		}
-	}
-	slices.SortFunc(vec, func(a, b wal.ShardLSN) int { return cmp.Compare(a.Shard, b.Shard) })
-	return vec
-}
-
 // ApplyFrame applies one replicated frame to a follower store: a single
 // transaction advances every vector shard's sequencer from lsn-1 to lsn
 // and applies that shard's ops, then the frame is appended to the
@@ -85,31 +64,25 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 	if s.dur == nil {
 		return errors.New("kv: ApplyFrame on a memory-only store")
 	}
-	if len(f.Shards) == 0 {
-		return errors.New("kv: ApplyFrame with empty shard vector")
+	// Validate the vector before the transaction: a frame the log would
+	// refuse must not commit in memory first, and the record's
+	// observe-once rule needs each shard named once.
+	if err := wal.CheckVector(f.Shards, len(s.shards)); err != nil {
+		return fmt.Errorf("kv: ApplyFrame: %w", err)
 	}
 	d := s.dur
+	r := d.recs.Get().(*commitRec)
+	defer d.release(r)
 	anyNew := false
-	apply := make(map[int]bool, len(f.Shards))
 	err := s.sys.Atomic(th, func(tx tm.Tx) error {
 		// A retried attempt re-decides from scratch.
+		r.reset()
 		anyNew = false
-		for k := range apply {
-			delete(apply, k)
-		}
 		for _, sl := range f.Shards {
-			if sl.Shard < 0 || sl.Shard >= len(s.shards) {
-				return fmt.Errorf("kv: frame names shard %d of %d", sl.Shard, len(s.shards))
-			}
-			cur := tx.Read(d.seqs[sl.Shard]).(*seqData).lsn
-			switch {
-			case cur >= sl.LSN:
-				apply[sl.Shard] = false // covered: snapshot bootstrap got here first
+			switch cur := r.observe(tx, d, sl.Shard); {
+			case cur >= sl.LSN: // covered: snapshot bootstrap got here first
 			case cur == sl.LSN-1:
-				tx.Update(d.seqs[sl.Shard], func(data tm.Data) {
-					data.(*seqData).lsn = sl.LSN
-				})
-				apply[sl.Shard] = true
+				r.take(tx, d, sl.Shard)
 				anyNew = true
 			default:
 				return fmt.Errorf("kv: replication gap: shard %d applied through %d, frame carries lsn %d",
@@ -121,8 +94,8 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 		}
 		for i := range f.Ops {
 			op := &f.Ops[i]
-			if !apply[op.Shard] {
-				continue
+			if op.Shard < 0 || op.Shard >= len(s.shards) || r.lsn[op.Shard] == 0 {
+				continue // a covered shard's op, or one the vector does not name
 			}
 			obj, shard := s.locate(op.Key)
 			if shard != op.Shard {
@@ -165,13 +138,13 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 		return fmt.Errorf("kv: snapshot of shard %d of %d", shard, len(s.shards))
 	}
 	d := s.dur
+	r := d.recs.Get().(*commitRec)
+	defer d.release(r)
 	err := s.sys.Atomic(th, func(tx tm.Tx) error {
 		if cur := tx.Read(d.seqs[shard]).(*seqData).lsn; !resync && cur > lsn {
 			return fmt.Errorf("%w: shard %d applied through %d, snapshot at %d", wal.ErrSnapshotBehind, shard, cur, lsn)
 		}
-		tx.Update(d.seqs[shard], func(data tm.Data) {
-			data.(*seqData).lsn = lsn
-		})
+		r.set(tx, d, shard, lsn)
 		for b := 0; b < s.buckets; b++ {
 			tx.Update(s.shards[shard][b], func(dd tm.Data) {
 				bd := dd.(*bucketData)

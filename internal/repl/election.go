@@ -12,17 +12,12 @@ package repl
 // lost". The epoch bump on promotion fences the old primary.
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"nztm/internal/server"
 )
-
-// pollResult is one peer's answer (or its absence).
-type pollResult struct {
-	ok   bool
-	resp *Message
-}
 
 // runElection polls the cluster once and promotes this node if it
 // should lead. Safe to call repeatedly; a lost election just returns
@@ -54,34 +49,13 @@ func (n *Node) runElection() {
 		myTotal = 0
 	}
 
-	results := make([]pollResult, len(n.cfg.Peers))
-	var wg sync.WaitGroup
-	for i, addr := range n.cfg.Peers {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			resp, err := n.pollPeer(addr, &Message{
-				Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), Total: myTotal,
-			})
-			if err != nil {
-				return
-			}
-			results[i] = pollResult{ok: true, resp: resp}
-		}(i, addr)
-	}
-	wg.Wait()
-
-	reachable := 1 // self
+	resps := n.pollPeers(&Message{Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), Total: myTotal})
+	reachable := 1 + len(resps) // self and every peer that answered
 	maxEpoch := epoch
 	liveKV, liveRpl := "", ""
 	var livePrimaryEpoch uint64
 	lose := false
-	for _, r := range results {
-		if !r.ok {
-			continue
-		}
-		reachable++
-		m := r.resp
+	for _, m := range resps {
 		if m.Epoch > maxEpoch {
 			maxEpoch = m.Epoch
 		}
@@ -118,6 +92,24 @@ func (n *Node) runElection() {
 		return
 	}
 	n.promote(maxEpoch + 1)
+}
+
+// pollPeers sends poll to every peer at once and returns the answers
+// that arrived, in peer order.
+func (n *Node) pollPeers(poll *Message) []*Message {
+	resps := make([]*Message, len(n.cfg.Peers))
+	var wg sync.WaitGroup
+	for i, addr := range n.cfg.Peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := n.pollPeer(addr, poll); err == nil {
+				resps[i] = resp
+			}
+		}()
+	}
+	wg.Wait()
+	return slices.DeleteFunc(resps, func(m *Message) bool { return m == nil })
 }
 
 // pollPeer sends one MsgPoll and reads the MsgPollResp.

@@ -75,9 +75,6 @@ type Config struct {
 	PrimaryFrom string
 	// AckPolicy is AckNone, AckOne (default), or AckMajority.
 	AckPolicy string
-	// AckTimeout bounds a commit-gate wait (default 3s); on expiry the
-	// request fails with its outcome unknown.
-	AckTimeout time.Duration
 	// HeartbeatEvery is the primary's lease-renewal period (default
 	// 50ms).
 	HeartbeatEvery time.Duration
@@ -167,6 +164,10 @@ type ackMark struct {
 // overflowed batches.
 const maxPendingAcks = 128
 
+// ackTimeout bounds a commit-gate wait; on expiry the request fails with
+// its outcome unknown.
+const ackTimeout = 3 * time.Second
+
 // epochFile is the fencing epoch's persistence file inside the data dir.
 const epochFile = "EPOCH"
 
@@ -192,9 +193,6 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 	}
 	if cfg.AckPolicy == "" {
 		cfg.AckPolicy = AckOne
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 3 * time.Second
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 50 * time.Millisecond
@@ -548,35 +546,15 @@ func (n *Node) primaryProbe() {
 	}
 	n.stats.StepdownProbes.Add(1)
 
-	results := make([]pollResult, len(n.cfg.Peers))
-	var wg sync.WaitGroup
-	for i, addr := range n.cfg.Peers {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			resp, err := n.pollPeer(addr, &Message{
-				Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID),
-			})
-			if err != nil {
-				return
-			}
-			results[i] = pollResult{ok: true, resp: resp}
-		}(i, addr)
-	}
-	wg.Wait()
-
 	maxEpoch := epoch
 	liveKV, liveRpl := "", ""
-	for _, r := range results {
-		if !r.ok {
-			continue
-		}
-		if r.resp.Epoch > maxEpoch {
-			maxEpoch = r.resp.Epoch
+	for _, m := range n.pollPeers(&Message{Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID)}) {
+		if m.Epoch > maxEpoch {
+			maxEpoch = m.Epoch
 			liveKV, liveRpl = "", ""
 		}
-		if r.resp.PrimaryLive && r.resp.Epoch == maxEpoch && r.resp.ReplAddr != n.cfg.Advertise {
-			liveKV, liveRpl = r.resp.KVAddr, r.resp.ReplAddr
+		if m.PrimaryLive && m.Epoch == maxEpoch && m.ReplAddr != n.cfg.Advertise {
+			liveKV, liveRpl = m.KVAddr, m.ReplAddr
 		}
 	}
 	if maxEpoch > epoch {
@@ -688,15 +666,7 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 			if !now.Before(deadline) {
 				return server.StatusLagging, "replica resyncing after deposition"
 			}
-			wait := deadline.Sub(now)
-			if wait > 25*time.Millisecond {
-				wait = 25 * time.Millisecond
-			}
-			select {
-			case <-ch:
-			case <-time.After(wait):
-			case <-n.stop:
-			}
+			n.park(ch, deadline.Sub(now))
 			continue
 		}
 		if st == nil {
@@ -731,15 +701,7 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 				"replica lagging: covered=%v fresh=%v primary_total=%d after %v",
 				covered, fresh, lagTotal, now.Sub(start).Round(time.Millisecond))
 		}
-		wait := deadline.Sub(now)
-		if wait > 25*time.Millisecond {
-			wait = 25 * time.Millisecond
-		}
-		select {
-		case <-ch:
-		case <-time.After(wait):
-		case <-n.stop:
-		}
+		n.park(ch, deadline.Sub(now))
 	}
 }
 
@@ -778,22 +740,28 @@ func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 		}
 		now := time.Now()
 		if deadline.IsZero() {
-			deadline = now.Add(n.cfg.AckTimeout)
+			deadline = now.Add(ackTimeout)
 			n.stats.GateWaits.Add(1)
 		}
 		if !now.Before(deadline) {
 			n.stats.GateTimeouts.Add(1)
-			return fmt.Errorf("repl: %d/%d follower acks after %v", acked, n.ackNeed, n.cfg.AckTimeout)
+			return fmt.Errorf("repl: %d/%d follower acks after %v", acked, n.ackNeed, ackTimeout)
 		}
-		wait := deadline.Sub(now)
-		if wait > 25*time.Millisecond {
-			wait = 25 * time.Millisecond
-		}
-		select {
-		case <-ch:
-		case <-time.After(wait):
-		case <-n.stop:
-		}
+		n.park(ch, deadline.Sub(now))
+	}
+}
+
+// park blocks until the node's state changes (ch, a waitCh snapshot), the
+// node stops, or wait — capped at 25 ms — passes; the caller re-checks
+// its condition after.
+func (n *Node) park(ch chan struct{}, wait time.Duration) {
+	if wait > 25*time.Millisecond {
+		wait = 25 * time.Millisecond
+	}
+	select {
+	case <-ch:
+	case <-time.After(wait):
+	case <-n.stop:
 	}
 }
 

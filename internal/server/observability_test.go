@@ -272,7 +272,7 @@ func TestSlowzSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := kv.New(b.Sys, 4, 16)
-	srv, addr, stop := startServerOn(t, store, b, Config{Executors: 2, SlowK: 4, SlowWindow: time.Hour})
+	srv, addr, stop := startServerOn(t, store, b, Config{Executors: 2})
 	defer stop()
 
 	c, err := Dial(addr)
@@ -305,11 +305,11 @@ func TestSlowzSampler(t *testing.T) {
 	if err := json.Unmarshal(rw.Body.Bytes(), &d); err != nil {
 		t.Fatalf("/slowz bad JSON: %v\n%s", err, rw.Body.String())
 	}
-	if d.K != 4 {
-		t.Fatalf("/slowz k=%d, want 4", d.K)
+	if d.K != slowK {
+		t.Fatalf("/slowz k=%d, want %d", d.K, slowK)
 	}
-	if len(d.Entries) == 0 || len(d.Entries) > 4 {
-		t.Fatalf("/slowz entries=%d, want 1..4", len(d.Entries))
+	if len(d.Entries) == 0 || len(d.Entries) > slowK {
+		t.Fatalf("/slowz entries=%d, want 1..%d", len(d.Entries), slowK)
 	}
 	for i, e := range d.Entries {
 		if e.TotalUs <= 0 || len(e.Stages) == 0 {

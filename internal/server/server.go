@@ -47,12 +47,6 @@ type Config struct {
 	// WrapThread, when non-nil, decorates each per-connection thread
 	// context right after it is minted (the fault plane rebinds Env here).
 	WrapThread func(*tm.Thread)
-	// SlowK sizes the slow-request tail sampler: the K slowest complete
-	// span timelines per window are kept for /slowz. Default 8.
-	SlowK int
-	// SlowWindow is the tail sampler's rotation period (default 1m;
-	// negative disables rotation — one all-time window).
-	SlowWindow time.Duration
 	// CheckRequest, when non-nil, is consulted before each request is
 	// admitted to the scheduler — the replication plane's interposition
 	// point. Returning StatusOK lets the request run; any other status
@@ -119,8 +113,15 @@ type Server struct {
 	reqOverload atomic.Uint64      // StatusOverloaded rejects (admission queue full)
 	reqReadOnly atomic.Uint64      // StatusReadOnly sheds (store degraded, disk full)
 	spans       SpanMetrics        // per-request timing: the one latency instrument
-	slow        *trace.SlowSampler // K slowest timelines per window (/slowz)
+	slow        *trace.SlowSampler // slowK slowest timelines per window (/slowz)
 }
+
+// The slow-request tail sampler keeps the slowK slowest complete span
+// timelines per slowWindow for /slowz.
+const (
+	slowK      = 8
+	slowWindow = time.Minute
+)
 
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("server: closed")
@@ -139,12 +140,6 @@ func New(store *kv.Store, reg *tm.Registry, cfg Config) *Server {
 	if cfg.Executors > reg.Max() {
 		cfg.Executors = reg.Max()
 	}
-	if cfg.SlowK <= 0 {
-		cfg.SlowK = 8
-	}
-	if cfg.SlowWindow == 0 {
-		cfg.SlowWindow = time.Minute
-	}
 	return &Server{
 		store:   store,
 		reg:     reg,
@@ -152,7 +147,7 @@ func New(store *kv.Store, reg *tm.Registry, cfg Config) *Server {
 		sched:   newScheduler(cfg.Executors, cfg.QueueDepth, cfg.Admission),
 		conns:   make(map[net.Conn]struct{}),
 		started: time.Now(),
-		slow:    trace.NewSlowSampler(cfg.SlowK, cfg.SlowWindow),
+		slow:    trace.NewSlowSampler(slowK, slowWindow),
 	}
 }
 

@@ -445,7 +445,7 @@ func (l *Log) Append(f *Frame) error { return l.AppendSpan(f, nil) }
 // and fsync_wait once the covering fsync lands; other policies stamp
 // only wal_append, on completion. sp may be nil.
 func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
-	if err := l.checkVector(f.Shards); err != nil {
+	if err := CheckVector(f.Shards, len(l.next)); err != nil {
 		return err
 	}
 	if err := l.Degraded(); err != nil {
@@ -470,16 +470,17 @@ func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
 	return nil
 }
 
-// checkVector rejects a vector the readiness rule cannot order: empty,
-// out of range, or not strictly ascending by shard (the caller builds
-// it sorted; the log never reorders a caller's slice).
-func (l *Log) checkVector(vec []ShardLSN) error {
+// CheckVector rejects a frame vector the readiness rule cannot order
+// on a log of the given shard count: empty, out of range, or not strictly
+// ascending by shard (the caller builds it sorted; the log never
+// reorders a caller's slice).
+func CheckVector(vec []ShardLSN, shards int) error {
 	if len(vec) == 0 {
 		return errors.New("wal: frame with empty shard vector")
 	}
 	for i, sl := range vec {
-		if sl.Shard < 0 || sl.Shard >= len(l.next) {
-			return fmt.Errorf("wal: frame names shard %d of %d", sl.Shard, len(l.next))
+		if sl.Shard < 0 || sl.Shard >= shards {
+			return fmt.Errorf("wal: frame names shard %d of %d", sl.Shard, shards)
 		}
 		if i > 0 && sl.Shard <= vec[i-1].Shard {
 			return fmt.Errorf("wal: frame vector not sorted by shard (%d after %d)", sl.Shard, vec[i-1].Shard)
