@@ -66,6 +66,11 @@
 #                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
 #                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
 #                   appenders — reporting ns/op, B/op, writes/op, syncs/op
+#   make bench-repl replication microbenchmark (the repl line of the per-layer
+#                   budget, not part of check): BenchmarkReplicatedPut — a 1-PUT
+#                   write through server.Client.DoVec to a primary whose commit
+#                   gate waits for its one follower's ack, loopback, fsync=never;
+#                   ns/op and allocs/op
 #   make bench-kv-data  kv microbenchmark (the kv+tm line of the per-layer
 #                   budget) and its gate: BenchmarkBucketUpdate — one committed
 #                   128-byte PUT into a bucket of 1 / 16 / 64 keys, ns/op and
@@ -114,7 +119,7 @@ DISKFAULT_FLAGS ?= -leg diskfault -diskfault-target 120 -seed 1
 
 ITEM1_DIR ?= .item1
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-wal durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-wal bench-repl durable profile serve
 
 check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover
 
@@ -191,6 +196,9 @@ bench-server:
 
 bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkAppend -benchmem ./internal/wal
+
+bench-repl:
+	$(GO) test -run '^$$' -bench BenchmarkReplicatedPut -benchmem ./internal/repl
 
 durable:
 	$(GO) run ./benchmark -workload durable-batch -trace 1 -seconds 10

@@ -68,9 +68,8 @@ func main() {
 	flag.StringVar(&cfg.ReplAddr, "repl-addr", "", "replication listen address (empty disables the replication plane; requires -data-dir)")
 	flag.StringVar(&cfg.ReplicateFrom, "replicate-from", "", "start as a follower of the primary at this replication address (empty with -repl-addr = start as primary)")
 	flag.StringVar(&cfg.Advertise, "advertise", "", "replication address to advertise to peers (default: the bound -repl-addr)")
-	peers := flag.String("peers", "", "comma-separated replication addresses of every OTHER node (election quorum + discovery)")
+	peers := flag.String("peers", "", "comma-separated replication addresses of every OTHER node (sets the majority quorum; discovery)")
 	flag.IntVar(&cfg.NodeID, "node-id", 0, "this node's unique id in the cluster (election tie-break: lower wins)")
-	flag.StringVar(&cfg.ReplAck, "repl-ack", "one", "write acknowledgement policy: none, one, majority")
 	flag.DurationVar(&cfg.HeartbeatEvery, "heartbeat-every", 50*time.Millisecond, "primary lease-renewal period")
 	flag.DurationVar(&cfg.LeaseTimeout, "lease-timeout", 0, "follower election trigger after this silence (default 5 × -heartbeat-every)")
 	flag.DurationVar(&cfg.MaxReadWait, "max-read-wait", time.Second, "bounded-staleness read wait budget before StatusLagging")
@@ -113,8 +112,8 @@ func main() {
 			cfg.DataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond), cfg.Fsync, cfg.SnapshotEvery)
 	}
 	if r := n.Repl(); r != nil {
-		fmt.Printf("nztm-server: replication on %s: node=%d role=%s epoch=%d ack=%s peers=%d\n",
-			r.ReplAddr(), cfg.NodeID, r.Role(), r.Epoch(), cfg.ReplAck, len(cfg.Peers))
+		fmt.Printf("nztm-server: replication on %s: node=%d role=%s epoch=%d quorum=%d peers=%d\n",
+			r.ReplAddr(), cfg.NodeID, r.Role(), r.Epoch(), r.Quorum(), len(cfg.Peers))
 	}
 	if n.Plane() != nil {
 		fmt.Printf("nztm-server: fault plane armed, seed=%d\n", cfg.FaultSeed)

@@ -317,7 +317,6 @@ func TestMetricszFamiliesGolden(t *testing.T) {
 		"-disk-fault-seed", "9",
 		"-disk-fault-sites", "rename", // armed, but never visited without snapshots
 		"-repl-addr", pickAddr(t),
-		"-repl-ack", "none",
 	)
 
 	// The fault plane resets connections now and then: redial and go on.

@@ -102,7 +102,6 @@ func (fs *failLeg) start(n *failNode, replicateFrom string) error {
 		"-fsync", "interval", "-snapshot-every", "100ms",
 		"-repl-addr", n.replAddr,
 		"-node-id", fmt.Sprint(n.id),
-		"-repl-ack", "one",
 		"-heartbeat-every", "20ms", "-lease-timeout", "120ms",
 		"-max-read-wait", "2s",
 		"-replicate-from", replicateFrom,

@@ -54,7 +54,6 @@ type Config struct {
 	Advertise       string
 	Peers           []string
 	NodeID          int
-	ReplAck         string
 	HeartbeatEvery  time.Duration
 	LeaseTimeout    time.Duration
 	MaxReadWait     time.Duration
@@ -192,7 +191,6 @@ func New(cfg Config) (n *Node, err error) {
 			Advertise:      cfg.Advertise,
 			Peers:          cfg.Peers,
 			PrimaryFrom:    cfg.ReplicateFrom,
-			AckPolicy:      cfg.ReplAck,
 			HeartbeatEvery: cfg.HeartbeatEvery,
 			LeaseTimeout:   cfg.LeaseTimeout,
 			MaxReadWait:    cfg.MaxReadWait,

@@ -2,14 +2,15 @@ package repl
 
 // Lease-based election. A follower whose primary lease lapses (stream
 // broken, no heartbeat for LeaseTimeout) polls every peer. It promotes
-// itself only when (a) a majority of the cluster is reachable, (b) no
-// reachable peer sees a live primary at an epoch ≥ ours, and (c) no
-// reachable peer has applied more history (ties break toward the lower
-// node id). Because the primary ships one merged order and — under
-// AckOne/AckMajority — acknowledged a write only after enough followers
-// applied it, the most-caught-up reachable follower provably holds
-// every acknowledged write, so rule (c) is exactly "no acked write
-// lost". The epoch bump on promotion fences the old primary.
+// itself only when (a) at least quorum peers answer, so that with this
+// node they form a majority, (b) no answering peer sees a live primary
+// at an epoch ≥ ours, and (c) no answering peer has applied more
+// history (ties break toward the lower node id). The primary ships one
+// merged order and acknowledged a write only after quorum followers
+// applied it; that majority meets the election's, so the most-caught-up
+// answering node provably holds every acknowledged write, and rule (c)
+// is exactly "no acked write lost". The epoch bump on promotion fences
+// the old primary.
 
 import (
 	"slices"
@@ -23,19 +24,6 @@ import (
 // should lead. Safe to call repeatedly; a lost election just returns
 // and followOnce retries after its backoff.
 func (n *Node) runElection() {
-	if len(n.cfg.Peers) == 0 {
-		// Single-node cluster: nothing to poll, nobody to lose to.
-		n.mu.Lock()
-		epoch := n.epoch
-		stopped := n.stopped
-		n.mu.Unlock()
-		if !stopped {
-			n.stats.Elections.Add(1)
-			n.promote(epoch + 1)
-		}
-		return
-	}
-
 	n.stats.Elections.Add(1)
 	n.mu.Lock()
 	epoch := n.epoch
@@ -50,7 +38,6 @@ func (n *Node) runElection() {
 	}
 
 	resps := n.pollPeers(&Message{Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), Total: myTotal})
-	reachable := 1 + len(resps) // self and every peer that answered
 	maxEpoch := epoch
 	liveKV, liveRpl := "", ""
 	var livePrimaryEpoch uint64
@@ -79,9 +66,9 @@ func (n *Node) runElection() {
 	n.adoptEpochLocked(maxEpoch, "", "")
 	n.mu.Unlock()
 
-	cluster := len(n.cfg.Peers) + 1
-	if 2*reachable <= cluster {
-		n.cfg.Logf("repl: node %d: election stalled: %d/%d reachable", n.cfg.NodeID, reachable, cluster)
+	if len(resps) < n.quorum {
+		n.cfg.Logf("repl: node %d: election stalled: %d of %d peers answered, %d needed",
+			n.cfg.NodeID, len(resps), len(n.cfg.Peers), n.quorum)
 		return
 	}
 	if lose {

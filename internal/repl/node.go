@@ -37,22 +37,6 @@ func (r Role) String() string {
 	return "follower"
 }
 
-// Ack policies: how many followers must apply a frame before the
-// primary acknowledges the commit that produced it.
-const (
-	// AckNone disables the commit gate: local durability only. A
-	// failover can lose acknowledged writes the followers had not
-	// applied yet.
-	AckNone = "none"
-	// AckOne requires one follower (the default). Combined with the
-	// most-caught-up promotion rule this keeps every acknowledged write
-	// across a primary crash.
-	AckOne = "one"
-	// AckMajority requires enough followers that the primary plus its
-	// ackers form a strict majority of the cluster.
-	AckMajority = "majority"
-)
-
 // Config configures a replication node.
 type Config struct {
 	// NodeID identifies this node in the cluster (unique, ≥ 0; breaks
@@ -66,15 +50,13 @@ type Config struct {
 	// Advertise, when non-empty, overrides the replication address told
 	// to peers (e.g. when ReplAddr binds a wildcard or :0).
 	Advertise string
-	// Peers lists every OTHER node's replication address (for election
+	// Peers lists every OTHER node's replication address (for the
 	// quorum and discovery).
 	Peers []string
 	// PrimaryFrom, when non-empty, starts this node as a follower of
 	// the primary at that replication address. Empty starts it as the
 	// primary.
 	PrimaryFrom string
-	// AckPolicy is AckNone, AckOne (default), or AckMajority.
-	AckPolicy string
 	// HeartbeatEvery is the primary's lease-renewal period (default
 	// 50ms).
 	HeartbeatEvery time.Duration
@@ -103,16 +85,18 @@ type Config struct {
 // Node is one replication participant: a primary streaming its WAL to
 // subscribers, or a follower applying the stream, serving
 // bounded-staleness reads, and standing for election when the lease
-// lapses. Wire CheckRequest into server.Config.CheckRequest and (for
-// semi-synchronous acks) the node installs the store's commit gate
-// itself at Start.
+// lapses. Wire CheckRequest into server.Config.CheckRequest; the node
+// installs the store's commit gate itself at Start.
 type Node struct {
-	cfg     Config
-	store   *kv.Store
-	log     *wal.Log
-	stats   Stats
-	rec     *trace.Recorder
-	ackNeed int // followers required per ack (0 = gate off)
+	cfg   Config
+	store *kv.Store
+	log   *wal.Log
+	stats Stats
+	rec   *trace.Recorder
+	// quorum is the number of followers that make a majority with this
+	// node: the commit gate, the primary's lease and an election each
+	// need this many (0 on a lone node).
+	quorum int
 
 	applyTh *tm.Thread // follower apply path's registry slot
 
@@ -129,7 +113,6 @@ type Node struct {
 	primaryRpl string // current primary's replication address
 	needResync bool
 	stopped    bool
-	leaseStart time.Time // when this node last became primary (lease grace)
 	subs       map[*subState]struct{}
 	ackLat     map[int]*metrics.Histogram // per-follower ship→ack latency, by node id
 
@@ -145,7 +128,7 @@ type subState struct {
 	remote      string
 	ackedVec    []uint64
 	ackedTotal  uint64
-	lastAck     time.Time
+	hbStamp     uint64    // send stamp (trace.Now()) of the newest heartbeat it acked; 0 = none
 	behindSince time.Time // zero while caught up
 	// pending rings the stream totals of recently shipped batches with
 	// their ship time (guarded by n.mu, bounded — see sendFrames), so an
@@ -167,6 +150,11 @@ const maxPendingAcks = 128
 // ackTimeout bounds a commit-gate wait; on expiry the request fails with
 // its outcome unknown.
 const ackTimeout = 3 * time.Second
+
+// leaseDrift sets the clock-drift margin of the primary's lease: the
+// lease ends LeaseTimeout/leaseDrift before a follower's own timer can
+// run out (DESIGN §13.3).
+const leaseDrift = 8
 
 // epochFile is the fencing epoch's persistence file inside the data dir.
 const epochFile = "EPOCH"
@@ -191,9 +179,6 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 	if cfg.NewThread == nil {
 		return nil, errors.New("repl: Config.NewThread is required")
 	}
-	if cfg.AckPolicy == "" {
-		cfg.AckPolicy = AckOne
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 50 * time.Millisecond
 	}
@@ -209,24 +194,13 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 	if cfg.Dial == nil {
 		cfg.Dial = net.DialTimeout
 	}
-	var need int
-	switch cfg.AckPolicy {
-	case AckNone:
-		need = 0
-	case AckOne:
-		need = 1
-	case AckMajority:
-		need = (len(cfg.Peers) + 1) / 2
-	default:
-		return nil, fmt.Errorf("repl: unknown ack policy %q (have none, one, majority)", cfg.AckPolicy)
-	}
 
 	n := &Node{
 		cfg:     cfg,
 		store:   store,
 		log:     log,
 		rec:     cfg.Recorder,
-		ackNeed: need,
+		quorum:  (len(cfg.Peers) + 1) / 2,
 		stop:    make(chan struct{}),
 		waitCh:  make(chan struct{}),
 		subs:    make(map[*subState]struct{}),
@@ -253,7 +227,6 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 		// stream is distinguishable from its previous life's.
 		n.epoch = epoch + 1
 		n.role = RolePrimary
-		n.leaseStart = time.Now()
 		n.primaryKV, n.primaryRpl = n.cfg.KVAddr, n.cfg.Advertise
 		if err := n.setMarker(); err != nil {
 			ln.Close()
@@ -277,9 +250,7 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 		}
 	}
 	n.stats.Epoch.Store(n.epoch)
-	if n.ackNeed > 0 {
-		store.SetCommitGate(n.commitGate)
-	}
+	store.SetCommitGate(n.commitGate)
 
 	// Capture the startup role and epoch before the loops start: run
 	// rewrites both (adoptEpochLocked) under n.mu.
@@ -310,6 +281,10 @@ func (n *Node) Close() error {
 
 // ReplAddr returns the advertised replication address.
 func (n *Node) ReplAddr() string { return n.cfg.Advertise }
+
+// Quorum returns the number of followers that make a majority with
+// this node.
+func (n *Node) Quorum() int { return n.quorum }
 
 // Stats returns the node's counter block.
 func (n *Node) Stats() *Stats { return &n.stats }
@@ -449,7 +424,6 @@ func (n *Node) promote(e uint64) {
 	}
 	n.epoch = e
 	n.role = RolePrimary
-	n.leaseStart = time.Now()
 	n.primaryKV, n.primaryRpl = n.cfg.KVAddr, n.cfg.Advertise
 	n.needResync = false
 	if err := n.persistEpoch(e); err != nil {
@@ -497,12 +471,11 @@ func (n *Node) run() {
 		n.mu.Unlock()
 		if role == RolePrimary {
 			// Primary duties live in the accept loop; park until deposed,
-			// waking periodically to check for follower silence. A primary
-			// nobody dials cannot otherwise learn it has been deposed
-			// across a partition (the zombie-primary gap): it keeps
-			// fencing-rejecting nothing and believing its own lease. The
-			// probe polls peers after a follower-silent lease interval and
-			// adopts any higher epoch it hears — stepping itself down.
+			// waking periodically to check the lease. A primary nobody
+			// dials cannot otherwise learn it has been deposed across a
+			// partition (the zombie-primary gap). The probe polls peers
+			// once the lease has lapsed and adopts any higher epoch it
+			// hears — stepping itself down.
 			select {
 			case <-ch:
 			case <-time.After(n.cfg.LeaseTimeout):
@@ -524,25 +497,22 @@ func (n *Node) run() {
 	}
 }
 
-// primaryProbe is the primary's deposition detector. When no follower
-// has acked for over a lease interval (all silent, or none subscribed),
-// the primary polls its peers; a higher epoch in any answer means the
-// rest of the cluster elected past us while a partition hid it — adopt
-// it (which deposes this node) instead of zombie-acking writes forever.
+// primaryProbe is the primary's deposition detector. When its lease
+// has lapsed, the primary polls its peers; a higher epoch in any answer
+// means the rest of the cluster elected past us while a partition hid
+// it — adopt it (which deposes this node) instead of refusing writes
+// forever.
 func (n *Node) primaryProbe() {
-	if len(n.cfg.Peers) == 0 {
-		return // single-node cluster: there is nobody to be deposed by
-	}
 	n.mu.Lock()
 	if n.stopped || n.role != RolePrimary {
 		n.mu.Unlock()
 		return
 	}
 	epoch := n.epoch
-	silent := n.followerSilentLocked()
+	held := n.leaseHeldLocked()
 	n.mu.Unlock()
-	if !silent {
-		return // followers are talking to us; the lease is honest
+	if held {
+		return // a quorum is acking our heartbeats; nobody can elect past us
 	}
 	n.stats.StepdownProbes.Add(1)
 
@@ -565,18 +535,24 @@ func (n *Node) primaryProbe() {
 	}
 }
 
-// followerSilentLocked reports whether the primary's lease has lapsed:
-// no follower ack — and no promotion — within LeaseTimeout. Followers
-// ack every heartbeat, so a whole lease interval of silence means real
-// isolation (or a dead quorum), never idleness. Callers hold n.mu.
-func (n *Node) followerSilentLocked() bool {
-	newest := n.leaseStart
+// leaseHeldLocked reports whether the primary's lease holds: at least
+// quorum followers have acked a heartbeat this node sent less than
+// LeaseTimeout minus the drift margin ago, by its own monotonic clock.
+// A follower stands for election, or tells a candidate the primary is
+// dead, only once LeaseTimeout has passed since it received its last
+// heartbeat, so while the lease holds no majority can elect past this
+// node. Followers ack every heartbeat, so a lapse means isolation or a
+// dead quorum, never idleness. Callers hold n.mu.
+func (n *Node) leaseHeldLocked() bool {
+	window := uint64(n.cfg.LeaseTimeout - n.cfg.LeaseTimeout/leaseDrift)
+	now := trace.Now()
+	fresh := 0
 	for sub := range n.subs {
-		if sub.lastAck.After(newest) {
-			newest = sub.lastAck
+		if sub.hbStamp != 0 && now-sub.hbStamp < window {
+			fresh++
 		}
 	}
-	return newest.IsZero() || time.Since(newest) >= n.cfg.LeaseTimeout
+	return fresh >= n.quorum
 }
 
 // followOnce makes one attempt at being a follower: subscribe to the
@@ -608,8 +584,9 @@ func (n *Node) followOnce() {
 // goroutine in the listener plane, before admission to the scheduler
 // queue — so a follower read parked here waiting for replica catch-up
 // stalls only its own connection, never one of the shared executor-pool
-// workers. On the primary everything passes. On a
-// follower, writes are redirected (StatusNotPrimary names the primary's
+// workers. On the primary everything passes while its lease holds;
+// once it lapses, writes and tokened reads are refused with
+// StatusLagging. On a follower, writes are redirected (StatusNotPrimary names the primary's
 // client address) and reads are served at a bounded-staleness cut:
 // un-tokened reads serve immediately from local state; a staleness
 // token blocks — up to MaxReadWait — until the applied vector covers
@@ -636,17 +613,18 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 			return server.StatusShutdown, "replication node closed"
 		}
 		if n.role == RolePrimary {
-			if (hasWrite || st != nil) && len(n.cfg.Peers) > 0 && n.followerSilentLocked() {
-				// Zombie-primary fence: a primary that has heard no follower
-				// ack for a whole lease interval may already be deposed on
-				// the other side of a partition. Acking a write here could be
-				// split-brain; serving a tokened read could violate
-				// read-your-writes against the new epoch's history. Refuse
-				// both (clients fall back to the real primary); untokened
+			if (hasWrite || st != nil) && !n.leaseHeldLocked() {
+				// Zombie-primary fence: a primary without a quorum of fresh
+				// heartbeat acks may already be deposed on the other side of
+				// a partition. Acking a write here could be split-brain;
+				// serving a tokened read could violate read-your-writes
+				// against the new epoch's history. Refuse both before they
+				// execute (clients fall back to the real primary); untokened
 				// reads keep serving local state, like any replica.
 				n.mu.Unlock()
 				n.stats.LeaseRefusals.Add(1)
-				return server.StatusLagging, "primary lease lapsed: no follower ack within the lease interval (partitioned?)"
+				return server.StatusLagging, fmt.Sprintf(
+					"primary lease lapsed: fewer than %d followers acked a heartbeat within the lease interval (partitioned?)", n.quorum)
 			}
 			n.mu.Unlock()
 			return server.StatusOK, ""
@@ -705,13 +683,13 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 	}
 }
 
-// commitGate is the store's acknowledgement gate (installed at Start
-// for AckOne/AckMajority). Writes on the primary wait until ackNeed
-// followers report the commit vector applied; a node that is no longer
-// primary fails writes outright (the fencing half of failover safety)
-// while letting replica-local reads pass — their staleness contract is
-// CheckRequest's job. Its wall time is the request span's repl_gate
-// stage; a gate that passes at once reads no clock.
+// commitGate is the store's acknowledgement gate (installed at Start).
+// Writes on the primary wait until quorum followers report the commit
+// vector applied; a node that is no longer primary fails writes
+// outright (the fencing half of failover safety) while letting
+// replica-local reads pass — their staleness contract is CheckRequest's
+// job. Its wall time is the request span's repl_gate stage; a gate that
+// passes at once reads no clock.
 func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 	var deadline time.Time // set when the gate first has to wait
 	for {
@@ -735,7 +713,7 @@ func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 		}
 		ch := n.waitCh
 		n.mu.Unlock()
-		if acked >= n.ackNeed {
+		if acked >= n.quorum {
 			return nil
 		}
 		now := time.Now()
@@ -745,7 +723,7 @@ func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 		}
 		if !now.Before(deadline) {
 			n.stats.GateTimeouts.Add(1)
-			return fmt.Errorf("repl: %d/%d follower acks after %v", acked, n.ackNeed, ackTimeout)
+			return fmt.Errorf("repl: %d/%d follower acks after %v", acked, n.quorum, ackTimeout)
 		}
 		n.park(ch, deadline.Sub(now))
 	}
@@ -796,7 +774,7 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 		for _, v := range n.log.StableVector() {
 			stableTotal += v
 		}
-		now := time.Now()
+		now, stamp := time.Now(), trace.Now()
 		for sub := range n.subs {
 			r := followerRow{id: sub.nodeID, h: n.ackLat[sub.nodeID]}
 			if stableTotal > sub.ackedTotal {
@@ -805,8 +783,8 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 			if !sub.behindSince.IsZero() {
 				r.lagMs = now.Sub(sub.behindSince).Milliseconds()
 			}
-			if !sub.lastAck.IsZero() {
-				r.sinceAckMs = now.Sub(sub.lastAck).Milliseconds()
+			if sub.hbStamp != 0 {
+				r.sinceAckMs = time.Duration(stamp - sub.hbStamp).Milliseconds()
 			}
 			rows = append(rows, r)
 		}
@@ -828,7 +806,7 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	for _, r := range rows {
 		metrics.Gauge(w, "nztm_repl_follower_lag_ms", float64(r.lagMs), "follower", strconv.Itoa(r.id))
 	}
-	metrics.Head(w, "nztm_repl_follower_since_ack_ms", "gauge", "time since the follower's last ack")
+	metrics.Head(w, "nztm_repl_follower_since_ack_ms", "gauge", "age of the newest heartbeat the follower acked (the lease counts these)")
 	for _, r := range rows {
 		metrics.Gauge(w, "nztm_repl_follower_since_ack_ms", float64(r.sinceAckMs), "follower", strconv.Itoa(r.id))
 	}

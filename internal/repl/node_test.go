@@ -6,6 +6,7 @@ package repl
 // process-level half (SIGKILL, restart, linearizability check).
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nztm/internal/fault"
 	"nztm/internal/kv"
 	"nztm/internal/metrics"
 	"nztm/internal/server"
@@ -20,7 +22,7 @@ import (
 )
 
 // pickAddr reserves a loopback address (small reuse race, fine in tests).
-func pickAddr(t *testing.T) string {
+func pickAddr(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,18 +44,26 @@ type testNode struct {
 }
 
 type nodeOpts struct {
-	shards      int
-	primaryFrom string
-	replAddr    string
-	peers       []string
-	ackPolicy   string
-	maxReadWait time.Duration
+	shards       int
+	primaryFrom  string
+	replAddr     string
+	peers        []string
+	leaseTimeout time.Duration // default 120ms
+	maxReadWait  time.Duration
+	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
 }
 
-func startNode(t *testing.T, id int, o nodeOpts) *testNode {
+func startNode(t testing.TB, id int, o nodeOpts) *testNode {
 	t.Helper()
 	if o.shards == 0 {
 		o.shards = 4
+	}
+	if o.leaseTimeout == 0 {
+		o.leaseTimeout = 120 * time.Millisecond
+	}
+	logf := t.Logf
+	if _, ok := t.(*testing.B); ok {
+		logf = nil // a benchmark prints every log line; keep its output to the rows
 	}
 	b, err := kv.OpenBackend("nzstm", 8)
 	if err != nil {
@@ -75,12 +85,12 @@ func startNode(t *testing.T, id int, o nodeOpts) *testNode {
 		ReplAddr:       o.replAddr,
 		Peers:          o.peers,
 		PrimaryFrom:    o.primaryFrom,
-		AckPolicy:      o.ackPolicy,
 		HeartbeatEvery: 10 * time.Millisecond,
-		LeaseTimeout:   120 * time.Millisecond,
+		LeaseTimeout:   o.leaseTimeout,
 		MaxReadWait:    o.maxReadWait,
 		NewThread:      b.NewThread,
-		Logf:           t.Logf,
+		Dial:           o.dial,
+		Logf:           logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +109,7 @@ func (tn *testNode) kill() {
 	tn.node.Close()
 }
 
-func waitFor(t *testing.T, d time.Duration, what string, fn func() bool) {
+func waitFor(t testing.TB, d time.Duration, what string, fn func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for !fn() {
@@ -110,15 +120,88 @@ func waitFor(t *testing.T, d time.Duration, what string, fn func() bool) {
 	}
 }
 
+// waitLease blocks until the primary's lease holds: a quorum of its
+// followers has acked a fresh heartbeat, so it accepts writes.
+func waitLease(t testing.TB, tn *testNode) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "primary lease", func() bool {
+		tn.node.mu.Lock()
+		defer tn.node.mu.Unlock()
+		return tn.node.leaseHeldLocked()
+	})
+}
+
+// fakeFollower speaks the replication protocol by hand: it subscribes
+// to a primary and acks only when the test tells it to.
+type fakeFollower struct {
+	br *bufio.Reader
+	bw *bufio.Writer
+}
+
+// subscribeFake subscribes a fake follower (node id 9, 4 empty shards)
+// to the primary at addr.
+func subscribeFake(t *testing.T, addr string, epoch uint64) *fakeFollower {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	f := &fakeFollower{br: server.NewBufReader(conn), bw: server.NewBufWriter(conn)}
+	if err := writeMsg(f.bw, &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: 9,
+		Vector: make([]uint64, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// heartbeat reads past frames to the next heartbeat.
+func (f *fakeFollower) heartbeat() (*Message, error) {
+	for {
+		m, _, err := readMsg(f.br, nil)
+		if err != nil || m.Type == MsgHeartbeat {
+			return m, err
+		}
+	}
+}
+
+// ack acks hb: it echoes hb's send stamp and claims hb's stable vector
+// applied.
+func (f *fakeFollower) ack(epoch uint64, hb *Message) error {
+	return writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Total: hb.Total,
+		Stamp: hb.Stamp, Vector: hb.Vector})
+}
+
+// echo acks every heartbeat until stop closes; the returned channel
+// closes when it has stopped.
+func (f *fakeFollower) echo(epoch uint64, stop <-chan struct{}) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			hb, err := f.heartbeat()
+			if err != nil || f.ack(epoch, hb) != nil {
+				return
+			}
+		}
+	}()
+	return done
+}
+
 // TestClusterEndToEndFailover drives a 3-node cluster through its
 // advertised life: replicate writes, serve read-your-writes reads from
 // replicas, survive the primary's death with an automatic promotion
 // that loses nothing, and keep serving.
 func TestClusterEndToEndFailover(t *testing.T) {
 	r0, r1, r2 := pickAddr(t), pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1, r2}, ackPolicy: AckOne})
-	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0, r2}, primaryFrom: r0, ackPolicy: AckOne})
-	n2 := startNode(t, 2, nodeOpts{replAddr: r2, peers: []string{r0, r1}, primaryFrom: r0, ackPolicy: AckOne})
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1, r2}})
+	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0, r2}, primaryFrom: r0})
+	n2 := startNode(t, 2, nodeOpts{replAddr: r2, peers: []string{r0, r1}, primaryFrom: r0})
 
 	cl, err := DialCluster(ClusterConfig{
 		Addrs:    []string{n0.kvLn.Addr().String(), n1.kvLn.Addr().String(), n2.kvLn.Addr().String()},
@@ -194,7 +277,16 @@ func TestClusterEndToEndFailover(t *testing.T) {
 // in flight.
 func TestDeposedPrimaryIsFenced(t *testing.T) {
 	r0 := pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{pickAddr(t)}, ackPolicy: AckNone})
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{pickAddr(t)}})
+
+	// One peer makes a quorum of one: a fake follower acks every
+	// heartbeat, so the primary holds its lease and the write below
+	// passes the commit gate.
+	epoch := n0.node.Epoch()
+	f := subscribeFake(t, r0, epoch)
+	stop := make(chan struct{})
+	echoing := f.echo(epoch, stop)
+	waitLease(t, n0)
 
 	c, err := server.Dial(n0.kvLn.Addr().String())
 	if err != nil {
@@ -207,24 +299,11 @@ func TestDeposedPrimaryIsFenced(t *testing.T) {
 		t.Fatalf("pre-deposition write: status=%d err=%v", status, err)
 	}
 
-	// Pose as a follower elected at a higher epoch: subscribe, then ack
-	// with the higher epoch. The primary must step down.
-	conn, err := net.Dial("tcp", r0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := server.NewBufWriter(conn)
-	br := server.NewBufReader(conn)
-	epoch := n0.node.Epoch()
-	if err := writeMsg(bw, &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: 9,
-		Vector: make([]uint64, 4)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readMsg(br, nil); err != nil { // first heartbeat
-		t.Fatal(err)
-	}
-	if err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch + 5,
+	// Pose as a follower elected at a higher epoch: ack with the higher
+	// epoch. The primary must step down.
+	close(stop)
+	<-echoing
+	if err := writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch + 5,
 		Vector: make([]uint64, 4)}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +350,7 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 
 	r1 := pickAddr(t)
 	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{fakeAddr},
-		primaryFrom: fakeAddr, ackPolicy: AckNone})
+		primaryFrom: fakeAddr})
 
 	var rejected atomic.Bool
 	go func() {
@@ -336,9 +415,10 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 // service when the primary has gone silent.
 func TestBoundedStalenessReads(t *testing.T) {
 	r0, r1 := pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}, ackPolicy: AckOne})
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
 	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0}, primaryFrom: r0,
-		ackPolicy: AckOne, maxReadWait: 400 * time.Millisecond})
+		maxReadWait: 400 * time.Millisecond})
+	waitLease(t, n0)
 
 	c0, err := server.Dial(n0.kvLn.Addr().String())
 	if err != nil {
@@ -428,7 +508,7 @@ func TestBoundedStalenessReads(t *testing.T) {
 // metrics.WriteFields names, the node's identity and applied position,
 // and lints clean.
 func TestStatsCoverage(t *testing.T) {
-	n := startNode(t, 3, nodeOpts{replAddr: pickAddr(t), ackPolicy: AckNone})
+	n := startNode(t, 3, nodeOpts{replAddr: pickAddr(t)})
 	var mb, want strings.Builder
 	n.node.WriteMetricsz(&mb)
 	out := mb.String()
@@ -459,8 +539,8 @@ func TestStatsCoverage(t *testing.T) {
 // The gate's wall time is the request span's repl_gate stage (server).
 func TestNodeLatencyMetrics(t *testing.T) {
 	r0, r1 := pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}, ackPolicy: AckOne})
-	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0}, primaryFrom: r0, ackPolicy: AckOne})
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
+	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0}, primaryFrom: r0})
 
 	cl, err := DialCluster(ClusterConfig{
 		Addrs:    []string{n0.kvLn.Addr().String(), n1.kvLn.Addr().String()},
@@ -510,5 +590,215 @@ func TestNodeLatencyMetrics(t *testing.T) {
 	n1.node.WriteMetricsz(&fb)
 	if problems := metrics.LintProm(strings.NewReader(fb.String())); len(problems) != 0 {
 		t.Errorf("follower metricsz exposition violations: %v", problems)
+	}
+}
+
+// TestQuorumLeaseFencesMinorityPrimary splits a 5-node cluster
+// {P, F1} | {F2, F3, F4}. The majority side elects a new primary; P
+// still hears F1, but one follower is not a quorum, so its lease has
+// lapsed and it refuses writes and tokened reads before executing them.
+// The cluster client rides the refusals to the new primary.
+func TestQuorumLeaseFencesMinorityPrimary(t *testing.T) {
+	const size = 5
+	addrs := make([]string, size)
+	lns := make([]net.Listener, size)
+	parts := make([]*fault.Partitions, size)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i], parts[i] = ln, ln.Addr().String(), fault.NewPartitions()
+	}
+	nodes := make([]*testNode, size)
+	kvAddrs := make([]string, size)
+	for i := range nodes {
+		o := nodeOpts{replAddr: addrs[i], dial: parts[i].Dial}
+		for j, a := range addrs {
+			if j != i {
+				o.peers = append(o.peers, a)
+			}
+		}
+		if i > 0 {
+			o.primaryFrom = addrs[0]
+		}
+		lns[i].Close() // held until now, so that no earlier node's socket takes the port
+		nodes[i] = startNode(t, i, o)
+		kvAddrs[i] = nodes[i].kvLn.Addr().String()
+	}
+	p := nodes[0]
+	waitLease(t, p)
+	c, err := server.Dial(kvAddrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st := &server.Staleness{MaxLagMs: server.NoLagBudget}
+	_, token, status, msg, err := c.DoVec([]kv.Op{{Kind: kv.OpPut, Key: "pre", Value: []byte("v")}}, st)
+	if err != nil || status != server.StatusOKVec {
+		t.Fatalf("pre-split write: status=%d msg=%q err=%v", status, msg, err)
+	}
+	epoch := p.node.Epoch()
+
+	minority, majority := []int{0, 1}, []int{2, 3, 4}
+	for _, i := range minority {
+		for _, j := range majority {
+			if err := parts[i].Block(addrs[j], "both"); err != nil {
+				t.Fatal(err)
+			}
+			if err := parts[j].Block(addrs[i], "both"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var np *testNode
+	waitFor(t, 10*time.Second, "a majority-side promotion", func() bool {
+		for _, j := range majority {
+			if nodes[j].node.Role() == RolePrimary {
+				np = nodes[j]
+				return true
+			}
+		}
+		return false
+	})
+	if e := np.node.Epoch(); e <= epoch {
+		t.Fatalf("promotion did not advance the epoch: %d -> %d", epoch, e)
+	}
+
+	// P hears F1 but no quorum: writes and tokened reads are refused
+	// before they execute, not acked and not left to time out in the
+	// commit gate.
+	refusals := p.node.Stats().LeaseRefusals.Load()
+	applied := p.node.AppliedTotal()
+	start := time.Now()
+	_, _, status, msg, err = c.DoVec([]kv.Op{{Kind: kv.OpPut, Key: "split", Value: []byte("minority")}}, st)
+	if err != nil || status != server.StatusLagging {
+		t.Fatalf("write to the minority primary: status=%d msg=%q err=%v, want StatusLagging", status, msg, err)
+	}
+	_, _, status, msg, err = c.DoVec([]kv.Op{{Kind: kv.OpGet, Key: "pre"}},
+		&server.Staleness{MaxLagMs: server.NoLagBudget, Vector: token})
+	if err != nil || status != server.StatusLagging {
+		t.Fatalf("tokened read on the minority primary: status=%d msg=%q err=%v, want StatusLagging", status, msg, err)
+	}
+	if d := time.Since(start); d >= ackTimeout {
+		t.Fatalf("refusals took %v: they waited out the commit gate", d)
+	}
+	if got := p.node.AppliedTotal(); got != applied {
+		t.Fatalf("the refused write executed: applied total %d -> %d", applied, got)
+	}
+	if p.node.Stats().LeaseRefusals.Load() <= refusals {
+		t.Fatal("LeaseRefusals did not rise")
+	}
+
+	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs, RetryFor: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Write([]kv.Op{{Kind: kv.OpPut, Key: "after", Value: []byte("majority")}}); err != nil {
+		t.Fatalf("cluster write after the split: %v", err)
+	}
+	if got, want := cl.Primary(), np.kvLn.Addr().String(); got != want {
+		t.Fatalf("cluster write landed on %s, want the new primary %s", got, want)
+	}
+}
+
+// TestLeaseCountsFromHeartbeatSend pins the lease's clock: it runs from
+// the send stamp of the heartbeat an ack echoes, not from the ack's
+// arrival. A fake follower acks its first heartbeat half a lease late
+// and never again; a lease counted from the ack would still hold at
+// 1.25 leases after that heartbeat.
+func TestLeaseCountsFromHeartbeatSend(t *testing.T) {
+	const lease = 400 * time.Millisecond
+	r0 := pickAddr(t)
+	// Two peers make a quorum of one. Neither address answers polls;
+	// the fake follower dials in on its own.
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{pickAddr(t), pickAddr(t)},
+		leaseTimeout: lease})
+	epoch := n0.node.Epoch()
+	f := subscribeFake(t, r0, epoch)
+	hb, err := f.heartbeat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := time.Now()
+	time.Sleep(lease / 2)
+	if err := f.ack(epoch, hb); err != nil {
+		t.Fatal(err)
+	}
+	go func() { // drain the stream without acking
+		for {
+			if _, err := f.heartbeat(); err != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := server.Dial(n0.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(time.Until(received.Add(lease * 5 / 4)))
+	_, _, status, msg, err := c.DoVec([]kv.Op{{Kind: kv.OpGet, Key: "a"}},
+		&server.Staleness{MaxLagMs: server.NoLagBudget})
+	if err != nil || status != server.StatusLagging {
+		t.Fatalf("tokened read 1.25 leases after the only acked heartbeat: status=%d msg=%q err=%v, want StatusLagging",
+			status, msg, err)
+	}
+	if n0.node.Stats().LeaseRefusals.Load() == 0 {
+		t.Fatal("no lease refusal counted")
+	}
+}
+
+// TestFollowerCountsOnceTowardsQuorum: two subscriptions from one node
+// id are one follower. With three peers the quorum is two, so a single
+// follower acking on two streams must not give the primary its lease.
+func TestFollowerCountsOnceTowardsQuorum(t *testing.T) {
+	r0 := pickAddr(t)
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0,
+		peers: []string{pickAddr(t), pickAddr(t), pickAddr(t)}})
+	epoch := n0.node.Epoch()
+	stop := make(chan struct{})
+	defer close(stop)
+	subscribeFake(t, r0, epoch).echo(epoch, stop)
+	subscribeFake(t, r0, epoch).echo(epoch, stop)
+	waitFor(t, 5*time.Second, "acks on both streams", func() bool {
+		return n0.node.Stats().AcksReceived.Load() >= 10
+	})
+	n0.node.mu.Lock()
+	held, subs := n0.node.leaseHeldLocked(), len(n0.node.subs)
+	n0.node.mu.Unlock()
+	if held || subs != 1 {
+		t.Fatalf("one follower on two streams: lease held=%v with %d subscriptions counted, want false and 1", held, subs)
+	}
+}
+
+// BenchmarkReplicatedPut is the replication row of the per-layer
+// budget: a 1-PUT write through server.Client.DoVec to a primary whose
+// commit gate waits for its one follower's ack, over loopback at
+// FsyncNever.
+func BenchmarkReplicatedPut(b *testing.B) {
+	r0, r1 := pickAddr(b), pickAddr(b)
+	n0 := startNode(b, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
+	startNode(b, 1, nodeOpts{replAddr: r1, peers: []string{r0}, primaryFrom: r0})
+	waitLease(b, n0)
+	c, err := server.Dial(n0.kvLn.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	batches := make([][]kv.Op, 16)
+	for i := range batches {
+		batches[i] = []kv.Op{{Kind: kv.OpPut, Key: fmt.Sprintf("k%02d", i), Value: make([]byte, 128)}}
+	}
+	st := &server.Staleness{MaxLagMs: server.NoLagBudget}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, status, msg, err := c.DoVec(batches[i%len(batches)], st)
+		if err != nil || status != server.StatusOKVec {
+			b.Fatalf("write %d: status=%d msg=%q err=%v", i, status, msg, err)
+		}
 	}
 }

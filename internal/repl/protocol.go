@@ -13,9 +13,9 @@
 // That prefix property is what makes "most caught up by applied total"
 // a safe promotion rule: of two followers, the one with the larger
 // applied total has strictly more of the same history, never a sibling
-// branch — so with the default ack policy (one follower must apply a
-// frame before the primary acknowledges it), the promotion winner
-// provably holds every acknowledged write.
+// branch — and since a majority applies every frame before the primary
+// acknowledges it and a majority answers every election, the promotion
+// winner provably holds every acknowledged write.
 package repl
 
 import (
@@ -49,15 +49,17 @@ const (
 	// stream order.
 	MsgFrames MsgType = 2
 	// MsgHeartbeat renews the primary's lease and carries its stable
-	// vector, total, wall clock (ms) for staleness accounting, and its
-	// client address (so followers can redirect writes).
+	// vector and total for staleness accounting, its monotonic send
+	// stamp for the followers' acks to echo, and its client address (so
+	// followers can redirect writes).
 	MsgHeartbeat MsgType = 3
 	// MsgSnapshot ships one chunk of a shard bootstrap snapshot (the
 	// primary truncated past the follower's position, or a resync). The
 	// last chunk is flagged; the follower installs the accumulated keys.
 	MsgSnapshot MsgType = 4
 	// MsgAck reports a follower's applied vector and total back to the
-	// primary — the semi-synchronous acknowledgement signal.
+	// primary — the semi-synchronous acknowledgement signal — and echoes
+	// the send stamp of the newest heartbeat the follower has received.
 	MsgAck MsgType = 5
 	// MsgReject refuses a message or a subscription: fencing (stale
 	// epoch) or redirection (not primary, with the primary's addresses).
@@ -108,7 +110,7 @@ type Message struct {
 	Resync bool   // subscribe
 
 	Total  uint64   // heartbeat, ack, poll, pollresp: applied/stable total
-	NowMs  uint64   // heartbeat: primary wall clock, unix ms
+	Stamp  uint64   // heartbeat: primary's send stamp (trace.Now()); ack: the newest one received
 	Vector []uint64 // subscribe, heartbeat, ack: dense per-shard LSNs
 
 	Frames [][]byte // frames: encoded wal frame containers
@@ -172,7 +174,7 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 		}
 	case MsgHeartbeat:
 		b = binary.BigEndian.AppendUint64(b, m.Total)
-		b = binary.BigEndian.AppendUint64(b, m.NowMs)
+		b = binary.BigEndian.AppendUint64(b, m.Stamp)
 		b = appendStr(b, m.KVAddr)
 		b = appendDense(b, m.Vector)
 	case MsgSnapshot:
@@ -193,6 +195,7 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 		}
 	case MsgAck:
 		b = binary.BigEndian.AppendUint64(b, m.Total)
+		b = binary.BigEndian.AppendUint64(b, m.Stamp)
 		b = appendDense(b, m.Vector)
 	case MsgReject:
 		b = append(b, m.Code)
@@ -358,7 +361,7 @@ func ParseMessage(payload []byte) (*Message, error) {
 		if m.Total, err = d.u64(); err != nil {
 			return nil, err
 		}
-		if m.NowMs, err = d.u64(); err != nil {
+		if m.Stamp, err = d.u64(); err != nil {
 			return nil, err
 		}
 		if m.KVAddr, err = d.str(); err != nil {
@@ -405,6 +408,9 @@ func ParseMessage(payload []byte) (*Message, error) {
 		}
 	case MsgAck:
 		if m.Total, err = d.u64(); err != nil {
+			return nil, err
+		}
+		if m.Stamp, err = d.u64(); err != nil {
 			return nil, err
 		}
 		if m.Vector, err = d.dense(); err != nil {

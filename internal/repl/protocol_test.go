@@ -16,12 +16,12 @@ func sampleMessages() []*Message {
 		{Type: MsgSubscribe, Epoch: 1, NodeID: 0, KVAddr: "", Resync: false, Vector: nil},
 		{Type: MsgFrames, Epoch: 9, Frames: [][]byte{{1, 2, 3}, {}, {0xff}}},
 		{Type: MsgFrames, Epoch: 9, Frames: nil},
-		{Type: MsgHeartbeat, Epoch: 4, Total: 812, NowMs: 1722550000123, KVAddr: "10.0.0.8:4000",
+		{Type: MsgHeartbeat, Epoch: 4, Total: 812, Stamp: 1722550000123, KVAddr: "10.0.0.8:4000",
 			Vector: []uint64{800, 12}},
 		{Type: MsgSnapshot, Epoch: 2, Shard: 3, LSN: 77, Last: true,
 			Keys: map[string][]byte{"a": []byte("1"), "bb": {}, "c": nil}},
 		{Type: MsgSnapshot, Epoch: 2, Shard: 0, LSN: 0, Last: false, Keys: map[string][]byte{}},
-		{Type: MsgAck, Epoch: 5, Total: 42, Vector: []uint64{40, 2}},
+		{Type: MsgAck, Epoch: 5, Total: 42, Stamp: 9000000123, Vector: []uint64{40, 2}},
 		{Type: MsgReject, Epoch: 8, Code: RejectNotPrimary, Text: "not primary",
 			KVAddr: "127.0.0.1:4100", ReplAddr: "127.0.0.1:4200"},
 		{Type: MsgReject, Epoch: 8, Code: RejectStaleEpoch, Text: "stale epoch 3 < 8"},
@@ -35,7 +35,7 @@ func sampleMessages() []*Message {
 func msgEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Epoch != b.Epoch || a.NodeID != b.NodeID ||
 		a.KVAddr != b.KVAddr || a.Resync != b.Resync || a.Total != b.Total ||
-		a.NowMs != b.NowMs || a.Shard != b.Shard || a.LSN != b.LSN ||
+		a.Stamp != b.Stamp || a.Shard != b.Shard || a.LSN != b.LSN ||
 		a.Last != b.Last || a.Code != b.Code || a.Text != b.Text ||
 		a.ReplAddr != b.ReplAddr || a.PrimaryLive != b.PrimaryLive {
 		return false

@@ -121,7 +121,13 @@ func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 		remote:     conn.RemoteAddr().String(),
 		ackedVec:   append([]uint64(nil), m.Vector...),
 		ackedTotal: followerTotal,
-		lastAck:    time.Now(),
+	}
+	for old := range n.subs {
+		if old.nodeID == sub.nodeID {
+			// A follower counts once towards the quorum: its newest
+			// stream stands for it.
+			delete(n.subs, old)
+		}
 	}
 	n.subs[sub] = struct{}{}
 	n.broadcastLocked()
@@ -143,8 +149,9 @@ func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 }
 
 // readAcks consumes a follower's acks, folding them into the sub state
-// the commit gate counts. A message bearing a higher epoch deposes this
-// primary. Exits (and unregisters the sub) when the conn dies.
+// the commit gate and the lease count. A message bearing a higher epoch
+// deposes this primary. Exits (and unregisters the sub) when the conn
+// dies.
 func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch uint64) {
 	defer n.wg.Done()
 	defer func() {
@@ -181,12 +188,14 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 		for _, v := range n.log.StableVector() {
 			stableTotal += v
 		}
+		now := trace.Now()
 		n.mu.Lock()
 		sub.ackedVec = append(sub.ackedVec[:0], m.Vector...)
 		sub.ackedTotal = total
-		sub.lastAck = time.Now()
+		if m.Stamp > sub.hbStamp && m.Stamp <= now {
+			sub.hbStamp = m.Stamp
+		}
 		if len(sub.pending) > 0 {
-			now := trace.Now()
 			kept := sub.pending[:0]
 			for _, p := range sub.pending {
 				if p.total <= total {
@@ -399,7 +408,8 @@ func (n *Node) sendFrames(bw *bufio.Writer, sub *subState, epoch uint64, batch [
 	return nil
 }
 
-// heartbeat ships one lease renewal carrying the stable vector.
+// heartbeat ships one lease renewal carrying the stable vector and its
+// send stamp, which the follower's acks echo back (leaseHeldLocked).
 func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error {
 	var total uint64
 	for _, v := range stable {
@@ -407,7 +417,7 @@ func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error 
 	}
 	err := writeMsg(bw, &Message{
 		Type: MsgHeartbeat, Epoch: epoch, Total: total,
-		NowMs: uint64(time.Now().UnixMilli()), KVAddr: n.cfg.KVAddr, Vector: stable,
+		Stamp: trace.Now(), KVAddr: n.cfg.KVAddr, Vector: stable,
 	})
 	if err == nil {
 		n.stats.Heartbeats.Add(1)

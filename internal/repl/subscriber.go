@@ -59,6 +59,7 @@ func (n *Node) subscribe(addr string) error {
 	installed := make(map[int]bool) // shards snapshot-installed this session
 	nShards := len(applied)
 
+	var hbStamp uint64 // the newest heartbeat's send stamp, echoed in every ack
 	var buf []byte
 	for {
 		select {
@@ -96,6 +97,7 @@ func (n *Node) subscribe(addr string) error {
 		switch m.Type {
 		case MsgHeartbeat:
 			n.stats.Heartbeats.Add(1)
+			hbStamp = m.Stamp
 			total := n.appliedTotalLocked()
 			now := time.Now()
 			n.mu.Lock()
@@ -110,7 +112,7 @@ func (n *Node) subscribe(addr string) error {
 			n.updateLagLocked(total)
 			n.broadcastLocked()
 			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch); err != nil {
+			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
 				return err
 			}
 
@@ -155,7 +157,7 @@ func (n *Node) subscribe(addr string) error {
 			n.mu.Lock()
 			n.broadcastLocked()
 			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch); err != nil {
+			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
 				return err
 			}
 
@@ -187,7 +189,7 @@ func (n *Node) subscribe(addr string) error {
 			n.updateLagLocked(total)
 			n.broadcastLocked()
 			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch); err != nil {
+			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
 				return err
 			}
 
@@ -210,14 +212,16 @@ func (n *Node) subscribe(addr string) error {
 	}
 }
 
-// sendAck reports the follower's applied vector upstream.
-func (n *Node) sendAck(bw *bufio.Writer, epoch uint64) error {
+// sendAck reports the follower's applied vector upstream, echoing the
+// send stamp of the newest heartbeat it has received (the primary's
+// lease counts from it).
+func (n *Node) sendAck(bw *bufio.Writer, epoch, hbStamp uint64) error {
 	vec := n.store.AppliedVector()
 	var total uint64
 	for _, v := range vec {
 		total += v
 	}
-	err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Total: total, Vector: vec})
+	err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Total: total, Stamp: hbStamp, Vector: vec})
 	if err == nil {
 		n.stats.AcksSent.Add(1)
 	}
