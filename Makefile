@@ -58,10 +58,17 @@
 #                   ENOSPC, fsync failure, open/rename errors at named
 #                   sites), drive acked load through ≥100 injected I/O
 #                   errors, require zero acked-write loss and zero wedges,
-#                   at least one fsync fail-stop episode and one ENOSPC
-#                   read-only episode, clean StatusReadOnly shedding, and
-#                   a linearizable history (DISKFAULT_FLAGS to customise;
-#                   see DESIGN.md §17)
+#                   at least one stop under the sync site and one under
+#                   write-enospc, every write a stopped store refuses
+#                   answered StatusReadOnly, a running store acking a
+#                   probe write, and a linearizable history
+#                   (DISKFAULT_FLAGS to customise; see DESIGN.md §17)
+#   make diskfault-rate  the diskfault leg's pass rate (not part of check):
+#                   builds nztm-server and nztm-soak once into
+#                   DISKFAULT_RATE_DIR, runs the leg RUNS times (default 20)
+#                   and prints each run's verdict, each failure's error line
+#                   and the pass/fail counts. Compare commits from the same
+#                   kind of checkout, alternating the sides
 #   make bench-wal  WAL microbenchmark (the wal line of the per-layer budget):
 #                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
 #                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
@@ -118,8 +125,10 @@ FAILOVER_FLAGS ?= -leg failover -kills 50 -partitions 4 -seed 1
 DISKFAULT_FLAGS ?= -leg diskfault -diskfault-target 120 -seed 1
 
 ITEM1_DIR ?= .item1
+RUNS ?= 20
+DISKFAULT_RATE_DIR ?= .diskfault-rate
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault bench-wal bench-repl durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault diskfault-rate bench-wal bench-repl durable profile serve
 
 check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover
 
@@ -187,6 +196,19 @@ failover:
 
 diskfault:
 	$(GO) run ./cmd/nztm-soak $(DISKFAULT_FLAGS)
+
+diskfault-rate:
+	mkdir -p $(DISKFAULT_RATE_DIR)
+	$(GO) build -buildvcs=false -o $(DISKFAULT_RATE_DIR)/ ./cmd/nztm-server ./cmd/nztm-soak
+	@pass=0; fail=0; \
+	for i in $$(seq 1 $(RUNS)); do \
+		if out=$$($(DISKFAULT_RATE_DIR)/nztm-soak $(DISKFAULT_FLAGS) -server-bin $(abspath $(DISKFAULT_RATE_DIR))/nztm-server 2>&1); then \
+			pass=$$((pass + 1)); echo "run $$i: PASS"; \
+		else \
+			fail=$$((fail + 1)); echo "run $$i: $$(printf '%s\n' "$$out" | grep -m1 '^nztm-soak: FAIL')"; \
+		fi; \
+	done; \
+	echo "diskfault-rate: $$pass pass, $$fail fail of $(RUNS)"
 
 bench-kv-data:
 	$(GO) test -run 'TestBucketUpdateAllocs|TestDurablePutBatchAllocs' -bench 'BenchmarkBucketUpdate|BenchmarkDurablePutBatch' -benchtime 2000x -benchmem ./internal/kv

@@ -3,15 +3,15 @@
 // fault plane armed (seeded EIO, error-free short writes, ENOSPC, fsync
 // failure, open and rename errors at named sites), hammers each child
 // with acknowledged writes while the injections land, and verifies that
-// every failure either failed fast or degraded the store — never wedged
+// every failure either failed fast or stopped the store — never wedged
 // a request, never acknowledged a write the disk did not hold:
 //
-//   - fail-stop fsync: after an injected fsync error the log poisons
-//     itself; a direct write probe must be refused promptly and must
-//     never be acknowledged (site sync, mode "failed");
-//   - ENOSPC degrades, not kills: an injected ENOSPC flips the store
-//     read-only; writes shed with StatusReadOnly (provably no effect)
-//     while reads keep serving (site write-enospc, mode "read-only");
+//   - one stop rule: after any storage error the log stops; a direct
+//     write probe must be refused promptly with StatusReadOnly (provably
+//     no effect) and never acknowledged, whichever site stopped it, a
+//     store that did not stop must ack it, and at least one stop must
+//     come from sync and one from write-enospc;
+//   - reads keep serving on a store that write-enospc stopped;
 //   - durability through it all: after each SIGKILL + restart, every
 //     write acknowledged before the episode reads back admissibly (the
 //     ledger's key model), and the full cross-restart history stays
@@ -42,9 +42,8 @@ type diskLeg struct {
 	l   *ledger
 
 	injections   tally
+	stops        tally // episodes whose log stopped, by armed site
 	iters        int
-	failedModes  int // episodes that reached mode=failed (fsync fail-stop)
-	roModes      int // episodes that reached mode=read-only (ENOSPC)
 	readonlyShed atomic.Uint64
 	writeErrs    atomic.Uint64
 }
@@ -77,10 +76,10 @@ func diskProbFor(site fault.DiskSite) float64 {
 }
 
 // load drives acknowledged writes while the faults land. Unlike the
-// crash leg, the child does not die — it degrades — so workers keep
+// crash leg, the child does not die — its log stops — so workers keep
 // going through read-only sheds (clean, no effect) and bail only after
-// a dozen hard errors each. The cap is on the total, not a run: once a
-// shard fail-stops, healthy-shard successes would reset a consecutive
+// a dozen hard errors each. The cap is on the total, not a run: reads
+// keep succeeding on a stopped store and would reset a consecutive
 // counter forever, and every hard error is an outcome-unknown op that
 // multiplies the linearizability search space.
 func (ds *diskLeg) load(c *child, iter int, deadline time.Duration) {
@@ -97,8 +96,8 @@ func (ds *diskLeg) load(c *child, iter int, deadline time.Duration) {
 				case errors.Is(err, kv.ErrReadOnly):
 					ds.readonlyShed.Add(1)
 				case !shed(err):
-					// A write that raced the fault (boundary frame) or a
-					// fail-stopped log: outcome unknown, but it came back
+					// A write in flight when the log stopped (the
+					// boundary cohort): outcome unknown, but it came back
 					// — fast — instead of wedging.
 					ds.writeErrs.Add(1)
 					hardErrs++
@@ -109,32 +108,29 @@ func (ds *diskLeg) load(c *child, iter int, deadline time.Duration) {
 	})
 }
 
-// fetchMode reads the log's mode ("ok", "read-only" or "failed") from the
-// child's /metricsz gauges. An unreachable child reads as ""; a malformed
+// fetchStopped reads whether the log has stopped from the child's
+// /metricsz gauge. An unreachable child reads as running; a malformed
 // exposition is an error.
-func fetchMode(addr string) (string, error) {
+func fetchStopped(addr string) (bool, error) {
 	for i := 0; i < 10; i++ {
-		vs, err := gauges(addr, "nztm_wal_readonly", "nztm_wal_failed")
+		vs, err := gauges(addr, "nztm_wal_readonly")
 		switch {
-		case err == nil && vs[1] == 1:
-			return "failed", nil
-		case err == nil && vs[0] == 1:
-			return "read-only", nil
 		case err == nil:
-			return "ok", nil
+			return vs[0] == 1, nil
 		case errors.Is(err, errMalformed):
-			return "", err
+			return false, err
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return "", nil
+	return false, nil
 }
 
-// probeDegraded asserts the mode-specific contract with one direct
-// write: "failed" must refuse promptly and never ack; "read-only" must
-// shed with StatusReadOnly. Both are pre-execution refusals, so the
-// probe constrains nothing in the history.
-func (ds *diskLeg) probeDegraded(c *child, mode string) error {
+// probeDegraded checks the stop rule with one direct write. A running
+// store must ack it, unless that very write stopped the log. A stopped
+// store must refuse it with StatusReadOnly and never ack it (a
+// pre-execution refusal, so it constrains nothing in the history), and
+// must serve a read when write-enospc stopped it.
+func (ds *diskLeg) probeDegraded(c *child, site fault.DiskSite, stopped bool) error {
 	cl, err := dial(c.addr, time.Now().Add(time.Second))
 	if err != nil {
 		return nil // connection refused beats wedged; verified next boot
@@ -142,21 +138,28 @@ func (ds *diskLeg) probeDegraded(c *child, mode string) error {
 	defer cl.Close()
 	watchdog := time.AfterFunc(10*time.Second, c.kill)
 	defer watchdog.Stop()
+	if !stopped {
+		err := ds.l.run(ds.cfg.workers+1, []kv.Op{{Kind: kv.OpPut, Key: "running-probe", Value: []byte("v")}}, plain(cl))
+		if now, _ := fetchStopped(c.statsz); err != nil && !now {
+			return fmt.Errorf("a running store refused a write: %v", err)
+		}
+		return nil
+	}
 	ops := []kv.Op{{Kind: kv.OpPut, Key: "degraded-probe", Value: []byte("must-not-land")}}
 	p := ds.l.rec.Begin(ds.cfg.workers+1, ops)
 	_, err = cl.Do(ops)
 	if err == nil {
 		p.Lost()
 		ds.l.markLost(ops)
-		return fmt.Errorf("write ACKED while the log is %s — the store lied about durability", mode)
+		return errors.New("write ACKED while the log is stopped — the store lied about durability")
 	}
 	p.Discard()
-	if mode == "read-only" && !errors.Is(err, kv.ErrReadOnly) {
-		return fmt.Errorf("read-only store refused a write with %v, want StatusReadOnly", err)
+	if !errors.Is(err, kv.ErrReadOnly) {
+		return fmt.Errorf("stopped store refused a write with %v, want StatusReadOnly", err)
 	}
-	// Reads must keep serving in degraded modes (stable prefixes stay
-	// readable); an error is tolerated only if it is fast — the
-	// watchdog turns a wedge into a kill, failing the iteration.
+	// Reads of stable prefixes keep serving; an error is tolerated only
+	// if it is fast — the watchdog turns a wedge into a kill, failing the
+	// iteration — except after write-enospc, where a read must serve.
 	rops := []kv.Op{{Kind: kv.OpGet, Key: "degraded-probe"}}
 	rp := ds.l.rec.Begin(ds.cfg.workers+1, rops)
 	if res, rerr := cl.Do(rops); rerr == nil {
@@ -166,7 +169,7 @@ func (ds *diskLeg) probeDegraded(c *child, mode string) error {
 		}
 	} else {
 		rp.Lost()
-		if mode == "read-only" {
+		if site == fault.DiskWriteENOSPC {
 			return fmt.Errorf("read failed on a read-only store: %v", rerr)
 		}
 	}
@@ -175,11 +178,11 @@ func (ds *diskLeg) probeDegraded(c *child, mode string) error {
 
 // iterate runs one armed child lifetime: boot (clean recovery of the
 // previous episode's carnage), verify, load under injection, check the
-// degraded-mode contract, SIGKILL, classify the markers.
+// stopped-store contract, SIGKILL, classify the markers.
 func (ds *diskLeg) iterate(iter int, site fault.DiskSite) error {
 	ds.iters++
 	c, err := boot(ds.cfg,
-		"-fsync", "always", // the fail-stop contract under test is the acked-implies-fsynced one
+		"-fsync", "always", // the stop contract under test is the acked-implies-fsynced one
 		"-disk-fault-seed", fmt.Sprint(ds.cfg.seed+uint64(iter)*7919+1),
 		"-disk-fault-sites", site.String(),
 		"-disk-fault-prob", fmt.Sprint(diskProbFor(site)),
@@ -205,23 +208,18 @@ func (ds *diskLeg) iterate(iter int, site fault.DiskSite) error {
 	if c.parentKilled.Load() {
 		return fail(fmt.Errorf("child wedged under injected I/O errors (watchdog kill):\n%s", c.dumpTail()))
 	}
-	mode, err := fetchMode(c.statsz)
+	stopped, err := fetchStopped(c.statsz)
 	if err != nil {
 		return fail(err)
 	}
-	switch mode {
-	case "failed":
-		ds.failedModes++
-	case "read-only":
-		ds.roModes++
+	if stopped {
+		ds.stops.add([]string{site.String()})
 	}
-	if mode == "failed" || mode == "read-only" {
-		if err := ds.probeDegraded(c, mode); err != nil {
-			return fail(err)
-		}
-		if c.parentKilled.Load() {
-			return fail(fmt.Errorf("child wedged answering the degraded-mode probe:\n%s", c.dumpTail()))
-		}
+	if err := ds.probeDegraded(c, site, stopped); err != nil {
+		return fail(err)
+	}
+	if c.parentKilled.Load() {
+		return fail(fmt.Errorf("child wedged answering the stop-rule probe:\n%s", c.dumpTail()))
 	}
 	c.kill()
 	sites, _ := c.reap(2 * time.Second)
@@ -235,16 +233,17 @@ func runDiskFault(cfg soakCfg) error {
 	if err != nil {
 		return err
 	}
-	ds := &diskLeg{cfg: cfg, l: newLedger(), injections: tally{}}
+	ds := &diskLeg{cfg: cfg, l: newLedger(), injections: tally{}, stops: tally{}}
 	fmt.Printf("nztm-soak: diskfault mode: target=%d injections, dir=%s, seed=%d (%d shards, %d workers × %d keys)\n",
 		cfg.target, cfg.dir, cfg.seed, cfg.shards, cfg.workers, cfg.keys)
 
 	start := time.Now()
 	maxIters := cfg.target + 40
-	for iter := 0; ds.injections.total() < cfg.target || ds.failedModes == 0 || ds.roModes == 0; iter++ {
+	enospc, fsync := fault.DiskWriteENOSPC.String(), fault.DiskSync.String()
+	for iter := 0; ds.injections.total() < cfg.target || ds.stops[enospc] == 0 || ds.stops[fsync] == 0; iter++ {
 		if iter >= maxIters {
-			return fmt.Errorf("only %d of %d injections (failed=%d read-only=%d episodes) after %d iterations (per-site: %s)",
-				ds.injections.total(), cfg.target, ds.failedModes, ds.roModes, iter, perSite(ds.injections, diskSites))
+			return fmt.Errorf("only %d of %d injections after %d iterations (per-site: %s; stops: %s)",
+				ds.injections.total(), cfg.target, iter, perSite(ds.injections, diskSites), perSite(ds.stops, diskSites))
 		}
 		if iter > 0 && iter%8 == 0 {
 			// The graceful path must still work between fault episodes: an
@@ -257,9 +256,9 @@ func runDiskFault(cfg soakCfg) error {
 			return err
 		}
 		if (iter+1)%10 == 0 {
-			fmt.Printf("nztm-soak: iter %d: %d/%d injections (%s), modes failed=%d read-only=%d, %d acked, %d lost, %d readonly-shed\n",
+			fmt.Printf("nztm-soak: iter %d: %d/%d injections (%s), stops (%s), %d acked, %d lost, %d readonly-shed\n",
 				iter+1, ds.injections.total(), cfg.target, perSite(ds.injections, diskSites),
-				ds.failedModes, ds.roModes, ds.l.acked.Load(), ds.l.lost.Load(), ds.readonlyShed.Load())
+				perSite(ds.stops, diskSites), ds.l.acked.Load(), ds.l.lost.Load(), ds.readonlyShed.Load())
 		}
 	}
 	// Final unarmed boot: verify every obligation once more and prove the
@@ -271,11 +270,11 @@ func runDiskFault(cfg soakCfg) error {
 		return err
 	}
 	if ds.readonlyShed.Load() == 0 {
-		return errors.New("no write was ever shed with StatusReadOnly — the ENOSPC degraded mode went unexercised")
+		return errors.New("no write was ever shed with StatusReadOnly — the stopped store went unexercised")
 	}
 
-	fmt.Printf("nztm-soak: diskfault summary: %d injections in %d iterations (%s), modes failed=%d read-only=%d, %d acked, %d lost, %d readonly-shed, %d write-errors, %v elapsed\n",
-		ds.injections.total(), ds.iters, perSite(ds.injections, diskSites), ds.failedModes, ds.roModes,
+	fmt.Printf("nztm-soak: diskfault summary: %d injections in %d iterations (%s), stops (%s), %d acked, %d lost, %d readonly-shed, %d write-errors, %v elapsed\n",
+		ds.injections.total(), ds.iters, perSite(ds.injections, diskSites), perSite(ds.stops, diskSites),
 		ds.l.acked.Load(), ds.l.lost.Load(), ds.readonlyShed.Load(), ds.writeErrs.Load(),
 		time.Since(start).Round(time.Millisecond))
 	if err := checkHistory(ds.l.rec, cfg.limit, "recovered history"); err != nil {

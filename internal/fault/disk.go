@@ -36,10 +36,10 @@ const (
 	// torn-sector case writeFull must promote to an error.
 	DiskWriteShort
 	// DiskWriteENOSPC writes a prefix and fails with ENOSPC — the
-	// volume-full case that must degrade the store to read-only.
+	// volume-full case that must stop the log's appends.
 	DiskWriteENOSPC
 	// DiskSync fails an fsync with EIO — the fsyncgate case that must
-	// fail-stop the log (dirty pages are in an unknown state).
+	// stop the log (dirty pages are in an unknown state).
 	DiskSync
 	// DiskOpen fails OpenFile/Open/CreateTemp with EIO.
 	DiskOpen

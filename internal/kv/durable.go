@@ -105,12 +105,8 @@ func NewDurable(sys tm.System, shards, bucketsPerShard int, d Durability) (*Stor
 		FsyncInterval: d.FsyncInterval,
 		CrashHook:     d.CrashHook,
 		FS:            d.FS,
-		OnDegrade: func(failed bool, cause error) {
-			var a uint64
-			if failed {
-				a = 1
-			}
-			d.Recorder.Record(tm.Monotime(), trace.KindWALDegrade, 0, a, 0)
+		OnDegrade: func(error) {
+			d.Recorder.Record(tm.Monotime(), trace.KindWALDegrade, 0, 0, 0)
 		},
 	})
 	if err != nil {
@@ -353,7 +349,7 @@ func (d *durState) snapshotShard(s *Store, shard int) {
 
 // WriteDurabilityProm appends the durability plane's Prometheus
 // metrics: the log's directory and sync policy, recovery counters and
-// duration, the degraded-mode gauges and every wal.Stats field
+// duration, the stopped gauge and every wal.Stats field
 // (metrics.WriteFields). No-op for memory-only stores.
 func (s *Store) WriteDurabilityProm(w io.Writer) {
 	if s.dur == nil {
@@ -366,15 +362,10 @@ func (s *Store) WriteDurabilityProm(w io.Writer) {
 	metrics.CounterFam(w, "nztm_wal_replayed_frames_total", "frames replayed during recovery", st.ReplayedFrames)
 	metrics.CounterFam(w, "nztm_wal_truncated_bytes_total", "log bytes truncated during recovery", st.TruncatedBytes)
 	metrics.GaugeFam(w, "nztm_wal_recovery_seconds", "wall time of this boot's recovery", st.Duration.Seconds())
-	mode := d.log.Mode()
-	metrics.GaugeFam(w, "nztm_wal_readonly", "1 while the log is in degraded read-only mode", gaugeBool(mode == "read-only"))
-	metrics.GaugeFam(w, "nztm_wal_failed", "1 once the log has fail-stopped after an fsync error", gaugeBool(mode == "failed"))
-	metrics.WriteFields(w, "nztm_wal", "counter", d.log.Stats())
-}
-
-func gaugeBool(b bool) float64 {
-	if b {
-		return 1
+	stopped := 0.0
+	if d.log.Degraded() != nil {
+		stopped = 1
 	}
-	return 0
+	metrics.GaugeFam(w, "nztm_wal_readonly", "1 once the log refuses writes", stopped)
+	metrics.WriteFields(w, "nztm_wal", "counter", d.log.Stats())
 }

@@ -198,8 +198,8 @@ func TestLoadShardSnapshotBehind(t *testing.T) {
 	if r, err := s.Get(th, "k3", budget); err != nil || !r.Found {
 		t.Fatalf("refused install changed memory: k3 = %+v, %v", r, err)
 	}
-	if got := s.AppliedVector(); got[0] != 3 || s.WAL().Mode() != "ok" {
-		t.Fatalf("refused install moved the log: applied=%v mode=%s", got, s.WAL().Mode())
+	if got := s.AppliedVector(); got[0] != 3 || s.WAL().Degraded() != nil {
+		t.Fatalf("refused install moved the log: applied=%v degraded=%v", got, s.WAL().Degraded())
 	}
 	if err := s.LoadShardSnapshot(th, 0, 1, primary, true); err != nil {
 		t.Fatalf("resync install: %v", err)

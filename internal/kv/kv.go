@@ -142,10 +142,11 @@ func Backoff(base, max time.Duration, attempt int, rnd uint64) time.Duration {
 var ErrBudget = errors.New("kv: retry budget exhausted")
 
 // ErrReadOnly is returned when a write batch is shed because the store's
-// log is in degraded read-only mode (out of disk space). The request had
-// no effect — not in memory and not in the log — so it is cleanly
-// retriable against a healthy replica. Reads keep serving.
-var ErrReadOnly = errors.New("kv: store is read-only (log degraded)")
+// log has stopped after a storage error (a full disk, a failed write or
+// fsync). The request had no effect — not in memory and not in the log —
+// so it is cleanly retriable against a healthy replica. Reads keep
+// serving.
+var ErrReadOnly = errors.New("kv: store is read-only (log stopped)")
 
 // errCASMiss aborts a multi-op batch whose CAS expectation failed; it
 // never escapes Do.
@@ -288,18 +289,16 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 	m := s.metrics
 	var rec *commitRec // durability bookkeeping; nil when memory-only
 	if s.dur != nil {
-		// Degraded-log gate, BEFORE any transaction runs: a write batch
+		// Stopped-log gate, BEFORE any transaction runs: a write batch
 		// executed in memory but unloggable would either wedge behind an
 		// unreachable durability barrier or diverge memory from the log.
 		// Shedding here means the request had no effect at all, which is
-		// what makes StatusReadOnly cleanly retriable elsewhere. Healthy
-		// stores pay one atomic load; read-only batches always pass (the
-		// whole point of degraded mode is that reads keep serving).
+		// what makes StatusReadOnly cleanly retriable elsewhere — whatever
+		// storage error stopped the log. Running stores pay one atomic
+		// load; read-only batches always pass (reads of the durable prefix
+		// keep serving).
 		if gerr := s.dur.log.Degraded(); gerr != nil && hasWriteOps(ops) {
-			if errors.Is(gerr, wal.ErrReadOnly) {
-				return nil, nil, fmt.Errorf("%w: %v", ErrReadOnly, gerr)
-			}
-			return nil, nil, fmt.Errorf("kv: wal degraded: %w", gerr)
+			return nil, nil, fmt.Errorf("%w: %v", ErrReadOnly, gerr)
 		}
 		rec = s.dur.recs.Get().(*commitRec)
 		defer s.dur.release(rec)

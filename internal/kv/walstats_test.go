@@ -9,7 +9,7 @@ import (
 )
 
 // TestWALStatsCoverage: a durable store's /metricsz section exports every
-// wal.Stats family (metrics.WriteFields), its info and mode gauges, and
+// wal.Stats family (metrics.WriteFields), its info and stopped gauges, and
 // lints clean.
 func TestWALStatsCoverage(t *testing.T) {
 	store, _ := newDurableStore(t, t.TempDir(), 4, 2, Durability{Fsync: wal.FsyncNever})
@@ -24,7 +24,6 @@ func TestWALStatsCoverage(t *testing.T) {
 	fams := metrics.Families(&want)
 	fams["nztm_wal_info"] = "gauge"
 	fams["nztm_wal_readonly"] = "gauge"
-	fams["nztm_wal_failed"] = "gauge"
 	for name, typ := range fams {
 		if got[name] != typ {
 			t.Errorf("family %s %s missing (have %q)", name, typ, got[name])

@@ -225,10 +225,11 @@ func (c *Cluster) WriteChecked(ops []kv.Op) (results []kv.Result, clean bool, er
 			c.notPrimary(addr, "")
 			c.backoff(attempt)
 		case server.StatusReadOnly:
-			// The node's disk is full and it shed the write before
-			// executing it (still clean). A failover may promote a healthy
-			// node; keep the connection (the node serves reads fine) but
-			// forget it as primary and retry elsewhere.
+			// The node's log stopped and it shed the write before
+			// executing it (still clean). Keep the connection (the node
+			// serves reads fine) but forget it as primary and retry
+			// elsewhere. No failover follows yet: a stopped primary keeps
+			// its lease (DESIGN.md §13.3), so this ends after RetryFor.
 			lastErr = fmt.Errorf("%s: status %d: %s", addr, status, msg)
 			c.notPrimary(addr, "")
 			c.backoff(attempt)

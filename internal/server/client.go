@@ -157,7 +157,7 @@ func (c *Client) Do(ops []kv.Op) ([]kv.Result, error) {
 	case StatusShutdown:
 		return nil, ErrServerClosed
 	case StatusReadOnly:
-		// A pre-execution shed (disk full, log degraded): provably no
+		// A pre-execution shed (the store's log stopped): provably no
 		// effect, and distinguishable so callers can treat it as clean.
 		return nil, fmt.Errorf("%w: %s", kv.ErrReadOnly, r.errmsg)
 	default:

@@ -58,7 +58,7 @@ const (
 	StatusShutdown   = 3 // server is shutting down; request not executed
 	StatusError      = 4 // internal execution error
 	StatusOverloaded = 8 // admission queue full; request had no effect
-	StatusReadOnly   = 9 // store degraded read-only (disk full); write had no effect
+	StatusReadOnly   = 9 // store's log stopped after a storage error; write had no effect
 )
 
 // Protocol-level errors.

@@ -111,7 +111,7 @@ type Server struct {
 	reqLagging  atomic.Uint64      // bounded-staleness reads refused (replica behind)
 	reqRedirect atomic.Uint64      // StatusNotPrimary answers (client re-routes)
 	reqOverload atomic.Uint64      // StatusOverloaded rejects (admission queue full)
-	reqReadOnly atomic.Uint64      // StatusReadOnly sheds (store degraded, disk full)
+	reqReadOnly atomic.Uint64      // StatusReadOnly sheds (the store's log stopped)
 	spans       SpanMetrics        // per-request timing: the one latency instrument
 	slow        *trace.SlowSampler // slowK slowest timelines per window (/slowz)
 }

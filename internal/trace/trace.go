@@ -60,7 +60,7 @@ const (
 	KindWALRecover                 // durability plane recovered a shard; Obj=shard, A=replayed frames, B=truncated bytes
 	KindWALSnapshot                // durability plane sealed a snapshot; Obj=shard, A=snapshot LSN, B=keys
 	KindWALTruncate                // durability plane removed covered files; Obj=shard, A=files removed
-	KindWALDegrade                 // durability plane degraded; A=1 fail-stop / 0 read-only
+	KindWALDegrade                 // durability plane stopped: the log refuses writes from here on
 	KindReplSubscribe              // replication: follower subscribed; A=epoch, B=follower's applied total
 	KindReplFrames                 // replication: batch of frames shipped/applied; A=frames, B=last total LSN
 	KindReplPromote                // replication: node promoted to primary; A=new epoch, B=applied total at promotion

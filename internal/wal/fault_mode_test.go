@@ -1,20 +1,25 @@
 package wal_test
 
-// Mode-machine and recovery tests under injected disk faults: the wal
+// The stop rule and recovery under injected disk faults: the wal
 // package drives every file operation through its FS seam, so these
 // tests stack fault.Disk (prob=1 at one site) over the real filesystem
-// and assert the degradation contract from DESIGN.md §17 — ENOSPC
-// degrades to read-only, a failed fsync fail-stops the whole log, any
-// other write error stays a sticky per-shard poison, and recovery
-// fails LOUDLY on I/O errors instead of silently truncating at an
-// unreadable byte. They live in an external test package because
-// fault imports wal.
+// and assert the storage contract from DESIGN.md §17.3 — any write,
+// short-write, ENOSPC or fsync error on the log stops it, a stopped log
+// refuses every later append with ErrReadOnly and fails every wait its
+// durable prefix cannot satisfy, an ENOSPC on a snapshot file stops it
+// without failing admitted frames, any other snapshot error fails only
+// that snapshot, and recovery fails LOUDLY on I/O errors instead of
+// silently truncating at an unreadable byte. They live in an external
+// test package because fault imports wal.
 
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -25,10 +30,13 @@ import (
 // diskAt builds an armed fault plane that fires on every visit to one
 // site and nowhere else.
 func diskAt(site fault.DiskSite) *fault.Disk {
+	return diskOver(site, wal.OSFS())
+}
+
+func diskOver(site fault.DiskSite, inner wal.FS) *fault.Disk {
 	var probs [fault.DiskSiteCount]float64
 	probs[site] = 1
-	d := fault.NewDiskFS(fault.DiskConfig{Seed: 1, Probs: probs, Output: io.Discard}, wal.OSFS())
-	return d
+	return fault.NewDiskFS(fault.DiskConfig{Seed: 1, Probs: probs, Output: io.Discard}, inner)
 }
 
 // openFaulty opens a fresh log over a disarmed fault plane (so Open
@@ -52,129 +60,206 @@ func frameAtLSN(shard int, lsn uint64) *wal.Frame {
 	}
 }
 
-func TestENOSPCEntersReadOnly(t *testing.T) {
-	l, d := openFaulty(t, fault.DiskWriteENOSPC, wal.FsyncAlways)
-	err := l.Append(frameAtLSN(0, 1))
-	if err == nil {
-		t.Fatal("Append succeeded through an ENOSPC write")
+// syncGate holds one segment fsync until released, so a test can keep a
+// written frame in flight. Snapshot temp files (CreateTemp) pass
+// through ungated.
+type syncGate struct {
+	wal.FS
+	armed   atomic.Bool
+	held    chan struct{} // closed once a sync is being held
+	release chan struct{}
+	once    sync.Once
+}
+
+func newSyncGate() *syncGate {
+	return &syncGate{FS: wal.OSFS(), held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *syncGate) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Append error %v, want ENOSPC", err)
+	return gatedFile{f, g}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	g *syncGate
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.armed.CompareAndSwap(true, false) {
+		close(f.g.held)
+		<-f.g.release
 	}
-	if !l.ReadOnly() || l.Mode() != "read-only" {
-		t.Fatalf("ReadOnly=%v Mode=%q after ENOSPC, want read-only", l.ReadOnly(), l.Mode())
+	return f.File.Sync()
+}
+
+// inFlight runs an append in the background and returns once its frame
+// is written and the covering fsync is held.
+func (g *syncGate) inFlight(appendFrame func() error) <-chan error {
+	g.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- appendFrame() }()
+	<-g.held
+	return done
+}
+
+func (g *syncGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// TestStopRule arms one site at a time and trips it either with a
+// cohort written to the log or with a snapshot file. Every row that
+// stops the log must stop it once (one OnDegrade call), refuse later
+// appends with ErrReadOnly and keep its durable prefix; a snapshot
+// trip must also let the frame already admitted before it finish.
+func TestStopRule(t *testing.T) {
+	writeErrs := func(s *wal.Stats) uint64 { return s.WriteErrors.Load() }
+	for _, tc := range []struct {
+		name     string
+		site     fault.DiskSite
+		policy   wal.FsyncPolicy
+		snapshot bool  // trip the site with a snapshot of a durable prefix
+		stops    bool  // the error stops the log
+		want     error // the trip's error wraps it
+		injected func(*fault.DiskStats) uint64
+		observed func(*wal.Stats) uint64 // the log's count of the error; nil = not counted
+	}{
+		{"write-enospc", fault.DiskWriteENOSPC, wal.FsyncAlways, false, true, syscall.ENOSPC,
+			func(s *fault.DiskStats) uint64 { return s.WriteENOSPC.Load() }, writeErrs},
+		// With one log there is no healthy sibling to keep serving: a
+		// non-ENOSPC write error stops the log like a sync error, so
+		// nothing is ever written past the torn frame.
+		{"write-eio", fault.DiskWriteEIO, wal.FsyncNever, false, true, syscall.EIO,
+			func(s *fault.DiskStats) uint64 { return s.WriteEIO.Load() }, writeErrs},
+		// The injected write reports success with only a prefix written;
+		// writeFull must promote that to an error, never ack a torn frame.
+		{"write-short", fault.DiskWriteShort, wal.FsyncNever, false, true, io.ErrShortWrite,
+			func(s *fault.DiskStats) uint64 { return s.WriteShort.Load() }, writeErrs},
+		{"snapshot-enospc", fault.DiskWriteENOSPC, wal.FsyncAlways, true, true, syscall.ENOSPC,
+			func(s *fault.DiskStats) uint64 { return s.WriteENOSPC.Load() }, writeErrs},
+		{"snapshot-eio", fault.DiskWriteEIO, wal.FsyncAlways, true, false, syscall.EIO,
+			func(s *fault.DiskStats) uint64 { return s.WriteEIO.Load() }, writeErrs},
+		{"snapshot-rename", fault.DiskRename, wal.FsyncAlways, true, false, syscall.EIO,
+			func(s *fault.DiskStats) uint64 { return s.RenameFails.Load() }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := newSyncGate()
+			d := diskOver(tc.site, gate)
+			var causes []error
+			l, _, err := wal.Open(wal.Config{
+				Dir: t.TempDir(), Shards: 2, Fsync: tc.policy, FS: d,
+				OnDegrade: func(cause error) { causes = append(causes, cause) },
+			})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			t.Cleanup(func() { d.Disarm(); gate.open(); l.Close() })
+
+			var trip error
+			var admitted <-chan error
+			if tc.snapshot {
+				if err := l.Append(frameAtLSN(0, 1)); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+				admitted = gate.inFlight(func() error { return l.Append(frameAtLSN(1, 1)) })
+				d.Arm()
+				trip = l.Snapshot(0, 1, map[string][]byte{"k": []byte("v")})
+			} else {
+				d.Arm()
+				trip = l.Append(frameAtLSN(0, 1))
+			}
+			if !errors.Is(trip, tc.want) {
+				t.Fatalf("tripping %s = %v, want %v", tc.site, trip, tc.want)
+			}
+			if tc.injected(d.Stats()) == 0 {
+				t.Fatalf("fault plane reports no %s injection", tc.site)
+			}
+			if tc.observed != nil && tc.observed(l.Stats()) == 0 {
+				t.Fatalf("the log counted no %s error", tc.site)
+			}
+
+			if tc.stops {
+				if err := l.Degraded(); !errors.Is(err, wal.ErrReadOnly) {
+					t.Fatalf("Degraded() = %v, want ErrReadOnly", err)
+				}
+				// The stop is whole-log: a shard the trip never touched is
+				// refused before any byte is logged.
+				next := frameAtLSN(1, 1)
+				if tc.snapshot {
+					next = frameAtLSN(0, 2)
+				}
+				if err := l.Append(next); !errors.Is(err, wal.ErrReadOnly) {
+					t.Fatalf("Append after the stop = %v, want ErrReadOnly", err)
+				}
+				// The second append hit the gate, not a fresh stop.
+				if len(causes) != 1 || causes[0] == nil {
+					t.Fatalf("OnDegrade causes = %v, want exactly one", causes)
+				}
+			} else {
+				if err := l.Degraded(); err != nil {
+					t.Fatalf("a failed snapshot stopped the log: %v", err)
+				}
+				if len(causes) != 0 {
+					t.Fatalf("OnDegrade causes = %v, want none", causes)
+				}
+			}
+			if !tc.snapshot {
+				// WaitStable never wedges on a prefix that cannot become
+				// durable.
+				if err := l.WaitStable([]wal.ShardLSN{{Shard: 0, LSN: 1}}); err == nil {
+					t.Fatal("WaitStable(unstable LSN) = nil on a stopped log")
+				}
+				return
+			}
+			gate.open()
+			if err := <-admitted; err != nil {
+				t.Fatalf("frame admitted before the snapshot failed = %v, want it durable", err)
+			}
+			if !tc.stops {
+				d.Disarm()
+				if err := l.Append(frameAtLSN(0, 2)); err != nil {
+					t.Fatalf("Append after a failed snapshot: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// TestSyncErrorFailStops: a failed segment fsync stops the whole log —
+// an untouched shard is refused too, and WaitStable never wedges on a
+// prefix that cannot become durable.
+func TestSyncErrorFailStops(t *testing.T) {
+	l, d := openFaulty(t, fault.DiskSync, wal.FsyncAlways)
+	if err := l.Append(frameAtLSN(0, 1)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Append through a failed fsync = %v, want EIO", err)
 	}
 	if err := l.Degraded(); !errors.Is(err, wal.ErrReadOnly) {
 		t.Fatalf("Degraded() = %v, want ErrReadOnly", err)
 	}
-	// Later appends are shed before any byte is logged: clean refusal.
 	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrReadOnly) {
-		t.Fatalf("post-degrade Append = %v, want ErrReadOnly", err)
-	}
-	if got := l.Stats().ReadOnlyTrips.Load(); got != 1 {
-		t.Fatalf("ReadOnlyTrips = %d, want 1", got)
-	}
-	if d.Stats().WriteENOSPC.Load() == 0 {
-		t.Fatal("fault plane reports no ENOSPC injection")
-	}
-}
-
-func TestSyncErrorFailStops(t *testing.T) {
-	l, d := openFaulty(t, fault.DiskSync, wal.FsyncAlways)
-	err := l.Append(frameAtLSN(0, 1))
-	if err == nil {
-		t.Fatal("Append acked through a failed fsync")
-	}
-	if l.Mode() != "failed" {
-		t.Fatalf("Mode = %q after sync failure, want failed", l.Mode())
-	}
-	if ferr := l.Failed(); ferr == nil {
-		t.Fatal("Failed() = nil after fsync error")
-	}
-	if err := l.Degraded(); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Degraded() = %v, want ErrFailed", err)
-	}
-	// Fail-stop is whole-log: an untouched shard fails fast too, and
-	// WaitStable never wedges on a prefix that cannot become durable.
-	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("post-fail-stop Append = %v, want ErrFailed", err)
+		t.Fatalf("post-stop Append = %v, want ErrReadOnly", err)
 	}
 	if err := l.WaitStable([]wal.ShardLSN{{Shard: 0, LSN: 1}}); err == nil {
-		t.Fatal("WaitStable(unstable LSN) = nil on a failed log")
+		t.Fatal("WaitStable(unstable LSN) = nil on a stopped log")
 	}
-	if got := l.Stats().FailStops.Load(); got != 1 {
-		t.Fatalf("FailStops = %d, want 1", got)
+	if l.Stats().SyncFailures.Load() == 0 {
+		t.Fatal("the log counted no sync failure")
 	}
 	if d.Stats().SyncFailures.Load() == 0 {
 		t.Fatal("fault plane reports no sync injection")
 	}
 }
 
-func TestWriteEIOFailStops(t *testing.T) {
-	l, _ := openFaulty(t, fault.DiskWriteEIO, wal.FsyncNever)
-	err := l.Append(frameAtLSN(0, 1))
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Append = %v, want EIO", err)
-	}
-	// With one log there is no healthy sibling to keep serving: a
-	// non-ENOSPC write error fail-stops the log like a sync error, so
-	// nothing is ever written past the torn frame.
-	if l.Mode() != "failed" {
-		t.Fatalf("Mode = %q after a write EIO, want failed", l.Mode())
-	}
-	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Append to another shard of a failed log = %v, want ErrFailed", err)
-	}
-	if got := l.Stats().WriteErrors.Load(); got == 0 {
-		t.Fatal("WriteErrors = 0 after injected EIO")
-	}
-	if got := l.Stats().FailStops.Load(); got != 1 {
-		t.Fatalf("FailStops = %d, want 1", got)
-	}
-}
-
-// TestInstallSnapshotRenameFailureFailStops: the follower has already
-// replaced the shard in memory when the install runs, so a snapshot that
-// cannot be published leaves a log that no longer describes the store.
-// The mode and the sticky error must agree — never "ok" with every
-// append failing.
-func TestInstallSnapshotRenameFailureFailStops(t *testing.T) {
-	l, d := openFaulty(t, fault.DiskRename, wal.FsyncNever)
-	if err := l.InstallSnapshot(0, 5, map[string][]byte{"k": []byte("v")}, false); err == nil {
-		t.Fatal("InstallSnapshot succeeded through a failed rename")
-	}
-	if d.Stats().RenameFails.Load() == 0 {
-		t.Fatal("fault plane reports no rename injection")
-	}
-	if l.Mode() != "failed" || !errors.Is(l.Degraded(), wal.ErrFailed) {
-		t.Fatalf("Mode=%q Degraded=%v after a failed install, want failed", l.Mode(), l.Degraded())
-	}
-	if err := l.Append(frameAtLSN(0, 1)); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("post-failure Append = %v, want ErrFailed", err)
-	}
-	if got := l.Stats().FailStops.Load(); got != 1 {
-		t.Fatalf("FailStops = %d, want 1", got)
-	}
-}
-
-func TestShortWritePromotedToError(t *testing.T) {
-	l, _ := openFaulty(t, fault.DiskWriteShort, wal.FsyncNever)
-	// The injected write reports success with only a prefix written;
-	// writeFull must promote that to an error, never ack a torn frame.
-	if err := l.Append(frameAtLSN(0, 1)); err == nil {
-		t.Fatal("Append acked through a short write")
-	}
-	if l.Mode() != "failed" {
-		t.Fatalf("Mode = %q after a short write, want failed", l.Mode())
-	}
-}
-
+// TestOnDegradeFiresOncePerTransition: OnDegrade reports the stop once,
+// with its cause; appends and waits refused afterwards hit the gate and
+// fire nothing more.
 func TestOnDegradeFiresOncePerTransition(t *testing.T) {
 	d := diskAt(fault.DiskSync)
-	var calls []bool
+	var causes []error
 	l, _, err := wal.Open(wal.Config{
 		Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncAlways, FS: d,
-		OnDegrade: func(failed bool, cause error) { calls = append(calls, failed) },
+		OnDegrade: func(cause error) { causes = append(causes, cause) },
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -184,12 +269,34 @@ func TestOnDegradeFiresOncePerTransition(t *testing.T) {
 	if err := l.Append(frameAtLSN(0, 1)); err == nil {
 		t.Fatal("Append acked through a failed fsync")
 	}
-	// The second append hits the gate, not a fresh transition: no second call.
-	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("post-fail-stop Append = %v, want ErrFailed", err)
+	if err := l.Append(frameAtLSN(1, 1)); !errors.Is(err, wal.ErrReadOnly) {
+		t.Fatalf("post-stop Append = %v, want ErrReadOnly", err)
 	}
-	if len(calls) != 1 || !calls[0] {
-		t.Fatalf("OnDegrade calls = %v, want exactly [true]", calls)
+	if err := l.WaitStable([]wal.ShardLSN{{Shard: 1, LSN: 1}}); err == nil {
+		t.Fatal("WaitStable(unstable LSN) = nil on a stopped log")
+	}
+	if len(causes) != 1 || !errors.Is(causes[0], syscall.EIO) {
+		t.Fatalf("OnDegrade causes = %v, want exactly one EIO", causes)
+	}
+}
+
+// TestInstallSnapshotRenameFailureFailStops: the follower has already
+// replaced the shard in memory when the install runs, so a snapshot that
+// cannot be published leaves a log that no longer describes the store.
+// The log must stop — never accept appends it can no longer describe.
+func TestInstallSnapshotRenameFailureFailStops(t *testing.T) {
+	l, d := openFaulty(t, fault.DiskRename, wal.FsyncNever)
+	if err := l.InstallSnapshot(0, 5, map[string][]byte{"k": []byte("v")}, false); err == nil {
+		t.Fatal("InstallSnapshot succeeded through a failed rename")
+	}
+	if d.Stats().RenameFails.Load() == 0 {
+		t.Fatal("fault plane reports no rename injection")
+	}
+	if err := l.Degraded(); !errors.Is(err, wal.ErrReadOnly) {
+		t.Fatalf("Degraded() = %v after a failed install, want ErrReadOnly", err)
+	}
+	if err := l.Append(frameAtLSN(0, 1)); !errors.Is(err, wal.ErrReadOnly) {
+		t.Fatalf("post-failure Append = %v, want ErrReadOnly", err)
 	}
 }
 

@@ -381,7 +381,7 @@ func Open(cfg Config) (*Log, *State, error) {
 		stable:  make([]uint64, cfg.Shards),
 		cut:     make([]uint64, cfg.Shards),
 		snapLSN: append([]uint64(nil), st.SnapshotLSN...),
-		stop:    make(chan struct{}),
+		quit:    make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	for s, next := range l.next {

@@ -160,8 +160,8 @@ func (l *Log) InstallSnapshot(shard int, lsn uint64, keys map[string][]byte, res
 	} else if tmpName != "" {
 		l.fs.Remove(tmpName)
 	}
-	if err != nil && l.Degraded() == nil {
-		l.degrade(logFailed, err) // whatever ENOSPC has not already made read-only
+	if err != nil {
+		l.stop(err)
 	}
 	l.mu.Lock()
 	if err == nil {

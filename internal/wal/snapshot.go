@@ -2,10 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"sort"
+	"syscall"
 )
 
 // snapVersion is the snapshot payload format version byte (distinct
@@ -105,26 +107,33 @@ func decodeSnapshot(b []byte) (shard int, lsn uint64, keys map[string][]byte, er
 func (l *Log) writeSnapshotTemp(shard int, lsn uint64, keys map[string][]byte) (string, error) {
 	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
 	if err != nil {
-		l.noteWriteError(err, false)
-		return "", err
+		return "", l.snapshotError(err)
 	}
 	name := tmp.Name()
-	if err = writeFull(tmp, encodeSnapshot(shard, lsn, keys)); err != nil {
-		l.noteWriteError(err, false)
-	} else if err = tmp.Sync(); err != nil && isNoSpace(err) {
-		// A failed snapshot sync does not fail the log — the covered
-		// frames are still durable in segments — but ENOSPC still means
-		// the volume is full.
-		l.degrade(logReadOnly, err)
+	if err = writeFull(tmp, encodeSnapshot(shard, lsn, keys)); err == nil {
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		l.fs.Remove(name)
-		return "", err
+		return "", l.snapshotError(err)
 	}
 	return name, nil
+}
+
+// snapshotError counts a snapshot file error and applies the stop
+// rule's one asymmetry: ENOSPC stops the log, because the volume is
+// full, but fails no frame already admitted; any other error fails only
+// this snapshot, because the frames it would have covered are still
+// durable in the log.
+func (l *Log) snapshotError(err error) error {
+	l.stats.WriteErrors.Add(1)
+	if errors.Is(err, syscall.ENOSPC) {
+		l.stop(err)
+	}
+	return err
 }
 
 // publishSnapshot renames a temp snapshot into place and returns the

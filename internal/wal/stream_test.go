@@ -354,8 +354,8 @@ func TestInstallSnapshotBehindRefused(t *testing.T) {
 	if !errors.Is(err, ErrSnapshotBehind) {
 		t.Fatalf("InstallSnapshot below the position = %v, want ErrSnapshotBehind", err)
 	}
-	if l.Mode() != "ok" || l.Degraded() != nil {
-		t.Fatalf("refused install degraded the log: mode=%s", l.Mode())
+	if err := l.Degraded(); err != nil {
+		t.Fatalf("refused install stopped the log: %v", err)
 	}
 	if n := len(fileOrder(t, dir)); n != 4 {
 		t.Fatalf("refused install left %d frames on disk, want 4", n)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"nztm/internal/metrics"
@@ -122,11 +121,10 @@ type Config struct {
 	// FS is the filesystem seam (nil = the real filesystem). A fault
 	// plane substitutes an error-injecting implementation here.
 	FS FS
-	// OnDegrade, when non-nil, is called once per mode transition
-	// (failed=false entering read-only, failed=true entering fail-stop)
+	// OnDegrade, when non-nil, is called once, when the log stops,
 	// from whatever goroutine observed the I/O error. It must not call
 	// back into the log.
-	OnDegrade func(failed bool, cause error)
+	OnDegrade func(cause error)
 }
 
 // Stats are cumulative counters and commit-pipeline distributions, safe
@@ -142,14 +140,10 @@ type Stats struct {
 	SnapshotKeys   atomic.Uint64 // keys in the last sealed snapshot pass
 	RemovedFiles   atomic.Uint64 // covered segments + stale snapshots deleted
 
-	// Storage fault-plane counters (DESIGN.md §17). WriteErrors and
-	// SyncFailures count I/O errors the log observed; ReadOnlyTrips and
-	// FailStops count the resulting mode transitions (at most 1 each per
-	// process lifetime — the states are terminal).
-	WriteErrors   atomic.Uint64 // frame/snapshot write errors observed
-	SyncFailures  atomic.Uint64 // fsync errors observed (any site)
-	ReadOnlyTrips atomic.Uint64 // transitions into degraded read-only (ENOSPC)
-	FailStops     atomic.Uint64 // transitions into permanent fail-stop (fsync or write error)
+	// Storage fault-plane counters (DESIGN.md §17): I/O errors the log
+	// observed. Whether the log stopped is Degraded, not a counter.
+	WriteErrors  atomic.Uint64 // segment open/write and snapshot file errors observed
+	SyncFailures atomic.Uint64 // segment fsync errors observed
 
 	// FsyncCohortFrames is how many frames, across all shards, each
 	// fsync made durable: the group-commit amortization factor (1 = no
@@ -203,27 +197,12 @@ const parked = ^uint64(0)
 
 var reqPool = sync.Pool{New: func() any { return new(appendReq) }}
 
-// Log modes (Log.state). Transitions only move forward: a log that
-// degraded never heals within the process — "retrying" a failed fsync
-// would treat pages the kernel already marked clean as durable when
-// they never reached media (the classic fsyncgate bug class), and an
-// out-of-space log cannot promise new appends space. Recovery after a
-// restart re-proves the directory from scratch.
-const (
-	logHealthy  uint32 = iota
-	logReadOnly        // ENOSPC: appends shed, reads keep serving
-	logFailed          // fsync or write failure: permanent fail-stop, everything sheds
-)
-
-// ErrReadOnly is returned by Append once the log entered degraded
-// read-only mode (out of space): the write was rejected before any
-// byte was logged, so callers may safely retry it against a healthy
-// replica.
-var ErrReadOnly = errors.New("wal: log is read-only (out of space)")
-
-// ErrFailed is returned by Append once the log fail-stopped after an
-// I/O failure. The log never accepts another frame.
-var ErrFailed = errors.New("wal: log failed (I/O error)")
+// ErrReadOnly is what Degraded, and every later Append, returns once
+// the log has stopped: the frame was refused before any byte of it was
+// logged. That says nothing about the caller's in-memory effects, so it
+// is a clean refusal only for a caller that checked Degraded before
+// executing anything (as kv does).
+var ErrReadOnly = errors.New("wal: log stopped, refusing writes")
 
 // errClosed poisons the log after Close.
 var errClosed = errors.New("wal: log closed")
@@ -238,9 +217,13 @@ type Log struct {
 	fs    FS
 	stats Stats
 
-	state   atomic.Uint32 // logHealthy / logReadOnly / logFailed
-	causeMu sync.Mutex
-	cause   error // first error that degraded the log
+	// stopped holds the storage error that stopped the log; nil while it
+	// accepts appends. It is set once and never cleared: "retrying" a
+	// failed fsync would treat pages the kernel already marked clean as
+	// durable when they never reached media (the fsyncgate bug class),
+	// nothing may be written past a torn frame, and a full volume cannot
+	// promise new appends space. A restart re-proves the directory.
+	stopped atomic.Pointer[error]
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -274,7 +257,7 @@ type Log struct {
 	err     error // sticky: fails every wait that the durable prefix does not already satisfy
 
 	flushes sync.WaitGroup // background flushes of rotated-out segments
-	stop    chan struct{}
+	quit    chan struct{}
 	wg      sync.WaitGroup
 
 	// Stable-advance watchers (replication senders); see NotifyStable.
@@ -290,117 +273,34 @@ func (l *Log) Stats() *Stats { return &l.stats }
 // Dir returns the data directory.
 func (l *Log) Dir() string { return l.dir }
 
-// ReadOnly reports whether the log is in degraded read-only mode.
-func (l *Log) ReadOnly() bool { return l.state.Load() == logReadOnly }
-
-// Failed returns the fail-stop cause, or nil while the log still
-// accepts appends (healthy or read-only).
-func (l *Log) Failed() error {
-	if l.state.Load() != logFailed {
-		return nil
-	}
-	return l.degradeCause()
-}
-
-// Degraded returns nil while the log accepts appends, else the same
-// wrapped ErrReadOnly or ErrFailed an append would return — callers
-// shed writes before executing them. One atomic load when healthy.
+// Degraded returns nil while the log accepts appends, else ErrReadOnly
+// wrapped with the storage error that stopped it — callers shed writes
+// before executing them. One atomic load while the log runs.
 func (l *Log) Degraded() error {
-	switch l.state.Load() {
-	case logHealthy:
-		return nil
-	case logReadOnly:
-		return fmt.Errorf("%w: %v", ErrReadOnly, l.degradeCause())
-	default:
-		return fmt.Errorf("%w: %v", ErrFailed, l.degradeCause())
+	if cause := l.stopped.Load(); cause != nil {
+		return fmt.Errorf("%w: %v", ErrReadOnly, *cause)
 	}
+	return nil
 }
 
-// Mode returns the log's mode as a stable string for stats exports.
-func (l *Log) Mode() string {
-	switch l.state.Load() {
-	case logReadOnly:
-		return "read-only"
-	case logFailed:
-		return "failed"
-	}
-	return "ok"
-}
-
-func (l *Log) degradeCause() error {
-	l.causeMu.Lock()
-	defer l.causeMu.Unlock()
-	return l.cause
-}
-
-// degrade moves the log from healthy (or, for fail-stop, from
-// read-only too) into mode to. No-op when the transition does not move
-// forward. Never touches mu, so I/O paths may call it unlocked.
-func (l *Log) degrade(to uint32, err error) {
-	for {
-		prev := l.state.Load()
-		if prev >= to {
-			return
+// stop is the log's one reaction to a storage error it cannot write
+// past: every later append is refused, and OnDegrade fires on the first
+// call only. It does not fail frames already admitted; the caller whose
+// I/O failed does that under mu (failLocked). Never touches mu, so I/O
+// paths may call it unlocked.
+func (l *Log) stop(cause error) {
+	if l.stopped.CompareAndSwap(nil, &cause) {
+		if h := l.cfg.OnDegrade; h != nil {
+			h(cause)
 		}
-		if l.state.CompareAndSwap(prev, to) {
-			break
-		}
-	}
-	l.causeMu.Lock()
-	if l.cause == nil {
-		l.cause = err
-	}
-	l.causeMu.Unlock()
-	if to == logFailed {
-		l.stats.FailStops.Add(1)
-	} else {
-		l.stats.ReadOnlyTrips.Add(1)
-	}
-	if h := l.cfg.OnDegrade; h != nil {
-		h(to == logFailed, err)
-	}
-}
-
-// isNoSpace classifies an I/O error as out-of-space.
-func isNoSpace(err error) bool { return errors.Is(err, syscall.ENOSPC) }
-
-// noteWriteError classifies a write or open error. ENOSPC degrades the
-// log to read-only: new appends are shed with ErrReadOnly before any
-// byte is logged, reads of the already-stable prefix keep serving. Any
-// other error on the log's own segments (segment=true) is a fail-stop
-// like a sync error — with one log there is no healthy sibling to keep
-// serving, and a torn frame must stay the tail.
-func (l *Log) noteWriteError(err error, segment bool) {
-	l.stats.WriteErrors.Add(1)
-	if isNoSpace(err) {
-		l.degrade(logReadOnly, err)
-	} else if segment {
-		l.degrade(logFailed, err)
-	}
-}
-
-// noteSyncError classifies an fsync error: ENOSPC degrades to
-// read-only, anything else is a fail-stop — after a failed fsync the
-// kernel may have marked the dirty pages clean, so no retry can ever
-// prove them durable and no later ack can be trusted.
-func (l *Log) noteSyncError(err error) {
-	l.stats.SyncFailures.Add(1)
-	if isNoSpace(err) {
-		l.degrade(logReadOnly, err)
-	} else {
-		l.degrade(logFailed, err)
 	}
 }
 
 // failLocked records the sticky error (first one wins) that fails every
 // wait the durable prefix does not already satisfy, and wakes waiters
-// and replication senders. Called with mu held, after the error was
-// classified.
+// and replication senders. Called with mu held, after stop.
 func (l *Log) failLocked(err error) {
 	if l.err == nil {
-		if l.state.Load() == logFailed {
-			err = fmt.Errorf("%w: %w", ErrFailed, err)
-		}
 		l.err = err
 	}
 	l.cond.Broadcast()
@@ -595,7 +495,8 @@ func (l *Log) flushLocked(mark bool, sp *trace.Span) {
 
 	err := writeFrameBytes(l, f, buf)
 	if err != nil {
-		l.noteWriteError(err, true)
+		l.stats.WriteErrors.Add(1)
+		l.stop(err)
 	} else {
 		if mark {
 			sp.Mark(trace.StageWALAppend)
@@ -605,7 +506,8 @@ func (l *Log) flushLocked(mark bool, sp *trace.Span) {
 				// A failed fsync means the kernel may have dropped the dirty
 				// pages while marking them clean — no retry can make these
 				// frames durable.
-				l.noteSyncError(err)
+				l.stats.SyncFailures.Add(1)
+				l.stop(err)
 			}
 		}
 	}
@@ -661,8 +563,8 @@ func writeFull(f File, p []byte) error {
 // Transactions call this with the sequence numbers they observed before
 // acknowledging results: an acked read must never expose a commit that
 // recovery could drop. A prefix that is already durable stays
-// acknowledgeable after the log degrades, which is what keeps reads
-// serving in degraded mode.
+// acknowledgeable after the log stops, which is what keeps reads
+// serving on a stopped store.
 func (l *Log) WaitStable(vec []ShardLSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -689,7 +591,8 @@ func (l *Log) rotate() error {
 	path := filepath.Join(l.dir, segmentName(seq))
 	nf, err := l.fs.OpenFile(path, osCreateAppend, 0o644)
 	if err != nil {
-		l.noteWriteError(err, true)
+		l.stats.WriteErrors.Add(1)
+		l.stop(err)
 		return err
 	}
 	l.mu.Lock()
@@ -714,7 +617,8 @@ func (l *Log) rotate() error {
 			err = cerr
 		}
 		if err != nil {
-			l.noteSyncError(err)
+			l.stats.SyncFailures.Add(1)
+			l.stop(err)
 			l.mu.Lock()
 			l.failLocked(err)
 			l.mu.Unlock()
@@ -736,7 +640,7 @@ func (l *Log) syncLoop() {
 	var synced uint64 // durable position covered by the last tick
 	for {
 		select {
-		case <-l.stop:
+		case <-l.quit:
 			return
 		case <-t.C:
 		}
@@ -750,7 +654,8 @@ func (l *Log) syncLoop() {
 		l.mu.Unlock()
 		err := f.Sync()
 		if err != nil {
-			l.noteSyncError(err)
+			l.stats.SyncFailures.Add(1)
+			l.stop(err)
 		}
 		l.mu.Lock()
 		l.syncing = false
@@ -771,7 +676,7 @@ func (l *Log) syncLoop() {
 func (l *Log) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
-		close(l.stop)
+		close(l.quit)
 		l.wg.Wait()
 		l.mu.Lock()
 		l.acquireLocked()
