@@ -69,6 +69,14 @@
 #                   and prints each run's verdict, each failure's error line
 #                   and the pass/fail counts. Compare commits from the same
 #                   kind of checkout, alternating the sides
+#   make bench-ab   A/B of the repo's benchmark (not part of check): builds
+#                   ./benchmark from a git archive of REV (default HEAD) and
+#                   from the work tree into BENCH_AB_DIR, then runs PAIRS pairs
+#                   (default 4) of WORKLOAD (default mem-batch-hot) for SECONDS
+#                   each (default 10; SEED picks another seed), alternating
+#                   which side goes first, and prints each pair's
+#                   throughput_rps and setup_s. Each side runs in its own
+#                   directory, so its WAL and span files stay there
 #   make bench-wal  WAL microbenchmark (the wal line of the per-layer budget):
 #                   BenchmarkAppend over an in-memory wal.FS with a free Sync —
 #                   fsync {always, never} × vector width {1, 7, 16} × {1, 8}
@@ -125,10 +133,15 @@ FAILOVER_FLAGS ?= -leg failover -kills 50 -partitions 4 -seed 1
 DISKFAULT_FLAGS ?= -leg diskfault -diskfault-target 120 -seed 1
 
 ITEM1_DIR ?= .item1
+WORKLOAD ?= mem-batch-hot
+PAIRS ?= 4
+SECONDS ?= 10
+REV ?= HEAD
+BENCH_AB_DIR ?= .bench-ab
 RUNS ?= 20
 DISKFAULT_RATE_DIR ?= .diskfault-rate
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault diskfault-rate bench-wal bench-repl durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault diskfault-rate bench-ab bench-wal bench-repl durable profile serve
 
 check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover
 
@@ -209,6 +222,26 @@ diskfault-rate:
 		fi; \
 	done; \
 	echo "diskfault-rate: $$pass pass, $$fail fail of $(RUNS)"
+
+# One side's throughput_rps and setup_s, from the JSON line a run prints last.
+AB_RUN = cd $(BENCH_AB_DIR)/$$side && ../$$side.bin -workload $(WORKLOAD) -seconds $(SECONDS) $(if $(SEED),-seed $(SEED)) | tail -n 1 | \
+	sed -n 's/^{"correct":true,.*"setup_s":{"value":\([^,]*\),.*"throughput_rps":{"value":\([^,]*\),.*/\2 \1/p'
+
+bench-ab:
+	rm -rf $(BENCH_AB_DIR) && mkdir -p $(BENCH_AB_DIR)/base $(BENCH_AB_DIR)/tree
+	git archive $(REV) | tar -x -C $(BENCH_AB_DIR)/base
+	cd $(BENCH_AB_DIR)/base && $(GO) build -buildvcs=false -o ../base.bin ./benchmark
+	$(GO) build -buildvcs=false -o $(BENCH_AB_DIR)/tree.bin ./benchmark
+	@echo "bench-ab: $(WORKLOAD), $(PAIRS) pairs of $(SECONDS) s; base = $(REV) ($$(git rev-parse --short $(REV))), tree = the work tree"
+	@for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base tree"; else order="tree base"; fi; \
+		for side in $$order; do \
+			set -- $$( $(AB_RUN) ); \
+			if [ $$# != 2 ]; then echo "pair $$i: the $$side run failed"; exit 1; fi; \
+			eval "$$side=\"$$(printf 'throughput_rps=%.0f setup_s=%.5f' $$1 $$2)\""; \
+		done; \
+		echo "pair $$i: base $$base | tree $$tree"; \
+	done
 
 bench-kv-data:
 	$(GO) test -run 'TestBucketUpdateAllocs|TestDurablePutBatchAllocs' -bench 'BenchmarkBucketUpdate|BenchmarkDurablePutBatch' -benchtime 2000x -benchmem ./internal/kv

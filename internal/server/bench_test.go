@@ -25,8 +25,10 @@ import (
 //
 // Writes: a caller with the connection to itself pays exactly one Write at
 // each end; callers that overlap share them, at most sharedWritesPerReq at
-// each end (0.4 with four callers on two cores, against 1.00 and 0.68
-// before flushes were shared; the bound is loose enough for any core count).
+// each end (about 0.3 with four callers on two cores, where the server runs
+// requests that arrive together as one burst; 0.4 before bursts, and 1.00
+// and 0.68 before flushes were shared; the bound is loose enough for any
+// core count).
 var requestShapes = []requestShape{
 	{name: "single", callers: 1, allocBudget: 10, ops: func(int) []kv.Op {
 		return []kv.Op{{Kind: kv.OpPut, Key: "k0000", Value: benchValue}}

@@ -387,6 +387,12 @@ func readFrame(r *bufio.Reader, buf []byte) (payload, newBuf []byte, err error) 
 	return payload, buf, nil
 }
 
+// frameBuffered reports whether reading r's next frame cannot block.
+func frameBuffered(r *bufio.Reader) bool {
+	hdr, _ := r.Peek(min(4, r.Buffered()))
+	return len(hdr) == 4 && r.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
+}
+
 // writeFrame writes one length-prefixed frame.
 func writeFrame(w *bufio.Writer, payload []byte) error {
 	// The length is encoded in w's own spare room: a local array would be

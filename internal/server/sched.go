@@ -32,7 +32,7 @@ const (
 // Enqueued−Dispatched and busy executors is Dispatched−Completed, so they
 // can never drift from the counters that define them.
 type SchedStats struct {
-	// Enqueued counts requests admitted to the queue.
+	// Enqueued counts requests admitted to the queue, a burst's each.
 	Enqueued atomic.Uint64
 	// Dispatched counts requests an executor picked up.
 	Dispatched atomic.Uint64
@@ -49,6 +49,8 @@ type SchedStats struct {
 	// Flushes counts writes of buffered responses to a connection;
 	// Flushes/Completed is how well responses shared writes.
 	Flushes atomic.Uint64
+	// Bursts counts admitted tasks that carried more than one request.
+	Bursts atomic.Uint64
 }
 
 // Depth returns the current queue depth (admitted, not yet dispatched).
@@ -87,6 +89,8 @@ func (st *SchedStats) WriteMetricsz(w io.Writer) {
 // record. The record has exactly one holder at every moment, and that holder
 // owns all of it — frame, ops and response.
 type request struct {
+	c     *connState // the connection whose free list the record belongs to
+	span  trace.Span // stamped by the reader, then by whoever executes it
 	id    uint64
 	frame []byte     // the buffer the payload was read into
 	ops   []kv.Op    // Value and Expect alias frame; see parseRequest
@@ -103,18 +107,26 @@ const (
 	maxRetainedOps = 256      // op slice, entries
 )
 
-// task is one decoded request waiting in the admission queue. Tasks move
-// by value through a channel: a pointer to the request's record, which the
-// connection recycles, and the span — a fixed-size stamp array copied with
-// the struct — so admission and dispatch allocate nothing. Stages stamped
-// by the connection goroutine (decode, enqueue) must be stamped BEFORE
-// admit — the channel send copies the task, so later stamps on the
-// reader's copy would be lost.
+// task is one admission-queue entry, moved by value so that admission and
+// dispatch allocate nothing: a lone request r, or a burst b, run from its
+// front, or from its back when back is set (a help task).
 type task struct {
 	r    *request
-	c    *connState
-	span trace.Span
+	b    *burst
+	back bool
 }
+
+// burst is a request and those after it whose frames were already whole in
+// the connection's read buffer. reqs[head:] have not started; tasks counts
+// the tasks holding b, and the last to find it empty returns it to the pool.
+type burst struct {
+	mu    sync.Mutex
+	reqs  []*request
+	head  int
+	tasks int
+}
+
+var burstPool = sync.Pool{New: func() any { return new(burst) }}
 
 // connState is one connection's slice of the scheduler: the response
 // channel its writer drains, the in-flight semaphore that preserves
@@ -147,7 +159,7 @@ func (cs *connState) record() *request {
 		cs.free = cs.free[:n-1]
 		return r
 	}
-	return &request{}
+	return &request{c: cs}
 }
 
 // recycle takes back a record whose response has been copied out. The ops
@@ -220,25 +232,28 @@ func newScheduler(executors, queueDepth int, admission string) *scheduler {
 	}
 }
 
-// admit queues a decoded request. It returns false when the request was
-// refused (AdmitReject with a full queue); the caller answers
-// StatusOverloaded. Under AdmitBlock it parks until space frees — the
-// per-connection backpressure path — and always returns true.
-func (s *scheduler) admit(t task) bool {
+// admit queues a task carrying n requests. It returns false when the task
+// was refused (AdmitReject with a full queue); the caller answers its
+// requests StatusOverloaded. Under AdmitBlock it parks until space frees —
+// the per-connection backpressure path — and always returns true.
+func (s *scheduler) admit(t task, n int) bool {
 	if s.block {
 		s.tasks <- t
 	} else {
 		select {
 		case s.tasks <- t:
 		default:
-			s.stats.Rejected.Add(1)
+			s.stats.Rejected.Add(uint64(n))
 			if s.rec != nil {
 				s.rec.Record(tm.Monotime(), trace.KindSchedReject, 0, s.stats.Depth(), 0)
 			}
 			return false
 		}
 	}
-	s.stats.Enqueued.Add(1)
+	s.stats.Enqueued.Add(uint64(n))
+	if n > 1 {
+		s.stats.Bursts.Add(1)
+	}
 	if s.rec != nil {
 		s.rec.Record(tm.Monotime(), trace.KindSchedEnqueue, 0, s.stats.Depth(), 0)
 	}
@@ -279,26 +294,72 @@ func (s *scheduler) executor(srv *Server, th *tm.Thread) {
 	defer s.wg.Done()
 	defer th.Close()
 	for t := range s.tasks {
-		s.stats.Dispatched.Add(1)
-		t.span.Mark(trace.StageDispatch)
-		if s.rec != nil {
-			// Queue wait, from the two stamps the span holds anyway.
-			waited := t.span.Stamp[trace.StageDispatch] - t.span.Stamp[trace.StageEnqueue]
-			s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, waited, 0)
+		if t.r != nil {
+			s.execute(srv, th, t.r)
+			continue
 		}
-		if srv.preExec != nil {
-			srv.preExec(t.r.ops)
+		for r := s.next(t.b, t.back); r != nil; r = s.next(t.b, t.back) {
+			s.execute(srv, th, r)
 		}
-		t.span.Mark(trace.StageExecStart)
-		srv.execute(th, t.r, &t.span)
-		// From here the record is the writer's, then the next request's.
-		t.c.deliver(t.r, &s.stats)
-		t.span.Mark(trace.StageRespond)
-		srv.spans.Observe(&t.span)
-		srv.slow.Observe(&t.span)
-		s.stats.Completed.Add(1)
-		t.c.finish()
 	}
+}
+
+// next takes b's front, or its back for a help task; nil once b is empty.
+// While two or more requests remain, and more than tasks hold b, it offers
+// the back to another executor; a full queue drops the offer.
+func (s *scheduler) next(b *burst, back bool) *request {
+	b.mu.Lock()
+	left := len(b.reqs) - b.head
+	if left == 0 {
+		b.tasks--
+		if b.tasks == 0 {
+			b.reqs, b.head = b.reqs[:0], 0
+			defer burstPool.Put(b) // after the unlock
+		}
+		b.mu.Unlock()
+		return nil
+	}
+	r := b.reqs[b.head]
+	if back {
+		r = b.reqs[len(b.reqs)-1]
+		b.reqs = b.reqs[:len(b.reqs)-1]
+	} else {
+		b.head++
+	}
+	if left-1 > b.tasks {
+		// Under b.mu, b's unstarted requests keep the queue open.
+		select {
+		case s.tasks <- task{b: b, back: true}:
+			b.tasks++
+		default:
+		}
+	}
+	b.mu.Unlock()
+	return r
+}
+
+// execute runs one request on th and hands its response to the writer.
+func (s *scheduler) execute(srv *Server, th *tm.Thread, r *request) {
+	s.stats.Dispatched.Add(1)
+	r.span.Mark(trace.StageDispatch)
+	if s.rec != nil {
+		// Queue wait, from the two stamps the span holds anyway.
+		waited := r.span.Stamp[trace.StageDispatch] - r.span.Stamp[trace.StageEnqueue]
+		s.rec.Record(tm.Monotime(), trace.KindSchedDispatch, 0, waited, 0)
+	}
+	if srv.preExec != nil {
+		srv.preExec(r.ops)
+	}
+	r.span.Mark(trace.StageExecStart)
+	srv.execute(th, r, &r.span)
+	// From here the record is the writer's, then the next request's.
+	span, c := r.span, r.c
+	c.deliver(r, &s.stats)
+	span.Mark(trace.StageRespond)
+	srv.spans.Observe(&span)
+	srv.slow.Observe(&span)
+	s.stats.Completed.Add(1)
+	c.finish()
 }
 
 // shutdown stops the pool after every connection has drained: the queue

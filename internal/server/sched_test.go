@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io/fs"
 	"net"
 	"regexp"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"nztm/internal/kv"
 	"nztm/internal/metrics"
 	"nztm/internal/tm"
+	"nztm/internal/wal"
 )
 
 // doWithin runs one batch with a hang guard: a scheduler bug that wedges a
@@ -397,6 +400,145 @@ func TestSchedStatsCoverage(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metricsz missing %q", want)
+		}
+	}
+}
+
+// slowSyncFS is wal.OSFS with a device whose fsync takes syncDelay: slow
+// enough that requests arriving together visibly share an fsync, or fail to.
+type slowSyncFS struct{ wal.FS }
+
+const syncDelay = 5 * time.Millisecond
+
+func (f slowSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{file}, nil
+}
+
+type slowSyncFile struct{ wal.File }
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(syncDelay)
+	return f.File.Sync()
+}
+
+// shardKeys returns n keys on n distinct shards of an n-shard store, by the
+// store's placement rule: FNV-1a of the key modulo the shard count.
+func shardKeys(n int) []string {
+	keys := make([]string, n)
+	for i, found := 0, 0; found < n; i++ {
+		k := fmt.Sprintf("d:%d", i)
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if s := h.Sum64() % uint64(n); keys[s] == "" {
+			keys[s], found = k, found+1
+		}
+	}
+	return keys
+}
+
+// TestPipelinedDurableWritesShareACohort pins why a durable store's requests
+// never go as a burst: four PUTs on distinct shards, pipelined in one write,
+// run on four executors at once and share at most two fsyncs. Run in series,
+// as a burst's front runner would, each would wait out the fsync before it.
+func TestPipelinedDurableWritesShareACohort(t *testing.T) {
+	const n = 4
+	b, err := kv.OpenBackend("nzstm", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := kv.NewDurable(b.Sys, n, 4, kv.Durability{Dir: t.TempDir(), FS: slowSyncFS{wal.OSFS()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	w := startCounted(t, New(store, b.Reg, Config{Executors: n}))
+	conn, err := net.Dial("tcp", w.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var reqs [][]kv.Op
+	for _, k := range shardKeys(n) {
+		reqs = append(reqs, []kv.Op{{Kind: kv.OpPut, Key: k, Value: []byte("v")}})
+	}
+	before := store.WAL().Stats().Fsyncs.Load()
+	rawPipeline(t, conn, 1, reqs)
+	readResponses(t, conn, newBufReader(conn), n, 5*time.Second)
+	if fsyncs := store.WAL().Stats().Fsyncs.Load() - before; fsyncs > 2 {
+		t.Errorf("%d pipelined PUTs on distinct shards cost %d fsyncs; want ≤ 2", n, fsyncs)
+	}
+	if bursts := w.srv.SchedStats().Bursts.Load(); bursts != 0 {
+		t.Errorf("a durable store admitted %d bursts; want 0", bursts)
+	}
+}
+
+// TestBurstHelpersRunPastAStalledRequest: eight PUTs arrive in one write
+// and go as one burst. Its front request stalls in its executor; idle
+// executors take the rest from the burst's back, so the other seven answers
+// arrive during the stall, and the stalled one after its release.
+func TestBurstHelpersRunPastAStalledRequest(t *testing.T) {
+	srv := newTestServer(t, 4, Config{Executors: 4})
+	stall := make(chan struct{})
+	var stalled atomic.Int32
+	srv.preExec = func(ops []kv.Op) {
+		if strings.HasPrefix(ops[0].Key, "stall:") {
+			stalled.Add(1)
+			<-stall
+		}
+	}
+	w := startCounted(t, srv)
+	conn, err := net.Dial("tcp", w.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := newBufReader(conn)
+
+	const per = 8
+	reqs := make([][]kv.Op, per)
+	for i := range reqs {
+		reqs[i] = []kv.Op{{Kind: kv.OpPut, Key: fmt.Sprintf("fast:%d", i), Value: []byte("v")}}
+	}
+	reqs[0][0].Key = "stall:front" // request id 1
+	rawPipeline(t, conn, 1, reqs)
+	ids := readResponses(t, conn, br, per-1, 5*time.Second)
+	if ids[1] {
+		t.Fatal("the stalled request was answered")
+	}
+	if stalled.Load() != 1 {
+		t.Fatalf("%d requests stalled, want 1", stalled.Load())
+	}
+	close(stall)
+	if ids := readResponses(t, conn, br, 1, 5*time.Second); !ids[1] {
+		t.Fatalf("after the release: got %v, want the stalled request's response", ids)
+	}
+	if bursts := srv.SchedStats().Bursts.Load(); bursts != 1 {
+		t.Errorf("eight requests in one write made %d bursts; want 1", bursts)
+	}
+}
+
+// TestBurstsCounted: SchedStats.Bursts counts the tasks that carried more
+// than one request. Four callers pipelining on one connection make bursts;
+// a lone caller never does.
+func TestBurstsCounted(t *testing.T) {
+	for _, shape := range requestShapes {
+		if shape.name != "single" && shape.name != "batch16x4" {
+			continue
+		}
+		p := newRequestPath(t, shape)
+		p.run(t, 2000)
+		bursts := p.srv.SchedStats().Bursts.Load()
+		t.Logf("%s: %d bursts", shape.name, bursts)
+		if shape.callers == 1 && bursts != 0 {
+			t.Errorf("%s: a lone caller made %d bursts; want 0", shape.name, bursts)
+		}
+		if shape.callers > 1 && bursts == 0 {
+			t.Errorf("%s: %d callers made no burst", shape.name, shape.callers)
 		}
 	}
 }

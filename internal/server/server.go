@@ -30,8 +30,8 @@ type Config struct {
 	// server's lifetime; connections bind none, so live connections are
 	// not capped by the registry. Default 2×GOMAXPROCS.
 	Executors int
-	// QueueDepth bounds the shared admission queue between connection
-	// readers and the executor pool. Default 1024.
+	// QueueDepth bounds the shared admission queue, in tasks (a burst of
+	// pipelined requests is one), between readers and executors. Default 1024.
 	QueueDepth int
 	// Admission picks the queue-full policy: AdmitReject (default —
 	// answer StatusOverloaded immediately) or AdmitBlock (park the
@@ -303,7 +303,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := newBufReader(conn)
+	// Requests already whole in br may go as one task, b: not with a log or
+	// a CheckRequest (DESIGN.md §14).
+	bursts := s.store.WAL() == nil && s.cfg.CheckRequest == nil
+	var b *burst
 	for {
+		if b != nil && (!frameBuffered(br) || len(cs.sem) == cap(cs.sem)) {
+			// The next read, or token, may have to wait: send b first.
+			s.admit(cs, nil, b)
+			b = nil
+		}
 		r := cs.record()
 		var payload []byte
 		var err error
@@ -317,8 +326,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// Span origin: the frame is fully read; everything from here to
 		// the response write is attributed to a stage.
-		var span trace.Span
-		span.Begin = trace.Now()
+		r.span = trace.Span{Begin: trace.Now()}
 		// Every refusal below answers in the record already in hand.
 		if perr := parseRequest(payload, r); perr != nil {
 			s.reqBad.Add(1)
@@ -350,33 +358,58 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 		}
-		span.ID = r.id
-		span.Ops = uint32(len(r.ops))
-		span.Mark(trace.StageDecode)
+		r.span.ID = r.id
+		r.span.Ops = uint32(len(r.ops))
+		r.span.Mark(trace.StageDecode)
 		// Admission: take an in-flight token (parking here is the
 		// per-connection pipelining bound), then offer the task to the
-		// bounded queue. The enqueue stamp lands BEFORE admit: the channel
-		// send copies the task by value, so the enqueue stage covers the
-		// in-flight-token wait and the dispatch stage the queue wait
-		// (including an AdmitBlock park).
+		// bounded queue.
 		cs.sem <- struct{}{}
 		cs.wg.Add(1)
 		cs.owed.Add(1)
-		span.Mark(trace.StageEnqueue)
-		if !s.sched.admit(task{r: r, c: cs, span: span}) {
-			s.reqOverload.Add(1)
-			cs.owed.Add(-1)
-			cs.wg.Done()
-			<-cs.sem
-			r.resp = appendResponse(r.resp[:0], r.id, StatusOverloaded, nil, "admission queue full")
-			cs.responses <- r
+		if b == nil && !(bursts && frameBuffered(br)) {
+			s.admit(cs, r, nil)
+			continue
 		}
+		// The next frame is already whole in br: r and it go in one task.
+		if b == nil {
+			b = burstPool.Get().(*burst)
+			b.tasks = 1
+		}
+		b.reqs = append(b.reqs, r)
+	}
+	if b != nil {
+		s.admit(cs, nil, b)
 	}
 	// Wait for this connection's admitted tasks to be answered before
 	// closing the response channel the executors deliver into.
 	cs.wg.Wait()
 	close(cs.responses)
 	<-writerDone
+}
+
+// admit offers the queue one task, the lone request r or the burst b; a
+// refused task's requests are answered StatusOverloaded here. The enqueue
+// stamps land before an executor can have the requests.
+func (s *Server) admit(cs *connState, r *request, b *burst) {
+	t, reqs := task{r: r}, []*request{r}
+	if b != nil {
+		t, reqs = task{b: b}, b.reqs
+	}
+	for _, r := range reqs {
+		r.span.Mark(trace.StageEnqueue)
+	}
+	if s.sched.admit(t, len(reqs)) {
+		return
+	}
+	for _, r := range reqs {
+		s.reqOverload.Add(1)
+		cs.owed.Add(-1)
+		cs.wg.Done()
+		<-cs.sem
+		r.resp = appendResponse(r.resp[:0], r.id, StatusOverloaded, nil, "admission queue full")
+		cs.responses <- r
+	}
 }
 
 // execute runs one request on an executor's thread and encodes its
