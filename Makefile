@@ -15,7 +15,8 @@
 #                   the crash-recovery soak + the storage-fault soak +
 #                   the failover/partition soak — run this before sending
 #                   a PR; it writes no tracked file
-#   make vet        go vet ./...
+#   make vet        go vet ./..., and fail if gofmt -l internal cmd examples
+#                   lists any file
 #   make genome     TestGenomePhases 1000 times (~2 s): four workers insert
 #                   into one shared set; a reader whose repeated Read lost its
 #                   registration let a writer slip past it and the set ended
@@ -37,11 +38,13 @@
 #                   executors through the M:N scheduler, backpressure and
 #                   slot-leak gates on; see cmd/nztm-soak; SOAK_FLAGS /
 #                   OVERSUB_FLAGS to customise)
-#   make crash      crash-recovery soak: SIGKILL a child nztm-server at
-#                   seeded WAL crash points (all five sites), restart it,
-#                   and verify every acknowledged write survives and the
-#                   recovered history stays linearizable (CRASH_FLAGS to
-#                   customise; see DESIGN.md §12)
+#   make crash      crash-recovery soak: a child nztm-server SIGKILLs
+#                   itself at the disk-fault filesystem's seeded kill sites
+#                   (before, halfway through and after a write, before a
+#                   rename, before a remove; all five), is restarted, and
+#                   every acknowledged write must survive, the recovered
+#                   history stay linearizable and no child need a parent
+#                   kill (CRASH_FLAGS to customise; see DESIGN.md §12)
 #   make failover   replication failover soak: run a 3-node cluster of
 #                   child servers under load, SIGKILL the primary ≥50
 #                   times, require automatic promotion each time, prove
@@ -150,6 +153,8 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l internal cmd examples); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -36,8 +36,8 @@ import (
 
 // needDataDir names the flags that configure the durable store; setting
 // one without -data-dir is a usage error, not a silent memory-only boot.
-var needDataDir = []string{"fsync", "fsync-interval", "snapshot-every", "crash-seed", "crash-sites",
-	"crash-prob", "disk-fault-seed", "disk-fault-sites", "disk-fault-prob", "repl-addr"}
+var needDataDir = []string{"fsync", "fsync-interval", "snapshot-every", "disk-fault-seed",
+	"disk-fault-sites", "disk-fault-prob", "repl-addr"}
 
 func main() {
 	var cfg node.Config
@@ -57,12 +57,8 @@ func main() {
 	flag.DurationVar(&cfg.FsyncInterval, "fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
 	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-every", 0, "per-shard snapshot + log-truncation period (0 = never snapshot; the log grows unbounded)")
 
-	flag.Uint64Var(&cfg.CrashSeed, "crash-seed", 0, "arm deterministic kill-self crash-point injection with this seed (0 = off; testing only)")
-	flag.StringVar(&cfg.CrashSites, "crash-sites", "all", "comma-separated WAL crash sites to arm (pre-append, mid-append, post-append, mid-snapshot, mid-truncate, or all)")
-	flag.Float64Var(&cfg.CrashProb, "crash-prob", 0.01, "per-visit firing probability at each armed crash site")
-
-	flag.Uint64Var(&cfg.DiskSeed, "disk-fault-seed", 0, "arm deterministic disk I/O error injection with this seed (0 = off; testing only; passthrough until recovery completes)")
-	flag.StringVar(&cfg.DiskSites, "disk-fault-sites", "all", "comma-separated disk fault sites to arm (write-eio, write-short, write-enospc, sync, open, read, rename, or all)")
+	flag.Uint64Var(&cfg.DiskSeed, "disk-fault-seed", 0, "arm deterministic disk I/O error and kill-self injection with this seed (0 = off; testing only; passthrough until recovery completes)")
+	flag.StringVar(&cfg.DiskSites, "disk-fault-sites", "all", "comma-separated disk fault sites to arm: I/O errors (write-eio, write-short, write-enospc, sync, open, read, rename; all = these seven) and kill-self sites (kill-before-write, kill-mid-write, kill-after-write, kill-before-rename, kill-before-remove)")
 	flag.Float64Var(&cfg.DiskProb, "disk-fault-prob", 0.01, "per-visit firing probability at each armed disk fault site")
 
 	flag.StringVar(&cfg.ReplAddr, "repl-addr", "", "replication listen address (empty disables the replication plane; requires -data-dir)")
@@ -93,9 +89,6 @@ func main() {
 	cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	if err := cfg.Validate(); err != nil {
 		usage(err.Error())
-	}
-	if cfg.CrashSeed != 0 {
-		fmt.Printf("nztm-server: crash points armed: sites=%s prob=%g seed=%d\n", cfg.CrashSites, cfg.CrashProb, cfg.CrashSeed)
 	}
 	if cfg.DiskSeed != 0 {
 		fmt.Printf("nztm-server: disk faults loaded: sites=%s prob=%g seed=%d (armed after recovery)\n",

@@ -471,7 +471,7 @@ func TestDurabilityFlagsNeedDataDir(t *testing.T) {
 	}
 	bin := buildServer(t)
 	for _, args := range [][]string{
-		{"-crash-seed", "1", "-disk-fault-seed", "9", "-fsync", "bogus", "-snapshot-every", "1s"},
+		{"-disk-fault-seed", "9", "-fsync", "bogus", "-snapshot-every", "1s"},
 		{"-disk-fault-seed", "9"},
 		{"-fsync", "never"},
 		{"-fsync-interval", "10ms"},

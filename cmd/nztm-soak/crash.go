@@ -1,10 +1,10 @@
 // Crash-recovery soak (-leg crash): the durability analogue of the chaos
-// soak. The parent process execs nztm-server as a child with the WAL's
-// crash points armed (deterministic seeded kill-self at pre-append,
-// mid-append, post-append, mid-snapshot and mid-truncate), hammers it
-// with acknowledged writes, lets the injection SIGKILL the child
-// mid-operation, restarts it against the same data directory, and
-// verifies after every recovery that
+// soak. The parent process execs nztm-server as a child with one of the
+// disk-fault plane's kill sites armed (deterministic seeded kill-self
+// before, halfway through or after a write, before a rename, before a
+// remove), hammers it with acknowledged writes, lets the injection
+// SIGKILL the child mid-operation, restarts it against the same data
+// directory, and verifies after every recovery that
 //
 //   - every acknowledged write survived (reads after restart must show
 //     the last acknowledged value or a later issued-but-unacknowledged
@@ -12,7 +12,9 @@
 //   - unacknowledged writes may be lost but are never corrupted (any
 //     recovered value must be one the workload actually issued);
 //   - the full cross-restart history, with crash-severed requests
-//     recorded as lost, remains linearizable under internal/histcheck.
+//     recorded as lost, remains linearizable under internal/histcheck;
+//   - every child dies by injection: one the parent's watchdog has to
+//     kill (wedged, or never reaching its kill site) fails the leg.
 //
 // Every few iterations (and at the end) it also runs the graceful path:
 // an unarmed child is sent SIGTERM and must drain, flush the WAL and
@@ -27,8 +29,8 @@ import (
 	"syscall"
 	"time"
 
+	"nztm/internal/fault"
 	"nztm/internal/kv"
-	"nztm/internal/wal"
 )
 
 // crashLeg is the parent-side state across all child lifetimes.
@@ -37,15 +39,14 @@ type crashLeg struct {
 	l   *ledger
 
 	injections tally
-	timeouts   int // children the parent had to kill (no injection fired)
 	iters      int
 	gracefuls  int
 }
 
-// crashSites is the per-iteration rotation: every WAL crash point.
-var crashSites = []wal.CrashPoint{
-	wal.CrashPreAppend, wal.CrashMidAppend, wal.CrashPostAppend,
-	wal.CrashMidSnapshot, wal.CrashMidTruncate,
+// crashSites is the per-iteration rotation: every kill site.
+var crashSites = []fault.DiskSite{
+	fault.DiskKillBeforeWrite, fault.DiskKillMidWrite, fault.DiskKillAfterWrite,
+	fault.DiskKillBeforeRename, fault.DiskKillBeforeRemove,
 }
 
 // boot starts one single-node child on cfg.dir (the crash and diskfault
@@ -76,14 +77,14 @@ func (cs *crashLeg) load(c *child, iter int, deadline time.Duration) {
 // ---------------------------------------------------------------------
 // Iterations.
 
-// crashProb picks the per-visit firing probability for a site: append
-// sites are visited once per logged write (let a few dozen commits land
-// first), snapshot-plane sites only a few times a second (fire fast).
-func crashProb(site wal.CrashPoint) float64 {
+// crashProb picks the per-visit firing probability for a site: write
+// sites are visited once per cohort (let a few dozen commits land first),
+// rename and remove a few times a second by snapshots (fire fast).
+func crashProb(site fault.DiskSite) float64 {
 	switch site {
-	case wal.CrashMidSnapshot:
+	case fault.DiskKillBeforeRename:
 		return 0.5
-	case wal.CrashMidTruncate:
+	case fault.DiskKillBeforeRemove:
 		return 0.6
 	default:
 		return 0.08
@@ -94,14 +95,14 @@ var crashFsyncs = [...]string{"always", "interval", "never"}
 
 // iterate runs one armed child lifetime: boot (recovers the previous
 // crash), verify, load until the injection kills it, classify.
-func (cs *crashLeg) iterate(iter int, site wal.CrashPoint, fsync string) error {
+func (cs *crashLeg) iterate(iter int, site fault.DiskSite, fsync string) error {
 	cs.iters++
 	seed := cs.cfg.seed + uint64(iter)*7919 + 1
 	c, err := boot(cs.cfg,
 		"-fsync", fsync,
-		"-crash-seed", fmt.Sprint(seed),
-		"-crash-sites", site.String(),
-		"-crash-prob", fmt.Sprint(crashProb(site)),
+		"-disk-fault-seed", fmt.Sprint(seed),
+		"-disk-fault-sites", site.String(),
+		"-disk-fault-prob", fmt.Sprint(crashProb(site)),
 	)
 	if err != nil {
 		return err
@@ -118,11 +119,8 @@ func (cs *crashLeg) iterate(iter int, site wal.CrashPoint, fsync string) error {
 	sites, killed := c.reap(5 * time.Second)
 	cs.injections.add(sites)
 	if len(sites) == 0 {
-		if !killed {
-			return fmt.Errorf("iter %d: child died with no crash marker and no parent kill:\n%s",
-				iter, c.dumpTail())
-		}
-		cs.timeouts++
+		return fmt.Errorf("iter %d (site %s, fsync %s): child ended with no kill-site marker (parent kill: %v):\n%s",
+			iter, site, fsync, killed, c.dumpTail())
 	}
 	return nil
 }
@@ -185,12 +183,9 @@ func runCrash(cfg soakCfg) error {
 		cfg.target, cfg.dir, cfg.seed, cfg.shards, cfg.workers, cfg.keys)
 
 	start := time.Now()
-	maxIters := cfg.target*3 + 25
+	// An iteration either fails or adds an injection, so the loop ends
+	// within target iterations.
 	for iter := 0; cs.injections.total() < cfg.target; iter++ {
-		if iter >= maxIters {
-			return fmt.Errorf("only %d of %d injections after %d iterations (per-site: %s)",
-				cs.injections.total(), cfg.target, iter, perSite(cs.injections, crashSites))
-		}
 		if iter > 0 && iter%50 == 0 {
 			cs.gracefuls++
 			if err := graceful(cfg, cs.l, iter/50); err != nil {
@@ -201,9 +196,9 @@ func runCrash(cfg soakCfg) error {
 			return err
 		}
 		if (iter+1)%25 == 0 {
-			fmt.Printf("nztm-soak: iter %d: %d/%d injections (%s), %d acked, %d lost, %d timeouts\n",
+			fmt.Printf("nztm-soak: iter %d: %d/%d injections (%s), %d acked, %d lost\n",
 				iter+1, cs.injections.total(), cfg.target, perSite(cs.injections, crashSites),
-				cs.l.acked.Load(), cs.l.lost.Load(), cs.timeouts)
+				cs.l.acked.Load(), cs.l.lost.Load())
 		}
 	}
 	// Two final graceful rounds: the first proves SIGTERM flushes, the
@@ -218,8 +213,8 @@ func runCrash(cfg soakCfg) error {
 		return err
 	}
 
-	fmt.Printf("nztm-soak: crash summary: %d injections in %d iterations (%s), %d parent kills, %d graceful exits, %d acked, %d lost, %v elapsed\n",
-		cs.injections.total(), cs.iters, perSite(cs.injections, crashSites), cs.timeouts, cs.gracefuls,
+	fmt.Printf("nztm-soak: crash summary: %d injections in %d iterations (%s), %d graceful exits, %d acked, %d lost, %v elapsed\n",
+		cs.injections.total(), cs.iters, perSite(cs.injections, crashSites), cs.gracefuls,
 		cs.l.acked.Load(), cs.l.lost.Load(), time.Since(start).Round(time.Millisecond))
 	if err := checkHistory(cs.l.rec, cfg.limit, "recovered history"); err != nil {
 		return err

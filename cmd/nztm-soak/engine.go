@@ -371,7 +371,7 @@ type child struct {
 	statsz       string // observability mux address, from the ready line
 	readyCh      chan struct{}
 	readyOnce    sync.Once
-	sites        []string // CRASH-POINT and DISK-FAULT sites seen on its output
+	sites        []string // DISK-FAULT sites seen on its output
 	tail         []string // last output lines, for post-mortem
 	parentKilled atomic.Bool
 }
@@ -396,7 +396,7 @@ func (c *child) note(line string) {
 		}
 		c.readyOnce.Do(func() { close(c.readyCh) })
 	}
-	if strings.HasPrefix(line, fault.CrashMarkerPrefix) || strings.HasPrefix(line, fault.DiskMarkerPrefix) {
+	if strings.HasPrefix(line, fault.DiskMarkerPrefix) {
 		for _, f := range strings.Fields(line) {
 			if s, ok := strings.CutPrefix(f, "site="); ok {
 				c.sites = append(c.sites, s)

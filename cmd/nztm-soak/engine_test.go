@@ -136,14 +136,14 @@ func TestLedgerRun(t *testing.T) {
 }
 
 // TestNoteParsesSplitWrites feeds a child's output through lineWriter in
-// awkward pieces: the ready line, a crash marker and a disk marker each
-// cut mid-line across Write calls.
+// awkward pieces: the ready line, a kill-site marker and two
+// I/O-error markers each cut mid-line across Write calls.
 func TestNoteParsesSplitWrites(t *testing.T) {
 	c := &child{readyCh: make(chan struct{})}
 	w := &lineWriter{c: c}
 	out := "nztm-server: recovered /d: replayed=3\n" +
 		"nztm-server: ready addr=127.0.0.1:4100 statsz=127.0.0.1:4101\n" +
-		"CRASH-POINT site=mid-append seed=7\n" +
+		"DISK-FAULT site=kill-mid-write seed=7\n" +
 		"DISK-FAULT site=write-enospc seed=9\n" +
 		"DISK-FAULT site=sync seed=9\n" +
 		"partial line with no newline"
@@ -164,7 +164,7 @@ func TestNoteParsesSplitWrites(t *testing.T) {
 	if c.addr != "127.0.0.1:4100" || c.statsz != "127.0.0.1:4101" {
 		t.Errorf("addr=%q statsz=%q", c.addr, c.statsz)
 	}
-	if want := []string{"mid-append", "write-enospc", "sync"}; !reflect.DeepEqual(c.sites, want) {
+	if want := []string{"kill-mid-write", "write-enospc", "sync"}; !reflect.DeepEqual(c.sites, want) {
 		t.Errorf("sites = %q, want %q", c.sites, want)
 	}
 	if len(c.tail) != 5 || !strings.HasPrefix(c.tail[0], "nztm-server: recovered") {

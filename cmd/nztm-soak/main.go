@@ -50,7 +50,7 @@ import (
 func main() {
 	var cfg soakCfg
 	nc := &cfg.node
-	flag.StringVar(&cfg.leg, "leg", "chaos", "soak leg: chaos (in-process server under the fault plane), oversub (chaos with connections ≫ executors, see DESIGN.md §14), crash (kill a child nztm-server at WAL crash points, §12), diskfault (child servers on injected disk I/O errors, §17), failover (a 3-node cluster under primary SIGKILLs and partitions, §13)")
+	flag.StringVar(&cfg.leg, "leg", "chaos", "soak leg: chaos (in-process server under the fault plane), oversub (chaos with connections ≫ executors, see DESIGN.md §14), crash (kill a child nztm-server at the disk-fault plane's kill sites, §12), diskfault (child servers on injected disk I/O errors, §17), failover (a 3-node cluster under primary SIGKILLs and partitions, §13)")
 	flag.StringVar(&nc.System, "system", "nzstm", "backing TM system: "+strings.Join(kv.BackendNames(), ", "))
 	flag.Uint64Var(&cfg.seed, "seed", 1, "fault-plane and workload seed")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "soak duration")
@@ -64,7 +64,7 @@ func main() {
 	flag.IntVar(&nc.TraceEvents, "trace", 0, "per-thread flight-recorder capacity in events; on failure the recorder of every registered thread is dumped to stderr (0 = off)")
 	flag.StringVar(&nc.DataDir, "data-dir", "", "run the store crash-durable (WAL + snapshots) in this directory; the leak gate then also covers Store.Close")
 
-	crashTarget := flag.Int("crash-target", 200, "crash leg: total crash-point injections to accumulate across all five sites")
+	crashTarget := flag.Int("crash-target", 200, "crash leg: total kill-site injections to accumulate across all five sites")
 	flag.StringVar(&cfg.dir, "crash-data-dir", "", "crash, diskfault and failover legs: persistent data directory (default: a temp dir, removed on success)")
 	flag.StringVar(&cfg.bin, "server-bin", "", "crash, diskfault and failover legs: path to an nztm-server binary (default: go build it)")
 	flag.IntVar(&cfg.kills, "kills", 50, "failover leg: primary SIGKILLs to survive")

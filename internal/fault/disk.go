@@ -2,8 +2,9 @@ package fault
 
 // Disk is the storage fault plane: a wal.FS decorator that injects I/O
 // errors — EIO, ENOSPC, error-free short writes, fsync failure, open
-// and read failures — at named sites with seeded deterministic streams,
-// the disk-side sibling of CrashPoints. It starts disarmed (pure
+// and read failures — and process death (SIGKILL before, halfway
+// through or after a write, before a rename, before a remove) at named
+// sites with seeded deterministic streams. It starts disarmed (pure
 // passthrough) so a restarting process can recover its log cleanly,
 // and is armed once the server is ready to serve; every injection
 // writes a DISK-FAULT marker line so the soak parent can count
@@ -15,6 +16,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -48,11 +50,36 @@ const (
 	// DiskRename fails a rename with EIO.
 	DiskRename
 
+	// The kill sites write their marker and SIGKILL the process: no
+	// deferred cleanup, no flushes, exactly the failure an OOM kill
+	// delivers. What was written stays in the page cache, so recovery
+	// sees the same bytes under every fsync policy.
+
+	// DiskKillBeforeWrite dies before any byte of a write lands.
+	DiskKillBeforeWrite
+	// DiskKillMidWrite writes half of p, then dies: a torn frame at the
+	// log's tail, or a torn snapshot temp file.
+	DiskKillMidWrite
+	// DiskKillAfterWrite writes all of p, then dies before returning:
+	// the frame is on disk, its commit never acknowledged.
+	DiskKillAfterWrite
+	// DiskKillBeforeRename dies before a rename: a sealed snapshot temp
+	// file that was never published.
+	DiskKillBeforeRename
+	// DiskKillBeforeRemove dies before a remove: covered segments and
+	// stale snapshots left behind.
+	DiskKillBeforeRemove
+
 	DiskSiteCount = iota
 )
 
+// diskErrorSites counts the I/O-error sites, which come first. "all"
+// names exactly these, so arming every site never kills.
+const diskErrorSites = DiskKillBeforeWrite
+
 var diskSiteNames = [DiskSiteCount]string{
 	"write-eio", "write-short", "write-enospc", "sync", "open", "read", "rename",
+	"kill-before-write", "kill-mid-write", "kill-after-write", "kill-before-rename", "kill-before-remove",
 }
 
 func (s DiskSite) String() string {
@@ -63,14 +90,29 @@ func (s DiskSite) String() string {
 }
 
 // ParseDiskSites parses a comma-separated site list ("sync" or
-// "write-eio,open" or "all") into a per-site probability vector with
-// prob at each named site.
+// "write-eio,kill-mid-write" or "all", which names the seven I/O-error
+// sites and no kill site) into a per-site probability vector with prob
+// at each named site.
 func ParseDiskSites(list string, prob float64) (probs [DiskSiteCount]float64, err error) {
-	err = parseSites("disk", list, prob, probs[:], func(i int) string { return DiskSite(i).String() })
-	return probs, err
+	if list == "" {
+		return probs, nil
+	}
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		found := false
+		for s := DiskSite(0); s < DiskSiteCount; s++ {
+			if n == s.String() || n == "all" && s < diskErrorSites {
+				probs[s], found = prob, true
+			}
+		}
+		if !found {
+			return probs, fmt.Errorf("fault: unknown disk site %q", n)
+		}
+	}
+	return probs, nil
 }
 
-// DiskConfig configures deterministic I/O-error injection.
+// DiskConfig configures deterministic I/O-error and kill-site injection.
 type DiskConfig struct {
 	// Seed derives one deterministic Bernoulli stream per site.
 	Seed uint64
@@ -81,9 +123,10 @@ type DiskConfig struct {
 	Output io.Writer
 }
 
-// DiskStats counts injections per site. Every field is exported by
-// reflection into /metricsz (metrics.WriteFields), so adding a field here
-// adds a metric.
+// DiskStats counts injections per I/O-error site. Every field is
+// exported by reflection into /metricsz (metrics.WriteFields), so adding
+// a field here adds a metric. The kill sites have no field: the process
+// dies before any scrape could read one.
 type DiskStats struct {
 	WriteEIO     atomic.Uint64 // injected write EIOs
 	WriteShort   atomic.Uint64 // injected error-free short writes
@@ -94,7 +137,7 @@ type DiskStats struct {
 	RenameFails  atomic.Uint64 // injected rename EIOs
 }
 
-// counter maps a site to its stats field.
+// counter maps a site to its stats field, nil for a kill site.
 func (st *DiskStats) counter(s DiskSite) *atomic.Uint64 {
 	switch s {
 	case DiskWriteEIO:
@@ -109,15 +152,18 @@ func (st *DiskStats) counter(s DiskSite) *atomic.Uint64 {
 		return &st.OpenFailures
 	case DiskRead:
 		return &st.ReadFailures
-	default:
+	case DiskRename:
 		return &st.RenameFails
+	case DiskKillBeforeWrite, DiskKillMidWrite, DiskKillAfterWrite, DiskKillBeforeRename, DiskKillBeforeRemove:
+		return nil
 	}
+	panic(fmt.Sprintf("fault: no disk site %d", int(s)))
 }
 
-// Injected returns the total injections across all sites.
+// Injected returns the total injected I/O errors across all sites.
 func (st *DiskStats) Injected() uint64 {
 	var n uint64
-	for s := DiskSite(0); s < DiskSiteCount; s++ {
+	for s := DiskSite(0); s < diskErrorSites; s++ {
 		n += st.counter(s).Load()
 	}
 	return n
@@ -132,6 +178,7 @@ type Disk struct {
 	cfg   DiskConfig
 	inner wal.FS
 	armed atomic.Bool
+	kill  func() // SIGKILL self; swappable so tests survive a kill site
 
 	mu      sync.Mutex
 	streams [DiskSiteCount]*stream
@@ -148,7 +195,7 @@ func NewDiskFS(cfg DiskConfig, inner wal.FS) *Disk {
 	if cfg.Output == nil {
 		cfg.Output = os.Stderr
 	}
-	d := &Disk{cfg: cfg, inner: inner}
+	d := &Disk{cfg: cfg, inner: inner, kill: killSelf}
 	for i := range d.streams {
 		d.streams[i] = newStream(cfg.Seed, 0xd15c+uint64(i))
 	}
@@ -186,9 +233,27 @@ func (d *Disk) hit(site DiskSite) bool {
 	if !fire {
 		return false
 	}
-	d.stats.counter(site).Add(1)
+	if c := d.stats.counter(site); c != nil {
+		c.Add(1)
+	}
 	fmt.Fprintf(d.cfg.Output, "%s site=%s seed=%d\n", DiskMarkerPrefix, site, d.cfg.Seed)
 	return true
+}
+
+// die makes one draw at a kill site and, on a fire, kills the process
+// after the marker is written.
+func (d *Disk) die(site DiskSite) {
+	if d.hit(site) {
+		d.kill()
+	}
+}
+
+// killSelf terminates the process without running any deferred cleanup.
+// SIGKILL cannot be caught; the kernel reaps us mid-instruction.
+func killSelf() {
+	syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	// SIGKILL delivery can race the next instruction; never limp on.
+	select {}
 }
 
 // WriteProm exports the plane's seed, the armed gauge and every
@@ -239,13 +304,18 @@ func (d *Disk) CreateTemp(dir, pattern string) (wal.File, error) {
 }
 
 func (d *Disk) Rename(oldpath, newpath string) error {
+	d.die(DiskKillBeforeRename)
 	if d.hit(DiskRename) {
 		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: syscall.EIO}
 	}
 	return d.inner.Rename(oldpath, newpath)
 }
 
-func (d *Disk) Remove(name string) error                   { return d.inner.Remove(name) }
+func (d *Disk) Remove(name string) error {
+	d.die(DiskKillBeforeRemove)
+	return d.inner.Remove(name)
+}
+
 func (d *Disk) Truncate(name string, s int64) error        { return d.inner.Truncate(name, s) }
 func (d *Disk) MkdirAll(p string, m iofs.FileMode) error   { return d.inner.MkdirAll(p, m) }
 func (d *Disk) ReadDir(name string) ([]os.DirEntry, error) { return d.inner.ReadDir(name) }
@@ -256,13 +326,19 @@ func (d *Disk) WriteFile(name string, b []byte, m iofs.FileMode) error {
 func (d *Disk) Stat(name string) (os.FileInfo, error) { return d.inner.Stat(name) }
 func (d *Disk) Glob(pattern string) ([]string, error) { return d.inner.Glob(pattern) }
 
-// diskFile decorates one open file with write/read/sync injection.
+// diskFile decorates one open file with write/read/sync injection and
+// the write kill sites.
 type diskFile struct {
 	f wal.File
 	d *Disk
 }
 
 func (f *diskFile) Write(p []byte) (int, error) {
+	f.d.die(DiskKillBeforeWrite)
+	if len(p) > 1 && f.d.hit(DiskKillMidWrite) {
+		f.f.Write(p[:len(p)/2]) // the torn prefix lands in the page cache
+		f.d.kill()
+	}
 	if f.d.hit(DiskWriteEIO) {
 		return 0, &os.PathError{Op: "write", Path: f.f.Name(), Err: syscall.EIO}
 	}
@@ -276,7 +352,11 @@ func (f *diskFile) Write(p []byte) (int, error) {
 	if len(p) > 1 && f.d.hit(DiskWriteShort) {
 		return f.f.Write(p[:len(p)/2]) // error-free short write
 	}
-	return f.f.Write(p)
+	n, err := f.f.Write(p)
+	if err == nil {
+		f.d.die(DiskKillAfterWrite)
+	}
+	return n, err
 }
 
 func (f *diskFile) ReadAt(p []byte, off int64) (int, error) {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -163,6 +164,129 @@ func wantSize(t *testing.T, path string, want int64) {
 	}
 }
 
+// TestDiskKillSiteTable fires every kill site through the FS seam with
+// the kill swapped for a probe, and checks what the inner filesystem
+// holds at the moment of death, the marker written before it, and that
+// no DiskStats field counts it.
+func TestDiskKillSiteTable(t *testing.T) {
+	payload := []byte("0123456789")
+	write := func(t *testing.T, d *Disk, dir string) {
+		f := mustOpen(t, d, filepath.Join(dir, "f"))
+		defer f.Close()
+		f.Write(payload)
+	}
+	cases := []struct {
+		site DiskSite
+		run  func(t *testing.T, d *Disk, dir string) // performs the fatal operation
+		dead func(t *testing.T, dir string)          // the inner FS at the moment of death
+	}{
+		{DiskKillBeforeWrite, write,
+			func(t *testing.T, dir string) { wantSize(t, filepath.Join(dir, "f"), 0) }},
+		{DiskKillMidWrite, write,
+			func(t *testing.T, dir string) { wantSize(t, filepath.Join(dir, "f"), int64(len(payload)/2)) }},
+		{DiskKillAfterWrite, write,
+			func(t *testing.T, dir string) { wantSize(t, filepath.Join(dir, "f"), int64(len(payload))) }},
+		{DiskKillBeforeRename,
+			func(t *testing.T, d *Disk, dir string) {
+				tmp, err := d.CreateTemp(dir, "tmp-*")
+				if err != nil {
+					t.Fatalf("CreateTemp: %v", err)
+				}
+				tmp.Write(payload)
+				tmp.Close()
+				d.Rename(tmp.Name(), filepath.Join(dir, "final"))
+			},
+			func(t *testing.T, dir string) {
+				if tmps, _ := filepath.Glob(filepath.Join(dir, "tmp-*")); len(tmps) != 1 {
+					t.Errorf("temp files %v, want one", tmps)
+				}
+				if _, err := os.Stat(filepath.Join(dir, "final")); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("final name exists before the rename: %v", err)
+				}
+			}},
+		{DiskKillBeforeRemove,
+			func(t *testing.T, d *Disk, dir string) {
+				if err := os.WriteFile(filepath.Join(dir, "f"), payload, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				d.Remove(filepath.Join(dir, "f"))
+			},
+			func(t *testing.T, dir string) { wantSize(t, filepath.Join(dir, "f"), int64(len(payload))) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.site.String(), func(t *testing.T) {
+			var out bytes.Buffer
+			d := armedAt(tc.site, &out)
+			dir := t.TempDir()
+			marker := fmt.Sprintf("%s site=%s seed=7\n", DiskMarkerPrefix, tc.site)
+			kills := 0
+			d.kill = func() {
+				if kills++; kills > 1 {
+					return // the probe returns, so later operations may visit again
+				}
+				if out.String() != marker {
+					t.Errorf("output before death %q, want %q", out.String(), marker)
+				}
+				tc.dead(t, dir)
+			}
+			tc.run(t, d, dir)
+			if kills == 0 {
+				t.Fatalf("site %s never killed", tc.site)
+			}
+			if n := d.Stats().Injected(); n != 0 {
+				t.Errorf("a kill site counted %d injected errors", n)
+			}
+			probs, err := ParseDiskSites(tc.site.String(), 1)
+			var sum float64
+			for _, v := range probs {
+				sum += v
+			}
+			if err != nil || probs[tc.site] != 1 || sum != 1 {
+				t.Fatalf("ParseDiskSites(%q) = %v, %v", tc.site.String(), probs, err)
+			}
+		})
+	}
+}
+
+// TestDiskKillSitesDeterministic: under one seed a kill site fires at
+// the same visits with the same markers, and a site with no probability
+// never fires.
+func TestDiskKillSitesDeterministic(t *testing.T) {
+	run := func(seed uint64) (fires []int, markers string) {
+		var out bytes.Buffer
+		probs, err := ParseDiskSites("kill-mid-write", 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDiskFS(DiskConfig{Seed: seed, Probs: probs, Output: &out}, wal.OSFS())
+		d.Arm()
+		visit := 0
+		d.kill = func() { fires = append(fires, visit) }
+		dir := t.TempDir()
+		f := mustOpen(t, d, filepath.Join(dir, "f"))
+		defer f.Close()
+		for ; visit < 500; visit++ {
+			f.Write([]byte("ab"))
+			d.Remove(filepath.Join(dir, "absent")) // unarmed site: must stay quiet
+		}
+		return fires, out.String()
+	}
+	f1, m1 := run(42)
+	f2, m2 := run(42)
+	if len(f1) == 0 {
+		t.Fatal("armed site never fired in 500 visits at p=0.05")
+	}
+	if !reflect.DeepEqual(f1, f2) || m1 != m2 {
+		t.Fatalf("same seed diverged: fires %v vs %v", f1, f2)
+	}
+	if want := strings.Repeat(DiskMarkerPrefix+" site=kill-mid-write seed=42\n", len(f1)); m1 != want {
+		t.Fatalf("markers %q, want %d kill-mid-write lines", m1, len(f1))
+	}
+	if f3, _ := run(43); reflect.DeepEqual(f1, f3) {
+		t.Fatalf("seeds 42 and 43 fired at the same visits %v", f1)
+	}
+}
+
 func TestDiskDisarmedIsPassthrough(t *testing.T) {
 	var probs [DiskSiteCount]float64
 	for i := range probs {
@@ -190,14 +314,52 @@ func TestDiskDisarmedIsPassthrough(t *testing.T) {
 	}
 }
 
+// TestDiskKillSitesDisarmed: with every kill site armed at p=1 but the
+// plane disarmed, a thousand writes, renames and removes never kill and
+// print nothing.
+func TestDiskKillSitesDisarmed(t *testing.T) {
+	var probs [DiskSiteCount]float64
+	for s := diskErrorSites; s < DiskSiteCount; s++ {
+		probs[s] = 1
+	}
+	var out bytes.Buffer
+	d := NewDiskFS(DiskConfig{Seed: 1, Probs: probs, Output: &out}, wal.OSFS())
+	d.kill = func() { t.Fatal("disarmed plane killed") }
+	dir := t.TempDir()
+	f := mustOpen(t, d, filepath.Join(dir, "f"))
+	defer f.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := f.Write([]byte("ab")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := d.WriteFile(filepath.Join(dir, "g"), []byte("x"), 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		if err := d.Rename(filepath.Join(dir, "g"), filepath.Join(dir, "h")); err != nil {
+			t.Fatalf("Rename: %v", err)
+		}
+		if err := d.Remove(filepath.Join(dir, "h")); err != nil {
+			t.Fatalf("Remove: %v", err)
+		}
+	}
+	wantSize(t, filepath.Join(dir, "f"), 2000)
+	if out.Len() != 0 {
+		t.Fatalf("disarmed plane wrote %q", out.String())
+	}
+}
+
 func TestParseDiskSites(t *testing.T) {
 	probs, err := ParseDiskSites("all", 0.25)
 	if err != nil {
 		t.Fatalf("all: %v", err)
 	}
 	for s := DiskSite(0); s < DiskSiteCount; s++ {
-		if probs[s] != 0.25 {
-			t.Fatalf("all: site %s prob %g", s, probs[s])
+		want := 0.25
+		if s >= diskErrorSites {
+			want = 0 // all names the I/O-error sites and no kill site
+		}
+		if probs[s] != want {
+			t.Fatalf("all: site %s prob %g, want %g", s, probs[s], want)
 		}
 	}
 	probs, err = ParseDiskSites("sync, write-eio", 0.5)
@@ -209,6 +371,31 @@ func TestParseDiskSites(t *testing.T) {
 	}
 	if _, err := ParseDiskSites("frobnicate", 1); err == nil {
 		t.Fatal("unknown site accepted")
+	}
+}
+
+// TestParseDiskKillSites: kill sites are armed only by name, in lists
+// mixed with error sites, and never by "all".
+func TestParseDiskKillSites(t *testing.T) {
+	probs, err := ParseDiskSites("all", 1)
+	if err != nil {
+		t.Fatalf("all: %v", err)
+	}
+	for s := diskErrorSites; s < DiskSiteCount; s++ {
+		if probs[s] != 0 {
+			t.Fatalf("all arms kill site %s at %g", s, probs[s])
+		}
+	}
+	probs, err = ParseDiskSites("kill-before-write, sync, kill-before-remove", 1)
+	if err != nil {
+		t.Fatalf("kill list: %v", err)
+	}
+	if probs[DiskKillBeforeWrite] != 1 || probs[DiskKillBeforeRemove] != 1 || probs[DiskSync] != 1 ||
+		probs[DiskKillMidWrite] != 0 || probs[DiskWriteEIO] != 0 {
+		t.Fatalf("kill list: probs %v", probs)
+	}
+	if _, err := ParseDiskSites("kill-mid-append", 1); err == nil {
+		t.Fatal("unknown kill site accepted")
 	}
 }
 

@@ -53,10 +53,8 @@ type Durability struct {
 	// NewThread mints the snapshotter's TM thread (kv.Backend.NewThread
 	// fits). Required when SnapshotEvery > 0.
 	NewThread func() *tm.Thread
-	// CrashHook is passed through to the WAL (fault.CrashPoints.Hook).
-	CrashHook func(wal.CrashPoint)
-	// FS is the WAL's filesystem seam (fault.Disk fits); nil means the
-	// real filesystem.
+	// FS is the WAL's filesystem seam (fault.Disk fits: I/O errors and
+	// kill sites); nil means the real filesystem.
 	FS wal.FS
 	// Recorder, when non-nil, receives durability-plane trace events
 	// (recovery, snapshots, truncation) — typically
@@ -103,7 +101,6 @@ func NewDurable(sys tm.System, shards, bucketsPerShard int, d Durability) (*Stor
 		Shards:        shards,
 		Fsync:         d.Fsync,
 		FsyncInterval: d.FsyncInterval,
-		CrashHook:     d.CrashHook,
 		FS:            d.FS,
 		OnDegrade: func(error) {
 			d.Recorder.Record(tm.Monotime(), trace.KindWALDegrade, 0, 0, 0)

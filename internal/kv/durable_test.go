@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"reflect"
 	"runtime"
 	"sync"
@@ -315,6 +316,42 @@ func TestDurableConcurrentWriters(t *testing.T) {
 	}
 }
 
+// stallFS is the real filesystem with one armed write stalled halfway:
+// the first write after arming lands its first half, closes blocked and
+// waits for block before writing the rest.
+type stallFS struct {
+	wal.FS
+	armed          *atomic.Bool
+	blocked, block chan struct{}
+}
+
+func (f stallFS) OpenFile(name string, flag int, perm iofs.FileMode) (wal.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{file, f}, nil
+}
+
+type stallFile struct {
+	wal.File
+	fs stallFS
+}
+
+func (f stallFile) Write(p []byte) (int, error) {
+	if !f.fs.armed.CompareAndSwap(true, false) {
+		return f.File.Write(p)
+	}
+	n, err := f.File.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	close(f.fs.blocked)
+	<-f.fs.block
+	m, err := f.File.Write(p[n:])
+	return n + m, err
+}
+
 // TestAckGatedOnCrossShardStability pins the acknowledgement rule: no
 // response may depend on a commit that recovery could still drop. A
 // cross-shard commit is stalled halfway through its one write (a torn
@@ -330,14 +367,9 @@ func TestAckGatedOnCrossShardStability(t *testing.T) {
 	var release sync.Once
 	unblock := func() { release.Do(func() { close(block) }) }
 	defer unblock()
-	hook := func(p wal.CrashPoint) {
-		if p == wal.CrashMidAppend && armed.CompareAndSwap(true, false) {
-			close(blocked)
-			<-block
-		}
-	}
 	dir := t.TempDir()
-	s, b := newDurableStore(t, dir, 2, 2, Durability{Fsync: wal.FsyncNever, CrashHook: hook})
+	stall := stallFS{FS: wal.OSFS(), armed: &armed, blocked: blocked, block: block}
+	s, b := newDurableStore(t, dir, 2, 2, Durability{Fsync: wal.FsyncNever, FS: stall})
 	defer s.Close()
 	budget := Budget{MaxAttempts: 100}
 	a := shardKeys(s, 0, 2)

@@ -43,10 +43,7 @@ type Config struct {
 	Fsync           wal.FsyncPolicy
 	FsyncInterval   time.Duration
 	SnapshotEvery   time.Duration
-	CrashSeed       uint64 // arms kill-self WAL crash points; 0 = off
-	CrashSites      string
-	CrashProb       float64
-	DiskSeed        uint64 // arms disk I/O errors once Start runs; 0 = off
+	DiskSeed        uint64 // arms disk I/O errors and kill sites once Start runs; 0 = off
 	DiskSites       string
 	DiskProb        float64
 	ReplAddr        string // turns on replication
@@ -62,10 +59,9 @@ type Config struct {
 
 // Configuration errors, reported before anything is built.
 var (
-	ErrUnknownSystem     = errors.New("node: unknown system")
-	ErrReplNeedsDataDir  = errors.New("node: replication requires a data directory (the log is the stream)")
-	ErrCrashNeedsDataDir = errors.New("node: crash points require a data directory")
-	ErrDiskNeedsDataDir  = errors.New("node: disk faults require a data directory")
+	ErrUnknownSystem    = errors.New("node: unknown system")
+	ErrReplNeedsDataDir = errors.New("node: replication requires a data directory (the log is the stream)")
+	ErrDiskNeedsDataDir = errors.New("node: disk faults require a data directory")
 )
 
 // Validate reports the first configuration error.
@@ -76,15 +72,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.DataDir == "" && c.ReplAddr != "":
 		return ErrReplNeedsDataDir
-	case c.DataDir == "" && c.CrashSeed != 0:
-		return ErrCrashNeedsDataDir
 	case c.DataDir == "" && c.DiskSeed != 0:
 		return ErrDiskNeedsDataDir
-	}
-	if c.CrashSeed != 0 {
-		if _, err := fault.ParseCrashSites(c.CrashSites, c.CrashProb); err != nil {
-			return err
-		}
 	}
 	if c.DiskSeed != 0 {
 		_, err := fault.ParseDiskSites(c.DiskSites, c.DiskProb)
@@ -223,8 +212,8 @@ func New(cfg Config) (n *Node, err error) {
 	return n, nil
 }
 
-// openDurable recovers the store with the crash points and the (still
-// disarmed) disk-fault filesystem under its log.
+// openDurable recovers the store with the (still disarmed) disk-fault
+// filesystem under its log.
 func (n *Node) openDurable(cfg Config, sys tm.System) (*kv.Store, error) {
 	dur := kv.Durability{
 		Dir:           cfg.DataDir,
@@ -234,12 +223,8 @@ func (n *Node) openDurable(cfg Config, sys tm.System) (*kv.Store, error) {
 		NewThread:     n.backend.NewThread,
 		Recorder:      n.rec.ForSource(trace.WALSource),
 	}
-	if cfg.CrashSeed != 0 {
-		probs, _ := fault.ParseCrashSites(cfg.CrashSites, cfg.CrashProb) // checked by Validate
-		dur.CrashHook = fault.NewCrashPoints(fault.CrashConfig{Seed: cfg.CrashSeed, Probs: probs}).Hook
-	}
 	if cfg.DiskSeed != 0 {
-		probs, _ := fault.ParseDiskSites(cfg.DiskSites, cfg.DiskProb)
+		probs, _ := fault.ParseDiskSites(cfg.DiskSites, cfg.DiskProb) // checked by Validate
 		n.disk = fault.NewDisk(fault.DiskConfig{Seed: cfg.DiskSeed, Probs: probs, Output: os.Stderr})
 		dur.FS = n.disk
 	}

@@ -23,7 +23,7 @@ func TestValidateRejectsMisconfiguration(t *testing.T) {
 	}{
 		{"unknown system", Config{System: "nope"}, ErrUnknownSystem},
 		{"repl without data dir", Config{System: "nzstm", ReplAddr: "127.0.0.1:0"}, ErrReplNeedsDataDir},
-		{"crash without data dir", Config{System: "nzstm", CrashSeed: 1, CrashSites: "all"}, ErrCrashNeedsDataDir},
+		{"crash without data dir", Config{System: "nzstm", DiskSeed: 1, DiskSites: "kill-mid-write"}, ErrDiskNeedsDataDir},
 		{"disk without data dir", Config{System: "nzstm", DiskSeed: 9, DiskSites: "all"}, ErrDiskNeedsDataDir},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

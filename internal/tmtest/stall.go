@@ -28,8 +28,8 @@ func RunStall(t *testing.T, f Factory) {
 	s := f(world, workers+1)
 	o := s.NewObject(tm.NewInts(1))
 
-	stalled := make(chan struct{})  // closed once the staller holds the object
-	release := make(chan struct{})  // closed when the others are done
+	stalled := make(chan struct{}) // closed once the staller holds the object
+	release := make(chan struct{}) // closed when the others are done
 	stallerDone := make(chan error, 1)
 	go func() {
 		th := tm.NewThread(workers, tm.NewRealEnv(workers, world))

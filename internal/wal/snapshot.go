@@ -151,12 +151,9 @@ func (l *Log) publishSnapshot(tmpName string, shard int, lsn uint64, nKeys int) 
 }
 
 // removeFiles deletes dead files (covered segments, superseded
-// snapshots) with the CrashMidTruncate site between deletions.
+// snapshots).
 func (l *Log) removeFiles(dead []string) {
-	for i, p := range dead {
-		if i > 0 {
-			l.hook(CrashMidTruncate)
-		}
+	for _, p := range dead {
 		if l.fs.Remove(p) == nil {
 			l.stats.RemovedFiles.Add(1)
 		}
@@ -206,7 +203,6 @@ func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
 	if err != nil {
 		return err
 	}
-	l.hook(CrashMidSnapshot)
 	final, err := l.publishSnapshot(tmpName, shard, lsn, len(keys))
 	if err != nil {
 		return err

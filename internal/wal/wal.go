@@ -57,49 +57,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// CrashPoint names a site where Config.CrashHook is invoked, so a fault
-// plane can kill the process at the exact moments that stress recovery.
-type CrashPoint int
-
-// Crash-point sites, in log-lifecycle order.
-const (
-	// CrashPreAppend fires before any byte of a frame is written: the
-	// commit is in memory, the log has nothing.
-	CrashPreAppend CrashPoint = iota
-	// CrashMidAppend fires halfway through writing a cohort's bytes,
-	// leaving a torn frame at the tail of the log.
-	CrashMidAppend
-	// CrashPostAppend fires after the frame is fully written (and
-	// synced, under FsyncAlways) but before the append is acknowledged.
-	CrashPostAppend
-	// CrashMidSnapshot fires after a snapshot's temp file is written
-	// but before the atomic rename that publishes it.
-	CrashMidSnapshot
-	// CrashMidTruncate fires between file deletions while covered
-	// segments and stale snapshots are being removed.
-	CrashMidTruncate
-	// CrashPointCount is the number of sites (not itself a site).
-	CrashPointCount
-)
-
-// String implements fmt.Stringer; the names are stable (the crash soak
-// greps them out of the child's stderr).
-func (c CrashPoint) String() string {
-	switch c {
-	case CrashPreAppend:
-		return "pre-append"
-	case CrashMidAppend:
-		return "mid-append"
-	case CrashPostAppend:
-		return "post-append"
-	case CrashMidSnapshot:
-		return "mid-snapshot"
-	case CrashMidTruncate:
-		return "mid-truncate"
-	}
-	return fmt.Sprintf("crash-point(%d)", int(c))
-}
-
 // Config configures Open.
 type Config struct {
 	// Dir is the data directory (created if absent). One directory holds
@@ -114,12 +71,8 @@ type Config struct {
 	// FsyncInterval is the background sync period under FsyncInterval
 	// (default 50ms).
 	FsyncInterval time.Duration
-	// CrashHook, when non-nil, is called at every CrashPoint site. It is
-	// expected to usually return; when the fault plane decides to fire
-	// it never returns (the process dies).
-	CrashHook func(CrashPoint)
-	// FS is the filesystem seam (nil = the real filesystem). A fault
-	// plane substitutes an error-injecting implementation here.
+	// FS is the filesystem seam (nil = the real filesystem). The fault
+	// plane substitutes one that injects I/O errors and process death.
 	FS FS
 	// OnDegrade, when non-nil, is called once, when the log stops,
 	// from whatever goroutine observed the I/O error. It must not call
@@ -307,13 +260,6 @@ func (l *Log) failLocked(err error) {
 	l.notifyStable()
 }
 
-// hook invokes the crash hook, if any.
-func (l *Log) hook(p CrashPoint) {
-	if h := l.cfg.CrashHook; h != nil {
-		h(p)
-	}
-}
-
 // acquireLocked takes the writer role — the exclusive right to write,
 // sync, swap or remove segment files. Called with mu held.
 func (l *Log) acquireLocked() {
@@ -351,7 +297,6 @@ func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
 	if err := l.Degraded(); err != nil {
 		return err // shed before any byte is logged: provably no effect
 	}
-	l.hook(CrashPreAppend)
 	r := reqPool.Get().(*appendReq)
 	r.buf = appendFrame(r.buf[:0], f)
 	r.shards, r.pos, r.stale = f.Shards, parked, false
@@ -366,7 +311,6 @@ func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
 	} else {
 		sp.Mark(trace.StageWALAppend)
 	}
-	l.hook(CrashPostAppend)
 	return nil
 }
 
@@ -493,7 +437,7 @@ func (l *Log) flushLocked(mark bool, sp *trace.Span) {
 	}
 	l.mu.Unlock()
 
-	err := writeFrameBytes(l, f, buf)
+	err := writeFull(f, buf)
 	if err != nil {
 		l.stats.WriteErrors.Add(1)
 		l.stop(err)
@@ -531,25 +475,9 @@ func (l *Log) flushLocked(mark bool, sp *trace.Span) {
 	l.releaseLocked()
 }
 
-// writeFrameBytes writes one cohort of encoded frames. With a crash
-// hook armed the write is split in half around the CrashMidAppend site,
-// so a firing hook leaves a torn frame — exactly the tail a real kill-9
-// mid-write leaves. A short write with no error is promoted to
-// io.ErrShortWrite: silently accepting it would mark a torn frame
+// writeFull writes p, promoting error-free short writes to
+// io.ErrShortWrite: silently accepting one would mark a torn frame
 // written.
-func writeFrameBytes(l *Log, f File, enc []byte) error {
-	if l.cfg.CrashHook != nil {
-		half := len(enc) / 2
-		if err := writeFull(f, enc[:half]); err != nil {
-			return err
-		}
-		l.hook(CrashMidAppend)
-		return writeFull(f, enc[half:])
-	}
-	return writeFull(f, enc)
-}
-
-// writeFull writes p, promoting error-free short writes to errors.
 func writeFull(f File, p []byte) error {
 	n, err := f.Write(p)
 	if err == nil && n < len(p) {
