@@ -15,8 +15,10 @@
 #                   the crash-recovery soak + the storage-fault soak +
 #                   the failover/partition soak — run this before sending
 #                   a PR; it writes no tracked file
-#   make vet        go vet ./..., and fail if gofmt -l internal cmd examples
-#                   lists any file
+#   make vet        go vet ./..., and fail if gofmt -l lists any file of
+#                   internal cmd examples benchmark or the root package
+#                   (named, not ".": .bench-ab/ and .diskfault-rate/ hold
+#                   archived copies of other commits)
 #   make genome     TestGenomePhases 1000 times (~2 s): four workers insert
 #                   into one shared set; a reader whose repeated Read lost its
 #                   registration let a writer slip past it and the set ended
@@ -153,7 +155,7 @@ build:
 
 vet:
 	$(GO) vet ./...
-	@unformatted=$$(gofmt -l internal cmd examples); \
+	@unformatted=$$(gofmt -l internal cmd examples benchmark *.go); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:

@@ -23,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -34,10 +33,25 @@ import (
 	"nztm/internal/wal"
 )
 
-// needDataDir names the flags that configure the durable store; setting
-// one without -data-dir is a usage error, not a silent memory-only boot.
-var needDataDir = []string{"fsync", "fsync-interval", "snapshot-every", "disk-fault-seed",
-	"disk-fault-sites", "disk-fault-prob", "repl-addr"}
+// needs maps each flag that means nothing alone to the flag it needs:
+// the durable store's flags need -data-dir and the replication flags
+// need -repl-addr. Setting one without its partner is a usage error, not
+// a silent boot that ignores it.
+var needs = map[string]string{
+	"fsync":            "data-dir",
+	"fsync-interval":   "data-dir",
+	"snapshot-every":   "data-dir",
+	"disk-fault-seed":  "data-dir",
+	"disk-fault-sites": "data-dir",
+	"disk-fault-prob":  "data-dir",
+	"repl-addr":        "data-dir",
+	"peers":            "repl-addr",
+	"node-id":          "repl-addr",
+	"advertise":        "repl-addr",
+	"heartbeat-every":  "repl-addr",
+	"lease-timeout":    "repl-addr",
+	"max-read-wait":    "repl-addr",
+}
 
 func main() {
 	var cfg node.Config
@@ -62,7 +76,6 @@ func main() {
 	flag.Float64Var(&cfg.DiskProb, "disk-fault-prob", 0.01, "per-visit firing probability at each armed disk fault site")
 
 	flag.StringVar(&cfg.ReplAddr, "repl-addr", "", "replication listen address (empty disables the replication plane; requires -data-dir)")
-	flag.StringVar(&cfg.ReplicateFrom, "replicate-from", "", "start as a follower of the primary at this replication address (empty with -repl-addr = start as primary)")
 	flag.StringVar(&cfg.Advertise, "advertise", "", "replication address to advertise to peers (default: the bound -repl-addr)")
 	peers := flag.String("peers", "", "comma-separated replication addresses of every OTHER node (sets the majority quorum; discovery)")
 	flag.IntVar(&cfg.NodeID, "node-id", 0, "this node's unique id in the cluster (election tie-break: lower wins)")
@@ -71,13 +84,11 @@ func main() {
 	flag.DurationVar(&cfg.MaxReadWait, "max-read-wait", time.Second, "bounded-staleness read wait budget before StatusLagging")
 	flag.Parse()
 
-	if cfg.DataDir == "" {
-		flag.Visit(func(f *flag.Flag) {
-			if slices.Contains(needDataDir, f.Name) {
-				usage("-" + f.Name + " requires -data-dir")
-			}
-		})
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if need, ok := needs[f.Name]; ok && flag.Lookup(need).Value.String() == "" {
+			usage("-" + f.Name + " requires -" + need)
+		}
+	})
 	policy, err := wal.ParseFsyncPolicy(*fsync)
 	if err != nil {
 		usage(err.Error())
@@ -105,8 +116,9 @@ func main() {
 			cfg.DataDir, st.ReplayedFrames, st.TruncatedBytes, st.Duration.Round(time.Microsecond), cfg.Fsync, cfg.SnapshotEvery)
 	}
 	if r := n.Repl(); r != nil {
-		fmt.Printf("nztm-server: replication on %s: node=%d role=%s epoch=%d quorum=%d peers=%d\n",
-			r.ReplAddr(), cfg.NodeID, r.Role(), r.Epoch(), r.Quorum(), len(cfg.Peers))
+		// No role yet: an election decides it a moment after boot.
+		fmt.Printf("nztm-server: replication on %s: node=%d quorum=%d peers=%d\n",
+			r.ReplAddr(), cfg.NodeID, r.Quorum(), len(cfg.Peers))
 	}
 	if n.Plane() != nil {
 		fmt.Printf("nztm-server: fault plane armed, seed=%d\n", cfg.FaultSeed)

@@ -3,7 +3,8 @@ package main
 // Child-process tests for the binary: its observability surface (the
 // HTTP mux's /metricsz conformance, /tracez filters, /slowz, and SIGQUIT
 // dumping diagnostics to stderr without killing the server), its flag
-// set, and its refusal of durability flags without -data-dir.
+// set, and its refusal of a flag without the flag it needs (-data-dir,
+// -repl-addr).
 
 import (
 	"bufio"
@@ -463,8 +464,9 @@ func TestFlagsGolden(t *testing.T) {
 }
 
 // TestDurabilityFlagsNeedDataDir: a durability or storage-fault flag set
-// without -data-dir, or an unparsable -fsync, is a usage error (exit 2),
-// never a memory-only server that ignores it.
+// without -data-dir, a replication flag set without -repl-addr, or an
+// unparsable -fsync, is a usage error (exit 2), never a server that
+// ignores it.
 func TestDurabilityFlagsNeedDataDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("child-process test")
@@ -477,6 +479,13 @@ func TestDurabilityFlagsNeedDataDir(t *testing.T) {
 		{"-fsync-interval", "10ms"},
 		{"-snapshot-every", "1s"},
 		{"-fsync", "bogus", "-data-dir", t.TempDir()},
+		{"-peers", "127.0.0.1:1,127.0.0.1:2"},
+		{"-node-id", "3"},
+		{"-advertise", "127.0.0.1:9"},
+		{"-heartbeat-every", "10ms"},
+		{"-lease-timeout", "1s"},
+		{"-max-read-wait", "1s"},
+		{"-data-dir", t.TempDir(), "-peers", "127.0.0.1:1,127.0.0.1:2", "-node-id", "3", "-lease-timeout", "1s"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-statsz", ""}, args...)...)
 		done := make(chan error, 1)

@@ -1,8 +1,10 @@
 // Failover soak (-leg failover): the replication analogue of the crash
 // soak. The parent runs a 3-node cluster of nztm-server processes
-// (one primary, two bounded-staleness read replicas), drives load
-// through the replica-aware cluster client, and repeatedly SIGKILLs
-// the current primary mid-load. After every kill it requires
+// (one primary, two bounded-staleness read replicas) booted with the
+// same role-free arguments, so the first election picks the primary.
+// It drives load through the replica-aware cluster client and
+// repeatedly SIGKILLs the current primary mid-load. After every kill it
+// requires
 //
 //   - automatic promotion: a follower takes over (fresh epoch) and
 //     writes flow again without operator action;
@@ -13,10 +15,11 @@
 //   - bounded-staleness reads hold: replica reads carrying the
 //     client's read-your-writes token never return state older than
 //     the client's last acknowledged write;
-//   - the deposed primary is provably fenced: after it restarts (as a
-//     follower of the new primary, resyncing its possibly-diverged
-//     tail), a write sent directly to it must be refused with
-//     StatusNotPrimary, never acknowledged.
+//   - the deposed primary is provably fenced: after it restarts with its
+//     original arguments (it boots as a follower, finds the new primary
+//     by election poll and resyncs its possibly-diverged tail), a write
+//     sent directly to it must be refused with StatusNotPrimary, never
+//     acknowledged.
 //
 // The killed node rejoins each round via snapshot resync, so the
 // bootstrap/catch-up path is exercised ≥ -kills times per run.
@@ -88,9 +91,8 @@ func pickFreeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// start boots one cluster member. replicateFrom is the replication
-// address to follow ("" = start as primary).
-func (fs *failLeg) start(n *failNode, replicateFrom string) error {
+// start boots one cluster member, with the same arguments every time.
+func (fs *failLeg) start(n *failNode) error {
 	var peers []string
 	for _, p := range fs.nodes {
 		if p.id != n.id {
@@ -104,7 +106,6 @@ func (fs *failLeg) start(n *failNode, replicateFrom string) error {
 		"-node-id", fmt.Sprint(n.id),
 		"-heartbeat-every", "20ms", "-lease-timeout", "120ms",
 		"-max-read-wait", "2s",
-		"-replicate-from", replicateFrom,
 		"-peers", strings.Join(peers, ","),
 	)...)
 	if err != nil {
@@ -322,9 +323,9 @@ func (fs *failLeg) partitionEpisode(ep int) error {
 }
 
 // kill SIGKILLs the primary mid-load, requires a follower to promote
-// itself and take writes, restarts the victim as a follower of the new
-// primary (it rejoins via snapshot resync: its tail may have diverged)
-// and proves it fenced.
+// itself and take writes, restarts the victim with its original
+// arguments (it rejoins via snapshot resync: its tail may have
+// diverged) and proves it fenced.
 func (fs *failLeg) kill(round int) error {
 	victim, err := fs.waitPrimary()
 	if err != nil {
@@ -346,7 +347,7 @@ func (fs *failLeg) kill(round int) error {
 		return fmt.Errorf("writes still acked by the killed primary node %d", victim.id)
 	}
 	fs.promotions++
-	if err := fs.start(victim, primary.replAddr); err != nil {
+	if err := fs.start(victim); err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
 	return fs.proveFenced(victim)
@@ -378,13 +379,8 @@ func runFailover(cfg soakCfg) error {
 			}
 		}
 	}()
-	// Node 0 seeds the cluster as primary; 1 and 2 follow it.
-	for i, n := range fs.nodes {
-		from := ""
-		if i > 0 {
-			from = fs.nodes[0].replAddr
-		}
-		if err := fs.start(n, from); err != nil {
+	for _, n := range fs.nodes {
+		if err := fs.start(n); err != nil {
 			return err
 		}
 	}

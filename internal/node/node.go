@@ -47,7 +47,6 @@ type Config struct {
 	DiskSites       string
 	DiskProb        float64
 	ReplAddr        string // turns on replication
-	ReplicateFrom   string // primary's replication address; "" = start as primary
 	Advertise       string
 	Peers           []string
 	NodeID          int
@@ -179,7 +178,6 @@ func New(cfg Config) (n *Node, err error) {
 			ReplAddr:       cfg.ReplAddr,
 			Advertise:      cfg.Advertise,
 			Peers:          cfg.Peers,
-			PrimaryFrom:    cfg.ReplicateFrom,
 			HeartbeatEvery: cfg.HeartbeatEvery,
 			LeaseTimeout:   cfg.LeaseTimeout,
 			MaxReadWait:    cfg.MaxReadWait,

@@ -41,7 +41,8 @@ type Stats struct {
 	GateTimeouts atomic.Uint64
 	// Elections counts election rounds this node started.
 	Elections atomic.Uint64
-	// Promotions counts times this node promoted itself to primary.
+	// Promotions counts times this node promoted itself to primary,
+	// the election that makes a booted node primary included.
 	Promotions atomic.Uint64
 	// Depositions counts times this node stepped down from primary.
 	Depositions atomic.Uint64
