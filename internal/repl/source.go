@@ -76,7 +76,7 @@ func (n *Node) handlePoll(bw *bufio.Writer, m *Message) {
 	live := n.role == RolePrimary ||
 		(n.primaryRpl != "" && !n.lastHBAt.IsZero() && time.Since(n.lastHBAt) < n.cfg.LeaseTimeout)
 	total := n.appliedTotalLocked()
-	if n.needResync {
+	if n.divergedLocked() {
 		// A diverged tail is not comparable history; don't let a candidate
 		// defer to it (see runElection).
 		total = 0
