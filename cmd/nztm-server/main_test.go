@@ -7,7 +7,7 @@ package main
 // -repl-addr).
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,19 +30,27 @@ import (
 	"nztm/internal/server"
 )
 
-// lineBuffer accumulates a stream and signals watchers on every line.
+// lineBuffer accumulates a child's output stream line by line. It is
+// the command's io.Writer, not a reader on a StdoutPipe, so cmd.Wait
+// returns only once the stream is drained: whatever the child printed
+// before it exited is in the buffer by then.
 type lineBuffer struct {
 	mu    sync.Mutex
 	lines []string
+	part  []byte // the unterminated last line
 }
 
-func (b *lineBuffer) consume(r io.Reader) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		b.mu.Lock()
-		b.lines = append(b.lines, sc.Text())
-		b.mu.Unlock()
+func (b *lineBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.part = append(b.part, p...)
+	for {
+		i := bytes.IndexByte(b.part, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		b.lines = append(b.lines, string(b.part[:i]))
+		b.part = b.part[i+1:]
 	}
 }
 
@@ -236,19 +244,10 @@ func startServer(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, stdou
 	cmd = exec.Command(bin, args...)
 	stdout = &lineBuffer{}
 	stderr = &lineBuffer{}
-	outPipe, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	errPipe, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmd.Stdout, cmd.Stderr = stdout, stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	go stdout.consume(outPipe)
-	go stderr.consume(errPipe)
 	t.Cleanup(func() {
 		cmd.Process.Kill()
 		cmd.Wait()

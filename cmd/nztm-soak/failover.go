@@ -17,12 +17,15 @@
 //     the client's last acknowledged write;
 //   - the deposed primary is provably fenced: after it restarts with its
 //     original arguments (it boots as a follower, finds the new primary
-//     by election poll and resyncs its possibly-diverged tail), a write
-//     sent directly to it must be refused with StatusNotPrimary, never
-//     acknowledged.
-//
-// The killed node rejoins each round via snapshot resync, so the
-// bootstrap/catch-up path is exercised ≥ -kills times per run.
+//     by election poll, and subscribes with its (LSN, epoch) pairs: it
+//     resumes the stream where its log is on the new primary's, and is
+//     re-seeded from snapshots where it holds a tail the new primary
+//     never saw), a write sent directly to it must be refused with
+//     StatusNotPrimary, never acknowledged;
+//   - at most one primary per epoch: every running node's
+//     nztm_repl_epoch and nztm_repl_is_primary are sampled from its
+//     /metricsz for the whole leg, and two nodes primary at one epoch
+//     fail it, naming the epoch and both nodes.
 //
 // After the kill schedule, -partitions split-brain episodes run: the
 // current primary is blackholed from both followers (dialer-side, in
@@ -44,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,6 +75,10 @@ type failLeg struct {
 	staleReads atomic.Uint64 // replica reads that violated the RYW bound
 	fenced     int           // deposed primaries proven to refuse writes
 	promotions int           // observed primary handovers
+
+	mu      sync.Mutex     // guards every node's c against watchPrimaries, and led
+	led     map[uint64]int // epoch → the node seen primary at it
+	twoLead error          // the first epoch seen with two primaries
 }
 
 // pickFreeAddrs reserves n loopback ports for node identities, which
@@ -111,8 +119,60 @@ func (fs *failLeg) start(n *failNode) error {
 	if err != nil {
 		return fmt.Errorf("node %d: %w", n.id, err)
 	}
+	fs.mu.Lock()
 	n.c = c
+	fs.mu.Unlock()
 	return nil
+}
+
+// watchPrimaries runs samplePrimaries every 10 ms until stop closes.
+func (fs *failLeg) watchPrimaries(stop <-chan struct{}) {
+	for {
+		fs.samplePrimaries()
+		select {
+		case <-stop:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// samplePrimaries reads every running node's epoch and primary flag
+// from its /metricsz and records which node led at which epoch. A node
+// is demoted before it takes a later epoch, and the two gauges are
+// written in that order, so a scrape never shows a deposed node as
+// primary at its new epoch.
+func (fs *failLeg) samplePrimaries() {
+	fs.mu.Lock()
+	var nodes []*failNode
+	var addrs []string
+	for _, n := range fs.nodes {
+		if n.c != nil {
+			nodes, addrs = append(nodes, n), append(addrs, n.c.statsz)
+		}
+	}
+	fs.mu.Unlock()
+	for i, n := range nodes {
+		vs, err := gauges(addrs[i], "nztm_repl_epoch", "nztm_repl_is_primary")
+		if err != nil || vs[1] != 1 {
+			continue // down, restarting, or a follower
+		}
+		e := uint64(vs[0])
+		fs.mu.Lock()
+		if id, ok := fs.led[e]; !ok {
+			fs.led[e] = n.id
+		} else if id != n.id && fs.twoLead == nil {
+			fs.twoLead = fmt.Errorf("epoch %d has two primaries: nodes %d and %d", e, id, n.id)
+		}
+		fs.mu.Unlock()
+	}
+}
+
+// onePrimary returns the first two-primary epoch sampled so far.
+func (fs *failLeg) onePrimary() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.twoLead
 }
 
 // waitPrimary blocks until the cluster client can complete a write and
@@ -239,7 +299,7 @@ func (fs *failLeg) epochOf(n *failNode) (uint64, error) {
 // majority-side epoch may acknowledge. Refusals (lease fence) and
 // commit-gate errors are the expected outcomes; each probe is recorded
 // as outcome-unknown because a gate-timeout write executed locally on
-// the zombie before failing (that tail is discarded on resync).
+// the zombie before failing (a re-seed discards that tail).
 func (fs *failLeg) assertNoZombieAck(victim *failNode) error {
 	for i := 0; i < 3; i++ {
 		ops := []kv.Op{{Kind: kv.OpPut, Key: "zombie-probe", Value: []byte(fmt.Sprintf("z%d", i))}}
@@ -298,6 +358,10 @@ func (fs *failLeg) partitionEpisode(ep int) error {
 		return fmt.Errorf("partitioned primary node %d still acks cluster writes", victim.id)
 	}
 	fs.promotions++
+	fs.samplePrimaries() // both sides are up: the isolated primary has not seen the new epoch
+	if err := fs.onePrimary(); err != nil {
+		return err
+	}
 	newEpoch, err := fs.epochOf(primary)
 	if err != nil {
 		return err
@@ -324,8 +388,9 @@ func (fs *failLeg) partitionEpisode(ep int) error {
 
 // kill SIGKILLs the primary mid-load, requires a follower to promote
 // itself and take writes, restarts the victim with its original
-// arguments (it rejoins via snapshot resync: its tail may have
-// diverged) and proves it fenced.
+// arguments (it rejoins where its log is on the new primary's, or is
+// re-seeded if it holds a tail the new primary never saw) and proves it
+// fenced.
 func (fs *failLeg) kill(round int) error {
 	victim, err := fs.waitPrimary()
 	if err != nil {
@@ -337,7 +402,9 @@ func (fs *failLeg) kill(round int) error {
 
 	victim.c.kill()
 	victim.c.reap(2 * time.Second)
+	fs.mu.Lock()
 	victim.c = nil
+	fs.mu.Unlock()
 
 	primary, err := fs.waitPrimary()
 	if err != nil {
@@ -363,7 +430,7 @@ func runFailover(cfg soakCfg) error {
 	if err != nil {
 		return err
 	}
-	fs := &failLeg{cfg: cfg, l: newLedger()}
+	fs := &failLeg{cfg: cfg, l: newLedger(), led: map[uint64]int{}}
 	for i := 0; i < 3; i++ {
 		fs.nodes = append(fs.nodes, &failNode{id: i, kvAddr: addrs[2*i], replAddr: addrs[2*i+1],
 			dir: filepath.Join(cfg.dir, fmt.Sprintf("n%d", i))})
@@ -384,6 +451,9 @@ func runFailover(cfg soakCfg) error {
 			return err
 		}
 	}
+	stopWatch, watched := make(chan struct{}), make(chan struct{})
+	go func() { fs.watchPrimaries(stopWatch); close(watched) }()
+	defer func() { close(stopWatch); <-watched }()
 
 	cl, err := repl.DialCluster(repl.ClusterConfig{
 		Addrs: []string{addrs[0], addrs[2], addrs[4]}, MaxLagMs: server.NoLagBudget, RetryFor: 10 * time.Second})
@@ -394,7 +464,11 @@ func runFailover(cfg soakCfg) error {
 	defer cl.Close()
 	start := time.Now()
 	for k := 0; k < cfg.kills; k++ {
-		if err := fs.kill(k); err != nil {
+		err := fs.kill(k)
+		if err == nil {
+			err = fs.onePrimary()
+		}
+		if err != nil {
 			return fmt.Errorf("kill %d: %w", k, err)
 		}
 		if (k+1)%10 == 0 || k+1 == cfg.kills {
@@ -410,6 +484,9 @@ func runFailover(cfg soakCfg) error {
 	// write acked by either epoch must read back through the primary.
 	for ep := 0; ep < cfg.partitions; ep++ {
 		err := fs.partitionEpisode(ep)
+		if err == nil {
+			err = fs.onePrimary()
+		}
 		if err == nil {
 			err = fs.verify()
 		}

@@ -76,6 +76,12 @@ type durState struct {
 	// gate, when set, delays acknowledgements on the replication plane's
 	// say-so (semi-synchronous replication); see SetCommitGate.
 	gate atomic.Pointer[CommitGate]
+	// epoch stamps every frame this store commits; see SetEpoch.
+	epoch atomic.Uint64
+	// fenced refuses client write batches (see Fence); writers counts
+	// the batches between that check and their frame's admission.
+	fenced  atomic.Bool
+	writers atomic.Int64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -191,6 +197,7 @@ type commitRec struct {
 	frame   wal.Frame     // Shards filled by finish; Ops are the resolved effects
 	to      uint64        // the value setSeq stores
 	setSeq  func(tm.Data) // stores to into a sequencer; made once per record
+	writer  bool          // holds one of durState.writers until its frame is in the log
 }
 
 func newCommitRec(shards int) *commitRec {
@@ -243,8 +250,31 @@ func (r *commitRec) effect(tx tm.Tx, d *durState, shard int, op wal.Op) {
 	r.frame.Ops = append(r.frame.Ops, op)
 }
 
+// enterWrite admits one client write batch unless the store is fenced;
+// the batch counts in writers until leaveWrite. The increment comes
+// before the check and Fence sets the flag before it counts, so a batch
+// either sees the fence or is waited for.
+func (d *durState) enterWrite(r *commitRec) bool {
+	d.writers.Add(1)
+	if d.fenced.Load() {
+		d.writers.Add(-1)
+		return false
+	}
+	r.writer = true
+	return true
+}
+
+// leaveWrite releases r's writer slot, if it holds one.
+func (d *durState) leaveWrite(r *commitRec) {
+	if r.writer {
+		r.writer = false
+		d.writers.Add(-1)
+	}
+}
+
 // release resets r and returns it to the store's pool.
 func (d *durState) release(r *commitRec) {
+	d.leaveWrite(r)
 	r.reset()
 	d.recs.Put(r)
 }
@@ -280,7 +310,10 @@ func (d *durState) finish(r *commitRec, committed bool, sp *trace.Span) ([]wal.S
 	}
 	wrote := len(r.frame.Shards) > 0
 	if wrote {
-		if err := d.log.AppendSpan(&r.frame, sp); err != nil {
+		r.frame.Epoch = d.epoch.Load()
+		err := d.log.AppendSpan(&r.frame, sp)
+		d.leaveWrite(r) // the frame is in the log (or the log stopped): Fence may pass
+		if err != nil {
 			// The commit is live in memory but not durable: failing the
 			// request keeps "acknowledged implies recoverable" intact.
 			return nil, fmt.Errorf("kv: wal append: %w", err)

@@ -178,10 +178,43 @@ func TestDurableCASMissDoesNotLog(t *testing.T) {
 	}
 }
 
+// TestCommitsCarryTheStoreEpoch: every frame the store commits carries
+// the epoch SetEpoch last set, and the log still knows it after a
+// restart.
+func TestCommitsCarryTheStoreEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s, b := newDurableStore(t, dir, 1, 2, Durability{Fsync: wal.FsyncNever})
+	th := b.NewThread()
+	for i, k := range []string{"a", "b", "c"} {
+		if i == 1 {
+			s.SetEpoch(4)
+		}
+		if _, err := s.Put(th, k, []byte("v"), Budget{MaxAttempts: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	th.Close()
+	want := []uint64{0, 0, 4, 4} // by LSN
+	for _, reopened := range []bool{false, true} {
+		if reopened {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, _ = newDurableStore(t, dir, 1, 2, Durability{Fsync: wal.FsyncNever})
+		}
+		for lsn, e := range want {
+			if got, ok := s.WAL().EpochAt(0, uint64(lsn)); !ok || got != e {
+				t.Errorf("reopened=%v: EpochAt(0, %d) = %d, %v; want %d", reopened, lsn, got, ok, e)
+			}
+		}
+	}
+	s.Close()
+}
+
 // TestLoadShardSnapshotBehind: a follower ahead of the shipped snapshot
-// holds a diverged tail. Outside a resync the install is refused before
+// holds a diverged tail. Outside a re-seed the install is refused before
 // memory or disk change (the log's chain is the only copy of the other
-// shards' frames); as part of a resync it replaces the shard wholesale.
+// shards' frames); as part of a re-seed it replaces the shard wholesale.
 func TestLoadShardSnapshotBehind(t *testing.T) {
 	dir := t.TempDir()
 	s, b := newDurableStore(t, dir, 1, 2, Durability{Fsync: wal.FsyncNever})
@@ -193,7 +226,7 @@ func TestLoadShardSnapshotBehind(t *testing.T) {
 		}
 	}
 	primary := map[string][]byte{"k1": []byte("primary")}
-	if err := s.LoadShardSnapshot(th, 0, 1, primary, false); !errors.Is(err, wal.ErrSnapshotBehind) {
+	if err := s.LoadShardSnapshot(th, 0, 1, 0, primary, false); !errors.Is(err, wal.ErrSnapshotBehind) {
 		t.Fatalf("catch-up install below the position = %v, want ErrSnapshotBehind", err)
 	}
 	if r, err := s.Get(th, "k3", budget); err != nil || !r.Found {
@@ -202,7 +235,7 @@ func TestLoadShardSnapshotBehind(t *testing.T) {
 	if got := s.AppliedVector(); got[0] != 3 || s.WAL().Degraded() != nil {
 		t.Fatalf("refused install moved the log: applied=%v degraded=%v", got, s.WAL().Degraded())
 	}
-	if err := s.LoadShardSnapshot(th, 0, 1, primary, true); err != nil {
+	if err := s.LoadShardSnapshot(th, 0, 1, 0, primary, true); err != nil {
 		t.Fatalf("resync install: %v", err)
 	}
 	if _, err := s.Put(th, "k4", []byte("v"), budget); err != nil {
@@ -422,6 +455,60 @@ func TestAckGatedOnCrossShardStability(t *testing.T) {
 	}
 	if err := <-getDone; err != nil {
 		t.Fatalf("gated Get: %v", err)
+	}
+}
+
+// TestFenceDrainsAndRefusesWrites: Fence waits for a write that
+// committed in memory and is still on its way into the log, so the log's
+// stable vector then covers everything the store holds; writes after it
+// are refused with no effect until SetEpoch lifts the fence. Reads keep
+// serving.
+func TestFenceDrainsAndRefusesWrites(t *testing.T) {
+	var armed atomic.Bool
+	block, blocked := make(chan struct{}), make(chan struct{})
+	var release sync.Once
+	unblock := func() { release.Do(func() { close(block) }) }
+	defer unblock()
+	stall := stallFS{FS: wal.OSFS(), armed: &armed, blocked: blocked, block: block}
+	s, b := newDurableStore(t, t.TempDir(), 1, 2, Durability{Fsync: wal.FsyncNever, FS: stall})
+	defer s.Close()
+	budget := Budget{MaxAttempts: 100}
+	th := b.NewThread()
+	defer th.Close()
+
+	armed.Store(true)
+	go func() {
+		th := b.NewThread()
+		defer th.Close()
+		s.Put(th, "held", []byte("1"), budget)
+	}()
+	<-blocked
+	fenced := make(chan error, 1)
+	go func() { fenced <- s.Fence(nil) }()
+	select {
+	case err := <-fenced:
+		t.Fatalf("Fence returned (%v) while a committed write was outside the log", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	unblock()
+	if err := <-fenced; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AppliedVector(); got[0] != 1 {
+		t.Fatalf("stable vector after Fence = %v, want [1]", got)
+	}
+	if _, err := s.Put(th, "after", []byte("2"), budget); !errors.Is(err, ErrFenced) {
+		t.Fatalf("write on a fenced store: %v, want ErrFenced", err)
+	}
+	if r, err := s.Get(th, "after", budget); err != nil || r.Found {
+		t.Fatalf("the refused write left an effect: %+v %v", r, err)
+	}
+	if r, err := s.Get(th, "held", budget); err != nil || !r.Found {
+		t.Fatalf("read on a fenced store: %+v %v", r, err)
+	}
+	s.SetEpoch(1)
+	if _, err := s.Put(th, "after", []byte("2"), budget); err != nil {
+		t.Fatalf("write after SetEpoch: %v", err)
 	}
 }
 

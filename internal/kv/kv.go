@@ -148,6 +148,11 @@ var ErrBudget = errors.New("kv: retry budget exhausted")
 // serving.
 var ErrReadOnly = errors.New("kv: store is read-only (log stopped)")
 
+// ErrFenced is returned when a write batch is shed because the store is
+// fenced: its replication node no longer leads (see Store.Fence). The
+// request had no effect, so it is cleanly retriable against the primary.
+var ErrFenced = errors.New("kv: store is fenced (not the primary)")
+
 // errCASMiss aborts a multi-op batch whose CAS expectation failed; it
 // never escapes Do.
 var errCASMiss = errors.New("kv: cas expectation failed")
@@ -297,11 +302,15 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 		// storage error stopped the log. Running stores pay one atomic
 		// load; read-only batches always pass (reads of the durable prefix
 		// keep serving).
-		if gerr := s.dur.log.Degraded(); gerr != nil && hasWriteOps(ops) {
+		writes := hasWriteOps(ops)
+		if gerr := s.dur.log.Degraded(); gerr != nil && writes {
 			return nil, nil, fmt.Errorf("%w: %v", ErrReadOnly, gerr)
 		}
 		rec = s.dur.recs.Get().(*commitRec)
 		defer s.dur.release(rec)
+		if writes && !s.dur.enterWrite(rec) {
+			return nil, nil, ErrFenced
+		}
 	}
 	body := func(tx tm.Tx) error {
 		st.attempt++

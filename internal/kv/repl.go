@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"nztm/internal/tm"
 	"nztm/internal/wal"
@@ -41,18 +42,53 @@ func (s *Store) SetCommitGate(g CommitGate) {
 	s.dur.gate.Store(&g)
 }
 
+// SetEpoch sets the epoch stamped on every frame the store commits from
+// now on (0 until called) and lifts a Fence. The replication plane calls
+// it when its node becomes primary, before it admits a write. No-op on
+// memory-only stores.
+func (s *Store) SetEpoch(e uint64) {
+	if s.dur != nil {
+		s.dur.epoch.Store(e)
+		s.dur.fenced.Store(false)
+	}
+}
+
+// Fence makes the store refuse client write batches with ErrFenced
+// until the next SetEpoch, then waits until every batch already past
+// that check has its frame in the log, or stop closes. Once it returns
+// nil the log describes all the store holds in memory, and only
+// ApplyFrame and LoadShardSnapshot change it: the state a follower's
+// subscribe handshake offers. It returns the log's error once the log
+// has stopped (memory may then hold a commit the log never took). No-op
+// on memory-only stores.
+func (s *Store) Fence(stop <-chan struct{}) error {
+	if s.dur == nil {
+		return nil
+	}
+	d := s.dur
+	d.fenced.Store(true)
+	for d.writers.Load() > 0 {
+		select {
+		case <-stop:
+			return errors.New("kv: fence: stopped while writes drained")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return d.log.Degraded()
+}
+
 // ApplyFrame applies one replicated frame to a follower store: a single
 // transaction advances every vector shard's sequencer from lsn-1 to lsn
 // and applies that shard's ops, then the frame is appended to the
-// follower's own WAL so the follower's log remains a dense, provable
-// prefix of the primary's history (and can seed promotion or re-serve
-// the stream later).
+// follower's own WAL, epoch included, so the follower's log remains a
+// dense, provable prefix of the primary's history (and can seed
+// promotion or re-serve the stream later).
 //
 // A vector entry already covered by the follower's state (sequencer ≥
 // lsn, e.g. after a snapshot bootstrap) is skipped — ops included — and
 // the WAL admits the frame on its remaining entries. A vector entry that
 // would leave a gap (sequencer < lsn-1) is a stream-order violation and
-// errors without effect; the subscriber resyncs.
+// errors without effect.
 //
 // The store keeps each op's Val slice as the value, uncopied: f must own
 // its values (a frame from wal.DecodeFrame does) and nothing may write to
@@ -121,16 +157,17 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 
 // LoadShardSnapshot replaces one shard's entire state with a snapshot
 // shipped by the primary: the sequencer jumps to lsn, every bucket is
-// rebuilt from keys, and the follower's WAL force-installs the snapshot
-// so its on-disk history matches (see wal.InstallSnapshot). resync marks
-// an install that belongs to a resync bootstrap: the follower's log may
-// hold a diverged tail in any shard, so the WAL drops its whole segment
-// chain and every shard is re-seeded. Outside a resync a snapshot below
-// the shard's position is refused with wal.ErrSnapshotBehind before
-// anything changes. The store keeps the slices in keys as its values,
-// uncopied, so the caller must own them and never write to them again.
-// The follower's apply goroutine is the only permitted caller.
-func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map[string][]byte, resync bool) error {
+// rebuilt from keys, and the follower's WAL force-installs the snapshot,
+// with epoch as the epoch that wrote lsn, so its on-disk history matches
+// (see wal.InstallSnapshot). reseed marks an install that belongs to a
+// re-seed: the follower's log holds a tail the primary's does not, so
+// the WAL drops its whole segment chain and every shard is replaced.
+// Outside a re-seed a snapshot below the shard's position is refused
+// with wal.ErrSnapshotBehind before anything changes. The store keeps
+// the slices in keys as its values, uncopied, so the caller must own
+// them and never write to them again. The follower's apply goroutine is
+// the only permitted caller.
+func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn, epoch uint64, keys map[string][]byte, reseed bool) error {
 	if s.dur == nil {
 		return errors.New("kv: LoadShardSnapshot on a memory-only store")
 	}
@@ -141,7 +178,7 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 	r := d.recs.Get().(*commitRec)
 	defer d.release(r)
 	err := s.sys.Atomic(th, func(tx tm.Tx) error {
-		if cur := tx.Read(d.seqs[shard]).(*seqData).lsn; !resync && cur > lsn {
+		if cur := tx.Read(d.seqs[shard]).(*seqData).lsn; !reseed && cur > lsn {
 			return fmt.Errorf("%w: shard %d applied through %d, snapshot at %d", wal.ErrSnapshotBehind, shard, cur, lsn)
 		}
 		r.set(tx, d, shard, lsn)
@@ -166,7 +203,7 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn uint64, keys map
 	if err != nil {
 		return err
 	}
-	return d.log.InstallSnapshot(shard, lsn, keys, resync)
+	return d.log.InstallSnapshot(shard, lsn, epoch, keys, reseed)
 }
 
 // SnapshotShard reads one shard's complete state — sequencer value plus

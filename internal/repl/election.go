@@ -1,23 +1,31 @@
 package repl
 
-// Lease-based election. Every node boots as a follower that knows no
-// primary, and so does a follower whose primary lease lapses (stream
-// broken, no heartbeat for LeaseTimeout); either polls every peer, and
-// this is the only road to primary. It promotes
-// itself only when (a) at least quorum peers answer, so that with this
-// node they form a majority, (b) no answering peer sees a live primary
-// at an epoch ≥ ours, and (c) no answering peer has applied more
-// history (ties break toward the lower node id). The primary ships one
-// merged order and acknowledged a write only after quorum followers
-// applied it; that majority meets the election's, so the most-caught-up
-// answering node provably holds every acknowledged write, and rule (c)
-// is exactly "no acked write lost". The epoch bump on promotion fences
-// the old primary. A node that led and has not resynced since stands
-// with its whole log while no epoch later than the one it led at is
-// known: its tail is then the newest history, not a diverged one
-// (divergedLocked).
+// Elections (DESIGN §13.3). A follower whose lease lapsed, or that
+// booted, runs one; it is the only road to primary. Two rounds, both
+// answered with MsgPollResp:
+//
+//   - The pre-vote poll (Ongaro's thesis, §9.6) changes nothing. The
+//     candidate goes on only if quorum peers answer, none sees a live
+//     primary, and quorum of them would grant it their vote.
+//   - The vote (Raft, USENIX ATC 2014, §5.2 and §5.4.1). The candidate
+//     durably moves to epoch e+1 with its own vote and asks for the
+//     others' — unless the epoch moved since the pre-vote or it granted
+//     another candidate its vote less than LeaseTimeout ago. A voter
+//     grants one vote per epoch, persisted before it answers, and only
+//     to a history — newest frame's epoch, then applied total — at
+//     least as new as its own. Quorum grants promote the candidate, at
+//     e+1 only.
+//
+// One vote per voter per epoch and intersecting majorities give at most
+// one primary per epoch; the acking majority meets the voting one in a
+// voter that granted only to a log as new as its own, so the winner
+// holds every acked write. A node whose re-seed is incomplete never
+// stands, and judges candidates by the history its re-seed file
+// recorded: its log no longer proves the writes it acked, and it acks
+// nothing until the re-seed is done.
 
 import (
+	"bufio"
 	"slices"
 	"sync"
 	"time"
@@ -25,29 +33,31 @@ import (
 	"nztm/internal/server"
 )
 
-// runElection polls the cluster once and promotes this node if it
-// should lead. Safe to call repeatedly; a lost election just returns
-// and followOnce retries after its backoff.
+// runElection polls the cluster once and, when the pre-vote allows,
+// stands for the next epoch. Safe to call repeatedly; a lost election
+// just returns and followOnce retries after its backoff.
 func (n *Node) runElection() {
 	n.stats.Elections.Add(1)
 	n.mu.Lock()
 	epoch := n.epoch
+	last, total := n.historyLocked()
 	n.mu.Unlock()
+	ask := &Message{Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), LastEpoch: last, Total: total}
 
-	resps := n.pollPeers(&Message{Type: MsgPoll, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), Total: n.AppliedTotal()})
-	maxEpoch := epoch
+	resps := n.pollPeers(ask)
+	maxEpoch, prevotes := epoch, 0
 	liveKV, liveRpl := "", ""
 	var livePrimaryEpoch uint64
 	for _, m := range resps {
-		if m.Epoch > maxEpoch {
-			maxEpoch = m.Epoch
-		}
+		maxEpoch = max(maxEpoch, m.Epoch)
 		if m.PrimaryLive && m.Epoch >= epoch && m.Epoch >= livePrimaryEpoch {
 			livePrimaryEpoch = m.Epoch
 			liveKV, liveRpl = m.KVAddr, m.ReplAddr
 		}
+		if m.Granted {
+			prevotes++
+		}
 	}
-
 	if liveRpl != "" && liveRpl != n.cfg.Advertise {
 		// Someone still sees a primary: follow it instead of fighting it.
 		n.mu.Lock()
@@ -57,39 +67,137 @@ func (n *Node) runElection() {
 	}
 	n.mu.Lock()
 	n.adoptEpochLocked(maxEpoch, "", "")
-	diverged := n.divergedLocked()
+	epoch = n.epoch
+	reseeding := n.reseeding
 	n.mu.Unlock()
-
-	if len(resps) < n.quorum {
+	switch {
+	case len(resps) < n.quorum:
 		n.cfg.Logf("repl: node %d: election stalled: %d of %d peers answered, %d needed",
 			n.cfg.NodeID, len(resps), len(n.cfg.Peers), n.quorum)
 		return
+	case reseeding:
+		n.cfg.Logf("repl: node %d: election: standing aside (re-seed incomplete)", n.cfg.NodeID)
+		return
+	case prevotes < n.quorum:
+		return // a majority holds a newer log: one of its members stands
 	}
-	if diverged {
-		// A later epoch exists, so this node's tail may hold history nobody
-		// else shares: it resyncs from whoever wins instead of standing.
-		n.cfg.Logf("repl: node %d: election: standing aside (unresynced diverged tail)", n.cfg.NodeID)
+
+	e, err := n.stand(epoch)
+	if err != nil {
+		n.cfg.Logf("repl: node %d: persist own vote: %v", n.cfg.NodeID, err)
+	}
+	if e == 0 {
 		return
 	}
-	myTotal := n.AppliedTotal()
-	for _, m := range resps {
-		if m.Total > myTotal || (m.Total == myTotal && int(m.NodeID) < n.cfg.NodeID) {
-			return // a better-positioned peer will promote itself
+	ask.Type, ask.Epoch = MsgVote, e
+	grants := 0
+	maxEpoch = e
+	for _, m := range n.pollPeers(ask) {
+		maxEpoch = max(maxEpoch, m.Epoch)
+		if m.Granted && m.Epoch == e {
+			grants++
 		}
 	}
-	n.promote(maxEpoch + 1)
+	if maxEpoch > e {
+		n.mu.Lock()
+		n.adoptEpochLocked(maxEpoch, "", "")
+		n.mu.Unlock()
+		return
+	}
+	if grants < n.quorum {
+		n.cfg.Logf("repl: node %d: lost the vote at epoch %d: %d of %d grants", n.cfg.NodeID, e, grants, n.quorum)
+		return
+	}
+	n.promote(e)
 }
 
-// pollPeers sends poll to every peer at once and returns the answers
+// stand moves this node from epoch from to the next with its own vote,
+// persisted before any peer is asked, and returns that epoch. It returns
+// 0 when the epoch moved since the pre-vote, or within LeaseTimeout of
+// granting its vote to another candidate, which gets that long to win
+// and heartbeat (Raft's election timer, reset by a grant).
+func (n *Node) stand(from uint64) (uint64, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.epoch != from || time.Since(n.grantedAt) < n.cfg.LeaseTimeout {
+		return 0, nil
+	}
+	e := n.epoch + 1
+	if err := n.persistEpoch(e, n.cfg.NodeID); err != nil {
+		return 0, err
+	}
+	n.epoch, n.votedFor = e, n.cfg.NodeID
+	n.stats.Epoch.Store(e)
+	n.broadcastLocked()
+	return e, nil
+}
+
+// historyLocked returns the epoch of this node's newest frame and its
+// applied total: the pair a vote compares. Epochs only grow along a
+// shard's history, so the newest frame's epoch is the largest at any
+// stable LSN. Mid-re-seed it is the pair the re-seed file recorded.
+// Callers hold n.mu.
+func (n *Node) historyLocked() (last, total uint64) {
+	if n.reseeding {
+		return n.reseedFrom[0], n.reseedFrom[1]
+	}
+	lsns, epochs := n.log.StableEpochs()
+	for s, lsn := range lsns {
+		total += lsn
+		last = max(last, epochs[s])
+	}
+	return last, total
+}
+
+// handleElection answers a pre-vote poll or a vote request with this
+// node's epoch, its grant, and whether a primary is live from here
+// (itself, or a lease-fresh upstream). A poll changes nothing; a vote
+// request adopts a newer epoch first (deposing this node if it leads)
+// and records the grant before the answer leaves.
+func (n *Node) handleElection(bw *bufio.Writer, m *Message) {
+	n.mu.Lock()
+	if m.Type == MsgVote {
+		n.adoptEpochLocked(m.Epoch, "", "")
+	}
+	last, total := n.historyLocked()
+	grant := m.LastEpoch > last || m.LastEpoch == last && m.Total >= total
+	if m.Type == MsgVote && grant {
+		cand := int(m.NodeID)
+		switch {
+		case m.Epoch != n.epoch || n.votedFor >= 0 && n.votedFor != cand:
+			grant = false
+		case n.votedFor < 0:
+			if err := n.persistEpoch(n.epoch, cand); err != nil {
+				n.cfg.Logf("repl: node %d: persist vote: %v", n.cfg.NodeID, err)
+				grant = false
+			} else {
+				n.votedFor, n.grantedAt = cand, time.Now()
+			}
+		}
+	}
+	resp := &Message{
+		Type:    MsgPollResp,
+		Epoch:   n.epoch,
+		Granted: grant,
+		PrimaryLive: n.role == RolePrimary ||
+			(n.primaryRpl != "" && !n.lastHBAt.IsZero() && time.Since(n.lastHBAt) < n.cfg.LeaseTimeout),
+		KVAddr:   n.primaryKV,
+		ReplAddr: n.primaryRpl,
+	}
+	n.mu.Unlock()
+	writeMsg(bw, resp)
+}
+
+// pollPeers sends ask to every peer at once and returns the answers
 // that arrived, in peer order.
-func (n *Node) pollPeers(poll *Message) []*Message {
+func (n *Node) pollPeers(ask *Message) []*Message {
 	resps := make([]*Message, len(n.cfg.Peers))
 	var wg sync.WaitGroup
 	for i, addr := range n.cfg.Peers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp, err := n.pollPeer(addr, poll); err == nil {
+			if resp, err := n.pollPeer(addr, ask); err == nil {
 				resps[i] = resp
 			}
 		}()
@@ -98,8 +206,8 @@ func (n *Node) pollPeers(poll *Message) []*Message {
 	return slices.DeleteFunc(resps, func(m *Message) bool { return m == nil })
 }
 
-// pollPeer sends one MsgPoll and reads the MsgPollResp.
-func (n *Node) pollPeer(addr string, poll *Message) (*Message, error) {
+// pollPeer sends one poll or vote request and reads the MsgPollResp.
+func (n *Node) pollPeer(addr string, ask *Message) (*Message, error) {
 	conn, err := n.cfg.Dial("tcp", addr, 500*time.Millisecond)
 	if err != nil {
 		return nil, err
@@ -107,7 +215,7 @@ func (n *Node) pollPeer(addr string, poll *Message) (*Message, error) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(time.Second))
 	bw := server.NewBufWriter(conn)
-	if err := writeMsg(bw, poll); err != nil {
+	if err := writeMsg(bw, ask); err != nil {
 		return nil, err
 	}
 	m, _, err := readMsg(server.NewBufReader(conn), nil)

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,13 +38,13 @@ func (r Role) String() string {
 
 // Config configures a replication node.
 type Config struct {
-	// NodeID identifies this node in the cluster (unique, ≥ 0; breaks
-	// election ties — lower wins).
+	// NodeID identifies this node in the cluster (unique, ≥ 0; the id a
+	// vote names).
 	NodeID int
 	// KVAddr is the advertised client (KV protocol) address.
 	KVAddr string
 	// ReplAddr is the replication listen address (subscriptions, acks,
-	// election polls).
+	// election polls and votes).
 	ReplAddr string
 	// Advertise, when non-empty, overrides the replication address told
 	// to peers (e.g. when ReplAddr binds a wildcard or :0).
@@ -104,14 +103,24 @@ type Node struct {
 	mu         sync.Mutex
 	waitCh     chan struct{} // closed + replaced on any state change
 	epoch      uint64
+	votedFor   int       // the node this one voted for at epoch; -1 = none (EPOCH holds both)
+	grantedAt  time.Time // when this node last granted its vote to another candidate
 	role       Role
 	primaryKV  string // current primary's client address ("" unknown)
 	primaryRpl string // current primary's replication address
-	needResync bool
-	ledAt      uint64 // the epoch this node last led at (its PRIMARY marker)
-	stopped    bool
-	subs       map[*subState]struct{}
-	ackLat     map[int]*metrics.Histogram // per-follower ship→ack latency, by node id
+	// reseeding is set while a re-seed is incomplete (its file exists):
+	// the log no longer proves every write this node acked, so votes
+	// judge candidates by reseedFrom, the history (newest frame's epoch,
+	// applied total) recorded in the file before the chain was dropped.
+	reseeding  bool
+	reseedFrom [2]uint64
+	// matched is set once a subscribe handshake proved this node's state
+	// a prefix of the primary's history, or a re-seed made it one; it is
+	// clear at boot and on deposition, and follower reads wait for it.
+	matched bool
+	stopped bool
+	subs    map[*subState]struct{}
+	ackLat  map[int]*metrics.Histogram // per-follower ship→ack latency, by node id
 
 	// Follower staleness accounting.
 	lastHBTotal uint64    // primary's stable total at the last heartbeat
@@ -153,25 +162,21 @@ const ackTimeout = 3 * time.Second
 // run out (DESIGN §13.3).
 const leaseDrift = 8
 
-// epochFile is the fencing epoch's persistence file inside the data dir.
+// epochFile holds, inside the data dir, the node's epoch and the node
+// it voted for at that epoch ("epoch vote", vote -1 for none).
 const epochFile = "EPOCH"
 
-// markerFile holds the epoch a node last led at. It is written when the
-// node becomes primary and removed only after it has completed a full
-// resync as a follower. Its presence at startup means this node's WAL
-// tail may have diverged from the cluster's history: once any later
-// epoch is known, the node must bootstrap from snapshots rather than
-// resume the stream on top of a possibly-sibling branch; until then its
-// log is the newest history and it stands for election with all of it
-// (divergedLocked).
-const markerFile = "PRIMARY"
+// reseedFile exists, inside the data dir, from before a re-seed's first
+// install drops the segment chain until its last install is done. It
+// holds the node's history from before the drop ("last-epoch total").
+const reseedFile = "RESEED"
 
 // Start brings the node up as a follower with no known primary: loads
-// the persisted epoch, reads the PRIMARY marker, opens the replication
-// listener, runs a first election round — the only road to primary
-// (DESIGN §13.3) — and starts the role loop. A node with no peers is
-// therefore primary when Start returns. store must be durable (it has a
-// WAL — the log is the stream).
+// the persisted epoch and vote, notes an incomplete re-seed, opens the
+// replication listener, runs a first election round — the only road to
+// primary (DESIGN §13.3) — and starts the role loop. A node with no
+// peers is therefore primary when Start returns. store must be durable
+// (it has a WAL — the log is the stream).
 func Start(store *kv.Store, cfg Config) (*Node, error) {
 	log := store.WAL()
 	if log == nil {
@@ -209,17 +214,13 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 		applyTh: cfg.NewThread(),
 	}
 	var err error
-	if n.epoch, err = n.loadEpoch(); err != nil {
+	if n.epoch, n.votedFor, err = n.loadEpoch(); err != nil {
 		n.applyTh.Close()
 		return nil, err
 	}
-	if raw, err := os.ReadFile(filepath.Join(log.Dir(), markerFile)); err == nil {
-		// This node was a primary in a previous life and never resynced:
-		// its log may hold a diverged tail. A marker that names no epoch
-		// counts as led at epoch 0, superseded by any later one.
-		n.needResync = true
-		n.ledAt, _ = strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-		n.epoch = max(n.epoch, n.ledAt) // the marker is written before the epoch
+	if n.reseeding, err = n.loadReseed(); err != nil {
+		n.applyTh.Close()
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.ReplAddr)
 	if err != nil {
@@ -232,8 +233,8 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 	}
 	n.stats.Epoch.Store(n.epoch)
 	store.SetCommitGate(n.commitGate)
-	n.cfg.Logf("repl: node %d up: epoch=%d resync=%v advertise=%s peers=%v",
-		cfg.NodeID, n.epoch, n.needResync, n.cfg.Advertise, cfg.Peers)
+	n.cfg.Logf("repl: node %d up: epoch=%d reseeding=%v advertise=%s peers=%v",
+		cfg.NodeID, n.epoch, n.reseeding, n.cfg.Advertise, cfg.Peers)
 	n.wg.Add(2)
 	go n.acceptLoop()
 	n.runElection()
@@ -281,82 +282,102 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// loadEpoch reads the persisted epoch (0 when absent).
-func (n *Node) loadEpoch() (uint64, error) {
+// loadEpoch reads the persisted epoch and vote (0 and none when absent).
+func (n *Node) loadEpoch() (uint64, int, error) {
 	raw, err := os.ReadFile(filepath.Join(n.log.Dir(), epochFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+		return 0, -1, nil
 	}
 	if err != nil {
-		return 0, err
+		return 0, -1, err
 	}
-	v, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
+	var e uint64
+	var vote int
+	if _, err := fmt.Sscanf(string(raw), "%d %d\n", &e, &vote); err != nil || vote < -1 {
+		return 0, -1, fmt.Errorf("repl: corrupt %s file %q (want \"epoch vote\")", epochFile, raw)
+	}
+	return e, vote, nil
+}
+
+// loadReseed reports whether a re-seed is incomplete and, if so, loads
+// the history its file recorded.
+func (n *Node) loadReseed() (bool, error) {
+	raw, err := os.ReadFile(filepath.Join(n.log.Dir(), reseedFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
-		return 0, fmt.Errorf("repl: corrupt %s file: %w", epochFile, err)
+		return false, err
 	}
-	return v, nil
+	if _, err := fmt.Sscanf(string(raw), "%d %d\n", &n.reseedFrom[0], &n.reseedFrom[1]); err != nil {
+		return false, fmt.Errorf("repl: corrupt %s file %q (want \"last-epoch total\")", reseedFile, raw)
+	}
+	return true, nil
 }
 
-// setMarker durably records that this node leads at epoch e.
-func (n *Node) setMarker(e uint64) error {
-	path := filepath.Join(n.log.Dir(), markerFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", e); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// persistEpoch durably records the epoch and this node's vote at it,
+// before anything acts on either.
+func (n *Node) persistEpoch(e uint64, vote int) error {
+	return writeDurable(n.log.Dir(), epochFile, fmt.Sprintf("%d %d\n", e, vote))
 }
 
-// divergedLocked reports whether this node's log may hold a tail no
-// later primary shares: it awaits a resync and knows an epoch later
-// than the one it last led at. Until then a former primary holds the
-// newest history and may lead again with it. Callers hold n.mu.
-func (n *Node) divergedLocked() bool {
-	return n.needResync && n.epoch > n.ledAt
-}
-
-// clearResync marks the node's state as a proven prefix of the
-// primary's history again: a full snapshot resync completed, so the
-// diverged-tail marker comes off.
-func (n *Node) clearResync() {
-	n.mu.Lock()
-	n.needResync = false
-	n.broadcastLocked()
-	n.mu.Unlock()
-	if err := os.Remove(filepath.Join(n.log.Dir(), markerFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		n.cfg.Logf("repl: node %d: remove %s: %v", n.cfg.NodeID, markerFile, err)
-	}
-}
-
-// persistEpoch durably records the epoch (temp + rename).
-func (n *Node) persistEpoch(e uint64) error {
-	dir := n.log.Dir()
-	tmp, err := os.CreateTemp(dir, "tmp-epoch-*")
+// writeDurable replaces dir/name with data (temp + rename) and syncs
+// the file and the directory, so a crash after it returns keeps it.
+func writeDurable(dir, name, data string) error {
+	tmp, err := os.CreateTemp(dir, "tmp-"+name+"-*")
 	if err != nil {
 		return err
 	}
-	name := tmp.Name()
-	if _, err := fmt.Fprintf(tmp, "%d\n", e); err == nil {
+	if _, err = tmp.WriteString(data); err == nil {
 		err = tmp.Sync()
 	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
 	if err != nil {
-		tmp.Close()
-		os.Remove(name)
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	return os.Rename(name, filepath.Join(dir, epochFile))
+	return nil
+}
+
+// beginReseed durably marks a re-seed incomplete, with the history the
+// node's votes keep judging by, before its first install drops the
+// segment chain, and fences reads until it is done. A re-seed that
+// resumes one left incomplete keeps the file it found: the chain is
+// already gone, so only the file still knows the history.
+func (n *Node) beginReseed() error {
+	n.stats.Resyncs.Add(1)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.reseeding {
+		return nil
+	}
+	last, total := n.historyLocked()
+	if err := writeDurable(n.log.Dir(), reseedFile, fmt.Sprintf("%d %d\n", last, total)); err != nil {
+		return fmt.Errorf("repl: create %s: %w", reseedFile, err)
+	}
+	n.reseeding, n.matched, n.reseedFrom = true, false, [2]uint64{last, total}
+	return nil
+}
+
+// endReseed marks the re-seed done once its last install landed: every
+// shard is the primary's again.
+func (n *Node) endReseed() {
+	if err := os.Remove(filepath.Join(n.log.Dir(), reseedFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		n.cfg.Logf("repl: node %d: remove %s: %v", n.cfg.NodeID, reseedFile, err)
+	}
+	n.mu.Lock()
+	n.reseeding, n.matched = false, true
+	n.broadcastLocked()
+	n.mu.Unlock()
 }
 
 // broadcastLocked wakes every waiter (gate, bounded reads, role loop).
@@ -375,18 +396,20 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 	}
 	changed := false
 	if e > n.epoch {
-		n.epoch = e
-		n.stats.Epoch.Store(e)
-		if err := n.persistEpoch(e); err != nil {
-			n.cfg.Logf("repl: node %d: persist epoch %d: %v", n.cfg.NodeID, e, err)
-		}
 		if n.role == RolePrimary {
+			// Demoted before the epoch moves: no reader of the two gauges
+			// sees this node primary at e.
 			n.role = RoleFollower
-			n.needResync = true // our un-replicated tail may diverge: wipe and re-fetch
+			n.matched = false // until the new primary's handshake places our log
 			n.stats.IsPrimary.Store(0)
 			n.stats.Depositions.Add(1)
 			n.primaryKV, n.primaryRpl = "", ""
 			n.cfg.Logf("repl: node %d DEPOSED at epoch %d", n.cfg.NodeID, e)
+		}
+		n.epoch, n.votedFor = e, -1
+		n.stats.Epoch.Store(e)
+		if err := n.persistEpoch(e, -1); err != nil {
+			n.cfg.Logf("repl: node %d: persist epoch %d: %v", n.cfg.NodeID, e, err)
 		}
 		changed = true
 	}
@@ -402,25 +425,17 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 	return changed
 }
 
-// promote makes this node the primary at epoch e.
+// promote makes this node the primary at epoch e, whose vote it won: it
+// stood at e (stand), and the epoch has not moved since.
 func (n *Node) promote(e uint64) {
 	n.mu.Lock()
-	if n.stopped || e <= n.epoch && n.role == RolePrimary {
+	if n.stopped || n.epoch != e || n.role == RolePrimary {
 		n.mu.Unlock()
 		return
 	}
-	if err := n.setMarker(e); err != nil {
-		n.cfg.Logf("repl: node %d: persist %s marker: %v", n.cfg.NodeID, markerFile, err)
-	}
-	n.epoch = e
-	n.ledAt = e
+	n.store.SetEpoch(e) // before any write is admitted: every frame from here on is e's
 	n.role = RolePrimary
 	n.primaryKV, n.primaryRpl = n.cfg.KVAddr, n.cfg.Advertise
-	n.needResync = false
-	if err := n.persistEpoch(e); err != nil {
-		n.cfg.Logf("repl: node %d: persist epoch %d: %v", n.cfg.NodeID, e, err)
-	}
-	n.stats.Epoch.Store(e)
 	n.stats.IsPrimary.Store(1)
 	n.stats.Promotions.Add(1)
 	n.stats.LagFrames.Store(0)
@@ -625,15 +640,16 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 			n.mu.Unlock()
 			return server.StatusNotPrimary, "primary=" + pk
 		}
-		if n.needResync {
-			// This node's state may hold a diverged tail (it was a primary
-			// once); refusing reads until the resync completes keeps even
+		if !n.matched {
+			// Until a primary has placed this node's log on its own, the
+			// state may hold a tail no primary shares (it booted, led once,
+			// or is mid-re-seed); refusing reads until then keeps even
 			// unbounded replica reads inside the shared history.
 			ch := n.waitCh
 			n.mu.Unlock()
 			now := time.Now()
 			if !now.Before(deadline) {
-				return server.StatusLagging, "replica resyncing after deposition"
+				return server.StatusLagging, "replica has not matched the primary's history yet"
 			}
 			n.park(ch, deadline.Sub(now))
 			continue

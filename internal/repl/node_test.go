@@ -57,6 +57,7 @@ type nodeOpts struct {
 	leaseTimeout time.Duration // default 120ms
 	maxReadWait  time.Duration
 	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
+	fs           wal.FS // the WAL's filesystem; default the real one
 }
 
 func startNode(t testing.TB, id int, o nodeOpts) *testNode {
@@ -82,7 +83,7 @@ func startNode(t testing.TB, id int, o nodeOpts) *testNode {
 		t.Fatal(err)
 	}
 	store, _, err := kv.NewDurable(b.Sys, o.shards, 4, kv.Durability{
-		Dir: o.dir, Fsync: wal.FsyncNever, NewThread: b.NewThread,
+		Dir: o.dir, Fsync: wal.FsyncNever, NewThread: b.NewThread, FS: o.fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +150,60 @@ func peerOpts(addrs []string, i int) nodeOpts {
 	return o
 }
 
+// startCluster boots a size-node cluster whose first primary is node
+// 0. Each node dials through its own fault.Partitions, returned with the
+// nodes and their replication addresses. Nodes 1..size-1 boot first
+// with every peer blocked on their dialers, so none of them can gather a
+// quorum; node 0 then wins its boot election before Start returns, and
+// the others are let loose. opt, when non-nil, adjusts node i's options.
+func startCluster(t testing.TB, size int, opt func(i int, o *nodeOpts)) ([]*testNode, []string, []*fault.Partitions) {
+	t.Helper()
+	addrs := make([]string, size)
+	lns := make([]net.Listener, size)
+	parts := make([]*fault.Partitions, size)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i], parts[i] = ln, ln.Addr().String(), fault.NewPartitions()
+	}
+	nodes := make([]*testNode, size)
+	for k := 1; k <= size; k++ {
+		i := k % size // node 0 boots last
+		o := peerOpts(addrs, i)
+		o.dial = parts[i].Dial
+		if opt != nil {
+			opt(i, &o)
+		}
+		for _, a := range o.peers {
+			if i != 0 {
+				if err := parts[i].Block(a, "both"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		lns[i].Close() // held until now, so that no earlier node's socket takes the port
+		nodes[i] = startNode(t, i, o)
+	}
+	if nodes[0].node.Role() != RolePrimary {
+		t.Fatal("node 0 lost its boot election")
+	}
+	for _, p := range parts {
+		p.HealAll()
+	}
+	return nodes, addrs, parts
+}
+
+// kvAddrs lists the nodes' client addresses.
+func kvAddrs(nodes []*testNode) []string {
+	addrs := make([]string, len(nodes))
+	for i, tn := range nodes {
+		addrs[i] = tn.kvLn.Addr().String()
+	}
+	return addrs
+}
+
 // state reads the node's role and epoch together.
 func (tn *testNode) state() (Role, uint64) {
 	if tn == nil {
@@ -190,11 +245,19 @@ func waitLease(t testing.TB, tn *testNode) {
 	})
 }
 
-// losingPeer listens on a fresh loopback address and answers every
-// election poll as a node that has applied nothing and loses every tie
-// (id 9), so a node it answers wins its election. It speaks only the
-// poll half of the protocol.
+// losingPeer listens on a fresh loopback address and grants every
+// election poll and vote request, as a node that has applied nothing
+// and voted for no one, so a node it answers wins its election. It
+// speaks only the election half of the protocol.
 func losingPeer(t *testing.T) string {
+	return electionPeer(t, func(m *Message) *Message {
+		return &Message{Type: MsgPollResp, Epoch: m.Epoch, Granted: true}
+	})
+}
+
+// electionPeer listens on a fresh loopback address and answers every
+// election poll and vote request with answer's reply.
+func electionPeer(t *testing.T, answer func(*Message) *Message) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -209,8 +272,8 @@ func losingPeer(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				if m, _, err := readMsg(server.NewBufReader(conn), nil); err == nil && m.Type == MsgPoll {
-					writeMsg(server.NewBufWriter(conn), &Message{Type: MsgPollResp, NodeID: 9})
+				if m, _, err := readMsg(server.NewBufReader(conn), nil); err == nil && (m.Type == MsgPoll || m.Type == MsgVote) {
+					writeMsg(server.NewBufWriter(conn), answer(m))
 				}
 			}()
 		}
@@ -285,13 +348,11 @@ func (f *fakeFollower) echo(epoch uint64, stop <-chan struct{}) <-chan struct{} 
 // replicas, survive the primary's death with an automatic promotion
 // that loses nothing, and keep serving.
 func TestClusterEndToEndFailover(t *testing.T) {
-	r0, r1, r2 := pickAddr(t), pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1, r2}})
-	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0, r2}})
-	n2 := startNode(t, 2, nodeOpts{replAddr: r2, peers: []string{r0, r1}})
+	nodes, _, _ := startCluster(t, 3, nil)
+	n0, n1, n2 := nodes[0], nodes[1], nodes[2]
 
 	cl, err := DialCluster(ClusterConfig{
-		Addrs:    []string{n0.kvLn.Addr().String(), n1.kvLn.Addr().String(), n2.kvLn.Addr().String()},
+		Addrs:    kvAddrs(nodes),
 		MaxLagMs: 0, // strictest bound: every replica read must prove freshness
 		RetryFor: 10 * time.Second,
 	})
@@ -364,10 +425,18 @@ func TestClusterEndToEndFailover(t *testing.T) {
 // in flight.
 func TestDeposedPrimaryIsFenced(t *testing.T) {
 	r0 := pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{losingPeer(t)}})
+	var later atomic.Uint64 // once set, the peer follows a live primary at this epoch
+	peer := electionPeer(t, func(m *Message) *Message {
+		if e := later.Load(); e != 0 {
+			return &Message{Type: MsgPollResp, Epoch: e, PrimaryLive: true,
+				KVAddr: "127.0.0.1:1", ReplAddr: "127.0.0.1:1"}
+		}
+		return &Message{Type: MsgPollResp, Epoch: m.Epoch, Granted: true}
+	})
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{peer}})
 	waitPrimary(t, n0)
 
-	// One peer makes a quorum of one: its answer won node 0 the boot
+	// One peer makes a quorum of one: its grant won node 0 the boot
 	// election, and a fake follower acks every heartbeat, so the primary
 	// holds its lease and the write below passes the commit gate.
 	epoch := n0.node.Epoch()
@@ -391,6 +460,7 @@ func TestDeposedPrimaryIsFenced(t *testing.T) {
 	// epoch. The primary must step down.
 	close(stop)
 	<-echoing
+	later.Store(epoch + 5)
 	if err := writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch + 5,
 		Vector: make([]uint64, 4)}); err != nil {
 		t.Fatal(err)
@@ -452,9 +522,9 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 				bw := server.NewBufWriter(conn)
 				m, _, err := readMsg(br, nil)
 				if err == nil && m.Type == MsgPoll {
-					// Name itself the live primary at epoch 0, as node 0
-					// (node 1 loses the tie if it ever stands): node 1's
-					// boot election follows it.
+					// Name itself the live primary at epoch 0 (and grant
+					// nothing, so node 1 never wins): node 1's boot
+					// election follows it.
 					writeMsg(bw, &Message{Type: MsgPollResp, PrimaryLive: true,
 						KVAddr: "127.0.0.1:1", ReplAddr: fakeAddr})
 					return
@@ -509,10 +579,12 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 // client's last acked write, and the freshness half (MaxLagMs) refuses
 // service when the primary has gone silent.
 func TestBoundedStalenessReads(t *testing.T) {
-	r0, r1 := pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
-	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0},
-		maxReadWait: 400 * time.Millisecond})
+	nodes, _, _ := startCluster(t, 2, func(i int, o *nodeOpts) {
+		if i == 1 {
+			o.maxReadWait = 400 * time.Millisecond
+		}
+	})
+	n0, n1 := nodes[0], nodes[1]
 	waitLease(t, n0)
 
 	c0, err := server.Dial(n0.kvLn.Addr().String())
@@ -634,12 +706,11 @@ func TestStatsCoverage(t *testing.T) {
 // histogram reach the export, and that the node's exposition lints clean.
 // The gate's wall time is the request span's repl_gate stage (server).
 func TestNodeLatencyMetrics(t *testing.T) {
-	r0, r1 := pickAddr(t), pickAddr(t)
-	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
-	n1 := startNode(t, 1, nodeOpts{replAddr: r1, peers: []string{r0}})
+	nodes, _, _ := startCluster(t, 2, nil)
+	n0, n1 := nodes[0], nodes[1]
 
 	cl, err := DialCluster(ClusterConfig{
-		Addrs:    []string{n0.kvLn.Addr().String(), n1.kvLn.Addr().String()},
+		Addrs:    kvAddrs(nodes),
 		RetryFor: 10 * time.Second,
 	})
 	if err != nil {
@@ -695,29 +766,10 @@ func TestNodeLatencyMetrics(t *testing.T) {
 // lapsed and it refuses writes and tokened reads before executing them.
 // The cluster client rides the refusals to the new primary.
 func TestQuorumLeaseFencesMinorityPrimary(t *testing.T) {
-	const size = 5
-	addrs := make([]string, size)
-	lns := make([]net.Listener, size)
-	parts := make([]*fault.Partitions, size)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i], parts[i] = ln, ln.Addr().String(), fault.NewPartitions()
-	}
-	nodes := make([]*testNode, size)
-	kvAddrs := make([]string, size)
-	for i := range nodes {
-		o := peerOpts(addrs, i)
-		o.dial = parts[i].Dial
-		lns[i].Close() // held until now, so that no earlier node's socket takes the port
-		nodes[i] = startNode(t, i, o)
-		kvAddrs[i] = nodes[i].kvLn.Addr().String()
-	}
+	nodes, addrs, parts := startCluster(t, 5, nil)
 	p := nodes[0]
 	waitLease(t, p)
-	c, err := server.Dial(kvAddrs[0])
+	c, err := server.Dial(p.kvLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +831,7 @@ func TestQuorumLeaseFencesMinorityPrimary(t *testing.T) {
 		t.Fatal("LeaseRefusals did not rise")
 	}
 
-	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs, RetryFor: 10 * time.Second})
+	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs(nodes), RetryFor: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -873,13 +925,9 @@ func TestFollowerCountsOnceTowardsQuorum(t *testing.T) {
 // epoch, and once the new primary dies too, every acknowledged write
 // must read back on the surviving follower.
 func TestRestartedPrimaryRejoinsAsFollower(t *testing.T) {
-	addrs := []string{pickAddr(t), pickAddr(t), pickAddr(t)}
-	var mu sync.Mutex               // guards nodes and primaries
-	nodes := make([]*testNode, 3)   // nil while a node is down
-	primaries := map[uint64][]int{} // epoch → the nodes seen primary at it
-	for i := range nodes {
-		nodes[i] = startNode(t, i, peerOpts(addrs, i))
-	}
+	var mu sync.Mutex                      // guards nodes and primaries
+	nodes, _, _ := startCluster(t, 3, nil) // an entry is nil while its node is down
+	primaries := map[uint64][]int{}        // epoch → the nodes seen primary at it
 	// Sample every live node's role and epoch until the test ends.
 	var rounds atomic.Int64
 	stop, sampled := make(chan struct{}), make(chan struct{})
@@ -934,8 +982,7 @@ func TestRestartedPrimaryRejoinsAsFollower(t *testing.T) {
 	}
 
 	waitPrimary(t, nodes[0])
-	kvAddrs := []string{nodes[0].kvLn.Addr().String(), nodes[1].kvLn.Addr().String(), nodes[2].kvLn.Addr().String()}
-	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs, RetryFor: 10 * time.Second})
+	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs(nodes), RetryFor: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -971,9 +1018,9 @@ func TestRestartedPrimaryRejoinsAsFollower(t *testing.T) {
 	write(30, 31) // through the last primary: the survivor has caught up once it has applied this
 	waitFor(t, 10*time.Second, "the survivor to catch up", func() bool {
 		survivor.node.mu.Lock()
-		resync := survivor.node.needResync
+		matched := survivor.node.matched
 		survivor.node.mu.Unlock()
-		return !resync && survivor.node.AppliedTotal() >= p.node.AppliedTotal()
+		return matched && survivor.node.AppliedTotal() >= p.node.AppliedTotal()
 	})
 
 	c, err := server.Dial(survivor.kvLn.Addr().String())
@@ -1004,11 +1051,7 @@ func TestRestartedPrimaryRejoinsAsFollower(t *testing.T) {
 // and no later epoch exists, so it must win with that log rather than
 // stand aside and reload the lagging node's snapshots.
 func TestRestartedPrimaryLeadsWithItsLog(t *testing.T) {
-	addrs := []string{pickAddr(t), pickAddr(t), pickAddr(t)}
-	nodes := make([]*testNode, 3)
-	for i := range nodes {
-		nodes[i] = startNode(t, i, peerOpts(addrs, i))
-	}
+	nodes, _, _ := startCluster(t, 3, nil)
 	waitFor(t, 5*time.Second, "both followers acking node 0", func() bool {
 		p := nodes[0].node
 		p.mu.Lock()
@@ -1077,17 +1120,16 @@ func TestRestartedPrimaryLeadsWithItsLog(t *testing.T) {
 	}
 }
 
-// TestLoneNodeRestartsAsPrimary: no peer can tell a node with no peers
-// of a later epoch, so its PRIMARY marker does not hold it back. It is
-// primary when Start returns, and again after a restart, at the next
-// epoch, with its data.
+// TestLoneNodeRestartsAsPrimary: a node with no peers needs no vote but
+// its own, so it is primary when Start returns, having persisted that
+// vote, and again after a restart, at the next epoch, with its data.
 func TestLoneNodeRestartsAsPrimary(t *testing.T) {
 	n := startNode(t, 0, nodeOpts{replAddr: pickAddr(t)})
 	if n.node.Role() != RolePrimary {
 		t.Fatal("a lone node is not primary when Start returns")
 	}
-	if _, err := os.Stat(filepath.Join(n.store.WAL().Dir(), markerFile)); err != nil {
-		t.Fatalf("a primary has no %s marker: %v", markerFile, err)
+	if raw, err := os.ReadFile(filepath.Join(n.store.WAL().Dir(), epochFile)); err != nil || string(raw) != "1 0\n" {
+		t.Fatalf("%s after the first election = %q, %v; want epoch 1 with its own vote", epochFile, raw, err)
 	}
 	c, err := server.Dial(n.kvLn.Addr().String())
 	if err != nil {
@@ -1123,9 +1165,8 @@ func TestLoneNodeRestartsAsPrimary(t *testing.T) {
 // commit gate waits for its one follower's ack, over loopback at
 // FsyncNever.
 func BenchmarkReplicatedPut(b *testing.B) {
-	r0, r1 := pickAddr(b), pickAddr(b)
-	n0 := startNode(b, 0, nodeOpts{replAddr: r0, peers: []string{r1}})
-	startNode(b, 1, nodeOpts{replAddr: r1, peers: []string{r0}})
+	nodes, _, _ := startCluster(b, 2, nil)
+	n0 := nodes[0]
 	waitLease(b, n0)
 	c, err := server.Dial(n0.kvLn.Addr().String())
 	if err != nil {

@@ -1,21 +1,25 @@
 // Package repl is the replication plane: a primary streams its
 // write-ahead log to follower processes over TCP, followers apply the
 // frames through the same transactional path recovery uses and serve
-// bounded-staleness reads, and a lease-based election promotes the
-// most-caught-up follower when the primary dies — with epoch fencing so
-// a deposed primary can never acknowledge another write.
+// bounded-staleness reads, and when the primary's lease lapses a vote
+// elects a follower whose log is at least as new as a majority's — with
+// epoch fencing so a deposed primary can never acknowledge another
+// write.
 //
 // The log IS the replication stream: the primary re-reads durable frames
 // off disk with wal.StreamReader and ships them in file order (the log
 // admits a frame only once every shard named in its identity vector is
-// exactly up to date, so file order is already a valid apply order), and
-// every follower's applied state is always a prefix of one shared history.
-// That prefix property is what makes "most caught up by applied total"
-// a safe promotion rule: of two followers, the one with the larger
-// applied total has strictly more of the same history, never a sibling
-// branch — and since a majority applies every frame before the primary
-// acknowledges it and a majority answers every election, the promotion
-// winner provably holds every acknowledged write.
+// exactly up to date, so file order is already a valid apply order).
+// Every frame carries the epoch of the primary that wrote it, and each
+// voter grants one vote per epoch, so at most one primary writes at an
+// epoch and two logs that hold the same (shard, LSN) at the same epoch
+// agree up to it (Raft's log matching, Ongaro and Ousterhout, USENIX ATC
+// 2014, §5.3). A subscriber therefore proves its state a prefix of the
+// primary's history with one (LSN, epoch) pair per shard, and one that
+// cannot is re-seeded from snapshots. A primary acknowledges a write only
+// after a majority applied it and a candidate needs a majority's votes,
+// each granted only to a log at least as new as the voter's (§5.4.1), so
+// the winner holds every acknowledged write.
 package repl
 
 import (
@@ -42,8 +46,8 @@ type MsgType uint8
 // Message types.
 const (
 	// MsgSubscribe opens a follower's stream: node id, advertised KV
-	// address, a resync flag (discard my state, send snapshots), and the
-	// follower's applied vector (where to resume).
+	// address, and per shard the follower's applied LSN (where to resume)
+	// with the epoch that wrote it (whether it can resume there at all).
 	MsgSubscribe MsgType = 1
 	// MsgFrames ships a batch of encoded WAL frame containers, in merged
 	// stream order.
@@ -53,9 +57,11 @@ const (
 	// stamp for the followers' acks to echo, and its client address (so
 	// followers can redirect writes).
 	MsgHeartbeat MsgType = 3
-	// MsgSnapshot ships one chunk of a shard bootstrap snapshot (the
-	// primary truncated past the follower's position, or a resync). The
-	// last chunk is flagged; the follower installs the accumulated keys.
+	// MsgSnapshot ships one chunk of a shard bootstrap snapshot, with
+	// the epoch that wrote its LSN: the primary truncated past the
+	// follower's position, or it re-seeds every shard of a follower whose
+	// log is off its own (the re-seed flag). The last chunk is flagged;
+	// the follower installs the accumulated keys.
 	MsgSnapshot MsgType = 4
 	// MsgAck reports a follower's applied vector and total back to the
 	// primary — the semi-synchronous acknowledgement signal — and echoes
@@ -64,11 +70,17 @@ const (
 	// MsgReject refuses a message or a subscription: fencing (stale
 	// epoch) or redirection (not primary, with the primary's addresses).
 	MsgReject MsgType = 6
-	// MsgPoll is an election probe: epoch, node id, applied total.
+	// MsgPoll is an election pre-vote: epoch, node id, and the
+	// candidate's history — the epoch of its newest frame and its applied
+	// total.
 	MsgPoll MsgType = 7
-	// MsgPollResp answers a poll with the peer's epoch, id, applied
-	// total, and whether it sees a live primary (with its addresses).
+	// MsgPollResp answers a poll or a vote request with the peer's epoch,
+	// whether it grants (would grant, for a poll) the vote, and whether it
+	// sees a live primary (with its addresses).
 	MsgPollResp MsgType = 8
+	// MsgVote asks for a peer's one vote at the message's epoch; its body
+	// is a poll's.
+	MsgVote MsgType = 9
 )
 
 // Reject codes.
@@ -105,20 +117,25 @@ type Message struct {
 	Type  MsgType
 	Epoch uint64
 
-	NodeID uint16 // subscribe, poll, pollresp
+	NodeID uint16 // subscribe, poll, vote
 	KVAddr string // subscribe + heartbeat (sender's), reject + pollresp (primary's)
-	Resync bool   // subscribe
 
-	Total  uint64   // heartbeat, ack, poll, pollresp: applied/stable total
+	Total  uint64   // heartbeat, ack, poll, vote: applied/stable total
 	Stamp  uint64   // heartbeat: primary's send stamp (trace.Now()); ack: the newest one received
 	Vector []uint64 // subscribe, heartbeat, ack: dense per-shard LSNs
+	Epochs []uint64 // subscribe: per shard, the epoch that wrote Vector's LSN
+
+	LastEpoch uint64 // poll, vote: the epoch of the candidate's newest frame
+	Granted   bool   // pollresp: the vote is (or, for a poll, would be) granted
 
 	Frames [][]byte // frames: encoded wal frame containers
 
-	Shard uint16            // snapshot
-	LSN   uint64            // snapshot: the cut the chunks accumulate to
-	Last  bool              // snapshot: final chunk, install now
-	Keys  map[string][]byte // snapshot chunk payload
+	Shard    uint16            // snapshot
+	LSN      uint64            // snapshot: the cut the chunks accumulate to
+	LSNEpoch uint64            // snapshot: the epoch that wrote LSN
+	Reseed   bool              // snapshot: part of a re-seed of every shard
+	Last     bool              // snapshot: final chunk, install now
+	Keys     map[string][]byte // snapshot chunk payload
 
 	Code     uint8  // reject
 	Text     string // reject: human-readable detail
@@ -149,8 +166,8 @@ func appendBool(b []byte, v bool) []byte {
 
 // EncodeMessage appends m's wire form onto b.
 func EncodeMessage(b []byte, m *Message) ([]byte, error) {
-	if len(m.Vector) > maxShards {
-		return nil, fmt.Errorf("repl: vector with %d shards (max %d)", len(m.Vector), maxShards)
+	if len(m.Vector) > maxShards || len(m.Epochs) > maxShards {
+		return nil, fmt.Errorf("repl: vector with over %d shards", maxShards)
 	}
 	if len(m.KVAddr) > maxStr || len(m.ReplAddr) > maxStr || len(m.Text) > maxStr {
 		return nil, fmt.Errorf("repl: string field over %d bytes", maxStr)
@@ -161,8 +178,8 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 	case MsgSubscribe:
 		b = binary.BigEndian.AppendUint16(b, m.NodeID)
 		b = appendStr(b, m.KVAddr)
-		b = appendBool(b, m.Resync)
 		b = appendDense(b, m.Vector)
+		b = appendDense(b, m.Epochs)
 	case MsgFrames:
 		if len(m.Frames) > maxBatch {
 			return nil, fmt.Errorf("repl: %d frames in one batch (max %d)", len(m.Frames), maxBatch)
@@ -183,6 +200,8 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 		}
 		b = binary.BigEndian.AppendUint16(b, m.Shard)
 		b = binary.BigEndian.AppendUint64(b, m.LSN)
+		b = binary.BigEndian.AppendUint64(b, m.LSNEpoch)
+		b = appendBool(b, m.Reseed)
 		b = appendBool(b, m.Last)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Keys)))
 		for k, v := range m.Keys {
@@ -202,12 +221,12 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 		b = appendStr(b, m.Text)
 		b = appendStr(b, m.KVAddr)
 		b = appendStr(b, m.ReplAddr)
-	case MsgPoll:
+	case MsgPoll, MsgVote:
 		b = binary.BigEndian.AppendUint16(b, m.NodeID)
+		b = binary.BigEndian.AppendUint64(b, m.LastEpoch)
 		b = binary.BigEndian.AppendUint64(b, m.Total)
 	case MsgPollResp:
-		b = binary.BigEndian.AppendUint16(b, m.NodeID)
-		b = binary.BigEndian.AppendUint64(b, m.Total)
+		b = appendBool(b, m.Granted)
 		b = appendBool(b, m.PrimaryLive)
 		b = appendStr(b, m.KVAddr)
 		b = appendStr(b, m.ReplAddr)
@@ -331,10 +350,10 @@ func ParseMessage(payload []byte) (*Message, error) {
 		if m.KVAddr, err = d.str(); err != nil {
 			return nil, err
 		}
-		if m.Resync, err = d.boolean(); err != nil {
+		if m.Vector, err = d.dense(); err != nil {
 			return nil, err
 		}
-		if m.Vector, err = d.dense(); err != nil {
+		if m.Epochs, err = d.dense(); err != nil {
 			return nil, err
 		}
 	case MsgFrames:
@@ -375,6 +394,12 @@ func ParseMessage(payload []byte) (*Message, error) {
 			return nil, err
 		}
 		if m.LSN, err = d.u64(); err != nil {
+			return nil, err
+		}
+		if m.LSNEpoch, err = d.u64(); err != nil {
+			return nil, err
+		}
+		if m.Reseed, err = d.boolean(); err != nil {
 			return nil, err
 		}
 		if m.Last, err = d.boolean(); err != nil {
@@ -429,18 +454,18 @@ func ParseMessage(payload []byte) (*Message, error) {
 		if m.ReplAddr, err = d.str(); err != nil {
 			return nil, err
 		}
-	case MsgPoll:
+	case MsgPoll, MsgVote:
 		if m.NodeID, err = d.u16(); err != nil {
+			return nil, err
+		}
+		if m.LastEpoch, err = d.u64(); err != nil {
 			return nil, err
 		}
 		if m.Total, err = d.u64(); err != nil {
 			return nil, err
 		}
 	case MsgPollResp:
-		if m.NodeID, err = d.u16(); err != nil {
-			return nil, err
-		}
-		if m.Total, err = d.u64(); err != nil {
+		if m.Granted, err = d.boolean(); err != nil {
 			return nil, err
 		}
 		if m.PrimaryLive, err = d.boolean(); err != nil {

@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nztm/internal/wal"
@@ -11,42 +12,40 @@ import (
 // sampleMessages covers every message type with representative fields.
 func sampleMessages() []*Message {
 	return []*Message{
-		{Type: MsgSubscribe, Epoch: 3, NodeID: 2, KVAddr: "127.0.0.1:4100", Resync: true,
-			Vector: []uint64{12, 0, 7, 9}},
-		{Type: MsgSubscribe, Epoch: 1, NodeID: 0, KVAddr: "", Resync: false, Vector: nil},
+		{Type: MsgSubscribe, Epoch: 3, NodeID: 2, KVAddr: "127.0.0.1:4100",
+			Vector: []uint64{12, 0, 7, 9}, Epochs: []uint64{3, 0, 2, 3}},
+		{Type: MsgSubscribe, Epoch: 1, NodeID: 0, KVAddr: "", Vector: nil},
 		{Type: MsgFrames, Epoch: 9, Frames: [][]byte{{1, 2, 3}, {}, {0xff}}},
 		{Type: MsgFrames, Epoch: 9, Frames: nil},
 		{Type: MsgHeartbeat, Epoch: 4, Total: 812, Stamp: 1722550000123, KVAddr: "10.0.0.8:4000",
 			Vector: []uint64{800, 12}},
-		{Type: MsgSnapshot, Epoch: 2, Shard: 3, LSN: 77, Last: true,
+		{Type: MsgSnapshot, Epoch: 2, Shard: 3, LSN: 77, LSNEpoch: 2, Reseed: true, Last: true,
 			Keys: map[string][]byte{"a": []byte("1"), "bb": {}, "c": nil}},
 		{Type: MsgSnapshot, Epoch: 2, Shard: 0, LSN: 0, Last: false, Keys: map[string][]byte{}},
 		{Type: MsgAck, Epoch: 5, Total: 42, Stamp: 9000000123, Vector: []uint64{40, 2}},
 		{Type: MsgReject, Epoch: 8, Code: RejectNotPrimary, Text: "not primary",
 			KVAddr: "127.0.0.1:4100", ReplAddr: "127.0.0.1:4200"},
 		{Type: MsgReject, Epoch: 8, Code: RejectStaleEpoch, Text: "stale epoch 3 < 8"},
-		{Type: MsgPoll, Epoch: 6, NodeID: 1, Total: 99},
-		{Type: MsgPollResp, Epoch: 6, NodeID: 2, Total: 120, PrimaryLive: true,
+		{Type: MsgPoll, Epoch: 6, NodeID: 1, LastEpoch: 5, Total: 99},
+		{Type: MsgPollResp, Epoch: 6, PrimaryLive: true,
 			KVAddr: "127.0.0.1:4101", ReplAddr: "127.0.0.1:4201"},
+		{Type: MsgVote, Epoch: 7, NodeID: 3, LastEpoch: 6, Total: 120},
+		{Type: MsgPollResp, Epoch: 7, Granted: true},
 	}
 }
 
 // msgEqual compares messages treating nil and empty containers alike.
 func msgEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Epoch != b.Epoch || a.NodeID != b.NodeID ||
-		a.KVAddr != b.KVAddr || a.Resync != b.Resync || a.Total != b.Total ||
+		a.KVAddr != b.KVAddr || a.Total != b.Total ||
 		a.Stamp != b.Stamp || a.Shard != b.Shard || a.LSN != b.LSN ||
-		a.Last != b.Last || a.Code != b.Code || a.Text != b.Text ||
+		a.LSNEpoch != b.LSNEpoch || a.Reseed != b.Reseed || a.LastEpoch != b.LastEpoch ||
+		a.Granted != b.Granted || a.Last != b.Last || a.Code != b.Code || a.Text != b.Text ||
 		a.ReplAddr != b.ReplAddr || a.PrimaryLive != b.PrimaryLive {
 		return false
 	}
-	if len(a.Vector) != len(b.Vector) {
+	if !slices.Equal(a.Vector, b.Vector) || !slices.Equal(a.Epochs, b.Epochs) {
 		return false
-	}
-	for i := range a.Vector {
-		if a.Vector[i] != b.Vector[i] {
-			return false
-		}
 	}
 	if len(a.Frames) != len(b.Frames) {
 		return false

@@ -1,9 +1,11 @@
 package repl
 
 // Primary side of the replication stream: accept subscriptions and
-// election polls, ship durable WAL frames in the log's own file order,
-// ship bootstrap snapshots when the log has been truncated past a
-// follower's position, and fold follower acks into the commit gate.
+// election polls and votes, place each subscriber's log on this node's
+// own, ship durable WAL frames in the log's own file order, ship
+// snapshots when the log has been truncated past a follower's position
+// or the follower holds history this log does not, and fold follower
+// acks into the commit gate.
 
 import (
 	"bufio"
@@ -46,8 +48,8 @@ func (n *Node) acceptLoop() {
 }
 
 // handleConn dispatches one inbound replication connection on its first
-// message: an election poll (answer and close) or a subscription (serve
-// the stream until it breaks or this node is deposed).
+// message: an election poll or vote (answer and close) or a subscription
+// (serve the stream until it breaks or this node is deposed).
 func (n *Node) handleConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
@@ -60,44 +62,18 @@ func (n *Node) handleConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	switch m.Type {
-	case MsgPoll:
-		n.handlePoll(bw, m)
+	case MsgPoll, MsgVote:
+		n.handleElection(bw, m)
 	case MsgSubscribe:
 		n.handleSubscribe(conn, br, bw, m)
 	}
-}
-
-// handlePoll answers an election probe with this node's view: epoch,
-// applied total, and whether a primary is live from here (itself, or a
-// lease-fresh upstream).
-func (n *Node) handlePoll(bw *bufio.Writer, m *Message) {
-	n.mu.Lock()
-	n.adoptEpochLocked(m.Epoch, "", "")
-	live := n.role == RolePrimary ||
-		(n.primaryRpl != "" && !n.lastHBAt.IsZero() && time.Since(n.lastHBAt) < n.cfg.LeaseTimeout)
-	total := n.appliedTotalLocked()
-	if n.divergedLocked() {
-		// A diverged tail is not comparable history; don't let a candidate
-		// defer to it (see runElection).
-		total = 0
-	}
-	resp := &Message{
-		Type:        MsgPollResp,
-		Epoch:       n.epoch,
-		NodeID:      uint16(n.cfg.NodeID),
-		Total:       total,
-		PrimaryLive: live,
-		KVAddr:      n.primaryKV,
-		ReplAddr:    n.primaryRpl,
-	}
-	n.mu.Unlock()
-	writeMsg(bw, resp)
 }
 
 // handleSubscribe serves one follower's stream on this goroutine and
 // reads its acks on a second until either side breaks or this node
 // stops being the primary at the stream's epoch.
 func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, m *Message) {
+	stale, reseed := n.place(m.Vector, m.Epochs, n.store.Shards())
 	n.mu.Lock()
 	// A subscriber advertising a higher epoch proves a newer primary was
 	// elected: step down first, then redirect.
@@ -116,11 +92,11 @@ func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 	for _, v := range m.Vector {
 		followerTotal += v
 	}
-	sub := &subState{
-		nodeID:     int(m.NodeID),
-		remote:     conn.RemoteAddr().String(),
-		ackedVec:   append([]uint64(nil), m.Vector...),
-		ackedTotal: followerTotal,
+	sub := &subState{nodeID: int(m.NodeID), remote: conn.RemoteAddr().String()}
+	if !reseed && len(stale) == 0 {
+		// Its applied vector counts towards the commit gate from now on;
+		// any other follower counts once it acks its snapshots.
+		sub.ackedVec, sub.ackedTotal = append([]uint64(nil), m.Vector...), followerTotal
 	}
 	for old := range n.subs {
 		if old.nodeID == sub.nodeID {
@@ -135,13 +111,13 @@ func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 
 	n.stats.Subscribes.Add(1)
 	n.rec.Record(tm.Monotime(), trace.KindReplSubscribe, uint64(m.NodeID), epoch, followerTotal)
-	n.cfg.Logf("repl: node %d: follower %d subscribed (epoch=%d applied_total=%d resync=%v)",
-		n.cfg.NodeID, m.NodeID, epoch, followerTotal, m.Resync)
+	n.cfg.Logf("repl: node %d: follower %d subscribed (epoch=%d applied_total=%d)",
+		n.cfg.NodeID, m.NodeID, epoch, followerTotal)
 
 	n.wg.Add(1)
 	go n.readAcks(conn, br, sub, epoch)
 
-	err := n.streamTo(bw, sub, m, epoch)
+	err := n.streamTo(bw, sub, m, epoch, stale, reseed)
 	conn.Close() // unblocks readAcks, which unregisters sub
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		n.cfg.Logf("repl: node %d: stream to follower %d ended: %v", n.cfg.NodeID, sub.nodeID, err)
@@ -224,13 +200,18 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 // streamTo ships the log to one follower in file order, which the
 // log's admission rule already made a valid replication order: every
 // frame follows every earlier LSN of each of its shards, so every
-// follower's state is a prefix of one shared history. Frames the
+// follower's state is a prefix of one shared history. Before the
+// stream's first heartbeat the follower's state is made such a prefix
+// (see place): a follower with a pair off this log is re-seeded (every
+// shard's snapshot, flagged), and one with pairs below what this log
+// knows gets a catch-up snapshot of those shards. The first heartbeat
+// therefore tells the follower its state is on this history. Frames the
 // follower's vector already covers are skipped, frames past the durable
 // prefix wait, and a shard the log no longer reaches back far enough
-// for is re-seeded with a bootstrap snapshot. Heartbeats interleave on
+// for is caught up with a bootstrap snapshot. Heartbeats interleave on
 // a timer. Returns when the connection breaks, the node stops, or this
 // node is no longer the primary at epoch.
-func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint64) error {
+func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint64, stale []int, reseed bool) error {
 	th := n.cfg.NewThread()
 	defer th.Close()
 
@@ -238,36 +219,21 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 	n.log.NotifyStable(notify)
 	defer n.log.StopNotify(notify)
 
-	stable := n.log.StableVector()
-	nShards := len(stable)
-	sent := make([]uint64, nShards)
-	resync := m.Resync || len(m.Vector) != nShards
-	if !resync {
-		for s, v := range m.Vector {
-			if v > stable[s] {
-				// The follower is ahead of our stable history: it diverged
-				// (e.g. it was a primary whose tail we never saw). Re-seed it
-				// wholesale.
-				resync = true
-				break
-			}
-		}
-	}
-	if m.Resync {
-		n.stats.Resyncs.Add(1)
-	}
-	if !resync {
+	sent := make([]uint64, n.store.Shards())
+	if !reseed {
 		copy(sent, m.Vector)
-	}
-
-	hb := time.NewTicker(n.cfg.HeartbeatEvery)
-	defer hb.Stop()
-	if err := n.heartbeat(bw, epoch, stable); err != nil {
-		return err
-	}
-	if resync {
+		for _, s := range stale {
+			lsn, err := n.shipSnapshot(bw, th, s, epoch, false)
+			if err != nil {
+				return err
+			}
+			sent[s] = lsn
+		}
+	} else {
+		n.stats.Resyncs.Add(1)
+		n.cfg.Logf("repl: node %d: follower %d holds history off this log: re-seeding", n.cfg.NodeID, sub.nodeID)
 		for s := range sent {
-			lsn, err := n.shipSnapshot(bw, th, s, epoch)
+			lsn, err := n.shipSnapshot(bw, th, s, epoch, true)
 			if err != nil {
 				return err
 			}
@@ -275,6 +241,12 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 		}
 	}
 
+	hb := time.NewTicker(n.cfg.HeartbeatEvery)
+	defer hb.Stop()
+	if err := n.heartbeat(bw, epoch, n.log.StableVector()); err != nil {
+		return err
+	}
+	var stable []uint64
 	var reader *wal.StreamReader
 	defer func() {
 		if reader != nil {
@@ -332,7 +304,7 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 					if err := flush(); err != nil {
 						return err
 					}
-					lsn, err := n.shipSnapshot(bw, th, sl.Shard, epoch)
+					lsn, err := n.shipSnapshot(bw, th, sl.Shard, epoch, false)
 					if err != nil {
 						return err
 					}
@@ -365,7 +337,7 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			// history was truncated under a snapshot.
 			for s := range sent {
 				if sent[s] < stable[s] {
-					lsn, err := n.shipSnapshot(bw, th, s, epoch)
+					lsn, err := n.shipSnapshot(bw, th, s, epoch, false)
 					if err != nil {
 						return err
 					}
@@ -384,6 +356,37 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			return errors.New("repl: node closed")
 		}
 	}
+}
+
+// place compares a subscriber's per-shard (LSN, epoch) pairs with this
+// node's log. One epoch has one primary, which wrote each (shard, LSN)
+// at most once, so two logs that agree on the epoch at an LSN agree up
+// to it. reseed reports a pair off the log: a tail this primary never
+// saw, a different epoch's frame at the same LSN, or no pairs at all
+// (a follower mid-re-seed offers none). The follower may then hold
+// history this primary does not, in any shard. Otherwise stale lists
+// the shards whose pair lies below the oldest LSN this log knows the
+// epoch of (its snapshot, after a restart or an install). Such a shard
+// can hold only frames of its own that this log lacks: a frame that
+// also named a matched shard is on this log. A catch-up snapshot, taken
+// at or above this log's base and so above the follower's position,
+// replaces all of them.
+func (n *Node) place(lsns, epochs []uint64, shards int) (stale []int, reseed bool) {
+	if len(lsns) != shards || len(epochs) != shards {
+		return nil, true
+	}
+	stable := n.log.StableVector()
+	for s, lsn := range lsns {
+		e, known := n.log.EpochAt(s, lsn)
+		switch {
+		case known && e == epochs[s]:
+		case !known && lsn < stable[s]: // below the base: the log knows every LSN from it to its end
+			stale = append(stale, s)
+		default:
+			return nil, true
+		}
+	}
+	return stale, false
 }
 
 // sendFrames ships one MsgFrames batch and records the bookkeeping,
@@ -426,18 +429,24 @@ func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error 
 }
 
 // shipSnapshot sends shard's full state as chunked MsgSnapshot messages
-// and returns the cut LSN the chunks accumulate to.
-func (n *Node) shipSnapshot(bw *bufio.Writer, th *tm.Thread, shard int, epoch uint64) (uint64, error) {
+// and returns the cut LSN the chunks accumulate to. The cut waits until
+// it is durable, which also puts its frame, and the epoch that wrote it,
+// in the log. reseed flags the chunks as one shard of a re-seed.
+func (n *Node) shipSnapshot(bw *bufio.Writer, th *tm.Thread, shard int, epoch uint64, reseed bool) (uint64, error) {
 	lsn, keys, err := n.store.SnapshotShard(th, shard)
 	if err != nil {
 		return 0, err
 	}
+	if err := n.log.WaitStable([]wal.ShardLSN{{Shard: shard, LSN: lsn}}); err != nil {
+		return 0, err
+	}
+	lsnEpoch, _ := n.log.EpochAt(shard, lsn) // known: lsn is stable and at or above the shard's snapshot
 	chunk := make(map[string][]byte)
 	bytes := 0
 	flush := func(last bool) error {
 		err := writeMsg(bw, &Message{
 			Type: MsgSnapshot, Epoch: epoch, Shard: uint16(shard),
-			LSN: lsn, Last: last, Keys: chunk,
+			LSN: lsn, LSNEpoch: lsnEpoch, Reseed: reseed, Last: last, Keys: chunk,
 		})
 		chunk, bytes = make(map[string][]byte), 0
 		return err

@@ -54,7 +54,9 @@ type Stats struct {
 	// LeaseRefusals counts writes and tokened reads a lease-lapsed
 	// primary refused instead of risking a split-brain ack.
 	LeaseRefusals atomic.Uint64
-	// Resyncs counts full snapshot resyncs this node requested.
+	// Resyncs counts re-seeds: on a primary, followers it found holding
+	// history off its log and re-seeded with every shard's snapshot; on a
+	// follower, re-seeds it began installing.
 	Resyncs atomic.Uint64
 	// LagFrames is the follower's LSN-total delta behind the primary's
 	// last advertised stable total (0 when caught up or primary).

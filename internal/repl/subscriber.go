@@ -1,9 +1,10 @@
 package repl
 
-// Follower side of the replication stream: subscribe to the primary,
-// apply its frames through the same transactional path recovery uses,
-// install bootstrap snapshots, track staleness from heartbeats, ack
-// applied vectors upstream, and fence any stale-epoch sender.
+// Follower side of the replication stream: subscribe to the primary
+// with the (LSN, epoch) pair of every shard, apply its frames through the
+// same transactional path recovery uses, install bootstrap and re-seed
+// snapshots, track staleness from heartbeats, ack applied vectors
+// upstream, and fence any stale-epoch sender.
 
 import (
 	"bufio"
@@ -17,14 +18,20 @@ import (
 	"nztm/internal/wal"
 )
 
-// errResync asks followOnce to resubscribe with the resync flag.
-var errResync = errors.New("repl: stream needs a snapshot resync")
-
 // subscribe runs one follower session against the primary at addr:
-// dial, announce the applied vector, then apply whatever arrives until
-// the stream breaks, the lease lapses (no message for LeaseTimeout), or
-// the epoch fences one side.
+// fence the store, dial, announce the applied vector with the epoch at
+// each LSN, then apply whatever arrives until the stream breaks, the
+// lease lapses (no message for LeaseTimeout), or the epoch fences one
+// side.
 func (n *Node) subscribe(addr string) error {
+	// A deposed primary may still run writes CheckRequest admitted
+	// before the deposition, some committed in memory past its stable
+	// vector. The fence refuses those that have not reached the store
+	// and waits until the rest are in the log, so the pairs below
+	// describe every value this store can serve.
+	if err := n.store.Fence(n.stop); err != nil {
+		return fmt.Errorf("repl: fence the store: %w", err)
+	}
 	conn, err := n.cfg.Dial("tcp", addr, 2*time.Second)
 	if err != nil {
 		return err
@@ -35,29 +42,27 @@ func (n *Node) subscribe(addr string) error {
 
 	n.mu.Lock()
 	epoch := n.epoch
-	resync := n.needResync
+	reseeding := n.reseeding
 	n.mu.Unlock()
-	applied := n.store.AppliedVector()
-	err = writeMsg(bw, &Message{
-		Type: MsgSubscribe, Epoch: epoch, NodeID: uint16(n.cfg.NodeID),
-		KVAddr: n.cfg.KVAddr, Resync: resync, Vector: applied,
-	})
-	if err != nil {
+	lsns, epochs := n.log.StableEpochs()
+	nShards := len(lsns)
+	req := &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), KVAddr: n.cfg.KVAddr}
+	if !reseeding {
+		// Mid-re-seed the chain is gone and the shards mix old state with
+		// new snapshots: offer no pairs, and the primary re-seeds again.
+		req.Vector, req.Epochs = lsns, epochs
+	}
+	if err := writeMsg(bw, req); err != nil {
 		return err
 	}
-	if resync {
-		n.stats.Resyncs.Add(1)
-	}
 
-	// Bootstrap snapshots accumulate per shard until their Last chunk.
+	// Snapshots accumulate per shard until their Last chunk.
 	type pendingSnap struct {
 		lsn  uint64
 		keys map[string][]byte
 	}
 	snaps := make(map[int]*pendingSnap)
-	resyncing := resync
-	installed := make(map[int]bool) // shards snapshot-installed this session
-	nShards := len(applied)
+	reseeded := make(map[int]bool) // shards this session's re-seed installed
 
 	var hbStamp uint64 // the newest heartbeat's send stamp, echoed in every ack
 	var buf []byte
@@ -109,6 +114,12 @@ func (n *Node) subscribe(addr string) error {
 			if total >= m.Total {
 				n.freshAsOf = now
 			}
+			if !n.reseeding {
+				// Re-seed snapshots precede a stream's first heartbeat, so a
+				// heartbeat without one means our pairs were on the primary's
+				// log: our state is a prefix of its history.
+				n.matched = true
+			}
 			n.updateLagLocked(total)
 			n.broadcastLocked()
 			n.mu.Unlock()
@@ -133,26 +144,23 @@ func (n *Node) subscribe(addr string) error {
 				continue
 			}
 			delete(snaps, sh)
-			if err := n.store.LoadShardSnapshot(n.applyTh, sh, ps.lsn, ps.keys, resyncing); err != nil {
-				if errors.Is(err, wal.ErrSnapshotBehind) {
-					// We are ahead of the primary in this shard: a diverged
-					// tail. Only a resync, which re-seeds every shard, drops it.
-					n.mu.Lock()
-					n.needResync = true
-					n.mu.Unlock()
-					return fmt.Errorf("%w: %v", errResync, err)
+			if m.Reseed && len(reseeded) == 0 {
+				if err := n.beginReseed(); err != nil {
+					return err
 				}
+			}
+			if err := n.store.LoadShardSnapshot(n.applyTh, sh, ps.lsn, m.LSNEpoch, ps.keys, m.Reseed); err != nil {
 				return fmt.Errorf("repl: install snapshot shard %d: %w", sh, err)
 			}
 			n.stats.SnapshotsLoaded.Add(1)
-			n.cfg.Logf("repl: node %d: installed snapshot shard=%d lsn=%d keys=%d",
-				n.cfg.NodeID, sh, ps.lsn, len(ps.keys))
-			installed[sh] = true
-			if resyncing && len(installed) == nShards {
-				// Every shard has been re-seeded from the primary: our state
-				// is a proven prefix again.
-				resyncing = false
-				n.clearResync()
+			n.cfg.Logf("repl: node %d: installed snapshot shard=%d lsn=%d keys=%d reseed=%v",
+				n.cfg.NodeID, sh, ps.lsn, len(ps.keys), m.Reseed)
+			if m.Reseed {
+				reseeded[sh] = true
+				if len(reseeded) < nShards {
+					continue // acked once whole: until then the log cannot prove the applied vector
+				}
+				n.endReseed()
 			}
 			n.mu.Lock()
 			n.broadcastLocked()
@@ -169,13 +177,10 @@ func (n *Node) subscribe(addr string) error {
 					return fmt.Errorf("repl: decode shipped frame: %w", err)
 				}
 				if err := n.store.ApplyFrame(n.applyTh, f); err != nil {
-					// A gap means we lost the stream's order (should not
-					// happen; the sender's readiness rule prevents it) —
-					// resubscribe asking for snapshots.
-					n.mu.Lock()
-					n.needResync = true
-					n.mu.Unlock()
-					return fmt.Errorf("%w: %v", errResync, err)
+					// A gap means we lost the stream's order (the sender's
+					// readiness rule prevents it); the next subscribe places
+					// our log afresh.
+					return fmt.Errorf("repl: apply shipped frame: %w", err)
 				}
 				appliedCount++
 			}

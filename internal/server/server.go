@@ -438,6 +438,11 @@ func (s *Server) execute(th *tm.Thread, r *request, sp *trace.Span) {
 		// client may retry it verbatim against a healthy replica.
 		s.reqReadOnly.Add(1)
 		status, errmsg = StatusReadOnly, err.Error()
+	case errors.Is(err, kv.ErrFenced):
+		// Shed before execution by a deposed primary: redirect, with no
+		// primary named.
+		s.reqRedirect.Add(1)
+		status, errmsg = StatusNotPrimary, "primary="
 	default:
 		s.reqErr.Add(1)
 		status, errmsg = StatusError, err.Error()

@@ -25,11 +25,13 @@ import (
 //
 //	offset 0: uint32 LE  payload length
 //	offset 4: uint32 LE  CRC32-C of the payload
-//	offset 8: payload (frameVersion, shard-LSN vector, ops)
+//	offset 8: payload (frameVersion, epoch, shard-LSN vector, ops)
 const frameHeaderSize = 8
 
-// frameVersion is the payload format version byte.
-const frameVersion = 1
+// frameVersion is the payload format version byte. Version 2 added the
+// epoch; a version-1 payload decodes as ErrCorrupt (no dual-format
+// reader, DESIGN §12.1).
+const frameVersion = 2
 
 // maxFramePayload bounds a single frame (and snapshot record) so a
 // corrupt length prefix cannot drive recovery into a giant allocation.
@@ -71,6 +73,12 @@ type ShardLSN struct {
 
 // Frame is the durable record of one committed transaction.
 type Frame struct {
+	// Epoch is the replication epoch of the primary that committed the
+	// transaction (0 on a store without replication). Two logs that hold
+	// a frame with the same epoch at the same (shard, LSN) hold the same
+	// history up to it, which is how a primary tells a follower's
+	// diverged tail from a lagging one (DESIGN §13.3).
+	Epoch uint64
 	// Shards is the identity vector: every shard the transaction wrote,
 	// with the LSN it was assigned there, sorted by shard.
 	Shards []ShardLSN
@@ -83,6 +91,7 @@ func appendFrame(dst []byte, f *Frame) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	dst = append(dst, frameVersion)
+	dst = binary.AppendUvarint(dst, f.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Shards)))
 	for _, sl := range f.Shards {
 		dst = binary.AppendUvarint(dst, uint64(sl.Shard))
@@ -111,18 +120,20 @@ func appendFrame(dst []byte, f *Frame) []byte {
 }
 
 // decodeFrame decodes one frame from the head of b, returning the frame
-// and the total container size consumed. Errors wrap ErrTorn or
-// ErrCorrupt.
+// and the total container size consumed. A b that ends inside the frame
+// returns ErrTorn itself, unwrapped: a reader polling the live end of
+// the log meets that once per write and must not build an error for it.
+// Every other error wraps ErrCorrupt.
 func decodeFrame(b []byte) (*Frame, int, error) {
 	if len(b) < frameHeaderSize {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrTorn, len(b))
+		return nil, 0, ErrTorn
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if n == 0 || n > maxFramePayload {
 		return nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
 	}
 	if uint32(len(b)-frameHeaderSize) < n {
-		return nil, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(b)-frameHeaderSize, n)
+		return nil, 0, ErrTorn
 	}
 	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:]); got != want {
@@ -142,7 +153,10 @@ func decodePayload(p []byte) (*Frame, error) {
 	if len(p) < 1 || p[0] != frameVersion {
 		return nil, fmt.Errorf("%w: payload version", ErrCorrupt)
 	}
-	p = p[1:]
+	epoch, p, err := uvarint(p[1:])
+	if err != nil {
+		return nil, err
+	}
 	nShards, p, err := uvarint(p)
 	if err != nil {
 		return nil, err
@@ -150,7 +164,7 @@ func decodePayload(p []byte) (*Frame, error) {
 	if nShards > uint64(len(p)) { // each entry needs ≥ 2 bytes
 		return nil, fmt.Errorf("%w: %d vector entries", ErrCorrupt, nShards)
 	}
-	f := &Frame{Shards: make([]ShardLSN, 0, nShards)}
+	f := &Frame{Epoch: epoch, Shards: make([]ShardLSN, 0, nShards)}
 	for i := uint64(0); i < nShards; i++ {
 		var shard, lsn uint64
 		if shard, p, err = uvarint(p); err != nil {

@@ -18,6 +18,7 @@ func FuzzWALFrame(f *testing.F) {
 		Ops:    []Op{{Shard: 0, Key: "k", Val: []byte("v")}},
 	}))
 	f.Add(appendFrame(nil, &Frame{
+		Epoch:  300, // a two-byte uvarint
 		Shards: []ShardLSN{{Shard: 1, LSN: 9}, {Shard: 3, LSN: 2}},
 		Ops:    []Op{{Shard: 1, Key: "a", Del: true}, {Shard: 3, Key: "", Val: nil}},
 	}))
@@ -48,10 +49,12 @@ func FuzzWALFrame(f *testing.F) {
 // frame did not prove.
 func FuzzRecoverLog(f *testing.F) {
 	valid := appendFrame(nil, &Frame{
+		Epoch:  1,
 		Shards: []ShardLSN{{Shard: 0, LSN: 1}, {Shard: 1, LSN: 1}},
 		Ops:    []Op{{Shard: 0, Key: "k", Val: []byte("v")}, {Shard: 1, Key: "j", Val: []byte("w")}},
 	})
 	valid = appendFrame(valid, &Frame{
+		Epoch:  2,
 		Shards: []ShardLSN{{Shard: 0, LSN: 2}},
 		Ops:    []Op{{Shard: 0, Key: "k", Del: true}},
 	})

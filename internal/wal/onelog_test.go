@@ -250,7 +250,7 @@ func TestPartialCoverageReplay(t *testing.T) {
 	// Shard 0's snapshot at LSN 2 holds a value the frame would clobber if
 	// its covered half were replayed.
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 2)),
-		encodeSnapshot(0, 2, map[string][]byte{"a": []byte("from-snapshot")}), 0o644); err != nil {
+		encodeSnapshot(0, 2, 0, map[string][]byte{"a": []byte("from-snapshot")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Recover(dir, 2)

@@ -18,15 +18,24 @@ import (
 const manifestName = "MANIFEST"
 
 func manifestContents(shards int) string {
-	return fmt.Sprintf("nztm-wal v2 shards %d\n", shards)
+	return fmt.Sprintf("nztm-wal v3 shards %d\n", shards)
+}
+
+// oldLayouts names each earlier on-disk layout this build refuses.
+var oldLayouts = map[string]string{
+	"v1": "one log per shard, duplicated cross-shard frames",
+	"v2": "one commit log whose frames and snapshots carry no epoch",
 }
 
 // checkManifest validates an existing MANIFEST against this build's
 // layout and the caller's geometry.
 func checkManifest(mf string, shards int) error {
-	if strings.HasPrefix(mf, "nztm-wal v1 ") {
-		return fmt.Errorf("wal: MANIFEST %q is the v1 layout (one log per shard, duplicated cross-shard frames); "+
-			"this build reads only v2 (one commit log) and has no dual-format reader", strings.TrimSpace(mf))
+	for v, layout := range oldLayouts {
+		if strings.HasPrefix(mf, "nztm-wal "+v+" ") {
+			return fmt.Errorf("wal: MANIFEST %q is the %s layout (%s); "+
+				"this build reads only v3 (frames and snapshots carry the epoch that wrote them) and has no dual-format reader",
+				strings.TrimSpace(mf), v, layout)
+		}
 	}
 	if mf != manifestContents(shards) {
 		return fmt.Errorf("wal: MANIFEST %q does not match %d shards", strings.TrimSpace(mf), shards)
@@ -58,8 +67,9 @@ type State struct {
 	// Duration is how long recovery took.
 	Duration time.Duration
 
-	segs      []segment // the chain that survives repair, all closed
-	truncPath string    // segment to cut at the first defect ("" = none)
+	segs      []segment    // the chain that survives repair, all closed
+	epochs    [][]epochRun // per shard: which epoch wrote which LSNs, from the snapshot on
+	truncPath string       // segment to cut at the first defect ("" = none)
 	truncSize int64
 	remove    []string // files Open deletes: segments past the defect, empty tails, stray temps
 }
@@ -98,9 +108,11 @@ func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 		NextLSN:     make([]uint64, shards),
 		SnapshotLSN: make([]uint64, shards),
 	}
+	st.epochs = make([][]epochRun, shards)
 	for s := range st.Keys {
 		st.Keys[s] = make(map[string][]byte)
 		st.NextLSN[s] = 1
+		st.epochs[s] = []epochRun{{}}
 	}
 	entries, err := fsys.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -141,12 +153,13 @@ func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 			if err != nil {
 				continue
 			}
-			sh, lsn, keys, err := decodeSnapshot(b)
+			sh, lsn, epoch, keys, err := decodeSnapshot(b)
 			if err != nil || sh != s || lsn != sn.Seq {
 				continue
 			}
 			st.SnapshotLSN[s] = lsn
 			st.Keys[s] = keys
+			st.epochs[s] = []epochRun{{from: lsn, epoch: epoch}}
 			break
 		}
 	}
@@ -257,6 +270,7 @@ func (st *State) replay(f *Frame, have, seen []uint64, fresh []bool) error {
 			have[sl.Shard] = sl.LSN
 			fresh[sl.Shard] = true
 			applied = true
+			st.epochs[sl.Shard] = noteEpoch(st.epochs[sl.Shard], sl.LSN, f.Epoch)
 		}
 	}
 	if !applied {
@@ -381,6 +395,7 @@ func Open(cfg Config) (*Log, *State, error) {
 		stable:  make([]uint64, cfg.Shards),
 		cut:     make([]uint64, cfg.Shards),
 		snapLSN: append([]uint64(nil), st.SnapshotLSN...),
+		epochs:  st.epochs,
 		quit:    make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)

@@ -12,18 +12,20 @@ import (
 
 // snapVersion is the snapshot payload format version byte (distinct
 // from frameVersion so a snapshot record can never be mistaken for a
-// log frame).
-const snapVersion = 2
+// log frame). Version 3 added the epoch.
+const snapVersion = 3
 
 // encodeSnapshot builds a snapshot file's contents: a single
 // checksummed container (same header as a log frame) whose payload is
 //
-//	snapVersion, uvarint shard, uvarint lsn,
+//	snapVersion, uvarint shard, uvarint lsn, uvarint epoch,
 //	uvarint nKeys, then per key: len-prefixed key, len-prefixed value
 //
-// Keys are sorted so identical state encodes identically (the
-// double-recovery test depends on determinism).
-func encodeSnapshot(shard int, lsn uint64, keys map[string][]byte) []byte {
+// where epoch is the epoch of the frame that wrote lsn, the one epoch
+// recovery knows below the frames that follow the snapshot. Keys are
+// sorted so identical state encodes identically (the double-recovery
+// test depends on determinism).
+func encodeSnapshot(shard int, lsn, epoch uint64, keys map[string][]byte) []byte {
 	names := make([]string, 0, len(keys))
 	for k := range keys {
 		names = append(names, k)
@@ -32,6 +34,7 @@ func encodeSnapshot(shard int, lsn uint64, keys map[string][]byte) []byte {
 	payload := []byte{snapVersion}
 	payload = binary.AppendUvarint(payload, uint64(shard))
 	payload = binary.AppendUvarint(payload, lsn)
+	payload = binary.AppendUvarint(payload, epoch)
 	payload = binary.AppendUvarint(payload, uint64(len(names)))
 	for _, k := range names {
 		payload = binary.AppendUvarint(payload, uint64(len(k)))
@@ -49,68 +52,71 @@ func encodeSnapshot(shard int, lsn uint64, keys map[string][]byte) []byte {
 // decodeSnapshot parses a snapshot file's contents. Any defect —
 // truncation, checksum mismatch, malformed payload, trailing bytes —
 // makes the snapshot invalid (recovery falls back to an older one).
-func decodeSnapshot(b []byte) (shard int, lsn uint64, keys map[string][]byte, err error) {
+func decodeSnapshot(b []byte) (shard int, lsn, epoch uint64, keys map[string][]byte, err error) {
 	if len(b) < frameHeaderSize {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot header", ErrTorn)
+		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot header", ErrTorn)
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if n == 0 || n > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot payload length %d", ErrCorrupt, n)
+		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot payload length %d", ErrCorrupt, n)
 	}
 	if uint32(len(b)-frameHeaderSize) < n {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot payload", ErrTorn)
+		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot payload", ErrTorn)
 	}
 	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
 	if len(b) != frameHeaderSize+int(n) {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(b)-frameHeaderSize-int(n))
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(b)-frameHeaderSize-int(n))
 	}
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
+		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}
 	if len(payload) < 1 || payload[0] != snapVersion {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot version", ErrCorrupt)
+		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot version", ErrCorrupt)
 	}
 	p := payload[1:]
 	var sh, nKeys uint64
 	if sh, p, err = uvarint(p); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	if lsn, p, err = uvarint(p); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
+	}
+	if epoch, p, err = uvarint(p); err != nil {
+		return 0, 0, 0, nil, err
 	}
 	if nKeys, p, err = uvarint(p); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	if nKeys > uint64(len(p)) {
-		return 0, 0, nil, fmt.Errorf("%w: %d snapshot keys", ErrCorrupt, nKeys)
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d snapshot keys", ErrCorrupt, nKeys)
 	}
 	keys = make(map[string][]byte, nKeys)
 	for i := uint64(0); i < nKeys; i++ {
 		var k, v []byte
 		if k, p, err = lenBytes(p); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, 0, nil, err
 		}
 		if v, p, err = lenBytes(p); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, 0, nil, err
 		}
 		keys[string(k)] = append([]byte{}, v...) // owned and non-nil, as in decodePayload
 	}
 	if len(p) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: trailing snapshot payload", ErrCorrupt)
+		return 0, 0, 0, nil, fmt.Errorf("%w: trailing snapshot payload", ErrCorrupt)
 	}
-	return int(sh), lsn, keys, nil
+	return int(sh), lsn, epoch, keys, nil
 }
 
 // writeSnapshotTemp writes and syncs a snapshot into a temp file in the
 // data directory and returns its name. Publication is a later atomic
 // rename, so a crash mid-write leaves only ignorable garbage.
-func (l *Log) writeSnapshotTemp(shard int, lsn uint64, keys map[string][]byte) (string, error) {
+func (l *Log) writeSnapshotTemp(shard int, lsn, epoch uint64, keys map[string][]byte) (string, error) {
 	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
 	if err != nil {
 		return "", l.snapshotError(err)
 	}
 	name := tmp.Name()
-	if err = writeFull(tmp, encodeSnapshot(shard, lsn, keys)); err == nil {
+	if err = writeFull(tmp, encodeSnapshot(shard, lsn, epoch, keys)); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -195,11 +201,15 @@ func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
 	}
 	l.mu.Lock()
 	already := lsn <= l.snapLSN[shard]
+	epoch, known := l.epochAtLocked(shard, lsn)
 	l.mu.Unlock()
 	if already {
 		return nil // an equal-or-newer snapshot is already sealed
 	}
-	tmpName, err := l.writeSnapshotTemp(shard, lsn, keys)
+	if !known {
+		return fmt.Errorf("wal: snapshot of shard %d at lsn %d, whose epoch the log does not know", shard, lsn)
+	}
+	tmpName, err := l.writeSnapshotTemp(shard, lsn, epoch, keys)
 	if err != nil {
 		return err
 	}

@@ -88,7 +88,8 @@ func (r *StreamReader) Close() error {
 }
 
 // Next yields the next frame. io.EOF means the last segment ended
-// cleanly; ErrTorn means a partial frame sits at the current position.
+// cleanly; ErrTorn, unwrapped, means a partial frame sits at the current
+// position.
 // Both are retriable on a live log (the reader re-reads appended bytes
 // on the next call); all other errors are sticky.
 func (r *StreamReader) Next() (StreamEntry, error) {
@@ -167,7 +168,7 @@ func (r *StreamReader) Next() (StreamEntry, error) {
 		case len(r.buf) == 0:
 			return StreamEntry{}, io.EOF // clean end; retriable on a live log
 		default:
-			return StreamEntry{}, fmt.Errorf("%w: %d tail bytes of a frame", ErrTorn, len(r.buf))
+			return StreamEntry{}, ErrTorn // a write in progress; retriable, so built once
 		}
 	}
 }

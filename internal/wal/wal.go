@@ -140,6 +140,7 @@ func (g *segment) covered(have []uint64) bool {
 type appendReq struct {
 	buf    []byte
 	shards []ShardLSN
+	epoch  uint64
 	pos    uint64 // file-order position (frames before it, plus one); parked until admitted
 	stale  bool   // every vector entry was already logged: refused, never written
 }
@@ -204,6 +205,11 @@ type Log struct {
 	cut     []uint64 // writer-role scratch: stable as it will be once the cohort lands
 
 	snapLSN []uint64 // per shard: latest sealed snapshot LSN
+
+	// epochs records, per shard, which epoch wrote which LSNs: recovery
+	// rebuilds it from the snapshot header and the frames after it, and
+	// every admitted frame extends it (EpochAt).
+	epochs [][]epochRun
 
 	writing bool  // the writer role is held (a cohort's Write/Sync, a rotation, an install)
 	syncing bool  // the interval syncer has an fsync of the active segment in flight
@@ -299,7 +305,7 @@ func (l *Log) AppendSpan(f *Frame, sp *trace.Span) error {
 	}
 	r := reqPool.Get().(*appendReq)
 	r.buf = appendFrame(r.buf[:0], f)
-	r.shards, r.pos, r.stale = f.Shards, parked, false
+	r.shards, r.epoch, r.pos, r.stale = f.Shards, f.Epoch, parked, false
 	err := l.commit(r, sp)
 	r.shards = nil
 	reqPool.Put(r)
@@ -396,6 +402,7 @@ func (l *Log) admitLocked(r *appendReq) bool {
 	for _, sl := range r.shards {
 		if sl.LSN == l.next[sl.Shard] {
 			l.next[sl.Shard]++
+			l.epochs[sl.Shard] = noteEpoch(l.epochs[sl.Shard], sl.LSN, r.epoch)
 		}
 	}
 	l.batch = append(l.batch, r.buf...)

@@ -101,6 +101,7 @@ func wantKeys(t *testing.T, st *State, shard int, want map[string]string) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := &Frame{
+		Epoch:  12,
 		Shards: []ShardLSN{{Shard: 0, LSN: 7}, {Shard: 3, LSN: 1}},
 		Ops: []Op{
 			{Shard: 0, Key: "a", Val: []byte("hello")},
@@ -116,8 +117,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if n != len(enc) {
 		t.Fatalf("consumed %d of %d bytes", n, len(enc))
 	}
-	if !reflect.DeepEqual(got.Shards, f.Shards) {
-		t.Fatalf("shards %v != %v", got.Shards, f.Shards)
+	if got.Epoch != f.Epoch || !reflect.DeepEqual(got.Shards, f.Shards) {
+		t.Fatalf("epoch %d shards %v != %d %v", got.Epoch, got.Shards, f.Epoch, f.Shards)
 	}
 	if len(got.Ops) != len(f.Ops) {
 		t.Fatalf("%d ops != %d", len(got.Ops), len(f.Ops))
@@ -322,7 +323,7 @@ func TestSnapshotWithNoLog(t *testing.T) {
 	dir := t.TempDir()
 	// Hand-plant a snapshot with no MANIFEST-era log files at all.
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 5)),
-		encodeSnapshot(0, 5, map[string][]byte{"x": []byte("y")}), 0o644); err != nil {
+		encodeSnapshot(0, 5, 0, map[string][]byte{"x": []byte("y")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Recover(dir, 1)
@@ -388,7 +389,7 @@ func TestRecoverRejectsSnapshotGap(t *testing.T) {
 	// recovery must refuse instead of producing wrong state.
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 2)),
-		encodeSnapshot(0, 2, map[string][]byte{"a": []byte("1")}), 0o644); err != nil {
+		encodeSnapshot(0, 2, 0, map[string][]byte{"a": []byte("1")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(7)),
