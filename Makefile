@@ -74,6 +74,15 @@
 #                   and prints each run's verdict, each failure's error line
 #                   and the pass/fail counts. Compare commits from the same
 #                   kind of checkout, alternating the sides
+#   make race-rate  a package's pass rate under the race detector (not part
+#                   of check): builds PKG's test binary (default
+#                   ./internal/repl) with -race once into RACE_RATE_DIR, runs
+#                   it RUNS times (default 20) in the package directory and
+#                   prints each failing run's first --- FAIL line (or its
+#                   first panic line) with its first test-file message, and
+#                   the pass/fail counts. For a parent
+#                   without the target, run make -C <parent> -f <this
+#                   tree>/Makefile race-rate RACE_RATE_DIR=<dir>
 #   make bench-ab   A/B of the repo's benchmark (not part of check): builds
 #                   ./benchmark from a git archive of REV (default HEAD) and
 #                   from the work tree into BENCH_AB_DIR, then runs PAIRS pairs
@@ -145,8 +154,10 @@ REV ?= HEAD
 BENCH_AB_DIR ?= .bench-ab
 RUNS ?= 20
 DISKFAULT_RATE_DIR ?= .diskfault-rate
+PKG ?= ./internal/repl
+RACE_RATE_DIR ?= .race-rate
 
-.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault diskfault-rate bench-ab bench-wal bench-repl durable profile serve
+.PHONY: check build vet test bench-kv-data bench-server race race-tracing genome contended item1 fuzz soak crash failover diskfault diskfault-rate race-rate bench-ab bench-wal bench-repl durable profile serve
 
 check: build vet test bench-kv-data bench-server race race-tracing genome contended fuzz soak crash diskfault failover
 
@@ -229,6 +240,20 @@ diskfault-rate:
 		fi; \
 	done; \
 	echo "diskfault-rate: $$pass pass, $$fail fail of $(RUNS)"
+
+race-rate:
+	mkdir -p $(RACE_RATE_DIR)
+	$(GO) test -race -c -o $(abspath $(RACE_RATE_DIR))/race.test $(PKG)
+	@pass=0; fail=0; \
+	for i in $$(seq 1 $(RUNS)); do \
+		if out=$$(cd $(PKG) && $(abspath $(RACE_RATE_DIR))/race.test 2>&1); then \
+			pass=$$((pass + 1)); echo "run $$i: PASS"; \
+		else \
+			fail=$$((fail + 1)); echo "run $$i: $$(printf '%s\n' "$$out" | grep -m1 -e '--- FAIL' -e '^panic:' || echo "FAIL with no --- FAIL line")"; \
+			printf '%s\n' "$$out" | grep -m1 '_test\.go:[0-9]*:' || true; \
+		fi; \
+	done; \
+	echo "race-rate: $(PKG): $$pass pass, $$fail fail of $(RUNS)"
 
 # One side's throughput_rps and setup_s, from the JSON line a run prints last.
 AB_RUN = cd $(BENCH_AB_DIR)/$$side && ../$$side.bin -workload $(WORKLOAD) -seconds $(SECONDS) $(if $(SEED),-seed $(SEED)) | tail -n 1 | \

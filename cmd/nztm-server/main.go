@@ -78,7 +78,7 @@ func main() {
 	flag.StringVar(&cfg.ReplAddr, "repl-addr", "", "replication listen address (empty disables the replication plane; requires -data-dir)")
 	flag.StringVar(&cfg.Advertise, "advertise", "", "replication address to advertise to peers (default: the bound -repl-addr)")
 	peers := flag.String("peers", "", "comma-separated replication addresses of every OTHER node (sets the majority quorum; discovery)")
-	flag.IntVar(&cfg.NodeID, "node-id", 0, "this node's unique id in the cluster (election tie-break: lower wins)")
+	flag.IntVar(&cfg.NodeID, "node-id", 0, "this node's unique id in the cluster (the id a vote names)")
 	flag.DurationVar(&cfg.HeartbeatEvery, "heartbeat-every", 50*time.Millisecond, "primary lease-renewal period")
 	flag.DurationVar(&cfg.LeaseTimeout, "lease-timeout", 0, "follower election trigger after this silence (default 5 × -heartbeat-every)")
 	flag.DurationVar(&cfg.MaxReadWait, "max-read-wait", time.Second, "bounded-staleness read wait budget before StatusLagging")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -211,6 +213,89 @@ func TestCommitsCarryTheStoreEpoch(t *testing.T) {
 	s.Close()
 }
 
+// primarySnapshot commits keys in one batch to a fresh one-shard store
+// and returns the container of that shard's snapshot, at LSN 1.
+func primarySnapshot(t *testing.T, keys map[string]string) []byte {
+	t.Helper()
+	p, b := newDurableStore(t, t.TempDir(), 1, 2, Durability{Fsync: wal.FsyncNever})
+	defer p.Close()
+	th := b.NewThread()
+	defer th.Close()
+	var ops []Op
+	for k, v := range keys {
+		ops = append(ops, Op{Kind: OpPut, Key: k, Value: []byte(v)})
+	}
+	if _, err := p.Do(th, ops, Budget{MaxAttempts: 100}); err != nil {
+		t.Fatal(err)
+	}
+	lsn, state, err := p.SnapshotShard(th, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := p.WAL().SnapshotContainer(0, lsn, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return container
+}
+
+// TestLoadShardSnapshotRejectsFlippedByte: a snapshot crosses the wire
+// in chunks that carry no checksum of their own, so the container's is
+// what catches damage. Every single flipped byte fails the install with
+// wal.ErrCorrupt before memory or disk change; the intact container then
+// installs.
+func TestLoadShardSnapshotRejectsFlippedByte(t *testing.T) {
+	container := primarySnapshot(t, map[string]string{"k1": "primary", "k2": "primary"})
+	dir := t.TempDir()
+	s, b := newDurableStore(t, dir, 1, 2, Durability{Fsync: wal.FsyncNever})
+	defer s.Close()
+	th := b.NewThread()
+	defer th.Close()
+	budget := Budget{MaxAttempts: 100}
+	if _, err := s.Put(th, "k1", []byte("mine"), budget); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for _, e := range entries {
+			if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	before := files()
+	for i := range container {
+		bad := bytes.Clone(container)
+		bad[i] ^= 0xff
+		if _, _, err := s.LoadShardSnapshot(th, bad, false); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("install with byte %d of %d flipped = %v, want wal.ErrCorrupt", i, len(container), err)
+		}
+	}
+	if r, err := s.Get(th, "k1", budget); err != nil || string(r.Value) != "mine" {
+		t.Fatalf("damaged installs changed memory: k1 = %q, %v", r.Value, err)
+	}
+	if r, err := s.Get(th, "k2", budget); err != nil || r.Found {
+		t.Fatalf("damaged installs changed memory: k2 = %+v, %v", r, err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("damaged installs changed the data dir")
+	}
+	if err := s.WAL().Degraded(); err != nil {
+		t.Fatalf("damaged installs stopped the log: %v", err)
+	}
+	if _, _, err := s.LoadShardSnapshot(th, container, false); err != nil {
+		t.Fatalf("intact install: %v", err)
+	}
+	if r, err := s.Get(th, "k2", budget); err != nil || string(r.Value) != "primary" {
+		t.Fatalf("k2 after the intact install = %q, %v; want %q", r.Value, err, "primary")
+	}
+}
+
 // TestLoadShardSnapshotBehind: a follower ahead of the shipped snapshot
 // holds a diverged tail. Outside a re-seed the install is refused before
 // memory or disk change (the log's chain is the only copy of the other
@@ -225,8 +310,8 @@ func TestLoadShardSnapshotBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	primary := map[string][]byte{"k1": []byte("primary")}
-	if err := s.LoadShardSnapshot(th, 0, 1, 0, primary, false); !errors.Is(err, wal.ErrSnapshotBehind) {
+	primary := primarySnapshot(t, map[string]string{"k1": "primary"})
+	if _, _, err := s.LoadShardSnapshot(th, primary, false); !errors.Is(err, wal.ErrSnapshotBehind) {
 		t.Fatalf("catch-up install below the position = %v, want ErrSnapshotBehind", err)
 	}
 	if r, err := s.Get(th, "k3", budget); err != nil || !r.Found {
@@ -235,7 +320,7 @@ func TestLoadShardSnapshotBehind(t *testing.T) {
 	if got := s.AppliedVector(); got[0] != 3 || s.WAL().Degraded() != nil {
 		t.Fatalf("refused install moved the log: applied=%v degraded=%v", got, s.WAL().Degraded())
 	}
-	if err := s.LoadShardSnapshot(th, 0, 1, 0, primary, true); err != nil {
+	if _, _, err := s.LoadShardSnapshot(th, primary, true); err != nil {
 		t.Fatalf("resync install: %v", err)
 	}
 	if _, err := s.Put(th, "k4", []byte("v"), budget); err != nil {

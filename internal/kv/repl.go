@@ -13,10 +13,11 @@ import (
 // primary's WAL frames through ApplyFrame (one transaction per frame,
 // so streamed cross-shard atomicity holds on the replica) and
 // bootstraps whole shards through LoadShardSnapshot when the primary
-// has truncated past its position. The primary serves those bootstrap
-// snapshots from SnapshotShard and gates client acknowledgements on
-// follower acknowledgement through the commit gate — the property that
-// makes "no acked write lost" survive a primary SIGKILL.
+// has truncated past its position. The primary builds those bootstrap
+// snapshots from SnapshotShard, encoded by its WAL, and gates client
+// acknowledgements on follower acknowledgement through the commit gate
+// — the property that makes "no acked write lost" survive a primary
+// SIGKILL.
 
 // CommitGate delays an acknowledgement until the replication plane is
 // satisfied: vec is the per-shard commit prefix the request's results
@@ -156,28 +157,32 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 }
 
 // LoadShardSnapshot replaces one shard's entire state with a snapshot
-// shipped by the primary: the sequencer jumps to lsn, every bucket is
-// rebuilt from keys, and the follower's WAL force-installs the snapshot,
-// with epoch as the epoch that wrote lsn, so its on-disk history matches
-// (see wal.InstallSnapshot). reseed marks an install that belongs to a
-// re-seed: the follower's log holds a tail the primary's does not, so
-// the WAL drops its whole segment chain and every shard is replaced.
-// Outside a re-seed a snapshot below the shard's position is refused
-// with wal.ErrSnapshotBehind before anything changes. The store keeps
-// the slices in keys as its values, uncopied, so the caller must own
-// them and never write to them again. The follower's apply goroutine is
-// the only permitted caller.
-func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn, epoch uint64, keys map[string][]byte, reseed bool) error {
+// container shipped by the primary (wal.Log.SnapshotContainer): it
+// decodes the container once, the sequencer jumps to its LSN, every
+// bucket is rebuilt from its keys, and the follower's WAL installs the
+// same bytes, so its on-disk history matches (see wal.InstallSnapshot).
+// It returns the shard and LSN installed. A damaged container is
+// wal.ErrCorrupt and changes nothing. reseed marks an install that
+// belongs to a re-seed: the follower's log holds a tail the primary's
+// does not, so the WAL drops its whole segment chain and every shard is
+// replaced. Outside a re-seed a snapshot below the shard's position is
+// refused with wal.ErrSnapshotBehind before anything changes. The
+// follower's apply goroutine is the only permitted caller.
+func (s *Store) LoadShardSnapshot(th *tm.Thread, container []byte, reseed bool) (int, uint64, error) {
 	if s.dur == nil {
-		return errors.New("kv: LoadShardSnapshot on a memory-only store")
+		return 0, 0, errors.New("kv: LoadShardSnapshot on a memory-only store")
+	}
+	shard, lsn, _, keys, err := wal.DecodeSnapshot(container)
+	if err != nil {
+		return 0, 0, err
 	}
 	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("kv: snapshot of shard %d of %d", shard, len(s.shards))
+		return 0, 0, fmt.Errorf("kv: snapshot of shard %d of %d", shard, len(s.shards))
 	}
 	d := s.dur
 	r := d.recs.Get().(*commitRec)
 	defer d.release(r)
-	err := s.sys.Atomic(th, func(tx tm.Tx) error {
+	err = s.sys.Atomic(th, func(tx tm.Tx) error {
 		if cur := tx.Read(d.seqs[shard]).(*seqData).lsn; !reseed && cur > lsn {
 			return fmt.Errorf("%w: shard %d applied through %d, snapshot at %d", wal.ErrSnapshotBehind, shard, cur, lsn)
 		}
@@ -201,17 +206,18 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, shard int, lsn, epoch uint64, k
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	return d.log.InstallSnapshot(shard, lsn, epoch, keys, reseed)
+	return shard, lsn, d.log.InstallSnapshot(container, reseed)
 }
 
 // SnapshotShard reads one shard's complete state — sequencer value plus
 // every key — in a single read-only transaction, so the result is a
 // consistent cut at exactly that LSN. The periodic snapshotter and the
 // replication catch-up path (the primary shipping a bootstrap snapshot
-// to a lagging follower) both use it. The map's values are the stored
-// slices themselves: read-only (see Result.Value).
+// to a lagging follower) both use it, and both hand it to the WAL to
+// encode. The map's values are the stored slices themselves: read-only
+// (see Result.Value).
 func (s *Store) SnapshotShard(th *tm.Thread, shard int) (uint64, map[string][]byte, error) {
 	if s.dur == nil {
 		return 0, nil, errors.New("kv: SnapshotShard on a memory-only store")

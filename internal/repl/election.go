@@ -19,10 +19,11 @@ package repl
 // One vote per voter per epoch and intersecting majorities give at most
 // one primary per epoch; the acking majority meets the voting one in a
 // voter that granted only to a log as new as its own, so the winner
-// holds every acked write. A node whose re-seed is incomplete never
-// stands, and judges candidates by the history its re-seed file
-// recorded: its log no longer proves the writes it acked, and it acks
-// nothing until the re-seed is done.
+// holds every acked write. A node whose log has stopped never stands:
+// it could commit nothing. Nor does a node whose re-seed is incomplete,
+// which judges candidates by the history its re-seed file recorded: its
+// log no longer proves the writes it acked, and it acks nothing until
+// the re-seed is done.
 
 import (
 	"bufio"

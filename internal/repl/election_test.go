@@ -5,7 +5,9 @@ package repl
 // that tells a lagging follower from a diverged one.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"nztm/internal/fault"
 	"nztm/internal/kv"
 	"nztm/internal/server"
 	"nztm/internal/tm"
@@ -178,7 +181,11 @@ func cutMidReseed(t *testing.T, tn *testNode) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.LoadShardSnapshot(th, s, lsn, epochs[s], keys, true); err != nil {
+			container, err := st.WAL().SnapshotContainer(s, lsn, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := st.LoadShardSnapshot(th, container, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -575,19 +582,21 @@ func (f holdFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-// TestDeposedPrimaryInFlightWriteIsNotServed: a primary's write commits
-// in memory and is held on its way to disk, so its stable vector stays
-// behind what the store holds; the primary is cut off and deposed, and
-// the winner writes the same key. The deposed node's subscribe waits
-// for the held write, so its pairs name it, are off the winner's log,
-// and the node is re-seeded: it never serves the write the cluster did
-// not commit.
-func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
+// deposeWithWriteHeld boots 3 nodes whose first primary, node 0, holds
+// its next WAL write, and writes x = "lost" through it: that write
+// commits in memory and is held on its way to disk, so the primary's
+// stable vector stays behind what its store holds. Once the write is
+// held it runs whileHeld, cuts the primary off until the others elect a
+// primary that writes x = "kept", heals the cut, waits for the old
+// primary's deposition, and lets the held write go. It returns the old
+// and the new primary.
+func deposeWithWriteHeld(t *testing.T, whileHeld func(p *testNode)) (*testNode, *testNode) {
+	t.Helper()
 	var armed atomic.Bool
 	held, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
 	unhold := func() { releaseOnce.Do(func() { close(release) }) }
-	defer unhold()
+	t.Cleanup(unhold)
 	nodes, addrs, parts := startCluster(t, 3, func(i int, o *nodeOpts) {
 		if i == 0 {
 			o.fs = holdFS{FS: wal.OSFS(), armed: &armed, held: held, release: release}
@@ -599,13 +608,14 @@ func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	putKeys(t, c, 0, 10)
 	caughtUp(t, p, nodes...)
 
 	armed.Store(true)
 	go c.Put("x", []byte("lost")) // fails: the node is deposed before it is replicated
 	<-held
+	whileHeld(p)
 	for j := 1; j < 3; j++ {
 		if err := parts[0].Block(addrs[j], "both"); err != nil {
 			t.Fatal(err)
@@ -631,7 +641,15 @@ func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
 	})
 	time.Sleep(100 * time.Millisecond) // time enough to subscribe, were it not waiting for the write
 	unhold()
+	return p, np
+}
 
+// TestDeposedPrimaryInFlightWriteIsNotServed: the deposed node's
+// subscribe waits for the held write (deposeWithWriteHeld), so its
+// pairs name it, are off the winner's log, and the node is re-seeded:
+// it never serves the write the cluster did not commit.
+func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
+	p, np := deposeWithWriteHeld(t, func(*testNode) {})
 	fc, err := server.Dial(p.kvLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -649,5 +667,166 @@ func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
 	}
 	if r, err := fc.Get("x"); err != nil || string(r.Value) != "kept" {
 		t.Errorf("x on the deposed primary = %q, %v; want %q", r.Value, err, "kept")
+	}
+}
+
+// TestDeposedPrimaryInFlightReadIsNotServed: a read of x that the
+// primary admits while its write of x is held (deposeWithWriteHeld)
+// observes that write and waits for it to be stable. That wait ends on
+// a node that has been deposed and that no primary has matched, so the
+// commit gate fails the read: it never returns the write the cluster
+// did not commit.
+func TestDeposedPrimaryInFlightReadIsNotServed(t *testing.T) {
+	type answer struct {
+		r   kv.Result
+		err error
+	}
+	read := make(chan answer, 1)
+	deposeWithWriteHeld(t, func(p *testNode) {
+		rc, err := server.Dial(p.kvLn.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rc.Close() })
+		dispatched := p.srv.SchedStats().Dispatched.Load()
+		go func() {
+			r, err := rc.Get("x")
+			read <- answer{r, err}
+		}()
+		waitFor(t, 5*time.Second, "the read past admission while the node leads", func() bool {
+			return p.srv.SchedStats().Dispatched.Load() > dispatched
+		})
+	})
+	select {
+	case a := <-read:
+		if a.err == nil && string(a.r.Value) == "lost" {
+			t.Errorf("the deposed primary served a read of its uncommitted write: x = %q", a.r.Value)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read never answered")
+	}
+}
+
+// TestStoppedPrimaryIsFailedOver: the primary's disk starts failing
+// every write, so its log stops and it can commit nothing more. It steps
+// down at its epoch, which ends its streams and its lease, and never
+// stands again; a follower is elected, and a cluster client's write
+// succeeds there.
+func TestStoppedPrimaryIsFailedOver(t *testing.T) {
+	var probs [fault.DiskSiteCount]float64
+	probs[fault.DiskWriteEIO] = 1
+	disk := fault.NewDisk(fault.DiskConfig{Probs: probs, Output: io.Discard})
+	nodes, _, _ := startCluster(t, 3, func(i int, o *nodeOpts) {
+		if i == 0 {
+			o.fs = disk
+		}
+	})
+	p := nodes[0]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putKeys(t, c, 0, 10)
+	caughtUp(t, p, nodes...)
+
+	disk.Arm()
+	if _, err := c.Put("x", []byte("never")); err == nil {
+		t.Fatal("a write was acknowledged by a primary whose disk fails every write")
+	}
+	if p.store.WAL().Degraded() == nil {
+		t.Fatal("the primary's log did not stop")
+	}
+	np := leasedPrimary(t, nodes[1:]...)
+	if role, _ := p.state(); role == RolePrimary {
+		t.Fatal("the stopped node is primary again")
+	}
+	cl, err := DialCluster(ClusterConfig{Addrs: kvAddrs(nodes), RetryFor: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Write([]kv.Op{{Kind: kv.OpPut, Key: "y", Value: []byte("after")}}); err != nil {
+		t.Fatalf("write after the failover: %v", err)
+	}
+	if got := cl.Primary(); got != np.kvLn.Addr().String() {
+		t.Errorf("the cluster client wrote through %s, want the new primary %s", got, np.kvLn.Addr())
+	}
+	if missing := missingKeys(t, np, 10); len(missing) > 0 {
+		t.Errorf("%d of 10 keys missing on the new primary: %v", len(missing), missing)
+	}
+}
+
+// TestCatchUpInstallsThePrimarysContainer: a follower the primary's log
+// no longer reaches back to is caught up with snapshots, and the file
+// each install leaves is byte for byte the container the primary's WAL
+// built. One shard holds a value over a chunk, so its container crossed
+// the wire in several chunks.
+func TestCatchUpInstallsThePrimarysContainer(t *testing.T) {
+	nodes, _, _ := startCluster(t, 3, nil)
+	p, f := nodes[0], nodes[2]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putKeys(t, c, 0, 10)
+	caughtUp(t, p, nodes...)
+
+	f.crash()
+	// Under load the big frame can take longer to reach the follower than
+	// the commit gate waits, failing the ack; the commit stands either
+	// way, so wait for the follower instead. Heartbeats queue behind the
+	// frame, so wait for the lease too.
+	c.Put("big", bytes.Repeat([]byte("b"), snapshotChunkBytes+1<<10))
+	caughtUp(t, p, nodes[1])
+	waitLease(t, p)
+	putKeys(t, c, 10, 20)
+	th := p.b.NewThread()
+	defer th.Close()
+	for s := 0; s < p.store.Shards(); s++ { // seal every shard: the log drops every frame f lacks
+		lsn, keys, err := p.store.SnapshotShard(th, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.store.WAL().Snapshot(s, lsn, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f = f.reboot(t)
+	waitFor(t, 10*time.Second, "the follower to catch up", func() bool {
+		return f.matched() && f.node.AppliedTotal() >= p.node.AppliedTotal()
+	})
+	files, err := filepath.Glob(filepath.Join(f.opts.dir, "snap-*.snap"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("the follower caught up with no snapshot file (%v)", err)
+	}
+	chunked := false
+	for _, path := range files {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, lsn, _, _, err := wal.DecodeSnapshot(got)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		plsn, keys, err := p.store.SnapshotShard(th, shard)
+		if err != nil || plsn != lsn {
+			t.Fatalf("shard %d: the primary is at %d (%v), the install at %d", shard, plsn, err, lsn)
+		}
+		want, err := p.store.WAL().SnapshotContainer(shard, lsn, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the primary's %d-byte container", filepath.Base(path), len(got), len(want))
+		}
+		chunked = chunked || len(got) > snapshotChunkBytes
+	}
+	if !chunked {
+		t.Error("no container crossed in more than one chunk")
 	}
 }

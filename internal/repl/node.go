@@ -399,12 +399,7 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 		if n.role == RolePrimary {
 			// Demoted before the epoch moves: no reader of the two gauges
 			// sees this node primary at e.
-			n.role = RoleFollower
-			n.matched = false // until the new primary's handshake places our log
-			n.stats.IsPrimary.Store(0)
-			n.stats.Depositions.Add(1)
-			n.primaryKV, n.primaryRpl = "", ""
-			n.cfg.Logf("repl: node %d DEPOSED at epoch %d", n.cfg.NodeID, e)
+			n.stepDownLocked(fmt.Sprintf("DEPOSED at epoch %d", e))
 		}
 		n.epoch, n.votedFor = e, -1
 		n.stats.Epoch.Store(e)
@@ -423,6 +418,18 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 		n.broadcastLocked()
 	}
 	return changed
+}
+
+// stepDownLocked makes the primary a follower at its epoch: its streams
+// end at their next look at the role, and so does its lease. Callers
+// hold n.mu and broadcast.
+func (n *Node) stepDownLocked(why string) {
+	n.role = RoleFollower
+	n.matched = false // until a primary's handshake places our log
+	n.stats.IsPrimary.Store(0)
+	n.stats.Depositions.Add(1)
+	n.primaryKV, n.primaryRpl = "", ""
+	n.cfg.Logf("repl: node %d %s", n.cfg.NodeID, why)
 }
 
 // promote makes this node the primary at epoch e, whose vote it won: it
@@ -450,11 +457,7 @@ func (n *Node) promote(e uint64) {
 // appliedTotalLocked sums the store's applied vector. (The store read
 // takes no node lock; "Locked" marks the call sites' convention.)
 func (n *Node) appliedTotalLocked() uint64 {
-	var t uint64
-	for _, v := range n.store.AppliedVector() {
-		t += v
-	}
-	return t
+	return sumVec(n.store.AppliedVector())
 }
 
 // AppliedTotal returns the node's applied LSN total.
@@ -474,6 +477,16 @@ func (n *Node) run() {
 		}
 		role := n.role
 		ch := n.waitCh
+		if err := n.log.Degraded(); role == RolePrimary && err != nil {
+			// A primary whose log stopped can commit nothing more: step
+			// down at this epoch so a follower with a working log is
+			// elected. Followers ack every heartbeat, so this runs within
+			// one heartbeat of the stop.
+			n.stepDownLocked(fmt.Sprintf("stepped down at epoch %d: its log stopped: %v", n.epoch, err))
+			n.broadcastLocked()
+			n.mu.Unlock()
+			continue
+		}
 		n.mu.Unlock()
 		if role == RolePrimary {
 			// Primary duties live in the accept loop; park until deposed,
@@ -563,8 +576,14 @@ func (n *Node) leaseHeldLocked() bool {
 
 // followOnce makes one attempt at being a follower: subscribe to the
 // known primary if there is one, otherwise poll the cluster (adopting a
-// discovered primary or promoting if this node should lead).
+// discovered primary or promoting if this node should lead). A node
+// whose log has stopped does neither: it could apply no stream and
+// commit nothing as primary, so until it is restarted it only answers
+// polls and votes.
 func (n *Node) followOnce() {
+	if n.log.Degraded() != nil {
+		return
+	}
 	n.mu.Lock()
 	addr := n.primaryRpl
 	n.mu.Unlock()
@@ -667,16 +686,7 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 		lagTotal := n.lastHBTotal
 		n.mu.Unlock()
 
-		covered := true
-		if len(st.Vector) > 0 {
-			applied := n.store.AppliedVector()
-			for _, sl := range st.Vector {
-				if sl.Shard < 0 || sl.Shard >= len(applied) || applied[sl.Shard] < sl.LSN {
-					covered = false
-					break
-				}
-			}
-		}
+		covered := len(st.Vector) == 0 || coversSparse(n.store.AppliedVector(), st.Vector)
 		if covered && fresh {
 			return server.StatusOK, ""
 		}
@@ -693,10 +703,13 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 // commitGate is the store's acknowledgement gate (installed at Start).
 // Writes on the primary wait until quorum followers report the commit
 // vector applied; a node that is no longer primary fails writes
-// outright (the fencing half of failover safety) while letting
-// replica-local reads pass — their staleness contract is CheckRequest's
-// job. Its wall time is the request span's repl_gate stage; a gate that
-// passes at once reads no clock.
+// outright (the fencing half of failover safety) and releases a read
+// only while a primary's handshake has matched its log; the read's
+// staleness contract is CheckRequest's job. A read admitted while this
+// node led may have observed a commit that was still on its way to
+// disk when the node was deposed; deposition clears matched, so that
+// read fails with its outcome unknown. Its wall time is the request
+// span's repl_gate stage; a gate that passes at once reads no clock.
 func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 	var deadline time.Time // set when the gate first has to wait
 	for {
@@ -706,9 +719,13 @@ func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 			return errors.New("repl: node closed")
 		}
 		if n.role != RolePrimary {
+			matched := n.matched
 			n.mu.Unlock()
 			if wrote {
 				return errors.New("repl: not primary (deposed before the write was replicated)")
+			}
+			if !matched {
+				return errors.New("repl: not primary, and no primary has matched this node's log")
 			}
 			return nil
 		}
@@ -750,6 +767,16 @@ func (n *Node) park(ch chan struct{}, wait time.Duration) {
 	}
 }
 
+// sumVec sums a dense per-shard LSN vector: the total the lag and
+// ack-latency accounting compare.
+func sumVec(v []uint64) uint64 {
+	var t uint64
+	for _, x := range v {
+		t += x
+	}
+	return t
+}
+
 // coversSparse reports whether the dense applied vector covers every
 // entry of the sparse commit vector.
 func coversSparse(applied []uint64, vec []wal.ShardLSN) bool {
@@ -777,10 +804,7 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	n.mu.Lock()
 	role, pk := n.role, n.primaryKV
 	if role == RolePrimary {
-		var stableTotal uint64
-		for _, v := range n.log.StableVector() {
-			stableTotal += v
-		}
+		stableTotal := sumVec(n.log.StableVector())
 		now, stamp := time.Now(), trace.Now()
 		for sub := range n.subs {
 			r := followerRow{id: sub.nodeID, h: n.ackLat[sub.nodeID]}

@@ -57,7 +57,8 @@ type nodeOpts struct {
 	leaseTimeout time.Duration // default 120ms
 	maxReadWait  time.Duration
 	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
-	fs           wal.FS // the WAL's filesystem; default the real one
+	fs           wal.FS       // the WAL's filesystem; default the real one
+	replLn       net.Listener // when set, holds replAddr until just before Start listens on it
 }
 
 func startNode(t testing.TB, id int, o nodeOpts) *testNode {
@@ -91,6 +92,12 @@ func startNode(t testing.TB, id int, o nodeOpts) *testNode {
 	kvLn, err := net.Listen("tcp", o.kvAddr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.replLn != nil {
+		// Closed only now: the KV listener above, bound to any free port,
+		// could otherwise have taken this one.
+		o.replLn.Close()
+		o.replLn = nil
 	}
 	node, err := Start(store, Config{
 		NodeID:         id,
@@ -183,7 +190,7 @@ func startCluster(t testing.TB, size int, opt func(i int, o *nodeOpts)) ([]*test
 				}
 			}
 		}
-		lns[i].Close() // held until now, so that no earlier node's socket takes the port
+		o.replLn = lns[i] // held until Start, so that no other socket takes the port
 		nodes[i] = startNode(t, i, o)
 	}
 	if nodes[0].node.Role() != RolePrimary {
@@ -318,8 +325,7 @@ func (f *fakeFollower) heartbeat() (*Message, error) {
 // ack acks hb: it echoes hb's send stamp and claims hb's stable vector
 // applied.
 func (f *fakeFollower) ack(epoch uint64, hb *Message) error {
-	return writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Total: hb.Total,
-		Stamp: hb.Stamp, Vector: hb.Vector})
+	return writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: hb.Stamp, Vector: hb.Vector})
 }
 
 // echo acks every heartbeat until stop closes; the returned channel
@@ -422,7 +428,7 @@ func TestClusterEndToEndFailover(t *testing.T) {
 // TestDeposedPrimaryIsFenced proves both fencing layers on the primary:
 // a higher-epoch ack deposes it, after which the server layer redirects
 // writes (StatusNotPrimary) and the commit gate fails any write still
-// in flight.
+// in flight, and any read until a primary has matched the node's log.
 func TestDeposedPrimaryIsFenced(t *testing.T) {
 	r0 := pickAddr(t)
 	var later atomic.Uint64 // once set, the peer follows a live primary at this epoch
@@ -488,10 +494,19 @@ func TestDeposedPrimaryIsFenced(t *testing.T) {
 	if err := n0.node.commitGate([]wal.ShardLSN{{Shard: 0, LSN: 1}}, true); err == nil {
 		t.Fatal("commit gate passed a deposed primary's write")
 	}
-	// ... while a replica-local read passes the gate (its staleness
+	// So does a read until a primary's handshake matches the node's log:
+	// one it ran as primary may have observed a commit the cluster never
+	// made.
+	if err := n0.node.commitGate(nil, false); err == nil {
+		t.Fatal("commit gate passed a read on a deposed node no primary has matched")
+	}
+	// Once matched, a replica-local read passes the gate (its staleness
 	// contract is CheckRequest's, not the gate's).
+	n0.node.mu.Lock()
+	n0.node.matched = true
+	n0.node.mu.Unlock()
 	if err := n0.node.commitGate(nil, false); err != nil {
-		t.Fatalf("commit gate failed a read on a deposed node: %v", err)
+		t.Fatalf("commit gate failed a read on a matched follower: %v", err)
 	}
 }
 
@@ -533,8 +548,7 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 					return
 				}
 				// Establish epoch 7, then ship frames stamped epoch 3.
-				hb := &Message{Type: MsgHeartbeat, Epoch: 7, Total: 0,
-					KVAddr: "127.0.0.1:1", Vector: make([]uint64, 4)}
+				hb := &Message{Type: MsgHeartbeat, Epoch: 7, KVAddr: "127.0.0.1:1", Vector: make([]uint64, 4)}
 				if err := writeMsg(bw, hb); err != nil {
 					return
 				}

@@ -16,10 +16,12 @@
 // agree up to it (Raft's log matching, Ongaro and Ousterhout, USENIX ATC
 // 2014, §5.3). A subscriber therefore proves its state a prefix of the
 // primary's history with one (LSN, epoch) pair per shard, and one that
-// cannot is re-seeded from snapshots. A primary acknowledges a write only
-// after a majority applied it and a candidate needs a majority's votes,
-// each granted only to a log at least as new as the voter's (§5.4.1), so
-// the winner holds every acknowledged write.
+// cannot is re-seeded from snapshots. Snapshots travel the way frames
+// do: as the checksummed container the primary's WAL encodes, which the
+// follower's WAL writes as received. A primary acknowledges a write
+// only after a majority applied it and a candidate needs a majority's
+// votes, each granted only to a log at least as new as the voter's
+// (§5.4.1), so the winner holds every acknowledged write.
 package repl
 
 import (
@@ -53,19 +55,20 @@ const (
 	// stream order.
 	MsgFrames MsgType = 2
 	// MsgHeartbeat renews the primary's lease and carries its stable
-	// vector and total for staleness accounting, its monotonic send
-	// stamp for the followers' acks to echo, and its client address (so
-	// followers can redirect writes).
+	// vector for staleness accounting, its monotonic send stamp for the
+	// followers' acks to echo, and its client address (so followers can
+	// redirect writes).
 	MsgHeartbeat MsgType = 3
-	// MsgSnapshot ships one chunk of a shard bootstrap snapshot, with
-	// the epoch that wrote its LSN: the primary truncated past the
-	// follower's position, or it re-seeds every shard of a follower whose
-	// log is off its own (the re-seed flag). The last chunk is flagged;
-	// the follower installs the accumulated keys.
+	// MsgSnapshot ships one chunk of a shard's snapshot container, the
+	// bytes the primary's WAL encodes (shard, LSN, the epoch that wrote
+	// it, keys, checksum): the primary truncated past the follower's
+	// position, or it re-seeds every shard of a follower whose log is off
+	// its own (the re-seed flag). The last chunk is flagged; the follower
+	// installs the container its chunks make up.
 	MsgSnapshot MsgType = 4
-	// MsgAck reports a follower's applied vector and total back to the
-	// primary — the semi-synchronous acknowledgement signal — and echoes
-	// the send stamp of the newest heartbeat the follower has received.
+	// MsgAck reports a follower's applied vector back to the primary —
+	// the semi-synchronous acknowledgement signal — and echoes the send
+	// stamp of the newest heartbeat the follower has received.
 	MsgAck MsgType = 5
 	// MsgReject refuses a message or a subscription: fencing (stale
 	// epoch) or redirection (not primary, with the primary's addresses).
@@ -100,10 +103,8 @@ const (
 	maxShards = 1 << 10
 	// maxBatch bounds the frames in one MsgFrames.
 	maxBatch = 1 << 12
-	// maxSnapshotKeys bounds the keys in one MsgSnapshot chunk.
-	maxSnapshotKeys = 1 << 20
-	// snapshotChunkBytes is the soft chunk size for snapshot shipping,
-	// kept well under the transport's server.MaxFrame.
+	// snapshotChunkBytes bounds one MsgSnapshot chunk, well under the
+	// transport's server.MaxFrame.
 	snapshotChunkBytes = 4 << 20
 	// maxStr bounds an encoded string (addresses, reject messages).
 	maxStr = 1 << 12
@@ -120,7 +121,7 @@ type Message struct {
 	NodeID uint16 // subscribe, poll, vote
 	KVAddr string // subscribe + heartbeat (sender's), reject + pollresp (primary's)
 
-	Total  uint64   // heartbeat, ack, poll, vote: applied/stable total
+	Total  uint64   // poll, vote: the candidate's applied total
 	Stamp  uint64   // heartbeat: primary's send stamp (trace.Now()); ack: the newest one received
 	Vector []uint64 // subscribe, heartbeat, ack: dense per-shard LSNs
 	Epochs []uint64 // subscribe: per shard, the epoch that wrote Vector's LSN
@@ -130,12 +131,9 @@ type Message struct {
 
 	Frames [][]byte // frames: encoded wal frame containers
 
-	Shard    uint16            // snapshot
-	LSN      uint64            // snapshot: the cut the chunks accumulate to
-	LSNEpoch uint64            // snapshot: the epoch that wrote LSN
-	Reseed   bool              // snapshot: part of a re-seed of every shard
-	Last     bool              // snapshot: final chunk, install now
-	Keys     map[string][]byte // snapshot chunk payload
+	Reseed bool   // snapshot: part of a re-seed of every shard
+	Last   bool   // snapshot: final chunk, install now
+	Data   []byte // snapshot: one chunk of a wal snapshot container
 
 	Code     uint8  // reject
 	Text     string // reject: human-readable detail
@@ -190,30 +188,18 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 			b = append(b, f...)
 		}
 	case MsgHeartbeat:
-		b = binary.BigEndian.AppendUint64(b, m.Total)
 		b = binary.BigEndian.AppendUint64(b, m.Stamp)
 		b = appendStr(b, m.KVAddr)
 		b = appendDense(b, m.Vector)
 	case MsgSnapshot:
-		if len(m.Keys) > maxSnapshotKeys {
-			return nil, fmt.Errorf("repl: %d keys in one snapshot chunk", len(m.Keys))
+		if len(m.Data) > snapshotChunkBytes {
+			return nil, fmt.Errorf("repl: %d-byte snapshot chunk (max %d)", len(m.Data), snapshotChunkBytes)
 		}
-		b = binary.BigEndian.AppendUint16(b, m.Shard)
-		b = binary.BigEndian.AppendUint64(b, m.LSN)
-		b = binary.BigEndian.AppendUint64(b, m.LSNEpoch)
 		b = appendBool(b, m.Reseed)
 		b = appendBool(b, m.Last)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Keys)))
-		for k, v := range m.Keys {
-			if len(k) > maxStr {
-				return nil, fmt.Errorf("repl: snapshot key over %d bytes", maxStr)
-			}
-			b = appendStr(b, k)
-			b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
-			b = append(b, v...)
-		}
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Data)))
+		b = append(b, m.Data...)
 	case MsgAck:
-		b = binary.BigEndian.AppendUint64(b, m.Total)
 		b = binary.BigEndian.AppendUint64(b, m.Stamp)
 		b = appendDense(b, m.Vector)
 	case MsgReject:
@@ -377,9 +363,6 @@ func ParseMessage(payload []byte) (*Message, error) {
 			m.Frames = append(m.Frames, append([]byte(nil), raw...))
 		}
 	case MsgHeartbeat:
-		if m.Total, err = d.u64(); err != nil {
-			return nil, err
-		}
 		if m.Stamp, err = d.u64(); err != nil {
 			return nil, err
 		}
@@ -390,15 +373,6 @@ func ParseMessage(payload []byte) (*Message, error) {
 			return nil, err
 		}
 	case MsgSnapshot:
-		if m.Shard, err = d.u16(); err != nil {
-			return nil, err
-		}
-		if m.LSN, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if m.LSNEpoch, err = d.u64(); err != nil {
-			return nil, err
-		}
 		if m.Reseed, err = d.boolean(); err != nil {
 			return nil, err
 		}
@@ -409,32 +383,15 @@ func ParseMessage(payload []byte) (*Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n > maxSnapshotKeys {
+		if n > snapshotChunkBytes {
 			return nil, errMsg
 		}
-		m.Keys = make(map[string][]byte, n)
-		for i := uint32(0); i < n; i++ {
-			k, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			vl, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			raw, err := d.bytes(int(vl))
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := m.Keys[k]; dup {
-				return nil, errMsg
-			}
-			m.Keys[k] = append([]byte{}, raw...) // the store keeps this slice; never nil
-		}
-	case MsgAck:
-		if m.Total, err = d.u64(); err != nil {
+		raw, err := d.bytes(int(n))
+		if err != nil {
 			return nil, err
 		}
+		m.Data = append([]byte(nil), raw...)
+	case MsgAck:
 		if m.Stamp, err = d.u64(); err != nil {
 			return nil, err
 		}

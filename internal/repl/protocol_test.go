@@ -17,12 +17,11 @@ func sampleMessages() []*Message {
 		{Type: MsgSubscribe, Epoch: 1, NodeID: 0, KVAddr: "", Vector: nil},
 		{Type: MsgFrames, Epoch: 9, Frames: [][]byte{{1, 2, 3}, {}, {0xff}}},
 		{Type: MsgFrames, Epoch: 9, Frames: nil},
-		{Type: MsgHeartbeat, Epoch: 4, Total: 812, Stamp: 1722550000123, KVAddr: "10.0.0.8:4000",
+		{Type: MsgHeartbeat, Epoch: 4, Stamp: 1722550000123, KVAddr: "10.0.0.8:4000",
 			Vector: []uint64{800, 12}},
-		{Type: MsgSnapshot, Epoch: 2, Shard: 3, LSN: 77, LSNEpoch: 2, Reseed: true, Last: true,
-			Keys: map[string][]byte{"a": []byte("1"), "bb": {}, "c": nil}},
-		{Type: MsgSnapshot, Epoch: 2, Shard: 0, LSN: 0, Last: false, Keys: map[string][]byte{}},
-		{Type: MsgAck, Epoch: 5, Total: 42, Stamp: 9000000123, Vector: []uint64{40, 2}},
+		{Type: MsgSnapshot, Epoch: 2, Reseed: true, Last: true, Data: []byte{0x2a, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 3}},
+		{Type: MsgSnapshot, Epoch: 2, Last: false, Data: nil},
+		{Type: MsgAck, Epoch: 5, Stamp: 9000000123, Vector: []uint64{40, 2}},
 		{Type: MsgReject, Epoch: 8, Code: RejectNotPrimary, Text: "not primary",
 			KVAddr: "127.0.0.1:4100", ReplAddr: "127.0.0.1:4200"},
 		{Type: MsgReject, Epoch: 8, Code: RejectStaleEpoch, Text: "stale epoch 3 < 8"},
@@ -37,14 +36,13 @@ func sampleMessages() []*Message {
 // msgEqual compares messages treating nil and empty containers alike.
 func msgEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Epoch != b.Epoch || a.NodeID != b.NodeID ||
-		a.KVAddr != b.KVAddr || a.Total != b.Total ||
-		a.Stamp != b.Stamp || a.Shard != b.Shard || a.LSN != b.LSN ||
-		a.LSNEpoch != b.LSNEpoch || a.Reseed != b.Reseed || a.LastEpoch != b.LastEpoch ||
+		a.KVAddr != b.KVAddr || a.Total != b.Total || a.Stamp != b.Stamp ||
+		a.Reseed != b.Reseed || a.LastEpoch != b.LastEpoch ||
 		a.Granted != b.Granted || a.Last != b.Last || a.Code != b.Code || a.Text != b.Text ||
 		a.ReplAddr != b.ReplAddr || a.PrimaryLive != b.PrimaryLive {
 		return false
 	}
-	if !slices.Equal(a.Vector, b.Vector) || !slices.Equal(a.Epochs, b.Epochs) {
+	if !slices.Equal(a.Vector, b.Vector) || !slices.Equal(a.Epochs, b.Epochs) || !bytes.Equal(a.Data, b.Data) {
 		return false
 	}
 	if len(a.Frames) != len(b.Frames) {
@@ -52,15 +50,6 @@ func msgEqual(a, b *Message) bool {
 	}
 	for i := range a.Frames {
 		if !bytes.Equal(a.Frames[i], b.Frames[i]) {
-			return false
-		}
-	}
-	if len(a.Keys) != len(b.Keys) {
-		return false
-	}
-	for k, v := range a.Keys {
-		w, ok := b.Keys[k]
-		if !ok || !bytes.Equal(v, w) {
 			return false
 		}
 	}
@@ -136,16 +125,7 @@ func FuzzReplFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
 		}
-		// Maps iterate in random order but the fields are length-prefixed
-		// per entry; compare semantically via a second parse.
-		m2, err := ParseMessage(re)
-		if err != nil {
-			t.Fatalf("re-encoded message failed to parse: %v", err)
-		}
-		if !msgEqual(m, m2) {
-			t.Fatalf("re-encode changed message:\n in: %+v\nout: %+v", m, m2)
-		}
-		if len(m.Keys) == 0 && !bytes.Equal(re, payload) {
+		if !bytes.Equal(re, payload) {
 			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", payload, re)
 		}
 	})

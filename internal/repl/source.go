@@ -88,10 +88,7 @@ func (n *Node) handleSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 		return
 	}
 	epoch := n.epoch
-	var followerTotal uint64
-	for _, v := range m.Vector {
-		followerTotal += v
-	}
+	followerTotal := sumVec(m.Vector)
 	sub := &subState{nodeID: int(m.NodeID), remote: conn.RemoteAddr().String()}
 	if !reseed && len(stale) == 0 {
 		// Its applied vector counts towards the commit gate from now on;
@@ -156,14 +153,7 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 			continue
 		}
 		n.stats.AcksReceived.Add(1)
-		var total uint64
-		for _, v := range m.Vector {
-			total += v
-		}
-		var stableTotal uint64
-		for _, v := range n.log.StableVector() {
-			stableTotal += v
-		}
+		total, stableTotal := sumVec(m.Vector), sumVec(n.log.StableVector())
 		now := trace.Now()
 		n.mu.Lock()
 		sub.ackedVec = append(sub.ackedVec[:0], m.Vector...)
@@ -398,10 +388,7 @@ func (n *Node) sendFrames(bw *bufio.Writer, sub *subState, epoch uint64, batch [
 	}
 	n.stats.FramesShipped.Add(uint64(len(batch)))
 	n.stats.BytesShipped.Add(uint64(bytes))
-	var total uint64
-	for _, v := range sent {
-		total += v
-	}
+	total := sumVec(sent)
 	n.mu.Lock()
 	if len(sub.pending) < maxPendingAcks {
 		sub.pending = append(sub.pending, ackMark{total: total, at: trace.Now()})
@@ -414,13 +401,8 @@ func (n *Node) sendFrames(bw *bufio.Writer, sub *subState, epoch uint64, batch [
 // heartbeat ships one lease renewal carrying the stable vector and its
 // send stamp, which the follower's acks echo back (leaseHeldLocked).
 func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error {
-	var total uint64
-	for _, v := range stable {
-		total += v
-	}
 	err := writeMsg(bw, &Message{
-		Type: MsgHeartbeat, Epoch: epoch, Total: total,
-		Stamp: trace.Now(), KVAddr: n.cfg.KVAddr, Vector: stable,
+		Type: MsgHeartbeat, Epoch: epoch, Stamp: trace.Now(), KVAddr: n.cfg.KVAddr, Vector: stable,
 	})
 	if err == nil {
 		n.stats.Heartbeats.Add(1)
@@ -428,42 +410,28 @@ func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error 
 	return err
 }
 
-// shipSnapshot sends shard's full state as chunked MsgSnapshot messages
-// and returns the cut LSN the chunks accumulate to. The cut waits until
-// it is durable, which also puts its frame, and the epoch that wrote it,
-// in the log. reseed flags the chunks as one shard of a re-seed.
+// shipSnapshot sends shard's snapshot container (wal.Log.SnapshotContainer,
+// which waits until the cut is durable) in MsgSnapshot chunks and
+// returns the cut LSN. reseed flags the chunks as one shard of a
+// re-seed.
 func (n *Node) shipSnapshot(bw *bufio.Writer, th *tm.Thread, shard int, epoch uint64, reseed bool) (uint64, error) {
 	lsn, keys, err := n.store.SnapshotShard(th, shard)
 	if err != nil {
 		return 0, err
 	}
-	if err := n.log.WaitStable([]wal.ShardLSN{{Shard: shard, LSN: lsn}}); err != nil {
+	container, err := n.log.SnapshotContainer(shard, lsn, keys)
+	if err != nil {
 		return 0, err
 	}
-	lsnEpoch, _ := n.log.EpochAt(shard, lsn) // known: lsn is stable and at or above the shard's snapshot
-	chunk := make(map[string][]byte)
-	bytes := 0
-	flush := func(last bool) error {
-		err := writeMsg(bw, &Message{
-			Type: MsgSnapshot, Epoch: epoch, Shard: uint16(shard),
-			LSN: lsn, LSNEpoch: lsnEpoch, Reseed: reseed, Last: last, Keys: chunk,
-		})
-		chunk, bytes = make(map[string][]byte), 0
-		return err
-	}
-	for k, v := range keys {
-		chunk[k] = v
-		bytes += len(k) + len(v) + 8
-		if bytes >= snapshotChunkBytes || len(chunk) >= maxSnapshotKeys {
-			if err := flush(false); err != nil {
-				return 0, err
-			}
+	for rest := container; len(rest) > 0; {
+		chunk := rest[:min(len(rest), snapshotChunkBytes)]
+		rest = rest[len(chunk):]
+		last := len(rest) == 0
+		if err := writeMsg(bw, &Message{Type: MsgSnapshot, Epoch: epoch, Reseed: reseed, Last: last, Data: chunk}); err != nil {
+			return 0, err
 		}
 	}
-	if err := flush(true); err != nil {
-		return 0, err
-	}
 	n.stats.SnapshotsShipped.Add(1)
-	n.cfg.Logf("repl: node %d: shipped snapshot shard=%d lsn=%d keys=%d", n.cfg.NodeID, shard, lsn, len(keys))
+	n.cfg.Logf("repl: node %d: shipped snapshot shard=%d lsn=%d keys=%d bytes=%d", n.cfg.NodeID, shard, lsn, len(keys), len(container))
 	return lsn, nil
 }

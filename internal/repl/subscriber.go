@@ -45,7 +45,6 @@ func (n *Node) subscribe(addr string) error {
 	reseeding := n.reseeding
 	n.mu.Unlock()
 	lsns, epochs := n.log.StableEpochs()
-	nShards := len(lsns)
 	req := &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: uint16(n.cfg.NodeID), KVAddr: n.cfg.KVAddr}
 	if !reseeding {
 		// Mid-re-seed the chain is gone and the shards mix old state with
@@ -56,12 +55,7 @@ func (n *Node) subscribe(addr string) error {
 		return err
 	}
 
-	// Snapshots accumulate per shard until their Last chunk.
-	type pendingSnap struct {
-		lsn  uint64
-		keys map[string][]byte
-	}
-	snaps := make(map[int]*pendingSnap)
+	var snap []byte                // the snapshot container whose chunks are arriving
 	reseeded := make(map[int]bool) // shards this session's re-seed installed
 
 	var hbStamp uint64 // the newest heartbeat's send stamp, echoed in every ack
@@ -103,15 +97,15 @@ func (n *Node) subscribe(addr string) error {
 		case MsgHeartbeat:
 			n.stats.Heartbeats.Add(1)
 			hbStamp = m.Stamp
-			total := n.appliedTotalLocked()
+			total, stableTotal := n.appliedTotalLocked(), sumVec(m.Vector)
 			now := time.Now()
 			n.mu.Lock()
-			n.lastHBTotal = m.Total
+			n.lastHBTotal = stableTotal
 			n.lastHBAt = now
 			if m.KVAddr != "" {
 				n.primaryKV = m.KVAddr
 			}
-			if total >= m.Total {
+			if total >= stableTotal {
 				n.freshAsOf = now
 			}
 			if !n.reseeding {
@@ -128,36 +122,27 @@ func (n *Node) subscribe(addr string) error {
 			}
 
 		case MsgSnapshot:
-			sh := int(m.Shard)
-			if sh < 0 || sh >= nShards {
-				return fmt.Errorf("repl: snapshot for shard %d of %d", sh, nShards)
-			}
-			ps := snaps[sh]
-			if ps == nil || ps.lsn != m.LSN {
-				ps = &pendingSnap{lsn: m.LSN, keys: make(map[string][]byte)}
-				snaps[sh] = ps
-			}
-			for k, v := range m.Keys {
-				ps.keys[k] = v
-			}
+			snap = append(snap, m.Data...)
 			if !m.Last {
 				continue
 			}
-			delete(snaps, sh)
+			container := snap
+			snap = nil
 			if m.Reseed && len(reseeded) == 0 {
 				if err := n.beginReseed(); err != nil {
 					return err
 				}
 			}
-			if err := n.store.LoadShardSnapshot(n.applyTh, sh, ps.lsn, m.LSNEpoch, ps.keys, m.Reseed); err != nil {
-				return fmt.Errorf("repl: install snapshot shard %d: %w", sh, err)
+			sh, lsn, err := n.store.LoadShardSnapshot(n.applyTh, container, m.Reseed)
+			if err != nil {
+				return fmt.Errorf("repl: install snapshot: %w", err)
 			}
 			n.stats.SnapshotsLoaded.Add(1)
-			n.cfg.Logf("repl: node %d: installed snapshot shard=%d lsn=%d keys=%d reseed=%v",
-				n.cfg.NodeID, sh, ps.lsn, len(ps.keys), m.Reseed)
+			n.cfg.Logf("repl: node %d: installed snapshot shard=%d lsn=%d bytes=%d reseed=%v",
+				n.cfg.NodeID, sh, lsn, len(container), m.Reseed)
 			if m.Reseed {
 				reseeded[sh] = true
-				if len(reseeded) < nShards {
+				if len(reseeded) < len(lsns) {
 					continue // acked once whole: until then the log cannot prove the applied vector
 				}
 				n.endReseed()
@@ -221,12 +206,7 @@ func (n *Node) subscribe(addr string) error {
 // send stamp of the newest heartbeat it has received (the primary's
 // lease counts from it).
 func (n *Node) sendAck(bw *bufio.Writer, epoch, hbStamp uint64) error {
-	vec := n.store.AppliedVector()
-	var total uint64
-	for _, v := range vec {
-		total += v
-	}
-	err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Total: total, Stamp: hbStamp, Vector: vec})
+	err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: hbStamp, Vector: n.store.AppliedVector()})
 	if err == nil {
 		n.stats.AcksSent.Add(1)
 	}

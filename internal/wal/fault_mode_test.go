@@ -286,7 +286,11 @@ func TestOnDegradeFiresOncePerTransition(t *testing.T) {
 // The log must stop — never accept appends it can no longer describe.
 func TestInstallSnapshotRenameFailureFailStops(t *testing.T) {
 	l, d := openFaulty(t, fault.DiskRename, wal.FsyncNever)
-	if err := l.InstallSnapshot(0, 5, 0, map[string][]byte{"k": []byte("v")}, false); err == nil {
+	container, err := wal.EncodeSnapshot(0, 5, 0, map[string][]byte{"k": []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InstallSnapshot(container, false); err == nil {
 		t.Fatal("InstallSnapshot succeeded through a failed rename")
 	}
 	if d.Stats().RenameFails.Load() == 0 {

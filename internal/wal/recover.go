@@ -153,7 +153,7 @@ func RecoverFS(fsys FS, dir string, shards int) (*State, error) {
 			if err != nil {
 				continue
 			}
-			sh, lsn, epoch, keys, err := decodeSnapshot(b)
+			sh, lsn, epoch, keys, err := DecodeSnapshot(b)
 			if err != nil || sh != s || lsn != sn.Seq {
 				continue
 			}

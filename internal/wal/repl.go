@@ -168,16 +168,18 @@ func (l *Log) notifyStable() {
 // frames readable above the snapshot.
 var ErrSnapshotBehind = errors.New("wal: snapshot is behind the shard's log position")
 
-// InstallSnapshot force-installs a snapshot of shard at lsn, whose
-// frame epoch wrote: it becomes the shard's entire history at or below
-// lsn and appending resumes at lsn+1. This is the follower catch-up
-// bootstrap — the primary has truncated past the follower's position,
-// so the follower replaces the shard wholesale instead of replaying
-// frames.
+// InstallSnapshot force-installs a snapshot container built by a
+// primary's SnapshotContainer, writing exactly its bytes: its shard's
+// entire history at or below its LSN becomes the snapshot, whose LSN
+// its epoch wrote, and appending resumes at LSN+1. This is the follower
+// catch-up bootstrap — the primary has truncated past the follower's
+// position, so the follower replaces the shard wholesale instead of
+// replaying frames. A container that fails its checksum or parse is
+// ErrCorrupt and changes nothing.
 //
-// No frame of the shard above lsn may stay readable on disk (recovery
-// and a later replication stream would replay it on top of the
-// snapshot). An ordinary catch-up installs at or above the shard's
+// No frame of the shard above the LSN may stay readable on disk
+// (recovery and a later replication stream would replay it on top of
+// the snapshot). An ordinary catch-up installs at or above the shard's
 // position, so the chain stays and the shard's frames in it become
 // covered leftovers; one below the position is refused with
 // ErrSnapshotBehind and changes nothing. reseed marks an install that
@@ -192,7 +194,12 @@ var ErrSnapshotBehind = errors.New("wal: snapshot is behind the shard's log posi
 // goroutine is the only writer) and has already replaced the shard in
 // memory, so a failure past the position check fails the log: it can no
 // longer describe the store.
-func (l *Log) InstallSnapshot(shard int, lsn, epoch uint64, keys map[string][]byte, reseed bool) error {
+func (l *Log) InstallSnapshot(container []byte, reseed bool) error {
+	h, _, err := snapshotHead(container)
+	if err != nil {
+		return err
+	}
+	shard, lsn := h.shard, h.lsn
 	if shard < 0 || shard >= len(l.next) {
 		return fmt.Errorf("wal: install snapshot of shard %d of %d", shard, len(l.next))
 	}
@@ -202,7 +209,7 @@ func (l *Log) InstallSnapshot(shard int, lsn, epoch uint64, keys map[string][]by
 	if !reseed && at > lsn {
 		return fmt.Errorf("%w: shard %d is at %d, snapshot at %d", ErrSnapshotBehind, shard, at, lsn)
 	}
-	tmpName, err := l.writeSnapshotTemp(shard, lsn, epoch, keys)
+	tmpName, err := l.writeSnapshotTemp(container)
 	l.mu.Lock()
 	l.acquireLocked()
 	if err == nil {
@@ -215,7 +222,7 @@ func (l *Log) InstallSnapshot(shard int, lsn, epoch uint64, keys map[string][]by
 	}
 	var final string
 	if err == nil {
-		final, err = l.publishSnapshot(tmpName, shard, lsn, len(keys))
+		final, err = l.publishSnapshot(tmpName, shard, lsn, int(h.nKeys))
 	} else if tmpName != "" {
 		l.fs.Remove(tmpName)
 	}
@@ -225,7 +232,7 @@ func (l *Log) InstallSnapshot(shard int, lsn, epoch uint64, keys map[string][]by
 	l.mu.Lock()
 	if err == nil {
 		l.next[shard], l.stable[shard], l.snapLSN[shard] = lsn+1, lsn, lsn
-		l.epochs[shard] = []epochRun{{from: lsn, epoch: epoch}}
+		l.epochs[shard] = []epochRun{{from: lsn, epoch: h.epoch}}
 		l.notifyStable()
 	} else {
 		l.failLocked(err)

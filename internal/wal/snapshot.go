@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"path/filepath"
 	"sort"
 	"syscall"
@@ -15,8 +16,12 @@ import (
 // log frame). Version 3 added the epoch.
 const snapVersion = 3
 
-// encodeSnapshot builds a snapshot file's contents: a single
-// checksummed container (same header as a log frame) whose payload is
+// errSnapshotSize refuses a snapshot whose payload no reader would
+// accept: decoding bounds a container by maxFramePayload.
+var errSnapshotSize = errors.New("wal: snapshot payload over the frame limit")
+
+// encodeSnapshot builds a snapshot container (same header as a log
+// frame) whose payload is
 //
 //	snapVersion, uvarint shard, uvarint lsn, uvarint epoch,
 //	uvarint nKeys, then per key: len-prefixed key, len-prefixed value
@@ -24,74 +29,94 @@ const snapVersion = 3
 // where epoch is the epoch of the frame that wrote lsn, the one epoch
 // recovery knows below the frames that follow the snapshot. Keys are
 // sorted so identical state encodes identically (the double-recovery
-// test depends on determinism).
-func encodeSnapshot(shard int, lsn, epoch uint64, keys map[string][]byte) []byte {
+// test depends on determinism). A payload over maxFramePayload is
+// refused before anything is allocated for it.
+func encodeSnapshot(shard int, lsn, epoch uint64, keys map[string][]byte) ([]byte, error) {
+	size := 1 + uvarintLen(uint64(shard)) + uvarintLen(lsn) + uvarintLen(epoch) + uvarintLen(uint64(len(keys)))
 	names := make([]string, 0, len(keys))
-	for k := range keys {
+	for k, v := range keys {
 		names = append(names, k)
+		size += uvarintLen(uint64(len(k))) + len(k) + uvarintLen(uint64(len(v))) + len(v)
+	}
+	if size > maxFramePayload {
+		return nil, fmt.Errorf("%w: shard %d at lsn %d is %d bytes", errSnapshotSize, shard, lsn, size)
 	}
 	sort.Strings(names)
-	payload := []byte{snapVersion}
-	payload = binary.AppendUvarint(payload, uint64(shard))
-	payload = binary.AppendUvarint(payload, lsn)
-	payload = binary.AppendUvarint(payload, epoch)
-	payload = binary.AppendUvarint(payload, uint64(len(names)))
+	out := make([]byte, frameHeaderSize, frameHeaderSize+size)
+	out = append(out, snapVersion)
+	out = binary.AppendUvarint(out, uint64(shard))
+	out = binary.AppendUvarint(out, lsn)
+	out = binary.AppendUvarint(out, epoch)
+	out = binary.AppendUvarint(out, uint64(len(names)))
 	for _, k := range names {
-		payload = binary.AppendUvarint(payload, uint64(len(k)))
-		payload = append(payload, k...)
+		out = binary.AppendUvarint(out, uint64(len(k)))
+		out = append(out, k...)
 		v := keys[k]
-		payload = binary.AppendUvarint(payload, uint64(len(v)))
-		payload = append(payload, v...)
+		out = binary.AppendUvarint(out, uint64(len(v)))
+		out = append(out, v...)
 	}
-	out := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	payload := out[frameHeaderSize:]
 	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+	return out, nil
 }
 
-// decodeSnapshot parses a snapshot file's contents. Any defect —
-// truncation, checksum mismatch, malformed payload, trailing bytes —
-// makes the snapshot invalid (recovery falls back to an older one).
-func decodeSnapshot(b []byte) (shard int, lsn, epoch uint64, keys map[string][]byte, err error) {
-	if len(b) < frameHeaderSize {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot header", ErrTorn)
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// snapHead is what a snapshot container says before its keys.
+type snapHead struct {
+	shard             int
+	lsn, epoch, nKeys uint64
+}
+
+// snapshotHead checks a whole snapshot container — length, checksum,
+// version — and parses the fields before its keys, returning the keys'
+// encoding after them. A container is published or shipped whole, so
+// every defect, a short one included, is ErrCorrupt.
+func snapshotHead(b []byte) (h snapHead, keys []byte, err error) {
+	if n := len(b) - frameHeaderSize; n < 0 || n > maxFramePayload || uint32(n) != binary.LittleEndian.Uint32(b) {
+		return h, nil, fmt.Errorf("%w: snapshot length", ErrCorrupt)
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n == 0 || n > maxFramePayload {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot payload length %d", ErrCorrupt, n)
+	p := b[frameHeaderSize:]
+	if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return h, nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}
-	if uint32(len(b)-frameHeaderSize) < n {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot payload", ErrTorn)
+	if len(p) < 1 || p[0] != snapVersion {
+		return h, nil, fmt.Errorf("%w: snapshot version", ErrCorrupt)
 	}
-	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
-	if len(b) != frameHeaderSize+int(n) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(b)-frameHeaderSize-int(n))
-	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
-	}
-	if len(payload) < 1 || payload[0] != snapVersion {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot version", ErrCorrupt)
-	}
-	p := payload[1:]
-	var sh, nKeys uint64
+	p = p[1:]
+	var sh uint64
 	if sh, p, err = uvarint(p); err != nil {
+		return h, nil, err
+	}
+	if h.lsn, p, err = uvarint(p); err != nil {
+		return h, nil, err
+	}
+	if h.epoch, p, err = uvarint(p); err != nil {
+		return h, nil, err
+	}
+	if h.nKeys, p, err = uvarint(p); err != nil {
+		return h, nil, err
+	}
+	if h.nKeys > uint64(len(p)) {
+		return h, nil, fmt.Errorf("%w: %d snapshot keys", ErrCorrupt, h.nKeys)
+	}
+	h.shard = int(sh)
+	return h, p, nil
+}
+
+// DecodeSnapshot parses a snapshot container: the shard, the LSN it
+// cuts at, the epoch that wrote that LSN, and the shard's keys, each
+// value owned by the caller. Every defect wraps ErrCorrupt; recovery
+// then falls back to an older snapshot.
+func DecodeSnapshot(b []byte) (shard int, lsn, epoch uint64, keys map[string][]byte, err error) {
+	h, p, err := snapshotHead(b)
+	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	if lsn, p, err = uvarint(p); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if epoch, p, err = uvarint(p); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if nKeys, p, err = uvarint(p); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if nKeys > uint64(len(p)) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: %d snapshot keys", ErrCorrupt, nKeys)
-	}
-	keys = make(map[string][]byte, nKeys)
-	for i := uint64(0); i < nKeys; i++ {
+	keys = make(map[string][]byte, h.nKeys)
+	for i := uint64(0); i < h.nKeys; i++ {
 		var k, v []byte
 		if k, p, err = lenBytes(p); err != nil {
 			return 0, 0, 0, nil, err
@@ -104,19 +129,43 @@ func decodeSnapshot(b []byte) (shard int, lsn, epoch uint64, keys map[string][]b
 	if len(p) != 0 {
 		return 0, 0, 0, nil, fmt.Errorf("%w: trailing snapshot payload", ErrCorrupt)
 	}
-	return int(sh), lsn, epoch, keys, nil
+	return h.shard, h.lsn, h.epoch, keys, nil
 }
 
-// writeSnapshotTemp writes and syncs a snapshot into a temp file in the
-// data directory and returns its name. Publication is a later atomic
-// rename, so a crash mid-write leaves only ignorable garbage.
-func (l *Log) writeSnapshotTemp(shard int, lsn, epoch uint64, keys map[string][]byte) (string, error) {
+// SnapshotContainer builds the container of shard's snapshot at lsn,
+// where keys is the shard's complete state as observed by a transaction
+// that read sequence number lsn. It is the one encoding of a snapshot:
+// Snapshot seals it, the replication plane ships it in chunks, and a
+// follower's InstallSnapshot writes the received bytes as they are. It
+// waits until lsn is inside the durable prefix (else a crash could leave
+// the snapshot exposing a commit recovery drops), which also puts the
+// frame that wrote lsn, and its epoch, in the log. A payload no reader
+// would decode is refused.
+func (l *Log) SnapshotContainer(shard int, lsn uint64, keys map[string][]byte) ([]byte, error) {
+	if shard < 0 || shard >= len(l.snapLSN) {
+		return nil, fmt.Errorf("wal: snapshot of shard %d of %d", shard, len(l.snapLSN))
+	}
+	if err := l.WaitStable([]ShardLSN{{Shard: shard, LSN: lsn}}); err != nil {
+		return nil, err
+	}
+	epoch, known := l.EpochAt(shard, lsn)
+	if !known {
+		return nil, fmt.Errorf("wal: snapshot of shard %d at lsn %d, whose epoch the log does not know", shard, lsn)
+	}
+	return encodeSnapshot(shard, lsn, epoch, keys)
+}
+
+// writeSnapshotTemp writes and syncs a snapshot container into a temp
+// file in the data directory and returns its name. Publication is a
+// later atomic rename, so a crash mid-write leaves only ignorable
+// garbage.
+func (l *Log) writeSnapshotTemp(container []byte) (string, error) {
 	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
 	if err != nil {
 		return "", l.snapshotError(err)
 	}
 	name := tmp.Name()
-	if err = writeFull(tmp, encodeSnapshot(shard, lsn, epoch, keys)); err == nil {
+	if err = writeFull(tmp, container); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -184,32 +233,24 @@ func (l *Log) staleSnapshots(shard int, keep string) []string {
 	return stale
 }
 
-// Snapshot seals a snapshot of shard at lsn: keys must be the shard's
-// complete state as observed by a transaction that read sequence number
-// lsn. The snapshot only seals once every frame ≤ lsn of the shard is
-// inside the durable prefix (else a crash could leave the snapshot
-// exposing a commit recovery drops). On seal the log rotates to a fresh
-// segment and deletes, oldest first, every leading segment whose every
-// (shard, lsn) is at or below that shard's sealed snapshot — plus the
-// shard's stale snapshots.
+// Snapshot seals a snapshot of shard at lsn (see SnapshotContainer for
+// keys and the wait). On seal the log rotates to a fresh segment and
+// deletes, oldest first, every leading segment whose every (shard, lsn)
+// is at or below that shard's sealed snapshot — plus the shard's stale
+// snapshots. A snapshot that cannot be built leaves every file as it
+// was.
 func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
-	if shard < 0 || shard >= len(l.snapLSN) {
-		return fmt.Errorf("wal: snapshot of shard %d of %d", shard, len(l.snapLSN))
-	}
-	if err := l.WaitStable([]ShardLSN{{Shard: shard, LSN: lsn}}); err != nil {
-		return err
-	}
 	l.mu.Lock()
-	already := lsn <= l.snapLSN[shard]
-	epoch, known := l.epochAtLocked(shard, lsn)
+	already := shard >= 0 && shard < len(l.snapLSN) && lsn <= l.snapLSN[shard]
 	l.mu.Unlock()
 	if already {
 		return nil // an equal-or-newer snapshot is already sealed
 	}
-	if !known {
-		return fmt.Errorf("wal: snapshot of shard %d at lsn %d, whose epoch the log does not know", shard, lsn)
+	container, err := l.SnapshotContainer(shard, lsn, keys)
+	if err != nil {
+		return err
 	}
-	tmpName, err := l.writeSnapshotTemp(shard, lsn, epoch, keys)
+	tmpName, err := l.writeSnapshotTemp(container)
 	if err != nil {
 		return err
 	}

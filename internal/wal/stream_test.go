@@ -269,7 +269,7 @@ func TestInstallSnapshot(t *testing.T) {
 	// shard 1's frame is still needed — and shard 0's frame in it becomes
 	// a covered leftover.
 	keys := map[string][]byte{"k1": []byte("v1"), "k2": []byte("v2")}
-	if err := l.InstallSnapshot(0, 100, 0, keys, false); err != nil {
+	if err := l.InstallSnapshot(snapshotOf(t, 0, 100, 0, keys), false); err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
 	}
 	if got := l.StableVector(); got[0] != 100 || got[1] != 1 {
@@ -308,14 +308,14 @@ func TestInstallSnapshotResyncDropsChain(t *testing.T) {
 			}
 			forceRotate(t, l)
 			mustAppend(t, l, put(1, 1, "other", "diverged"))
-			if err := l.InstallSnapshot(0, lsn, 0, map[string][]byte{"k": []byte("primary")}, true); err != nil {
+			if err := l.InstallSnapshot(snapshotOf(t, 0, lsn, 0, map[string][]byte{"k": []byte("primary")}), true); err != nil {
 				t.Fatalf("InstallSnapshot: %v", err)
 			}
 			if frames := fileOrder(t, dir); len(frames) != 0 {
 				t.Fatalf("frames still readable after the install: %v", frames)
 			}
 			removed := l.Stats().RemovedFiles.Load()
-			if err := l.InstallSnapshot(1, 7, 0, map[string][]byte{"other": []byte("primary")}, true); err != nil {
+			if err := l.InstallSnapshot(snapshotOf(t, 1, 7, 0, map[string][]byte{"other": []byte("primary")}), true); err != nil {
 				t.Fatalf("second InstallSnapshot: %v", err)
 			}
 			if got := l.Stats().RemovedFiles.Load(); got != removed {
@@ -350,7 +350,7 @@ func TestInstallSnapshotBehindRefused(t *testing.T) {
 		mustAppend(t, l, put(0, i, fmt.Sprintf("k%d", i), "v"))
 	}
 	mustAppend(t, l, put(1, 1, "other", "y"))
-	err := l.InstallSnapshot(0, 1, 0, map[string][]byte{"k1": []byte("primary")}, false)
+	err := l.InstallSnapshot(snapshotOf(t, 0, 1, 0, map[string][]byte{"k1": []byte("primary")}), false)
 	if !errors.Is(err, ErrSnapshotBehind) {
 		t.Fatalf("InstallSnapshot below the position = %v, want ErrSnapshotBehind", err)
 	}

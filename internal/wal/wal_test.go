@@ -31,6 +31,16 @@ func openLog(t *testing.T, dir string, shards int, policy FsyncPolicy) (*Log, *S
 	return l, st
 }
 
+// snapshotOf encodes a snapshot container, failing the test on error.
+func snapshotOf(t *testing.T, shard int, lsn, epoch uint64, keys map[string][]byte) []byte {
+	t.Helper()
+	b, err := encodeSnapshot(shard, lsn, epoch, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func mustAppend(t *testing.T, l *Log, f *Frame) {
 	t.Helper()
 	if err := l.Append(f); err != nil {
@@ -323,7 +333,7 @@ func TestSnapshotWithNoLog(t *testing.T) {
 	dir := t.TempDir()
 	// Hand-plant a snapshot with no MANIFEST-era log files at all.
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 5)),
-		encodeSnapshot(0, 5, 0, map[string][]byte{"x": []byte("y")}), 0o644); err != nil {
+		snapshotOf(t, 0, 5, 0, map[string][]byte{"x": []byte("y")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Recover(dir, 1)
@@ -389,7 +399,7 @@ func TestRecoverRejectsSnapshotGap(t *testing.T) {
 	// recovery must refuse instead of producing wrong state.
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(0, 2)),
-		encodeSnapshot(0, 2, 0, map[string][]byte{"a": []byte("1")}), 0o644); err != nil {
+		snapshotOf(t, 0, 2, 0, map[string][]byte{"a": []byte("1")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(7)),
@@ -635,4 +645,52 @@ func TestRotationFlushInBackground(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotOverPayloadLimitIsRefused: recovery rejects a snapshot
+// payload over maxFramePayload, so sealing one would delete the frames
+// it covers and leave the next boot a gap. The builder refuses it before
+// any file is written, and the log keeps its frames and keeps serving.
+func TestSnapshotOverPayloadLimitIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openLog(t, dir, 1, FsyncNever)
+	mustAppend(t, l, put(0, 1, "k", "v"))
+	names := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	before := names()
+	val := make([]byte, 1<<20)
+	keys := make(map[string][]byte)
+	for i := 0; len(keys)<<20 <= maxFramePayload; i++ {
+		keys[fmt.Sprint("big", i)] = val // one shared slice: the size is counted, never built
+	}
+	if _, err := l.SnapshotContainer(0, 1, keys); !errors.Is(err, errSnapshotSize) {
+		t.Fatalf("SnapshotContainer over the limit = %v, want errSnapshotSize", err)
+	}
+	if err := l.Snapshot(0, 1, keys); !errors.Is(err, errSnapshotSize) {
+		t.Fatalf("Snapshot over the limit = %v, want errSnapshotSize", err)
+	}
+	if after := names(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused snapshot changed the data dir: %v, was %v", after, before)
+	}
+	if err := l.Degraded(); err != nil {
+		t.Fatalf("refused snapshot stopped the log: %v", err)
+	}
+	mustAppend(t, l, put(0, 2, "k2", "v"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir, 1)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	wantKeys(t, st, 0, map[string]string{"k": "v", "k2": "v"})
 }
