@@ -23,7 +23,7 @@ type ClusterConfig struct {
 	// Addrs lists every node's KV (client protocol) address.
 	Addrs []string
 	// MaxLagMs is the read staleness budget in milliseconds. 0 (the
-	// strictest) demands the replica prove freshness with a heartbeat
+	// strictest) demands the replica prove freshness with a stamp
 	// received after the read arrived; server.NoLagBudget waives the
 	// freshness bound, leaving only the read-your-writes token.
 	MaxLagMs uint32

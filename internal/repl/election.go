@@ -47,20 +47,24 @@ func (n *Node) runElection() {
 
 	resps := n.pollPeers(ask)
 	maxEpoch, prevotes := epoch, 0
-	liveKV, liveRpl := "", ""
+	live, liveKV, liveRpl := false, "", ""
 	var livePrimaryEpoch uint64
 	for _, m := range resps {
 		maxEpoch = max(maxEpoch, m.Epoch)
-		if m.PrimaryLive && m.Epoch >= epoch && m.Epoch >= livePrimaryEpoch {
-			livePrimaryEpoch = m.Epoch
-			liveKV, liveRpl = m.KVAddr, m.ReplAddr
+		if m.PrimaryLive && m.Epoch >= epoch && m.ReplAddr != n.cfg.Advertise {
+			live = true
+			if m.ReplAddr != "" && m.Epoch >= livePrimaryEpoch {
+				livePrimaryEpoch = m.Epoch
+				liveKV, liveRpl = m.KVAddr, m.ReplAddr
+			}
 		}
 		if m.Granted {
 			prevotes++
 		}
 	}
-	if liveRpl != "" && liveRpl != n.cfg.Advertise {
-		// Someone still sees a primary: follow it instead of fighting it.
+	if live {
+		// Someone still sees a primary: follow it, when it is named,
+		// instead of fighting it.
 		n.mu.Lock()
 		n.adoptEpochLocked(maxEpoch, liveKV, liveRpl)
 		n.mu.Unlock()
@@ -114,13 +118,15 @@ func (n *Node) runElection() {
 
 // stand moves this node from epoch from to the next with its own vote,
 // persisted before any peer is asked, and returns that epoch. It returns
-// 0 when the epoch moved since the pre-vote, or within LeaseTimeout of
+// 0 when the epoch moved since the pre-vote; within LeaseTimeout of
 // granting its vote to another candidate, which gets that long to win
-// and heartbeat (Raft's election timer, reset by a grant).
+// and heartbeat (Raft's election timer, reset by a grant); and within
+// LeaseTimeout of its newest stamp's arrival, however its stream ended,
+// so that it never stands while a lease it renewed can hold.
 func (n *Node) stand(from uint64) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.epoch != from || time.Since(n.grantedAt) < n.cfg.LeaseTimeout {
+	if n.epoch != from || time.Since(n.grantedAt) < n.cfg.LeaseTimeout || time.Since(n.stampAt) < n.cfg.LeaseTimeout {
 		return 0, nil
 	}
 	e := n.epoch + 1
@@ -177,13 +183,12 @@ func (n *Node) handleElection(bw *bufio.Writer, m *Message) {
 		}
 	}
 	resp := &Message{
-		Type:    MsgPollResp,
-		Epoch:   n.epoch,
-		Granted: grant,
-		PrimaryLive: n.role == RolePrimary ||
-			(n.primaryRpl != "" && !n.lastHBAt.IsZero() && time.Since(n.lastHBAt) < n.cfg.LeaseTimeout),
-		KVAddr:   n.primaryKV,
-		ReplAddr: n.primaryRpl,
+		Type:        MsgPollResp,
+		Epoch:       n.epoch,
+		Granted:     grant,
+		PrimaryLive: n.role == RolePrimary || time.Since(n.stampAt) < n.cfg.LeaseTimeout,
+		KVAddr:      n.primaryKV,
+		ReplAddr:    n.primaryRpl,
 	}
 	n.mu.Unlock()
 	writeMsg(bw, resp)

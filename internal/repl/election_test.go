@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"nztm/internal/kv"
 	"nztm/internal/server"
 	"nztm/internal/tm"
+	"nztm/internal/trace"
 	"nztm/internal/wal"
 )
 
@@ -776,25 +778,15 @@ func TestCatchUpInstallsThePrimarysContainer(t *testing.T) {
 	caughtUp(t, p, nodes...)
 
 	f.crash()
-	// Under load the big frame can take longer to reach the follower than
-	// the commit gate waits, failing the ack; the commit stands either
-	// way, so wait for the follower instead. Heartbeats queue behind the
-	// frame, so wait for the lease too.
-	c.Put("big", bytes.Repeat([]byte("b"), snapshotChunkBytes+1<<10))
-	caughtUp(t, p, nodes[1])
-	waitLease(t, p)
+	// The big frame crosses in stamped chunks, so the lease holds while it
+	// does and the writes after it are acked at once.
+	if _, err := c.Put("big", bytes.Repeat([]byte("b"), chunkBytes+1<<10)); err != nil {
+		t.Fatal(err)
+	}
 	putKeys(t, c, 10, 20)
+	seal(t, p) // the log drops every frame f lacks
 	th := p.b.NewThread()
 	defer th.Close()
-	for s := 0; s < p.store.Shards(); s++ { // seal every shard: the log drops every frame f lacks
-		lsn, keys, err := p.store.SnapshotShard(th, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.store.WAL().Snapshot(s, lsn, keys); err != nil {
-			t.Fatal(err)
-		}
-	}
 	f = f.reboot(t)
 	waitFor(t, 10*time.Second, "the follower to catch up", func() bool {
 		return f.matched() && f.node.AppliedTotal() >= p.node.AppliedTotal()
@@ -824,9 +816,501 @@ func TestCatchUpInstallsThePrimarysContainer(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: %d bytes differ from the primary's %d-byte container", filepath.Base(path), len(got), len(want))
 		}
-		chunked = chunked || len(got) > snapshotChunkBytes
+		chunked = chunked || len(got) > chunkBytes
 	}
 	if !chunked {
 		t.Error("no container crossed in more than one chunk")
+	}
+}
+
+// seal snapshots every shard of tn into its log, which drops the frames
+// the snapshots cover.
+func seal(t *testing.T, tn *testNode) {
+	t.Helper()
+	th := tn.b.NewThread()
+	defer th.Close()
+	for s := 0; s < tn.store.Shards(); s++ {
+		lsn, keys, err := tn.store.SnapshotShard(th, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.store.WAL().Snapshot(s, lsn, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCatchUpReadsWaitForTheInstall: a follower's one shard ends in a
+// frame no primary holds, at an LSN below what the primary's log
+// reaches back to, so the primary cannot tell the frame from its own:
+// it catches the shard up with a snapshot, which replaces the frame.
+// Until that snapshot is installed the follower serves no read, or it
+// could return the frame's value. The snapshot crosses a slow link in
+// chunks; the follower reads the frame's key all the while.
+func TestCatchUpReadsWaitForTheInstall(t *testing.T) {
+	var slow atomic.Bool
+	nodes, _, _ := startCluster(t, 3, func(i int, o *nodeOpts) {
+		o.shards = 1
+		o.leaseTimeout = time.Second // a chunk crosses the slow link inside it
+		if i == 2 {
+			throttle(o, 4<<20, &slow)
+		}
+	})
+	p, f := nodes[0], nodes[2]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putKeys(t, c, 0, 5)
+	caughtUp(t, p, nodes...)
+
+	f.crash()
+	offline(t, f, func(st *kv.Store, th *tm.Thread) {
+		st.SetEpoch(p.node.Epoch())
+		if _, err := st.Do(th, []kv.Op{{Kind: kv.OpPut, Key: "x", Value: []byte("lost")}}, kv.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := c.Put("big", bytes.Repeat([]byte("b"), 4*chunkBytes)); err != nil {
+		t.Fatal(err)
+	}
+	putKeys(t, c, 5, 10)
+	caughtUp(t, p, nodes[1])
+	// Sealed and restarted, neither log knows the epoch at the
+	// follower's LSN any more.
+	for i := range 2 {
+		seal(t, nodes[i])
+		nodes[i].crash()
+	}
+	for i := range 2 {
+		nodes[i] = nodes[i].reboot(t)
+	}
+	leasedPrimary(t, nodes[:2]...)
+
+	slow.Store(true)
+	f = f.reboot(t)
+	cf, err := server.Dial(f.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	reads := 0
+	for f.node.Stats().SnapshotsLoaded.Load() == 0 {
+		// A read the follower cannot serve yet waits out MaxReadWait and
+		// fails.
+		r, err := cf.Get("x")
+		if err == nil && r.Found {
+			t.Fatalf("the follower served x = %q before its catch-up snapshot was installed", r.Value)
+		}
+		reads++
+	}
+	if reads < 2 {
+		t.Fatalf("the snapshot was installed after %d reads: the link is too fast to test anything", reads)
+	}
+	waitFor(t, 10*time.Second, "the follower's reads", f.matched)
+	if r, err := cf.Get("x"); err != nil || r.Found {
+		t.Errorf("after the catch-up, x reads found=%v %q (%v), want not found", r.Found, r.Value, err)
+	}
+}
+
+// slowConn reads at rate bytes a second while it has bytes to read,
+// and saves up no credit while it has none.
+type slowConn struct {
+	net.Conn
+	rate int
+	next time.Time // when the bytes read so far are paid for
+}
+
+func (c *slowConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b[:min(len(b), 64<<10)])
+	if now := time.Now(); c.next.Before(now) {
+		c.next = now
+	}
+	c.next = c.next.Add(time.Duration(n) * time.Second / time.Duration(c.rate))
+	time.Sleep(time.Until(c.next))
+	return n, err
+}
+
+// throttle makes the connections o dials while slow is set read at rate
+// bytes a second.
+func throttle(o *nodeOpts, rate int, slow *atomic.Bool) {
+	dial := o.dial
+	o.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := dial(network, addr, timeout)
+		if err != nil || !slow.Load() {
+			return c, err
+		}
+		return &slowConn{Conn: c, rate: rate}, nil
+	}
+}
+
+// split blocks traffic both ways between every node of a and every node
+// of b.
+func split(t *testing.T, parts []*fault.Partitions, addrs []string, a, b []int) {
+	t.Helper()
+	for _, i := range a {
+		for _, j := range b {
+			if err := parts[i].Block(addrs[j], "both"); err != nil {
+				t.Fatal(err)
+			}
+			if err := parts[j].Block(addrs[i], "both"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestBigFrameCrossesUnderTheLease: the one follower reads through a
+// link that needs longer than LeaseTimeout to carry one frame, a value
+// of 15 chunks. The frame crosses in stamped chunks, each acked as it
+// lands, so the follower's stream never breaks and the primary's lease,
+// which rests on that follower alone, never lapses. (The write itself
+// may outlast the commit gate's wait; the commit stands either way.)
+func TestBigFrameCrossesUnderTheLease(t *testing.T) {
+	const lease = 2 * time.Second
+	var slow atomic.Bool
+	slow.Store(true)
+	nodes, _, _ := startCluster(t, 2, func(i int, o *nodeOpts) {
+		o.leaseTimeout = lease
+		if i == 1 {
+			throttle(o, 6<<20, &slow) // the value takes 2.5 s
+		}
+	})
+	p, f := nodes[0], nodes[1]
+	waitLease(t, p)
+	subs := p.node.Stats().Subscribes.Load()
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var samples, lapses int
+	var oldest time.Duration // the oldest acked stamp the lease rested on
+	start, before := time.Now(), p.node.AppliedTotal()
+	go c.Put("big", bytes.Repeat([]byte("b"), 15*chunkBytes))
+	waitFor(t, 30*time.Second, "the follower to apply the big write", func() bool {
+		p.node.mu.Lock()
+		defer p.node.mu.Unlock()
+		samples++
+		if !p.node.leaseHeldLocked() {
+			lapses++
+		}
+		for sub := range p.node.subs {
+			oldest = max(oldest, time.Duration(trace.Now()-sub.stamp))
+		}
+		return p.node.AppliedTotal() > before && f.node.AppliedTotal() == p.node.AppliedTotal()
+	})
+	took := time.Since(start)
+	if took < lease {
+		t.Fatalf("the follower applied the big write in %v, under the lease (%v): the link is too fast to test anything", took, lease)
+	}
+	if lapses > 0 {
+		t.Errorf("the primary's lease lapsed in %d of %d samples while the frame crossed in %v (oldest acked stamp %v)",
+			lapses, samples, took, oldest)
+	}
+	if got := p.node.Stats().Subscribes.Load() - subs; got != 0 {
+		t.Errorf("the follower subscribed %d more times while the frame crossed", got)
+	}
+	t.Logf("the frame crossed in %v; oldest acked stamp %v", took, oldest)
+}
+
+// TestCatchUpPastMaxFrame: a follower that missed two writes of 9 MiB
+// catches up on one subscription. Together the two frames are over the
+// transport's server.MaxFrame, so they must not cross as one message.
+// The primary reads a whole frame off its log before it sends a chunk of
+// it, which under the race detector takes longer than the tests' usual
+// 120 ms lease: the lease here is 1 s.
+func TestCatchUpPastMaxFrame(t *testing.T) {
+	nodes, _, _ := startCluster(t, 3, func(i int, o *nodeOpts) { o.leaseTimeout = time.Second })
+	p, f := nodes[0], nodes[2]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	f.crash()
+	for _, key := range []string{"bigA", "bigB"} {
+		// The write may outlast the commit gate's wait (under the race
+		// detector); the commit stands either way.
+		c.Put(key, bytes.Repeat([]byte(key[3:]), 9<<20))
+	}
+	subs := p.node.Stats().Subscribes.Load()
+	f = f.reboot(t)
+	waitFor(t, 30*time.Second, "the follower to catch up", func() bool {
+		return f.matched() && f.node.AppliedTotal() >= p.node.AppliedTotal()
+	})
+	if got := p.node.Stats().Subscribes.Load() - subs; got != 1 {
+		t.Errorf("the follower caught up after %d subscriptions, want 1", got)
+	}
+}
+
+// resetConn is a connection whose reads fail with ECONNRESET once reset
+// is set, and whose Close then leaves the socket open for a while, as
+// if the peer's FIN were lost in a partition.
+type resetConn struct {
+	net.Conn
+	reset *atomic.Bool
+}
+
+func (c resetConn) Read(b []byte) (int, error) {
+	reset := &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
+	if c.reset.Load() {
+		return 0, reset
+	}
+	n, err := c.Conn.Read(b)
+	if c.reset.Load() { // the reset came while the read was in flight
+		return 0, reset
+	}
+	return n, err
+}
+
+func (c resetConn) Close() error {
+	if c.reset.Load() {
+		time.AfterFunc(3*time.Second, func() { c.Conn.Close() })
+		return nil
+	}
+	return c.Conn.Close()
+}
+
+// TestStandingWaitsOutTheLease is the schedule that elected a second
+// primary under a live lease: on 5 nodes with a 1 s lease, nodes 3 and
+// 4 are cut off from the primary, node 0, long enough that its lease
+// rests on nodes 1 and 2. Then node 1 is cut off from nodes 0 and 2,
+// and its stream ends with a reset while its socket stays open, so node
+// 0 keeps counting node 1's last ack. Node 1 must not stand until the
+// lease it renewed has run out: once it has won with nodes 3 and 4 and
+// acked a write, a tokened read on node 0 must not return the old value.
+func TestStandingWaitsOutTheLease(t *testing.T) {
+	const lease = time.Second
+	var cut atomic.Bool // node 1 is cut off from nodes 0 and 2
+	nodes, addrs, parts := startCluster(t, 5, func(i int, o *nodeOpts) {
+		o.leaseTimeout = lease
+		if i == 1 {
+			dial, from := o.dial, o.peers[:2] // nodes 0 and 2
+			o.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				if cut.Load() {
+					if slices.Contains(from, addr) {
+						return nil, &net.OpError{Op: "dial", Net: network, Err: fault.ErrPartitioned}
+					}
+					return dial(network, addr, timeout)
+				}
+				c, err := dial(network, addr, timeout)
+				if err != nil {
+					return nil, err
+				}
+				return resetConn{c, &cut}, nil
+			}
+		}
+	})
+	p := nodes[0]
+	waitLease(t, p)
+	c0, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	if _, err := c0.Put("k00", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp(t, p, nodes...)
+
+	split(t, parts, addrs, []int{3, 4}, []int{0})
+	time.Sleep(3 * lease / 2)
+	waitLease(t, p) // on nodes 1 and 2
+	// Node 1's own dials and its open stream are cut by its dialer: a
+	// partition on its side would only silence the stream.
+	for _, i := range []int{0, 2} {
+		if err := parts[i].Block(addrs[1], "both"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut.Store(true)
+
+	np := nodes[1]
+	waitFor(t, 10*time.Second, "node 1's lease", func() bool {
+		np.node.mu.Lock()
+		defer np.node.mu.Unlock()
+		return np.node.role == RolePrimary && np.node.leaseHeldLocked()
+	})
+	c1, err := server.Dial(np.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	st := &server.Staleness{MaxLagMs: server.NoLagBudget}
+	if _, _, status, msg, err := c1.DoVec([]kv.Op{{Kind: kv.OpPut, Key: "k00", Value: []byte("new")}}, st); err != nil || status != server.StatusOKVec {
+		t.Fatalf("write on node 1: status=%d msg=%q err=%v", status, msg, err)
+	}
+	rs, _, status, msg, err := c0.DoVec([]kv.Op{{Kind: kv.OpGet, Key: "k00"}}, st)
+	if err == nil && status == server.StatusOKVec && string(rs[0].Value) == "old" {
+		role, e := p.state()
+		t.Errorf("node 0 (%v at epoch %d) served k00 = old after node 1 acked k00 = new at epoch %d (%s)",
+			role, e, np.node.Epoch(), msg)
+	}
+}
+
+// TestReadOfAnOlderEpochsFrameIsKept is Raft's Figure 8 (USENIX ATC
+// 2014, §5.4.2) on 5 nodes with one shard. A frame of epoch 1, kF = F,
+// reaches node 1 alone; a primary of epoch 2 writes kG at the same LSN
+// on its own log and dies. Node 1 then leads (at the parent, with the
+// newest history), streams kF to a majority and reads it back. If that
+// read is acknowledged, kF must survive what follows: its primary dies,
+// and the epoch 2 primary returns.
+func TestReadOfAnOlderEpochsFrameIsKept(t *testing.T) {
+	nodes, addrs, parts := startCluster(t, 5, func(i int, o *nodeOpts) { o.shards = 1 })
+	heal := func() {
+		for _, pt := range parts {
+			pt.HealAll()
+		}
+	}
+	// writeOn sends a PUT to tn that is admitted under its lease but can
+	// reach no quorum, and waits until tn has committed it.
+	writeOn := func(tn *testNode, key string) {
+		t.Helper()
+		c, err := server.Dial(tn.kvLn.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		applied := tn.node.AppliedTotal()
+		go c.Put(key, []byte(key[1:]))
+		waitFor(t, 5*time.Second, "the write "+key+" committed on node "+fmt.Sprint(tn.id), func() bool {
+			return tn.node.AppliedTotal() > applied
+		})
+	}
+	others := func(skip ...*testNode) []*testNode {
+		var rest []*testNode
+		for _, tn := range nodes {
+			if !slices.Contains(skip, tn) {
+				rest = append(rest, tn)
+			}
+		}
+		return rest
+	}
+
+	p := nodes[0]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putKeys(t, c, 0, 5)
+	caughtUp(t, p, nodes...)
+
+	// kF = F reaches node 1 alone.
+	split(t, parts, addrs, []int{0, 1}, []int{2, 3, 4})
+	writeOn(p, "kF")
+	caughtUp(t, p, nodes[1])
+	p.crash()
+
+	// A primary of epoch 2 among nodes 2, 3 and 4 commits kG alone.
+	p2 := leasedPrimary(t, nodes[2:]...)
+	rest := others(nodes[0], nodes[1], p2)
+	caughtUp(t, p2, rest...)
+	ids := []int{rest[0].id, rest[1].id}
+	split(t, parts, addrs, []int{p2.id}, ids)
+	writeOn(p2, "kG")
+	p2.crash()
+
+	// Healed, the other three elect a primary; read kF there.
+	heal()
+	live := others(nodes[0], p2)
+	p3 := leasedPrimary(t, live...)
+	c3, err := server.Dial(p3.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	r, err := c3.Get("kF")
+	readF := err == nil && r.Found && string(r.Value) == "F"
+	epoch3 := p3.node.Epoch()
+
+	// Its primary dies and the epoch 2 primary returns.
+	p3.crash()
+	nodes[p2.id] = p2.reboot(t)
+	last := leasedPrimary(t, others(nodes[0], p3)...)
+	cl, err := server.Dial(last.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	r, err = cl.Get("kF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readF && (!r.Found || string(r.Value) != "F") {
+		t.Errorf("node %d acked a read of kF = F at epoch %d; node %d, primary at epoch %d, holds kF = %q (found %v)",
+			p3.id, epoch3, last.id, last.node.Epoch(), r.Value, r.Found)
+	}
+}
+
+// TestReseedAcksRenewTheLeaseAlone: a diverged follower is re-seeded
+// over a slow link, one stamped chunk at a time. Each chunk's ack renews
+// the primary's lease, but until the re-seed is done the acks carry no
+// applied vector: the diverged state must never count towards a commit.
+func TestReseedAcksRenewTheLeaseAlone(t *testing.T) {
+	var slow atomic.Bool
+	nodes, _, _ := startCluster(t, 5, func(i int, o *nodeOpts) {
+		o.leaseTimeout = time.Second // three chunks cross the slow link inside it
+		if i == 1 {
+			throttle(o, 4<<20, &slow)
+		}
+	})
+	p, f := nodes[0], nodes[1]
+	waitLease(t, p)
+	c, err := server.Dial(p.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for s := 0; s < 4; s++ { // about 2 MiB of snapshots to cross
+		if _, err := c.Put(fmt.Sprint("big", s), bytes.Repeat([]byte{'b'}, chunkBytes/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	caughtUp(t, p, nodes...)
+
+	f.crash()
+	offline(t, f, func(st *kv.Store, th *tm.Thread) {
+		st.SetEpoch(p.node.Epoch())
+		if _, err := st.Do(th, []kv.Op{{Kind: kv.OpPut, Key: "x", Value: []byte("lost")}}, kv.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	p.kill()
+	np := leasedPrimary(t, nodes[2:]...)
+	slow.Store(true)
+	f = f.reboot(t)
+	stamps := map[uint64]bool{}
+	waitFor(t, 20*time.Second, "the follower's re-seed", func() bool {
+		var counted []uint64
+		np.node.mu.Lock()
+		for sub := range np.node.subs {
+			if sub.nodeID == f.id && sub.stamp != 0 {
+				counted = slices.Clone(sub.ackedVec)
+				if len(counted) == 0 {
+					stamps[sub.stamp] = true
+				}
+			}
+		}
+		np.node.mu.Unlock()
+		if !f.matched() { // read after the primary's view: the re-seed's last ack follows matched
+			if len(counted) > 0 {
+				t.Fatalf("the primary counts the applied vector %v of a follower mid-re-seed", counted)
+			}
+			return false
+		}
+		return f.node.AppliedTotal() >= np.node.AppliedTotal()
+	})
+	if got := f.node.Stats().SnapshotsLoaded.Load(); got != uint64(f.opts.shards) {
+		t.Errorf("the follower loaded %d snapshots, want a re-seed of all %d shards", got, f.opts.shards)
+	}
+	if len(stamps) < 2 {
+		t.Errorf("the primary saw %d stamps acked during the re-seed, want one a chunk", len(stamps))
 	}
 }

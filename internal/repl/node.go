@@ -52,11 +52,11 @@ type Config struct {
 	// Peers lists every OTHER node's replication address (for the
 	// quorum and discovery).
 	Peers []string
-	// HeartbeatEvery is the primary's lease-renewal period (default
-	// 50ms).
+	// HeartbeatEvery is how long an idle stream goes before the primary
+	// sends an empty, stamped message (default 50ms).
 	HeartbeatEvery time.Duration
-	// LeaseTimeout is how long a follower waits without a heartbeat
-	// before calling an election (default 5 × HeartbeatEvery).
+	// LeaseTimeout is how long a follower waits after its newest stamp
+	// before it stands for election (default 5 × HeartbeatEvery).
 	LeaseTimeout time.Duration
 	// MaxReadWait bounds how long a bounded-staleness read may block
 	// waiting for the replica to catch up before StatusLagging (default
@@ -120,12 +120,16 @@ type Node struct {
 	matched bool
 	stopped bool
 	subs    map[*subState]struct{}
-	ackLat  map[int]*metrics.Histogram // per-follower ship→ack latency, by node id
+	ackLat  map[int]*metrics.Histogram // per-follower stamp→ack round trip, by node id
+
+	// startLSN is shard 0's LSN of the frame promote wrote at this
+	// node's epoch: the gate releases nothing until quorum followers
+	// hold it.
+	startLSN uint64
 
 	// Follower staleness accounting.
-	lastHBTotal uint64    // primary's stable total at the last heartbeat
-	lastHBAt    time.Time // when that heartbeat arrived
-	freshAsOf   time.Time // newest heartbeat time whose total we have applied
+	stampAt   time.Time // when the newest stamp arrived: until LeaseTimeout after it, this node neither stands nor calls the primary dead
+	freshAsOf time.Time // arrival of the newest stamp whose stable vector we have applied
 }
 
 // subState is the primary's view of one subscribed follower.
@@ -134,24 +138,9 @@ type subState struct {
 	remote      string
 	ackedVec    []uint64
 	ackedTotal  uint64
-	hbStamp     uint64    // send stamp (trace.Now()) of the newest heartbeat it acked; 0 = none
+	stamp       uint64    // newest send stamp (trace.Now()) it acked; 0 = none
 	behindSince time.Time // zero while caught up
-	// pending rings the stream totals of recently shipped batches with
-	// their ship time (guarded by n.mu, bounded — see sendFrames), so an
-	// ack covering a total yields that batch's round-trip latency.
-	pending []ackMark
 }
-
-// ackMark is one shipped batch awaiting acknowledgement.
-type ackMark struct {
-	total uint64 // follower's applied total once this batch lands
-	at    uint64 // trace.Now() at ship time
-}
-
-// maxPendingAcks bounds each follower's ship-time ring; a follower so
-// far behind that the ring fills simply loses latency samples for the
-// overflowed batches.
-const maxPendingAcks = 128
 
 // ackTimeout bounds a commit-gate wait; on expiry the request fails with
 // its outcome unknown.
@@ -341,11 +330,12 @@ func writeDurable(dir, name, data string) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	defer d.Close()
+	return d.Sync()
 }
 
 // beginReseed durably marks a re-seed incomplete, with the history the
@@ -433,14 +423,38 @@ func (n *Node) stepDownLocked(why string) {
 }
 
 // promote makes this node the primary at epoch e, whose vote it won: it
-// stood at e (stand), and the epoch has not moved since.
+// stood at e (stand), and the epoch has not moved since. It first
+// commits one frame at e, empty, on shard 0 (Raft's no-op entry, USENIX
+// ATC 2014, §5.4.2): the gate releases nothing until quorum followers
+// hold it, so no read is acknowledged on an older epoch's frame that a
+// later primary could still overwrite (DESIGN §13.3). The store is
+// fenced first, so no write admitted while this node led before races it.
+// Whether e still stands is asked before the frame and again after, so
+// only an epoch that moves during the write leaves the frame behind.
 func (n *Node) promote(e uint64) {
+	standing := func() bool { return !n.stopped && n.epoch == e && n.role != RolePrimary } // under n.mu
 	n.mu.Lock()
-	if n.stopped || n.epoch != e || n.role == RolePrimary {
+	ok := standing()
+	n.mu.Unlock()
+	if !ok {
+		return
+	}
+	err := n.store.Fence(n.stop)
+	lsn := n.store.AppliedVector()[0] + 1
+	if err == nil {
+		err = n.store.ApplyFrame(n.applyTh, &wal.Frame{Epoch: e, Shards: []wal.ShardLSN{{Shard: 0, LSN: lsn}}})
+	}
+	if err != nil {
+		n.cfg.Logf("repl: node %d: commit the frame of epoch %d: %v", n.cfg.NodeID, e, err)
+		return
+	}
+	n.mu.Lock()
+	if !standing() {
 		n.mu.Unlock()
 		return
 	}
 	n.store.SetEpoch(e) // before any write is admitted: every frame from here on is e's
+	n.startLSN = lsn
 	n.role = RolePrimary
 	n.primaryKV, n.primaryRpl = n.cfg.KVAddr, n.cfg.Advertise
 	n.stats.IsPrimary.Store(1)
@@ -480,7 +494,7 @@ func (n *Node) run() {
 		if err := n.log.Degraded(); role == RolePrimary && err != nil {
 			// A primary whose log stopped can commit nothing more: step
 			// down at this epoch so a follower with a working log is
-			// elected. Followers ack every heartbeat, so this runs within
+			// elected. Followers ack every message, so this runs within
 			// one heartbeat of the stop.
 			n.stepDownLocked(fmt.Sprintf("stepped down at epoch %d: its log stopped: %v", n.epoch, err))
 			n.broadcastLocked()
@@ -531,7 +545,7 @@ func (n *Node) primaryProbe() {
 	held := n.leaseHeldLocked()
 	n.mu.Unlock()
 	if held {
-		return // a quorum is acking our heartbeats; nobody can elect past us
+		return // a quorum is acking our stamps; nobody can elect past us
 	}
 	n.stats.StepdownProbes.Add(1)
 
@@ -555,19 +569,21 @@ func (n *Node) primaryProbe() {
 }
 
 // leaseHeldLocked reports whether the primary's lease holds: at least
-// quorum followers have acked a heartbeat this node sent less than
-// LeaseTimeout minus the drift margin ago, by its own monotonic clock.
-// A follower stands for election, or tells a candidate the primary is
-// dead, only once LeaseTimeout has passed since it received its last
-// heartbeat, so while the lease holds no majority can elect past this
-// node. Followers ack every heartbeat, so a lapse means isolation or a
-// dead quorum, never idleness. Callers hold n.mu.
+// quorum followers have acked a stream message this node stamped less
+// than LeaseTimeout minus the drift margin ago, by its own monotonic
+// clock. A follower stands for election, or tells a candidate the
+// primary is dead, only once LeaseTimeout has passed since its newest
+// stamp arrived (stand, handleElection), however its stream ended, so
+// while the lease holds no majority can elect past this node. Followers
+// ack every message and an idle stream still carries heartbeats, so a
+// lapse means isolation, a dead quorum or a link too slow for one chunk
+// per lease, never idleness. Callers hold n.mu.
 func (n *Node) leaseHeldLocked() bool {
 	window := uint64(n.cfg.LeaseTimeout - n.cfg.LeaseTimeout/leaseDrift)
 	now := trace.Now()
 	fresh := 0
 	for sub := range n.subs {
-		if sub.hbStamp != 0 && now-sub.hbStamp < window {
+		if sub.stamp != 0 && now-sub.stamp < window {
 			fresh++
 		}
 	}
@@ -616,9 +632,9 @@ func (n *Node) followOnce() {
 // un-tokened reads serve immediately from local state; a staleness
 // token blocks — up to MaxReadWait — until the applied vector covers
 // the token's read-your-writes vector AND the replica has confirmed
-// (via a primary heartbeat no older than the lag budget) that its
-// applied state was complete at that moment. A lag budget of 0 ms
-// therefore forces a post-read-arrival heartbeat: the strictest bound a
+// (via a primary stamp no older than the lag budget) that its applied
+// state was complete at that moment. A lag budget of 0 ms therefore
+// forces a post-read-arrival stamp: the strictest bound a
 // replica can offer. On expiry the read is refused with StatusLagging
 // and the client falls back to the primary.
 func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
@@ -640,7 +656,7 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 		if n.role == RolePrimary {
 			if (hasWrite || st != nil) && !n.leaseHeldLocked() {
 				// Zombie-primary fence: a primary without a quorum of fresh
-				// heartbeat acks may already be deposed on the other side of
+				// stamp acks may already be deposed on the other side of
 				// a partition. Acking a write here could be split-brain;
 				// serving a tokened read could violate read-your-writes
 				// against the new epoch's history. Refuse both before they
@@ -649,7 +665,7 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 				n.mu.Unlock()
 				n.stats.LeaseRefusals.Add(1)
 				return server.StatusLagging, fmt.Sprintf(
-					"primary lease lapsed: fewer than %d followers acked a heartbeat within the lease interval (partitioned?)", n.quorum)
+					"primary lease lapsed: fewer than %d followers acked a stamp within the lease interval (partitioned?)", n.quorum)
 			}
 			n.mu.Unlock()
 			return server.StatusOK, ""
@@ -683,7 +699,6 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 			fresh = !n.freshAsOf.IsZero() && !n.freshAsOf.Before(start.Add(-budget))
 		}
 		ch := n.waitCh
-		lagTotal := n.lastHBTotal
 		n.mu.Unlock()
 
 		covered := len(st.Vector) == 0 || coversSparse(n.store.AppliedVector(), st.Vector)
@@ -693,16 +708,17 @@ func (n *Node) CheckRequest(ops []kv.Op, st *server.Staleness) (uint8, string) {
 		now := time.Now()
 		if !now.Before(deadline) {
 			return server.StatusLagging, fmt.Sprintf(
-				"replica lagging: covered=%v fresh=%v primary_total=%d after %v",
-				covered, fresh, lagTotal, now.Sub(start).Round(time.Millisecond))
+				"replica lagging: covered=%v fresh=%v lag_frames=%d after %v",
+				covered, fresh, n.stats.LagFrames.Load(), now.Sub(start).Round(time.Millisecond))
 		}
 		n.park(ch, deadline.Sub(now))
 	}
 }
 
 // commitGate is the store's acknowledgement gate (installed at Start).
-// Writes on the primary wait until quorum followers report the commit
-// vector applied; a node that is no longer primary fails writes
+// Requests on the primary wait until quorum followers report the commit
+// vector applied, and with it the frame promote wrote at this node's
+// epoch; a node that is no longer primary fails writes
 // outright (the fencing half of failover safety) and releases a read
 // only while a primary's handshake has matched its log; the read's
 // staleness contract is CheckRequest's job. A read admitted while this
@@ -731,7 +747,7 @@ func (n *Node) commitGate(vec []wal.ShardLSN, wrote bool) error {
 		}
 		acked := 0
 		for sub := range n.subs {
-			if coversSparse(sub.ackedVec, vec) {
+			if len(sub.ackedVec) > 0 && sub.ackedVec[0] >= n.startLSN && coversSparse(sub.ackedVec, vec) {
 				acked++
 			}
 		}
@@ -791,7 +807,7 @@ func coversSparse(applied []uint64, vec []wal.ShardLSN) bool {
 // WriteMetricsz appends the replication Prometheus series: the node's
 // identity and role, the counter block (commit-gate waits and timeouts
 // among it), and — on the primary — the per-follower lag gauges and
-// ship→ack latency histograms.
+// stamp→ack round-trip histograms.
 func (n *Node) WriteMetricsz(w io.Writer) {
 	type followerRow struct {
 		id         int
@@ -814,8 +830,8 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 			if !sub.behindSince.IsZero() {
 				r.lagMs = now.Sub(sub.behindSince).Milliseconds()
 			}
-			if sub.hbStamp != 0 {
-				r.sinceAckMs = time.Duration(stamp - sub.hbStamp).Milliseconds()
+			if sub.stamp != 0 {
+				r.sinceAckMs = time.Duration(stamp - sub.stamp).Milliseconds()
 			}
 			rows = append(rows, r)
 		}
@@ -837,7 +853,7 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	for _, r := range rows {
 		metrics.Gauge(w, "nztm_repl_follower_lag_ms", float64(r.lagMs), "follower", strconv.Itoa(r.id))
 	}
-	metrics.Head(w, "nztm_repl_follower_since_ack_ms", "gauge", "age of the newest heartbeat the follower acked (the lease counts these)")
+	metrics.Head(w, "nztm_repl_follower_since_ack_ms", "gauge", "age of the newest send stamp the follower acked (the lease counts these)")
 	for _, r := range rows {
 		metrics.Gauge(w, "nztm_repl_follower_since_ack_ms", float64(r.sinceAckMs), "follower", strconv.Itoa(r.id))
 	}
@@ -850,7 +866,7 @@ func (n *Node) WriteMetricsz(w io.Writer) {
 	if !hasAck {
 		return
 	}
-	metrics.Head(w, "nztm_repl_follower_ack_seconds", "histogram", "batch ship to ack round-trip per follower")
+	metrics.Head(w, "nztm_repl_follower_ack_seconds", "histogram", "round trip from a stream message's send stamp to the follower's ack echoing it")
 	for _, r := range rows {
 		if r.h != nil {
 			r.h.WriteHistSamples(w, "nztm_repl_follower_ack_seconds", 1e-9, "follower", strconv.Itoa(r.id))

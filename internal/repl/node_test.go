@@ -7,6 +7,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -241,7 +242,7 @@ func waitPrimary(t testing.TB, tn *testNode) {
 }
 
 // waitLease blocks until tn is the primary and its lease holds: a
-// quorum of its followers has acked a fresh heartbeat, so it accepts
+// quorum of its followers has acked a fresh stamp, so it accepts
 // writes.
 func waitLease(t testing.TB, tn *testNode) {
 	t.Helper()
@@ -298,6 +299,11 @@ type fakeFollower struct {
 // subscribeFake subscribes a fake follower (node id 9, 4 empty shards)
 // to the primary at addr.
 func subscribeFake(t *testing.T, addr string, epoch uint64) *fakeFollower {
+	return subscribeFakeAs(t, addr, epoch, 9)
+}
+
+// subscribeFakeAs subscribes a fake follower with node id id.
+func subscribeFakeAs(t *testing.T, addr string, epoch uint64, id uint16) *fakeFollower {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -305,31 +311,27 @@ func subscribeFake(t *testing.T, addr string, epoch uint64) *fakeFollower {
 	}
 	t.Cleanup(func() { conn.Close() })
 	f := &fakeFollower{br: server.NewBufReader(conn), bw: server.NewBufWriter(conn)}
-	if err := writeMsg(f.bw, &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: 9,
+	if err := writeMsg(f.bw, &Message{Type: MsgSubscribe, Epoch: epoch, NodeID: id,
 		Vector: make([]uint64, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-// heartbeat reads past frames to the next heartbeat.
-func (f *fakeFollower) heartbeat() (*Message, error) {
-	for {
-		m, _, err := readMsg(f.br, nil)
-		if err != nil || m.Type == MsgHeartbeat {
-			return m, err
-		}
-	}
+// next reads the next stream message; every one carries a stamp.
+func (f *fakeFollower) next() (*Message, error) {
+	m, _, err := readMsg(f.br, nil)
+	return m, err
 }
 
-// ack acks hb: it echoes hb's send stamp and claims hb's stable vector
+// ack acks m: it echoes m's send stamp and claims m's stable vector
 // applied.
-func (f *fakeFollower) ack(epoch uint64, hb *Message) error {
-	return writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: hb.Stamp, Vector: hb.Vector})
+func (f *fakeFollower) ack(epoch uint64, m *Message) error {
+	return writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: m.Stamp, Vector: m.Vector})
 }
 
-// echo acks every heartbeat until stop closes; the returned channel
-// closes when it has stopped.
+// echo acks every stream message until stop closes; the returned
+// channel closes when it has stopped.
 func (f *fakeFollower) echo(epoch uint64, stop <-chan struct{}) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
@@ -340,8 +342,8 @@ func (f *fakeFollower) echo(epoch uint64, stop <-chan struct{}) <-chan struct{} 
 				return
 			default:
 			}
-			hb, err := f.heartbeat()
-			if err != nil || f.ack(epoch, hb) != nil {
+			m, err := f.next()
+			if err != nil || f.ack(epoch, m) != nil {
 				return
 			}
 		}
@@ -443,7 +445,7 @@ func TestDeposedPrimaryIsFenced(t *testing.T) {
 	waitPrimary(t, n0)
 
 	// One peer makes a quorum of one: its grant won node 0 the boot
-	// election, and a fake follower acks every heartbeat, so the primary
+	// election, and a fake follower acks every message, so the primary
 	// holds its lease and the write below passes the commit gate.
 	epoch := n0.node.Epoch()
 	f := subscribeFake(t, r0, epoch)
@@ -548,7 +550,7 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 					return
 				}
 				// Establish epoch 7, then ship frames stamped epoch 3.
-				hb := &Message{Type: MsgHeartbeat, Epoch: 7, KVAddr: "127.0.0.1:1", Vector: make([]uint64, 4)}
+				hb := &Message{Type: MsgAppend, Epoch: 7, Vector: make([]uint64, 4)}
 				if err := writeMsg(bw, hb); err != nil {
 					return
 				}
@@ -559,8 +561,7 @@ func TestFollowerFencesStaleEpochSender(t *testing.T) {
 					Shards: []wal.ShardLSN{{Shard: 0, LSN: 1}},
 					Ops:    []wal.Op{{Shard: 0, Key: "poison", Val: []byte("x")}},
 				})
-				if err := writeMsg(bw, &Message{Type: MsgFrames, Epoch: 3,
-					Frames: [][]byte{frame}}); err != nil {
+				if err := writeMsg(bw, &Message{Type: MsgAppend, Epoch: 3, Data: frame}); err != nil {
 					return
 				}
 				resp, _, err := readMsg(br, nil)
@@ -859,10 +860,10 @@ func TestQuorumLeaseFencesMinorityPrimary(t *testing.T) {
 }
 
 // TestLeaseCountsFromHeartbeatSend pins the lease's clock: it runs from
-// the send stamp of the heartbeat an ack echoes, not from the ack's
-// arrival. A fake follower acks its first heartbeat half a lease late
+// the send stamp of the message an ack echoes, not from the ack's
+// arrival. A fake follower acks its first message half a lease late
 // and never again; a lease counted from the ack would still hold at
-// 1.25 leases after that heartbeat.
+// 1.25 leases after that message was sent.
 func TestLeaseCountsFromHeartbeatSend(t *testing.T) {
 	const lease = 400 * time.Millisecond
 	r0 := pickAddr(t)
@@ -874,7 +875,7 @@ func TestLeaseCountsFromHeartbeatSend(t *testing.T) {
 	waitPrimary(t, n0)
 	epoch := n0.node.Epoch()
 	f := subscribeFake(t, r0, epoch)
-	hb, err := f.heartbeat()
+	hb, err := f.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -885,7 +886,7 @@ func TestLeaseCountsFromHeartbeatSend(t *testing.T) {
 	}
 	go func() { // drain the stream without acking
 		for {
-			if _, err := f.heartbeat(); err != nil {
+			if _, err := f.next(); err != nil {
 				return
 			}
 		}
@@ -900,11 +901,122 @@ func TestLeaseCountsFromHeartbeatSend(t *testing.T) {
 	_, _, status, msg, err := c.DoVec([]kv.Op{{Kind: kv.OpGet, Key: "a"}},
 		&server.Staleness{MaxLagMs: server.NoLagBudget})
 	if err != nil || status != server.StatusLagging {
-		t.Fatalf("tokened read 1.25 leases after the only acked heartbeat: status=%d msg=%q err=%v, want StatusLagging",
+		t.Fatalf("tokened read 1.25 leases after the only acked stamp: status=%d msg=%q err=%v, want StatusLagging",
 			status, msg, err)
 	}
 	if n0.node.Stats().LeaseRefusals.Load() == 0 {
 		t.Fatal("no lease refusal counted")
+	}
+}
+
+// TestGateWaitsForTheEpochsFrame: a new primary's first frame is an
+// empty one at its own epoch, and the gate releases nothing, not even a
+// read whose vector a quorum covers, until a quorum holds that frame.
+func TestGateWaitsForTheEpochsFrame(t *testing.T) {
+	r0 := pickAddr(t)
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{losingPeer(t)}})
+	waitPrimary(t, n0)
+	epoch := n0.node.Epoch()
+	f := subscribeFake(t, r0, epoch)
+	m, err := f.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := m.Vector[0]
+	if e, ok := n0.store.WAL().EpochAt(0, start); start == 0 || !ok || e != epoch {
+		t.Fatalf("shard 0's newest frame, at %d, is of epoch %d (known %v), want the promotion's %d", start, e, ok, epoch)
+	}
+
+	read := []wal.ShardLSN{{Shard: 1, LSN: 3}}
+	behind := slices.Clone(m.Vector)
+	behind[0], behind[1] = start-1, 3
+	if err := writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: m.Stamp, Vector: behind}); err != nil {
+		t.Fatal(err)
+	}
+	gated := make(chan error, 1)
+	go func() { gated <- n0.node.commitGate(read, false) }()
+	select {
+	case err := <-gated:
+		t.Fatalf("the gate answered %v before the follower held the epoch's frame", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	behind[0] = start
+	if err := writeMsg(f.bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: m.Stamp, Vector: behind}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-gated; err != nil {
+		t.Fatalf("the gate failed a read the follower covers: %v", err)
+	}
+}
+
+// TestStreamKeepsTwoChunksInFlight: a primary sends a message with data
+// only once the follower has acked the one two before it, so a stamp
+// never queues behind more than one chunk. A follower that acks nothing
+// gets two such messages, and one more per ack. While its pass waits, a
+// write commits through a second follower: the held message must carry
+// it in its stable vector, which is read as the message is stamped, for
+// the follower takes a stamp whose vector it holds for proof that its
+// state is complete as of the stamp's arrival.
+func TestStreamKeepsTwoChunksInFlight(t *testing.T) {
+	r0 := pickAddr(t)
+	n0 := startNode(t, 0, nodeOpts{replAddr: r0, peers: []string{losingPeer(t), losingPeer(t)}})
+	waitPrimary(t, n0)
+	epoch := n0.node.Epoch()
+	stop := make(chan struct{})
+	defer close(stop)
+	subscribeFakeAs(t, r0, epoch, 8).echo(epoch, stop) // the quorum of one
+	waitLease(t, n0)
+	c, err := server.Dial(n0.kvLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Put(fmt.Sprint("big", i), bytes.Repeat([]byte{'b'}, chunkBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := subscribeFake(t, r0, epoch)
+	got := make(chan *Message, 16)
+	go func() {
+		for {
+			m, err := f.next()
+			if err != nil {
+				return
+			}
+			if len(m.Data) > 0 {
+				got <- m
+			}
+		}
+	}()
+	var sent []*Message
+	for len(sent) < 2 {
+		select {
+		case m := <-got:
+			sent = append(sent, m)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d messages with data arrived, want 2", len(sent))
+		}
+	}
+	select {
+	case <-got:
+		t.Fatal("a third message with data arrived before the first was acked")
+	case <-time.After(200 * time.Millisecond):
+	}
+	if _, err := c.Put("w", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	want := n0.store.WAL().StableVector()
+	if err := f.ack(epoch, sent[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if sumVec(m.Vector) < sumVec(want) {
+			t.Errorf("a message sent after a write committed carries the stable vector %v, which lacks the write's %v", m.Vector, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no third message with data after the first was acked")
 	}
 }
 
@@ -1072,7 +1184,7 @@ func TestRestartedPrimaryLeadsWithItsLog(t *testing.T) {
 		defer p.mu.Unlock()
 		acking := 0
 		for sub := range p.subs {
-			if sub.hbStamp != 0 {
+			if sub.stamp != 0 {
 				acking++
 			}
 		}

@@ -18,10 +18,15 @@
 // primary's history with one (LSN, epoch) pair per shard, and one that
 // cannot is re-seeded from snapshots. Snapshots travel the way frames
 // do: as the checksummed container the primary's WAL encodes, which the
-// follower's WAL writes as received. A primary acknowledges a write
-// only after a majority applied it and a candidate needs a majority's
-// votes, each granted only to a log at least as new as the voter's
-// (§5.4.1), so the winner holds every acknowledged write.
+// follower's WAL writes as received. The stream has one message,
+// MsgAppend: at most a chunk of those container bytes under the
+// primary's send stamp and stable vector, so every message renews the
+// lease and an empty one is the heartbeat (Raft's empty AppendEntries,
+// §5.2). A primary acknowledges a write only after a majority applied
+// it, and a read only after a majority holds a frame of its own epoch;
+// a candidate needs a majority's votes, each granted only to a log at
+// least as new as the voter's (§5.4.1), so the winner holds every
+// acknowledged write and every acknowledged read's history.
 package repl
 
 import (
@@ -51,24 +56,22 @@ const (
 	// address, and per shard the follower's applied LSN (where to resume)
 	// with the epoch that wrote it (whether it can resume there at all).
 	MsgSubscribe MsgType = 1
-	// MsgFrames ships a batch of encoded WAL frame containers, in merged
-	// stream order.
-	MsgFrames MsgType = 2
-	// MsgHeartbeat renews the primary's lease and carries its stable
-	// vector for staleness accounting, its monotonic send stamp for the
-	// followers' acks to echo, and its client address (so followers can
-	// redirect writes).
-	MsgHeartbeat MsgType = 3
-	// MsgSnapshot ships one chunk of a shard's snapshot container, the
-	// bytes the primary's WAL encodes (shard, LSN, the epoch that wrote
-	// it, keys, checksum): the primary truncated past the follower's
-	// position, or it re-seeds every shard of a follower whose log is off
-	// its own (the re-seed flag). The last chunk is flagged; the follower
-	// installs the container its chunks make up.
-	MsgSnapshot MsgType = 4
+	// MsgAppend is the primary's one stream message: the send stamp
+	// (trace.Now()) for the follower's ack to echo, the stable vector
+	// read with it, and up to chunkBytes of WAL container bytes.
+	// Those are frame containers back to back in stream order, a frame's
+	// tail perhaps in the next message, each applied once it is whole;
+	// or, flagged Snapshot, a chunk of one shard's snapshot container
+	// (shard, LSN, the epoch that wrote it, keys, checksum), installed at
+	// the chunk flagged Last. A snapshot ships when the primary truncated
+	// past the follower's position, or, flagged Reseed, for every shard
+	// of a follower whose log is off its own. An empty message is the
+	// heartbeat.
+	MsgAppend MsgType = 2
 	// MsgAck reports a follower's applied vector back to the primary —
-	// the semi-synchronous acknowledgement signal — and echoes the send
-	// stamp of the newest heartbeat the follower has received.
+	// the semi-synchronous acknowledgement signal, empty until the stream
+	// has placed the follower on the primary's history — and echoes the
+	// send stamp of the newest MsgAppend the follower has received.
 	MsgAck MsgType = 5
 	// MsgReject refuses a message or a subscription: fencing (stale
 	// epoch) or redirection (not primary, with the primary's addresses).
@@ -101,11 +104,10 @@ const (
 const (
 	// maxShards bounds a dense vector.
 	maxShards = 1 << 10
-	// maxBatch bounds the frames in one MsgFrames.
-	maxBatch = 1 << 12
-	// snapshotChunkBytes bounds one MsgSnapshot chunk, well under the
-	// transport's server.MaxFrame.
-	snapshotChunkBytes = 4 << 20
+	// chunkBytes bounds the container bytes of one MsgAppend, well under
+	// the transport's server.MaxFrame: a stamp waits behind at most the
+	// connection's buffers and one chunk (DESIGN §13.3).
+	chunkBytes = 1 << 20
 	// maxStr bounds an encoded string (addresses, reject messages).
 	maxStr = 1 << 12
 )
@@ -119,21 +121,20 @@ type Message struct {
 	Epoch uint64
 
 	NodeID uint16 // subscribe, poll, vote
-	KVAddr string // subscribe + heartbeat (sender's), reject + pollresp (primary's)
+	KVAddr string // subscribe (sender's), reject + pollresp (primary's)
 
 	Total  uint64   // poll, vote: the candidate's applied total
-	Stamp  uint64   // heartbeat: primary's send stamp (trace.Now()); ack: the newest one received
-	Vector []uint64 // subscribe, heartbeat, ack: dense per-shard LSNs
+	Stamp  uint64   // append: primary's send stamp (trace.Now()); ack: the newest one received
+	Vector []uint64 // subscribe, append (stable), ack (applied): dense per-shard LSNs
 	Epochs []uint64 // subscribe: per shard, the epoch that wrote Vector's LSN
 
 	LastEpoch uint64 // poll, vote: the epoch of the candidate's newest frame
 	Granted   bool   // pollresp: the vote is (or, for a poll, would be) granted
 
-	Frames [][]byte // frames: encoded wal frame containers
-
-	Reseed bool   // snapshot: part of a re-seed of every shard
-	Last   bool   // snapshot: final chunk, install now
-	Data   []byte // snapshot: one chunk of a wal snapshot container
+	Snapshot bool   // append: Data is a chunk of a snapshot container, not frames
+	Reseed   bool   // append: the snapshot is one shard of a re-seed of every shard
+	Last     bool   // append: the snapshot's final chunk, install now
+	Data     []byte // append: up to chunkBytes of wal container bytes
 
 	Code     uint8  // reject
 	Text     string // reject: human-readable detail
@@ -178,23 +179,13 @@ func EncodeMessage(b []byte, m *Message) ([]byte, error) {
 		b = appendStr(b, m.KVAddr)
 		b = appendDense(b, m.Vector)
 		b = appendDense(b, m.Epochs)
-	case MsgFrames:
-		if len(m.Frames) > maxBatch {
-			return nil, fmt.Errorf("repl: %d frames in one batch (max %d)", len(m.Frames), maxBatch)
+	case MsgAppend:
+		if len(m.Data) > chunkBytes {
+			return nil, fmt.Errorf("repl: %d-byte chunk (max %d)", len(m.Data), chunkBytes)
 		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(m.Frames)))
-		for _, f := range m.Frames {
-			b = binary.BigEndian.AppendUint32(b, uint32(len(f)))
-			b = append(b, f...)
-		}
-	case MsgHeartbeat:
 		b = binary.BigEndian.AppendUint64(b, m.Stamp)
-		b = appendStr(b, m.KVAddr)
 		b = appendDense(b, m.Vector)
-	case MsgSnapshot:
-		if len(m.Data) > snapshotChunkBytes {
-			return nil, fmt.Errorf("repl: %d-byte snapshot chunk (max %d)", len(m.Data), snapshotChunkBytes)
-		}
+		b = appendBool(b, m.Snapshot)
 		b = appendBool(b, m.Reseed)
 		b = appendBool(b, m.Last)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Data)))
@@ -342,48 +333,23 @@ func ParseMessage(payload []byte) (*Message, error) {
 		if m.Epochs, err = d.dense(); err != nil {
 			return nil, err
 		}
-	case MsgFrames:
-		n, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > maxBatch {
-			return nil, errMsg
-		}
-		m.Frames = make([][]byte, 0, n)
-		for i := 0; i < int(n); i++ {
-			fl, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			raw, err := d.bytes(int(fl))
-			if err != nil {
-				return nil, err
-			}
-			m.Frames = append(m.Frames, append([]byte(nil), raw...))
-		}
-	case MsgHeartbeat:
+	case MsgAppend:
 		if m.Stamp, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if m.KVAddr, err = d.str(); err != nil {
 			return nil, err
 		}
 		if m.Vector, err = d.dense(); err != nil {
 			return nil, err
 		}
-	case MsgSnapshot:
-		if m.Reseed, err = d.boolean(); err != nil {
-			return nil, err
-		}
-		if m.Last, err = d.boolean(); err != nil {
-			return nil, err
+		for _, f := range []*bool{&m.Snapshot, &m.Reseed, &m.Last} {
+			if *f, err = d.boolean(); err != nil {
+				return nil, err
+			}
 		}
 		n, err := d.u32()
 		if err != nil {
 			return nil, err
 		}
-		if n > snapshotChunkBytes {
+		if n > chunkBytes {
 			return nil, errMsg
 		}
 		raw, err := d.bytes(int(n))

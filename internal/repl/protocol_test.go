@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,19 +10,25 @@ import (
 	"nztm/internal/wal"
 )
 
-// sampleMessages covers every message type with representative fields.
+// sampleMessages covers every message type with representative fields,
+// and the stream message in each of its shapes: a heartbeat, frames, a
+// full-size chunk, a split frame's last chunk and snapshot chunks.
 func sampleMessages() []*Message {
+	frame := wal.EncodeFrame(nil, &wal.Frame{Epoch: 3, Shards: []wal.ShardLSN{{Shard: 1, LSN: 7}},
+		Ops: []wal.Op{{Shard: 1, Key: "k", Val: []byte("v")}}})
 	return []*Message{
 		{Type: MsgSubscribe, Epoch: 3, NodeID: 2, KVAddr: "127.0.0.1:4100",
 			Vector: []uint64{12, 0, 7, 9}, Epochs: []uint64{3, 0, 2, 3}},
 		{Type: MsgSubscribe, Epoch: 1, NodeID: 0, KVAddr: "", Vector: nil},
-		{Type: MsgFrames, Epoch: 9, Frames: [][]byte{{1, 2, 3}, {}, {0xff}}},
-		{Type: MsgFrames, Epoch: 9, Frames: nil},
-		{Type: MsgHeartbeat, Epoch: 4, Stamp: 1722550000123, KVAddr: "10.0.0.8:4000",
-			Vector: []uint64{800, 12}},
-		{Type: MsgSnapshot, Epoch: 2, Reseed: true, Last: true, Data: []byte{0x2a, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 3}},
-		{Type: MsgSnapshot, Epoch: 2, Last: false, Data: nil},
+		{Type: MsgAppend, Epoch: 4, Stamp: 1722550000123, Vector: []uint64{800, 12}},
+		{Type: MsgAppend, Epoch: 9, Stamp: 5, Vector: []uint64{7, 0}, Data: append(slices.Clone(frame), frame...)},
+		{Type: MsgAppend, Epoch: 9, Stamp: 6, Vector: []uint64{7, 0}, Data: bytes.Repeat([]byte{0xa5}, chunkBytes)},
+		{Type: MsgAppend, Epoch: 9, Stamp: 7, Vector: []uint64{7, 0}, Data: frame[len(frame)-5:]},
+		{Type: MsgAppend, Epoch: 2, Stamp: 8, Snapshot: true, Reseed: true, Last: true,
+			Data: []byte{0x2a, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 3}},
+		{Type: MsgAppend, Epoch: 2, Stamp: 9, Vector: []uint64{1}, Snapshot: true, Last: false, Data: nil},
 		{Type: MsgAck, Epoch: 5, Stamp: 9000000123, Vector: []uint64{40, 2}},
+		{Type: MsgAck, Epoch: 5, Stamp: 9000000124}, // mid-re-seed: the stamp alone
 		{Type: MsgReject, Epoch: 8, Code: RejectNotPrimary, Text: "not primary",
 			KVAddr: "127.0.0.1:4100", ReplAddr: "127.0.0.1:4200"},
 		{Type: MsgReject, Epoch: 8, Code: RejectStaleEpoch, Text: "stale epoch 3 < 8"},
@@ -37,23 +44,12 @@ func sampleMessages() []*Message {
 func msgEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Epoch != b.Epoch || a.NodeID != b.NodeID ||
 		a.KVAddr != b.KVAddr || a.Total != b.Total || a.Stamp != b.Stamp ||
-		a.Reseed != b.Reseed || a.LastEpoch != b.LastEpoch ||
+		a.Snapshot != b.Snapshot || a.Reseed != b.Reseed || a.LastEpoch != b.LastEpoch ||
 		a.Granted != b.Granted || a.Last != b.Last || a.Code != b.Code || a.Text != b.Text ||
 		a.ReplAddr != b.ReplAddr || a.PrimaryLive != b.PrimaryLive {
 		return false
 	}
-	if !slices.Equal(a.Vector, b.Vector) || !slices.Equal(a.Epochs, b.Epochs) || !bytes.Equal(a.Data, b.Data) {
-		return false
-	}
-	if len(a.Frames) != len(b.Frames) {
-		return false
-	}
-	for i := range a.Frames {
-		if !bytes.Equal(a.Frames[i], b.Frames[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Vector, b.Vector) && slices.Equal(a.Epochs, b.Epochs) && bytes.Equal(a.Data, b.Data)
 }
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -101,6 +97,21 @@ func TestParseMessageRejectsDamage(t *testing.T) {
 	if _, err := ParseMessage([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("unknown type accepted")
 	}
+	// A chunk one byte over the limit: the encoder refuses it, and so
+	// does the parser when a sender writes one anyway.
+	over := &Message{Type: MsgAppend, Epoch: 1, Data: make([]byte, chunkBytes+1)}
+	if _, err := EncodeMessage(nil, over); err == nil {
+		t.Fatal("encoded a chunk over the limit")
+	}
+	enc, err := EncodeMessage(nil, &Message{Type: MsgAppend, Epoch: 1, Data: make([]byte, chunkBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenAt := len(enc) - chunkBytes - 4
+	binary.BigEndian.PutUint32(enc[lenAt:], chunkBytes+1)
+	if _, err := ParseMessage(append(enc, 0)); err == nil {
+		t.Fatal("parsed a chunk over the limit")
+	}
 }
 
 // FuzzReplFrame fuzzes the replication message decoder: every accepted
@@ -115,7 +126,7 @@ func FuzzReplFrame(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{byte(MsgFrames), 0, 0, 0, 0, 0, 0, 0, 1, 0, 2})
+	f.Add([]byte{byte(MsgAppend), 0, 0, 0, 0, 0, 0, 0, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := ParseMessage(payload)
 		if err != nil {

@@ -22,8 +22,8 @@ import (
 	"nztm/internal/wal"
 )
 
-// framesPerBatch caps one MsgFrames batch; small enough to interleave
-// heartbeats under sustained load, large enough to amortize flushes.
+// framesPerBatch caps the frames one MsgAppend carries, so a follower
+// acks at least once per that many frames it applies.
 const framesPerBatch = 64
 
 // acceptLoop owns the replication listener.
@@ -158,24 +158,14 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 		n.mu.Lock()
 		sub.ackedVec = append(sub.ackedVec[:0], m.Vector...)
 		sub.ackedTotal = total
-		if m.Stamp > sub.hbStamp && m.Stamp <= now {
-			sub.hbStamp = m.Stamp
-		}
-		if len(sub.pending) > 0 {
-			kept := sub.pending[:0]
-			for _, p := range sub.pending {
-				if p.total <= total {
-					h := n.ackLat[sub.nodeID]
-					if h == nil {
-						h = &metrics.Histogram{}
-						n.ackLat[sub.nodeID] = h
-					}
-					h.ObserveValue(now - p.at)
-				} else {
-					kept = append(kept, p)
-				}
+		if m.Stamp > sub.stamp && m.Stamp <= now {
+			sub.stamp = m.Stamp
+			h := n.ackLat[sub.nodeID]
+			if h == nil {
+				h = &metrics.Histogram{}
+				n.ackLat[sub.nodeID] = h
 			}
-			sub.pending = kept
+			h.ObserveValue(now - m.Stamp)
 		}
 		if total >= stableTotal {
 			sub.behindSince = time.Time{}
@@ -190,17 +180,19 @@ func (n *Node) readAcks(conn net.Conn, br *bufio.Reader, sub *subState, epoch ui
 // streamTo ships the log to one follower in file order, which the
 // log's admission rule already made a valid replication order: every
 // frame follows every earlier LSN of each of its shards, so every
-// follower's state is a prefix of one shared history. Before the
-// stream's first heartbeat the follower's state is made such a prefix
-// (see place): a follower with a pair off this log is re-seeded (every
-// shard's snapshot, flagged), and one with pairs below what this log
-// knows gets a catch-up snapshot of those shards. The first heartbeat
-// therefore tells the follower its state is on this history. Frames the
-// follower's vector already covers are skipped, frames past the durable
-// prefix wait, and a shard the log no longer reaches back far enough
-// for is caught up with a bootstrap snapshot. Heartbeats interleave on
-// a timer. Returns when the connection breaks, the node stops, or this
-// node is no longer the primary at epoch.
+// follower's state is a prefix of one shared history. Before anything
+// else the follower's state is made such a prefix (see place): a
+// follower with a pair off this log is re-seeded (every shard's
+// snapshot, flagged), and one with pairs below what this log knows gets
+// a catch-up snapshot of those shards. So the first message that is not
+// a snapshot chunk tells the follower its state is on this history.
+// Frames the follower's vector already covers are skipped, frames past
+// the durable prefix wait, and a shard the log no longer reaches back
+// far enough for is caught up with a bootstrap snapshot. Every message
+// carries its send stamp and the stable vector read with it; one goes
+// out empty when a heartbeat falls due with nothing else to send. A pass flushes once, when nothing more is ready. Returns when
+// the connection breaks, the node stops, or this node is no longer the
+// primary at epoch.
 func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint64, stale []int, reseed bool) error {
 	th := n.cfg.NewThread()
 	defer th.Close()
@@ -209,34 +201,51 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 	n.log.NotifyStable(notify)
 	defer n.log.StopNotify(notify)
 
-	sent := make([]uint64, n.store.Shards())
-	if !reseed {
-		copy(sent, m.Vector)
-		for _, s := range stale {
-			lsn, err := n.shipSnapshot(bw, th, s, epoch, false)
-			if err != nil {
+	var enc []byte
+	var inflight [2]uint64 // the stamps of the last two messages with data
+	send := func(msg *Message) error {
+		if len(msg.Data) > 0 {
+			// A third waits for the first's ack: a stamp queues behind at
+			// most one chunk, whatever the connection buffers.
+			if err := n.awaitAck(bw, sub, inflight[0]); err != nil {
 				return err
 			}
-			sent[s] = lsn
 		}
-	} else {
+		// The vector is read with the stamp: a write committed through
+		// other followers before this send is in it.
+		msg.Type, msg.Epoch, msg.Stamp, msg.Vector = MsgAppend, epoch, trace.Now(), n.log.StableVector()
+		if len(msg.Data) > 0 {
+			inflight = [2]uint64{inflight[1], msg.Stamp}
+		}
+		var err error
+		if enc, err = EncodeMessage(enc[:0], msg); err != nil {
+			return err
+		}
+		return server.WriteFrame(bw, enc)
+	}
+
+	sent := make([]uint64, n.store.Shards())
+	if reseed {
 		n.stats.Resyncs.Add(1)
 		n.cfg.Logf("repl: node %d: follower %d holds history off this log: re-seeding", n.cfg.NodeID, sub.nodeID)
-		for s := range sent {
-			lsn, err := n.shipSnapshot(bw, th, s, epoch, true)
-			if err != nil {
-				return err
-			}
-			sent[s] = lsn
+		stale = make([]int, len(sent))
+		for s := range stale {
+			stale[s] = s
 		}
+	} else {
+		copy(sent, m.Vector)
+	}
+	for _, s := range stale {
+		lsn, err := n.shipSnapshot(send, th, s, reseed)
+		if err != nil {
+			return err
+		}
+		sent[s] = lsn
 	}
 
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
-	if err := n.heartbeat(bw, epoch, n.log.StableVector()); err != nil {
-		return err
-	}
-	var stable []uint64
+	beat := true // the first pass sends at once, if only a heartbeat
 	var reader *wal.StreamReader
 	defer func() {
 		if reader != nil {
@@ -244,22 +253,33 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 		}
 	}()
 	var head wal.StreamEntry // Frame != nil: read, but past the durable prefix when last looked at
-	var batch [][]byte
-	var batchBytes int
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	var data []byte          // frame containers gathered for the next messages
+	frames := 0
+	ship := func() error {
+		for off := 0; off < len(data) || beat; {
+			chunk := data[off:min(len(data), off+chunkBytes)]
+			if len(chunk) == 0 {
+				n.stats.Heartbeats.Add(1)
+			}
+			if err := send(&Message{Data: chunk}); err != nil {
+				return err
+			}
+			off, beat = off+len(chunk), false
 		}
-		err := n.sendFrames(bw, sub, epoch, batch, batchBytes, sent)
-		batch, batchBytes = nil, 0
-		return err
+		if frames > 0 {
+			n.stats.FramesShipped.Add(uint64(frames))
+			n.stats.BytesShipped.Add(uint64(len(data)))
+			n.rec.Record(tm.Monotime(), trace.KindReplFrames, 0, uint64(frames), sumVec(sent))
+		}
+		data, frames = data[:0], 0
+		return nil
 	}
 
 	for {
 		if n.Epoch() != epoch || n.Role() != RolePrimary {
 			return errors.New("repl: deposed")
 		}
-		stable = n.log.StableVector()
+		stable := n.log.StableVector()
 		if reader == nil {
 			reader = n.log.OpenStream(sent)
 		}
@@ -291,10 +311,10 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			fresh := false
 			for _, sl := range vec {
 				if sl.LSN > sent[sl.Shard]+1 {
-					if err := flush(); err != nil {
+					if err := ship(); err != nil {
 						return err
 					}
-					lsn, err := n.shipSnapshot(bw, th, sl.Shard, epoch, false)
+					lsn, err := n.shipSnapshot(send, th, sl.Shard, false)
 					if err != nil {
 						return err
 					}
@@ -304,21 +324,19 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			}
 			if fresh {
 				for _, sl := range vec {
-					if sl.LSN > sent[sl.Shard] {
-						sent[sl.Shard] = sl.LSN
-					}
+					sent[sl.Shard] = max(sent[sl.Shard], sl.LSN)
 				}
-				batch = append(batch, append([]byte(nil), head.Raw...)) // Raw dies at the next read
-				batchBytes += len(head.Raw)
-				if len(batch) >= framesPerBatch {
-					if err := flush(); err != nil {
+				data = append(data, head.Raw...) // Raw dies at the next read
+				frames++
+				if frames == framesPerBatch || len(data) >= chunkBytes {
+					if err := ship(); err != nil {
 						return err
 					}
 				}
 			}
 			head = wal.StreamEntry{}
 		}
-		if err := flush(); err != nil {
+		if err := ship(); err != nil {
 			return err
 		}
 		if head.Frame == nil {
@@ -327,7 +345,7 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 			// history was truncated under a snapshot.
 			for s := range sent {
 				if sent[s] < stable[s] {
-					lsn, err := n.shipSnapshot(bw, th, s, epoch, false)
+					lsn, err := n.shipSnapshot(send, th, s, false)
 					if err != nil {
 						return err
 					}
@@ -335,13 +353,40 @@ func (n *Node) streamTo(bw *bufio.Writer, sub *subState, m *Message, epoch uint6
 				}
 			}
 		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
 
 		select {
 		case <-notify:
 		case <-hb.C:
-			if err := n.heartbeat(bw, epoch, n.log.StableVector()); err != nil {
-				return err
-			}
+			beat = true
+		case <-n.stop:
+			return errors.New("repl: node closed")
+		}
+	}
+}
+
+// awaitAck returns once the follower of sub has acked the message
+// stamped stamp (0: none), flushing the stream if it has to wait. It
+// fails once the subscription has ended or the node stops.
+func (n *Node) awaitAck(bw *bufio.Writer, sub *subState, stamp uint64) error {
+	for {
+		n.mu.Lock()
+		_, live := n.subs[sub]
+		acked, ch := sub.stamp >= stamp, n.waitCh
+		n.mu.Unlock()
+		if acked {
+			return nil
+		}
+		if !live {
+			return errors.New("repl: subscription ended")
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		select {
+		case <-ch:
 		case <-n.stop:
 			return errors.New("repl: node closed")
 		}
@@ -379,42 +424,11 @@ func (n *Node) place(lsns, epochs []uint64, shards int) (stale []int, reseed boo
 	return stale, false
 }
 
-// sendFrames ships one MsgFrames batch and records the bookkeeping,
-// including an ack mark — the (applied-total, send-time) pair readAcks
-// matches against the follower's acks to measure round-trip ack latency.
-func (n *Node) sendFrames(bw *bufio.Writer, sub *subState, epoch uint64, batch [][]byte, bytes int, sent []uint64) error {
-	if err := writeMsg(bw, &Message{Type: MsgFrames, Epoch: epoch, Frames: batch}); err != nil {
-		return err
-	}
-	n.stats.FramesShipped.Add(uint64(len(batch)))
-	n.stats.BytesShipped.Add(uint64(bytes))
-	total := sumVec(sent)
-	n.mu.Lock()
-	if len(sub.pending) < maxPendingAcks {
-		sub.pending = append(sub.pending, ackMark{total: total, at: trace.Now()})
-	}
-	n.mu.Unlock()
-	n.rec.Record(tm.Monotime(), trace.KindReplFrames, 0, uint64(len(batch)), total)
-	return nil
-}
-
-// heartbeat ships one lease renewal carrying the stable vector and its
-// send stamp, which the follower's acks echo back (leaseHeldLocked).
-func (n *Node) heartbeat(bw *bufio.Writer, epoch uint64, stable []uint64) error {
-	err := writeMsg(bw, &Message{
-		Type: MsgHeartbeat, Epoch: epoch, Stamp: trace.Now(), KVAddr: n.cfg.KVAddr, Vector: stable,
-	})
-	if err == nil {
-		n.stats.Heartbeats.Add(1)
-	}
-	return err
-}
-
 // shipSnapshot sends shard's snapshot container (wal.Log.SnapshotContainer,
-// which waits until the cut is durable) in MsgSnapshot chunks and
-// returns the cut LSN. reseed flags the chunks as one shard of a
-// re-seed.
-func (n *Node) shipSnapshot(bw *bufio.Writer, th *tm.Thread, shard int, epoch uint64, reseed bool) (uint64, error) {
+// which waits until the cut is durable) in chunks through the stream's
+// send and returns the cut LSN. reseed flags the chunks as one shard of
+// a re-seed.
+func (n *Node) shipSnapshot(send func(*Message) error, th *tm.Thread, shard int, reseed bool) (uint64, error) {
 	lsn, keys, err := n.store.SnapshotShard(th, shard)
 	if err != nil {
 		return 0, err
@@ -424,10 +438,9 @@ func (n *Node) shipSnapshot(bw *bufio.Writer, th *tm.Thread, shard int, epoch ui
 		return 0, err
 	}
 	for rest := container; len(rest) > 0; {
-		chunk := rest[:min(len(rest), snapshotChunkBytes)]
+		chunk := rest[:min(len(rest), chunkBytes)]
 		rest = rest[len(chunk):]
-		last := len(rest) == 0
-		if err := writeMsg(bw, &Message{Type: MsgSnapshot, Epoch: epoch, Reseed: reseed, Last: last, Data: chunk}); err != nil {
+		if err := send(&Message{Snapshot: true, Reseed: reseed, Last: len(rest) == 0, Data: chunk}); err != nil {
 			return 0, err
 		}
 	}

@@ -29,7 +29,9 @@ type Stats struct {
 	SnapshotsLoaded atomic.Uint64
 	// Subscribes counts follower subscriptions accepted.
 	Subscribes atomic.Uint64
-	// Heartbeats counts heartbeats sent (primary) or received (follower).
+	// Heartbeats counts heartbeats — stream messages stamped with no
+	// frames or snapshot bytes in them — sent (primary) or received
+	// (follower).
 	Heartbeats atomic.Uint64
 	// AcksSent counts applied-vector acks this node sent upstream.
 	AcksSent atomic.Uint64
@@ -58,11 +60,12 @@ type Stats struct {
 	// history off its log and re-seeded with every shard's snapshot; on a
 	// follower, re-seeds it began installing.
 	Resyncs atomic.Uint64
-	// LagFrames is the follower's LSN-total delta behind the primary's
-	// last advertised stable total (0 when caught up or primary).
+	// LagFrames is the follower's LSN-total delta behind the stable
+	// total of the newest stamp (0 when caught up or primary).
 	LagFrames atomic.Uint64
 	// LagMs is the follower's staleness in milliseconds: time since its
-	// applied state last covered a primary heartbeat (0 when primary).
+	// applied state last covered a stamp's stable vector on arrival (0
+	// when primary).
 	LagMs atomic.Uint64
 }
 

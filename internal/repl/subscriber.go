@@ -3,11 +3,10 @@ package repl
 // Follower side of the replication stream: subscribe to the primary
 // with the (LSN, epoch) pair of every shard, apply its frames through the
 // same transactional path recovery uses, install bootstrap and re-seed
-// snapshots, track staleness from heartbeats, ack applied vectors
-// upstream, and fence any stale-epoch sender.
+// snapshots, track staleness from the messages' stamps, ack each stamp
+// with the applied vector, and fence any stale-epoch sender.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"time"
@@ -55,10 +54,9 @@ func (n *Node) subscribe(addr string) error {
 		return err
 	}
 
-	var snap []byte                // the snapshot container whose chunks are arriving
+	var snap, frames []byte        // the snapshot container, and the frame containers, whose chunks are arriving
 	reseeded := make(map[int]bool) // shards this session's re-seed installed
-
-	var hbStamp uint64 // the newest heartbeat's send stamp, echoed in every ack
+	placed := false                // the stream put our state on the primary's history: acks carry the applied vector
 	var buf []byte
 	for {
 		select {
@@ -93,38 +91,29 @@ func (n *Node) subscribe(addr string) error {
 			n.mu.Unlock()
 		}
 
-		switch m.Type {
-		case MsgHeartbeat:
-			n.stats.Heartbeats.Add(1)
-			hbStamp = m.Stamp
-			total, stableTotal := n.appliedTotalLocked(), sumVec(m.Vector)
-			now := time.Now()
+		switch {
+		case m.Type == MsgReject && m.Code == RejectNotPrimary:
 			n.mu.Lock()
-			n.lastHBTotal = stableTotal
-			n.lastHBAt = now
-			if m.KVAddr != "" {
-				n.primaryKV = m.KVAddr
+			n.adoptEpochLocked(m.Epoch, m.KVAddr, m.ReplAddr)
+			if m.ReplAddr == "" && n.primaryRpl == addr {
+				// It doesn't know the primary either; forget it and elect.
+				n.primaryKV, n.primaryRpl = "", ""
 			}
-			if total >= stableTotal {
-				n.freshAsOf = now
-			}
-			if !n.reseeding {
-				// Re-seed snapshots precede a stream's first heartbeat, so a
-				// heartbeat without one means our pairs were on the primary's
-				// log: our state is a prefix of its history.
-				n.matched = true
-			}
-			n.updateLagLocked(total)
-			n.broadcastLocked()
 			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
-				return err
-			}
+			return fmt.Errorf("repl: %s is not the primary (hint %q)", addr, m.ReplAddr)
+		case m.Type == MsgReject:
+			return fmt.Errorf("repl: rejected by %s: code=%d %s", addr, m.Code, m.Text)
+		case m.Type != MsgAppend:
+			return fmt.Errorf("repl: unexpected message type %d on follower stream", m.Type)
+		}
+		arrived := time.Now()
+		applied := 0 // frames this message completed
 
-		case MsgSnapshot:
+		switch {
+		case m.Snapshot:
 			snap = append(snap, m.Data...)
 			if !m.Last {
-				continue
+				break
 			}
 			container := snap
 			snap = nil
@@ -142,22 +131,22 @@ func (n *Node) subscribe(addr string) error {
 				n.cfg.NodeID, sh, lsn, len(container), m.Reseed)
 			if m.Reseed {
 				reseeded[sh] = true
-				if len(reseeded) < len(lsns) {
-					continue // acked once whole: until then the log cannot prove the applied vector
+				if len(reseeded) == len(lsns) {
+					n.endReseed()
+					placed = true
 				}
-				n.endReseed()
 			}
-			n.mu.Lock()
-			n.broadcastLocked()
-			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
-				return err
-			}
-
-		case MsgFrames:
-			appliedCount := 0
-			for _, raw := range m.Frames {
-				f, _, err := wal.DecodeFrame(raw)
+		case len(m.Data) == 0:
+			n.stats.Heartbeats.Add(1)
+		default:
+			// Apply every frame the chunks so far complete; a frame's tail
+			// may still be on its way.
+			frames = append(frames, m.Data...)
+			for len(frames) > 0 {
+				f, size, err := wal.DecodeFrame(frames)
+				if errors.Is(err, wal.ErrTorn) {
+					break
+				}
 				if err != nil {
 					return fmt.Errorf("repl: decode shipped frame: %w", err)
 				}
@@ -167,58 +156,50 @@ func (n *Node) subscribe(addr string) error {
 					// our log afresh.
 					return fmt.Errorf("repl: apply shipped frame: %w", err)
 				}
-				appliedCount++
+				frames = frames[size:]
+				applied++
 			}
-			n.stats.FramesApplied.Add(uint64(appliedCount))
-			total := n.appliedTotalLocked()
-			n.rec.Record(tm.Monotime(), trace.KindReplFrames, uint64(n.cfg.NodeID), uint64(appliedCount), total)
-			n.mu.Lock()
-			if total >= n.lastHBTotal && !n.lastHBAt.IsZero() {
-				n.freshAsOf = n.lastHBAt
-			}
-			n.updateLagLocked(total)
-			n.broadcastLocked()
-			n.mu.Unlock()
-			if err := n.sendAck(bw, epoch, hbStamp); err != nil {
-				return err
-			}
-
-		case MsgReject:
-			if m.Code == RejectNotPrimary {
-				n.mu.Lock()
-				n.adoptEpochLocked(m.Epoch, m.KVAddr, m.ReplAddr)
-				if m.ReplAddr == "" && n.primaryRpl == addr {
-					// It doesn't know the primary either; forget it and elect.
-					n.primaryKV, n.primaryRpl = "", ""
-				}
-				n.mu.Unlock()
-				return fmt.Errorf("repl: %s is not the primary (hint %q)", addr, m.ReplAddr)
-			}
-			return fmt.Errorf("repl: rejected by %s: code=%d %s", addr, m.Code, m.Text)
-
-		default:
-			return fmt.Errorf("repl: unexpected message type %d on follower stream", m.Type)
+			n.stats.FramesApplied.Add(uint64(applied))
 		}
-	}
-}
 
-// sendAck reports the follower's applied vector upstream, echoing the
-// send stamp of the newest heartbeat it has received (the primary's
-// lease counts from it).
-func (n *Node) sendAck(bw *bufio.Writer, epoch, hbStamp uint64) error {
-	err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: hbStamp, Vector: n.store.AppliedVector()})
-	if err == nil {
+		// A message that is no snapshot chunk tells us our pairs were on
+		// the primary's log, and that every shard it had to replace is in
+		// (streamTo sends re-seeds and catch-up snapshots first): our state
+		// is a prefix of its history. Each stamp's stable vector was read
+		// as it was sent, so once it is applied our state is fresh as of
+		// the stamp's arrival; frames are applied only as a stamp arrives.
+		vec := n.store.AppliedVector()
+		total, stableTotal := sumVec(vec), sumVec(m.Vector)
+		if applied > 0 {
+			n.rec.Record(tm.Monotime(), trace.KindReplFrames, uint64(n.cfg.NodeID), uint64(applied), total)
+		}
+		n.mu.Lock()
+		n.stampAt = arrived
+		if !m.Snapshot && !n.reseeding {
+			placed, n.matched = true, true
+		}
+		if placed && total >= stableTotal {
+			n.freshAsOf = arrived
+		}
+		n.updateLagLocked(total, stableTotal)
+		n.broadcastLocked()
+		n.mu.Unlock()
+		if !placed {
+			vec = nil // the ack renews the lease and counts for no commit
+		}
+		if err := writeMsg(bw, &Message{Type: MsgAck, Epoch: epoch, Stamp: m.Stamp, Vector: vec}); err != nil {
+			return err
+		}
 		n.stats.AcksSent.Add(1)
 	}
-	return err
 }
 
 // updateLagLocked refreshes the follower's exported lag gauges from its
-// applied total and the last heartbeat. Callers hold n.mu.
-func (n *Node) updateLagLocked(appliedTotal uint64) {
+// applied total and the newest stamp's stable total. Callers hold n.mu.
+func (n *Node) updateLagLocked(appliedTotal, stableTotal uint64) {
 	var frames uint64
-	if n.lastHBTotal > appliedTotal {
-		frames = n.lastHBTotal - appliedTotal
+	if stableTotal > appliedTotal {
+		frames = stableTotal - appliedTotal
 	}
 	n.stats.LagFrames.Store(frames)
 	if n.freshAsOf.IsZero() {
