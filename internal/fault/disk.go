@@ -175,10 +175,10 @@ func (st *DiskStats) Injected() uint64 {
 // injection visits before arming draw nothing from the streams, keeping
 // post-arm schedules seed-deterministic regardless of recovery I/O.
 type Disk struct {
-	cfg   DiskConfig
-	inner wal.FS
-	armed atomic.Bool
-	kill  func() // SIGKILL self; swappable so tests survive a kill site
+	wal.FS // the inner filesystem: what no site decorates passes straight through
+	cfg    DiskConfig
+	armed  atomic.Bool
+	kill   func() // SIGKILL self; swappable so tests survive a kill site
 
 	mu      sync.Mutex
 	streams [DiskSiteCount]*stream
@@ -195,7 +195,7 @@ func NewDiskFS(cfg DiskConfig, inner wal.FS) *Disk {
 	if cfg.Output == nil {
 		cfg.Output = os.Stderr
 	}
-	d := &Disk{cfg: cfg, inner: inner, kill: killSelf}
+	d := &Disk{FS: inner, cfg: cfg, kill: killSelf}
 	for i := range d.streams {
 		d.streams[i] = newStream(cfg.Seed, 0xd15c+uint64(i))
 	}
@@ -274,7 +274,7 @@ func (d *Disk) OpenFile(name string, flag int, perm iofs.FileMode) (wal.File, er
 	if d.hit(DiskOpen) {
 		return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EIO}
 	}
-	f, err := d.inner.OpenFile(name, flag, perm)
+	f, err := d.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,7 @@ func (d *Disk) Open(name string) (wal.File, error) {
 	if d.hit(DiskOpen) {
 		return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EIO}
 	}
-	f, err := d.inner.Open(name)
+	f, err := d.FS.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +296,7 @@ func (d *Disk) CreateTemp(dir, pattern string) (wal.File, error) {
 	if d.hit(DiskOpen) {
 		return nil, &os.PathError{Op: "createtemp", Path: dir, Err: syscall.EIO}
 	}
-	f, err := d.inner.CreateTemp(dir, pattern)
+	f, err := d.FS.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -308,23 +308,13 @@ func (d *Disk) Rename(oldpath, newpath string) error {
 	if d.hit(DiskRename) {
 		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: syscall.EIO}
 	}
-	return d.inner.Rename(oldpath, newpath)
+	return d.FS.Rename(oldpath, newpath)
 }
 
 func (d *Disk) Remove(name string) error {
 	d.die(DiskKillBeforeRemove)
-	return d.inner.Remove(name)
+	return d.FS.Remove(name)
 }
-
-func (d *Disk) Truncate(name string, s int64) error        { return d.inner.Truncate(name, s) }
-func (d *Disk) MkdirAll(p string, m iofs.FileMode) error   { return d.inner.MkdirAll(p, m) }
-func (d *Disk) ReadDir(name string) ([]os.DirEntry, error) { return d.inner.ReadDir(name) }
-func (d *Disk) ReadFile(name string) ([]byte, error)       { return d.inner.ReadFile(name) }
-func (d *Disk) WriteFile(name string, b []byte, m iofs.FileMode) error {
-	return d.inner.WriteFile(name, b, m)
-}
-func (d *Disk) Stat(name string) (os.FileInfo, error) { return d.inner.Stat(name) }
-func (d *Disk) Glob(pattern string) ([]string, error) { return d.inner.Glob(pattern) }
 
 // diskFile decorates one open file with write/read/sync injection and
 // the write kill sites.

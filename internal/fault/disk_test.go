@@ -332,7 +332,7 @@ func TestDiskKillSitesDisarmed(t *testing.T) {
 		if _, err := f.Write([]byte("ab")); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		if err := d.WriteFile(filepath.Join(dir, "g"), []byte("x"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "g"), []byte("x"), 0o644); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
 		if err := d.Rename(filepath.Join(dir, "g"), filepath.Join(dir, "h")); err != nil {

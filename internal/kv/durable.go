@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -82,6 +83,9 @@ type durState struct {
 	// the batches between that check and their frame's admission.
 	fenced  atomic.Bool
 	writers atomic.Int64
+	// installs counts the snapshot installs that replaced a shard's
+	// state (LoadShardSnapshot); see finish.
+	installs atomic.Uint64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -198,6 +202,7 @@ type commitRec struct {
 	to      uint64        // the value setSeq stores
 	setSeq  func(tm.Data) // stores to into a sequencer; made once per record
 	writer  bool          // holds one of durState.writers until its frame is in the log
+	install uint64        // durState.installs before the transaction ran
 }
 
 func newCommitRec(shards int) *commitRec {
@@ -333,6 +338,13 @@ func (d *durState) finish(r *commitRec, committed bool, sp *trace.Span) ([]wal.S
 			return nil, fmt.Errorf("kv: commit gate: %w", err)
 		}
 		sp.Mark(trace.StageReplGate)
+	}
+	// A snapshot install since the transaction may have replaced what it
+	// observed: a re-seed takes back a diverged tail, and the gate, once
+	// the re-seed has matched the node again, would release a result read
+	// from it. Such a request fails with its outcome unknown.
+	if d.installs.Load() != r.install {
+		return nil, errors.New("kv: a snapshot install replaced the state the request observed")
 	}
 	return vec, nil
 }

@@ -311,6 +311,7 @@ func (s *Store) DoSpan(th *tm.Thread, ops []Op, budget Budget, sp *trace.Span) (
 		if writes && !s.dur.enterWrite(rec) {
 			return nil, nil, ErrFenced
 		}
+		rec.install = s.dur.installs.Load()
 	}
 	body := func(tx tm.Tx) error {
 		st.attempt++

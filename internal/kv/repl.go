@@ -166,8 +166,10 @@ func (s *Store) ApplyFrame(th *tm.Thread, f *wal.Frame) error {
 // belongs to a re-seed: the follower's log holds a tail the primary's
 // does not, so the WAL drops its whole segment chain and every shard is
 // replaced. Outside a re-seed a snapshot below the shard's position is
-// refused with wal.ErrSnapshotBehind before anything changes. The
-// follower's apply goroutine is the only permitted caller.
+// refused with wal.ErrSnapshotBehind before anything changes. A request
+// whose transaction ran before the install fails rather than answer
+// from the state it replaced. The follower's apply goroutine is the
+// only permitted caller.
 func (s *Store) LoadShardSnapshot(th *tm.Thread, container []byte, reseed bool) (int, uint64, error) {
 	if s.dur == nil {
 		return 0, 0, errors.New("kv: LoadShardSnapshot on a memory-only store")
@@ -208,6 +210,9 @@ func (s *Store) LoadShardSnapshot(th *tm.Thread, container []byte, reseed bool) 
 	if err != nil {
 		return 0, 0, err
 	}
+	// After the commit: a request that observed the replaced state loaded
+	// the count before it, and fails in finish.
+	d.installs.Add(1)
 	return shard, lsn, d.log.InstallSnapshot(container, reseed)
 }
 

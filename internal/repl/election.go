@@ -87,10 +87,7 @@ func (n *Node) runElection() {
 		return // a majority holds a newer log: one of its members stands
 	}
 
-	e, err := n.stand(epoch)
-	if err != nil {
-		n.cfg.Logf("repl: node %d: persist own vote: %v", n.cfg.NodeID, err)
-	}
+	e := n.stand(epoch)
 	if e == 0 {
 		return
 	}
@@ -118,25 +115,26 @@ func (n *Node) runElection() {
 
 // stand moves this node from epoch from to the next with its own vote,
 // persisted before any peer is asked, and returns that epoch. It returns
-// 0 when the epoch moved since the pre-vote; within LeaseTimeout of
+// 0 when the epoch moved since the pre-vote; when the vote could not be
+// persisted (the log has stopped); within LeaseTimeout of
 // granting its vote to another candidate, which gets that long to win
 // and heartbeat (Raft's election timer, reset by a grant); and within
 // LeaseTimeout of its newest stamp's arrival, however its stream ended,
 // so that it never stands while a lease it renewed can hold.
-func (n *Node) stand(from uint64) (uint64, error) {
+func (n *Node) stand(from uint64) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.epoch != from || time.Since(n.grantedAt) < n.cfg.LeaseTimeout || time.Since(n.stampAt) < n.cfg.LeaseTimeout {
-		return 0, nil
+		return 0
 	}
 	e := n.epoch + 1
-	if err := n.persistEpoch(e, n.cfg.NodeID); err != nil {
-		return 0, err
+	if !n.persistEpoch(e, n.cfg.NodeID) {
+		return 0
 	}
 	n.epoch, n.votedFor = e, n.cfg.NodeID
 	n.stats.Epoch.Store(e)
 	n.broadcastLocked()
-	return e, nil
+	return e
 }
 
 // historyLocked returns the epoch of this node's newest frame and its
@@ -173,13 +171,10 @@ func (n *Node) handleElection(bw *bufio.Writer, m *Message) {
 		switch {
 		case m.Epoch != n.epoch || n.votedFor >= 0 && n.votedFor != cand:
 			grant = false
+		case n.votedFor < 0 && !n.persistEpoch(n.epoch, cand):
+			grant = false
 		case n.votedFor < 0:
-			if err := n.persistEpoch(n.epoch, cand); err != nil {
-				n.cfg.Logf("repl: node %d: persist vote: %v", n.cfg.NodeID, err)
-				grant = false
-			} else {
-				n.votedFor, n.grantedAt = cand, time.Now()
-			}
+			n.votedFor, n.grantedAt = cand, time.Now()
 		}
 	}
 	resp := &Message{

@@ -554,13 +554,56 @@ func TestLaggingFollowerCatchesUpPerShard(t *testing.T) {
 	}
 }
 
+// pause stops the first goroutine that passes it once armed, until let.
+type pause struct {
+	armed      atomic.Bool
+	at, resume chan struct{}
+	once       sync.Once
+}
+
+func newPause(t *testing.T) *pause {
+	p := &pause{at: make(chan struct{}), resume: make(chan struct{})}
+	t.Cleanup(p.let)
+	return p
+}
+
+func (p *pause) pass() {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.at)
+		<-p.resume
+	}
+}
+
+func (p *pause) let() { p.once.Do(func() { close(p.resume) }) }
+
+func (p *pause) reached(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-p.at:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("never reached %s", what)
+	}
+}
+
+// renamePauseFS pauses the rename that publishes the record name.
+type renamePauseFS struct {
+	wal.FS
+	name string
+	p    *pause
+}
+
+func (f renamePauseFS) Rename(oldpath, newpath string) error {
+	if filepath.Base(newpath) == f.name {
+		f.p.pass()
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
 // holdFS is the real filesystem with one armed write held before it
-// starts: the first write after arming closes held and waits for
-// release.
+// starts, at p.
 type holdFS struct {
 	wal.FS
-	armed         *atomic.Bool
-	held, release chan struct{}
+	p *pause
 }
 
 func (f holdFS) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
@@ -568,19 +611,16 @@ func (f holdFS) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, err
 	if err != nil {
 		return nil, err
 	}
-	return holdFile{file, f}, nil
+	return holdFile{file, f.p}, nil
 }
 
 type holdFile struct {
 	wal.File
-	fs holdFS
+	p *pause
 }
 
 func (f holdFile) Write(p []byte) (int, error) {
-	if f.fs.armed.CompareAndSwap(true, false) {
-		close(f.fs.held)
-		<-f.fs.release
-	}
+	f.p.pass()
 	return f.File.Write(p)
 }
 
@@ -591,17 +631,16 @@ func (f holdFile) Write(p []byte) (int, error) {
 // held it runs whileHeld, cuts the primary off until the others elect a
 // primary that writes x = "kept", heals the cut, waits for the old
 // primary's deposition, and lets the held write go. It returns the old
-// and the new primary.
-func deposeWithWriteHeld(t *testing.T, whileHeld func(p *testNode)) (*testNode, *testNode) {
+// and the new primary. node0, when set, adjusts node 0's options.
+func deposeWithWriteHeld(t *testing.T, node0 func(o *nodeOpts), whileHeld func(p *testNode)) (*testNode, *testNode) {
 	t.Helper()
-	var armed atomic.Bool
-	held, release := make(chan struct{}), make(chan struct{})
-	var releaseOnce sync.Once
-	unhold := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(unhold)
+	hold := newPause(t)
 	nodes, addrs, parts := startCluster(t, 3, func(i int, o *nodeOpts) {
 		if i == 0 {
-			o.fs = holdFS{FS: wal.OSFS(), armed: &armed, held: held, release: release}
+			o.fs = holdFS{FS: wal.OSFS(), p: hold}
+			if node0 != nil {
+				node0(o)
+			}
 		}
 	})
 	p := nodes[0]
@@ -614,9 +653,9 @@ func deposeWithWriteHeld(t *testing.T, whileHeld func(p *testNode)) (*testNode, 
 	putKeys(t, c, 0, 10)
 	caughtUp(t, p, nodes...)
 
-	armed.Store(true)
+	hold.armed.Store(true)
 	go c.Put("x", []byte("lost")) // fails: the node is deposed before it is replicated
-	<-held
+	hold.reached(t, "the write's hold")
 	whileHeld(p)
 	for j := 1; j < 3; j++ {
 		if err := parts[0].Block(addrs[j], "both"); err != nil {
@@ -642,7 +681,7 @@ func deposeWithWriteHeld(t *testing.T, whileHeld func(p *testNode)) (*testNode, 
 		return p.node.Role() == RoleFollower
 	})
 	time.Sleep(100 * time.Millisecond) // time enough to subscribe, were it not waiting for the write
-	unhold()
+	hold.let()
 	return p, np
 }
 
@@ -651,7 +690,7 @@ func deposeWithWriteHeld(t *testing.T, whileHeld func(p *testNode)) (*testNode, 
 // pairs name it, are off the winner's log, and the node is re-seeded:
 // it never serves the write the cluster did not commit.
 func TestDeposedPrimaryInFlightWriteIsNotServed(t *testing.T) {
-	p, np := deposeWithWriteHeld(t, func(*testNode) {})
+	p, np := deposeWithWriteHeld(t, nil, func(*testNode) {})
 	fc, err := server.Dial(p.kvLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -684,7 +723,7 @@ func TestDeposedPrimaryInFlightReadIsNotServed(t *testing.T) {
 		err error
 	}
 	read := make(chan answer, 1)
-	deposeWithWriteHeld(t, func(p *testNode) {
+	deposeWithWriteHeld(t, nil, func(p *testNode) {
 		rc, err := server.Dial(p.kvLn.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -706,6 +745,95 @@ func TestDeposedPrimaryInFlightReadIsNotServed(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the read never answered")
+	}
+}
+
+// TestReadHeldPastAReseedIsNotServed: a read of x that the primary
+// passes while its write of x is held (deposeWithWriteHeld) is held
+// again just before the commit gate, as a descheduled goroutine would
+// be, until the deposed node has been re-seeded and matched again. Were
+// it released then, it would pass the gate with the value the cluster
+// never committed; the re-seed's installs fail it instead.
+//   - "at the gate": the read is admitted while the node leads, so it
+//     observes the held write and waits for it to be stable.
+//   - "before admission": the read is held after CheckRequest passed it,
+//     and admitted only after the subscribe's fence, while the re-seed
+//     writes its mark. Its transaction then reads the uncommitted write
+//     from memory, and the stability wait passes, the fence having put
+//     that write's frame in the log.
+func TestReadHeldPastAReseedIsNotServed(t *testing.T) {
+	type answer struct {
+		r   kv.Result
+		err error
+	}
+	for _, beforeAdmission := range []bool{false, true} {
+		name := map[bool]string{false: "at the gate", true: "before admission"}[beforeAdmission]
+		t.Run(name, func(t *testing.T) {
+			read := make(chan answer, 1)
+			gate, admit, reseed := newPause(t), newPause(t), newPause(t)
+			var node0 func(o *nodeOpts)
+			if beforeAdmission {
+				node0 = func(o *nodeOpts) {
+					o.fs = renamePauseFS{FS: o.fs, name: reseedFile, p: reseed}
+					o.admitted = func(ops []kv.Op) {
+						if len(ops) == 1 && ops[0].Kind == kv.OpGet {
+							admit.pass()
+						}
+					}
+				}
+			}
+			p, _ := deposeWithWriteHeld(t, node0, func(p *testNode) {
+				gate.armed.Store(true)
+				p.store.SetCommitGate(func(vec []wal.ShardLSN, wrote bool) error {
+					if !wrote {
+						gate.pass()
+					}
+					return p.node.commitGate(vec, wrote)
+				})
+				rc, err := server.Dial(p.kvLn.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { rc.Close() })
+				admit.armed.Store(beforeAdmission)
+				dispatched := p.srv.SchedStats().Dispatched.Load()
+				go func() {
+					r, err := rc.Get("x")
+					read <- answer{r, err}
+				}()
+				if beforeAdmission {
+					admit.reached(t, "the read's hold after CheckRequest")
+					reseed.armed.Store(true)
+					return
+				}
+				waitFor(t, 5*time.Second, "the read past admission while the node leads", func() bool {
+					return p.srv.SchedStats().Dispatched.Load() > dispatched
+				})
+			})
+			if beforeAdmission {
+				reseed.reached(t, "the re-seed mark's rename")
+				admit.let()
+				gate.reached(t, "the commit gate")
+				reseed.let()
+				waitFor(t, 10*time.Second, "the re-seed to match the node", p.matched)
+			} else {
+				gate.reached(t, "the commit gate")
+				deadline := time.Now().Add(2 * time.Second)
+				for !p.matched() && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			gate.let()
+			select {
+			case a := <-read:
+				if a.err == nil && string(a.r.Value) == "lost" {
+					t.Errorf("a read held past the re-seed served the uncommitted write: x = %q", a.r.Value)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the read never answered")
+			}
+			waitFor(t, 10*time.Second, "the deposed node to rejoin once the read answered", p.matched)
+		})
 	}
 }
 

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -191,23 +190,26 @@ func Start(store *kv.Store, cfg Config) (*Node, error) {
 	}
 
 	n := &Node{
-		cfg:     cfg,
-		store:   store,
-		log:     log,
-		rec:     cfg.Recorder,
-		quorum:  (len(cfg.Peers) + 1) / 2,
-		stop:    make(chan struct{}),
-		waitCh:  make(chan struct{}),
-		subs:    make(map[*subState]struct{}),
-		ackLat:  make(map[int]*metrics.Histogram),
-		applyTh: cfg.NewThread(),
+		cfg:      cfg,
+		store:    store,
+		log:      log,
+		rec:      cfg.Recorder,
+		quorum:   (len(cfg.Peers) + 1) / 2,
+		stop:     make(chan struct{}),
+		waitCh:   make(chan struct{}),
+		subs:     make(map[*subState]struct{}),
+		ackLat:   make(map[int]*metrics.Histogram),
+		applyTh:  cfg.NewThread(),
+		votedFor: -1,
 	}
-	var err error
-	if n.epoch, n.votedFor, err = n.loadEpoch(); err != nil {
-		n.applyTh.Close()
-		return nil, err
+	_, err := n.loadRecord(epochFile, "epoch vote", &n.epoch, &n.votedFor)
+	if err == nil && n.votedFor < -1 {
+		err = fmt.Errorf("repl: corrupt %s file: vote %d", epochFile, n.votedFor)
 	}
-	if n.reseeding, err = n.loadReseed(); err != nil {
+	if err == nil {
+		n.reseeding, err = n.loadRecord(reseedFile, "last-epoch total", &n.reseedFrom[0], &n.reseedFrom[1])
+	}
+	if err != nil {
 		n.applyTh.Close()
 		return nil, err
 	}
@@ -271,78 +273,41 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// loadEpoch reads the persisted epoch and vote (0 and none when absent).
-func (n *Node) loadEpoch() (uint64, int, error) {
-	raw, err := os.ReadFile(filepath.Join(n.log.Dir(), epochFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, -1, nil
-	}
-	if err != nil {
-		return 0, -1, err
-	}
-	var e uint64
-	var vote int
-	if _, err := fmt.Sscanf(string(raw), "%d %d\n", &e, &vote); err != nil || vote < -1 {
-		return 0, -1, fmt.Errorf("repl: corrupt %s file %q (want \"epoch vote\")", epochFile, raw)
-	}
-	return e, vote, nil
-}
-
-// loadReseed reports whether a re-seed is incomplete and, if so, loads
-// the history its file recorded.
-func (n *Node) loadReseed() (bool, error) {
-	raw, err := os.ReadFile(filepath.Join(n.log.Dir(), reseedFile))
-	if errors.Is(err, os.ErrNotExist) {
+// loadRecord parses the named record, two numbers a and b (want names
+// them), and reports whether it exists: the epoch and vote (EPOCH), or
+// the history an incomplete re-seed recorded (RESEED).
+func (n *Node) loadRecord(name, want string, a, b any) (bool, error) {
+	raw, err := n.log.ReadRecord(name)
+	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	if _, err := fmt.Sscanf(string(raw), "%d %d\n", &n.reseedFrom[0], &n.reseedFrom[1]); err != nil {
-		return false, fmt.Errorf("repl: corrupt %s file %q (want \"last-epoch total\")", reseedFile, raw)
+	if _, err := fmt.Sscanf(string(raw), "%d %d\n", a, b); err != nil {
+		return false, fmt.Errorf("repl: corrupt %s file %q (want %q)", name, raw, want)
 	}
 	return true, nil
 }
 
 // persistEpoch durably records the epoch and this node's vote at it,
-// before anything acts on either.
-func (n *Node) persistEpoch(e uint64, vote int) error {
-	return writeDurable(n.log.Dir(), epochFile, fmt.Sprintf("%d %d\n", e, vote))
-}
-
-// writeDurable replaces dir/name with data (temp + rename) and syncs
-// the file and the directory, so a crash after it returns keeps it.
-func writeDurable(dir, name, data string) error {
-	tmp, err := os.CreateTemp(dir, "tmp-"+name+"-*")
+// before anything acts on either, and reports whether it did. A failure
+// is logged and stops the log, which then refuses every later record
+// write: the node acts on neither.
+func (n *Node) persistEpoch(e uint64, vote int) bool {
+	err := n.log.WriteRecord(epochFile, fmt.Appendf(nil, "%d %d\n", e, vote))
 	if err != nil {
-		return err
+		n.cfg.Logf("repl: node %d: persist epoch %d vote %d: %v; staying at epoch %d", n.cfg.NodeID, e, vote, err, n.epoch)
 	}
-	if _, err = tmp.WriteString(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return err == nil
 }
 
 // beginReseed durably marks a re-seed incomplete, with the history the
 // node's votes keep judging by, before its first install drops the
 // segment chain, and fences reads until it is done. A re-seed that
 // resumes one left incomplete keeps the file it found: the chain is
-// already gone, so only the file still knows the history.
+// already gone, so only the file still knows the history. A failed
+// write stops the log and refuses the re-seed.
 func (n *Node) beginReseed() error {
 	n.stats.Resyncs.Add(1)
 	n.mu.Lock()
@@ -351,7 +316,7 @@ func (n *Node) beginReseed() error {
 		return nil
 	}
 	last, total := n.historyLocked()
-	if err := writeDurable(n.log.Dir(), reseedFile, fmt.Sprintf("%d %d\n", last, total)); err != nil {
+	if err := n.log.WriteRecord(reseedFile, fmt.Appendf(nil, "%d %d\n", last, total)); err != nil {
 		return fmt.Errorf("repl: create %s: %w", reseedFile, err)
 	}
 	n.reseeding, n.matched, n.reseedFrom = true, false, [2]uint64{last, total}
@@ -359,15 +324,17 @@ func (n *Node) beginReseed() error {
 }
 
 // endReseed marks the re-seed done once its last install landed: every
-// shard is the primary's again.
-func (n *Node) endReseed() {
-	if err := os.Remove(filepath.Join(n.log.Dir(), reseedFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		n.cfg.Logf("repl: node %d: remove %s: %v", n.cfg.NodeID, reseedFile, err)
+// shard is the primary's again. Until the file is durably gone the
+// re-seed stays incomplete; a failed removal stops the log.
+func (n *Node) endReseed() error {
+	if err := n.log.WriteRecord(reseedFile, nil); err != nil {
+		return fmt.Errorf("repl: remove %s: %w", reseedFile, err)
 	}
 	n.mu.Lock()
 	n.reseeding, n.matched = false, true
 	n.broadcastLocked()
 	n.mu.Unlock()
+	return nil
 }
 
 // broadcastLocked wakes every waiter (gate, bounded reads, role loop).
@@ -377,12 +344,14 @@ func (n *Node) broadcastLocked() {
 	n.waitCh = make(chan struct{})
 }
 
-// adoptEpochLocked raises the local epoch to e (persisting it) and, if
-// this node was the primary, steps it down — it has been deposed.
-// Callers hold n.mu. Reports whether anything changed.
-func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
+// adoptEpochLocked raises the local epoch to e (persisting it first)
+// and, if this node was the primary, steps it down — it has been
+// deposed. Stepping down needs no write; a failed write leaves the node
+// at the epoch its EPOCH file holds, with its log stopped. Callers hold
+// n.mu.
+func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) {
 	if e <= n.epoch && primaryRpl == "" {
-		return false
+		return
 	}
 	changed := false
 	if e > n.epoch {
@@ -390,13 +359,13 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 			// Demoted before the epoch moves: no reader of the two gauges
 			// sees this node primary at e.
 			n.stepDownLocked(fmt.Sprintf("DEPOSED at epoch %d", e))
+			changed = true
 		}
-		n.epoch, n.votedFor = e, -1
-		n.stats.Epoch.Store(e)
-		if err := n.persistEpoch(e, -1); err != nil {
-			n.cfg.Logf("repl: node %d: persist epoch %d: %v", n.cfg.NodeID, e, err)
+		if n.persistEpoch(e, -1) {
+			n.epoch, n.votedFor = e, -1
+			n.stats.Epoch.Store(e)
+			changed = true
 		}
-		changed = true
 	}
 	if primaryRpl != "" && primaryRpl != n.cfg.Advertise {
 		if n.primaryRpl != primaryRpl || n.primaryKV != primaryKV {
@@ -407,7 +376,6 @@ func (n *Node) adoptEpochLocked(e uint64, primaryKV, primaryRpl string) bool {
 	if changed {
 		n.broadcastLocked()
 	}
-	return changed
 }
 
 // stepDownLocked makes the primary a follower at its epoch: its streams

@@ -58,8 +58,9 @@ type nodeOpts struct {
 	leaseTimeout time.Duration // default 120ms
 	maxReadWait  time.Duration
 	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
-	fs           wal.FS       // the WAL's filesystem; default the real one
-	replLn       net.Listener // when set, holds replAddr until just before Start listens on it
+	fs           wal.FS            // the WAL's filesystem; default the real one
+	replLn       net.Listener      // when set, holds replAddr until just before Start listens on it
+	admitted     func(ops []kv.Op) // when set, runs for each request CheckRequest passes
 }
 
 func startNode(t testing.TB, id int, o nodeOpts) *testNode {
@@ -115,7 +116,17 @@ func startNode(t testing.TB, id int, o nodeOpts) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(store, b.Reg, server.Config{CheckRequest: node.CheckRequest})
+	check := node.CheckRequest
+	if o.admitted != nil {
+		check = func(ops []kv.Op, st *server.Staleness) (uint8, string) {
+			status, msg := node.CheckRequest(ops, st)
+			if status == server.StatusOK {
+				o.admitted(ops)
+			}
+			return status, msg
+		}
+	}
+	srv := server.New(store, b.Reg, server.Config{CheckRequest: check})
 	go srv.Serve(kvLn)
 	tn := &testNode{id: id, opts: o, b: b, store: store, node: node, srv: srv, kvLn: kvLn}
 	t.Cleanup(func() { tn.kill(); store.Close() })

@@ -85,10 +85,14 @@ func (n *Node) subscribe(addr string) error {
 			return fmt.Errorf("repl: fenced a stale-epoch (%d < %d) sender", m.Epoch, epoch)
 		}
 		if m.Epoch > epoch {
-			epoch = m.Epoch
 			n.mu.Lock()
 			n.adoptEpochLocked(m.Epoch, "", "")
+			adopted := n.epoch >= m.Epoch
 			n.mu.Unlock()
+			if !adopted {
+				return fmt.Errorf("repl: could not persist epoch %d", m.Epoch)
+			}
+			epoch = m.Epoch
 		}
 
 		switch {
@@ -132,7 +136,9 @@ func (n *Node) subscribe(addr string) error {
 			if m.Reseed {
 				reseeded[sh] = true
 				if len(reseeded) == len(lsns) {
-					n.endReseed()
+					if err := n.endReseed(); err != nil {
+						return err
+					}
 					placed = true
 				}
 			}

@@ -217,18 +217,6 @@ func (m *memFS) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), f.data...), nil
 }
 
-func (m *memFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	f, err := m.OpenFile(name, os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
-		return err
-	}
-	mf := f.(*memFile)
-	mf.mu.Lock()
-	defer mf.mu.Unlock()
-	mf.data, mf.size = append([]byte(nil), data...), int64(len(data))
-	return nil
-}
-
 func (m *memFS) Stat(name string) (os.FileInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -354,11 +354,12 @@ func Open(cfg Config) (*Log, *State, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mfPath := filepath.Join(cfg.Dir, manifestName)
-	if _, err := fsys.ReadFile(mfPath); err != nil {
-		if err := fsys.WriteFile(mfPath, []byte(manifestContents(cfg.Shards)), 0o644); err != nil {
-			return nil, nil, err
-		}
+	_, err = fsys.Stat(filepath.Join(cfg.Dir, manifestName))
+	if errors.Is(err, fs.ErrNotExist) {
+		err = writeDurable(fsys, cfg.Dir, manifestName, []byte(manifestContents(cfg.Shards)))
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Apply the repair plan: future appends must land after a clean,
@@ -383,7 +384,10 @@ func Open(cfg Config) (*Log, *State, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	syncDir(fsys, cfg.Dir)
+	if err := syncDir(fsys, cfg.Dir); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
 
 	l := &Log{
 		cfg:     cfg,

@@ -188,7 +188,8 @@ var ErrSnapshotBehind = errors.New("wal: snapshot is behind the shard's log posi
 // only copy of all shards' frames, so it is dropped whole — newest
 // segment first, so a crash mid-way leaves a prefix of the old chain
 // under the old snapshots, never a disconnected suffix or a splice —
-// by the re-seed's first install (the later ones find it empty).
+// by the re-seed's first install (the later ones find it empty), and
+// the snapshot is written only once the drop is durable.
 //
 // The caller must have quiesced appends (the follower's single apply
 // goroutine is the only writer) and has already replaced the shard in
@@ -209,12 +210,9 @@ func (l *Log) InstallSnapshot(container []byte, reseed bool) error {
 	if !reseed && at > lsn {
 		return fmt.Errorf("%w: shard %d is at %d, snapshot at %d", ErrSnapshotBehind, shard, at, lsn)
 	}
-	tmpName, err := l.writeSnapshotTemp(container)
 	l.mu.Lock()
 	l.acquireLocked()
-	if err == nil {
-		err = l.err
-	}
+	err = l.err
 	drop := reseed && (len(l.segs) > 1 || l.durable > l.segBase) // the chain holds frames
 	l.mu.Unlock()
 	if err == nil && drop {
@@ -222,9 +220,9 @@ func (l *Log) InstallSnapshot(container []byte, reseed bool) error {
 	}
 	var final string
 	if err == nil {
-		final, err = l.publishSnapshot(tmpName, shard, lsn, int(h.nKeys))
-	} else if tmpName != "" {
-		l.fs.Remove(tmpName)
+		if final, err = l.publishSnapshot(container, shard, lsn, int(h.nKeys)); err != nil {
+			l.stats.WriteErrors.Add(1)
+		}
 	}
 	if err != nil {
 		l.stop(err)
@@ -263,6 +261,5 @@ func (l *Log) dropChain() error {
 			l.stats.RemovedFiles.Add(1)
 		}
 	}
-	syncDir(l.fs, l.dir)
-	return nil
+	return syncDir(l.fs, l.dir) // the chain is gone before the snapshot above it is published
 }

@@ -155,29 +155,6 @@ func (l *Log) SnapshotContainer(shard int, lsn uint64, keys map[string][]byte) (
 	return encodeSnapshot(shard, lsn, epoch, keys)
 }
 
-// writeSnapshotTemp writes and syncs a snapshot container into a temp
-// file in the data directory and returns its name. Publication is a
-// later atomic rename, so a crash mid-write leaves only ignorable
-// garbage.
-func (l *Log) writeSnapshotTemp(container []byte) (string, error) {
-	tmp, err := l.fs.CreateTemp(l.dir, "tmp-snap-*")
-	if err != nil {
-		return "", l.snapshotError(err)
-	}
-	name := tmp.Name()
-	if err = writeFull(tmp, container); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		l.fs.Remove(name)
-		return "", l.snapshotError(err)
-	}
-	return name, nil
-}
-
 // snapshotError counts a snapshot file error and applies the stop
 // rule's one asymmetry: ENOSPC stops the log, because the volume is
 // full, but fails no frame already admitted; any other error fails only
@@ -191,18 +168,17 @@ func (l *Log) snapshotError(err error) error {
 	return err
 }
 
-// publishSnapshot renames a temp snapshot into place and returns the
-// final path.
-func (l *Log) publishSnapshot(tmpName string, shard int, lsn uint64, nKeys int) (string, error) {
-	final := filepath.Join(l.dir, snapshotName(shard, lsn))
-	if err := l.fs.Rename(tmpName, final); err != nil {
-		l.fs.Remove(tmpName)
+// publishSnapshot writes a snapshot container under its final name
+// with the one durable writer and returns that path. A failure, the
+// directory sync's included, leaves the snapshot unsealed.
+func (l *Log) publishSnapshot(container []byte, shard int, lsn uint64, nKeys int) (string, error) {
+	name := snapshotName(shard, lsn)
+	if err := writeDurable(l.fs, l.dir, name, container); err != nil {
 		return "", err
 	}
-	syncDir(l.fs, l.dir)
 	l.stats.Snapshots.Add(1)
 	l.stats.SnapshotKeys.Store(uint64(nKeys))
-	return final, nil
+	return filepath.Join(l.dir, name), nil
 }
 
 // removeFiles deletes dead files (covered segments, superseded
@@ -237,8 +213,8 @@ func (l *Log) staleSnapshots(shard int, keep string) []string {
 // keys and the wait). On seal the log rotates to a fresh segment and
 // deletes, oldest first, every leading segment whose every (shard, lsn)
 // is at or below that shard's sealed snapshot — plus the shard's stale
-// snapshots. A snapshot that cannot be built leaves every file as it
-// was.
+// snapshots. A snapshot that cannot be built or written, its
+// directory sync included, seals nothing and deletes nothing.
 func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
 	l.mu.Lock()
 	already := shard >= 0 && shard < len(l.snapLSN) && lsn <= l.snapLSN[shard]
@@ -250,13 +226,9 @@ func (l *Log) Snapshot(shard int, lsn uint64, keys map[string][]byte) error {
 	if err != nil {
 		return err
 	}
-	tmpName, err := l.writeSnapshotTemp(container)
+	final, err := l.publishSnapshot(container, shard, lsn, len(keys))
 	if err != nil {
-		return err
-	}
-	final, err := l.publishSnapshot(tmpName, shard, lsn, len(keys))
-	if err != nil {
-		return err
+		return l.snapshotError(err)
 	}
 
 	l.mu.Lock()

@@ -36,7 +36,6 @@ type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	Stat(name string) (os.FileInfo, error)
 	Glob(pattern string) ([]string, error)
 }
@@ -74,10 +73,6 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(p
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
 
 func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 

@@ -642,12 +642,3 @@ func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016x.log", seq) }
 func snapshotName(shard int, lsn uint64) string {
 	return fmt.Sprintf("snap-%03d-%016x.snap", shard, lsn)
 }
-
-// syncDir best-effort fsyncs a directory so renames and unlinks are
-// durable. Errors are ignored: not every filesystem supports it.
-func syncDir(fsys FS, dir string) {
-	if d, err := fsys.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
